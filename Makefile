@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet ssrvet race crash replication fuzz-smoke bench-json bench-shards bench-drift bench-plan bench-screen bench-replica check
+.PHONY: all build test vet ssrvet race crash replication fuzz-smoke bench check
 
 all: check
 
@@ -60,52 +60,9 @@ fuzz-smoke:
 	$(GO) test ./internal/replica/ -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME)
 
-# The parallel-pipeline benchmark report (build speedup, batched query
-# latency, recall, simulated I/O, screening saving) as one JSON document.
-# Tune scale with BENCH_N / BENCH_QUERIES / BENCH_BUDGET; the defaults are
-# the laptop-scale Figure 6 configuration.
-BENCH_N ?= 2000
-BENCH_QUERIES ?= 256
-BENCH_BUDGET ?= 500
-bench-json:
-	$(GO) run ./cmd/ssrbench -json -n $(BENCH_N) -queries $(BENCH_QUERIES) -budget $(BENCH_BUDGET) -out BENCH_parallel.json
-
-# The sharded-engine report: build wall time, query percentiles, and
-# concurrent durable insert throughput (write-only and mixed read/write)
-# at shard counts 1/4/8, with a cross-shard-count answer checksum. Runs
-# against the repo directory, not $TMPDIR — the fsync-overlap measurement
-# needs a real disk. Takes a couple of minutes.
-bench-shards:
-	$(GO) run ./cmd/ssrbench -exp shards -json -out BENCH_shards.json
-
-# The adaptive re-tuning report: recall/precision/candidate volume before
-# drift, after a distribution-shifting insert stream on the stale plan,
-# and after the drift-triggered retune — one query workload shared by the
-# last two phases so the rows differ only in the plan that served them.
-bench-drift:
-	$(GO) run ./cmd/ssrbench -exp drift -json -n $(BENCH_N) -queries $(BENCH_QUERIES) -out BENCH_drift.json
-
-# The query-planner report: repeat-query result-cache speedup and hit
-# rate, wide-range screen-only vs fi-probe (with measured recall), and
-# tiny-collection direct-scan vs fi-probe — plus checksums proving every
-# exact plan answers byte-identically to the default pipeline
-# (identicalResults in the JSON).
-bench-plan:
-	$(GO) run ./cmd/ssrbench -exp plan -json -out BENCH_plan.json
-
-# The signing-family screening matrix: {classic, superminhash} ×
-# b ∈ {64, 4, 1} over one collection and workload — screened fraction,
-# signature bytes/set, estimator half-width, and a cross-family checksum
-# proving exact answers are byte-identical for every family
-# (identicalResults in the JSON).
-bench-screen:
-	$(GO) run ./cmd/ssrbench -exp screen -json -n $(BENCH_N) -queries $(BENCH_QUERIES) -budget $(BENCH_BUDGET) -out BENCH_screen.json
-
-# The replication report: write-to-visible lag percentiles on a live
-# follower, hedged scatter-gather read latency through the router vs
-# direct primary reads, and a byte-identity check over every routed
-# answer (identicalAnswers in the JSON).
-bench-replica:
-	$(GO) run ./cmd/ssrbench -exp replica -json -n $(BENCH_N) -queries $(BENCH_QUERIES) -out BENCH_replica.json
+# The repository's one benchmark (BENCHMARK.json; benchmark/README.md has
+# the workloads and metric tables): every workload once at seed 1.
+bench:
+	$(GO) run ./benchmark -seed 1
 
 check: build vet test

@@ -2,6 +2,7 @@ package ssr
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -56,12 +57,17 @@ func TestQueryBatchRangeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := ix.QueryBatch([]BatchQuery{
+	queries := []BatchQuery{
 		{Elements: []string{"dune"}, Lo: -0.5, Hi: 1.0},
 		{Elements: []string{"dune", "foundation", "hyperion", "neuromancer"}, Lo: 0.9, Hi: 1.0},
-	}, QueryOptions{})
-	if results[0].Err == nil {
-		t.Error("negative lo accepted")
+		{Elements: []string{"dune"}, Lo: math.NaN(), Hi: 1.0},
+		{Elements: []string{"dune"}, Lo: 0.5, Hi: math.NaN()},
+	}
+	results := ix.QueryBatch(queries, QueryOptions{})
+	for _, i := range []int{0, 2, 3} {
+		if results[i].Err == nil {
+			t.Errorf("entry %d: range [%g, %g] accepted", i, queries[i].Lo, queries[i].Hi)
+		}
 	}
 	if results[1].Err != nil {
 		t.Errorf("valid entry failed: %v", results[1].Err)

@@ -31,7 +31,6 @@ import (
 	"repro/internal/lsh"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
-	"repro/internal/scan"
 	"repro/internal/set"
 	"repro/internal/simdist"
 	"repro/internal/storage"
@@ -147,7 +146,7 @@ func benchFig7(b *testing.B, params workload.Params, name string) {
 	}
 	b.StopTimer()
 	// One representative scan for the baseline I/O metric.
-	_, sstats, err := scan.Query(f.ix.Store(), f.sets[f.queries[0].SID], f.queries[0].Lo, f.queries[0].Hi)
+	_, sstats, err := f.ix.ScanQuery(f.sets[f.queries[0].SID], f.queries[0].Lo, f.queries[0].Hi)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func BenchmarkScanBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := f.queries[i%len(f.queries)]
-		if _, _, err := scan.Query(f.ix.Store(), f.sets[q.SID], q.Lo, q.Hi); err != nil {
+		if _, _, err := f.ix.ScanQuery(f.sets[q.SID], q.Lo, q.Hi); err != nil {
 			b.Fatal(err)
 		}
 	}

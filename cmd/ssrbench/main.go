@@ -6,24 +6,14 @@
 //	ssrbench -exp fig6a                 # Figure 6(a): 500-table budget
 //	ssrbench -exp fig7a -n 20000        # Figure 7(a) at a larger scale
 //	ssrbench -exp all                   # everything, in order
-//	ssrbench -exp bench -json -out BENCH_parallel.json
-//	                                    # parallel-pipeline report as JSON
-//	ssrbench -exp shards -json -out BENCH_shards.json
-//	                                    # sharded-engine report as JSON
-//	ssrbench -exp drift -json -out BENCH_drift.json
-//	                                    # adaptive re-tuning under drift
-//	ssrbench -exp plan -json -out BENCH_plan.json
-//	                                    # cost-based query planner report
-//	ssrbench -exp replica -json -out BENCH_replica.json
-//	                                    # replication lag + hedged-read report
 //
 // The paper's experiments used 200,000-set collections; the defaults here
 // are laptop-scale but preserve the reported shapes. Raise -n and -queries
-// to approach the original scale.
+// to approach the original scale. Performance is measured by the
+// repository's benchmark (go run ./benchmark), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,23 +21,19 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/planbench"
-	"repro/internal/replbench"
-	"repro/internal/shardbench"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig6a, fig6b, fig7a, fig7b, filtercurve, rltradeoff, placement, allocation, intervals, dfigain, embedding, profile, bench, drift, shards, plan, screen, replica, all")
-		n        = flag.Int("n", 0, "collection size per dataset (0 = default)")
-		queries  = flag.Int("queries", 0, "number of random queries (0 = default)")
-		budget   = flag.Int("budget", 0, "hash-table budget override (0 = per-experiment default)")
-		k        = flag.Int("k", 0, "min-hash signature length (0 = default)")
-		seed     = flag.Int64("seed", 0, "random seed (0 = default)")
-		recall   = flag.Float64("recall", 0, "optimizer recall target (0 = default 0.9)")
-		sstar    = flag.Float64("sstar", 0.8, "turning point for filter-curve experiments")
-		jsonFlag = flag.Bool("json", false, "emit the bench report as JSON (implies -exp bench)")
-		outPath  = flag.String("out", "", "write output to this file instead of stdout")
+		exp     = flag.String("exp", "all", "experiment: fig6a, fig6b, fig7a, fig7b, filtercurve, rltradeoff, placement, allocation, intervals, dfigain, embedding, profile, all")
+		n       = flag.Int("n", 0, "collection size per dataset (0 = default)")
+		queries = flag.Int("queries", 0, "number of random queries (0 = default)")
+		budget  = flag.Int("budget", 0, "hash-table budget override (0 = per-experiment default)")
+		k       = flag.Int("k", 0, "min-hash signature length (0 = default)")
+		seed    = flag.Int64("seed", 0, "random seed (0 = default)")
+		recall  = flag.Float64("recall", 0, "optimizer recall target (0 = default 0.75)")
+		sstar   = flag.Float64("sstar", 0.8, "turning point for filter-curve experiments")
+		outPath = flag.String("out", "", "write output to this file instead of stdout")
 	)
 	flag.Parse()
 
@@ -58,27 +44,6 @@ func main() {
 		MinHashes:    *k,
 		Seed:         *seed,
 		RecallTarget: *recall,
-	}
-	shardCfg := shardbench.Config{
-		N:         *n,
-		Queries:   *queries,
-		Budget:    *budget,
-		MinHashes: *k,
-		Seed:      *seed,
-	}
-	planCfg := planbench.Config{
-		N:         *n,
-		Queries:   *queries,
-		Budget:    *budget,
-		MinHashes: *k,
-		Seed:      *seed,
-	}
-	replCfg := replbench.Config{
-		N:         *n,
-		Queries:   *queries,
-		Budget:    *budget,
-		MinHashes: *k,
-		Seed:      *seed,
 	}
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
@@ -95,72 +60,14 @@ func main() {
 		}()
 		out = f
 	}
-	if *jsonFlag {
-		// JSON mode: the bench report goes to out as one JSON document; the
-		// human-readable table stays on stderr for the build log. -exp picks
-		// which report: shards for the sharded-engine bench, drift for the
-		// adaptive re-tuning report, anything else for the parallel-pipeline
-		// bench.
-		var rep any
-		var err error
-		switch strings.ToLower(*exp) {
-		case "shards":
-			rep, err = shardbench.Run(os.Stderr, shardCfg)
-		case "plan":
-			rep, err = planbench.Run(os.Stderr, planCfg)
-		case "replica":
-			rep, err = replbench.Run(os.Stderr, replCfg)
-		case "drift":
-			rep, err = experiments.Drift(os.Stderr, cfg)
-		case "screen":
-			rep, err = experiments.Screen(os.Stderr, cfg)
-		default:
-			rep, err = experiments.Bench(os.Stderr, cfg)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ssrbench: %v\n", err)
-			os.Exit(1)
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(os.Stderr, "ssrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(out, strings.ToLower(*exp), cfg, shardCfg, planCfg, replCfg, *sstar); err != nil {
+	if err := run(out, strings.ToLower(*exp), cfg, *sstar); err != nil {
 		fmt.Fprintf(os.Stderr, "ssrbench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 // run dispatches one experiment (or all of them) to w.
-func run(w io.Writer, exp string, cfg experiments.Config, shardCfg shardbench.Config, planCfg planbench.Config, replCfg replbench.Config, sstar float64) error {
-	// The sharded-engine stress bench runs for minutes and mutates durable
-	// scratch directories, so it is invoked by name only — never as part
-	// of "all". The planner bench is likewise name-only: it is a report,
-	// not one of the paper's figures.
-	if exp == "shards" {
-		_, err := shardbench.Run(w, shardCfg)
-		return err
-	}
-	if exp == "plan" {
-		_, err := planbench.Run(w, planCfg)
-		return err
-	}
-	// The signing-family screening matrix builds six indexes; name-only,
-	// like the planner bench.
-	if exp == "screen" {
-		_, err := experiments.Screen(w, cfg)
-		return err
-	}
-	// The replication bench spins up live HTTP nodes and a follower
-	// mirror; name-only, like the other system-level benches.
-	if exp == "replica" {
-		_, err := replbench.Run(w, replCfg)
-		return err
-	}
+func run(w io.Writer, exp string, cfg experiments.Config, sstar float64) error {
 	type job struct {
 		name string
 		fn   func(io.Writer) error
@@ -178,8 +85,6 @@ func run(w io.Writer, exp string, cfg experiments.Config, shardCfg shardbench.Co
 		{"dfigain", func(w io.Writer) error { _, err := experiments.DFIGain(w, cfg); return err }},
 		{"embedding", func(w io.Writer) error { _, err := experiments.Embedding(w, cfg); return err }},
 		{"profile", func(w io.Writer) error { _, err := experiments.Profile(w, cfg); return err }},
-		{"bench", func(w io.Writer) error { _, err := experiments.Bench(w, cfg); return err }},
-		{"drift", func(w io.Writer) error { _, err := experiments.Drift(w, cfg); return err }},
 	}
 	if exp != "all" {
 		for _, j := range jobs {
@@ -191,7 +96,7 @@ func run(w io.Writer, exp string, cfg experiments.Config, shardCfg shardbench.Co
 		for i, j := range jobs {
 			names[i] = j.name
 		}
-		return fmt.Errorf("unknown experiment %q (have: %s, shards, plan, screen, replica, all)", exp, strings.Join(names, ", "))
+		return fmt.Errorf("unknown experiment %q (have: %s, all)", exp, strings.Join(names, ", "))
 	}
 	for i, j := range jobs {
 		if i > 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/set"
@@ -172,10 +171,25 @@ func (ix *Index) QueryAuto(q set.Set, lo, hi float64, m storage.CostModel) ([]Ma
 		matches, stats, err := ix.queryLocked(q, lo, hi, QueryOptions{})
 		return matches, RouteIndex, stats, err
 	}
+	matches, stats, err := ix.scanLocked(q, lo, hi)
+	return matches, RouteScan, stats, err
+}
+
+// ScanQuery answers (q, [lo, hi]) exactly by the sequential-scan baseline
+// of Section 6: read the whole collection, evaluate every set's similarity
+// with the query, keep those inside the range. It is the comparator of
+// Figure 7 and the path QueryAuto takes on RouteScan.
+func (ix *Index) ScanQuery(q set.Set, lo, hi float64) ([]Match, QueryStats, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.scanLocked(q, lo, hi)
+}
+
+func (ix *Index) scanLocked(q set.Set, lo, hi float64) ([]Match, QueryStats, error) {
 	var stats QueryStats
 	start := time.Now()
 	var matches []Match
-	err = ix.store.Scan(&stats.FetchIO, func(sid storage.SID, s set.Set) bool {
+	err := ix.store.Scan(&stats.FetchIO, func(sid storage.SID, s set.Set) bool {
 		stats.Candidates++
 		sim := q.Jaccard(s)
 		if sim >= lo && sim <= hi {
@@ -184,15 +198,10 @@ func (ix *Index) QueryAuto(q set.Set, lo, hi float64, m storage.CostModel) ([]Ma
 		return true
 	})
 	if err != nil {
-		return nil, RouteScan, stats, err
+		return nil, stats, err
 	}
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Similarity != matches[j].Similarity {
-			return matches[i].Similarity > matches[j].Similarity
-		}
-		return matches[i].SID < matches[j].SID
-	})
+	sortMatches(matches)
 	stats.Results = len(matches)
 	stats.CPU = time.Since(start)
-	return matches, RouteScan, stats, nil
+	return matches, stats, nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/set"
 	"repro/internal/storage"
 )
 
@@ -95,16 +97,41 @@ func TestQueryAutoAgreesWithExplicitPaths(t *testing.T) {
 				t.Errorf("route %v: bad match %+v (true %g)", route, mt, sim)
 			}
 		}
-		if route == RouteScan {
-			// Scan path is exact: must return the full answer.
-			truth := exactAnswer(sets, sets[0], r[0], r[1])
-			if len(matches) != len(truth) {
-				t.Errorf("scan route returned %d of %d", len(matches), len(truth))
-			}
-			if stats.FetchIO.Seq() == 0 {
-				t.Error("scan route recorded no sequential I/O")
+		// The explicit scan path is exact, ordered like every other path
+		// (descending similarity, ties by ascending sid), examines every
+		// set, and reads the heap once, sequentially.
+		scanned, sstats, err := ix.ScanQuery(sets[0], r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if truth := exactAnswer(sets, sets[0], r[0], r[1]); len(scanned) != len(truth) {
+			t.Errorf("range %v: scan returned %d of %d", r, len(scanned), len(truth))
+		}
+		for i := 1; i < len(scanned); i++ {
+			a, b := scanned[i-1], scanned[i]
+			if a.Similarity < b.Similarity || (a.Similarity == b.Similarity && a.SID >= b.SID) {
+				t.Errorf("range %v: scan order broken at %d: %+v then %+v", r, i, a, b)
+				break
 			}
 		}
+		if sstats.Candidates != len(sets) || sstats.Results != len(scanned) {
+			t.Errorf("range %v: scan examined %d of %d sets, Results %d vs %d matches",
+				r, sstats.Candidates, len(sets), sstats.Results, len(scanned))
+		}
+		if seq, rnd := sstats.FetchIO.Seq(), sstats.FetchIO.Rand(); seq != ix.Store().NumPages() || rnd != 0 {
+			t.Errorf("range %v: scan read %d sequential + %d random pages, store has %d", r, seq, rnd, ix.Store().NumPages())
+		}
+		if sstats.SimIOTime(m) <= 0 {
+			t.Errorf("range %v: scan has no simulated I/O time", r)
+		}
+		if route == RouteScan && !reflect.DeepEqual(matches, scanned) {
+			t.Errorf("range %v: QueryAuto's scan route differs from ScanQuery", r)
+		}
+	}
+	// A query no set resembles: the scan returns nothing, not an error.
+	none, _, err := ix.ScanQuery(set.New(1<<30, 1<<30+1), 0.5, 1)
+	if err != nil || len(none) != 0 {
+		t.Errorf("disjoint query: %d matches, err %v", len(none), err)
 	}
 }
 

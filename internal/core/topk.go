@@ -22,7 +22,7 @@ import (
 //
 // Ties break by ascending sid. If the filters surface fewer than k sets
 // even at the lowest partition point, fewer are returned; a scan fallback
-// is deliberately not performed (use scan.Query for exact answers).
+// is deliberately not performed (use ScanQuery for exact answers).
 func (ix *Index) TopK(q set.Set, k int) ([]Match, QueryStats, error) {
 	return ix.TopKPresigned(q, nil, k)
 }

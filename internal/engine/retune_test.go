@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/embed"
+	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/tuner"
 	"repro/internal/workload"
@@ -277,6 +279,17 @@ func TestRetuneSwapUnderLoad(t *testing.T) {
 	}
 }
 
+// mirrorParams is a near-duplicate collection: a small page universe
+// visited through ~90% mirrors, so nearly all pairwise mass sits in one
+// high-similarity mode — the opposite of the diverse Set1 workload.
+func mirrorParams(n int, seed int64) workload.Params {
+	return workload.Params{
+		N: n, Topics: 4, GlobalPages: 30, TopicPages: 40,
+		MeanDepth: 40, DepthSigma: 4, NoisePool: 200, NoiseFrac: 0.05,
+		ZipfS: 1.2, MirrorProb: 0.9, MirrorNoise: 0.03, Seed: seed,
+	}
+}
+
 // TestMaybeRetuneGates checks the drift-gated path: quiet under no
 // drift, firing after a distribution shift.
 func TestMaybeRetuneGates(t *testing.T) {
@@ -299,11 +312,7 @@ func TestMaybeRetuneGates(t *testing.T) {
 
 	// Flood with near-duplicates: D_S grows a high-similarity mode that
 	// the build-time profile lacks.
-	mirrored, err := workload.Generate(workload.Params{
-		N: 600, Topics: 4, GlobalPages: 30, TopicPages: 40,
-		MeanDepth: 40, DepthSigma: 4, NoisePool: 200, NoiseFrac: 0.05,
-		ZipfS: 1.2, MirrorProb: 0.9, MirrorNoise: 0.03, Seed: 77,
-	})
+	mirrored, err := workload.Generate(mirrorParams(600, 77))
 	if err != nil {
 		t.Fatalf("generate mirrored: %v", err)
 	}
@@ -329,5 +338,97 @@ func TestMaybeRetuneGates(t *testing.T) {
 	}
 	if res.Swapped {
 		t.Fatal("MaybeRetune swapped again immediately after a rebase")
+	}
+}
+
+// TestMaybeRetuneRecoversRecall is the drift direction opposite to
+// TestMaybeRetuneGates, end to end: the index is built over a
+// near-duplicate collection, so its equidepth cuts concentrate on one
+// high-similarity mode; a diverse Set1 stream twice the base size then
+// pulls D_S toward low similarity. The tracker must fire unaided, and the
+// one query workload evaluated on both sides of the swap must see strictly
+// higher recall (against brute-force truth) on the re-tuned plan.
+func TestMaybeRetuneRecoversRecall(t *testing.T) {
+	base, err := workload.Generate(mirrorParams(400, 12))
+	if err != nil {
+		t.Fatalf("generate base: %v", err)
+	}
+	e, err := Build(base, Options{Core: core.Options{
+		Embed:    embed.Options{K: 32, Bits: 8, Seed: 1},
+		Plan:     optimize.Options{Budget: 120, RecallTarget: 0.75},
+		DistSeed: 1,
+	}})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	if err := e.EnableTuning(tuner.Config{
+		Rand:         rand.New(rand.NewSource(98)),
+		MinMutations: 64,
+		MinPairs:     64,
+	}); err != nil {
+		t.Fatalf("enable tuning: %v", err)
+	}
+	flood, err := workload.Generate(workload.Set1Params(2 * len(base)))
+	if err != nil {
+		t.Fatalf("generate flood: %v", err)
+	}
+	live := append([]set.Set(nil), base...)
+	for _, s := range flood {
+		if _, err := e.Insert(s); err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+		live = append(live, s)
+	}
+	queries, err := workload.Queries(len(live), workload.QueryParams{Count: 32, Seed: 62})
+	if err != nil {
+		t.Fatalf("queries: %v", err)
+	}
+	// meanRecall replays the workload and returns mean per-query recall
+	// (1 on empty truth) plus the plan generation that answered it.
+	// Verification makes every returned match correct, so recall is
+	// |matches| / |truth|.
+	meanRecall := func() (float64, uint64) {
+		var sum float64
+		var gen uint64
+		for _, q := range queries {
+			qset := live[q.SID]
+			matches, st, err := e.Query(qset, q.Lo, q.Hi)
+			if err != nil {
+				t.Fatalf("query: %v", err)
+			}
+			truth := 0
+			for _, s := range live {
+				if sim := qset.Jaccard(s); sim >= q.Lo && sim <= q.Hi {
+					truth++
+				}
+			}
+			r := 1.0
+			if truth > 0 {
+				r = float64(len(matches)) / float64(truth)
+			}
+			sum += r
+			gen = st.PlanGeneration
+		}
+		return sum / float64(len(queries)), gen
+	}
+
+	stale, gen := meanRecall()
+	if gen != 0 {
+		t.Fatalf("stale workload answered by generation %d, want 0", gen)
+	}
+	res, err := e.MaybeRetune()
+	if err != nil {
+		t.Fatalf("maybe-retune: %v", err)
+	}
+	if !res.Swapped || res.Drift <= tuner.DefaultDriftThreshold {
+		t.Fatalf("tracker did not fire on the diverse flood: swapped=%v drift %.3f vs threshold %.3f",
+			res.Swapped, res.Drift, tuner.DefaultDriftThreshold)
+	}
+	retuned, gen := meanRecall()
+	if gen != 1 {
+		t.Fatalf("retuned workload answered by generation %d, want 1", gen)
+	}
+	if retuned <= stale {
+		t.Fatalf("retune did not recover recall: stale %.3f, retuned %.3f", stale, retuned)
 	}
 }

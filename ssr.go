@@ -438,9 +438,19 @@ func (ix *Index) query(q set.Set, lo, hi float64) ([]Match, Stats, error) {
 	return ix.queryOpts(q, lo, hi, QueryOptions{})
 }
 
+// checkRange rejects a similarity range outside 0 <= lo <= hi <= 1. The
+// test is written in the accepting form so that a NaN bound, for which
+// every comparison is false, is rejected too.
+func checkRange(lo, hi float64) error {
+	if lo >= 0 && hi <= 1 && lo <= hi {
+		return nil
+	}
+	return fmt.Errorf("ssr: invalid similarity range [%g, %g]", lo, hi)
+}
+
 func (ix *Index) queryOpts(q set.Set, lo, hi float64, opt QueryOptions) ([]Match, Stats, error) {
-	if lo < 0 || hi > 1 || lo > hi {
-		return nil, Stats{}, fmt.Errorf("ssr: invalid similarity range [%g, %g]", lo, hi)
+	if err := checkRange(lo, hi); err != nil {
+		return nil, Stats{}, err
 	}
 	matches, qs, err := ix.inner.QueryWithOptions(q, lo, hi, opt.toCore())
 	if err != nil {
@@ -560,8 +570,8 @@ func (ix *Index) QueryBatch(queries []BatchQuery, opt QueryOptions) []BatchResul
 	results := make([]BatchResult, len(queries))
 	ok := make([]bool, len(queries))
 	for i, bq := range queries {
-		if bq.Lo < 0 || bq.Hi > 1 || bq.Lo > bq.Hi {
-			results[i].Err = fmt.Errorf("ssr: invalid similarity range [%g, %g]", bq.Lo, bq.Hi)
+		if err := checkRange(bq.Lo, bq.Hi); err != nil {
+			results[i].Err = err
 			continue
 		}
 		inner[i] = core.BatchQuery{Q: ix.coll.intern(bq.Elements), Lo: bq.Lo, Hi: bq.Hi}
@@ -646,8 +656,8 @@ type RouteInfo struct {
 // below roughly |S|·a/rtn). The scan path is exact; the index path is the
 // usual one-sided approximation.
 func (ix *Index) QueryAuto(elements []string, lo, hi float64) ([]Match, RouteInfo, Stats, error) {
-	if lo < 0 || hi > 1 || lo > hi {
-		return nil, RouteInfo{}, Stats{}, fmt.Errorf("ssr: invalid similarity range [%g, %g]", lo, hi)
+	if err := checkRange(lo, hi); err != nil {
+		return nil, RouteInfo{}, Stats{}, err
 	}
 	model := storage.DefaultCostModel()
 	rp, err := ix.inner.RouteQuery(lo, hi, model)

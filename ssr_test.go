@@ -2,6 +2,7 @@ package ssr
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -310,8 +311,10 @@ func TestQueryAutoPublic(t *testing.T) {
 	if stats.Results != len(matches) {
 		t.Errorf("stats.Results = %d vs %d matches", stats.Results, len(matches))
 	}
-	if _, _, _, err := ix.QueryAuto([]string{"x"}, 0.9, 0.1); err == nil {
-		t.Error("inverted range accepted")
+	for _, r := range [][2]float64{{0.9, 0.1}, {math.NaN(), 1}, {0.5, math.NaN()}} {
+		if _, _, _, err := ix.QueryAuto([]string{"x"}, r[0], r[1]); err == nil {
+			t.Errorf("invalid range %v accepted", r)
+		}
 	}
 	if est, err := ix.EstimateAnswerSize(0, 1); err != nil || est <= 0 {
 		t.Errorf("EstimateAnswerSize = %g, %v", est, err)
