@@ -1,5 +1,7 @@
-# Developer entry points. CI (.github/workflows/ci.yml) runs the same
-# targets; keep the two in sync.
+# Developer entry points. CI (.github/workflows/ci.yml) runs the go
+# commands of build, test, vet and race (race over the full tree) itself
+# and calls only `make fuzz-smoke` and benchmark/run.sh from here; crash
+# and replication are the local fast loops over subsets of CI's race job.
 
 GO ?= go
 

@@ -7,44 +7,43 @@ import (
 )
 
 // TestQueryBatchMatchesQuery checks the public batch API returns, per
-// entry, exactly what the single-query path returns.
+// entry, exactly what the single-query path returns — unsharded and with
+// more shards than the bookstore has similar sets.
 func TestQueryBatchMatchesQuery(t *testing.T) {
-	ix, err := Build(bookstore(), Options{Budget: 24, RecallTarget: 0.9, MinHashes: 48, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	queries := []BatchQuery{
 		{Elements: []string{"dune", "foundation", "hyperion", "neuromancer"}, Lo: 0.9, Hi: 1.0},
 		{Elements: []string{"dune", "foundation", "hyperion", "snowcrash"}, Lo: 0.5, Hi: 1.0},
 		{Elements: []string{"cookbook", "gardening", "carpentry"}, Lo: 0.9, Hi: 1.0},
 	}
-	for _, workers := range []int{1, 4} {
-		results := ix.QueryBatch(queries, QueryOptions{Workers: workers})
-		if len(results) != len(queries) {
-			t.Fatalf("workers=%d: %d results", workers, len(results))
+	for _, shards := range []int{1, 8} {
+		ix, err := Build(bookstore(), Options{Budget: 24, RecallTarget: 0.9, MinHashes: 48, Seed: 3, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, q := range queries {
-			want, wantSt, err := ix.Query(q.Elements, q.Lo, q.Hi)
-			if err != nil {
-				t.Fatal(err)
+		for _, workers := range []int{1, 3, 16} {
+			label := fmt.Sprintf("shards=%d workers=%d", shards, workers)
+			results := ix.QueryBatch(queries, QueryOptions{Workers: workers})
+			if len(results) != len(queries) {
+				t.Fatalf("%s: %d results", label, len(results))
 			}
-			r := results[i]
-			if r.Err != nil {
-				t.Fatalf("workers=%d entry %d: %v", workers, i, r.Err)
-			}
-			if len(r.Matches) != len(want) {
-				t.Fatalf("workers=%d entry %d: %d vs %d matches", workers, i, len(r.Matches), len(want))
-			}
-			for j := range want {
-				if r.Matches[j] != want[j] {
-					t.Fatalf("workers=%d entry %d match %d differs", workers, i, j)
+			for i, q := range queries {
+				want, wantSt, err := ix.Query(q.Elements, q.Lo, q.Hi)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if r.Stats.RandomPageReads != wantSt.RandomPageReads ||
-				r.Stats.SequentialPageReads != wantSt.SequentialPageReads {
-				t.Fatalf("workers=%d entry %d: I/O differs: %d/%d vs %d/%d", workers, i,
-					r.Stats.RandomPageReads, r.Stats.SequentialPageReads,
-					wantSt.RandomPageReads, wantSt.SequentialPageReads)
+				r := results[i]
+				if r.Err != nil {
+					t.Fatalf("%s entry %d: %v", label, i, r.Err)
+				}
+				if fmt.Sprint(r.Matches) != fmt.Sprint(want) {
+					t.Fatalf("%s entry %d: batch %v, standalone %v", label, i, r.Matches, want)
+				}
+				if r.Stats.RandomPageReads != wantSt.RandomPageReads ||
+					r.Stats.SequentialPageReads != wantSt.SequentialPageReads {
+					t.Fatalf("%s entry %d: I/O differs: %d/%d vs %d/%d", label, i,
+						r.Stats.RandomPageReads, r.Stats.SequentialPageReads,
+						wantSt.RandomPageReads, wantSt.SequentialPageReads)
+				}
 			}
 		}
 	}

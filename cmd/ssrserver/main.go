@@ -5,7 +5,7 @@
 //
 //	ssrgen -n 5000 -o sets.txt
 //	ssrserver -data sets.txt -budget 200 -addr :8080
-//	curl -s localhost:8080/healthz
+//	curl -s localhost:8080/readyz
 //	curl -s -X POST localhost:8080/query/sid -d '{"sid":7,"lo":0.8,"hi":1.0}'
 //
 // A previously saved snapshot (see ssrindex -save) can be served directly

@@ -167,24 +167,11 @@ type Index struct {
 	famEps      float64
 	unionHint   int
 	// fis lists the filter indices in plan order; sfiOrd/dfiOrd map a
-	// partition point to its ordinal in fis. Plan order is identical across
-	// shards built from the same plan, which is what lets the engine derive
-	// one set of probe keys per query and test every shard's summary with
-	// it. Immutable after Build.
+	// partition point to its ordinal in fis (the direct-scan plan derives
+	// per-FI keys by ordinal). Immutable after Build.
 	fis    []*filter.Index
 	sfiOrd map[float64]int
 	dfiOrd map[float64]int
-	// sum is the shard-pruning digest (see summary.go): the pointer is
-	// immutable after Build, its counters are atomics maintained by
-	// Insert/Delete under ix.mu's write side and read lock-free by the
-	// engine's scatter pruning.
-	sum *Summary
-	// sidSizeBucket records each sid's size-histogram bucket (noSizeBucket
-	// for tombstones) so Delete can decrement the histogram without
-	// fetching the set. Guarded by mu; parallel to sigs.
-	sidSizeBucket []uint8
-	// keyBuf is Insert/Delete's per-FI key scratch (exclusive lock held).
-	keyBuf []uint64
 	// fiPagers holds one bucket-page pager per filter index (giving each
 	// index its own pager is what makes concurrent population race-free and
 	// page layout deterministic); dataPager holds B+tree nodes. The set
@@ -467,24 +454,7 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 		populateFilters(emb, full, fidxs, workers)
 	}
 
-	// 6. Pruning summary: occupancy refcounts straight from the populated
-	// buckets (O(entries), no re-hashing) plus the live-size histogram.
-	// Load, recovery, and retune all funnel through Build, so every rebuilt
-	// core carries a summary consistent with its own plan generation.
-	ix.sum = newSummary()
-	for ord, f := range fidxs {
-		f.RangeStoredKeys(func(table int, key uint64) { ix.sum.addStoredKey(ord, table, key) })
-	}
-	ix.sidSizeBucket = make([]uint8, len(sets))
-	for i, s := range sets {
-		if tombstoned(i) {
-			ix.sidSizeBucket[i] = noSizeBucket
-			continue
-		}
-		ix.sidSizeBucket[i] = ix.sum.addSize(s.Len())
-	}
-
-	// 7. Family confidence half-width. The union hint (≈ average pair
+	// 6. Family confidence half-width. The union hint (≈ average pair
 	// union) defaults to 2× the mean live set size; it is recorded in
 	// buildOpts so snapshots and retune rebuilds reproduce the same width.
 	hint := opt.UnionSizeHint
@@ -999,14 +969,9 @@ func (ix *Index) Insert(s set.Set) (storage.SID, error) {
 	}
 	ix.sigs = append(ix.sigs, stored)
 	src := ix.emb.Bits(sig)
-	// Derive each FI's table keys once, feeding both the table and the
-	// pruning summary (plan order, so summary slots agree across shards).
-	for ord, f := range ix.fis {
-		ix.keyBuf = f.AppendInsertKeys(src, ix.keyBuf[:0])
-		f.InsertWithKeys(ix.keyBuf, sid)
-		ix.sum.addKeys(ord, ix.keyBuf)
+	for _, f := range ix.fis {
+		f.Insert(src, sid)
 	}
-	ix.sidSizeBucket = append(ix.sidSizeBucket, ix.sum.addSize(s.Len()))
 	ix.n++
 	return sid, nil
 }
@@ -1043,15 +1008,9 @@ func (ix *Index) Delete(sid storage.SID) error {
 	if err := ix.store.Delete(sid); err != nil {
 		return err
 	}
-	// Same keys Insert stored (same signature, same sampled positions), so
-	// the summary refcounts return exactly to their pre-insert values.
-	for ord, f := range ix.fis {
-		ix.keyBuf = f.AppendInsertKeys(src, ix.keyBuf[:0])
-		f.DeleteWithKeys(ix.keyBuf, sid)
-		ix.sum.removeKeys(ord, ix.keyBuf)
+	for _, f := range ix.fis {
+		f.Delete(src, sid)
 	}
-	ix.sum.removeSizeBucket(ix.sidSizeBucket[sid])
-	ix.sidSizeBucket[sid] = noSizeBucket
 	ix.sigs[sid] = nil
 	ix.n--
 	return nil

@@ -19,10 +19,11 @@ func (ix *Index) EstimateAnswerSize(lo, hi float64) (float64, error) {
 	if ix.hist == nil {
 		return 0, fmt.Errorf("core: index has no similarity distribution (built with a plan override)")
 	}
-	if ix.hist.Total() == 0 {
+	// n is the live count: tombstoned sids answer no query.
+	n := float64(ix.n)
+	if ix.hist.Total() == 0 || n == 0 {
 		return 0, nil
 	}
-	n := float64(ix.store.Len())
 	pairsMass := ix.hist.Mass(lo, hi) / ix.hist.Total() * (n * (n - 1) / 2)
 	return 2 * pairsMass / n, nil
 }
@@ -41,14 +42,14 @@ func (ix *Index) estimateCandidatesLocked(lo, hi float64) (float64, error) {
 	if ix.hist == nil {
 		return 0, fmt.Errorf("core: index has no similarity distribution (built with a plan override)")
 	}
-	if ix.hist.Total() == 0 {
+	n := float64(ix.n)
+	if ix.hist.Total() == 0 || n == 0 {
 		return 0, nil
 	}
 	elo, ehi := ix.enclose(lo, hi)
 	captured := ix.hist.Integrate(0, 1, func(s float64) float64 {
 		return ix.plan.CaptureAt(elo, ehi, s)
 	})
-	n := float64(ix.store.Len())
 	return 2 * (captured / ix.hist.Total() * (n * (n - 1) / 2)) / n, nil
 }
 

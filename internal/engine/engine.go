@@ -156,11 +156,7 @@ type Engine struct {
 	// tracker is the online D_S drift sketch (nil until EnableTuning).
 	tracker atomic.Pointer[tuner.Tracker]
 
-	// pruneOff disables summary-based shard pruning (see prune.go).
-	// Results are byte-identical either way — the switch exists for
-	// benchmarking and the soundness property tests.
-	pruneOff atomic.Bool
-	// scatterPool recycles per-query scatter scratch (prune.go); the
+	// scatterPool recycles per-query scatter scratch (query.go); the
 	// per-shard stats slice is excluded because it escapes into the
 	// returned QueryStats.PerShard.
 	scatterPool sync.Pool
@@ -170,15 +166,6 @@ type Engine struct {
 	// consistent (policy, caches) pair.
 	planner atomic.Pointer[plannerState]
 }
-
-// SetShardPruning toggles summary-based shard pruning (enabled by
-// default). Pruning is sound — upper bounds only — so answers are
-// byte-identical in both states; disabling it restores the
-// probe-every-shard scatter for comparison.
-func (e *Engine) SetShardPruning(enabled bool) { e.pruneOff.Store(!enabled) }
-
-// ShardPruning reports whether summary-based shard pruning is enabled.
-func (e *Engine) ShardPruning() bool { return !e.pruneOff.Load() }
 
 // loadView returns the current plan generation.
 func (e *Engine) loadView() *planView { return e.view.Load() }

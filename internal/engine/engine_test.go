@@ -223,6 +223,42 @@ func TestEmptyShardQueries(t *testing.T) {
 	}
 }
 
+// TestEveryReadProbesEveryShard pins the four callers of the one scatter:
+// no read path skips a shard, however empty, so ShardsQueried and the
+// per-shard breakdown always span the whole engine.
+func TestEveryReadProbesEveryShard(t *testing.T) {
+	sets := []set.Set{
+		set.New(1, 2, 3, 4, 5),
+		set.New(1, 2, 3, 4, 6),
+	}
+	for _, shards := range []int{1, 8} {
+		e, err := Build(sets, Options{Shards: shards, RouterSeed: 7, Core: coreOptions()})
+		if err != nil {
+			t.Fatalf("build shards=%d: %v", shards, err)
+		}
+		stats := map[string]QueryStats{}
+		if _, stats["QueryWithOptions"], err = e.QueryWithOptions(sets[0], 0.5, 1.0, core.QueryOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		res := e.QueryBatch([]core.BatchQuery{{Q: sets[1], Lo: 0.5, Hi: 1.0}}, core.QueryOptions{})
+		if stats["QueryBatch"], err = res[0].Stats, res[0].Err; err != nil {
+			t.Fatal(err)
+		}
+		if _, stats["TopK"], err = e.TopK(sets[0], 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, stats["QueryAuto"], err = e.QueryAuto(sets[0], 0.5, 1.0, storage.DefaultCostModel()); err != nil {
+			t.Fatal(err)
+		}
+		for name, st := range stats {
+			if st.ShardsQueried != e.NumShards() || len(st.PerShard) != e.NumShards() {
+				t.Errorf("shards=%d %s: ShardsQueried %d, %d per-shard stats, want %d of each",
+					shards, name, st.ShardsQueried, len(st.PerShard), e.NumShards())
+			}
+		}
+	}
+}
+
 // TestBatchMatchesSingleQueries checks batch gather equals per-query
 // gather on a real workload across a sharded engine.
 func TestBatchMatchesSingleQueries(t *testing.T) {
@@ -713,20 +749,31 @@ func TestEstimatesShardInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var base float64
+	// Estimated as built, then with every third set deleted: tombstones
+	// must leave the estimates as shard-invariant as the build does.
+	var base [2]float64
 	for i, shards := range []int{1, 4} {
 		e, err := Build(sets, Options{Shards: shards, RouterSeed: 7, Core: coreOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := e.EstimateAnswerSize(0.7, 1.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			base = est
-		} else if diff := est - base; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("estimate moved with shard count: %g vs %g", est, base)
+		for pass := range base {
+			if pass == 1 {
+				for sid := 0; sid < len(sets); sid += 3 {
+					if err := e.Delete(uint32(sid)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			est, err := e.EstimateAnswerSize(0.7, 1.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				base[pass] = est
+			} else if diff := est - base[pass]; diff > 1e-9 || diff < -1e-9 {
+				t.Fatalf("pass %d: estimate moved with shard count: %g vs %g", pass, est, base[pass])
+			}
 		}
 	}
 }

@@ -13,7 +13,6 @@ package engine
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -32,12 +31,9 @@ type QueryStats struct {
 	// Every shard of one query answers from the same generation — the
 	// scatter loads the engine's plan view exactly once.
 	PlanGeneration uint64
-	// ShardsQueried is the number of shards the scatter actually probed;
-	// ShardsPruned is the number skipped by summary pruning (prune.go).
-	// They sum to the shard count. Pruned shards contribute zero to every
-	// other counter — pruning changes accounting, never matches.
+	// ShardsQueried is the number of shards the scatter probed: every
+	// shard, or 0 for a result-cache hit.
 	ShardsQueried int
-	ShardsPruned  int
 	// Gather is the wall time of the final cross-shard merge — the
 	// gather half of scatter-gather. Zero for single-shard engines,
 	// where no merge runs.
@@ -51,8 +47,7 @@ type QueryStats struct {
 	// planner is disabled or the query is uncacheable.
 	CacheHits   int
 	CacheMisses int
-	// PerShard holds each shard's own accounting, indexed by shard
-	// (zero-valued entries for pruned shards).
+	// PerShard holds each shard's own accounting, indexed by shard.
 	PerShard []core.QueryStats
 }
 
@@ -64,9 +59,9 @@ type BatchResult struct {
 }
 
 // aggregate folds shard stats into an engine-level view. The partition
-// points come from any shard (identical plans ⇒ identical enclose).
-func aggregate(per []core.QueryStats) QueryStats {
-	agg := QueryStats{PerShard: per}
+// points come from shard 0 (identical plans ⇒ identical enclose).
+func aggregate(gen uint64, per []core.QueryStats) QueryStats {
+	agg := QueryStats{PlanGeneration: gen, ShardsQueried: len(per), PerShard: per}
 	for i := range per {
 		st := &per[i]
 		agg.Candidates += st.Candidates
@@ -78,10 +73,14 @@ func aggregate(per []core.QueryStats) QueryStats {
 		agg.FetchIO.RecordSeq(st.FetchIO.Seq())
 		agg.FetchIO.RecordRand(st.FetchIO.Rand())
 	}
-	if len(per) > 0 {
-		agg.EnclosedLo, agg.EnclosedHi = per[0].EnclosedLo, per[0].EnclosedHi
-	}
+	agg.EnclosedLo, agg.EnclosedHi = per[0].EnclosedLo, per[0].EnclosedHi
 	return agg
+}
+
+// singleStats is aggregate for the single-shard fast path: the one core's
+// stats pass through whole.
+func singleStats(gen uint64, st core.QueryStats) QueryStats {
+	return QueryStats{QueryStats: st, PlanGeneration: gen, ShardsQueried: 1, PerShard: []core.QueryStats{st}}
 }
 
 // toGlobalMatches rewrites shard-local sids to global sids in place. tg
@@ -102,92 +101,96 @@ func queryPool(workers int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Query answers the range query [s1, s2] with default options.
-func (e *Engine) Query(q set.Set, s1, s2 float64) ([]core.Match, QueryStats, error) {
-	return e.QueryWithOptions(q, s1, s2, core.QueryOptions{})
+// scatterScratch is the reusable per-query state of one scatter. The
+// per-shard stats slice is not pooled: it escapes into the returned
+// QueryStats.PerShard.
+type scatterScratch struct {
+	sig     minhash.Signature
+	matches [][]core.Match
+	errs    []error
 }
 
-// QueryWithOptions scatters the range query across the shards the summary
-// pruning pass cannot rule out and gathers the union. Matches come back
-// in the core's total order over GLOBAL sids. The query is signed once
-// and the signature fanned to every shard (embedders are identical across
-// shards), and the option's worker pool is split proportionally across
-// the SURVIVING shards only, so pruned shards strand no workers and the
-// scatter never oversubscribes the pool beyond the one-worker-per-shard
-// floor.
-func (e *Engine) QueryWithOptions(q set.Set, s1, s2 float64, opt core.QueryOptions) ([]core.Match, QueryStats, error) {
-	if ps := e.planner.Load(); ps != nil {
-		return e.queryPlanned(ps, q, s1, s2, opt)
+// getScatter returns pooled scratch sized for n shards and a k-coordinate
+// signature.
+func (e *Engine) getScatter(n, k int) *scatterScratch {
+	sc, _ := e.scatterPool.Get().(*scatterScratch)
+	if sc == nil {
+		sc = &scatterScratch{}
 	}
-	// One view load per query: every shard answers from this generation,
-	// even if a retune swaps the plan mid-scatter.
-	return e.queryScatter(e.loadView(), nil, q, s1, s2, opt)
+	if cap(sc.sig) < k {
+		sc.sig = make(minhash.Signature, k)
+	}
+	sc.sig = sc.sig[:k]
+	if cap(sc.matches) < n {
+		sc.matches = make([][]core.Match, n)
+		sc.errs = make([]error, n)
+	}
+	sc.matches = sc.matches[:n]
+	sc.errs = sc.errs[:n]
+	for i := 0; i < n; i++ {
+		sc.matches[i] = nil
+		sc.errs[i] = nil
+	}
+	return sc
 }
 
-// queryScatter runs one range query against view v under decision dec
-// (nil = the default fi-probe pipeline). Per-shard executors come from
-// the decision; summary pruning applies its occupancy-only variant for
-// screen-only decisions (the size bound holds for exact Jaccard, not for
-// estimates) and the full test otherwise.
-func (e *Engine) queryScatter(v *planView, dec *plan.Decision, q set.Set, s1, s2 float64, opt core.QueryOptions) ([]core.Match, QueryStats, error) {
+// shardQuery answers one query on shard si's core of the scattering view.
+// sig is the query's signature, signed once by scatter — or nil on a
+// single-shard engine, where the core signs locally.
+type shardQuery func(si int, sig minhash.Signature) ([]core.Match, core.QueryStats, error)
+
+// scatter is the engine's one fan-out: it signs q once (embedders are
+// identical across shards), runs one goroutine per shard, rewrites each
+// shard's local sids to global ones, and gathers the union in the core's
+// total order. The first shard error (in shard order) fails the query.
+func (e *Engine) scatter(v *planView, q set.Set, run shardQuery) ([]core.Match, QueryStats, error) {
 	if e.single {
-		m, st, err := runShardPlan(v.cores[0], kindFor(dec, 0), q, nil, s1, s2, opt)
-		return m, QueryStats{QueryStats: st, PlanGeneration: v.gen, ShardsQueried: 1, PerShard: []core.QueryStats{st}}, err
+		m, st, err := run(0, nil)
+		return m, singleStats(v.gen, st), err
 	}
 	n := len(e.shards)
 	per := make([]core.QueryStats, n)
-	sc := e.getScatter(n, v.cores[0].Embedder().K())
-	defer e.putScatter(sc)
-	v.cores[0].Embedder().SignInto(q, sc.sig)
-	var probe *core.ShardProbe
-	var pruned int
-	if dec != nil && dec.Kind == plan.ScreenOnly {
-		probe, pruned = e.pruneOccupancy(v, q, sc.sig, s1, s2, sc.skip)
-	} else {
-		probe, pruned = e.pruneRange(v, q, sc.sig, s1, s2, sc.skip)
-	}
-	shares := core.SplitPool(queryPool(opt.Workers), n-pruned)
+	emb := v.cores[0].Embedder()
+	sc := e.getScatter(n, emb.K())
+	defer e.scatterPool.Put(sc)
+	emb.SignInto(q, sc.sig)
 	var wg sync.WaitGroup
-	widx := 0
 	for si := range e.shards {
-		if sc.skip[si] {
-			continue
-		}
 		wg.Add(1)
-		go func(si, w int) {
+		go func(si int) {
 			defer wg.Done()
-			sh := e.shards[si]
-			inner := opt
-			inner.Workers = shares[w]
-			m, st, err := runShardPlan(v.cores[si], kindFor(dec, si), q, sc.sig, s1, s2, inner)
+			m, st, err := run(si, sc.sig)
 			if err != nil {
 				sc.errs[si] = err
 				return
 			}
 			// Capture the mapping after the query: every sid it returned
 			// was fully inserted, so its toGlobal entry exists.
-			sc.matches[si] = toGlobalMatches(m, sh.mapping())
+			sc.matches[si] = toGlobalMatches(m, e.shards[si].mapping())
 			per[si] = st
-		}(si, widx)
-		widx++
+		}(si)
 	}
 	wg.Wait()
-	agg := aggregate(per)
-	agg.PlanGeneration = v.gen
-	agg.ShardsQueried = n - pruned
-	agg.ShardsPruned = pruned
-	if probe != nil {
-		// Shard 0 may have been pruned; the probe carries the enclosure
-		// every shard would have reported.
-		agg.EnclosedLo, agg.EnclosedHi = probe.Lo, probe.Hi
-	}
+	var firstErr error
 	for _, err := range sc.errs {
 		if err != nil {
-			return nil, agg, err
+			firstErr = err
+			break
 		}
 	}
+	return gatherShards(v.gen, per, sc.matches, firstErr)
+}
+
+// gatherShards folds one query's per-shard outcomes (global sids) into
+// the engine-level answer: aggregated stats always, and — unless a shard
+// failed — the timed gather of the union.
+func gatherShards(gen uint64, per []core.QueryStats, parts [][]core.Match, err error) ([]core.Match, QueryStats, error) {
+	agg := aggregate(gen, per)
+	if err != nil {
+		return nil, agg, err
+	}
 	start := time.Now()
-	m := gather(sc.matches)
+	m := gather(parts)
 	agg.Gather = time.Since(start)
 	return m, agg, nil
 }
@@ -209,13 +212,42 @@ func gather(perShard [][]core.Match) []core.Match {
 	return out
 }
 
-// QueryBatch answers a slice of range queries: every query is signed once
-// and pruned against the shard summaries, each shard runs its sub-batch
-// of surviving queries against its partition, then per-query results
-// gather across shards. Entry i's outcome is exactly what
-// Query(queries[i]) would return. The worker pool is split proportionally
-// over only the shards with non-empty sub-batches, so a shard whose every
-// query was pruned (or that answers instantly) strands no workers.
+// Query answers the range query [s1, s2] with default options.
+func (e *Engine) Query(q set.Set, s1, s2 float64) ([]core.Match, QueryStats, error) {
+	return e.QueryWithOptions(q, s1, s2, core.QueryOptions{})
+}
+
+// QueryWithOptions scatters the range query across every shard and
+// gathers the union. Matches come back in the core's total order over
+// GLOBAL sids.
+func (e *Engine) QueryWithOptions(q set.Set, s1, s2 float64, opt core.QueryOptions) ([]core.Match, QueryStats, error) {
+	if ps := e.planner.Load(); ps != nil {
+		return e.queryPlanned(ps, q, s1, s2, opt)
+	}
+	// One view load per query: every shard answers from this generation,
+	// even if a retune swaps the plan mid-scatter.
+	return e.queryScatter(e.loadView(), nil, q, s1, s2, opt)
+}
+
+// queryScatter runs one range query against view v under decision dec
+// (nil = the default fi-probe pipeline); per-shard executors come from the
+// decision. The option's worker pool is split proportionally across the
+// shards, so the scatter never oversubscribes the pool beyond the
+// one-worker-per-shard floor.
+func (e *Engine) queryScatter(v *planView, dec *plan.Decision, q set.Set, s1, s2 float64, opt core.QueryOptions) ([]core.Match, QueryStats, error) {
+	shares := core.SplitPool(queryPool(opt.Workers), len(v.cores))
+	return e.scatter(v, q, func(si int, sig minhash.Signature) ([]core.Match, core.QueryStats, error) {
+		inner := opt
+		inner.Workers = shares[si]
+		return runShardPlan(v.cores[si], kindFor(dec, si), q, sig, s1, s2, inner)
+	})
+}
+
+// QueryBatch answers a slice of range queries: every query is signed
+// once, each shard runs the whole presigned batch against its partition
+// (worker pool split proportionally across the shards), then per-query
+// results gather across shards. Entry i's outcome is exactly what
+// Query(queries[i]) would return.
 func (e *Engine) QueryBatch(queries []core.BatchQuery, opt core.QueryOptions) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	if len(queries) == 0 {
@@ -235,126 +267,54 @@ func (e *Engine) QueryBatch(queries []core.BatchQuery, opt core.QueryOptions) []
 // proportional pool split.
 func (e *Engine) queryBatchInto(v *planView, queries []core.BatchQuery, opt core.QueryOptions, out []BatchResult) {
 	if e.single {
-		res := v.cores[0].QueryBatch(queries, opt)
-		for i, r := range res {
-			out[i] = BatchResult{
-				Matches: r.Matches,
-				Stats:   QueryStats{QueryStats: r.Stats, PlanGeneration: v.gen, ShardsQueried: 1, PerShard: []core.QueryStats{r.Stats}},
-				Err:     r.Err,
-			}
+		for i, r := range v.cores[0].QueryBatch(queries, opt) {
+			out[i] = BatchResult{Matches: r.Matches, Stats: singleStats(v.gen, r.Stats), Err: r.Err}
 		}
 		return
 	}
 	n := len(e.shards)
-
-	// Sign every query once and derive its pruning probe (nil probe =
-	// unprunable: invalid range or no usable FI — every shard runs it and
-	// fails identically).
 	emb := v.cores[0].Embedder()
-	sigs := make([]minhash.Signature, len(queries))
-	probes := make([]*core.ShardProbe, len(queries))
-	buf := make([]uint64, len(queries)*emb.K())
-	for i := range queries {
-		sigs[i] = minhash.Signature(buf[i*emb.K() : (i+1)*emb.K() : (i+1)*emb.K()])
-		emb.SignInto(queries[i].Q, sigs[i])
-		if !e.pruneOff.Load() {
-			if p, ok := v.cores[0].BuildRangeProbe(queries[i].Q, sigs[i], queries[i].Lo, queries[i].Hi); ok {
-				probes[i] = p
-			}
-		}
-	}
-
-	// Per-shard sub-batches: idxs[si][j] is the original position of the
-	// shard's j-th surviving query.
-	subs := make([][]core.BatchQuery, n)
-	idxs := make([][]int, n)
-	participating := 0
-	for si := 0; si < n; si++ {
-		sum := v.cores[si].Summary()
-		for i := range queries {
-			if p := probes[i]; p != nil && (sum.Empty(p) || sum.SizeUpperBound(p.QLen) < queries[i].Lo) {
-				continue
-			}
-			subs[si] = append(subs[si], core.BatchQuery{Q: queries[i].Q, Lo: queries[i].Lo, Hi: queries[i].Hi, Sig: sigs[i]})
-			idxs[si] = append(idxs[si], i)
-		}
-		if len(subs[si]) > 0 {
-			participating++
-		}
+	k := emb.K()
+	buf := make([]uint64, len(queries)*k)
+	signed := make([]core.BatchQuery, len(queries))
+	for i, bq := range queries {
+		sig := minhash.Signature(buf[i*k : (i+1)*k : (i+1)*k])
+		emb.SignInto(bq.Q, sig)
+		signed[i] = core.BatchQuery{Q: bq.Q, Lo: bq.Lo, Hi: bq.Hi, Sig: sig}
 	}
 
 	shardRes := make([][]core.BatchResult, n)
-	tgs := make([][]uint32, n)
-	shares := core.SplitPool(queryPool(opt.Workers), participating)
+	shares := core.SplitPool(queryPool(opt.Workers), n)
 	var wg sync.WaitGroup
-	widx := 0
 	for si := range e.shards {
-		if len(subs[si]) == 0 {
-			continue
-		}
 		wg.Add(1)
-		go func(si, w int) {
+		go func(si int) {
 			defer wg.Done()
-			sh := e.shards[si]
 			inner := opt
-			inner.Workers = shares[w]
-			shardRes[si] = v.cores[si].QueryBatch(subs[si], inner)
-			tgs[si] = sh.mapping()
-		}(si, widx)
-		widx++
+			inner.Workers = shares[si]
+			res := v.cores[si].QueryBatch(signed, inner)
+			tg := e.shards[si].mapping()
+			for i := range res {
+				toGlobalMatches(res[i].Matches, tg)
+			}
+			shardRes[si] = res
+		}(si)
 	}
 	wg.Wait()
 
-	// Scatter shard answers back to their original batch positions.
-	type slot struct {
-		stats   core.QueryStats
-		matches []core.Match
-		ran     bool
-		err     error
-	}
-	slots := make([][]slot, len(queries))
-	for i := range slots {
-		slots[i] = make([]slot, n)
-	}
-	for si := 0; si < n; si++ {
-		for j, i := range idxs[si] {
-			r := shardRes[si][j]
-			slots[i][si] = slot{stats: r.Stats, matches: toGlobalMatches(r.Matches, tgs[si]), ran: true, err: r.Err}
-		}
-	}
 	parts := make([][]core.Match, n)
 	for i := range queries {
 		per := make([]core.QueryStats, n)
-		queried := 0
 		var firstErr error
-		for si := 0; si < n; si++ {
-			s := slots[i][si]
-			if !s.ran {
-				parts[si] = nil
-				continue
+		for si, res := range shardRes {
+			r := res[i]
+			if r.Err != nil && firstErr == nil {
+				firstErr = r.Err
 			}
-			queried++
-			if s.err != nil && firstErr == nil {
-				firstErr = s.err
-			}
-			per[si] = s.stats
-			parts[si] = s.matches
+			per[si] = r.Stats
+			parts[si] = r.Matches
 		}
-		agg := aggregate(per)
-		agg.PlanGeneration = v.gen
-		agg.ShardsQueried = queried
-		agg.ShardsPruned = n - queried
-		if p := probes[i]; p != nil {
-			agg.EnclosedLo, agg.EnclosedHi = p.Lo, p.Hi
-		}
-		if firstErr != nil {
-			out[i] = BatchResult{Stats: agg, Err: firstErr}
-			continue
-		}
-		start := time.Now()
-		m := gather(parts)
-		agg.Gather = time.Since(start)
-		out[i] = BatchResult{Matches: m, Stats: agg}
+		out[i].Matches, out[i].Stats, out[i].Err = gatherShards(v.gen, per, parts, firstErr)
 	}
 }
 
@@ -362,92 +322,16 @@ func (e *Engine) queryBatchInto(v *planView, queries []core.BatchQuery, opt core
 // local top-k is a superset of its contribution to the global top-k, so
 // the gathered answer has exactly the quality of a monolithic TopK (the
 // same one-sided filter approximation, no extra loss).
-//
-// Two prunes apply, both whole-shard and both sound to byte-identity of
-// the truncated gather. Occupancy: a shard none of whose SFI (or δ-DFI)
-// probe keys are occupied surfaces no candidates — skipping it removes
-// nothing from the union. Threshold: shard goroutines share an atomic
-// k-th-best similarity, raised by every shard that returns a full k
-// results (its local k-th lower-bounds the final global k-th); a shard
-// whose size-histogram upper bound falls STRICTLY below the shared
-// threshold can only produce matches that sort strictly after the final
-// k-th position, so the truncated gather is unchanged. Strict inequality
-// keeps ties safe (an equal-similarity match could win its tie-break on
-// sid).
 func (e *Engine) TopK(q set.Set, k int) ([]core.Match, QueryStats, error) {
 	v := e.loadView()
-	if e.single {
-		m, st, err := v.cores[0].TopK(q, k)
-		return m, QueryStats{QueryStats: st, PlanGeneration: v.gen, ShardsQueried: 1, PerShard: []core.QueryStats{st}}, err
+	m, agg, err := e.scatter(v, q, func(si int, sig minhash.Signature) ([]core.Match, core.QueryStats, error) {
+		return v.cores[si].TopKPresigned(q, sig, k)
+	})
+	if err == nil && len(m) > k {
+		m = m[:k]
+		agg.Results = k
 	}
-	n := len(e.shards)
-	per := make([]core.QueryStats, n)
-	sc := e.getScatter(n, v.cores[0].Embedder().K())
-	defer e.putScatter(sc)
-	v.cores[0].Embedder().SignInto(q, sc.sig)
-
-	// Occupancy prune. Only for valid k — k <= 0 must reach the cores so
-	// every shard fails identically.
-	var probe *core.ShardProbe
-	pruned := 0
-	if k > 0 && !e.pruneOff.Load() {
-		probe = v.cores[0].BuildTopKProbe(q, sc.sig)
-		for si := range e.shards {
-			if v.cores[si].Summary().Empty(probe) {
-				sc.skip[si] = true
-				pruned++
-			}
-		}
-	}
-
-	var thr topkThreshold
-	var latePruned atomic.Int64
-	var wg sync.WaitGroup
-	for si := range e.shards {
-		if sc.skip[si] {
-			continue
-		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			sh := e.shards[si]
-			if probe != nil {
-				if ub := v.cores[si].Summary().SizeUpperBound(probe.QLen); ub < thr.load() {
-					latePruned.Add(1)
-					return
-				}
-			}
-			m, st, err := v.cores[si].TopKPresigned(q, sc.sig, k)
-			if err != nil {
-				sc.errs[si] = err
-				return
-			}
-			if len(m) >= k {
-				thr.raise(m[k-1].Similarity)
-			}
-			sc.matches[si] = toGlobalMatches(m, sh.mapping())
-			per[si] = st
-		}(si)
-	}
-	wg.Wait()
-	pruned += int(latePruned.Load())
-	agg := aggregate(per)
-	agg.PlanGeneration = v.gen
-	agg.ShardsQueried = n - pruned
-	agg.ShardsPruned = pruned
-	for _, err := range sc.errs {
-		if err != nil {
-			return nil, agg, err
-		}
-	}
-	start := time.Now()
-	all := gather(sc.matches)
-	if len(all) > k {
-		all = all[:k]
-	}
-	agg.Gather = time.Since(start)
-	agg.Results = len(all)
-	return all, agg, nil
+	return m, agg, err
 }
 
 // RouteQuery models both access paths over the whole engine: per-shard
@@ -482,39 +366,13 @@ func (e *Engine) RouteQuery(lo, hi float64, m storage.CostModel) (core.RoutePlan
 // partitions can legitimately disagree near the crossover.
 func (e *Engine) QueryAuto(q set.Set, lo, hi float64, m storage.CostModel) ([]core.Match, string, QueryStats, error) {
 	v := e.loadView()
-	if e.single {
-		matches, route, st, err := v.cores[0].QueryAuto(q, lo, hi, m)
-		return matches, route.String(), QueryStats{QueryStats: st, PlanGeneration: v.gen, ShardsQueried: 1, PerShard: []core.QueryStats{st}}, err
-	}
-	n := len(e.shards)
-	per := make([]core.QueryStats, n)
-	matches := make([][]core.Match, n)
-	routes := make([]core.Route, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for si := range e.shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			sh := e.shards[si]
-			mm, route, st, err := v.cores[si].QueryAuto(q, lo, hi, m)
-			if err != nil {
-				errs[si] = err
-				return
-			}
-			matches[si] = toGlobalMatches(mm, sh.mapping())
-			routes[si] = route
-			per[si] = st
-		}(si)
-	}
-	wg.Wait()
-	agg := aggregate(per)
-	agg.PlanGeneration = v.gen
-	agg.ShardsQueried = n
-	for _, err := range errs {
-		if err != nil {
-			return nil, "", agg, err
-		}
+	routes := make([]core.Route, len(v.cores))
+	matches, agg, err := e.scatter(v, q, func(si int, _ minhash.Signature) (mm []core.Match, st core.QueryStats, err error) {
+		mm, routes[si], st, err = v.cores[si].QueryAuto(q, lo, hi, m)
+		return mm, st, err
+	})
+	if err != nil {
+		return nil, "", agg, err
 	}
 	path := routes[0].String()
 	for _, r := range routes[1:] {
@@ -523,5 +381,5 @@ func (e *Engine) QueryAuto(q set.Set, lo, hi float64, m storage.CostModel) ([]co
 			break
 		}
 	}
-	return gather(matches), path, agg, nil
+	return matches, path, agg, nil
 }

@@ -122,8 +122,7 @@ func (ix *Index) Insert(src lsh.BitSource, sid storage.SID) {
 
 // AppendInsertKeys appends the per-table keys Insert stores for data
 // vector src (data vectors enter unchanged for both kinds, so these are
-// also the keys Delete removes). Callers that maintain occupancy summaries
-// derive the keys once and feed both the table and the summary.
+// also the keys Delete removes).
 func (ix *Index) AppendInsertKeys(src lsh.BitSource, dst []uint64) []uint64 {
 	return ix.group.AppendKeys(src, dst)
 }
@@ -131,29 +130,12 @@ func (ix *Index) AppendInsertKeys(src lsh.BitSource, dst []uint64) []uint64 {
 // AppendProbeKeys appends the per-table keys a Vector probe for query q
 // would look up: the sampled bits of q for an SFI, of q̄ for a DFI. A
 // stored entry collides with the probe in table i iff its insert key
-// equals probe key i — the emptiness test shard pruning relies on.
+// equals probe key i.
 func (ix *Index) AppendProbeKeys(q lsh.BitSource, dst []uint64) []uint64 {
 	if ix.kind == Dissimilar {
 		return ix.group.AppendKeys(lsh.Complement{Src: q}, dst)
 	}
 	return ix.group.AppendKeys(q, dst)
-}
-
-// InsertWithKeys is Insert with the keys precomputed by AppendInsertKeys.
-func (ix *Index) InsertWithKeys(keys []uint64, sid storage.SID) {
-	ix.group.InsertKeys(keys, sid)
-}
-
-// DeleteWithKeys is Delete with the keys precomputed by AppendInsertKeys.
-func (ix *Index) DeleteWithKeys(keys []uint64, sid storage.SID) int {
-	return ix.group.DeleteKeys(keys, sid)
-}
-
-// RangeStoredKeys invokes fn(table, key) for every entry stored across the
-// index's tables — the bulk path for building an occupancy summary from a
-// populated index.
-func (ix *Index) RangeStoredKeys(fn func(table int, key uint64)) {
-	ix.group.RangeKeys(fn)
 }
 
 // Delete removes a previously inserted data vector. The same BitSource

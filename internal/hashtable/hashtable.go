@@ -191,26 +191,6 @@ func (t *Table) Probe(key uint64, io *storage.Counter, dst []storage.SID) []stor
 	return dst
 }
 
-// Range invokes fn for every stored (key, sid) entry, walking each bucket
-// chain in page order. It reads pages directly (no I/O accounting — it is
-// maintenance machinery, not a query path): the shard-summary layer uses it
-// to rebuild key-occupancy sketches from final bucket contents in O(entries)
-// without re-deriving keys from signatures.
-func (t *Table) Range(fn func(key uint64, sid storage.SID)) {
-	for b := range t.first {
-		id := t.first[b]
-		for id != storage.PageID(noPage) {
-			p := t.pager.MustPage(id)
-			n := pageCount(p)
-			for i := 0; i < n; i++ {
-				k, sid := pageEntry(p, i)
-				fn(k, sid)
-			}
-			id = pageNext(p)
-		}
-	}
-}
-
 // Delete removes every (key, sid) pair from the table, compacting within
 // each page (the last entry moves into the hole). It returns the number of
 // entries removed — the dynamic maintenance the paper notes hash indices

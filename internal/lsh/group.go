@@ -159,9 +159,7 @@ func foldChunk(acc, chunk uint64) uint64 {
 }
 
 // AppendKeys appends the L per-table keys of src to dst — the exact keys
-// Insert would store and a probe would look up, in table order. Exposed so
-// callers that need the keys for their own bookkeeping (the shard-pruning
-// occupancy summaries) derive them once instead of re-sampling bits.
+// Insert would store and a probe would look up, in table order.
 func (g *Group) AppendKeys(src BitSource, dst []uint64) []uint64 {
 	for i := 0; i < g.l; i++ {
 		dst = append(dst, g.key(i, src))
@@ -176,14 +174,6 @@ func (g *Group) Insert(src BitSource, sid storage.SID) {
 	}
 }
 
-// InsertKeys is Insert with the per-table keys precomputed by AppendKeys:
-// keys[i] goes into table i. len(keys) must equal L.
-func (g *Group) InsertKeys(keys []uint64, sid storage.SID) {
-	for i := range g.tables {
-		g.tables[i].Insert(keys[i], sid)
-	}
-}
-
 // Delete removes sid from every table, keyed by the sampled bits of src
 // (the same vector it was inserted with). It returns the number of table
 // entries removed (at most one per table).
@@ -193,23 +183,6 @@ func (g *Group) Delete(src BitSource, sid storage.SID) int {
 		removed += g.tables[i].Delete(g.key(i, src), sid)
 	}
 	return removed
-}
-
-// DeleteKeys is Delete with the per-table keys precomputed by AppendKeys.
-func (g *Group) DeleteKeys(keys []uint64, sid storage.SID) int {
-	removed := 0
-	for i := range g.tables {
-		removed += g.tables[i].Delete(keys[i], sid)
-	}
-	return removed
-}
-
-// RangeKeys invokes fn(table, key) for every stored entry across all L
-// tables — the bulk feed for occupancy summaries built after population.
-func (g *Group) RangeKeys(fn func(table int, key uint64)) {
-	for i, t := range g.tables {
-		t.Range(func(key uint64, _ storage.SID) { fn(i, key) })
-	}
 }
 
 // Query probes all L tables for src and returns the deduplicated union of

@@ -13,8 +13,8 @@
 //     in place. Cost is seq(heap pages). Candidacy is recomputed with the
 //     exact insert-key = probe-key test the tables use, so the candidate
 //     set — and therefore the answer — is byte-identical to fi-probe.
-//     Wins for tiny shards and heavily-pruned shard sets where the fixed
-//     per-table probe cost dominates (ROADMAP's fixed-probe-cost item).
+//     Wins for tiny shards, where the fixed per-table probe cost
+//     dominates (ROADMAP's fixed-probe-cost item).
 //   - screen-only: probe the batteries but answer from the min-hash
 //     similarity estimates without fetching a single data page. Cost is
 //     rand(probed tables). Approximate — gated on the caller explicitly
@@ -107,7 +107,7 @@ type ShardInput struct {
 }
 
 // Inputs is everything Decide needs. The engine assembles it from the
-// cores' immutable plan state, the shard summaries, and the tuner sketch.
+// cores' immutable plan state and the tuner sketch.
 type Inputs struct {
 	// Predicted is the estimated total candidate cardinality (Lemma 1
 	// capture fraction × live collection size).

@@ -83,7 +83,7 @@ func NewRouter(opt RouterOptions) *Router {
 	}
 	rt.mux.HandleFunc("/router/status", rt.handleStatus)
 	rt.mux.HandleFunc("/query/batch", rt.handleBatch)
-	for _, p := range []string{"/query", "/query/sid", "/topk", "/plan", "/stats", "/healthz"} {
+	for _, p := range []string{"/query", "/query/sid", "/topk", "/plan", "/stats"} {
 		rt.mux.HandleFunc(p, rt.handleRead)
 	}
 	rt.mux.HandleFunc("/sets", rt.handleWrite)

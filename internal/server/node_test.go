@@ -141,12 +141,12 @@ func TestIndexResolverFollowsSwap(t *testing.T) {
 		Index: func() *ssr.Index { return cur.Load() },
 	})
 
-	code, body := get(t, srv, "/healthz")
+	code, body := get(t, srv, "/stats")
 	if code != http.StatusOK || body["sets"] != float64(5) {
 		t.Fatalf("before swap: status %d sets %v, want 5", code, body["sets"])
 	}
 	cur.Store(second)
-	code, body = get(t, srv, "/healthz")
+	code, body = get(t, srv, "/stats")
 	if code != http.StatusOK || body["sets"] != float64(9) {
 		t.Fatalf("after swap: status %d sets %v, want 9", code, body["sets"])
 	}

@@ -5,7 +5,6 @@
 //
 // Endpoints (all JSON):
 //
-//	GET  /healthz              → {"status":"ok","sets":N}
 //	GET  /livez                → liveness: the process answers
 //	GET  /readyz               → readiness: role, plan generation, and —
 //	                             on followers — replication lag; 503
@@ -86,7 +85,6 @@ type statCounters struct {
 	randReads     atomic.Int64
 	seqReads      atomic.Int64
 	shardsQueried atomic.Int64
-	shardsPruned  atomic.Int64
 	cacheHits     atomic.Int64
 	cacheMisses   atomic.Int64
 	// Planner plan choices, keyed by ssr.Stats.PlanChosen labels.
@@ -105,7 +103,6 @@ func (c *statCounters) record(st ssr.Stats) {
 	c.randReads.Add(st.RandomPageReads)
 	c.seqReads.Add(st.SequentialPageReads)
 	c.shardsQueried.Add(int64(st.ShardsQueried))
-	c.shardsPruned.Add(int64(st.ShardsPruned))
 	c.cacheHits.Add(int64(st.CacheHits))
 	c.cacheMisses.Add(int64(st.CacheMisses))
 	switch st.PlanChosen {
@@ -140,7 +137,6 @@ func NewWithConfig(ix *ssr.Index, cfg Config) *Server {
 	if cfg.Replication != nil {
 		s.mux.Handle("/replica/", cfg.Replication)
 	}
-	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/plan", s.handlePlan)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/query", s.handleQuery)
@@ -201,14 +197,6 @@ func decodeBody(r *http.Request, dst any) error {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "sets": s.index().Internal().Len()})
 }
 
 // handleLive is pure liveness: the process answers, full stop. Restart
@@ -292,7 +280,6 @@ type statsResponse struct {
 		RandomPageReads     int64 `json:"randomPageReads"`
 		SequentialPageReads int64 `json:"sequentialPageReads"`
 		ShardsQueried       int64 `json:"shardsQueried"`
-		ShardsPruned        int64 `json:"shardsPruned"`
 		CacheHits           int64 `json:"cacheHits"`
 		CacheMisses         int64 `json:"cacheMisses"`
 	} `json:"queries"`
@@ -333,7 +320,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Queries.RandomPageReads = s.totals.randReads.Load()
 	resp.Queries.SequentialPageReads = s.totals.seqReads.Load()
 	resp.Queries.ShardsQueried = s.totals.shardsQueried.Load()
-	resp.Queries.ShardsPruned = s.totals.shardsPruned.Load()
 	resp.Queries.CacheHits = s.totals.cacheHits.Load()
 	resp.Queries.CacheMisses = s.totals.cacheMisses.Load()
 	resp.Plans.FIProbe = s.totals.planFIProbe.Load()
@@ -402,7 +388,6 @@ type queryStatView struct {
 	CPUMicros         int64   `json:"cpuMicros"`
 	PlanGeneration    uint64  `json:"planGeneration"`
 	ShardsQueried     int     `json:"shardsQueried"`
-	ShardsPruned      int     `json:"shardsPruned,omitempty"`
 	Plan              string  `json:"plan,omitempty"`
 	CacheHits         int     `json:"cacheHits,omitempty"`
 	CacheMisses       int     `json:"cacheMisses,omitempty"`
@@ -421,7 +406,6 @@ func statView(st ssr.Stats, elapsed time.Duration) queryStatView {
 		CPUMicros:         st.CPUTime.Microseconds(),
 		PlanGeneration:    st.PlanGeneration,
 		ShardsQueried:     st.ShardsQueried,
-		ShardsPruned:      st.ShardsPruned,
 		Plan:              st.PlanChosen,
 		CacheHits:         st.CacheHits,
 		CacheMisses:       st.CacheMisses,

@@ -52,21 +52,19 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
+// TestHealthz keeps the name of the endpoint it used to read: the live
+// set count a client took from /healthz now comes from /stats.
 func TestHealthz(t *testing.T) {
 	srv, _ := testServer(t)
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	body := decode[map[string]any](t, resp)
-	if body["status"] != "ok" {
-		t.Errorf("body = %v", body)
-	}
-	if body["sets"].(float64) != 63 {
-		t.Errorf("sets = %v", body["sets"])
+	if st := decode[statsResponse](t, resp); st.Sets != 63 {
+		t.Errorf("sets = %d", st.Sets)
 	}
 }
 
@@ -263,7 +261,7 @@ func TestMethodMatrix(t *testing.T) {
 	cases := []struct {
 		method, path string
 	}{
-		{http.MethodPost, "/healthz"},
+		{http.MethodPost, "/livez"},
 		{http.MethodPost, "/plan"},
 		{http.MethodGet, "/topk"},
 		{http.MethodGet, "/sets"},

@@ -59,57 +59,148 @@ func shardSweepQueries() [][]string {
 	return qs
 }
 
+// sizeSkewedSet is member i of sizeSkewedCollection: huge and tiny sets
+// interleaved with no overlap, so at higher shard counts some shards hold
+// only sets whose size is far from the query's.
+func sizeSkewedSet(i int) []string {
+	n := 4
+	if i%2 == 0 {
+		n = 400
+	}
+	elems := make([]string, n)
+	for j := range elems {
+		elems[j] = fmt.Sprintf("x%d-%d", i, j)
+	}
+	return elems
+}
+
+func sizeSkewedCollection() *Collection {
+	c := NewCollection()
+	for i := 0; i < 40; i++ {
+		c.Add(sizeSkewedSet(i)...)
+	}
+	return c
+}
+
+// sparseSet is member i of sparseCollection, which has fewer sets than
+// the larger shard counts under test, so some shards are empty.
+func sparseSet(i int) []string {
+	elems := make([]string, 10)
+	for j := range elems {
+		elems[j] = fmt.Sprintf("s%d-e%d", i, j)
+	}
+	return elems
+}
+
+func sparseCollection() *Collection {
+	c := NewCollection()
+	for i := 0; i < 6; i++ {
+		c.Add(sparseSet(i)...)
+	}
+	return c
+}
+
+// sweepRanges mixes narrow high ranges, ranges crossing the plan's cut,
+// and the full range.
+var sweepRanges = [][2]float64{
+	{0.9, 1.0}, {0.75, 0.85}, {0.5, 1.0}, {0.1, 0.9}, {0.0, 1.0},
+}
+
 // TestPublicShardSweepIdenticalMatches builds the same collection at 1, 2,
-// 3, and 8 shards through the public API and checks every query answers
-// with the identical exact-verified match set — the cross-shard-count
-// determinism contract (one global D_S profile ⇒ identical per-shard
-// plans ⇒ identical candidacy ⇒ identical verified matches).
+// 3, and 8 shards through the public API and checks every range query
+// answers with the identical exact-verified match list — the
+// cross-shard-count determinism contract (one global D_S profile ⇒
+// identical per-shard plans ⇒ identical candidacy ⇒ identical verified
+// matches) — and every TopKSID with a well-formed one. The size-skewed and
+// sparse collections keep lopsided and empty shards inside that contract.
 func TestPublicShardSweepIdenticalMatches(t *testing.T) {
-	queries := shardSweepQueries()
-	var want [][]Match
-	for _, shards := range []int{1, 2, 3, 8} {
-		opt := goldenSnapshotOptions()
-		opt.Shards = shards
-		ix, err := Build(goldenSnapshotCollection(), opt)
-		if err != nil {
-			t.Fatalf("shards=%d: Build: %v", shards, err)
+	members := func(set func(int) []string, sids []int) [][]string {
+		var qs [][]string
+		for _, sid := range sids {
+			qs = append(qs, set(sid))
 		}
-		if ix.Shards() != shards {
-			t.Fatalf("Shards() = %d, want %d", ix.Shards(), shards)
-		}
-		var got [][]Match
-		total := 0
-		for qi, q := range queries {
-			matches, stats, err := ix.Query(q, 0.3, 1.0)
+		return qs
+	}
+	skewedSIDs, sparseSIDs := []int{0, 1, 5, 17, 30, 39}, []int{0, 2, 3, 5}
+	for _, in := range []struct {
+		name    string
+		coll    func() *Collection
+		queries [][]string
+		ranges  [][2]float64
+		sids    []int // TopKSID probes, members without duplicates
+	}{
+		{"golden", goldenSnapshotCollection, shardSweepQueries(), [][2]float64{{0.3, 1.0}}, []int{0, 7, 40}},
+		{"size-skewed", sizeSkewedCollection, members(sizeSkewedSet, skewedSIDs), sweepRanges, skewedSIDs},
+		{"sparse", sparseCollection, members(sparseSet, sparseSIDs), sweepRanges, sparseSIDs},
+	} {
+		var want []string
+		for _, shards := range []int{1, 2, 3, 8} {
+			label := fmt.Sprintf("%s shards=%d", in.name, shards)
+			opt := goldenSnapshotOptions()
+			opt.Shards = shards
+			ix, err := Build(in.coll(), opt)
 			if err != nil {
-				t.Fatalf("shards=%d query %d: %v", shards, qi, err)
+				t.Fatalf("%s: Build: %v", label, err)
 			}
-			if len(stats.PerShard) != shards {
-				t.Fatalf("shards=%d query %d: %d per-shard stats", shards, qi, len(stats.PerShard))
+			if ix.Shards() != shards {
+				t.Fatalf("%s: Shards() = %d", label, ix.Shards())
 			}
-			var agg ShardStats
-			for _, ps := range stats.PerShard {
-				agg.Candidates += ps.Candidates
-				agg.Results += ps.Results
+			var got []string
+			total := 0
+			for qi, q := range in.queries {
+				for _, r := range in.ranges {
+					matches, stats, err := ix.Query(q, r[0], r[1])
+					if err != nil {
+						t.Fatalf("%s query %d [%g,%g]: %v", label, qi, r[0], r[1], err)
+					}
+					if len(stats.PerShard) != shards {
+						t.Fatalf("%s query %d: %d per-shard stats", label, qi, len(stats.PerShard))
+					}
+					var agg ShardStats
+					for _, ps := range stats.PerShard {
+						agg.Candidates += ps.Candidates
+						agg.Results += ps.Results
+					}
+					if agg.Candidates != stats.Candidates || agg.Results != stats.Results {
+						t.Fatalf("%s query %d: per-shard stats (%d cand, %d res) do not sum to the aggregate (%d, %d)",
+							label, qi, agg.Candidates, agg.Results, stats.Candidates, stats.Results)
+					}
+					got = append(got, fmt.Sprintf("query %d [%g,%g]: %v", qi, r[0], r[1], matches))
+					total += len(matches)
+				}
 			}
-			if agg.Candidates != stats.Candidates || agg.Results != stats.Results {
-				t.Fatalf("shards=%d query %d: per-shard stats (%d cand, %d res) do not sum to the aggregate (%d, %d)",
-					shards, qi, agg.Candidates, agg.Results, stats.Candidates, stats.Results)
+			if total == 0 {
+				t.Fatalf("%s: sweep found no matches at all (fixture too sparse to mean anything)", label)
 			}
-			got = append(got, matches)
-			total += len(matches)
-		}
-		if total == 0 {
-			t.Fatalf("shards=%d: sweep found no matches at all (fixture too sparse to mean anything)", shards)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for qi := range queries {
-			if fmt.Sprint(got[qi]) != fmt.Sprint(want[qi]) {
-				t.Fatalf("shards=%d query %d: matches diverge from single-shard answer:\n  got  %v\n  want %v",
-					shards, qi, got[qi], want[qi])
+			for _, sid := range in.sids {
+				for _, k := range []int{1, 3, 10} {
+					matches, _, err := ix.TopKSID(sid, k)
+					if err != nil {
+						t.Fatalf("%s TopKSID(%d, %d): %v", label, sid, k, err)
+					}
+					// A shard's walk stops once it holds k results, so the
+					// zero-similarity tail legitimately varies with the
+					// shard count; what every count owes is a well-formed
+					// answer led by the member itself.
+					if len(matches) == 0 || len(matches) > k || matches[0] != (Match{SID: sid, Similarity: 1}) {
+						t.Fatalf("%s TopKSID(%d, %d) = %v, want 1..%d matches led by the member itself", label, sid, k, matches, k)
+					}
+					for i := 1; i < len(matches); i++ {
+						a, b := matches[i-1], matches[i]
+						if a.Similarity < b.Similarity || (a.Similarity == b.Similarity && a.SID >= b.SID) {
+							t.Fatalf("%s TopKSID(%d, %d) = %v: out of order at %d", label, sid, k, matches, i)
+						}
+					}
+				}
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: answer diverges from the single-shard one:\n  got  %s\n  want %s", label, got[i], want[i])
+				}
 			}
 		}
 	}

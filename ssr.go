@@ -260,11 +260,10 @@ type Stats struct {
 	// the build-time plan, and every adaptive retune increments it. All
 	// shards of one query always answer from the same generation.
 	PlanGeneration uint64
-	// ShardsQueried is how many shards the scatter actually probed;
-	// ShardsPruned is how many the per-shard summaries proved unable to
-	// contribute, skipped without being touched. They sum to the shard
-	// count. Pruning is sound (upper bounds only), so matches never depend
-	// on it — only the I/O and candidate accounting of skipped shards.
+	// ShardsQueried is how many shards the scatter probed: every shard,
+	// or 0 when the result cache answered. ShardsPruned is always 0 —
+	// shard pruning was deleted; the field stays only because
+	// benchmark/trace.go reads it, and goes with the next benchmark PR.
 	ShardsQueried, ShardsPruned int
 	// GatherTime is the wall time of the final cross-shard merge — the
 	// gather half of scatter-gather (zero on an unsharded index).
@@ -277,8 +276,7 @@ type Stats struct {
 	// (both zero when the planner or its result cache is disabled).
 	CacheHits, CacheMisses int
 	// PerShard holds each shard's own accounting, indexed by shard number
-	// (one entry on an unsharded index; zero-valued entries for pruned
-	// shards).
+	// (one entry on an unsharded index).
 	PerShard []ShardStats
 }
 
@@ -386,12 +384,6 @@ func Build(c *Collection, opt Options) (*Index, error) {
 // runs on (1 for the classic monolithic layout).
 func (ix *Index) Shards() int { return ix.inner.NumShards() }
 
-// SetShardPruning toggles summary-based shard pruning on a sharded index
-// (enabled by default). Pruning skips shards whose summaries prove they
-// cannot contribute to a query; it is sound — matches are byte-identical
-// either way — so the switch exists for benchmarking and verification.
-func (ix *Index) SetShardPruning(enabled bool) { ix.inner.SetShardPruning(enabled) }
-
 // Query returns the sets whose Jaccard similarity with the query elements
 // lies in [lo, hi], sorted by descending similarity.
 func (ix *Index) Query(elements []string, lo, hi float64) ([]Match, Stats, error) {
@@ -400,33 +392,27 @@ func (ix *Index) Query(elements []string, lo, hi float64) ([]Match, Stats, error
 
 // QuerySID uses an existing collection member as the query set.
 func (ix *Index) QuerySID(sid int, lo, hi float64) ([]Match, Stats, error) {
-	ix.coll.mu.Lock()
-	ok := sid >= 0 && sid < len(ix.coll.sets)
-	var q set.Set
-	if ok {
-		q = ix.coll.sets[sid]
-	}
-	ix.coll.mu.Unlock()
-	if !ok {
-		return nil, Stats{}, fmt.Errorf("ssr: sid %d out of range", sid)
-	}
-	return ix.query(q, lo, hi)
+	return ix.QuerySIDWithOptions(sid, lo, hi, QueryOptions{})
 }
 
 // QuerySIDWithOptions is QuerySID with explicit query options
 // (screening, workers, AllowApproximate).
 func (ix *Index) QuerySIDWithOptions(sid int, lo, hi float64, opt QueryOptions) ([]Match, Stats, error) {
-	ix.coll.mu.Lock()
-	ok := sid >= 0 && sid < len(ix.coll.sets)
-	var q set.Set
-	if ok {
-		q = ix.coll.sets[sid]
-	}
-	ix.coll.mu.Unlock()
-	if !ok {
-		return nil, Stats{}, fmt.Errorf("ssr: sid %d out of range", sid)
+	q, err := ix.memberSet(sid)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	return ix.queryOpts(q, lo, hi, opt)
+}
+
+// memberSet returns collection member sid's set for use as a query.
+func (ix *Index) memberSet(sid int) (set.Set, error) {
+	ix.coll.mu.Lock()
+	defer ix.coll.mu.Unlock()
+	if sid < 0 || sid >= len(ix.coll.sets) {
+		return set.Set{}, fmt.Errorf("ssr: sid %d out of range", sid)
+	}
+	return ix.coll.sets[sid], nil
 }
 
 // QueryIDs queries with externally numbered elements (matching AddIDs).
@@ -484,7 +470,6 @@ func (ix *Index) convertStats(qs engine.QueryStats) Stats {
 		CPUTime:              qs.CPU,
 		PlanGeneration:       qs.PlanGeneration,
 		ShardsQueried:        qs.ShardsQueried,
-		ShardsPruned:         qs.ShardsPruned,
 		GatherTime:           qs.Gather,
 		PlanChosen:           qs.Plan,
 		CacheHits:            qs.CacheHits,
@@ -689,15 +674,9 @@ func (ix *Index) TopK(elements []string, k int) ([]Match, Stats, error) {
 
 // TopKSID uses an existing collection member as the query set.
 func (ix *Index) TopKSID(sid, k int) ([]Match, Stats, error) {
-	ix.coll.mu.Lock()
-	ok := sid >= 0 && sid < len(ix.coll.sets)
-	var q set.Set
-	if ok {
-		q = ix.coll.sets[sid]
-	}
-	ix.coll.mu.Unlock()
-	if !ok {
-		return nil, Stats{}, fmt.Errorf("ssr: sid %d out of range", sid)
+	q, err := ix.memberSet(sid)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	return ix.topK(q, k)
 }
