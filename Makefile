@@ -15,9 +15,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Stock go vet plus the repo's own analyzer suite — one target, so "it
-# vets" always means both.
+# Formatting, stock go vet and the repo's own analyzer suite — one
+# target, so "it vets" always means all three.
 vet:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/ssrvet ./...
 

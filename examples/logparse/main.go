@@ -1,8 +1,8 @@
 // Logparse: end-to-end from raw HTTP access logs — the paper's own data
 // pipeline. A synthetic Common Log Format file is emitted (standing in for
 // the Olympics/corporate logs), parsed into per-client page sets, indexed,
-// and queried, with the cost-based router deciding between the filter
-// indices and a sequential scan per query.
+// and queried, with the cost-based planner deciding between the filter
+// indices and a direct scan per query.
 package main
 
 import (
@@ -53,25 +53,25 @@ func main() {
 	}
 	fmt.Printf("parsed %d client page-sets\n", coll.Len())
 
-	// 3. Index and query with automatic access-path routing.
+	// 3. Index and query with the cost-based planner choosing the access
+	// path per query.
 	ix, err := ssr.Build(coll, ssr.Options{
 		Budget: *budget, RecallTarget: 0.8, Seed: 7,
-		// Account pages at their raw log-string size so the router's
+		// Account pages at their raw log-string size so the planner's
 		// scan-vs-index economics match the original medium.
 		PayloadBytesPerElement: 80,
+		Planner:                true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, r := range [][2]float64{{0.9, 1.0}, {0.4, 0.7}, {0.0, 1.0}} {
-		query := pages[3]
-		matches, route, _, err := ix.QueryAuto(query, r[0], r[1])
+		matches, stats, err := ix.Query(pages[3], r[0], r[1])
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("range [%.1f, %.1f]: %4d matches via %-5s (predicted %5.0f candidates; index %v vs scan %v)\n",
-			r[0], r[1], len(matches), route.Path, route.PredictedCandidates,
-			route.IndexCost.Round(1e6), route.ScanCost.Round(1e6))
+		fmt.Printf("range [%.1f, %.1f]: %4d matches via %-11s (%5d candidates, simulated I/O %v)\n",
+			r[0], r[1], len(matches), stats.PlanChosen, stats.Candidates, stats.SimulatedIOTime.Round(1e6))
 	}
 	// Who is client 3's nearest neighbour?
 	top, _, err := ix.TopK(pages[3], 3)

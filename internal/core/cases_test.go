@@ -149,3 +149,26 @@ func TestResultsSubsetOfExact(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeTablesPerCase pins the probe count the planner prices: the
+// tables of exactly the filter indices each Section 4.3 case combines
+// (every FI of the fixed plan has 6 tables).
+func TestProbeTablesPerCase(t *testing.T) {
+	ix, _ := fixedPlanIndex(t)
+	cases := []struct {
+		lo, hi float64
+		want   int
+	}{
+		{0.05, 0.15, 6},  // DFI(0.2)
+		{0.25, 0.35, 12}, // DFI(0.4) \ DFI(0.2)
+		{0.45, 0.65, 12}, // SFI(0.4) \ SFI(0.7)
+		{0.75, 0.95, 6},  // SFI(0.7)
+		{0.25, 0.55, 24}, // mixed: both δ structures and both negatives
+		{0.05, 0.95, 12}, // degenerate: both δ structures only
+	}
+	for _, tc := range cases {
+		if got := ix.ProbeTables(tc.lo, tc.hi); got != tc.want {
+			t.Errorf("[%g,%g]: ProbeTables = %d, want %d", tc.lo, tc.hi, got, tc.want)
+		}
+	}
+}

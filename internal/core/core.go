@@ -146,8 +146,6 @@ type Index struct {
 	mu    sync.RWMutex
 	emb   *embed.Embedder
 	plan  optimize.Plan
-	sfis  map[float64]*filter.Index
-	dfis  map[float64]*filter.Index
 	store *storage.SetStore
 	tree  *btree.Tree
 	hist  *simdist.Histogram
@@ -166,12 +164,10 @@ type Index struct {
 	recoverable bool
 	famEps      float64
 	unionHint   int
-	// fis lists the filter indices in plan order; sfiOrd/dfiOrd map a
-	// partition point to its ordinal in fis (the direct-scan plan derives
-	// per-FI keys by ordinal). Immutable after Build.
-	fis    []*filter.Index
-	sfiOrd map[float64]int
-	dfiOrd map[float64]int
+	// fis lists the filter indices in plan order: fis[i] realizes
+	// plan.FIs[i], so an optimize.Combination's ordinals index it directly.
+	// Immutable after Build.
+	fis []*filter.Index
 	// fiPagers holds one bucket-page pager per filter index (giving each
 	// index its own pager is what makes concurrent population race-free and
 	// page layout deterministic); dataPager holds B+tree nodes. The set
@@ -301,10 +297,6 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 		fam:         fam,
 		classic64:   scfg.IsClassic64(),
 		recoverable: fam.Recoverable(emb.EmbedBits()),
-		sfis:        make(map[float64]*filter.Index),
-		dfis:        make(map[float64]*filter.Index),
-		sfiOrd:      make(map[float64]int),
-		dfiOrd:      make(map[float64]int),
 		store:       storage.NewSetStoreWithPayload(opt.PageSize, opt.PayloadPerElem),
 		n:           live,
 		dataPager:   storage.NewPager(opt.PageSize),
@@ -431,13 +423,6 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 		}
 		ix.fiPagers = append(ix.fiPagers, pager)
 		fidxs[i] = fidx
-		if fi.Kind == filter.Dissimilar {
-			ix.dfis[fi.Point] = fidx
-			ix.dfiOrd[fi.Point] = i
-		} else {
-			ix.sfis[fi.Point] = fidx
-			ix.sfiOrd[fi.Point] = i
-		}
 	}
 	ix.fis = fidxs
 	switch {
@@ -694,21 +679,6 @@ func (ix *Index) IndexPages() int {
 	return n
 }
 
-// enclose finds the partition points minimally enclosing [a, b] among
-// {0} ∪ cuts ∪ {1}.
-func (ix *Index) enclose(a, b float64) (lo, hi float64) {
-	lo, hi = 0.0, 1.0
-	for _, c := range ix.plan.Cuts {
-		if c <= a && c > lo {
-			lo = c
-		}
-		if c >= b && c < hi {
-			hi = c
-		}
-	}
-	return lo, hi
-}
-
 // sidDiffInto appends a \ b to dst for sorted sid slices and returns the
 // grown slice (sorted-merge, no maps, no per-call allocation once dst has
 // capacity).
@@ -769,22 +739,36 @@ func (ix *Index) candidatesLocked(q set.Set, s1, s2 float64, stats *QueryStats) 
 	return ix.candidatesFromSignature(sig, s1, s2, stats, nil)
 }
 
+// combination resolves the enclosing partition points of [s1, s2] and the
+// plan's Section 4.3 combination for them, recording the points in stats.
+func (ix *Index) combination(s1, s2 float64, stats *QueryStats) (optimize.Combination, error) {
+	lo, hi := ix.plan.Enclose(s1, s2)
+	stats.EnclosedLo, stats.EnclosedHi = lo, hi
+	c, ok := ix.plan.Combination(lo, hi)
+	if !ok {
+		return c, fmt.Errorf("core: no usable filter indices for range [%g, %g]", s1, s2)
+	}
+	return c, nil
+}
+
 // candidatesFromSignature runs the Section 4.3 filter combination. When sc
 // is non-nil, probe vectors and merge outputs are written into its reusable
 // buffers and the returned slice aliases sc (valid until sc's next use);
 // with a nil sc every slice is freshly allocated.
 func (ix *Index) candidatesFromSignature(sig minhash.Signature, s1, s2 float64, stats *QueryStats, sc *queryScratch) ([]storage.SID, error) {
+	c, err := ix.combination(s1, s2, stats)
+	if err != nil {
+		return nil, err
+	}
 	src := ix.emb.Bits(sig)
-	lo, hi := ix.enclose(s1, s2)
-	stats.EnclosedLo, stats.EnclosedHi = lo, hi
 
-	// probe fills buffer slot with the filter vector at point p (nil when
-	// the battery has no index there).
-	probe := func(m map[float64]*filter.Index, p float64, slot int) []storage.SID {
-		f, ok := m[p]
-		if !ok {
+	// probe fills buffer slot with the vector of filter index ord (nil for
+	// an absent term).
+	probe := func(ord, slot int) []storage.SID {
+		if ord < 0 {
 			return nil
 		}
+		f := ix.fis[ord]
 		if sc == nil {
 			return f.Vector(src, &stats.IndexIO)
 		}
@@ -806,61 +790,15 @@ func (ix *Index) candidatesFromSignature(sig minhash.Signature, s1, s2 float64, 
 		return v
 	}
 
-	_, hiIsDFI := ix.dfis[hi]
-	_, loIsSFI := ix.sfis[lo]
-	var a []storage.SID
-	switch {
-	case hiIsDFI:
-		// lo = r_i, up = r_j: A = DissimVector(up) \ DissimVector(lo);
-		// DissimVector(0) is empty.
-		a = merged(4, sidDiffInto(out(4), probe(ix.dfis, hi, 0), probe(ix.dfis, lo, 1)))
-	case loIsSFI:
-		// lo = t_i, up = t_j: A = SimVector(lo) \ SimVector(up);
-		// SimVector(1) is empty.
-		var upper []storage.SID
-		if hi < 1 {
-			upper = probe(ix.sfis, hi, 1)
-		}
-		a = merged(4, sidDiffInto(out(4), probe(ix.sfis, lo, 0), upper))
-	default:
-		// Mixed: combine around the δ point carrying both kinds
-		// (Section 4.3 third case).
-		dPoint, ok := ix.bothKindsPoint()
-		if !ok {
-			return nil, fmt.Errorf("core: no usable filter indices for range [%g, %g]", s1, s2)
-		}
-		var loVec []storage.SID
-		if lo > 0 {
-			loVec = probe(ix.dfis, lo, 1)
-		}
-		var hiVec []storage.SID
-		if hi < 1 {
-			hiVec = probe(ix.sfis, hi, 3)
-		}
-		d1 := merged(4, sidDiffInto(out(4), probe(ix.dfis, dPoint, 0), loVec))
-		d2 := merged(5, sidDiffInto(out(5), probe(ix.sfis, dPoint, 2), hiVec))
-		a = merged(6, sidUnionInto(out(6), d1, d2))
+	// A = (PosA \ NegA) ∪ (PosB \ NegB); the union runs only when the
+	// combination has a second term.
+	a := merged(4, sidDiffInto(out(4), probe(c.PosA, 0), probe(c.NegA, 1)))
+	if c.PosB >= 0 {
+		b := merged(5, sidDiffInto(out(5), probe(c.PosB, 2), probe(c.NegB, 3)))
+		a = merged(6, sidUnionInto(out(6), a, b))
 	}
 	stats.Candidates = len(a)
 	return a, nil
-}
-
-// bothKindsPoint returns the smallest probe point carrying both a
-// dissimilarity- and a similarity-kind filter index. Smallest (rather
-// than map-iteration first) keeps the chosen pivot — and every artifact
-// derived from the query plan — identical across runs.
-func (ix *Index) bothKindsPoint() (float64, bool) {
-	points := make([]float64, 0, len(ix.dfis))
-	for p := range ix.dfis {
-		if _, ok := ix.sfis[p]; ok {
-			points = append(points, p)
-		}
-	}
-	if len(points) == 0 {
-		return 0, false
-	}
-	sort.Float64s(points)
-	return points[0], true
 }
 
 // Query answers the set similarity range query (q, [s1, s2]) of
@@ -1017,23 +955,14 @@ func (ix *Index) Delete(sid storage.SID) error {
 }
 
 // FilterIndexes reports the built structures as (point, kind, tables, r)
-// rows for inspection, ascending by point with DFIs first.
+// rows for inspection, in plan order (ascending by point, the DFI before
+// the SFI at the point carrying both). The filter indices are immutable
+// after Build, so no lock is taken.
 func (ix *Index) FilterIndexes() []optimize.FI {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]optimize.FI, 0, len(ix.sfis)+len(ix.dfis))
-	for p, f := range ix.dfis {
-		out = append(out, optimize.FI{Point: p, Kind: filter.Dissimilar, Tables: f.Tables(), R: f.SampledBits()})
+	out := make([]optimize.FI, len(ix.fis))
+	for i, f := range ix.fis {
+		out[i] = optimize.FI{Point: ix.plan.FIs[i].Point, Kind: f.Kind(), Tables: f.Tables(), R: f.SampledBits()}
 	}
-	for p, f := range ix.sfis {
-		out = append(out, optimize.FI{Point: p, Kind: filter.Similar, Tables: f.Tables(), R: f.SampledBits()})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Point != out[j].Point {
-			return out[i].Point < out[j].Point
-		}
-		return out[i].Kind == filter.Dissimilar && out[j].Kind == filter.Similar
-	})
 	return out
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/embed"
-	"repro/internal/filter"
 	"repro/internal/optimize"
 	"repro/internal/workload"
 )
@@ -51,35 +50,7 @@ func TestBuildDeterminism(t *testing.T) {
 	}
 
 	// Identical sampled bit positions in every filter index, SFI and DFI.
-	comparePositions := func(name string, p1, p2 map[float64]*filter.Index) {
-		t.Helper()
-		if len(p1) != len(p2) {
-			t.Fatalf("%s: point counts differ: %d vs %d", name, len(p1), len(p2))
-		}
-		for point, f1 := range p1 {
-			f2, ok := p2[point]
-			if !ok {
-				t.Fatalf("%s: point %g missing from rebuild", name, point)
-			}
-			if f1.Tables() != f2.Tables() {
-				t.Fatalf("%s point %g: table counts differ", name, point)
-			}
-			for i := 0; i < f1.Tables(); i++ {
-				q1, q2 := f1.Positions(i), f2.Positions(i)
-				if len(q1) != len(q2) {
-					t.Fatalf("%s point %g table %d: position counts differ", name, point, i)
-				}
-				for j := range q1 {
-					if q1[j] != q2[j] {
-						t.Fatalf("%s point %g table %d position %d differs: %d vs %d",
-							name, point, i, j, q1[j], q2[j])
-					}
-				}
-			}
-		}
-	}
-	comparePositions("SFI", ix1.sfis, ix2.sfis)
-	comparePositions("DFI", ix1.dfis, ix2.dfis)
+	requireSameFilters(t, "rebuild", ix1, ix2)
 
 	// And the observable behaviour agrees: identical query answers.
 	for _, r := range [][2]float64{{0.8, 1.0}, {0.3, 0.6}, {0.0, 0.2}} {

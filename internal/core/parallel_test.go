@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/embed"
-	"repro/internal/filter"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/storage"
@@ -34,6 +33,34 @@ func buildWorkers(t *testing.T, n, budget, workers int, seed int64) (*Index, []s
 	return ix, sets
 }
 
+// requireSameFilters fails unless a and b built the same filter indices,
+// matched by plan ordinal: kind, shape and every sampled bit position.
+func requireSameFilters(t *testing.T, label string, a, b *Index) {
+	t.Helper()
+	if len(a.fis) != len(b.fis) {
+		t.Fatalf("%s: filter index counts differ: %d vs %d", label, len(a.fis), len(b.fis))
+	}
+	for ord, f1 := range a.fis {
+		f2 := b.fis[ord]
+		name := fmt.Sprintf("%s %v@%g", label, f1.Kind(), a.plan.FIs[ord].Point)
+		if f1.Kind() != f2.Kind() || f1.Tables() != f2.Tables() || f1.Entries() != f2.Entries() {
+			t.Fatalf("%s: shape differs (kind %v vs %v, tables %d vs %d, entries %d vs %d)",
+				name, f1.Kind(), f2.Kind(), f1.Tables(), f2.Tables(), f1.Entries(), f2.Entries())
+		}
+		for i := 0; i < f1.Tables(); i++ {
+			q1, q2 := f1.Positions(i), f2.Positions(i)
+			if len(q1) != len(q2) {
+				t.Fatalf("%s table %d: position counts differ", name, i)
+			}
+			for j := range q1 {
+				if q1[j] != q2[j] {
+					t.Fatalf("%s table %d position %d: %d vs %d", name, i, j, q1[j], q2[j])
+				}
+			}
+		}
+	}
+}
+
 // requireSameIndex fails unless a and b have bit-identical signatures and
 // filter-index bit positions, and agree on query answers for a few ranges.
 func requireSameIndex(t *testing.T, label string, a, b *Index, sets []set.Set) {
@@ -52,36 +79,7 @@ func requireSameIndex(t *testing.T, label string, a, b *Index, sets []set.Set) {
 			}
 		}
 	}
-	comparePositions := func(name string, p1, p2 map[float64]*filter.Index) {
-		t.Helper()
-		if len(p1) != len(p2) {
-			t.Fatalf("%s %s: point counts differ: %d vs %d", label, name, len(p1), len(p2))
-		}
-		for point, f1 := range p1 {
-			f2, ok := p2[point]
-			if !ok {
-				t.Fatalf("%s %s: point %g missing", label, name, point)
-			}
-			if f1.Tables() != f2.Tables() || f1.Entries() != f2.Entries() {
-				t.Fatalf("%s %s point %g: shape differs (tables %d vs %d, entries %d vs %d)",
-					label, name, point, f1.Tables(), f2.Tables(), f1.Entries(), f2.Entries())
-			}
-			for i := 0; i < f1.Tables(); i++ {
-				q1, q2 := f1.Positions(i), f2.Positions(i)
-				if len(q1) != len(q2) {
-					t.Fatalf("%s %s point %g table %d: position counts differ", label, name, point, i)
-				}
-				for j := range q1 {
-					if q1[j] != q2[j] {
-						t.Fatalf("%s %s point %g table %d position %d: %d vs %d",
-							label, name, point, i, j, q1[j], q2[j])
-					}
-				}
-			}
-		}
-	}
-	comparePositions("SFI", a.sfis, b.sfis)
-	comparePositions("DFI", a.dfis, b.dfis)
+	requireSameFilters(t, label, a, b)
 	if a.IndexPages() != b.IndexPages() {
 		t.Fatalf("%s: index pages differ: %d vs %d", label, a.IndexPages(), b.IndexPages())
 	}

@@ -1,4 +1,9 @@
-// Alternative query executors for the cost-based planner.
+// Alternative query executors and the estimates the cost-based planner
+// prices them with.
+//
+// ScanQuery is the sequential-scan baseline of Section 6: every set is
+// read and verified, with no filter at all. It is exact and is the
+// comparator of Figure 7.
 //
 // ScanPresigned is the direct-scan plan: one sequential pass over the
 // shard heap, recomputing each live set's filter candidacy from its stored
@@ -25,6 +30,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/lsh"
 	"repro/internal/minhash"
+	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/simdist"
 	"repro/internal/storage"
@@ -37,51 +43,23 @@ import (
 func ChernoffEps95(k int) float64 { return chernoffEps95(k) }
 
 // scanProbe is the precomputed candidacy test of one Section 4.3 range:
-// up to two (positive, optional negative) FI pairs, with the query's
-// per-table probe keys derived once. candidate = (∈posA ∧ ∉negA) ∨
-// (∈posB ∧ ∉negB); ordinal -1 marks an absent term.
+// the plan's combination, with the query's per-table probe keys derived
+// once. candidate = (∈PosA ∧ ∉NegA) ∨ (∈PosB ∧ ∉NegB).
 type scanProbe struct {
-	posA, negA, posB, negB int
-	keys                   map[int][]uint64 // consulted FI ordinal → query probe keys
+	optimize.Combination
+	keys map[int][]uint64 // consulted FI ordinal → query probe keys
 }
 
-// buildScanProbe mirrors candidatesFromSignature's case analysis exactly,
-// including which negative probes exist (probe() there returns nil for an
-// absent index, and DissimVector(lo=0)/SimVector(hi=1) are never probed).
+// buildScanProbe derives the probe keys of the combination the filter
+// probe would run, so candidacy matches candidatesFromSignature exactly.
 func (ix *Index) buildScanProbe(sig minhash.Signature, s1, s2 float64, stats *QueryStats) (scanProbe, error) {
-	p := scanProbe{posA: -1, negA: -1, posB: -1, negB: -1, keys: make(map[int][]uint64)}
-	src := ix.emb.Bits(sig)
-	lo, hi := ix.enclose(s1, s2)
-	stats.EnclosedLo, stats.EnclosedHi = lo, hi
-
-	_, hiIsDFI := ix.dfis[hi]
-	_, loIsSFI := ix.sfis[lo]
-	switch {
-	case hiIsDFI:
-		p.posA = ix.dfiOrd[hi]
-		if _, ok := ix.dfis[lo]; ok {
-			p.negA = ix.dfiOrd[lo]
-		}
-	case loIsSFI:
-		p.posA = ix.sfiOrd[lo]
-		if _, ok := ix.sfis[hi]; ok && hi < 1 {
-			p.negA = ix.sfiOrd[hi]
-		}
-	default:
-		dPoint, ok := ix.bothKindsPoint()
-		if !ok {
-			return p, fmt.Errorf("core: no usable filter indices for range [%g, %g]", s1, s2)
-		}
-		p.posA = ix.dfiOrd[dPoint]
-		if _, ok := ix.dfis[lo]; ok && lo > 0 {
-			p.negA = ix.dfiOrd[lo]
-		}
-		p.posB = ix.sfiOrd[dPoint]
-		if _, ok := ix.sfis[hi]; ok && hi < 1 {
-			p.negB = ix.sfiOrd[hi]
-		}
+	c, err := ix.combination(s1, s2, stats)
+	if err != nil {
+		return scanProbe{}, err
 	}
-	for _, ord := range []int{p.posA, p.negA, p.posB, p.negB} {
+	p := scanProbe{Combination: c, keys: make(map[int][]uint64)}
+	src := ix.emb.Bits(sig)
+	for _, ord := range []int{c.PosA, c.NegA, c.PosB, c.NegB} {
 		if ord >= 0 {
 			if _, done := p.keys[ord]; !done {
 				p.keys[ord] = ix.fis[ord].AppendProbeKeys(src, nil)
@@ -106,10 +84,37 @@ func (p *scanProbe) candidate(ix *Index, src lsh.BitSource, keyBuf *[]uint64) bo
 		}
 		return false
 	}
-	if p.posA >= 0 && member(p.posA) && !(p.negA >= 0 && member(p.negA)) {
+	if p.PosA >= 0 && member(p.PosA) && !(p.NegA >= 0 && member(p.NegA)) {
 		return true
 	}
-	return p.posB >= 0 && member(p.posB) && !(p.negB >= 0 && member(p.negB))
+	return p.PosB >= 0 && member(p.PosB) && !(p.NegB >= 0 && member(p.NegB))
+}
+
+// ScanQuery answers (q, [s1, s2]) exactly by the sequential-scan baseline
+// of Section 6: read the whole collection, evaluate every set's similarity
+// with the query, keep those inside the range. It is the comparator of
+// Figure 7.
+func (ix *Index) ScanQuery(q set.Set, s1, s2 float64) ([]Match, QueryStats, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	var stats QueryStats
+	start := time.Now()
+	var matches []Match
+	err := ix.store.Scan(&stats.FetchIO, func(sid storage.SID, s set.Set) bool {
+		stats.Candidates++
+		sim := q.Jaccard(s)
+		if sim >= s1 && sim <= s2 {
+			matches = append(matches, Match{SID: sid, Similarity: sim})
+		}
+		return true
+	})
+	if err != nil {
+		return nil, stats, err
+	}
+	sortMatches(matches)
+	stats.Results = len(matches)
+	stats.CPU = time.Since(start)
+	return matches, stats, nil
 }
 
 // ScanPresigned answers the range query (q, [s1, s2]) by sequentially
@@ -267,18 +272,48 @@ func (ix *Index) CaptureFraction(hist *simdist.Histogram, lo, hi float64) (float
 	if hist == nil || hist.Total() == 0 {
 		return 0, false
 	}
-	elo, ehi := ix.enclose(lo, hi)
-	captured := hist.Integrate(0, 1, func(s float64) float64 {
-		return ix.plan.CaptureAt(elo, ehi, s)
-	})
+	captured := hist.Integrate(0, 1, ix.plan.CaptureAt(ix.plan.Enclose(lo, hi)))
 	return captured / hist.Total(), true
 }
 
+// EstimateAnswerSize predicts the expected number of sets a random query
+// with range [lo, hi] returns, from the similarity distribution the index
+// was tuned to: E_a(σ1, σ2) = (2/|S|)·∫ D_S (the Section 5 identity). It
+// returns an error if the index was built with a plan override and no
+// distribution.
+func (ix *Index) EstimateAnswerSize(lo, hi float64) (float64, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if ix.hist == nil {
+		return 0, fmt.Errorf("core: index has no similarity distribution (built with a plan override)")
+	}
+	// n is the live count: tombstoned sids answer no query.
+	n := float64(ix.n)
+	if ix.hist.Total() == 0 || n == 0 {
+		return 0, nil
+	}
+	pairsMass := ix.hist.Mass(lo, hi) / ix.hist.Total() * (n * (n - 1) / 2)
+	return 2 * pairsMass / n, nil
+}
+
 // ProbeTables returns the number of hash tables a query with the given
-// range probes under the Section 4.3 case analysis (each probe is one
-// random bucket-page read in the cost model). Plan state is immutable
-// after Build, so no lock is taken.
-func (ix *Index) ProbeTables(lo, hi float64) int { return ix.touchedTables(lo, hi) }
+// range probes under the Section 4.3 combination (each probe is one
+// random bucket-page read in the cost model), or 0 when the plan has no
+// combination for it. Plan state is immutable after Build, so no lock is
+// taken.
+func (ix *Index) ProbeTables(lo, hi float64) int {
+	c, ok := ix.plan.Combination(ix.plan.Enclose(lo, hi))
+	if !ok {
+		return 0
+	}
+	total := 0
+	for _, ord := range []int{c.PosA, c.NegA, c.PosB, c.NegB} {
+		if ord >= 0 {
+			total += ix.fis[ord].Tables()
+		}
+	}
+	return total
+}
 
 // ScanCostInputs returns the shard's live set count, sequential heap page
 // count, and average pages per set — the per-shard inputs of the planner's

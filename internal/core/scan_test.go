@@ -3,6 +3,9 @@ package core
 import (
 	"math"
 	"testing"
+
+	"repro/internal/set"
+	"repro/internal/storage"
 )
 
 // scanRanges covers every case of the Section 4.3 range combination: a
@@ -130,5 +133,78 @@ func TestChernoffEps95(t *testing.T) {
 	e64, e256 := ChernoffEps95(64), ChernoffEps95(256)
 	if e64 <= 0 || e256 <= 0 || e256 >= e64 {
 		t.Fatalf("eps95(64)=%g eps95(256)=%g; want positive and decreasing", e64, e256)
+	}
+}
+
+// TestScanQueryIsExactBaseline pins the Section 6 scan baseline: exact,
+// ordered like every other path (descending similarity, ties by ascending
+// sid), examining every set, and reading the heap once, sequentially.
+func TestScanQueryIsExactBaseline(t *testing.T) {
+	ix, sets := buildSmall(t, 400, 50)
+	m := storage.DefaultCostModel()
+	for _, r := range [][2]float64{{0.9, 1}, {0, 1}} {
+		scanned, sstats, err := ix.ScanQuery(sets[0], r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if truth := exactAnswer(sets, sets[0], r[0], r[1]); len(scanned) != len(truth) {
+			t.Errorf("range %v: scan returned %d of %d", r, len(scanned), len(truth))
+		}
+		for _, mt := range scanned {
+			if sim := sets[0].Jaccard(sets[mt.SID]); math.Abs(sim-mt.Similarity) > 1e-12 || sim < r[0] || sim > r[1] {
+				t.Errorf("range %v: bad match %+v (true %g)", r, mt, sim)
+			}
+		}
+		for i := 1; i < len(scanned); i++ {
+			a, b := scanned[i-1], scanned[i]
+			if a.Similarity < b.Similarity || (a.Similarity == b.Similarity && a.SID >= b.SID) {
+				t.Errorf("range %v: scan order broken at %d: %+v then %+v", r, i, a, b)
+				break
+			}
+		}
+		if sstats.Candidates != len(sets) || sstats.Results != len(scanned) {
+			t.Errorf("range %v: scan examined %d of %d sets, Results %d vs %d matches",
+				r, sstats.Candidates, len(sets), sstats.Results, len(scanned))
+		}
+		if seq, rnd := sstats.FetchIO.Seq(), sstats.FetchIO.Rand(); seq != ix.Store().NumPages() || rnd != 0 {
+			t.Errorf("range %v: scan read %d sequential + %d random pages, store has %d", r, seq, rnd, ix.Store().NumPages())
+		}
+		if sstats.SimIOTime(m) <= 0 {
+			t.Errorf("range %v: scan has no simulated I/O time", r)
+		}
+	}
+	// A query no set resembles: the scan returns nothing, not an error.
+	none, _, err := ix.ScanQuery(set.New(1<<30, 1<<30+1), 0.5, 1)
+	if err != nil || len(none) != 0 {
+		t.Errorf("disjoint query: %d matches, err %v", len(none), err)
+	}
+}
+
+func TestEstimateAnswerSizeTracksTruth(t *testing.T) {
+	ix, sets := buildSmall(t, 600, 60)
+	for _, r := range [][2]float64{{0, 0.1}, {0.1, 0.3}, {0.5, 1}} {
+		est, err := ix.EstimateAnswerSize(r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		// True average answer size over a sample of queries.
+		trueAvg := 0.0
+		const probes = 40
+		for q := 0; q < probes; q++ {
+			cnt := 0
+			for _, s := range sets {
+				sim := sets[q*7%len(sets)].Jaccard(s)
+				if sim >= r[0] && sim <= r[1] {
+					cnt++
+				}
+			}
+			trueAvg += float64(cnt)
+		}
+		trueAvg /= probes
+		// The estimate is distribution-based; demand the right order of
+		// magnitude (factor 3 + small absolute slack).
+		if est > 3*trueAvg+20 || trueAvg > 3*est+20 {
+			t.Errorf("range %v: estimate %.1f vs measured %.1f", r, est, trueAvg)
+		}
 	}
 }

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/minhash"
 	"repro/internal/set"
 	"repro/internal/storage"
@@ -43,13 +43,15 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 	}
 	src := ix.emb.Bits(sig)
 
-	// SFI points, descending; then the δ-point DFI as the final, loosest
-	// stage (it captures the low-similarity remainder).
-	points := make([]float64, 0, len(ix.sfis))
-	for p := range ix.sfis {
-		points = append(points, p)
+	// SFIs by descending point (plan order is ascending); then the δ-point
+	// DFI as the final, loosest stage (it captures the low-similarity
+	// remainder).
+	var sfis []int
+	for i := len(ix.plan.FIs) - 1; i >= 0; i-- {
+		if ix.plan.FIs[i].Kind == filter.Similar {
+			sfis = append(sfis, i)
+		}
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(points)))
 
 	seen := make(map[storage.SID]struct{})
 	var results []Match
@@ -72,42 +74,33 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 		if len(results) < k {
 			return false
 		}
-		sort.Slice(results, func(i, j int) bool {
-			if results[i].Similarity != results[j].Similarity {
-				return results[i].Similarity > results[j].Similarity
-			}
-			return results[i].SID < results[j].SID
-		})
+		sortMatches(results)
 		return results[k-1].Similarity >= floor
 	}
 
-	for i, p := range points {
-		if err := verify(ix.sfis[p].Vector(src, &stats.IndexIO)); err != nil {
+	for i, ord := range sfis {
+		if err := verify(ix.fis[ord].Vector(src, &stats.IndexIO)); err != nil {
 			return nil, stats, err
 		}
 		floor := 0.0
-		if i+1 < len(points) {
-			floor = points[i+1]
+		if i+1 < len(sfis) {
+			floor = ix.plan.FIs[sfis[i+1]].Point
 		}
 		if done(floor) {
 			break
 		}
 	}
 	if len(results) < k {
-		// Last resort below the lowest SFI: the δ-point DFI covers the
-		// dissimilar remainder.
-		if dp, ok := ix.bothKindsPoint(); ok {
-			if err := verify(ix.dfis[dp].Vector(src, &stats.IndexIO)); err != nil {
+		// Last resort below the lowest SFI: the δ-point DFI, which the
+		// full range [0, 1] combines first, covers the dissimilar
+		// remainder.
+		if c, ok := ix.plan.Combination(0, 1); ok {
+			if err := verify(ix.fis[c.PosA].Vector(src, &stats.IndexIO)); err != nil {
 				return nil, stats, err
 			}
 		}
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Similarity != results[j].Similarity {
-			return results[i].Similarity > results[j].Similarity
-		}
-		return results[i].SID < results[j].SID
-	})
+	sortMatches(results)
 	if len(results) > k {
 		results = results[:k]
 	}

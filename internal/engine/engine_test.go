@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -223,7 +222,7 @@ func TestEmptyShardQueries(t *testing.T) {
 	}
 }
 
-// TestEveryReadProbesEveryShard pins the four callers of the one scatter:
+// TestEveryReadProbesEveryShard pins the callers of the one scatter:
 // no read path skips a shard, however empty, so ShardsQueried and the
 // per-shard breakdown always span the whole engine.
 func TestEveryReadProbesEveryShard(t *testing.T) {
@@ -245,9 +244,6 @@ func TestEveryReadProbesEveryShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, stats["TopK"], err = e.TopK(sets[0], 2); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, stats["QueryAuto"], err = e.QueryAuto(sets[0], 0.5, 1.0, storage.DefaultCostModel()); err != nil {
 			t.Fatal(err)
 		}
 		for name, st := range stats {
@@ -682,62 +678,6 @@ func TestTopKAcrossShards(t *testing.T) {
 		}
 		if len(m2) < len(m1) {
 			t.Fatalf("sid %d: sharded returned %d results, monolithic %d", sid, len(m2), len(m1))
-		}
-	}
-}
-
-// TestRouteAndAutoQuery checks the aggregate router and the per-shard
-// auto path against the plain index path.
-func TestRouteAndAutoQuery(t *testing.T) {
-	e, sets := buildFixture(t, 300, 3)
-	m := storage.DefaultCostModel()
-	rp, err := e.RouteQuery(0.8, 1.0, m)
-	if err != nil {
-		t.Fatalf("route: %v", err)
-	}
-	if rp.IndexCost <= 0 || rp.ScanCost <= 0 {
-		t.Fatalf("degenerate route costs: %+v", rp)
-	}
-	matches, path, _, err := e.QueryAuto(sets[0], 0.8, 1.0, m)
-	if err != nil {
-		t.Fatalf("auto: %v", err)
-	}
-	if path != "index" && path != "scan" && path != "mixed" {
-		t.Fatalf("unknown path %q", path)
-	}
-	plain, _, err := e.Query(sets[0], 0.8, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Index-path auto answers equal the plain query exactly; scan or mixed
-	// paths return supersets (exact scan has no false negatives), so only
-	// containment is checked.
-	plainKeys := make(map[string]bool)
-	for _, k := range matchKeys(plain) {
-		plainKeys[k] = true
-	}
-	got := matchKeys(matches)
-	if path == "index" {
-		if fmt.Sprint(got) != fmt.Sprint(matchKeys(plain)) {
-			t.Fatalf("index-path auto diverged from plain query")
-		}
-	} else {
-		for _, k := range matchKeys(plain) {
-			found := false
-			for _, g := range got {
-				if g == k {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("auto path %q lost match %s", path, k)
-			}
-		}
-	}
-	sort.Strings(got)
-	for i := 1; i < len(got); i++ {
-		if got[i] == got[i-1] {
-			t.Fatalf("auto query returned duplicate %s", got[i])
 		}
 	}
 }

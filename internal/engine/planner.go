@@ -60,9 +60,6 @@ type PlannerPolicy struct {
 	// DECISION survives within one generation (0 = 1024). Result-cache
 	// entries never tolerate drift — any mutation invalidates them.
 	MutationTolerance uint64
-	// ScreenWidthFactor overrides the screen-only width gate
-	// (0 = plan.DefaultScreenWidthFactor).
-	ScreenWidthFactor float64
 	// ForcePlan pins every query to one plan, bypassing cost comparison:
 	// "fi-probe", "direct-scan", or "screen-only" (the latter still
 	// requires AllowApproximate, else it degrades to fi-probe). Empty
@@ -200,7 +197,7 @@ func (e *Engine) decidePlan(ps *plannerState, v *planView, tok plan.Token, s1, s
 			return dec
 		}
 	}
-	dec := e.computeDecision(v, s1, s2, opt, ps.policy.ScreenWidthFactor)
+	dec := e.computeDecision(v, s1, s2, opt)
 	if ps.plans != nil {
 		ps.plans.Put(key, tok, dec)
 	}
@@ -211,7 +208,7 @@ func (e *Engine) decidePlan(ps *plannerState, v *planView, tok plan.Token, s1, s
 // sketch when tuning is on and non-empty, else the generation's build
 // histogram), Lemma 1 capture at the enclosed range, per-shard heap
 // geometry — and prices the plans.
-func (e *Engine) computeDecision(v *planView, s1, s2 float64, opt core.QueryOptions, widthFactor float64) plan.Decision {
+func (e *Engine) computeDecision(v *planView, s1, s2 float64, opt core.QueryOptions) plan.Decision {
 	c0 := v.cores[0]
 	hist := v.hist
 	if tr := e.tracker.Load(); tr != nil {
@@ -231,7 +228,7 @@ func (e *Engine) computeDecision(v *planView, s1, s2 float64, opt core.QueryOpti
 	if totalLive > 1 {
 		// The capture integral predicts the captured fraction of pairs;
 		// for one query against N live sets that is frac·(N−1) candidates
-		// (the Section 5 identity, as in core.EstimateCandidates).
+		// (the Section 5 identity, as in core.EstimateAnswerSize).
 		pred = frac * float64(totalLive-1)
 	}
 	return plan.Decide(plan.Inputs{
@@ -244,11 +241,10 @@ func (e *Engine) computeDecision(v *planView, s1, s2 float64, opt core.QueryOpti
 		// The family's half-width, not the raw Chernoff bound: wider for
 		// b-bit packed signatures (debiasing), tighter for SuperMinHash —
 		// so the screen-only gate tracks the estimator actually answering.
-		Eps95:             c0.Eps95(),
-		SigBytesPerSet:    c0.SignatureBytesPerSet(),
-		PageBytes:         c0.BuildOptions().PageSize,
-		ScreenWidthFactor: widthFactor,
-		AllowApproximate:  opt.AllowApproximate,
+		Eps95:            c0.Eps95(),
+		SigBytesPerSet:   c0.SignatureBytesPerSet(),
+		PageBytes:        c0.BuildOptions().PageSize,
+		AllowApproximate: opt.AllowApproximate,
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/filter"
 	"repro/internal/workload"
 )
 
@@ -92,7 +93,33 @@ func TestPlannerByteIdentity(t *testing.T) {
 // engine.
 func TestPlannerForceDirectScan(t *testing.T) {
 	e, sets := buildFixture(t, 400, 4)
-	for _, r := range plannerRanges {
+	// Every pair of partition points is an input too, so each Section 4.3
+	// case reaches the direct scan.
+	p := e.Plan()
+	points := append(append([]float64{0}, p.Cuts...), 1)
+	ranges := append([][2]float64(nil), plannerRanges...)
+	cases := map[string]int{}
+	for i, lo := range points {
+		for _, hi := range points[i+1:] {
+			ranges = append(ranges, [2]float64{lo, hi})
+			c, ok := p.Combination(p.Enclose(lo, hi))
+			switch {
+			case !ok:
+			case c.PosB >= 0:
+				cases["mixed"]++
+			case p.FIs[c.PosA].Kind == filter.Dissimilar:
+				cases["DFI-only"]++
+			default:
+				cases["SFI-only"]++
+			}
+		}
+	}
+	for _, name := range []string{"DFI-only", "SFI-only", "mixed"} {
+		if cases[name] == 0 {
+			t.Errorf("no %s range among the partition-point pairs %v", name, points)
+		}
+	}
+	for _, r := range ranges {
 		for _, qi := range []int{0, len(sets) / 2, len(sets) - 1} {
 			want, _, err := e.Query(sets[qi], r[0], r[1])
 			if err != nil {

@@ -333,53 +333,3 @@ func (e *Engine) TopK(q set.Set, k int) ([]core.Match, QueryStats, error) {
 	}
 	return m, agg, err
 }
-
-// RouteQuery models both access paths over the whole engine: per-shard
-// routing sums into one plan, and the route is decided on the summed
-// costs (each shard would be probed — or scanned — in full either way).
-func (e *Engine) RouteQuery(lo, hi float64, m storage.CostModel) (core.RoutePlan, error) {
-	v := e.loadView()
-	if e.single {
-		return v.cores[0].RouteQuery(lo, hi, m)
-	}
-	var rp core.RoutePlan
-	for _, ix := range v.cores {
-		p, err := ix.RouteQuery(lo, hi, m)
-		if err != nil {
-			return core.RoutePlan{}, err
-		}
-		rp.PredictedCandidates += p.PredictedCandidates
-		rp.IndexCost += p.IndexCost
-		rp.ScanCost += p.ScanCost
-	}
-	if rp.IndexCost <= rp.ScanCost {
-		rp.Route = core.RouteIndex
-	} else {
-		rp.Route = core.RouteScan
-	}
-	return rp, nil
-}
-
-// QueryAuto runs each shard on whichever access path that shard's router
-// predicts to be cheaper and gathers the union. The returned path is
-// "index" or "scan" when every shard agreed, "mixed" otherwise — shard
-// partitions can legitimately disagree near the crossover.
-func (e *Engine) QueryAuto(q set.Set, lo, hi float64, m storage.CostModel) ([]core.Match, string, QueryStats, error) {
-	v := e.loadView()
-	routes := make([]core.Route, len(v.cores))
-	matches, agg, err := e.scatter(v, q, func(si int, _ minhash.Signature) (mm []core.Match, st core.QueryStats, err error) {
-		mm, routes[si], st, err = v.cores[si].QueryAuto(q, lo, hi, m)
-		return mm, st, err
-	})
-	if err != nil {
-		return nil, "", agg, err
-	}
-	path := routes[0].String()
-	for _, r := range routes[1:] {
-		if r != routes[0] {
-			path = "mixed"
-			break
-		}
-	}
-	return matches, path, agg, nil
-}

@@ -601,9 +601,7 @@ func assemble(hist *simdist.Histogram, cuts []float64, fis []FI, delta float64, 
 				continue
 			}
 			elo, ehi := encloseIn(cuts, lo, hi)
-			got := hist.Integrate(lo, hi, func(s float64) float64 {
-				return captureCombined(fis, elo, ehi, s, k)
-			})
+			got := hist.Integrate(lo, hi, captureCombined(fis, elo, ehi, k))
 			rec := got / mass
 			plan.Probes = append(plan.Probes, ProbeStats{Lo: lo, Hi: hi, Mass: mass, Recall: rec})
 			massSum += mass
@@ -656,85 +654,105 @@ func (p *Plan) guardedRecall(obj RecallObjective) float64 {
 	return p.AvgRecall
 }
 
-// fiAt returns the planned FI of the given kind at point p, if any.
-func fiAt(fis []FI, p float64, kind filter.Kind) (FI, bool) {
-	for _, fi := range fis {
+// Combination is the Section 4.3 filter combination answering a range
+// enclosed by two partition points. Each field is an ordinal into
+// Plan.FIs, or -1 for an absent term; the candidates are
+// (PosA \ NegA) ∪ (PosB \ NegB). Every consumer of the case analysis —
+// the probe, the direct scan, the probe-cost count and the capture model —
+// reads this one decision.
+type Combination struct{ PosA, NegA, PosB, NegB int }
+
+// fiAt returns the ordinal of the planned FI of the given kind at point p,
+// or -1.
+func fiAt(fis []FI, p float64, kind filter.Kind) int {
+	for i, fi := range fis {
 		if floats.Eq(fi.Point, p) && fi.Kind == kind {
-			return fi, true
+			return i
 		}
 	}
-	return FI{}, false
+	return -1
 }
 
-// captureCombined returns the probability that a set at similarity s
-// survives the query-processing combination for the enclosing range
-// [lo, hi] (Section 4.3):
+// combine is the Section 4.3 case analysis for the enclosing partition
+// points (lo, hi):
 //
-//   - both endpoints in the DFI region: in DissimVector(hi) and not in
-//     DissimVector(lo) (DissimVector(0) is empty);
-//   - both endpoints in the SFI region: in SimVector(lo) and not in
-//     SimVector(hi) (SimVector(1) is empty);
-//   - mixed: the union of (DissimVector(δ) \ DissimVector(lo)) and
-//     (SimVector(δ) \ SimVector(hi)), where δ is the point carrying both
-//     kinds. Independence across the structures' samples is assumed for
-//     the union probability.
-func captureCombined(fis []FI, lo, hi float64, s float64, k int) float64 {
-	hiDFI, hasHiDFI := fiAt(fis, hi, filter.Dissimilar)
-	loSFI, hasLoSFI := fiAt(fis, lo, filter.Similar)
-	switch {
-	case hasHiDFI:
-		pHi := Capture(filter.Dissimilar, hiDFI.Point, hiDFI.Tables, k, s)
-		pLo := 0.0
-		if loDFI, ok := fiAt(fis, lo, filter.Dissimilar); ok && lo > 0 {
-			pLo = Capture(filter.Dissimilar, loDFI.Point, loDFI.Tables, k, s)
+//   - both endpoints in the DFI region: DissimVector(hi) \ DissimVector(lo)
+//     (DissimVector(0) is empty);
+//   - both endpoints in the SFI region: SimVector(lo) \ SimVector(hi)
+//     (SimVector(1) is empty);
+//   - mixed, or the degenerate [0, 1]: (DissimVector(δ) \ DissimVector(lo))
+//     ∪ (SimVector(δ) \ SimVector(hi)), where δ is the first point carrying
+//     both kinds (Section 5.3 places exactly one).
+//
+// ok is false when the range is mixed and no point carries both kinds.
+func combine(fis []FI, lo, hi float64) (c Combination, ok bool) {
+	c = Combination{PosA: -1, NegA: -1, PosB: -1, NegB: -1}
+	if c.PosA = fiAt(fis, hi, filter.Dissimilar); c.PosA >= 0 {
+		if lo > 0 {
+			c.NegA = fiAt(fis, lo, filter.Dissimilar)
 		}
-		return pHi * (1 - pLo)
-	case hasLoSFI:
-		pLo := Capture(filter.Similar, loSFI.Point, loSFI.Tables, k, s)
-		pHi := 0.0
-		if hiSFI, ok := fiAt(fis, hi, filter.Similar); ok && hi < 1 {
-			pHi = Capture(filter.Similar, hiSFI.Point, hiSFI.Tables, k, s)
-		}
-		return pLo * (1 - pHi)
-	default:
-		// Mixed range spanning the δ point, or the degenerate [0, 1] range:
-		// combine around the both-kinds point.
-		dPoint, ok := bothKindsPoint(fis)
-		if !ok {
-			return 0
-		}
-		dDFI, _ := fiAt(fis, dPoint, filter.Dissimilar)
-		dSFI, _ := fiAt(fis, dPoint, filter.Similar)
-		capD := Capture(filter.Dissimilar, dDFI.Point, dDFI.Tables, k, s)
-		if loDFI, ok := fiAt(fis, lo, filter.Dissimilar); ok && lo > 0 {
-			capD *= 1 - Capture(filter.Dissimilar, loDFI.Point, loDFI.Tables, k, s)
-		}
-		capS := Capture(filter.Similar, dSFI.Point, dSFI.Tables, k, s)
-		if hiSFI, ok := fiAt(fis, hi, filter.Similar); ok && hi < 1 {
-			capS *= 1 - Capture(filter.Similar, hiSFI.Point, hiSFI.Tables, k, s)
-		}
-		return capD + capS - capD*capS
+		return c, true
 	}
+	if c.PosA = fiAt(fis, lo, filter.Similar); c.PosA >= 0 {
+		if hi < 1 {
+			c.NegA = fiAt(fis, hi, filter.Similar)
+		}
+		return c, true
+	}
+	for i, fi := range fis {
+		if fi.Kind != filter.Dissimilar {
+			continue
+		}
+		if c.PosB = fiAt(fis, fi.Point, filter.Similar); c.PosB >= 0 {
+			c.PosA = i
+			if lo > 0 {
+				c.NegA = fiAt(fis, lo, filter.Dissimilar)
+			}
+			if hi < 1 {
+				c.NegB = fiAt(fis, hi, filter.Similar)
+			}
+			return c, true
+		}
+	}
+	return c, false
 }
 
-// bothKindsPoint returns the partition point carrying both an SFI and a DFI
-// (the point closest to δ, Section 5.3).
-func bothKindsPoint(fis []FI) (float64, bool) {
-	for _, fi := range fis {
-		if fi.Kind == filter.Dissimilar {
-			if _, ok := fiAt(fis, fi.Point, filter.Similar); ok {
-				return fi.Point, true
-			}
-		}
+// captureCombined returns the probability, as a function of similarity s,
+// that a set survives the combination answering the enclosed range
+// [lo, hi]. The combination is resolved once, not once per evaluation.
+// Independence across the structures' samples is assumed for the union
+// probability.
+func captureCombined(fis []FI, lo, hi float64, k int) func(s float64) float64 {
+	c, ok := combine(fis, lo, hi)
+	if !ok {
+		return func(float64) float64 { return 0 }
 	}
-	return 0, false
+	capture := func(ord int, s float64) float64 {
+		fi := fis[ord]
+		return Capture(fi.Kind, fi.Point, fi.Tables, k, s)
+	}
+	term := func(pos, neg int, s float64) float64 {
+		p := capture(pos, s)
+		if neg >= 0 {
+			p *= 1 - capture(neg, s)
+		}
+		return p
+	}
+	return func(s float64) float64 {
+		a := term(c.PosA, c.NegA, s)
+		if c.PosB < 0 {
+			return a
+		}
+		b := term(c.PosB, c.NegB, s)
+		return a + b - a*b
+	}
 }
 
 // intervalStats computes expected recall (Def 8) and precision (Def 9) for
 // a query of the reference answer mass inside the interval [lo, hi].
 func intervalStats(hist *simdist.Histogram, fis []FI, lo, hi float64, answerMass float64, k int) IntervalStats {
 	mass := hist.Mass(lo, hi)
-	capture := func(s float64) float64 { return captureCombined(fis, lo, hi, s, k) }
+	capture := captureCombined(fis, lo, hi, k)
 	trueCaptured := hist.Integrate(lo, hi, capture)
 	extraBelow := hist.Integrate(0, lo, capture)
 	extraAbove := hist.Integrate(hi, 1, capture)
@@ -771,30 +789,24 @@ func (p *Plan) ExpectedRecall(hist *simdist.Histogram, a, b float64) float64 {
 	if mass == 0 {
 		return 1
 	}
-	got := hist.Integrate(a, b, func(s float64) float64 {
-		return captureCombined(p.FIs, lo, hi, s, p.K)
-	})
-	return got / mass
+	return hist.Integrate(a, b, p.CaptureAt(lo, hi)) / mass
 }
 
-// CaptureAt returns the probability that a set at Jaccard similarity s is
-// produced as a candidate when a query is processed with the enclosing
-// partition points (lo, hi) — the plan-level capture model used for
-// recall probes and candidate-count prediction.
-func (p *Plan) CaptureAt(lo, hi, s float64) float64 {
-	return captureCombined(p.FIs, lo, hi, s, p.K)
+// CaptureAt returns the probability, as a function of Jaccard similarity
+// s, that a set is produced as a candidate when a query is processed with
+// the enclosing partition points (lo, hi) — the plan-level capture model
+// used for recall probes and candidate-count prediction. Resolve it once
+// per integral.
+func (p *Plan) CaptureAt(lo, hi float64) func(s float64) float64 {
+	return captureCombined(p.FIs, lo, hi, p.K)
+}
+
+// Combination returns the Section 4.3 filter combination for the enclosing
+// partition points (lo, hi); ok is false when the range needs the point
+// carrying both kinds and the plan has none.
+func (p *Plan) Combination(lo, hi float64) (Combination, bool) {
+	return combine(p.FIs, lo, hi)
 }
 
 // Enclose returns the partition points minimally enclosing [a, b].
-func (p *Plan) Enclose(a, b float64) (lo, hi float64) {
-	lo, hi = 0.0, 1.0
-	for _, c := range p.Cuts {
-		if c <= a && c > lo {
-			lo = c
-		}
-		if c >= b && c < hi {
-			hi = c
-		}
-	}
-	return lo, hi
-}
+func (p *Plan) Enclose(a, b float64) (lo, hi float64) { return encloseIn(p.Cuts, a, b) }

@@ -217,8 +217,8 @@ func TestBuildPlanBasic(t *testing.T) {
 	if plan.RecallMet && plan.WorstRecall < plan.RecallTarget {
 		t.Error("RecallMet flag inconsistent")
 	}
-	// Exactly one point carries both kinds.
-	if _, ok := bothKindsPoint(plan.FIs); !ok {
+	// A point carries both kinds: the full range combines around it.
+	if c, ok := plan.Combination(0, 1); !ok || c.PosB < 0 {
 		t.Error("no delta point with both kinds")
 	}
 	// Cuts ascending and clamped inside (0, 1).
@@ -380,25 +380,58 @@ func TestCaptureCombinedCases(t *testing.T) {
 		{Point: 0.7, Kind: filter.Similar, Tables: 8},
 	}
 	// DFI interval: a set at s=0.05 inside [0, 0.1] should be captured well.
-	if p := captureCombined(fis, 0, 0.1, 0.05, 0); p < 0.3 {
+	if p := captureCombined(fis, 0, 0.1, 0)(0.05); p < 0.3 {
 		t.Errorf("DFI-case capture = %g, too low", p)
 	}
 	// SFI interval: a set at s=0.9 inside [0.7, 1] captured well.
-	if p := captureCombined(fis, 0.7, 1, 0.9, 0); p < 0.3 {
+	if p := captureCombined(fis, 0.7, 1, 0)(0.9); p < 0.3 {
 		t.Errorf("SFI-case capture = %g, too low", p)
 	}
 	// Mixed interval [0.1, 0.7]: a set at 0.4 must have nonzero capture.
-	if p := captureCombined(fis, 0.1, 0.7, 0.4, 0); p <= 0 {
+	if p := captureCombined(fis, 0.1, 0.7, 0)(0.4); p <= 0 {
 		t.Errorf("mixed-case capture = %g", p)
 	}
 	// All probabilities bounded.
 	for s := 0.0; s <= 1; s += 0.1 {
 		for _, iv := range [][2]float64{{0, 0.1}, {0.1, 0.3}, {0.3, 0.7}, {0.7, 1}, {0.1, 0.7}, {0, 1}} {
-			p := captureCombined(fis, iv[0], iv[1], s, 0)
+			p := captureCombined(fis, iv[0], iv[1], 0)(s)
 			if p < 0 || p > 1 {
 				t.Fatalf("capture(%v, s=%g) = %g", iv, s, p)
 			}
 		}
+	}
+
+	// The combination each case resolves to, as ordinals into fis.
+	plan := Plan{Cuts: []float64{0.1, 0.3, 0.7}, FIs: fis}
+	for _, tc := range []struct {
+		lo, hi float64
+		want   Combination
+	}{
+		{0, 0.1, Combination{PosA: 0, NegA: -1, PosB: -1, NegB: -1}},  // DFI(0.1)
+		{0.1, 0.3, Combination{PosA: 1, NegA: 0, PosB: -1, NegB: -1}}, // DFI(0.3) \ DFI(0.1)
+		{0.3, 0.7, Combination{PosA: 2, NegA: 3, PosB: -1, NegB: -1}}, // SFI(0.3) \ SFI(0.7)
+		{0.7, 1, Combination{PosA: 3, NegA: -1, PosB: -1, NegB: -1}},  // SFI(0.7)
+		{0.1, 0.7, Combination{PosA: 1, NegA: 0, PosB: 2, NegB: 3}},   // mixed around δ = 0.3
+		{0, 1, Combination{PosA: 1, NegA: -1, PosB: 2, NegB: -1}},     // degenerate
+		{0.1, 1, Combination{PosA: 1, NegA: 0, PosB: 2, NegB: -1}},    // mixed, open above
+		{0, 0.7, Combination{PosA: 1, NegA: -1, PosB: 2, NegB: 3}},    // mixed, open below
+	} {
+		got, ok := plan.Combination(tc.lo, tc.hi)
+		if !ok || got != tc.want {
+			t.Errorf("Combination(%g, %g) = %+v, %v; want %+v", tc.lo, tc.hi, got, ok, tc.want)
+		}
+	}
+	// Without a point carrying both kinds, a mixed range has no
+	// combination and captures nothing; pure ranges still resolve.
+	noDelta := Plan{Cuts: []float64{0.1, 0.7}, FIs: []FI{fis[0], fis[3]}}
+	if c, ok := noDelta.Combination(0.1, 0.7); ok {
+		t.Errorf("Combination without a both-kinds point = %+v, want ok == false", c)
+	}
+	if p := noDelta.CaptureAt(0.1, 0.7)(0.4); p != 0 {
+		t.Errorf("capture without a combination = %g, want 0", p)
+	}
+	if c, ok := noDelta.Combination(0.7, 1); !ok || c.PosA != 1 {
+		t.Errorf("Combination(0.7, 1) without δ = %+v, %v", c, ok)
 	}
 }
 

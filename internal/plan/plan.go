@@ -137,9 +137,6 @@ type Inputs struct {
 	// PageBytes converts signature bytes to page counts (0 selects
 	// DefaultPageBytes).
 	PageBytes int
-	// ScreenWidthFactor gates screen-only: the range must be at least
-	// ScreenWidthFactor × Eps95 wide. 0 selects DefaultScreenWidthFactor.
-	ScreenWidthFactor float64
 	// AllowApproximate permits the ScreenOnly plan at all.
 	AllowApproximate bool
 }
@@ -148,11 +145,11 @@ type Inputs struct {
 // (storage's default page).
 const DefaultPageBytes = 4096
 
-// DefaultScreenWidthFactor requires a range at least 4 Chernoff
-// half-widths wide before screen-only is considered: an estimate near the
-// middle of such a range is ≥ 2ε from either boundary, so boundary
-// misplacement is confined to the range edges.
-const DefaultScreenWidthFactor = 4
+// ScreenWidthFactor gates screen-only: the range must be at least 4
+// Chernoff half-widths wide before the plan is considered. An estimate
+// near the middle of such a range is ≥ 2ε from either boundary, so
+// boundary misplacement is confined to the range edges.
+const ScreenWidthFactor = 4
 
 // Decide prices the three plans and picks the cheapest admissible one.
 // Exact kinds (FIProbe / DirectScan / Mixed) are chosen per shard; the
@@ -212,11 +209,7 @@ func Decide(in Inputs) Decision {
 	}
 	costs := Costs{FIProbe: fiTotal, DirectScan: scanTotal, ScreenOnly: screenTotal}
 
-	factor := in.ScreenWidthFactor
-	if factor <= 0 {
-		factor = DefaultScreenWidthFactor
-	}
-	if in.AllowApproximate && in.Eps95 > 0 && in.Width >= factor*in.Eps95 && screenTotal < exactTotal {
+	if in.AllowApproximate && in.Eps95 > 0 && in.Width >= ScreenWidthFactor*in.Eps95 && screenTotal < exactTotal {
 		return Decision{Kind: ScreenOnly, Predicted: in.Predicted, Costs: costs}
 	}
 

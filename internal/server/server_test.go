@@ -177,6 +177,29 @@ func TestAddAndDeleteEndpoints(t *testing.T) {
 		t.Errorf("double delete status %d", dresp.StatusCode)
 	}
 	dresp.Body.Close()
+	// A sid past the uint32 sid space → 404, and no other set (1<<32
+	// truncates to sid 0) is deleted in its place.
+	sets := func() int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decode[statsResponse](t, resp).Sets
+	}
+	before := sets()
+	req, _ = http.NewRequest(http.MethodDelete, srv.URL+"/sets/4294967296", nil)
+	dresp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dresp.StatusCode != http.StatusNotFound {
+		t.Errorf("DELETE /sets/4294967296 status %d, want 404", dresp.StatusCode)
+	}
+	dresp.Body.Close()
+	if after := sets(); after != before {
+		t.Errorf("DELETE /sets/4294967296 changed the set count %d -> %d", before, after)
+	}
 }
 
 func TestPlanEndpoint(t *testing.T) {

@@ -35,10 +35,6 @@ type PlannerPolicy struct {
 	// gracefully; cached RESULTS never tolerate any drift). 0 means the
 	// default (1024).
 	MutationTolerance int
-	// ScreenWidthFactor gates the screen-only plan: the range width must
-	// be at least this multiple of the estimator's 95%-confidence width.
-	// 0 means the default (4).
-	ScreenWidthFactor float64
 	// ForcePlan, when non-empty, overrides the cost model: "fi-probe",
 	// "direct-scan", or "screen-only" (the last still requires
 	// AllowApproximate and otherwise falls back to fi-probe). Intended
@@ -50,7 +46,6 @@ func (p PlannerPolicy) toEngine() engine.PlannerPolicy {
 	ep := engine.PlannerPolicy{
 		ResultCacheEntries: p.ResultCacheEntries,
 		PlanCacheEntries:   p.PlanCacheEntries,
-		ScreenWidthFactor:  p.ScreenWidthFactor,
 		ForcePlan:          p.ForcePlan,
 	}
 	if p.MutationTolerance > 0 {

@@ -28,6 +28,7 @@ package ssr
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -63,7 +64,7 @@ type Options struct {
 	// PayloadBytesPerElement makes the simulated disk account each element
 	// at its original record size (e.g. ~100 bytes for a URL string) even
 	// though elements are stored as compact ids. It only affects the I/O
-	// cost model (Stats, QueryAuto routing), not results.
+	// cost model (Stats, the planner), not results.
 	PayloadBytesPerElement int
 	// Seed makes the whole build reproducible (default 1).
 	Seed int64
@@ -546,10 +547,13 @@ type BatchResult struct {
 	Err     error
 }
 
-// QueryBatch answers many range queries concurrently over a consistent
-// point-in-time view of the index (concurrent Add/Remove calls order before
-// or after the whole batch). Results are positional: result i answers query
-// i. Options apply to every entry.
+// QueryBatch answers many range queries concurrently. Results are
+// positional: result i answers query i. Options apply to every entry.
+// With the planner off, each shard answers the whole batch under one read
+// lock, so a concurrent Add/Remove orders before or after the batch on
+// that shard. That holds per shard only: the batch is not a point-in-time
+// view across shards. Under the planner, entries that do not take the
+// fi-probe plan run one at a time, each under its own shard locks.
 func (ix *Index) QueryBatch(queries []BatchQuery, opt QueryOptions) []BatchResult {
 	inner := make([]core.BatchQuery, len(queries))
 	results := make([]BatchResult, len(queries))
@@ -622,49 +626,6 @@ func (ix *Index) EstimateAnswerSize(lo, hi float64) (float64, error) {
 	return ix.inner.EstimateAnswerSize(lo, hi)
 }
 
-// RouteInfo explains a QueryAuto access-path decision.
-type RouteInfo struct {
-	// Path is "index" or "scan" — or, on a sharded index, "mixed" when
-	// different shards chose different paths (partitions can legitimately
-	// disagree near the cost crossover).
-	Path string
-	// PredictedCandidates is the modeled candidate count of the index
-	// path.
-	PredictedCandidates float64
-	// IndexCost and ScanCost are the modeled I/O times.
-	IndexCost, ScanCost time.Duration
-}
-
-// QueryAuto models both access paths (filter indices vs sequential scan)
-// under the paper's I/O cost model and runs the cheaper one — the
-// Section 6 decision rule (the index wins while the predicted result is
-// below roughly |S|·a/rtn). The scan path is exact; the index path is the
-// usual one-sided approximation.
-func (ix *Index) QueryAuto(elements []string, lo, hi float64) ([]Match, RouteInfo, Stats, error) {
-	if err := checkRange(lo, hi); err != nil {
-		return nil, RouteInfo{}, Stats{}, err
-	}
-	model := storage.DefaultCostModel()
-	rp, err := ix.inner.RouteQuery(lo, hi, model)
-	if err != nil {
-		return nil, RouteInfo{}, Stats{}, err
-	}
-	info := RouteInfo{
-		Path:                rp.Route.String(),
-		PredictedCandidates: rp.PredictedCandidates,
-		IndexCost:           rp.IndexCost,
-		ScanCost:            rp.ScanCost,
-	}
-	matches, path, qs, err := ix.inner.QueryAuto(ix.coll.intern(elements), lo, hi, model)
-	if err != nil {
-		return nil, info, Stats{}, err
-	}
-	// Report the path(s) that actually ran: on a sharded index each shard
-	// routes independently, which can differ from the aggregate prediction.
-	info.Path = path
-	return convertMatches(matches), info, ix.convertStats(qs), nil
-}
-
 // TopK returns the k sets most similar to the query elements, best first
 // (approximate nearest neighbours; similarities of returned matches are
 // exact).
@@ -702,9 +663,10 @@ func (ix *Index) Remove(sid int) error {
 	return ix.remove(sid)
 }
 
-// remove is the in-memory delete path.
+// remove is the in-memory delete path. Sids live in a uint32 space, so a
+// larger sid is rejected here rather than truncated onto a smaller one.
 func (ix *Index) remove(sid int) error {
-	if sid < 0 {
+	if sid < 0 || uint64(sid) > math.MaxUint32 {
 		return fmt.Errorf("ssr: sid %d out of range", sid)
 	}
 	return ix.inner.Delete(uint32(sid))

@@ -3,6 +3,7 @@ package ssr
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -216,6 +217,9 @@ func TestDistribution(t *testing.T) {
 	if sum < 0.99 || sum > 1.01 {
 		t.Errorf("distribution sums to %g", sum)
 	}
+	if est, err := ix.EstimateAnswerSize(0, 1); err != nil || est <= 0 {
+		t.Errorf("EstimateAnswerSize = %g, %v", est, err)
+	}
 }
 
 func TestCollectionGet(t *testing.T) {
@@ -269,54 +273,62 @@ func TestStatsIOAccounting(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	c := bookstore()
-	ix, err := Build(c, Options{Budget: 24, MinHashes: 48, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Set 2 duplicates set 0; after removing it, a high-sim query from
-	// set 0 must no longer return it.
-	if err := ix.Remove(2); err != nil {
-		t.Fatalf("remove: %v", err)
-	}
-	matches, _, err := ix.QuerySID(0, 0.9, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range matches {
-		if m.SID == 2 {
-			t.Error("removed set still returned")
+	for _, shards := range []int{1, 4} {
+		ix, err := Build(bookstore(), Options{Budget: 24, MinHashes: 48, Seed: 5, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := ix.Remove(2); err == nil {
-		t.Error("double remove accepted")
-	}
-	if err := ix.Remove(-1); err == nil {
-		t.Error("negative sid accepted")
+		// Set 2 duplicates set 0; after removing it, a high-sim query from
+		// set 0 must no longer return it.
+		if err := ix.Remove(2); err != nil {
+			t.Fatalf("shards=%d remove: %v", shards, err)
+		}
+		matches, _, err := ix.QuerySID(0, 0.9, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range matches {
+			if m.SID == 2 {
+				t.Errorf("shards=%d: removed set still returned", shards)
+			}
+		}
+		if err := ix.Remove(2); err == nil {
+			t.Errorf("shards=%d: double remove accepted", shards)
+		}
+		if err := ix.Remove(-1); err == nil {
+			t.Errorf("shards=%d: negative sid accepted", shards)
+		}
+		// A sid past the uint32 sid space must not truncate onto sid 0.
+		n := ix.Len()
+		before, _, err := ix.QuerySID(0, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Remove(1 << 32); err == nil {
+			t.Errorf("shards=%d: sid 1<<32 accepted", shards)
+		}
+		after, _, err := ix.QuerySID(0, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.Len() != n || !reflect.DeepEqual(before, after) {
+			t.Errorf("shards=%d: Remove(1<<32) changed the index: Len %d -> %d, QuerySID(0) %v -> %v",
+				shards, n, ix.Len(), before, after)
+		}
 	}
 }
 
-func TestQueryAutoPublic(t *testing.T) {
+func TestQueryRejectsInvalidRanges(t *testing.T) {
 	ix, err := Build(bookstore(), Options{Budget: 24, MinHashes: 48, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, info, stats, err := ix.QueryAuto([]string{"dune", "foundation", "hyperion", "neuromancer"}, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Path != "index" && info.Path != "scan" {
-		t.Errorf("path = %q", info.Path)
-	}
-	if stats.Results != len(matches) {
-		t.Errorf("stats.Results = %d vs %d matches", stats.Results, len(matches))
-	}
 	for _, r := range [][2]float64{{0.9, 0.1}, {math.NaN(), 1}, {0.5, math.NaN()}} {
-		if _, _, _, err := ix.QueryAuto([]string{"x"}, r[0], r[1]); err == nil {
-			t.Errorf("invalid range %v accepted", r)
+		if _, _, err := ix.Query([]string{"x"}, r[0], r[1]); err == nil {
+			t.Errorf("Query: invalid range %v accepted", r)
 		}
-	}
-	if est, err := ix.EstimateAnswerSize(0, 1); err != nil || est <= 0 {
-		t.Errorf("EstimateAnswerSize = %g, %v", est, err)
+		if _, _, err := ix.QuerySID(0, r[0], r[1]); err == nil {
+			t.Errorf("QuerySID: invalid range %v accepted", r)
+		}
 	}
 }
