@@ -19,7 +19,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/btree"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/embed"
@@ -287,27 +286,6 @@ func BenchmarkGroupInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Insert(src, storage.SID(i))
-	}
-}
-
-// BenchmarkBTree measures sid lookups in a 100k-key tree.
-func BenchmarkBTree(b *testing.B) {
-	pager := storage.NewPager(0)
-	tree, err := btree.New(pager)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 100000
-	for i := uint64(0); i < n; i++ {
-		if err := tree.Insert(i, btree.Value{Offset: i * 64, Length: 64}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.Lookup(uint64(i)%n, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

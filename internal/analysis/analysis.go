@@ -189,7 +189,8 @@ func containsName(names []string, name string) bool {
 }
 
 // Inspect walks every file of the pass in depth-first order, calling fn for
-// each node; fn returning false prunes the subtree (ast.Inspect semantics).
+// each node; fn returning false skips the node's children (ast.Inspect
+// semantics).
 func (p *Pass) Inspect(fn func(ast.Node) bool) {
 	for _, f := range p.Files {
 		ast.Inspect(f, fn)

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/btree"
 	"repro/internal/embed"
 	"repro/internal/filter"
 	"repro/internal/lsh"
@@ -78,14 +77,11 @@ type Options struct {
 	// Tombstones, if non-nil, marks positions of sets[i] whose sid was
 	// allocated and later deleted: the placeholder is appended to the store
 	// and immediately tombstoned, keeping every later sid at its original
-	// value, but it enters no filter index and the B+tree skips it. This is
-	// what lets the durability layer replay logged operations that name
-	// original sids against a reloaded snapshot. Requires PlanOverride and
-	// precomputed (full or packed) signatures.
+	// value, but it enters no filter index. This is what lets the
+	// durability layer replay logged operations that name original sids
+	// against a reloaded snapshot. Requires PlanOverride and precomputed
+	// (full or packed) signatures.
 	Tombstones []bool
-	// DisableBTree skips the B+tree and resolves sids from the in-memory
-	// directory (candidate page I/O is still charged identically).
-	DisableBTree bool
 	// Workers bounds build parallelism: min-hash signing, distribution
 	// sampling, and filter-index population all fan across up to Workers
 	// goroutines. 0 selects runtime.GOMAXPROCS(0); 1 forces the serial
@@ -93,10 +89,6 @@ type Options struct {
 	// index-addressed, pair sampling is pre-drawn from the seeded rng, and
 	// each filter index is populated serially by one goroutine).
 	Workers int
-	// CountLocatorIO additionally charges B+tree lookup page reads when
-	// fetching candidates. The default (off) matches the paper's cost
-	// model: one random access per candidate set, sid index cached.
-	CountLocatorIO bool
 }
 
 // Match is one query result: a set identifier and its exact similarity to
@@ -141,13 +133,12 @@ func (st *QueryStats) SimIOTime(m storage.CostModel) time.Duration {
 // another — a reentrant RLock deadlocks once a writer is queued.
 type Index struct {
 	// mu guards every field below that mutates after Build: sigs, n, the
-	// store heap, the B+tree, filter-index pages, and both pagers. plan,
-	// hist, emb, and buildOpts are immutable after Build.
+	// store heap and its sid directory, filter-index pages, and their
+	// pagers. plan, hist, emb, and buildOpts are immutable after Build.
 	mu    sync.RWMutex
 	emb   *embed.Embedder
 	plan  optimize.Plan
 	store *storage.SetStore
-	tree  *btree.Tree
 	hist  *simdist.Histogram
 	// sigs holds the STORED signatures in the signing family's packed
 	// layout (for the default classic-64 family the packed layout is the
@@ -170,37 +161,14 @@ type Index struct {
 	fis []*filter.Index
 	// fiPagers holds one bucket-page pager per filter index (giving each
 	// index its own pager is what makes concurrent population race-free and
-	// page layout deterministic); dataPager holds B+tree nodes. The set
-	// heap lives inside the SetStore.
-	fiPagers  []*storage.Pager
-	dataPager *storage.Pager
+	// page layout deterministic). The set heap lives inside the SetStore.
+	fiPagers []*storage.Pager
 	// scratch pools per-query buffers (query signature, probe vectors,
 	// merge outputs) so steady-state queries allocate only their results.
 	scratch sync.Pool
 	// buildOpts records how the index was built, for snapshots. The Embed
 	// options stored are the resolved ones (defaults applied).
 	buildOpts Options
-}
-
-// treeLocator adapts btree.Tree to storage.SetLocator.
-type treeLocator struct {
-	t       *btree.Tree
-	countIO bool
-}
-
-// Locate resolves sid through the B+tree. Lookup I/O is charged only when
-// the index was built with CountLocatorIO; the paper's cost analysis
-// charges one random access per candidate set and treats the sid index as
-// cached (200k entries fit in a few megabytes).
-func (l treeLocator) Locate(sid storage.SID, io *storage.Counter) (uint64, uint32, error) {
-	if !l.countIO {
-		io = nil
-	}
-	v, err := l.t.Lookup(uint64(sid), io)
-	if err != nil {
-		return 0, 0, err
-	}
-	return v.Offset, v.Length, nil
 }
 
 // Build preprocesses the collection per Sections 3 and 5 and returns a
@@ -299,7 +267,6 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 		recoverable: fam.Recoverable(emb.EmbedBits()),
 		store:       storage.NewSetStoreWithPayload(opt.PageSize, opt.PayloadPerElem),
 		n:           live,
-		dataPager:   storage.NewPager(opt.PageSize),
 	}
 	famWords := fam.Words()
 	ix.scratch.New = func() any {
@@ -307,35 +274,14 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 	}
 
 	// 1. Persist the collection; sids are dense append order. Tombstoned
-	// positions keep their sid allocated but are deleted on the spot and
-	// never enter the locator.
-	if !opt.DisableBTree {
-		tree, err := btree.New(ix.dataPager)
-		if err != nil {
-			return nil, err
-		}
-		ix.tree = tree
-	}
+	// positions keep their sid allocated but are deleted on the spot.
 	for i, s := range sets {
 		sid := ix.store.Append(s)
 		if tombstoned(i) {
 			if err := ix.store.Delete(sid); err != nil {
 				return nil, err
 			}
-			continue
 		}
-		if ix.tree != nil {
-			off, length, err := ix.store.Location(sid)
-			if err != nil {
-				return nil, err
-			}
-			if err := ix.tree.Insert(uint64(sid), btree.Value{Offset: off, Length: length}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if ix.tree != nil {
-		ix.store.SetLocator(treeLocator{t: ix.tree, countIO: opt.CountLocatorIO})
 	}
 
 	// 2. Min-hash signatures. fullSigs are the classic full-width
@@ -636,8 +582,8 @@ func (ix *Index) Signature(sid storage.SID) minhash.Signature {
 
 // BuildOptions returns the resolved options the index was built with
 // (immutable after Build). The re-tuner copies them, overrides the plan
-// and inputs, and rebuilds — preserving every knob (page size, seeds,
-// worker budget, cost-model switches) the original build used.
+// and inputs, and rebuilds — preserving every knob (page size, payload
+// accounting, seeds, worker budget) the original build used.
 func (ix *Index) BuildOptions() Options { return ix.buildOpts }
 
 // Plan returns the optimizer's plan for inspection.
@@ -887,15 +833,6 @@ func (ix *Index) Insert(s set.Set) (storage.SID, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	sid := ix.store.Append(s)
-	if ix.tree != nil {
-		off, length, err := ix.store.Location(sid)
-		if err != nil {
-			return 0, err
-		}
-		if err := ix.tree.Insert(uint64(sid), btree.Value{Offset: off, Length: length}); err != nil {
-			return 0, err
-		}
-	}
 	sig := ix.emb.Sign(s)
 	stored := sig
 	if !ix.classic64 {

@@ -60,6 +60,9 @@ type snapshot struct {
 	PageSize       int
 	PayloadPerElem int
 	DistSeed       int64
+	// The next two fields configured a retired on-disk sid locator. They are
+	// always written as false and ignored on Load; they stay only because
+	// gob's type descriptor, and so every Save byte, lists them.
 	DisableBTree   bool
 	CountLocatorIO bool
 	// Plan is installed verbatim (the optimizer is not re-run).
@@ -97,8 +100,6 @@ func (ix *Index) Save(w io.Writer) error {
 		PageSize:       ix.buildOpts.PageSize,
 		PayloadPerElem: ix.buildOpts.PayloadPerElem,
 		DistSeed:       ix.buildOpts.DistSeed,
-		DisableBTree:   ix.buildOpts.DisableBTree,
-		CountLocatorIO: ix.buildOpts.CountLocatorIO,
 		Plan:           ix.plan,
 		NumSIDs:        len(ix.sigs),
 	}
@@ -303,8 +304,6 @@ func Load(r io.Reader) (*Index, error) {
 		PageSize:       snap.PageSize,
 		PayloadPerElem: snap.PayloadPerElem,
 		DistSeed:       snap.DistSeed,
-		DisableBTree:   snap.DisableBTree,
-		CountLocatorIO: snap.CountLocatorIO,
 	}
 	plan := snap.Plan
 	opt.PlanOverride = &plan

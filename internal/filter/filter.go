@@ -15,7 +15,6 @@ package filter
 import (
 	"fmt"
 
-	"repro/internal/hashtable"
 	"repro/internal/lsh"
 	"repro/internal/storage"
 )
@@ -52,10 +51,6 @@ type Options struct {
 	Seed int64
 	// ExpectedEntries sizes each table's bucket directory.
 	ExpectedEntries int
-	// Mode selects bucket probe semantics: the default ExactKey matches
-	// the p_{r,l} analysis; WholeBucket is the paper's literal
-	// description (a probe returns everything in the bucket).
-	Mode hashtable.Mode
 }
 
 // Index is one filter index: an SFI or DFI at a fixed Hamming-similarity
@@ -90,7 +85,6 @@ func New(pager *storage.Pager, opt Options) (*Index, error) {
 		L:               opt.Tables,
 		Seed:            opt.Seed,
 		ExpectedEntries: opt.ExpectedEntries,
-		Mode:            opt.Mode,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("filter: %w", err)

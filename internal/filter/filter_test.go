@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
-	"repro/internal/hashtable"
 	"repro/internal/lsh"
 	"repro/internal/storage"
 )
@@ -211,43 +210,3 @@ func TestIOCharged(t *testing.T) {
 }
 
 var _ lsh.BitSource = bitvec.Vector{} // compile-time interface check
-
-func TestWholeBucketModeSuperset(t *testing.T) {
-	// The paper's literal whole-bucket probe returns a superset of the
-	// exact-key probe (bucket sharing adds candidates, never removes).
-	rng := rand.New(rand.NewSource(9))
-	const dim = 512
-	mk := func(mode hashtable.Mode) *Index {
-		ix, err := New(storage.NewPager(0), Options{
-			Kind: Similar, Threshold: 0.8, Dim: dim, Tables: 6,
-			Seed: 4, ExpectedEntries: 8, Mode: mode, // tiny directory forces sharing
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ix
-	}
-	exact, whole := mk(hashtable.ExactKey), mk(hashtable.WholeBucket)
-	vecs := make([]bitvec.Vector, 50)
-	for i := range vecs {
-		vecs[i] = randomVec(rng, dim)
-		exact.Insert(vecs[i], storage.SID(i))
-		whole.Insert(vecs[i], storage.SID(i))
-	}
-	for i := 0; i < 10; i++ {
-		e := exact.Vector(vecs[i], nil)
-		w := whole.Vector(vecs[i], nil)
-		got := map[storage.SID]bool{}
-		for _, sid := range w {
-			got[sid] = true
-		}
-		for _, sid := range e {
-			if !got[sid] {
-				t.Fatalf("exact-key sid %d missing from whole-bucket result", sid)
-			}
-		}
-		if len(w) < len(e) {
-			t.Fatalf("whole-bucket returned fewer sids (%d) than exact (%d)", len(w), len(e))
-		}
-	}
-}

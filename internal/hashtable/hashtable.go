@@ -24,20 +24,6 @@ const entrySize = 12
 // pageHeader is next-page id (4 bytes) + entry count (2 bytes).
 const pageHeader = 6
 
-// Mode selects what a bucket probe returns.
-type Mode int
-
-const (
-	// ExactKey returns only the sids whose stored key equals the probe key —
-	// the behaviour assumed by the p_{r,l}(s) analysis (two vectors collide
-	// iff their sampled bits agree).
-	ExactKey Mode = iota
-	// WholeBucket returns every sid in the probed bucket, as in the paper's
-	// literal description; bucket sharing adds a few extra candidates that
-	// the verification step removes.
-	WholeBucket
-)
-
 // Options configures a Table.
 type Options struct {
 	// Buckets is the number of hash buckets. If zero it is derived from
@@ -45,15 +31,12 @@ type Options struct {
 	Buckets int
 	// ExpectedEntries sizes the directory when Buckets is zero.
 	ExpectedEntries int
-	// Mode selects probe semantics; the default is ExactKey.
-	Mode Mode
 }
 
 // Table is one paged hash table: the unit the optimizer's budget counts
 // ("a specified number K of hash tables", Section 5).
 type Table struct {
 	pager   *storage.Pager
-	mode    Mode
 	first   []storage.PageID // per-bucket chain head
 	last    []storage.PageID // per-bucket chain tail (insert point)
 	entries int
@@ -76,7 +59,6 @@ func New(pager *storage.Pager, opt Options) (*Table, error) {
 	}
 	t := &Table{
 		pager:   pager,
-		mode:    opt.Mode,
 		first:   make([]storage.PageID, nb),
 		last:    make([]storage.PageID, nb),
 		perPage: perPage,
@@ -168,9 +150,10 @@ func (t *Table) allocPage() storage.PageID {
 	return id
 }
 
-// Probe returns the sids associated with key under the table's Mode,
-// appending to dst. Every chain page visited costs one random page read on
-// io (which may be nil).
+// Probe appends to dst the sids whose stored key equals key — the collision
+// the p_{r,l}(s) analysis assumes (two vectors collide iff their sampled
+// bits agree), so other keys sharing the bucket are skipped. Every chain
+// page visited costs one random page read on io (which may be nil).
 func (t *Table) Probe(key uint64, io *storage.Counter, dst []storage.SID) []storage.SID {
 	b := t.bucket(key)
 	id := t.first[b]
@@ -182,7 +165,7 @@ func (t *Table) Probe(key uint64, io *storage.Counter, dst []storage.SID) []stor
 		n := pageCount(p)
 		for i := 0; i < n; i++ {
 			k, sid := pageEntry(p, i)
-			if t.mode == WholeBucket || k == key {
+			if k == key {
 				dst = append(dst, sid)
 			}
 		}

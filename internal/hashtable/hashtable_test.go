@@ -41,19 +41,43 @@ func TestProbeMissingKey(t *testing.T) {
 	tab := newTable(t, Options{ExpectedEntries: 10})
 	tab.Insert(5, 50)
 	if got := tab.Probe(999999, nil, nil); len(got) != 0 {
-		// A different key can share a bucket only in WholeBucket mode.
-		t.Errorf("ExactKey probe of absent key returned %v", got)
+		t.Errorf("probe of absent key returned %v", got)
+	}
+
+	// A single bucket forces every key to share it: a probe still returns
+	// only the sids stored under its own key.
+	shared := newTable(t, Options{Buckets: 1})
+	shared.Insert(1, 10)
+	shared.Insert(2, 20)
+	if got := shared.Probe(3, nil, nil); len(got) != 0 {
+		t.Errorf("shared-bucket probe of absent key returned %v", got)
+	}
+	if got := shared.Probe(1, nil, nil); len(got) != 1 || got[0] != 10 {
+		t.Errorf("shared-bucket Probe(1) = %v, want [10]", got)
 	}
 }
 
 func TestWholeBucketMode(t *testing.T) {
-	// Force a single bucket so everything shares it.
-	tab := newTable(t, Options{Buckets: 1, Mode: WholeBucket})
+	// Force a single bucket so every key lands in it: probing either key
+	// must not return the whole bucket, only that key's sids.
+	tab := newTable(t, Options{Buckets: 1})
 	tab.Insert(1, 10)
 	tab.Insert(2, 20)
-	got := tab.Probe(3, nil, nil)
-	if len(got) != 2 {
-		t.Errorf("WholeBucket probe = %v, want both sids", got)
+	tab.Insert(1, 11)
+	for key, want := range map[uint64][]storage.SID{1: {10, 11}, 2: {20}} {
+		got := tab.Probe(key, nil, nil)
+		if len(got) != len(want) {
+			t.Fatalf("Probe(%d) = %v, want %v", key, got, want)
+		}
+		seen := map[storage.SID]bool{}
+		for _, sid := range got {
+			seen[sid] = true
+		}
+		for _, sid := range want {
+			if !seen[sid] {
+				t.Errorf("Probe(%d) = %v, want %v", key, got, want)
+			}
+		}
 	}
 }
 

@@ -42,8 +42,6 @@ type GroupOptions struct {
 	Rand *rand.Rand
 	// ExpectedEntries sizes each table's bucket directory.
 	ExpectedEntries int
-	// Mode selects bucket probe semantics (default ExactKey).
-	Mode hashtable.Mode
 }
 
 // Group is a family of L bit-sampling hash tables sharing a sampled-bit
@@ -83,10 +81,7 @@ func NewGroup(pager *storage.Pager, opt GroupOptions) (*Group, error) {
 	}
 	for i := range g.positions {
 		g.positions[i] = samplePositions(rng, opt.Dim, opt.R)
-		t, err := hashtable.New(pager, hashtable.Options{
-			ExpectedEntries: opt.ExpectedEntries,
-			Mode:            opt.Mode,
-		})
+		t, err := hashtable.New(pager, hashtable.Options{ExpectedEntries: opt.ExpectedEntries})
 		if err != nil {
 			return nil, err
 		}

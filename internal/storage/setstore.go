@@ -10,20 +10,13 @@ import (
 // SID is a set identifier: the dense index of a set within a collection.
 type SID = uint32
 
-// SetLocator resolves a sid to the location of its serialized bytes. It is
-// implemented by btree.Tree via a small adapter in the core package; an
-// in-memory directory is provided here for tests.
-type SetLocator interface {
-	// Locate returns (offset, length) of the record for sid, charging any
-	// page reads for the lookup itself to io (may be nil).
-	Locate(sid SID, io *Counter) (offset uint64, length uint32, err error)
-}
-
 // SetStore is the heap file holding the serialized set collection. Sets are
 // appended contiguously during build; fetching a set costs one random page
 // access for the first page of the record plus sequential accesses for any
 // continuation pages — the access pattern behind the paper's Figure 7 cost
-// analysis.
+// analysis. The per-sid directory (offsets, lengths) is held in memory, as
+// the paper's cost model assumes of the sid index, so resolving a sid costs
+// no page reads.
 //
 // The paper's records are raw HTTP log strings (~2KB per set); this store
 // keeps elements as compact varint-coded ids but can account I/O as if each
@@ -40,7 +33,6 @@ type SetStore struct {
 	virtLen  []uint32 // per-sid record length in the accounted heap
 	virtEnd  uint64   // accounted heap size
 	deleted  map[SID]struct{}
-	locator  SetLocator
 }
 
 // NewSetStore creates an empty store with the given page size (0 selects
@@ -60,11 +52,6 @@ func NewSetStoreWithPayload(pageSize, payload int) *SetStore {
 	}
 	return &SetStore{pageSize: pageSize, payload: payload}
 }
-
-// SetLocator installs an external sid → location index (e.g. the B+tree).
-// When set, Fetch resolves locations through it (charging its I/O) instead
-// of the in-memory directory.
-func (st *SetStore) SetLocator(l SetLocator) { st.locator = l }
 
 // Append serializes s and returns its sid. Sids are assigned densely in
 // append order.
@@ -190,39 +177,17 @@ func (st *SetStore) recordPages(off uint64, length uint32) int64 {
 	return last - first + 1
 }
 
-// Location returns the in-memory directory entry for sid.
-func (st *SetStore) Location(sid SID) (offset uint64, length uint32, err error) {
-	if int(sid) >= len(st.offsets) {
-		return 0, 0, fmt.Errorf("storage: sid %d out of range (%d sets)", sid, len(st.offsets))
-	}
-	return st.offsets[sid], st.lengths[sid], nil
-}
-
 // Fetch retrieves and decodes the set for sid, charging one random page
 // read for the first page and sequential reads for continuation pages to io
-// (which may be nil). If a locator is installed its lookup I/O is charged
-// too.
+// (which may be nil). The sid resolves through the in-memory directory.
 func (st *SetStore) Fetch(sid SID, io *Counter) (set.Set, error) {
-	var off uint64
-	var length uint32
-	var err error
-	if st.locator != nil {
-		off, length, err = st.locator.Locate(sid, io)
-	} else {
-		off, length, err = st.Location(sid)
-	}
-	if err != nil {
-		return set.Set{}, err
+	if int(sid) >= len(st.offsets) {
+		return set.Set{}, fmt.Errorf("storage: sid %d out of range (%d sets)", sid, len(st.offsets))
 	}
 	if st.Deleted(sid) {
 		return set.Set{}, fmt.Errorf("storage: sid %d deleted", sid)
 	}
-	if int(sid) >= len(st.virtOff) {
-		return set.Set{}, fmt.Errorf("storage: sid %d out of range (%d sets)", sid, len(st.virtOff))
-	}
-	if uint64(len(st.data)) < off+uint64(length) {
-		return set.Set{}, fmt.Errorf("storage: record [%d,%d) out of heap bounds %d", off, off+uint64(length), len(st.data))
-	}
+	off, length := st.offsets[sid], st.lengths[sid]
 	if io != nil {
 		pages := st.recordPages(st.virtOff[sid], st.virtLen[sid])
 		io.RecordRand(1)

@@ -132,8 +132,8 @@ func TestSetStoreFetchIO(t *testing.T) {
 	if io.Rand() != 1 {
 		t.Errorf("rand reads = %d, want exactly 1 (first page)", io.Rand())
 	}
-	if io.Seq() < 1 {
-		t.Errorf("seq reads = %d, want continuation pages", io.Seq())
+	if want := st.recordPages(st.virtOff[sid], st.virtLen[sid]) - 1; io.Seq() != want || want < 1 {
+		t.Errorf("seq reads = %d, want %d continuation pages", io.Seq(), want)
 	}
 }
 
@@ -194,6 +194,41 @@ func TestSetStoreFetchOutOfRange(t *testing.T) {
 	}
 }
 
+func TestLocationOutOfRange(t *testing.T) {
+	// The sid directory of an empty store has no entry to resolve.
+	st := NewSetStore(0)
+	var io Counter
+	if _, err := st.Fetch(5, &io); err == nil {
+		t.Error("Fetch(5) on empty store succeeded")
+	}
+	if io.Rand() != 0 || io.Seq() != 0 {
+		t.Errorf("failed lookup charged rand=%d seq=%d reads", io.Rand(), io.Seq())
+	}
+}
+
+func TestSetStoreLocator(t *testing.T) {
+	// The in-memory sid directory locates every record: each fetch returns
+	// its own set and costs one random read, with no charge for the lookup.
+	st := NewSetStore(0)
+	sets := []set.Set{set.New(4, 5, 6), set.New(7), set.New(1, 2)}
+	for _, s := range sets {
+		st.Append(s)
+	}
+	for i := len(sets) - 1; i >= 0; i-- {
+		var io Counter
+		got, err := st.Fetch(SID(i), &io)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(sets[i]) {
+			t.Errorf("Fetch(%d) = %v, want %v", i, got.Elems(), sets[i].Elems())
+		}
+		if io.Rand() != 1 || io.Seq() != 0 {
+			t.Errorf("Fetch(%d) charged rand=%d seq=%d, want 1 random read", i, io.Rand(), io.Seq())
+		}
+	}
+}
+
 func TestAvgPagesPerSet(t *testing.T) {
 	st := NewSetStore(0)
 	if st.AvgPagesPerSet() != 0 {
@@ -202,52 +237,6 @@ func TestAvgPagesPerSet(t *testing.T) {
 	st.Append(set.New(1, 2, 3))
 	if st.AvgPagesPerSet() <= 0 {
 		t.Error("non-empty store should report positive pages per set")
-	}
-}
-
-// locatorStub returns fixed locations to test the locator path.
-type locatorStub struct {
-	off    uint64
-	length uint32
-	calls  int
-}
-
-func (l *locatorStub) Locate(sid SID, io *Counter) (uint64, uint32, error) {
-	l.calls++
-	if io != nil {
-		io.RecordRand(1)
-	}
-	return l.off, l.length, nil
-}
-
-func TestSetStoreLocator(t *testing.T) {
-	st := NewSetStore(0)
-	sid := st.Append(set.New(4, 5, 6))
-	off, length, _ := st.Location(sid)
-	stub := &locatorStub{off: off, length: length}
-	st.SetLocator(stub)
-	var io Counter
-	got, err := st.Fetch(sid, &io)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(set.New(4, 5, 6)) {
-		t.Error("locator-path fetch returned wrong set")
-	}
-	if stub.calls != 1 {
-		t.Errorf("locator called %d times", stub.calls)
-	}
-	if io.Rand() != 2 { // 1 locator + 1 first data page
-		t.Errorf("rand reads = %d, want 2", io.Rand())
-	}
-}
-
-func TestSetStoreLocatorBoundsChecked(t *testing.T) {
-	st := NewSetStore(0)
-	st.Append(set.New(1))
-	st.SetLocator(&locatorStub{off: 1 << 30, length: 10})
-	if _, err := st.Fetch(0, nil); err == nil {
-		t.Error("out-of-bounds locator result accepted")
 	}
 }
 
@@ -351,13 +340,6 @@ func TestSetStoreDelete(t *testing.T) {
 	})
 	if len(got) != 1 || got[0] != b {
 		t.Errorf("scan after delete = %v", got)
-	}
-}
-
-func TestLocationOutOfRange(t *testing.T) {
-	st := NewSetStore(0)
-	if _, _, err := st.Location(5); err == nil {
-		t.Error("Location(5) on empty store succeeded")
 	}
 }
 

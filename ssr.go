@@ -200,13 +200,40 @@ func (c *Collection) Get(sid int) ([]string, error) {
 	return c.dict.Names(c.sets[sid])
 }
 
-// intern converts query elements under the collection's dictionary,
-// assigning fresh ids to unseen elements (they can only reduce similarity,
-// exactly as unseen elements do).
+// intern converts the elements of a set being added under the collection's
+// dictionary, assigning the next dense ids to unseen elements.
 func (c *Collection) intern(elements []string) set.Set {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dict.InternSet(elements...)
+}
+
+// unseenBit marks the ids resolve gives to query elements missing from the
+// dictionary. Interned ids are dense from zero and never reach it.
+const unseenBit = set.Elem(1) << 63
+
+// resolve converts query elements under the collection's dictionary without
+// writing to it: a query is a read and must leave the index's durable state
+// alone. An unseen element gets an id derived only from its string (64-bit
+// FNV-1a with the top bit set), so it matches no interned element and only
+// enlarges the union, and answers depend neither on earlier queries nor on
+// concurrent adds.
+func (c *Collection) resolve(elements []string) set.Set {
+	elems := make([]set.Elem, len(elements))
+	c.mu.Lock()
+	for i, name := range elements {
+		id, ok := c.dict.Lookup(name)
+		if !ok {
+			id = uint64(14695981039346656037)
+			for j := 0; j < len(name); j++ {
+				id = (id ^ uint64(name[j])) * 1099511628211
+			}
+			id |= unseenBit
+		}
+		elems[i] = id
+	}
+	c.mu.Unlock()
+	return set.New(elems...)
 }
 
 // record stores set s at sid position, growing the slice as needed —
@@ -388,7 +415,7 @@ func (ix *Index) Shards() int { return ix.inner.NumShards() }
 // Query returns the sets whose Jaccard similarity with the query elements
 // lies in [lo, hi], sorted by descending similarity.
 func (ix *Index) Query(elements []string, lo, hi float64) ([]Match, Stats, error) {
-	return ix.query(ix.coll.intern(elements), lo, hi)
+	return ix.query(ix.coll.resolve(elements), lo, hi)
 }
 
 // QuerySID uses an existing collection member as the query set.
@@ -528,7 +555,7 @@ func (o QueryOptions) toCore() core.QueryOptions {
 
 // QueryWithOptions is Query with explicit processor tunables.
 func (ix *Index) QueryWithOptions(elements []string, lo, hi float64, opt QueryOptions) ([]Match, Stats, error) {
-	return ix.queryOpts(ix.coll.intern(elements), lo, hi, opt)
+	return ix.queryOpts(ix.coll.resolve(elements), lo, hi, opt)
 }
 
 // BatchQuery is one entry of a QueryBatch call.
@@ -563,7 +590,7 @@ func (ix *Index) QueryBatch(queries []BatchQuery, opt QueryOptions) []BatchResul
 			results[i].Err = err
 			continue
 		}
-		inner[i] = core.BatchQuery{Q: ix.coll.intern(bq.Elements), Lo: bq.Lo, Hi: bq.Hi}
+		inner[i] = core.BatchQuery{Q: ix.coll.resolve(bq.Elements), Lo: bq.Lo, Hi: bq.Hi}
 		ok[i] = true
 	}
 	// Invalid entries keep their error; valid ones run in one core batch.
@@ -623,6 +650,9 @@ func (ix *Index) add(elements []string) (int, error) {
 // tuned to — useful for choosing ranges and for cost decisions before
 // running anything.
 func (ix *Index) EstimateAnswerSize(lo, hi float64) (float64, error) {
+	if err := checkRange(lo, hi); err != nil {
+		return 0, err
+	}
 	return ix.inner.EstimateAnswerSize(lo, hi)
 }
 
@@ -630,7 +660,7 @@ func (ix *Index) EstimateAnswerSize(lo, hi float64) (float64, error) {
 // (approximate nearest neighbours; similarities of returned matches are
 // exact).
 func (ix *Index) TopK(elements []string, k int) ([]Match, Stats, error) {
-	return ix.topK(ix.coll.intern(elements), k)
+	return ix.topK(ix.coll.resolve(elements), k)
 }
 
 // TopKSID uses an existing collection member as the query set.

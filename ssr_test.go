@@ -323,12 +323,15 @@ func TestQueryRejectsInvalidRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range [][2]float64{{0.9, 0.1}, {math.NaN(), 1}, {0.5, math.NaN()}} {
+	for _, r := range [][2]float64{{0.9, 0.1}, {math.NaN(), 1}, {0.5, math.NaN()}, {-3, 0.5}} {
 		if _, _, err := ix.Query([]string{"x"}, r[0], r[1]); err == nil {
 			t.Errorf("Query: invalid range %v accepted", r)
 		}
 		if _, _, err := ix.QuerySID(0, r[0], r[1]); err == nil {
 			t.Errorf("QuerySID: invalid range %v accepted", r)
+		}
+		if _, err := ix.EstimateAnswerSize(r[0], r[1]); err == nil {
+			t.Errorf("EstimateAnswerSize: invalid range %v accepted", r)
 		}
 	}
 }
