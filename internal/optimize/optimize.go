@@ -64,103 +64,30 @@ func solveR(kind filter.Kind, sigma float64, l int) int {
 	return r
 }
 
-// Capture returns the probability that a set at Jaccard similarity s to the
-// query is returned by an FI of the given kind anchored at sigma with l
-// tables. Zero tables capture nothing.
-//
-// The signature agreement count of a pair at Jaccard similarity s is
-// Binomial(k, s), and the embedded pair's Hamming similarity is
-// (1 + A/k)/2 given agreement A (Theorem 1); p_{r,l} is then averaged over
-// that distribution. Evaluating p_{r,l} only at the mean (k = 0 requests
-// that cheaper approximation) understates capture substantially in the
-// tails because p_{r,l} is convex there.
-func Capture(kind filter.Kind, sigma float64, l, k int, s float64) float64 {
-	if l < 1 {
-		return 0
-	}
-	r := solveR(kind, sigma, l)
-	prob := func(sH float64) float64 {
-		x := sH
-		if kind == filter.Dissimilar {
-			x = 1 - x
-		}
-		return lsh.CollisionProb(x, r, l)
-	}
-	if k <= 0 {
-		return prob(embed.HammingFromJaccard(s))
-	}
-	return binomialAverage(k, s, func(a int) float64 {
-		return prob((1 + float64(a)/float64(k)) / 2)
-	})
-}
-
-// binomialAverage returns E[f(A)] for A ~ Binomial(k, p), truncating the
-// sum to ±6 standard deviations around the mean.
-func binomialAverage(k int, p float64, f func(a int) float64) float64 {
-	if p <= 0 {
-		return f(0)
-	}
-	if p >= 1 {
-		return f(k)
-	}
-	mean := float64(k) * p
-	dev := 6*math.Sqrt(float64(k)*p*(1-p)) + 1
-	lo := int(mean - dev)
-	if lo < 0 {
-		lo = 0
-	}
-	hi := int(mean + dev)
-	if hi > k {
-		hi = k
-	}
-	// pmf(a) computed iteratively from pmf(lo) in log space for stability.
-	logPmf := logBinomPmf(k, lo, p)
-	ratio := p / (1 - p)
-	sum, wsum := 0.0, 0.0
-	lp := logPmf
-	for a := lo; a <= hi; a++ {
-		w := math.Exp(lp)
-		sum += w * f(a)
-		wsum += w
-		// pmf(a+1)/pmf(a) = (k-a)/(a+1) · p/(1-p)
-		lp += math.Log(float64(k-a)/float64(a+1)) + math.Log(ratio)
-	}
-	if wsum == 0 {
-		return f(int(mean))
-	}
-	return sum / wsum
-}
-
-// logBinomPmf returns log C(k, a) + a·log p + (k-a)·log(1-p).
-func logBinomPmf(k, a int, p float64) float64 {
-	lg := func(x int) float64 {
-		v, _ := math.Lgamma(float64(x + 1))
-		return v
-	}
-	return lg(k) - lg(a) - lg(k-a) + float64(a)*math.Log(p) + float64(k-a)*math.Log(1-p)
-}
-
 // Model evaluates expected errors of planned filter indices against a
-// similarity distribution.
+// similarity distribution. It caches the capture model's parts for its
+// lifetime and is not safe for concurrent use.
 type Model struct {
 	hist *simdist.Histogram
-	k    int
+	kern *kernel
 }
 
 // NewModel wraps a similarity distribution for error estimation with the
 // cheaper mean-Hamming capture approximation (k = 0).
-func NewModel(hist *simdist.Histogram) *Model { return &Model{hist: hist} }
+func NewModel(hist *simdist.Histogram) *Model { return NewModelK(hist, 0) }
 
 // NewModelK wraps a similarity distribution for error estimation under a
 // k-coordinate min-hash signature (Binomial-averaged capture).
-func NewModelK(hist *simdist.Histogram, k int) *Model { return &Model{hist: hist, k: k} }
+func NewModelK(hist *simdist.Histogram, k int) *Model {
+	return &Model{hist: hist, kern: newKernel(k)}
+}
 
 // FalsePositives returns the expected number (unnormalized mass) of sets
 // erroneously captured by an FI at sigma with l tables (Definition 6): for
 // an SFI the mass below sigma that collides anyway, for a DFI the mass
 // above sigma.
 func (m *Model) FalsePositives(kind filter.Kind, sigma float64, l int) float64 {
-	cap := func(s float64) float64 { return Capture(kind, sigma, l, m.k, s) }
+	cap := m.kern.curve(kind, sigma, l)
 	if kind == filter.Dissimilar {
 		return m.hist.Integrate(sigma, 1, cap)
 	}
@@ -170,7 +97,8 @@ func (m *Model) FalsePositives(kind filter.Kind, sigma float64, l int) float64 {
 // FalseNegatives returns the expected mass of sets the FI should capture
 // but misses (Definition 7).
 func (m *Model) FalseNegatives(kind filter.Kind, sigma float64, l int) float64 {
-	miss := func(s float64) float64 { return 1 - Capture(kind, sigma, l, m.k, s) }
+	cap := m.kern.curve(kind, sigma, l)
+	miss := func(s float64) float64 { return 1 - cap(s) }
 	if kind == filter.Dissimilar {
 		return m.hist.Integrate(0, sigma, miss)
 	}
@@ -463,7 +391,7 @@ func BuildPlan(hist *simdist.Histogram, opt Options) (Plan, error) {
 	if target == 0 {
 		target = 0.9
 	}
-	if target < 0 || target > 1 {
+	if !(target >= 0 && target <= 1) { // NaN fails both comparisons
 		return Plan{}, fmt.Errorf("optimize: recall target must be in [0,1], got %g", target)
 	}
 	maxFIs := opt.MaxFIs
@@ -572,11 +500,12 @@ func assemble(hist *simdist.Histogram, cuts []float64, fis []FI, delta float64, 
 		RecallTarget: target,
 		K:            k,
 	}
+	kern := newKernel(k)
 	answerMass := answerFrac * hist.Total()
 	bounds := append(append([]float64{0}, cuts...), 1)
 	worstR, worstP := 1.0, 1.0
 	for i := 0; i+1 < len(bounds); i++ {
-		st := intervalStats(hist, fis, bounds[i], bounds[i+1], answerMass, k)
+		st := intervalStats(hist, fis, bounds[i], bounds[i+1], answerMass, kern)
 		plan.Intervals = append(plan.Intervals, st)
 		if st.Mass > 0 && st.Precision < worstP {
 			worstP = st.Precision
@@ -601,7 +530,7 @@ func assemble(hist *simdist.Histogram, cuts []float64, fis []FI, delta float64, 
 				continue
 			}
 			elo, ehi := encloseIn(cuts, lo, hi)
-			got := hist.Integrate(lo, hi, captureCombined(fis, elo, ehi, k))
+			got := hist.Integrate(lo, hi, captureCombined(fis, elo, ehi, kern))
 			rec := got / mass
 			plan.Probes = append(plan.Probes, ProbeStats{Lo: lo, Hi: hi, Mass: mass, Recall: rec})
 			massSum += mass
@@ -722,37 +651,39 @@ func combine(fis []FI, lo, hi float64) (c Combination, ok bool) {
 // [lo, hi]. The combination is resolved once, not once per evaluation.
 // Independence across the structures' samples is assumed for the union
 // probability.
-func captureCombined(fis []FI, lo, hi float64, k int) func(s float64) float64 {
+func captureCombined(fis []FI, lo, hi float64, kern *kernel) func(s float64) float64 {
 	c, ok := combine(fis, lo, hi)
 	if !ok {
 		return func(float64) float64 { return 0 }
 	}
-	capture := func(ord int, s float64) float64 {
+	curve := func(ord int) func(float64) float64 {
 		fi := fis[ord]
-		return Capture(fi.Kind, fi.Point, fi.Tables, k, s)
+		return kern.curve(fi.Kind, fi.Point, fi.Tables)
 	}
-	term := func(pos, neg int, s float64) float64 {
-		p := capture(pos, s)
-		if neg >= 0 {
-			p *= 1 - capture(neg, s)
+	term := func(pos, neg int) func(float64) float64 {
+		p := curve(pos)
+		if neg < 0 {
+			return p
 		}
-		return p
+		n := curve(neg)
+		return func(s float64) float64 { return p(s) * (1 - n(s)) }
 	}
+	a := term(c.PosA, c.NegA)
+	if c.PosB < 0 {
+		return a
+	}
+	b := term(c.PosB, c.NegB)
 	return func(s float64) float64 {
-		a := term(c.PosA, c.NegA, s)
-		if c.PosB < 0 {
-			return a
-		}
-		b := term(c.PosB, c.NegB, s)
-		return a + b - a*b
+		x, y := a(s), b(s)
+		return x + y - x*y
 	}
 }
 
 // intervalStats computes expected recall (Def 8) and precision (Def 9) for
 // a query of the reference answer mass inside the interval [lo, hi].
-func intervalStats(hist *simdist.Histogram, fis []FI, lo, hi float64, answerMass float64, k int) IntervalStats {
+func intervalStats(hist *simdist.Histogram, fis []FI, lo, hi float64, answerMass float64, kern *kernel) IntervalStats {
 	mass := hist.Mass(lo, hi)
-	capture := captureCombined(fis, lo, hi, k)
+	capture := captureCombined(fis, lo, hi, kern)
 	trueCaptured := hist.Integrate(lo, hi, capture)
 	extraBelow := hist.Integrate(0, lo, capture)
 	extraAbove := hist.Integrate(hi, 1, capture)
@@ -796,9 +727,10 @@ func (p *Plan) ExpectedRecall(hist *simdist.Histogram, a, b float64) float64 {
 // s, that a set is produced as a candidate when a query is processed with
 // the enclosing partition points (lo, hi) — the plan-level capture model
 // used for recall probes and candidate-count prediction. Resolve it once
-// per integral.
+// per integral: the function caches the capture model's parts it has
+// evaluated and is not safe for concurrent use.
 func (p *Plan) CaptureAt(lo, hi float64) func(s float64) float64 {
-	return captureCombined(p.FIs, lo, hi, p.K)
+	return captureCombined(p.FIs, lo, hi, newKernel(p.K))
 }
 
 // Combination returns the Section 4.3 filter combination for the enclosing

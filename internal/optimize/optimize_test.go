@@ -240,6 +240,9 @@ func TestBuildPlanValidation(t *testing.T) {
 	if _, err := BuildPlan(hist, Options{Budget: 10, RecallTarget: 1.5}); err == nil {
 		t.Error("recall target 1.5 accepted")
 	}
+	if _, err := BuildPlan(hist, Options{Budget: 10, RecallTarget: math.NaN()}); err == nil {
+		t.Error("recall target NaN accepted")
+	}
 }
 
 func TestMoreBudgetImprovesRecallAtFixedIntervals(t *testing.T) {
@@ -343,7 +346,7 @@ func TestExpectedRecallInRange(t *testing.T) {
 func TestIntervalStatsEmptyInterval(t *testing.T) {
 	h := simdist.NewHistogram(10)
 	h.Add(0.05, 5)
-	st := intervalStats(h, []FI{{Point: 0.5, Kind: filter.Similar, Tables: 4}}, 0.5, 0.9, 0.01, 0)
+	st := intervalStats(h, []FI{{Point: 0.5, Kind: filter.Similar, Tables: 4}}, 0.5, 0.9, 0.01, newKernel(0))
 	if st.Recall != 1 || st.Mass != 0 || st.Precision != 1 {
 		t.Errorf("empty interval stats = %+v", st)
 	}
@@ -380,21 +383,21 @@ func TestCaptureCombinedCases(t *testing.T) {
 		{Point: 0.7, Kind: filter.Similar, Tables: 8},
 	}
 	// DFI interval: a set at s=0.05 inside [0, 0.1] should be captured well.
-	if p := captureCombined(fis, 0, 0.1, 0)(0.05); p < 0.3 {
+	if p := captureCombined(fis, 0, 0.1, newKernel(0))(0.05); p < 0.3 {
 		t.Errorf("DFI-case capture = %g, too low", p)
 	}
 	// SFI interval: a set at s=0.9 inside [0.7, 1] captured well.
-	if p := captureCombined(fis, 0.7, 1, 0)(0.9); p < 0.3 {
+	if p := captureCombined(fis, 0.7, 1, newKernel(0))(0.9); p < 0.3 {
 		t.Errorf("SFI-case capture = %g, too low", p)
 	}
 	// Mixed interval [0.1, 0.7]: a set at 0.4 must have nonzero capture.
-	if p := captureCombined(fis, 0.1, 0.7, 0)(0.4); p <= 0 {
+	if p := captureCombined(fis, 0.1, 0.7, newKernel(0))(0.4); p <= 0 {
 		t.Errorf("mixed-case capture = %g", p)
 	}
 	// All probabilities bounded.
 	for s := 0.0; s <= 1; s += 0.1 {
 		for _, iv := range [][2]float64{{0, 0.1}, {0.1, 0.3}, {0.3, 0.7}, {0.7, 1}, {0.1, 0.7}, {0, 1}} {
-			p := captureCombined(fis, iv[0], iv[1], 0)(s)
+			p := captureCombined(fis, iv[0], iv[1], newKernel(0))(s)
 			if p < 0 || p > 1 {
 				t.Fatalf("capture(%v, s=%g) = %g", iv, s, p)
 			}

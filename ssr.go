@@ -49,7 +49,7 @@ type Options struct {
 	// space constraint of the paper's Section 5 optimization. Required.
 	Budget int
 	// RecallTarget is the expected worst-case recall threshold T in (0, 1]
-	// the optimizer must respect (default 0.9).
+	// the optimizer must respect; 0 selects the default, 0.9.
 	RecallTarget float64
 	// MinHashes is the signature length k (default 100, as in the paper).
 	MinHashes int

@@ -32,6 +32,11 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(c, Options{}); err == nil {
 		t.Error("zero budget accepted")
 	}
+	for _, target := range []float64{-0.5, 1.5, math.Inf(1), math.NaN()} {
+		if _, err := Build(c, Options{Budget: 20, RecallTarget: target}); err == nil {
+			t.Errorf("recall target %g accepted", target)
+		}
+	}
 }
 
 func TestQueryFindsDuplicates(t *testing.T) {
