@@ -243,10 +243,14 @@ func BenchmarkEmbedFull(b *testing.B) {
 	}
 }
 
-// BenchmarkLazyKeyExtraction measures the lazy bucket-key path used at
-// query time (r=16 bits straight from the signature, no materialization).
+// BenchmarkLazyKeyExtraction measures one bucket key gathered straight
+// from the signature (r=16 compiled taps, no materialization).
 func BenchmarkLazyKeyExtraction(b *testing.B) {
 	e, err := embed.New(embed.Options{K: 100, Bits: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := lsh.NewGroup(0, lsh.GroupOptions{Code: e.Code(), K: e.K(), R: 16, L: 1, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -255,13 +259,9 @@ func BenchmarkLazyKeyExtraction(b *testing.B) {
 		elems[i] = set.Elem(i * 7)
 	}
 	sig := e.Sign(set.New(elems...))
-	positions := make([]int, 16)
-	for i := range positions {
-		positions[i] = i * 997 % e.Dimension()
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = e.ExtractKey(sig, positions)
+		_ = g.Key(0, sig, 0)
 	}
 }
 
@@ -272,8 +272,8 @@ func BenchmarkGroupInsert(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := lsh.NewGroup(storage.NewPager(0), lsh.GroupOptions{
-		Dim: e.Dimension(), R: 12, L: 20, Seed: 2, ExpectedEntries: 1 << 20,
+	g, err := lsh.NewGroup(0, lsh.GroupOptions{
+		Code: e.Code(), K: e.K(), R: 12, L: 20, Seed: 2, ExpectedEntries: 1 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -282,10 +282,10 @@ func BenchmarkGroupInsert(b *testing.B) {
 	for i := range elems {
 		elems[i] = set.Elem(i * 5)
 	}
-	src := e.Bits(e.Sign(set.New(elems...)))
+	sig := e.Sign(set.New(elems...))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Insert(src, storage.SID(i))
+		g.Insert(sig, storage.SID(i))
 	}
 }
 
@@ -447,7 +447,7 @@ func BenchmarkMinhashEstimate(b *testing.B) {
 
 // BenchmarkHashtableProbe measures one bucket probe in a loaded table.
 func BenchmarkHashtableProbe(b *testing.B) {
-	tab, err := hashtable.New(storage.NewPager(0), hashtable.Options{ExpectedEntries: 1 << 16})
+	tab, err := hashtable.New(0, hashtable.Options{ExpectedEntries: 1 << 16})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/filter"
-	"repro/internal/lsh"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -87,7 +86,7 @@ type Options struct {
 	// goroutines. 0 selects runtime.GOMAXPROCS(0); 1 forces the serial
 	// build. Every value produces a bit-identical index (signing writes are
 	// index-addressed, pair sampling is pre-drawn from the seeded rng, and
-	// each filter index is populated serially by one goroutine).
+	// each hash table is filled by one goroutine in ascending sid order).
 	Workers int
 }
 
@@ -133,8 +132,8 @@ func (st *QueryStats) SimIOTime(m storage.CostModel) time.Duration {
 // another — a reentrant RLock deadlocks once a writer is queued.
 type Index struct {
 	// mu guards every field below that mutates after Build: sigs, n, the
-	// store heap and its sid directory, filter-index pages, and their
-	// pagers. plan, hist, emb, and buildOpts are immutable after Build.
+	// store heap and its sid directory, and filter-index pages. plan, hist,
+	// emb, and buildOpts are immutable after Build.
 	mu    sync.RWMutex
 	emb   *embed.Embedder
 	plan  optimize.Plan
@@ -159,10 +158,6 @@ type Index struct {
 	// plan.FIs[i], so an optimize.Combination's ordinals index it directly.
 	// Immutable after Build.
 	fis []*filter.Index
-	// fiPagers holds one bucket-page pager per filter index (giving each
-	// index its own pager is what makes concurrent population race-free and
-	// page layout deterministic). The set heap lives inside the SetStore.
-	fiPagers []*storage.Pager
 	// scratch pools per-query buffers (query signature, probe vectors,
 	// merge outputs) so steady-state queries allocate only their results.
 	scratch sync.Pool
@@ -350,16 +345,16 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 	}
 
 	// 5. Materialize the filter indices and insert every signature. Each
-	// index draws bucket pages from its own pager and is populated serially
-	// by one goroutine, so the batteries fill concurrently with no shared
-	// mutable state and a page layout independent of scheduling.
+	// hash table owns its pages and is filled by one goroutine in ascending
+	// sid order, so tables fill concurrently with no shared mutable state
+	// and a page layout independent of scheduling.
 	fidxs := make([]*filter.Index, len(ix.plan.FIs))
 	for i, fi := range ix.plan.FIs {
-		pager := storage.NewPager(opt.PageSize)
-		fidx, err := filter.New(pager, filter.Options{
+		fidx, err := filter.New(opt.PageSize, filter.Options{
 			Kind:            fi.Kind,
 			Threshold:       embed.HammingFromJaccard(fi.Point),
-			Dim:             emb.Dimension(),
+			Code:            emb.Code(),
+			K:               emb.K(),
 			Tables:          fi.Tables,
 			Seed:            opt.DistSeed + int64(i)*7919 + 13,
 			ExpectedEntries: len(sets),
@@ -367,23 +362,24 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		ix.fiPagers = append(ix.fiPagers, pager)
 		fidxs[i] = fidx
 	}
 	ix.fis = fidxs
-	switch {
-	case fullSigs != nil:
-		populateFilters(emb, fullSigs, fidxs, workers)
-	case ix.recoverable:
-		populateFiltersPacked(emb, fam, ix.sigs, fidxs, workers)
-	default:
-		// Packed-only load of a family that cannot reproduce the embedding
-		// bits: re-sign classic from the stored sets for key derivation
-		// only (deterministic, so keys match the original build exactly).
-		full := signCollection(emb, sets, workers)
-		nilTombstoned(full, opt.Tombstones)
-		populateFilters(emb, full, fidxs, workers)
+	coords := fullSigs
+	if coords == nil {
+		// Packed-only load: each entry's key coordinates come from its
+		// stored words, or from re-signing its set for families that cannot
+		// reproduce them (deterministic, so keys match the original build).
+		coords = make([]minhash.Signature, len(sets))
+		parallelFor(len(sets), workers, signChunk, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if ix.sigs[i] != nil {
+					coords[i] = ix.keyCoords(ix.sigs[i], sets[i], make([]uint64, emb.K()))
+				}
+			}
+		})
 	}
+	populateFilters(coords, fidxs, workers)
 
 	// 6. Family confidence half-width. The union hint (≈ average pair
 	// union) defaults to 2× the mean live set size; it is recorded in
@@ -614,13 +610,13 @@ func (ix *Index) Store() *storage.SetStore { return ix.store }
 func (ix *Index) Embedder() *embed.Embedder { return ix.emb }
 
 // IndexPages returns the number of pages consumed by filter-index buckets,
-// summed across the per-index pagers.
+// summed across every table.
 func (ix *Index) IndexPages() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	n := 0
-	for _, p := range ix.fiPagers {
-		n += p.NumPages()
+	for _, f := range ix.fis {
+		n += f.Pages()
 	}
 	return n
 }
@@ -706,8 +702,6 @@ func (ix *Index) candidatesFromSignature(sig minhash.Signature, s1, s2 float64, 
 	if err != nil {
 		return nil, err
 	}
-	src := ix.emb.Bits(sig)
-
 	// probe fills buffer slot with the vector of filter index ord (nil for
 	// an absent term).
 	probe := func(ord, slot int) []storage.SID {
@@ -716,9 +710,9 @@ func (ix *Index) candidatesFromSignature(sig minhash.Signature, s1, s2 float64, 
 		}
 		f := ix.fis[ord]
 		if sc == nil {
-			return f.Vector(src, &stats.IndexIO)
+			return f.Vector(sig, &stats.IndexIO)
 		}
-		sc.bufs[slot] = f.VectorAppend(src, &stats.IndexIO, sc.bufs[slot][:0])
+		sc.bufs[slot] = f.VectorAppend(sig, &stats.IndexIO, sc.bufs[slot][:0])
 		return sc.bufs[slot]
 	}
 	// merged stores a merge output back into its slot (retaining grown
@@ -843,9 +837,8 @@ func (ix *Index) Insert(s set.Set) (storage.SID, error) {
 		stored = minhash.Signature(w)
 	}
 	ix.sigs = append(ix.sigs, stored)
-	src := ix.emb.Bits(sig)
 	for _, f := range ix.fis {
-		f.Insert(src, sid)
+		f.Insert(sig, sid)
 	}
 	ix.n++
 	return sid, nil
@@ -864,27 +857,22 @@ func (ix *Index) Delete(sid storage.SID) error {
 	if ix.sigs[sid] == nil {
 		return fmt.Errorf("core: sid %d already deleted", sid)
 	}
-	// Key derivation needs the classic embedding bits. Families that can't
-	// reproduce them from stored words re-sign from the set, which must be
-	// fetched before the record is tombstoned.
-	var src lsh.BitSource
-	switch {
-	case ix.classic64:
-		src = ix.emb.Bits(ix.sigs[sid])
-	case ix.recoverable:
-		src = &embed.PackedSigBits{E: ix.emb, Fam: ix.fam, Words: ix.sigs[sid]}
-	default:
-		s, err := ix.store.Fetch(sid, nil)
-		if err != nil {
+	// Families that can't reproduce the key coordinates from stored words
+	// re-sign from the set, which must be fetched before the record is
+	// tombstoned.
+	var s set.Set
+	if !ix.recoverable {
+		var err error
+		if s, err = ix.store.Fetch(sid, nil); err != nil {
 			return err
 		}
-		src = ix.emb.Bits(ix.emb.Sign(s))
 	}
+	coords := ix.keyCoords(ix.sigs[sid], s, make([]uint64, ix.emb.K()))
 	if err := ix.store.Delete(sid); err != nil {
 		return err
 	}
 	for _, f := range ix.fis {
-		f.Delete(src, sid)
+		f.Delete(coords, sid)
 	}
 	ix.sigs[sid] = nil
 	ix.n--
@@ -936,6 +924,26 @@ func (ix *Index) packQuery(q set.Set, full minhash.Signature, dst []uint64) []ui
 		ix.fam.Sign(q, dst)
 	}
 	return dst
+}
+
+// keyCoords returns the signature coordinates a stored entry's filter keys
+// are gathered from: its stored signature under classic-64, the b-bit
+// coordinates unpacked from a recoverable family's words, and otherwise
+// its set s re-signed classic. The latter two are written into buf (length
+// k).
+func (ix *Index) keyCoords(stored minhash.Signature, s set.Set, buf []uint64) []uint64 {
+	switch {
+	case ix.classic64:
+		return stored
+	case ix.recoverable:
+		b := ix.emb.EmbedBits()
+		for i := range buf {
+			buf[i] = ix.fam.Trunc(stored, i, b)
+		}
+	default:
+		ix.emb.SignInto(s, buf)
+	}
+	return buf
 }
 
 // SigningFamily returns the index's signing family (immutable after Build).

@@ -9,9 +9,10 @@
 //     so chunk scheduling cannot reorder anything.
 //   - Distribution sampling pre-draws its pair sequence from the seeded rng
 //     before fan-out (see simdist.SampleSignaturePairsN).
-//   - Each filter index is populated serially by one goroutine from its own
-//     pager, so its bucket chains and page layout are a pure function of
-//     (plan, seed, signatures) — exactly what snapshot rebuilds require.
+//   - Each hash table owns its pages and is filled by exactly one goroutine
+//     in ascending sid order, so its bucket chains and page layout are a
+//     pure function of (plan, seed, signatures) — exactly what snapshot
+//     rebuilds require.
 //   - Parallel verification merges per-worker I/O counters with atomics
 //     after the workers join, so IndexIO/FetchIO accounting stays exact,
 //     and the final sort is a total order, so result slices are identical.
@@ -26,6 +27,7 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/filter"
+	"repro/internal/lsh"
 	"repro/internal/minhash"
 	"repro/internal/set"
 	"repro/internal/storage"
@@ -173,40 +175,56 @@ func signCollection(emb *embed.Embedder, sets []set.Set, workers int) []minhash.
 	return sigs
 }
 
-// populateFilters inserts every signature into every filter index, one
-// goroutine per index (bounded by workers). Indices are independent
-// structures drawing pages from their own pagers, and each goroutine
-// inserts sids in ascending order — the same per-index insertion sequence
-// as the serial build, so bucket chains come out identical.
-func populateFilters(emb *embed.Embedder, sigs []minhash.Signature, fis []*filter.Index, workers int) {
-	populate := func(f *filter.Index) {
-		// One reusable BitSource view per goroutine: swapping the signature
-		// in place avoids an interface allocation per (index, sid) pair.
-		src := &embed.SigBits{E: emb}
-		for sid, sig := range sigs {
-			if sig == nil {
-				continue
-			}
-			src.Sig = sig
-			f.Insert(src, storage.SID(sid))
+// populateBlock is the number of sids population inserts into one table
+// before moving to the next: a block's signatures stay in cache while the
+// table's bucket tails stay in cache too, which halves the fill time
+// against inserting each sid into every table in turn.
+const populateBlock = 256
+
+// populateFilters inserts every entry into every table of every filter
+// index; coords[sid] holds the signature coordinates its keys are gathered
+// from (nil at tombstones). The tables are dealt round-robin to up to
+// workers goroutines, each walking the sids in ascending order: every
+// table sees the serial build's insertion sequence, so its bucket chains
+// and page count are identical for every worker count, and tables own
+// their pages, so workers share no mutable state.
+func populateFilters(coords []minhash.Signature, fis []*filter.Index, workers int) {
+	type table struct {
+		g *lsh.Group
+		i int
+	}
+	var tables []table
+	for _, f := range fis {
+		for i := 0; i < f.Tables(); i++ {
+			tables = append(tables, table{f.Group(), i})
 		}
 	}
-	if workers <= 1 || len(fis) <= 1 {
-		for _, f := range fis {
-			populate(f)
+	workers = max(1, min(workers, len(tables)))
+	fill := func(w int) {
+		for lo := 0; lo < len(coords); lo += populateBlock {
+			block := coords[lo:min(lo+populateBlock, len(coords))]
+			for j := w; j < len(tables); j += workers {
+				t := tables[j]
+				tab := t.g.Table(t.i)
+				for k, c := range block {
+					if c != nil {
+						tab.Insert(t.g.Key(t.i, c, 0), storage.SID(lo+k))
+					}
+				}
+			}
 		}
+	}
+	if workers == 1 {
+		fill(0)
 		return
 	}
-	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for _, f := range fis {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(f *filter.Index) {
+		go func(w int) {
 			defer wg.Done()
-			defer func() { <-sem }()
-			populate(f)
-		}(f)
+			fill(w)
+		}(w)
 	}
 	wg.Wait()
 }
@@ -231,40 +249,6 @@ func packCollection(fam minhash.Family, full []minhash.Signature, sets []set.Set
 		}
 	})
 	return out
-}
-
-// populateFiltersPacked is populateFilters over PACKED signatures whose
-// family can reproduce the embedding bits from storage (Recoverable) — the
-// packed-signature load path that avoids re-signing the collection.
-func populateFiltersPacked(emb *embed.Embedder, fam minhash.Family, sigs []minhash.Signature, fis []*filter.Index, workers int) {
-	populate := func(f *filter.Index) {
-		src := &embed.PackedSigBits{E: emb, Fam: fam}
-		for sid, sig := range sigs {
-			if sig == nil {
-				continue
-			}
-			src.Words = sig
-			f.Insert(src, storage.SID(sid))
-		}
-	}
-	if workers <= 1 || len(fis) <= 1 {
-		for _, f := range fis {
-			populate(f)
-		}
-		return
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, f := range fis {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(f *filter.Index) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			populate(f)
-		}(f)
-	}
-	wg.Wait()
 }
 
 // queryScratch holds the reusable per-query buffers pooled on the index:

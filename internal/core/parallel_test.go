@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -120,6 +121,31 @@ func TestParallelBuildDeterminism(t *testing.T) {
 		for _, workers := range []int{2, 4, 8} {
 			par, _ := buildWorkers(t, 250, 30, workers, seed)
 			requireSameIndex(t, fmt.Sprintf("seed=%d workers=%d", seed, workers), serial, par, sets)
+		}
+	}
+}
+
+// TestPopulationDeterminism pins per-table population: at every worker
+// count each table returns the serial build's sids, in the serial chain
+// order, for every stored entry's key, and the page count is identical.
+func TestPopulationDeterminism(t *testing.T) {
+	serial, _ := buildWorkers(t, 300, 40, 1, 5)
+	for _, workers := range []int{2, 3, 16} {
+		par, _ := buildWorkers(t, 300, 40, workers, 5)
+		if got, want := par.IndexPages(), serial.IndexPages(); got != want {
+			t.Fatalf("workers=%d: %d index pages, serial build %d", workers, got, want)
+		}
+		for ord, f := range serial.fis {
+			g1, g2 := f.Group(), par.fis[ord].Group()
+			for i := 0; i < g1.L(); i++ {
+				for sid, sig := range serial.sigs {
+					key := g1.Key(i, sig, 0)
+					want := g1.Table(i).Probe(key, nil, nil)
+					if got := g2.Table(i).Probe(key, nil, nil); !slices.Equal(got, want) {
+						t.Fatalf("workers=%d FI %d table %d sid %d: probe %v, serial build %v", workers, ord, i, sid, got, want)
+					}
+				}
+			}
 		}
 	}
 }

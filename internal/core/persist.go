@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"repro/internal/embed"
+	"repro/internal/hashtable"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -214,6 +215,9 @@ func (snap *snapshot) validate(sigWords int) error {
 	}
 	if snap.PageSize < 0 || snap.PayloadPerElem < 0 {
 		return fmt.Errorf("core: snapshot has negative storage parameters")
+	}
+	if snap.PageSize > hashtable.MaxPageSize {
+		return fmt.Errorf("core: snapshot page size %d exceeds %d", snap.PageSize, hashtable.MaxPageSize)
 	}
 	// An empty snapshot (no sets, no allocated sids) is legal: a shard of a
 	// partitioned engine can be empty at save time. Zero-value garbage is

@@ -205,6 +205,7 @@ func TestLoadRejectsBadSnapshots(t *testing.T) {
 		"huge k":          func(s *snapshot) { s.EmbedK = 1 << 30 },
 		"huge bits":       func(s *snapshot) { s.EmbedBits = 64 },
 		"negative page":   func(s *snapshot) { s.PageSize = -1 },
+		"huge page":       func(s *snapshot) { s.PageSize = 1 << 20 },
 		"sig mismatch":    func(s *snapshot) { s.Sigs = [][]uint64{{1}} },
 		"sig count":       func(s *snapshot) { s.Sigs = nil },
 		"sid count":       func(s *snapshot) { s.SIDs = nil },

@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/embed"
-	"repro/internal/lsh"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -47,7 +45,7 @@ func ChernoffEps95(k int) float64 { return chernoffEps95(k) }
 // once. candidate = (∈PosA ∧ ∉NegA) ∨ (∈PosB ∧ ∉NegB).
 type scanProbe struct {
 	optimize.Combination
-	keys map[int][]uint64 // consulted FI ordinal → query probe keys
+	keys [4][]uint64 // probe keys of PosA, NegA, PosB, NegB (nil if absent)
 }
 
 // buildScanProbe derives the probe keys of the combination the filter
@@ -57,37 +55,26 @@ func (ix *Index) buildScanProbe(sig minhash.Signature, s1, s2 float64, stats *Qu
 	if err != nil {
 		return scanProbe{}, err
 	}
-	p := scanProbe{Combination: c, keys: make(map[int][]uint64)}
-	src := ix.emb.Bits(sig)
-	for _, ord := range []int{c.PosA, c.NegA, c.PosB, c.NegB} {
+	p := scanProbe{Combination: c}
+	for slot, ord := range []int{c.PosA, c.NegA, c.PosB, c.NegB} {
 		if ord >= 0 {
-			if _, done := p.keys[ord]; !done {
-				p.keys[ord] = ix.fis[ord].AppendProbeKeys(src, nil)
-			}
+			p.keys[slot] = ix.fis[ord].AppendProbeKeys(sig, nil)
 		}
 	}
 	return p, nil
 }
 
-// candidate evaluates the combination for one stored signature. member
-// recomputes the stored entry's insert keys for ord and compares them
-// table-by-table against the query's probe keys — exactly the collision
-// test the hash tables perform, without touching bucket pages.
-func (p *scanProbe) candidate(ix *Index, src lsh.BitSource, keyBuf *[]uint64) bool {
-	member := func(ord int) bool {
-		qkeys := p.keys[ord]
-		*keyBuf = ix.fis[ord].AppendInsertKeys(src, (*keyBuf)[:0])
-		for t, k := range *keyBuf {
-			if k == qkeys[t] {
-				return true
-			}
-		}
-		return false
-	}
-	if p.PosA >= 0 && member(p.PosA) && !(p.NegA >= 0 && member(p.NegA)) {
+// candidate evaluates the combination for one stored entry, given the
+// coordinates its keys are gathered from. Membership in an FI is the
+// collision test its hash tables perform — some table's insert key equals
+// the query's probe key — decided table by table without touching bucket
+// pages and stopping at the first hit.
+func (p *scanProbe) candidate(ix *Index, coords []uint64) bool {
+	member := func(slot, ord int) bool { return ix.fis[ord].Collides(coords, p.keys[slot]) }
+	if p.PosA >= 0 && member(0, p.PosA) && !(p.NegA >= 0 && member(1, p.NegA)) {
 		return true
 	}
-	return p.PosB >= 0 && member(p.PosB) && !(p.NegB >= 0 && member(p.NegB))
+	return p.PosB >= 0 && member(2, p.PosB) && !(p.NegB >= 0 && member(3, p.NegB))
 }
 
 // ScanQuery answers (q, [s1, s2]) exactly by the sequential-scan baseline
@@ -153,60 +140,48 @@ func (ix *Index) ScanPresigned(q set.Set, sig minhash.Signature, s1, s2 float64,
 		qp = ix.packQuery(q, sig, sc.packed)
 	}
 
-	// Candidacy recomputes each stored entry's insert keys, which need the
-	// classic embedding bits: read them from stored words when the family
-	// can reproduce them, otherwise re-sign classic from the scanned set
-	// (the scan already has the set in hand, so this costs CPU only).
+	// Candidacy reads each live entry's key coordinates from its stored
+	// signature. Only families that cannot reproduce them fetch every set
+	// to re-sign it; the rest fetch candidates alone. Neither fetch is
+	// charged: the scan's I/O is the one sequential heap read below.
+	resign := !ix.recoverable
+	buf := make([]uint64, ix.emb.K())
 	var matches []Match
-	var scanErr error
-	sb := embed.SigBits{E: ix.emb}
-	pb := embed.PackedSigBits{E: ix.emb, Fam: ix.fam}
-	var resigned minhash.Signature
-	if !ix.classic64 && !ix.recoverable {
-		resigned = make(minhash.Signature, ix.emb.K())
-	}
-	var keyBuf []uint64
-	err = ix.store.Scan(&stats.FetchIO, func(sid storage.SID, s set.Set) bool {
-		var src lsh.BitSource
-		switch {
-		case ix.classic64:
-			sb.Sig = ix.sigs[sid]
-			src = &sb
-		case ix.recoverable:
-			pb.Words = ix.sigs[sid]
-			src = &pb
-		default:
-			ix.emb.SignInto(s, resigned)
-			sb.Sig = resigned
-			src = &sb
+	for i, stored := range ix.sigs {
+		if stored == nil {
+			continue // tombstoned
 		}
-		if !probe.candidate(ix, src, &keyBuf) {
-			return true
+		sid := storage.SID(i)
+		var s set.Set
+		if resign {
+			if s, err = ix.store.Fetch(sid, nil); err != nil {
+				return nil, stats, err
+			}
+		}
+		if !probe.candidate(ix, ix.keyCoords(stored, s, buf)) {
+			continue
 		}
 		stats.Candidates++
 		if opt.Screen {
-			est, err := ix.fam.Estimate(qp, ix.sigs[sid])
+			est, err := ix.fam.Estimate(qp, stored)
 			if err != nil {
-				scanErr = fmt.Errorf("core: screening candidate %d: %w", sid, err)
-				return false
+				return nil, stats, fmt.Errorf("core: screening candidate %d: %w", sid, err)
 			}
 			if est < screenLo || est > screenHi {
 				stats.Screened++
-				return true
+				continue
 			}
 		}
-		sim := q.Jaccard(s)
-		if sim >= s1 && sim <= s2 {
+		if !resign {
+			if s, err = ix.store.Fetch(sid, nil); err != nil {
+				return nil, stats, err
+			}
+		}
+		if sim := q.Jaccard(s); sim >= s1 && sim <= s2 {
 			matches = append(matches, Match{SID: sid, Similarity: sim})
 		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, stats, scanErr
 	}
-	if err != nil {
-		return nil, stats, err
-	}
+	stats.FetchIO.RecordSeq(ix.store.NumPages())
 	sortMatches(matches)
 	stats.Results = len(matches)
 	stats.CPU = time.Since(start)

@@ -4,8 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/embed"
+	"repro/internal/minhash"
+	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // scanRanges covers every case of the Section 4.3 range combination: a
@@ -22,10 +26,36 @@ var scanRanges = [][2]float64{
 // TestScanMatchesQueryPresigned pins the direct-scan executor's exactness
 // contract: for every range and query, ScanPresigned returns the same
 // candidates and byte-identical matches as the filter-probe pipeline,
-// with screening on and off. This is the foundation the planner's
-// byte-identity guarantee rests on.
+// with screening on and off, for a family whose stored signature is the
+// key source (classic-64), one that unpacks it (packed classic) and one
+// that re-signs the set (SuperMinHash), with deleted entries in the heap.
+// This is the foundation the planner's byte-identity guarantee rests on.
 func TestScanMatchesQueryPresigned(t *testing.T) {
-	ix, sets := buildWorkers(t, 300, 60, 0, 42)
+	sets, err := workload.Generate(workload.Set1Params(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scfg := range []minhash.Config{{}, {Base: "classic", BitsPerHash: 8}, {Base: "superminhash"}} {
+		ix, err := Build(sets, Options{
+			Embed:    embed.Options{K: 64, Bits: 8, Seed: 42},
+			Signing:  scfg,
+			Plan:     optimize.Options{Budget: 60, RecallTarget: 0.9},
+			DistSeed: 42,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sid := range []storage.SID{5, 150} {
+			if err := ix.Delete(sid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireScanMatchesProbe(t, ix, sets)
+	}
+}
+
+func requireScanMatchesProbe(t *testing.T, ix *Index, sets []set.Set) {
+	t.Helper()
 	for _, screen := range []bool{false, true} {
 		opt := QueryOptions{Screen: screen}
 		for _, r := range scanRanges {
@@ -75,8 +105,8 @@ func TestScanChargesSequentialIO(t *testing.T) {
 	if st.FetchIO.Rand() != 0 {
 		t.Fatalf("scan performed %d random reads; want 0", st.FetchIO.Rand())
 	}
-	if st.FetchIO.Seq() == 0 {
-		t.Fatal("scan charged no sequential reads")
+	if st.FetchIO.Seq() != ix.Store().NumPages() {
+		t.Fatalf("scan charged %d sequential reads; the heap has %d pages", st.FetchIO.Seq(), ix.Store().NumPages())
 	}
 }
 

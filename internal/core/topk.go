@@ -41,7 +41,6 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 	if sig == nil {
 		sig = ix.emb.Sign(q)
 	}
-	src := ix.emb.Bits(sig)
 
 	// SFIs by descending point (plan order is ascending); then the δ-point
 	// DFI as the final, loosest stage (it captures the low-similarity
@@ -79,7 +78,7 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 	}
 
 	for i, ord := range sfis {
-		if err := verify(ix.fis[ord].Vector(src, &stats.IndexIO)); err != nil {
+		if err := verify(ix.fis[ord].Vector(sig, &stats.IndexIO)); err != nil {
 			return nil, stats, err
 		}
 		floor := 0.0
@@ -95,7 +94,7 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 		// full range [0, 1] combines first, covers the dissimilar
 		// remainder.
 		if c, ok := ix.plan.Combination(0, 1); ok {
-			if err := verify(ix.fis[c.PosA].Vector(src, &stats.IndexIO)); err != nil {
+			if err := verify(ix.fis[c.PosA].Vector(sig, &stats.IndexIO)); err != nil {
 				return nil, stats, err
 			}
 		}

@@ -92,26 +92,17 @@ func (e *Embedder) Perms() *minhash.Perms { return e.family }
 // stored at in the Hamming embedding.
 func (e *Embedder) EmbedBits() int { return e.b }
 
-// PackedSigBits is a lazy BitSource over a PACKED classic signature: the
-// embedding bits are re-derived from the packed slots (valid only for
-// families whose Recoverable(EmbedBits) is true).
-type PackedSigBits struct {
-	E     *Embedder
-	Fam   minhash.Family
-	Words []uint64
-}
-
-// Bit returns bit pos of the embedded vector.
-func (s PackedSigBits) Bit(pos int) byte {
-	i, x := pos/s.E.m, pos%s.E.m
-	return s.E.code.Bit(s.Fam.Trunc(s.Words, i, s.E.b), x)
-}
-
 // K returns the signature length.
 func (e *Embedder) K() int { return e.k }
 
 // CodeLength returns m, the per-coordinate codeword length.
 func (e *Embedder) CodeLength() int { return e.m }
+
+// Code returns the error-correcting code: bit p of the embedded vector is
+// Code().Bit(sig[p/m], p%m), which reads only the low b bits of the
+// coordinate — the filter indices gather their keys this way, without
+// materialising the D-bit vector.
+func (e *Embedder) Code() ecc.Code { return e.code }
 
 // Sign computes just the min-hash signature of s (the V-space vector).
 func (e *Embedder) Sign(s set.Set) minhash.Signature { return e.family.Sign(s) }
@@ -148,56 +139,6 @@ func (e *Embedder) appendCodewords(v bitvec.Vector, sig minhash.Signature) {
 		e.code.AppendCodeword(v, i*e.m, sig.Truncate(i, e.b))
 	}
 }
-
-// Bit returns bit pos of the embedded vector directly from the signature,
-// without materialising the D-bit vector: position pos lies in codeword
-// pos/m at offset pos%m. Filter indices use this to compute bucket keys in
-// O(r) per table instead of O(D).
-func (e *Embedder) Bit(sig minhash.Signature, pos int) byte {
-	i, x := pos/e.m, pos%e.m
-	return e.code.Bit(sig.Truncate(i, e.b), x)
-}
-
-// ExtractKey gathers the embedded-vector bits at the given positions into a
-// compact key (at most 64 positions), computed lazily from the signature.
-func (e *Embedder) ExtractKey(sig minhash.Signature, positions []int) uint64 {
-	if len(positions) > 64 {
-		panic("embed: ExtractKey supports at most 64 positions")
-	}
-	var key uint64
-	for j, pos := range positions {
-		if e.Bit(sig, pos) == 1 {
-			key |= 1 << uint(j)
-		}
-	}
-	return key
-}
-
-// ExtractComplementKey is ExtractKey on the bit-complemented vector, used by
-// Dissimilarity Filter Index queries (Theorem 2) without materialising q̄.
-func (e *Embedder) ExtractComplementKey(sig minhash.Signature, positions []int) uint64 {
-	var key uint64
-	for j, pos := range positions {
-		if e.Bit(sig, pos) == 0 {
-			key |= 1 << uint(j)
-		}
-	}
-	return key
-}
-
-// SigBits is a lazy BitSource view of a signature's embedded vector: bit
-// reads are computed from the signature on demand. It satisfies the
-// lsh.BitSource interface without materialising the D-bit vector.
-type SigBits struct {
-	E   *Embedder
-	Sig minhash.Signature
-}
-
-// Bit returns bit pos of the embedded vector.
-func (s SigBits) Bit(pos int) byte { return s.E.Bit(s.Sig, pos) }
-
-// Bits returns the lazy BitSource view of sig under e.
-func (e *Embedder) Bits(sig minhash.Signature) SigBits { return SigBits{E: e, Sig: sig} }
 
 // HammingFromJaccard converts a Jaccard similarity to the expected Hamming
 // similarity of the embedded vectors under Theorem 1: s_H = (1+s)/2.

@@ -2,7 +2,6 @@ package embed
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/ecc"
@@ -79,37 +78,19 @@ func TestTheorem1(t *testing.T) {
 	}
 }
 
+// TestLazyBitMatchesMaterialized pins the addressing the filter indices'
+// key gather relies on: bit p of the embedded vector is Code().Bit of the
+// untruncated signature coordinate p/m at codeword bit p%m.
 func TestLazyBitMatchesMaterialized(t *testing.T) {
 	e := mkEmbedder(t, 12, 7, 9)
 	s := set.New(10, 20, 30, 40)
 	sig := e.Sign(s)
 	full := e.EmbedSignature(sig)
-	src := e.Bits(sig)
+	m := e.CodeLength()
 	for pos := 0; pos < e.Dimension(); pos++ {
-		if got, want := src.Bit(pos), full.Bit(pos); got != want {
+		if got, want := e.Code().Bit(sig[pos/m], pos%m), full.Bit(pos); got != want {
 			t.Fatalf("pos %d: lazy %d, materialized %d", pos, got, want)
 		}
-	}
-}
-
-func TestExtractKeyConsistency(t *testing.T) {
-	e := mkEmbedder(t, 8, 8, 4)
-	s := set.New(7, 8, 9)
-	sig := e.Sign(s)
-	full := e.EmbedSignature(sig)
-	rng := rand.New(rand.NewSource(2))
-	positions := make([]int, 40)
-	for i := range positions {
-		positions[i] = rng.Intn(e.Dimension())
-	}
-	if got, want := e.ExtractKey(sig, positions), full.Extract(positions); got != want {
-		t.Errorf("ExtractKey = %#x, vector extract = %#x", got, want)
-	}
-	// Complement key flips every sampled bit.
-	comp := e.ExtractComplementKey(sig, positions)
-	mask := uint64(1)<<uint(len(positions)) - 1
-	if comp != ^e.ExtractKey(sig, positions)&mask {
-		t.Error("complement key is not the bitwise complement of the key")
 	}
 }
 
@@ -190,7 +171,7 @@ func TestSimplexThroughPipeline(t *testing.T) {
 	sig := e.Sign(a)
 	full := e.EmbedSignature(sig)
 	for pos := 0; pos < e.Dimension(); pos += 37 {
-		if e.Bit(sig, pos) != full.Bit(pos) {
+		if e.Code().Bit(sig[pos/127], pos%127) != full.Bit(pos) {
 			t.Fatalf("lazy/materialized mismatch at %d", pos)
 		}
 	}

@@ -264,7 +264,6 @@ func DFIGain(w io.Writer, cfg Config) ([]DFIGainRow, error) {
 	}
 	ranges := [][2]float64{{0.02, 0.1}, {0.05, 0.2}, {0.1, 0.3}}
 	const tables = 12
-	pager := storage.NewPager(0)
 	// Build paired structures at every endpoint.
 	type pairFI struct{ sfi, dfi *filter.Index }
 	fis := map[float64]pairFI{}
@@ -274,15 +273,15 @@ func DFIGain(w io.Writer, cfg Config) ([]DFIGainRow, error) {
 				continue
 			}
 			th := embed.HammingFromJaccard(p)
-			sfi, err := filter.New(pager, filter.Options{
-				Kind: filter.Similar, Threshold: th, Dim: emb.Dimension(),
+			sfi, err := filter.New(0, filter.Options{
+				Kind: filter.Similar, Threshold: th, Code: emb.Code(), K: emb.K(),
 				Tables: tables, Seed: cfg.Seed + int64(p*1000), ExpectedEntries: len(sets),
 			})
 			if err != nil {
 				return nil, err
 			}
-			dfi, err := filter.New(pager, filter.Options{
-				Kind: filter.Dissimilar, Threshold: th, Dim: emb.Dimension(),
+			dfi, err := filter.New(0, filter.Options{
+				Kind: filter.Dissimilar, Threshold: th, Code: emb.Code(), K: emb.K(),
 				Tables: tables, Seed: cfg.Seed + int64(p*1000) + 1, ExpectedEntries: len(sets),
 			})
 			if err != nil {
@@ -292,7 +291,7 @@ func DFIGain(w io.Writer, cfg Config) ([]DFIGainRow, error) {
 		}
 	}
 	for sid, s := range sets {
-		src := emb.Bits(emb.Sign(s))
+		src := emb.Sign(s)
 		for _, pf := range fis {
 			pf.sfi.Insert(src, storage.SID(sid))
 			pf.dfi.Insert(src, storage.SID(sid))
@@ -308,7 +307,7 @@ func DFIGain(w io.Writer, cfg Config) ([]DFIGainRow, error) {
 	for _, r := range ranges {
 		var sfiTot, dfiTot float64
 		for q := 0; q < nq; q++ {
-			src := emb.Bits(emb.Sign(sets[(q*37)%len(sets)]))
+			src := emb.Sign(sets[(q*37)%len(sets)])
 			lo, hi := fis[r[0]], fis[r[1]]
 			sfiTot += float64(len(lo.sfi.Vector(src, nil)) + len(hi.sfi.Vector(src, nil)))
 			dfiTot += float64(len(hi.dfi.Vector(src, nil)) + len(lo.dfi.Vector(src, nil)))

@@ -10,11 +10,15 @@
 // DFI(s*) retrieves the sids at Hamming similarity <= s*. By Theorem 2,
 // s_H(h, q̄) = 1 - s_H(h, q), so a DFI is an SFI tuned to 1 - s* and probed
 // with the complemented query vector. Data vectors are inserted unchanged.
+//
+// Vectors are passed as their min-hash signature coordinates; the sampled
+// embedding bits are gathered from them (see lsh.Group).
 package filter
 
 import (
 	"fmt"
 
+	"repro/internal/ecc"
 	"repro/internal/lsh"
 	"repro/internal/storage"
 )
@@ -43,8 +47,10 @@ type Options struct {
 	Kind Kind
 	// Threshold is s*, the Hamming-similarity turning point, in (0, 1).
 	Threshold float64
-	// Dim is the Hamming dimensionality D.
-	Dim int
+	// Code is the embedding's error-correcting code and K its signature
+	// length: the Hamming dimensionality is D = K·Code.Length().
+	Code ecc.Code
+	K    int
 	// Tables is l, the number of hash tables allocated to this index.
 	Tables int
 	// Seed reproduces the sampled bit positions.
@@ -62,9 +68,10 @@ type Index struct {
 	r         int
 }
 
-// New creates an empty filter index. For a DFI the internal group is tuned
-// to the complementary threshold 1 - s*.
-func New(pager *storage.Pager, opt Options) (*Index, error) {
+// New creates an empty filter index whose tables hold pageSize-byte pages
+// (0 selects storage.DefaultPageSize). For a DFI the internal group is
+// tuned to the complementary threshold 1 - s*.
+func New(pageSize int, opt Options) (*Index, error) {
 	if opt.Threshold <= 0 || opt.Threshold >= 1 {
 		return nil, fmt.Errorf("filter: threshold must be in (0,1), got %g", opt.Threshold)
 	}
@@ -76,11 +83,12 @@ func New(pager *storage.Pager, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("filter: %w", err)
 	}
-	if r > opt.Dim {
-		r = opt.Dim
+	if opt.Code != nil && r > opt.K*opt.Code.Length() {
+		r = opt.K * opt.Code.Length()
 	}
-	group, err := lsh.NewGroup(pager, lsh.GroupOptions{
-		Dim:             opt.Dim,
+	group, err := lsh.NewGroup(pageSize, lsh.GroupOptions{
+		Code:            opt.Code,
+		K:               opt.K,
 		R:               r,
 		L:               opt.Tables,
 		Seed:            opt.Seed,
@@ -109,39 +117,47 @@ func (ix *Index) SampledBits() int { return ix.r }
 // snapshot loading depends on — is directly testable.
 func (ix *Index) Positions(i int) []int { return ix.group.Positions(i) }
 
-// Insert adds a data vector (unchanged, for both kinds) under sid.
-func (ix *Index) Insert(src lsh.BitSource, sid storage.SID) {
-	ix.group.Insert(src, sid)
+// flip is the bit complement a probe applies: none for an SFI, every bit
+// for a DFI (Theorem 2's q̄).
+func (ix *Index) flip() byte {
+	if ix.kind == Dissimilar {
+		return 1
+	}
+	return 0
 }
 
-// AppendInsertKeys appends the per-table keys Insert stores for data
-// vector src (data vectors enter unchanged for both kinds, so these are
-// also the keys Delete removes).
-func (ix *Index) AppendInsertKeys(src lsh.BitSource, dst []uint64) []uint64 {
-	return ix.group.AppendKeys(src, dst)
+// Insert adds a data vector (unchanged, for both kinds) under sid.
+func (ix *Index) Insert(coords []uint64, sid storage.SID) {
+	ix.group.Insert(coords, sid)
 }
+
+// Group exposes the underlying table group: its tables and insert keys
+// (flip 0), for per-table population.
+func (ix *Index) Group() *lsh.Group { return ix.group }
 
 // AppendProbeKeys appends the per-table keys a Vector probe for query q
-// would look up: the sampled bits of q for an SFI, of q̄ for a DFI. A
-// stored entry collides with the probe in table i iff its insert key
-// equals probe key i.
-func (ix *Index) AppendProbeKeys(q lsh.BitSource, dst []uint64) []uint64 {
-	if ix.kind == Dissimilar {
-		return ix.group.AppendKeys(lsh.Complement{Src: q}, dst)
-	}
-	return ix.group.AppendKeys(q, dst)
+// would look up: the sampled bits of q for an SFI, of q̄ for a DFI.
+func (ix *Index) AppendProbeKeys(q []uint64, dst []uint64) []uint64 {
+	return ix.group.AppendKeys(q, ix.flip(), dst)
 }
 
-// Delete removes a previously inserted data vector. The same BitSource
-// view (same signature) used for Insert must be supplied.
-func (ix *Index) Delete(src lsh.BitSource, sid storage.SID) int {
-	return ix.group.Delete(src, sid)
+// Collides reports whether the data vector coords collides with a probe
+// whose keys AppendProbeKeys produced — whether Vector would return it —
+// stopping at the first table that matches.
+func (ix *Index) Collides(coords []uint64, probeKeys []uint64) bool {
+	return ix.group.Collides(coords, probeKeys)
+}
+
+// Delete removes a previously inserted data vector. The coordinates it was
+// inserted with must be supplied.
+func (ix *Index) Delete(coords []uint64, sid storage.SID) int {
+	return ix.group.Delete(coords, sid)
 }
 
 // Vector returns SimVector(s*, q) for an SFI or DissimVector(s*, q) for a
 // DFI: the deduplicated sids the filter identifies for query vector q.
 // Bucket page reads are charged to io (which may be nil).
-func (ix *Index) Vector(q lsh.BitSource, io *storage.Counter) []storage.SID {
+func (ix *Index) Vector(q []uint64, io *storage.Counter) []storage.SID {
 	return ix.VectorAppend(q, io, nil)
 }
 
@@ -149,11 +165,8 @@ func (ix *Index) Vector(q lsh.BitSource, io *storage.Counter) []storage.SID {
 // empty; its capacity is reused). The result aliases dst and is only valid
 // until dst's next reuse — the allocation-free probe path of the query
 // processor's scratch buffers.
-func (ix *Index) VectorAppend(q lsh.BitSource, io *storage.Counter, dst []storage.SID) []storage.SID {
-	if ix.kind == Dissimilar {
-		return ix.group.QueryAppend(lsh.Complement{Src: q}, io, dst)
-	}
-	return ix.group.QueryAppend(q, io, dst)
+func (ix *Index) VectorAppend(q []uint64, io *storage.Counter, dst []storage.SID) []storage.SID {
+	return ix.group.QueryAppend(q, ix.flip(), io, dst)
 }
 
 // CaptureProb returns the probability that a vector at Hamming similarity
@@ -168,3 +181,6 @@ func (ix *Index) CaptureProb(sH float64) float64 {
 
 // Entries returns the total number of stored entries across tables.
 func (ix *Index) Entries() int { return ix.group.Entries() }
+
+// Pages returns the number of bucket pages allocated across tables.
+func (ix *Index) Pages() int { return ix.group.Pages() }

@@ -3,36 +3,52 @@ package filter
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"repro/internal/bitvec"
-	"repro/internal/lsh"
+	"repro/internal/ecc"
 	"repro/internal/storage"
 )
 
-func randomVec(rng *rand.Rand, n int) bitvec.Vector {
-	v := bitvec.New(n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 1 {
-			v.Set(i)
-		}
+// bitCode is the identity code on 1-bit coordinates: a test vector of D
+// bits is D coordinates of 0 or 1.
+func bitCode(t *testing.T) ecc.Code {
+	t.Helper()
+	c, err := ecc.NewIdentity(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func randomVec(rng *rand.Rand, n int) []uint64 {
+	v := make([]uint64, n)
+	for i := range v {
+		v[i] = uint64(rng.Intn(2))
 	}
 	return v
 }
 
-func corrupt(rng *rand.Rand, v bitvec.Vector, flips int) bitvec.Vector {
-	out := v.Clone()
+func corrupt(rng *rand.Rand, v []uint64, flips int) []uint64 {
+	out := slices.Clone(v)
 	for i := 0; i < flips; i++ {
-		p := rng.Intn(v.Len())
-		out.SetTo(p, !out.Get(p))
+		out[rng.Intn(len(v))] ^= 1
+	}
+	return out
+}
+
+func complement(v []uint64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, b := range v {
+		out[i] = b ^ 1
 	}
 	return out
 }
 
 func newFI(t *testing.T, kind Kind, threshold float64, dim, tables int) *Index {
 	t.Helper()
-	ix, err := New(storage.NewPager(0), Options{
-		Kind: kind, Threshold: threshold, Dim: dim, Tables: tables,
+	ix, err := New(0, Options{
+		Kind: kind, Threshold: threshold, Code: bitCode(t), K: dim, Tables: tables,
 		Seed: 11, ExpectedEntries: 256,
 	})
 	if err != nil {
@@ -42,15 +58,18 @@ func newFI(t *testing.T, kind Kind, threshold float64, dim, tables int) *Index {
 }
 
 func TestNewValidation(t *testing.T) {
-	pager := storage.NewPager(0)
-	if _, err := New(pager, Options{Threshold: 0, Dim: 100, Tables: 2}); err == nil {
+	code := bitCode(t)
+	if _, err := New(0, Options{Threshold: 0, Code: code, K: 100, Tables: 2}); err == nil {
 		t.Error("threshold 0 accepted")
 	}
-	if _, err := New(pager, Options{Threshold: 1, Dim: 100, Tables: 2}); err == nil {
+	if _, err := New(0, Options{Threshold: 1, Code: code, K: 100, Tables: 2}); err == nil {
 		t.Error("threshold 1 accepted")
 	}
-	if _, err := New(pager, Options{Threshold: 0.5, Dim: 100, Tables: 0}); err == nil {
+	if _, err := New(0, Options{Threshold: 0.5, Code: code, K: 100, Tables: 0}); err == nil {
 		t.Error("0 tables accepted")
+	}
+	if _, err := New(0, Options{Threshold: 0.5, K: 100, Tables: 2}); err == nil {
+		t.Error("nil code accepted")
 	}
 }
 
@@ -94,7 +113,7 @@ func TestDFIRetrievesDissimilar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	q := randomVec(rng, dim)
 	near := corrupt(rng, q, dim/20) // similarity 0.95: should NOT be returned
-	far := q.Complement()           // similarity 0: strongly dissimilar
+	far := complement(q)            // similarity 0: strongly dissimilar
 	dfi.Insert(near, 1)
 	dfi.Insert(far, 2)
 	got := dfi.Vector(q, nil)
@@ -185,8 +204,8 @@ func TestAccessors(t *testing.T) {
 func TestRClampedToDim(t *testing.T) {
 	// A very tight threshold with many tables can push r beyond dim; the
 	// index must clamp rather than fail.
-	ix, err := New(storage.NewPager(0), Options{
-		Kind: Similar, Threshold: 0.99, Dim: 16, Tables: 64,
+	ix, err := New(0, Options{
+		Kind: Similar, Threshold: 0.99, Code: bitCode(t), K: 16, Tables: 64,
 		Seed: 1, ExpectedEntries: 16,
 	})
 	if err != nil {
@@ -208,5 +227,3 @@ func TestIOCharged(t *testing.T) {
 		t.Errorf("charged %d reads, want >= 4 (one per table)", io.Rand())
 	}
 }
-
-var _ lsh.BitSource = bitvec.Vector{} // compile-time interface check

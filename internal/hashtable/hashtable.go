@@ -24,6 +24,10 @@ const entrySize = 12
 // pageHeader is next-page id (4 bytes) + entry count (2 bytes).
 const pageHeader = 6
 
+// MaxPageSize is the largest page size whose entry count still fits the
+// header's 16-bit count field (65 535 entries).
+const MaxPageSize = pageHeader + (1<<16)*entrySize - 1
+
 // Options configures a Table.
 type Options struct {
 	// Buckets is the number of hash buckets. If zero it is derived from
@@ -34,7 +38,8 @@ type Options struct {
 }
 
 // Table is one paged hash table: the unit the optimizer's budget counts
-// ("a specified number K of hash tables", Section 5).
+// ("a specified number K of hash tables", Section 5). It owns its pages, so
+// distinct tables share no mutable state and can be filled concurrently.
 type Table struct {
 	pager   *storage.Pager
 	first   []storage.PageID // per-bucket chain head
@@ -43,11 +48,17 @@ type Table struct {
 	perPage int
 }
 
-// New creates an empty table drawing pages from pager.
-func New(pager *storage.Pager, opt Options) (*Table, error) {
+// New creates an empty table whose pages hold pageSize bytes (0 selects
+// storage.DefaultPageSize). A page must fit at least one entry and be at
+// most MaxPageSize bytes.
+func New(pageSize int, opt Options) (*Table, error) {
+	pager := storage.NewPager(pageSize)
 	perPage := (pager.PageSize() - pageHeader) / entrySize
 	if perPage < 1 {
 		return nil, fmt.Errorf("hashtable: page size %d too small", pager.PageSize())
+	}
+	if pager.PageSize() > MaxPageSize {
+		return nil, fmt.Errorf("hashtable: page size %d too large (max %d)", pager.PageSize(), MaxPageSize)
 	}
 	nb := opt.Buckets
 	if nb <= 0 {
@@ -90,6 +101,9 @@ func (t *Table) Entries() int { return t.entries }
 
 // Buckets returns the directory size.
 func (t *Table) Buckets() int { return len(t.first) }
+
+// Pages returns the number of bucket pages allocated.
+func (t *Table) Pages() int { return t.pager.NumPages() }
 
 func pageCount(p []byte) int { return int(p[4]) | int(p[5])<<8 }
 

@@ -9,7 +9,7 @@ import (
 
 func newTable(t *testing.T, opt Options) *Table {
 	t.Helper()
-	tab, err := New(storage.NewPager(256), opt)
+	tab, err := New(256, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,19 @@ func TestDefaultBuckets(t *testing.T) {
 }
 
 func TestPageTooSmall(t *testing.T) {
-	if _, err := New(storage.NewPager(8), Options{}); err == nil {
+	if _, err := New(8, Options{}); err == nil {
 		t.Error("8-byte pages accepted")
+	}
+	// The page header counts entries in 16 bits: one entry more than that
+	// would wrap the count and silently drop sids.
+	if (MaxPageSize-pageHeader)/entrySize != 1<<16-1 || (MaxPageSize+1-pageHeader)/entrySize != 1<<16 {
+		t.Fatalf("MaxPageSize %d is not the last size under a 2^16-entry page", MaxPageSize)
+	}
+	if _, err := New(MaxPageSize, Options{}); err != nil {
+		t.Errorf("%d-byte pages rejected: %v", MaxPageSize, err)
+	}
+	if _, err := New(MaxPageSize+1, Options{}); err == nil {
+		t.Errorf("%d-byte pages accepted", MaxPageSize+1)
 	}
 }
 

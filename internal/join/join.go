@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/filter"
+	"repro/internal/minhash"
 	"repro/internal/set"
 	"repro/internal/storage"
 )
@@ -79,10 +80,11 @@ func SelfJoin(sets []set.Set, opt Options) ([]Pair, Stats, error) {
 	if err != nil {
 		return nil, stats, err
 	}
-	sfi, err := filter.New(storage.NewPager(0), filter.Options{
+	sfi, err := filter.New(0, filter.Options{
 		Kind:            filter.Similar,
 		Threshold:       embed.HammingFromJaccard(opt.Threshold),
-		Dim:             emb.Dimension(),
+		Code:            emb.Code(),
+		K:               emb.K(),
 		Tables:          tables,
 		Seed:            seed + 101,
 		ExpectedEntries: len(sets),
@@ -91,16 +93,16 @@ func SelfJoin(sets []set.Set, opt Options) ([]Pair, Stats, error) {
 		return nil, stats, err
 	}
 
-	srcs := make([]embed.SigBits, len(sets))
+	sigs := make([]minhash.Signature, len(sets))
 	for i, s := range sets {
-		srcs[i] = emb.Bits(emb.Sign(s))
-		sfi.Insert(srcs[i], storage.SID(i))
+		sigs[i] = emb.Sign(s)
+		sfi.Insert(sigs[i], storage.SID(i))
 	}
 
 	var out []Pair
 	for i := range sets {
 		a := storage.SID(i)
-		for _, b := range sfi.Vector(srcs[i], nil) {
+		for _, b := range sfi.Vector(sigs[i], nil) {
 			if b <= a {
 				continue // each unordered pair once, self excluded
 			}

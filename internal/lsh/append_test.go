@@ -12,7 +12,7 @@ import (
 func TestQueryAppendMatchesQuery(t *testing.T) {
 	g := newTestGroup(t, 256, 8, 6)
 	rng := rand.New(rand.NewSource(11))
-	vecs := make([]BitSource, 50)
+	vecs := make([][]uint64, 50)
 	for i := range vecs {
 		v := randomVec(rng, 256)
 		vecs[i] = v
@@ -21,8 +21,8 @@ func TestQueryAppendMatchesQuery(t *testing.T) {
 
 	var buf []storage.SID
 	for i, q := range vecs {
-		want := g.Query(q, nil)
-		buf = g.QueryAppend(q, nil, buf[:0])
+		want := g.Query(q, 0, nil)
+		buf = g.QueryAppend(q, 0, nil, buf[:0])
 		if len(buf) != len(want) {
 			t.Fatalf("query %d: %d vs %d sids", i, len(buf), len(want))
 		}
@@ -40,7 +40,7 @@ func TestQueryAppendMatchesQuery(t *testing.T) {
 	grown := 0
 	for _, q := range vecs {
 		c := cap(buf)
-		buf = g.QueryAppend(q, nil, buf[:0])
+		buf = g.QueryAppend(q, 0, nil, buf[:0])
 		if cap(buf) != c {
 			grown++
 		}

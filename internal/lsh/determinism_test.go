@@ -3,20 +3,18 @@ package lsh
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // TestGroupDeterminism verifies that the same GroupOptions.Seed reproduces
 // the sampled bit positions exactly — the property that lets snapshot
 // loading rebuild filter indices instead of persisting them.
 func TestGroupDeterminism(t *testing.T) {
-	opt := GroupOptions{Dim: 512, R: 12, L: 6, Seed: 4242, ExpectedEntries: 100}
-	g1, err := NewGroup(storage.NewPager(0), opt)
+	opt := GroupOptions{Code: bitCode(t), K: 512, R: 12, L: 6, Seed: 4242, ExpectedEntries: 100}
+	g1, err := NewGroup(0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := NewGroup(storage.NewPager(0), opt)
+	g2, err := NewGroup(0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,16 +34,16 @@ func TestGroupDeterminism(t *testing.T) {
 // TestGroupRandInjection verifies GroupOptions.Rand is exactly the seeded
 // path with the rng lifted out, and that it takes precedence over Seed.
 func TestGroupRandInjection(t *testing.T) {
-	seeded := GroupOptions{Dim: 256, R: 10, L: 4, Seed: 99, ExpectedEntries: 50}
+	seeded := GroupOptions{Code: bitCode(t), K: 256, R: 10, L: 4, Seed: 99, ExpectedEntries: 50}
 	injected := seeded
 	injected.Seed = 0 // ignored when Rand is set
 	injected.Rand = rand.New(rand.NewSource(99))
 
-	g1, err := NewGroup(storage.NewPager(0), seeded)
+	g1, err := NewGroup(0, seeded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := NewGroup(storage.NewPager(0), injected)
+	g2, err := NewGroup(0, injected)
 	if err != nil {
 		t.Fatal(err)
 	}

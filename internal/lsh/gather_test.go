@@ -1,0 +1,190 @@
+package lsh
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/ecc"
+	"repro/internal/minhash"
+)
+
+// refKey is the per-bit key derivation the compiled gather replaced, kept
+// as its reference: each sampled position p is read through the embedding
+// as Code.Bit(trunc(p/m), p%m), where trunc yields the b-bit truncated
+// coordinate, complemented for a DFI probe; the bit string is folded in
+// 64-bit chunks and a trailing chunk carries its length.
+func refKey(code ecc.Code, positions []int, trunc func(i int) uint64, complement bool) uint64 {
+	m := code.Length()
+	var key, chunk uint64
+	nbits := 0
+	for _, pos := range positions {
+		bit := code.Bit(trunc(pos/m), pos%m)
+		if complement {
+			bit = 1 - bit
+		}
+		chunk = chunk<<1 | uint64(bit)
+		nbits++
+		if nbits == 64 {
+			key = foldChunk(key, chunk)
+			chunk, nbits = 0, 0
+		}
+	}
+	switch {
+	case nbits >= 59:
+		key = foldChunk(foldChunk(key, chunk), uint64(nbits))
+	case nbits > 0:
+		key = foldChunk(key, chunk|uint64(nbits)<<57)
+	}
+	return key
+}
+
+var codeNames = []string{"hadamard", "simplex", "identity"}
+
+func newCode(t testing.TB, name string, b int) ecc.Code {
+	t.Helper()
+	var c ecc.Code
+	var err error
+	switch name {
+	case "hadamard":
+		c, err = ecc.NewHadamard(b)
+	case "simplex":
+		c, err = ecc.NewSimplex(b)
+	default:
+		c, err = ecc.NewIdentity(b)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// gatherK is the signature length of the key-identity checks: k·m ≥ 130
+// for every code and width, so every r in 1..130 fits.
+const gatherK = 136
+
+func randomSignature(rng *rand.Rand) minhash.Signature {
+	sig := make(minhash.Signature, gatherK)
+	for i := range sig {
+		sig[i] = rng.Uint64()
+	}
+	return sig
+}
+
+// TestGatherMatchesPerBitReference pins key identity: for the Hadamard,
+// simplex and identity codes at b ∈ {1, 4, 8, 12}, every r in 1..130 and
+// both kinds, the compiled gather over a classic-64 signature, and over
+// the truncated coordinates unpacked from a packed recoverable signature,
+// equals the per-bit derivation bit for bit.
+func TestGatherMatchesPerBitReference(t *testing.T) {
+	perms, err := minhash.NewFamily(gatherK, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := minhash.Config{Base: "classic", BitsPerHash: 8}.New(perms, gatherK, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	sigs := []minhash.Signature{randomSignature(rng), randomSignature(rng)}
+	words := make([][]uint64, len(sigs))
+	for i, sig := range sigs {
+		words[i] = make([]uint64, packed.Words())
+		if !packed.PackFull(sig, words[i]) {
+			t.Fatal("classic packing refused a full signature")
+		}
+	}
+	for _, name := range codeNames {
+		for _, b := range []int{1, 4, 8, 12} {
+			code := newCode(t, name, b)
+			for r := 1; r <= 130; r++ {
+				g, err := NewGroup(0, GroupOptions{Code: code, K: gatherK, R: r, L: 2, Seed: int64(r)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for si, sig := range sigs {
+					type source struct {
+						label  string
+						coords []uint64
+						trunc  func(i int) uint64
+					}
+					sources := []source{{"classic-64", sig, func(i int) uint64 { return sig.Truncate(i, b) }}}
+					if packed.Recoverable(b) {
+						w := words[si]
+						unpacked := make([]uint64, gatherK)
+						for i := range unpacked {
+							unpacked[i] = packed.Trunc(w, i, b)
+						}
+						sources = append(sources, source{"classic-8", unpacked, func(i int) uint64 { return packed.Trunc(w, i, b) }})
+					}
+					for _, src := range sources {
+						for _, flip := range []byte{0, 1} {
+							for i := 0; i < g.L(); i++ {
+								got := g.Key(i, src.coords, flip)
+								want := refKey(code, g.Positions(i), src.trunc, flip == 1)
+								if got != want {
+									t.Fatalf("%s b=%d r=%d %s flip=%d sig %d table %d: gather %#x, per-bit %#x",
+										name, b, r, src.label, flip, si, i, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEverySampledBitChangesKey: a table key is injective in its sampled
+// bits. Flipping any one of them changes the key, for every r up to 130
+// and both kinds; a key that ignored a bit would collide like a narrower
+// table than the optimizer priced.
+func TestEverySampledBitChangesKey(t *testing.T) {
+	const k = 130
+	rng := rand.New(rand.NewSource(3))
+	for r := 1; r <= k; r++ {
+		g, err := NewGroup(0, GroupOptions{Code: bitCode(t), K: k, R: r, L: 1, Seed: int64(r)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := randomVec(rng, k)
+		for _, flip := range []byte{0, 1} {
+			base := g.Key(0, v, flip)
+			for _, p := range g.Positions(0) {
+				v[p] ^= 1
+				changed := g.Key(0, v, flip) != base
+				v[p] ^= 1
+				if !changed {
+					t.Errorf("r=%d flip=%d: sampled position %d does not change the key", r, flip, p)
+				}
+			}
+		}
+	}
+}
+
+// FuzzGatherKey checks the compiled gather against the per-bit reference
+// on arbitrary codes, widths, table widths, signatures and kinds.
+func FuzzGatherKey(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(8), uint16(12), false)
+	f.Add(int64(2), uint8(1), uint8(4), uint16(61), true)
+	f.Add(int64(3), uint8(2), uint8(1), uint16(130), false)
+	f.Fuzz(func(t *testing.T, seed int64, codeSel, bits uint8, r uint16, dfi bool) {
+		b := 1 + int(bits)%12
+		code := newCode(t, codeNames[int(codeSel)%len(codeNames)], b)
+		rr := 1 + int(r)%min(gatherK*code.Length(), 200)
+		g, err := NewGroup(0, GroupOptions{Code: code, K: gatherK, R: rr, L: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig := randomSignature(rand.New(rand.NewSource(seed)))
+		var flip byte
+		if dfi {
+			flip = 1
+		}
+		for i := 0; i < g.L(); i++ {
+			want := refKey(code, g.Positions(i), func(c int) uint64 { return sig.Truncate(c, b) }, dfi)
+			if got := g.Key(i, sig, flip); got != want {
+				t.Fatalf("b=%d r=%d table %d: gather %#x, per-bit %#x", b, rr, i, got, want)
+			}
+		}
+	})
+}

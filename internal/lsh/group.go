@@ -6,29 +6,19 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/ecc"
 	"repro/internal/hashtable"
 	"repro/internal/storage"
 )
 
-// BitSource yields individual bits of an embedded Hamming vector. Both
-// bitvec.Vector and the lazy signature view in package embed satisfy it.
-type BitSource interface {
-	Bit(pos int) byte
-}
-
-// Complement adapts a BitSource to its bitwise complement — the q̄ view of
-// Theorem 2 used by Dissimilarity Filter Index queries.
-type Complement struct {
-	Src BitSource
-}
-
-// Bit returns the flipped bit at pos.
-func (c Complement) Bit(pos int) byte { return 1 - c.Src.Bit(pos) }
-
 // GroupOptions configures a Group.
 type GroupOptions struct {
-	// Dim is the Hamming-space dimensionality D the samples draw from.
-	Dim int
+	// Code is the error-correcting code of the embedding: position p of the
+	// D = K·m dimensional Hamming space is bit p%m of the codeword of
+	// signature coordinate p/m, where m = Code.Length().
+	Code ecc.Code
+	// K is the number of signature coordinates the embedding spans.
+	K int
 	// R is the number of bits sampled per table.
 	R int
 	// L is the number of tables.
@@ -48,22 +38,40 @@ type GroupOptions struct {
 // scheme: the data structure behind one filter index. Building inserts
 // every vector into all L tables; a query probes one bucket per table and
 // unions the results (the SimVector of Section 4.1).
+//
+// Vectors are never materialised. A vector is given by its signature
+// coordinates (only the low MessageBits bits of each are read), and each
+// table's sampled positions are compiled at construction into the taps
+// they read, so a key is a gather of r codeword bits.
 type Group struct {
-	positions [][]int // L × R sampled bit positions
-	tables    []*hashtable.Table
-	r, l      int
-	dim       int
+	taps   [][]tap // L × R compiled sampled positions, in position order
+	tables []*hashtable.Table
+	code   ecc.Code
+	r, l   int
 }
 
-// NewGroup creates an empty group with freshly sampled bit positions.
+// tap is one sampled position p, compiled: codeword bit p%m of signature
+// coordinate p/m.
+type tap struct {
+	coord int32
+	bit   int32
+}
+
+// NewGroup creates an empty group with freshly sampled bit positions whose
+// tables hold pageSize-byte pages (0 selects storage.DefaultPageSize).
 // Positions are sampled uniformly with replacement across tables (each
 // table independently samples r distinct positions).
-func NewGroup(pager *storage.Pager, opt GroupOptions) (*Group, error) {
-	if opt.Dim < 1 {
-		return nil, fmt.Errorf("lsh: dimension must be >= 1, got %d", opt.Dim)
+func NewGroup(pageSize int, opt GroupOptions) (*Group, error) {
+	if opt.Code == nil {
+		return nil, fmt.Errorf("lsh: no code")
 	}
-	if opt.R < 1 || opt.R > opt.Dim {
-		return nil, fmt.Errorf("lsh: r must be in [1,%d], got %d", opt.Dim, opt.R)
+	if opt.K < 1 {
+		return nil, fmt.Errorf("lsh: k must be >= 1, got %d", opt.K)
+	}
+	m := opt.Code.Length()
+	dim := opt.K * m
+	if opt.R < 1 || opt.R > dim {
+		return nil, fmt.Errorf("lsh: r must be in [1,%d], got %d", dim, opt.R)
 	}
 	if opt.L < 1 {
 		return nil, fmt.Errorf("lsh: l must be >= 1, got %d", opt.L)
@@ -73,15 +81,19 @@ func NewGroup(pager *storage.Pager, opt GroupOptions) (*Group, error) {
 		rng = rand.New(rand.NewSource(opt.Seed))
 	}
 	g := &Group{
-		positions: make([][]int, opt.L),
-		tables:    make([]*hashtable.Table, opt.L),
-		r:         opt.R,
-		l:         opt.L,
-		dim:       opt.Dim,
+		taps:   make([][]tap, opt.L),
+		tables: make([]*hashtable.Table, opt.L),
+		code:   opt.Code,
+		r:      opt.R,
+		l:      opt.L,
 	}
-	for i := range g.positions {
-		g.positions[i] = samplePositions(rng, opt.Dim, opt.R)
-		t, err := hashtable.New(pager, hashtable.Options{ExpectedEntries: opt.ExpectedEntries})
+	for i := range g.taps {
+		positions := samplePositions(rng, dim, opt.R)
+		g.taps[i] = make([]tap, len(positions))
+		for j, p := range positions {
+			g.taps[i][j] = tap{coord: int32(p / m), bit: int32(p % m)}
+		}
+		t, err := hashtable.New(pageSize, hashtable.Options{ExpectedEntries: opt.ExpectedEntries})
 		if err != nil {
 			return nil, err
 		}
@@ -121,25 +133,39 @@ func (g *Group) R() int { return g.r }
 // L returns the number of tables.
 func (g *Group) L() int { return g.l }
 
-// Positions returns the sampled positions of table i (not to be modified).
-func (g *Group) Positions(i int) []int { return g.positions[i] }
+// Positions returns the sampled positions of table i, ascending.
+func (g *Group) Positions(i int) []int {
+	m := g.code.Length()
+	out := make([]int, len(g.taps[i]))
+	for j, t := range g.taps[i] {
+		out[j] = int(t.coord)*m + int(t.bit)
+	}
+	return out
+}
 
-// key folds the sampled bits of src under table i into a 64-bit key. For
-// r <= 64 this is the exact sampled bit string; beyond that, consecutive
-// 64-bit chunks are mixed together (a 2^-64 collision rate, far below the
-// filter's intrinsic error).
-func (g *Group) key(i int, src BitSource) uint64 {
+// Key folds the sampled bits of the vector with signature coordinates
+// coords under table i into a 64-bit key; flip = 1 complements every bit
+// (the q̄ view of Theorem 2 that DFI probes read). For r <= 64 this is the
+// exact sampled bit string; beyond that, consecutive 64-bit chunks are
+// mixed together (a 2^-64 collision rate, far below the filter's intrinsic
+// error).
+func (g *Group) Key(i int, coords []uint64, flip byte) uint64 {
 	var key, chunk uint64
 	nbits := 0
-	for _, pos := range g.positions[i] {
-		chunk = chunk<<1 | uint64(src.Bit(pos))
+	for _, t := range g.taps[i] {
+		chunk = chunk<<1 | uint64(g.code.Bit(coords[t.coord], int(t.bit))^flip)
 		nbits++
 		if nbits == 64 {
 			key = foldChunk(key, chunk)
 			chunk, nbits = 0, 0
 		}
 	}
-	if nbits > 0 {
+	switch {
+	case nbits >= 59:
+		// nbits<<57 would overlap the chunk's own top bits and mask up to
+		// six sampled bits: fold the length separately.
+		key = foldChunk(foldChunk(key, chunk), uint64(nbits))
+	case nbits > 0:
 		// Include the chunk length so trailing zeros are unambiguous.
 		key = foldChunk(key, chunk|uint64(nbits)<<57)
 	}
@@ -153,48 +179,67 @@ func foldChunk(acc, chunk uint64) uint64 {
 	return acc
 }
 
-// AppendKeys appends the L per-table keys of src to dst — the exact keys
-// Insert would store and a probe would look up, in table order.
-func (g *Group) AppendKeys(src BitSource, dst []uint64) []uint64 {
+// AppendKeys appends the L per-table keys of the vector with coordinates
+// coords (complemented when flip is 1) to dst — the exact keys Insert
+// would store and a probe would look up, in table order.
+func (g *Group) AppendKeys(coords []uint64, flip byte, dst []uint64) []uint64 {
 	for i := 0; i < g.l; i++ {
-		dst = append(dst, g.key(i, src))
+		dst = append(dst, g.Key(i, coords, flip))
 	}
 	return dst
 }
 
-// Insert adds sid to every table, keyed by the sampled bits of src.
-func (g *Group) Insert(src BitSource, sid storage.SID) {
-	for i := range g.tables {
-		g.tables[i].Insert(g.key(i, src), sid)
+// Collides reports whether the vector with coordinates coords would be
+// stored under keys[i] in some table i — the collision test a probe with
+// those keys performs, without touching bucket pages. It stops at the
+// first hit.
+func (g *Group) Collides(coords []uint64, keys []uint64) bool {
+	for i, k := range keys {
+		if g.Key(i, coords, 0) == k {
+			return true
+		}
+	}
+	return false
+}
+
+// Insert adds sid to every table, keyed by the sampled bits of coords.
+func (g *Group) Insert(coords []uint64, sid storage.SID) {
+	for i, t := range g.tables {
+		t.Insert(g.Key(i, coords, 0), sid)
 	}
 }
 
-// Delete removes sid from every table, keyed by the sampled bits of src
+// Table returns hash table i. Tables share no mutable state, so distinct
+// tables may be filled from different goroutines.
+func (g *Group) Table(i int) *hashtable.Table { return g.tables[i] }
+
+// Delete removes sid from every table, keyed by the sampled bits of coords
 // (the same vector it was inserted with). It returns the number of table
 // entries removed (at most one per table).
-func (g *Group) Delete(src BitSource, sid storage.SID) int {
+func (g *Group) Delete(coords []uint64, sid storage.SID) int {
 	removed := 0
 	for i := range g.tables {
-		removed += g.tables[i].Delete(g.key(i, src), sid)
+		removed += g.tables[i].Delete(g.Key(i, coords, 0), sid)
 	}
 	return removed
 }
 
-// Query probes all L tables for src and returns the deduplicated union of
+// Query probes all L tables for the vector with coordinates coords
+// (complemented when flip is 1) and returns the deduplicated union of
 // bucket contents — SimVector for this group's threshold. Page reads are
 // charged to io (which may be nil).
-func (g *Group) Query(src BitSource, io *storage.Counter) []storage.SID {
-	return g.QueryAppend(src, io, nil)
+func (g *Group) Query(coords []uint64, flip byte, io *storage.Counter) []storage.SID {
+	return g.QueryAppend(coords, flip, io, nil)
 }
 
 // QueryAppend is Query writing into dst's backing array: dst must be empty
 // (length 0) but may carry capacity from a previous probe, which is reused
 // instead of growing a fresh slice. The returned slice aliases dst's
 // backing array and is only valid until the next reuse.
-func (g *Group) QueryAppend(src BitSource, io *storage.Counter, dst []storage.SID) []storage.SID {
+func (g *Group) QueryAppend(coords []uint64, flip byte, io *storage.Counter, dst []storage.SID) []storage.SID {
 	raw := dst[:0:cap(dst)]
 	for i := range g.tables {
-		raw = g.tables[i].Probe(g.key(i, src), io, raw)
+		raw = g.tables[i].Probe(g.Key(i, coords, flip), io, raw)
 	}
 	return dedupe(raw)
 }
@@ -219,6 +264,15 @@ func (g *Group) Entries() int {
 	n := 0
 	for _, t := range g.tables {
 		n += t.Entries()
+	}
+	return n
+}
+
+// Pages returns the number of bucket pages allocated across tables.
+func (g *Group) Pages() int {
+	n := 0
+	for _, t := range g.tables {
+		n += t.Pages()
 	}
 	return n
 }

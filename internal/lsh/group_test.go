@@ -2,36 +2,46 @@ package lsh
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
-	"repro/internal/bitvec"
+	"repro/internal/ecc"
 	"repro/internal/storage"
 )
 
-func randomVec(rng *rand.Rand, n int) bitvec.Vector {
-	v := bitvec.New(n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 1 {
-			v.Set(i)
-		}
+// bitCode is the identity code on 1-bit coordinates: the embedding of k
+// coordinates is the k-bit vector of their low bits, so a test vector of
+// D bits is D coordinates of 0 or 1.
+func bitCode(t testing.TB) ecc.Code {
+	t.Helper()
+	c, err := ecc.NewIdentity(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func randomVec(rng *rand.Rand, n int) []uint64 {
+	v := make([]uint64, n)
+	for i := range v {
+		v[i] = uint64(rng.Intn(2))
 	}
 	return v
 }
 
 // corrupt flips the given number of random bits.
-func corrupt(rng *rand.Rand, v bitvec.Vector, flips int) bitvec.Vector {
-	out := v.Clone()
+func corrupt(rng *rand.Rand, v []uint64, flips int) []uint64 {
+	out := slices.Clone(v)
 	for i := 0; i < flips; i++ {
-		p := rng.Intn(v.Len())
-		out.SetTo(p, !out.Get(p))
+		out[rng.Intn(len(v))] ^= 1
 	}
 	return out
 }
 
 func newTestGroup(t *testing.T, dim, r, l int) *Group {
 	t.Helper()
-	g, err := NewGroup(storage.NewPager(0), GroupOptions{
-		Dim: dim, R: r, L: l, Seed: 5, ExpectedEntries: 100,
+	g, err := NewGroup(0, GroupOptions{
+		Code: bitCode(t), K: dim, R: r, L: l, Seed: 5, ExpectedEntries: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,14 +50,17 @@ func newTestGroup(t *testing.T, dim, r, l int) *Group {
 }
 
 func TestNewGroupValidation(t *testing.T) {
-	pager := storage.NewPager(0)
-	if _, err := NewGroup(pager, GroupOptions{Dim: 0, R: 1, L: 1}); err == nil {
+	code := bitCode(t)
+	if _, err := NewGroup(0, GroupOptions{K: 10, R: 1, L: 1}); err == nil {
+		t.Error("nil code accepted")
+	}
+	if _, err := NewGroup(0, GroupOptions{Code: code, K: 0, R: 1, L: 1}); err == nil {
 		t.Error("dim=0 accepted")
 	}
-	if _, err := NewGroup(pager, GroupOptions{Dim: 10, R: 11, L: 1}); err == nil {
+	if _, err := NewGroup(0, GroupOptions{Code: code, K: 10, R: 11, L: 1}); err == nil {
 		t.Error("r>dim accepted")
 	}
-	if _, err := NewGroup(pager, GroupOptions{Dim: 10, R: 2, L: 0}); err == nil {
+	if _, err := NewGroup(0, GroupOptions{Code: code, K: 10, R: 2, L: 0}); err == nil {
 		t.Error("l=0 accepted")
 	}
 }
@@ -82,7 +95,7 @@ func TestIdenticalVectorsAlwaysCollide(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := randomVec(rng, 256)
 	g.Insert(v, 42)
-	got := g.Query(v, nil)
+	got := g.Query(v, 0, nil)
 	if len(got) != 1 || got[0] != 42 {
 		t.Errorf("Query = %v, want [42]", got)
 	}
@@ -94,7 +107,7 @@ func TestQueryDeduplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	v := randomVec(rng, 128)
 	g.Insert(v, 7)
-	got := g.Query(v, nil)
+	got := g.Query(v, 0, nil)
 	if len(got) != 1 {
 		t.Errorf("expected one deduplicated sid, got %v", got)
 	}
@@ -109,7 +122,7 @@ func TestNearbyVectorsCollideFarOnesDoNot(t *testing.T) {
 	far := randomVec(rng, dim)         // ~50% similar
 	g.Insert(near, 1)
 	g.Insert(far, 2)
-	got := g.Query(base, nil)
+	got := g.Query(base, 0, nil)
 	foundNear, foundFar := false, false
 	for _, sid := range got {
 		if sid == 1 {
@@ -138,8 +151,8 @@ func TestEmpiricalCollisionMatchesFormula(t *testing.T) {
 		collided := 0
 		const trials = 60
 		for trial := 0; trial < trials; trial++ {
-			g, err := NewGroup(storage.NewPager(0), GroupOptions{
-				Dim: dim, R: r, L: l, Seed: int64(trial), ExpectedEntries: 4,
+			g, err := NewGroup(0, GroupOptions{
+				Code: bitCode(t), K: dim, R: r, L: l, Seed: int64(trial), ExpectedEntries: 4,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -147,7 +160,7 @@ func TestEmpiricalCollisionMatchesFormula(t *testing.T) {
 			base := randomVec(rng, dim)
 			other := corrupt(rng, base, flips)
 			g.Insert(other, 1)
-			if res := g.Query(base, nil); len(res) == 1 {
+			if res := g.Query(base, 0, nil); len(res) == 1 {
 				collided++
 			}
 		}
@@ -156,14 +169,6 @@ func TestEmpiricalCollisionMatchesFormula(t *testing.T) {
 		if diff := got - want; diff > 0.25 || diff < -0.25 {
 			t.Errorf("sim=%.2f: empirical %.2f vs formula %.2f", sim, got, want)
 		}
-	}
-}
-
-func TestComplementSource(t *testing.T) {
-	v := bitvec.FromBits([]bool{true, false, true})
-	c := Complement{Src: v}
-	if c.Bit(0) != 0 || c.Bit(1) != 1 || c.Bit(2) != 0 {
-		t.Error("Complement does not flip bits")
 	}
 }
 
@@ -176,7 +181,7 @@ func TestWideKeysBeyond64Bits(t *testing.T) {
 	w := randomVec(rng, dim)
 	g.Insert(v, 1)
 	g.Insert(w, 2)
-	got := g.Query(v, nil)
+	got := g.Query(v, 0, nil)
 	found1 := false
 	for _, sid := range got {
 		if sid == 1 {
@@ -197,7 +202,7 @@ func TestQueryChargesIO(t *testing.T) {
 	v := randomVec(rng, 128)
 	g.Insert(v, 1)
 	var io storage.Counter
-	g.Query(v, &io)
+	g.Query(v, 0, &io)
 	// One bucket probe per table, each at least one page.
 	if io.Rand() < int64(g.L()) {
 		t.Errorf("recorded %d random reads, want >= %d", io.Rand(), g.L())
@@ -216,11 +221,11 @@ func TestEntries(t *testing.T) {
 }
 
 func TestGroupReproducibleBySeed(t *testing.T) {
-	a, err := NewGroup(storage.NewPager(0), GroupOptions{Dim: 300, R: 10, L: 4, Seed: 9})
+	a, err := NewGroup(0, GroupOptions{Code: bitCode(t), K: 300, R: 10, L: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewGroup(storage.NewPager(0), GroupOptions{Dim: 300, R: 10, L: 4, Seed: 9})
+	b, err := NewGroup(0, GroupOptions{Code: bitCode(t), K: 300, R: 10, L: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +248,7 @@ func TestGroupDelete(t *testing.T) {
 	if removed := g.Delete(v, 1); removed != 5 {
 		t.Errorf("Delete removed %d entries, want one per table (5)", removed)
 	}
-	if res := g.Query(v, nil); len(res) != 0 {
+	if res := g.Query(v, 0, nil); len(res) != 0 {
 		// w may still collide by chance on loose parameters; only sid 1
 		// is forbidden.
 		for _, sid := range res {
@@ -252,7 +257,7 @@ func TestGroupDelete(t *testing.T) {
 			}
 		}
 	}
-	if res := g.Query(w, nil); len(res) != 1 || res[0] != 2 {
+	if res := g.Query(w, 0, nil); len(res) != 1 || res[0] != 2 {
 		t.Errorf("unrelated vector disturbed: %v", res)
 	}
 }

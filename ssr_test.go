@@ -37,6 +37,11 @@ func TestBuildValidation(t *testing.T) {
 			t.Errorf("recall target %g accepted", target)
 		}
 	}
+	// A hash-table page counts its entries in 16 bits; a larger page would
+	// wrap the count and drop sids.
+	if _, err := Build(c, Options{Budget: 20, PageSize: 1 << 20}); err == nil {
+		t.Error("1 MiB pages accepted")
+	}
 }
 
 func TestQueryFindsDuplicates(t *testing.T) {
