@@ -454,10 +454,11 @@ func BenchmarkHashtableProbe(b *testing.B) {
 	for i := 0; i < 1<<16; i++ {
 		tab.Insert(uint64(i%997), storage.SID(i))
 	}
-	var dst []storage.SID
+	marks := make([]uint64, (1<<16)/64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = tab.Probe(uint64(i%997), nil, dst[:0])
+		clear(marks)
+		marks = tab.Probe(uint64(i%997), nil, marks)
 	}
 }
 

@@ -7,12 +7,14 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/embed"
 	"repro/internal/filter"
+	"repro/internal/hashtable"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -265,7 +267,7 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 	}
 	famWords := fam.Words()
 	ix.scratch.New = func() any {
-		return &queryScratch{sig: make(minhash.Signature, emb.K()), packed: make([]uint64, famWords)}
+		return &queryScratch{sig: make(minhash.Signature, emb.K()), packed: make([]uint64, famWords), coords: make([]uint64, emb.K())}
 	}
 
 	// 1. Persist the collection; sids are dense append order. Tombstoned
@@ -621,64 +623,20 @@ func (ix *Index) IndexPages() int {
 	return n
 }
 
-// sidDiffInto appends a \ b to dst for sorted sid slices and returns the
-// grown slice (sorted-merge, no maps, no per-call allocation once dst has
-// capacity).
-func sidDiffInto(dst, a, b []storage.SID) []storage.SID {
-	i, j := 0, 0
-	for i < len(a) {
-		switch {
-		case j >= len(b) || a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] == b[j]:
-			i++
-			j++
-		default:
-			j++
-		}
-	}
-	return dst
-}
-
-// sidUnionInto appends a ∪ b to dst for sorted sid slices and returns the
-// grown slice.
-func sidUnionInto(dst, a, b []storage.SID) []storage.SID {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			dst = append(dst, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		default:
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
-}
-
 // Candidates runs only the filter stage for the range [s1, s2], returning
 // the deduplicated candidate sids (the paper's answer set A before
 // verification). Index I/O is charged to stats.
 func (ix *Index) Candidates(q set.Set, s1, s2 float64, stats *QueryStats) ([]storage.SID, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.candidatesLocked(q, s1, s2, stats)
-}
-
-func (ix *Index) candidatesLocked(q set.Set, s1, s2 float64, stats *QueryStats) ([]storage.SID, error) {
 	if s1 > s2 {
 		return nil, fmt.Errorf("core: invalid range [%g, %g]", s1, s2)
 	}
-	sig := ix.emb.Sign(q)
-	return ix.candidatesFromSignature(sig, s1, s2, stats, nil)
+	sc := ix.scratch.Get().(*queryScratch)
+	defer ix.scratch.Put(sc)
+	ix.emb.SignInto(q, sc.sig)
+	cands, err := ix.candidatesFromSignature(sc.sig, s1, s2, stats, sc)
+	return slices.Clone(cands), err
 }
 
 // combination resolves the enclosing partition points of [s1, s2] and the
@@ -693,52 +651,38 @@ func (ix *Index) combination(s1, s2 float64, stats *QueryStats) (optimize.Combin
 	return c, nil
 }
 
-// candidatesFromSignature runs the Section 4.3 filter combination. When sc
-// is non-nil, probe vectors and merge outputs are written into its reusable
-// buffers and the returned slice aliases sc (valid until sc's next use);
-// with a nil sc every slice is freshly allocated.
+// candidatesFromSignature runs the Section 4.3 filter combination. Each
+// term is probed into one of sc's sid bitsets (an absent term stays empty)
+// and A = (PosA \ NegA) ∪ (PosB \ NegB) is computed word by word. The
+// returned ascending sids alias sc and are valid until its next use.
 func (ix *Index) candidatesFromSignature(sig minhash.Signature, s1, s2 float64, stats *QueryStats, sc *queryScratch) ([]storage.SID, error) {
 	c, err := ix.combination(s1, s2, stats)
 	if err != nil {
 		return nil, err
 	}
-	// probe fills buffer slot with the vector of filter index ord (nil for
-	// an absent term).
-	probe := func(ord, slot int) []storage.SID {
-		if ord < 0 {
-			return nil
+	for slot, ord := range [4]int{c.PosA, c.NegA, c.PosB, c.NegB} {
+		sc.terms[slot] = ix.clearedMarks(sc.terms[slot])
+		if ord >= 0 {
+			sc.terms[slot] = ix.fis[ord].Probe(sig, &stats.IndexIO, sc.terms[slot])
 		}
-		f := ix.fis[ord]
-		if sc == nil {
-			return f.Vector(sig, &stats.IndexIO)
-		}
-		sc.bufs[slot] = f.VectorAppend(sig, &stats.IndexIO, sc.bufs[slot][:0])
-		return sc.bufs[slot]
 	}
-	// merged stores a merge output back into its slot (retaining grown
-	// capacity for the next query) and returns it.
-	out := func(slot int) []storage.SID {
-		if sc == nil {
-			return nil
-		}
-		return sc.bufs[slot][:0]
+	posA := sc.terms[0]
+	negA, posB, negB := sc.terms[1][:len(posA)], sc.terms[2][:len(posA)], sc.terms[3][:len(posA)]
+	for i := range posA {
+		posA[i] = posA[i]&^negA[i] | posB[i]&^negB[i]
 	}
-	merged := func(slot int, v []storage.SID) []storage.SID {
-		if sc != nil {
-			sc.bufs[slot] = v
-		}
-		return v
-	}
+	sc.cands = hashtable.AppendMarked(sc.cands[:0], posA)
+	stats.Candidates = len(sc.cands)
+	return sc.cands, nil
+}
 
-	// A = (PosA \ NegA) ∪ (PosB \ NegB); the union runs only when the
-	// combination has a second term.
-	a := merged(4, sidDiffInto(out(4), probe(c.PosA, 0), probe(c.NegA, 1)))
-	if c.PosB >= 0 {
-		b := merged(5, sidDiffInto(out(5), probe(c.PosB, 2), probe(c.NegB, 3)))
-		a = merged(6, sidUnionInto(out(6), a, b))
-	}
-	stats.Candidates = len(a)
-	return a, nil
+// clearedMarks returns marks resized to a zeroed sid bitset covering every
+// allocated sid, reusing its capacity.
+func (ix *Index) clearedMarks(marks []uint64) []uint64 {
+	words := (ix.store.Len() + 63) / 64
+	marks = slices.Grow(marks[:0], words)[:words]
+	clear(marks)
+	return marks
 }
 
 // Query answers the set similarity range query (q, [s1, s2]) of
@@ -809,15 +753,69 @@ func (ix *Index) QueryPresigned(q set.Set, sig minhash.Signature, s1, s2 float64
 
 // sortMatches orders results by descending similarity, ties by ascending
 // sid — a deterministic total order, so serial and parallel verification
-// return identical slices.
+// return identical slices. It is a stable LSD radix sort over the byte
+// digits of radixDigit, skipping any digit constant across the input; the
+// result does not depend on the input order.
 func sortMatches(matches []Match) {
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Similarity != matches[j].Similarity {
-			return matches[i].Similarity > matches[j].Similarity
+	if len(matches) < 2 {
+		return
+	}
+	// sidVar and simVar have a bit set wherever some match differs from
+	// the first. Input that already ascends by sid, as verification emits
+	// it, needs no sid pass at all.
+	var sidVar uint32
+	var simVar uint64
+	sidSorted := true
+	for i, m := range matches[1:] {
+		sidVar |= m.SID ^ matches[0].SID
+		simVar |= math.Float64bits(m.Similarity) ^ math.Float64bits(matches[0].Similarity)
+		sidSorted = sidSorted && matches[i].SID < m.SID
+	}
+	if sidSorted {
+		sidVar = 0
+	}
+	bp := sortScratch.Get().(*[]Match)
+	buf := slices.Grow((*bp)[:0], len(matches))[:len(matches)]
+	src, dst := matches, buf
+	for d := 0; d < 12; d++ {
+		if radixDigit(sidVar, simVar, d) == 0 {
+			continue
 		}
-		return matches[i].SID < matches[j].SID
-	})
+		var c [256]int
+		for _, m := range src {
+			c[radixDigit(m.SID, ^math.Float64bits(m.Similarity), d)]++
+		}
+		sum := 0
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, m := range src {
+			b := radixDigit(m.SID, ^math.Float64bits(m.Similarity), d)
+			dst[c[b]] = m
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &matches[0] {
+		copy(matches, src)
+	}
+	*bp = buf
+	sortScratch.Put(bp)
 }
+
+// radixDigit returns digit d, least significant first, of the sort key
+// (sid, simKey): digits 0–3 are the sid's bytes and 4–11 simKey's. With
+// simKey = ^bits(similarity) the key orders the non-negative similarities
+// Jaccard and the estimators produce descending.
+func radixDigit(sid uint32, simKey uint64, d int) byte {
+	if d < 4 {
+		return byte(sid >> (8 * d))
+	}
+	return byte(simKey >> (8 * (d - 4)))
+}
+
+// sortScratch pools sortMatches' scatter buffers.
+var sortScratch = sync.Pool{New: func() any { return new([]Match) }}
 
 // Insert adds a new set to the collection and all filter indices, returning
 // its sid — the dynamic maintenance the paper notes hash indices support.

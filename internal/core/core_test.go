@@ -2,9 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/embed"
 	"repro/internal/optimize"
@@ -210,90 +208,5 @@ func TestQueryInvalidRange(t *testing.T) {
 	ix, sets := buildSmall(t, 100, 30)
 	if _, _, err := ix.Query(sets[0], 0.9, 0.1); err == nil {
 		t.Error("inverted range accepted")
-	}
-}
-
-// sidDiff and sidUnion are the allocating views of the append-style merge
-// kernels, kept as test helpers so the set-algebra checks exercise them.
-func sidDiff(a, b []uint32) []uint32  { return sidDiffInto(nil, a, b) }
-func sidUnion(a, b []uint32) []uint32 { return sidUnionInto(nil, a, b) }
-
-func TestSidSetOps(t *testing.T) {
-	a := []uint32{1, 2, 3, 5, 8}
-	b := []uint32{2, 3, 4, 8}
-	d := sidDiff(a, b)
-	want := []uint32{1, 5}
-	if len(d) != len(want) {
-		t.Fatalf("diff = %v, want %v", d, want)
-	}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("diff = %v, want %v", d, want)
-		}
-	}
-	u := sidUnion(a, b)
-	wantU := []uint32{1, 2, 3, 4, 5, 8}
-	if len(u) != len(wantU) {
-		t.Fatalf("union = %v, want %v", u, wantU)
-	}
-	for i := range wantU {
-		if u[i] != wantU[i] {
-			t.Fatalf("union = %v, want %v", u, wantU)
-		}
-	}
-	if got := sidDiff(nil, b); len(got) != 0 {
-		t.Errorf("diff(nil, b) = %v", got)
-	}
-	if got := sidUnion(nil, nil); len(got) != 0 {
-		t.Errorf("union(nil, nil) = %v", got)
-	}
-}
-
-func TestSidOpsProperties(t *testing.T) {
-	// Model-based check of the sorted-sid set algebra against maps.
-	f := func(rawA, rawB []uint16) bool {
-		mkSorted := func(raw []uint16) []uint32 {
-			m := map[uint32]bool{}
-			for _, v := range raw {
-				m[uint32(v%64)] = true
-			}
-			out := make([]uint32, 0, len(m))
-			for v := range m {
-				out = append(out, v)
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			return out
-		}
-		a, b := mkSorted(rawA), mkSorted(rawB)
-		inB := map[uint32]bool{}
-		for _, v := range b {
-			inB[v] = true
-		}
-		diff := sidDiff(append([]uint32(nil), a...), b)
-		for _, v := range diff {
-			if inB[v] {
-				return false
-			}
-		}
-		union := sidUnion(a, b)
-		if len(union) < len(a) || len(union) < len(b) {
-			return false
-		}
-		for i := 1; i < len(union); i++ {
-			if union[i-1] >= union[i] {
-				return false
-			}
-		}
-		// |A| = |A\B| + |A∩B| and |A∪B| = |A| + |B| - |A∩B|.
-		inter := 0
-		for _, v := range a {
-			if inB[v] {
-				inter++
-			}
-		}
-		return len(diff) == len(a)-inter && len(union) == len(a)+len(b)-inter
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

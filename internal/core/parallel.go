@@ -253,12 +253,15 @@ func packCollection(fam minhash.Family, full []minhash.Signature, sets []set.Set
 
 // queryScratch holds the reusable per-query buffers pooled on the index:
 // the full query signature, its packed family representation (screening),
-// and the probe/merge sid vectors of the Section 4.3 filter combination.
-// Steady-state queries allocate only their results.
+// the direct scan's key coordinates, the sid bitsets of the Section 4.3
+// terms PosA, NegA, PosB, NegB, and the candidate sids. Steady-state
+// queries allocate only their results.
 type queryScratch struct {
 	sig    minhash.Signature
 	packed []uint64
-	bufs   [7][]storage.SID
+	coords []uint64
+	terms  [4][]uint64
+	cands  []storage.SID
 }
 
 // verifyChunk runs the fetch-and-verify loop (with optional signature

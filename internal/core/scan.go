@@ -145,7 +145,6 @@ func (ix *Index) ScanPresigned(q set.Set, sig minhash.Signature, s1, s2 float64,
 	// to re-sign it; the rest fetch candidates alone. Neither fetch is
 	// charged: the scan's I/O is the one sequential heap read below.
 	resign := !ix.recoverable
-	buf := make([]uint64, ix.emb.K())
 	var matches []Match
 	for i, stored := range ix.sigs {
 		if stored == nil {
@@ -158,7 +157,7 @@ func (ix *Index) ScanPresigned(q set.Set, sig minhash.Signature, s1, s2 float64,
 				return nil, stats, err
 			}
 		}
-		if !probe.candidate(ix, ix.keyCoords(stored, s, buf)) {
+		if !probe.candidate(ix, ix.keyCoords(stored, s, sc.coords)) {
 			continue
 		}
 		stats.Candidates++

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"repro/internal/filter"
+	"repro/internal/hashtable"
 	"repro/internal/minhash"
 	"repro/internal/set"
-	"repro/internal/storage"
 )
 
 // TopK returns the k sets most similar to q, best first. It is the
@@ -38,6 +38,8 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	start := time.Now()
+	sc := ix.scratch.Get().(*queryScratch)
+	defer ix.scratch.Put(sc)
 	if sig == nil {
 		sig = ix.emb.Sign(q)
 	}
@@ -52,14 +54,20 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 		}
 	}
 
-	seen := make(map[storage.SID]struct{})
+	// verify probes filter index ord and verifies, in ascending sid order,
+	// the sids no earlier stage produced; seen marks every sid produced.
+	seen := ix.clearedMarks(sc.terms[1])
+	sc.terms[1] = seen
 	var results []Match
-	verify := func(sids []storage.SID) error {
-		for _, sid := range sids {
-			if _, dup := seen[sid]; dup {
-				continue
-			}
-			seen[sid] = struct{}{}
+	verify := func(ord int) error {
+		fresh := ix.fis[ord].Probe(sig, &stats.IndexIO, ix.clearedMarks(sc.terms[0]))
+		sc.terms[0] = fresh
+		for i := range fresh {
+			fresh[i] &^= seen[i]
+			seen[i] |= fresh[i]
+		}
+		sc.cands = hashtable.AppendMarked(sc.cands[:0], fresh)
+		for _, sid := range sc.cands {
 			stats.Candidates++
 			s, err := ix.store.Fetch(sid, &stats.FetchIO)
 			if err != nil {
@@ -78,7 +86,7 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 	}
 
 	for i, ord := range sfis {
-		if err := verify(ix.fis[ord].Vector(sig, &stats.IndexIO)); err != nil {
+		if err := verify(ord); err != nil {
 			return nil, stats, err
 		}
 		floor := 0.0
@@ -94,7 +102,7 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 		// full range [0, 1] combines first, covers the dissimilar
 		// remainder.
 		if c, ok := ix.plan.Combination(0, 1); ok {
-			if err := verify(ix.fis[c.PosA].Vector(sig, &stats.IndexIO)); err != nil {
+			if err := verify(c.PosA); err != nil {
 				return nil, stats, err
 			}
 		}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/ecc"
+	"repro/internal/hashtable"
 	"repro/internal/lsh"
 	"repro/internal/storage"
 )
@@ -60,7 +61,8 @@ type Options struct {
 }
 
 // Index is one filter index: an SFI or DFI at a fixed Hamming-similarity
-// threshold. Build with New, populate with Insert, probe with Vector.
+// threshold. Build with New, populate with Insert, probe with Probe (or
+// Vector for an ascending sid list).
 type Index struct {
 	kind      Kind
 	threshold float64 // the user-facing s*
@@ -154,19 +156,18 @@ func (ix *Index) Delete(coords []uint64, sid storage.SID) int {
 	return ix.group.Delete(coords, sid)
 }
 
-// Vector returns SimVector(s*, q) for an SFI or DissimVector(s*, q) for a
-// DFI: the deduplicated sids the filter identifies for query vector q.
-// Bucket page reads are charged to io (which may be nil).
-func (ix *Index) Vector(q []uint64, io *storage.Counter) []storage.SID {
-	return ix.VectorAppend(q, io, nil)
+// Probe marks SimVector(s*, q) for an SFI or DissimVector(s*, q) for a DFI
+// — the sids the filter identifies for query vector q — into the sid
+// bitset marks and returns it (grown if a sid lay past its end; see
+// hashtable.Table.Probe). Bucket page reads are charged to io (which may
+// be nil).
+func (ix *Index) Probe(q []uint64, io *storage.Counter, marks []uint64) []uint64 {
+	return ix.group.Query(q, ix.flip(), io, marks)
 }
 
-// VectorAppend is Vector writing into dst's backing array (dst must be
-// empty; its capacity is reused). The result aliases dst and is only valid
-// until dst's next reuse — the allocation-free probe path of the query
-// processor's scratch buffers.
-func (ix *Index) VectorAppend(q []uint64, io *storage.Counter, dst []storage.SID) []storage.SID {
-	return ix.group.QueryAppend(q, ix.flip(), io, dst)
+// Vector returns Probe's sids as an ascending list.
+func (ix *Index) Vector(q []uint64, io *storage.Counter) []storage.SID {
+	return hashtable.AppendMarked(nil, ix.Probe(q, io, nil))
 }
 
 // CaptureProb returns the probability that a vector at Hamming similarity

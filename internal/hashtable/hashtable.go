@@ -11,7 +11,9 @@
 package hashtable
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/storage"
 )
@@ -118,12 +120,8 @@ func setPageNext(p []byte, id storage.PageID) {
 }
 
 func pageEntry(p []byte, i int) (key uint64, sid storage.SID) {
-	off := pageHeader + i*entrySize
-	for b := 7; b >= 0; b-- {
-		key = key<<8 | uint64(p[off+b])
-	}
-	sid = storage.SID(uint32(p[off+8]) | uint32(p[off+9])<<8 | uint32(p[off+10])<<16 | uint32(p[off+11])<<24)
-	return
+	e := p[pageHeader+i*entrySize:][:entrySize]
+	return binary.LittleEndian.Uint64(e), binary.LittleEndian.Uint32(e[8:])
 }
 
 func setPageEntry(p []byte, i int, key uint64, sid storage.SID) {
@@ -164,11 +162,13 @@ func (t *Table) allocPage() storage.PageID {
 	return id
 }
 
-// Probe appends to dst the sids whose stored key equals key — the collision
-// the p_{r,l}(s) analysis assumes (two vectors collide iff their sampled
-// bits agree), so other keys sharing the bucket are skipped. Every chain
-// page visited costs one random page read on io (which may be nil).
-func (t *Table) Probe(key uint64, io *storage.Counter, dst []storage.SID) []storage.SID {
+// Probe marks in the sid bitset marks (sid s is bit s%64 of word s/64) the
+// sids whose stored key equals key — the collision the p_{r,l}(s) analysis
+// assumes (two vectors collide iff their sampled bits agree), so other keys
+// sharing the bucket are skipped. marks grows, zero-filled, to cover a sid
+// past its end, so the result must be used in its place. Every chain page
+// visited costs one random page read on io (which may be nil).
+func (t *Table) Probe(key uint64, io *storage.Counter, marks []uint64) []uint64 {
 	b := t.bucket(key)
 	id := t.first[b]
 	for id != storage.PageID(noPage) {
@@ -178,12 +178,26 @@ func (t *Table) Probe(key uint64, io *storage.Counter, dst []storage.SID) []stor
 		p := t.pager.MustPage(id)
 		n := pageCount(p)
 		for i := 0; i < n; i++ {
-			k, sid := pageEntry(p, i)
-			if k == key {
-				dst = append(dst, sid)
+			if k, sid := pageEntry(p, i); k == key {
+				w := int(sid >> 6)
+				if w >= len(marks) {
+					marks = append(marks, make([]uint64, w+1-len(marks))...)
+				}
+				marks[w] |= 1 << (sid & 63)
 			}
 		}
 		id = pageNext(p)
+	}
+	return marks
+}
+
+// AppendMarked appends the sids marked in a Probe bitset to dst in
+// ascending order.
+func AppendMarked(dst []storage.SID, marks []uint64) []storage.SID {
+	for i, w := range marks {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, storage.SID(i<<6|bits.TrailingZeros64(w)))
+		}
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package hashtable
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -16,12 +17,17 @@ func newTable(t *testing.T, opt Options) *Table {
 	return tab
 }
 
+// probe returns the sids Probe marks for key, ascending.
+func probe(tab *Table, key uint64, io *storage.Counter) []storage.SID {
+	return AppendMarked(nil, tab.Probe(key, io, nil))
+}
+
 func TestInsertProbeExact(t *testing.T) {
 	tab := newTable(t, Options{ExpectedEntries: 100})
 	tab.Insert(111, 1)
 	tab.Insert(222, 2)
 	tab.Insert(111, 3)
-	got := tab.Probe(111, nil, nil)
+	got := probe(tab, 111, nil)
 	if len(got) != 2 {
 		t.Fatalf("Probe(111) = %v", got)
 	}
@@ -40,7 +46,7 @@ func TestInsertProbeExact(t *testing.T) {
 func TestProbeMissingKey(t *testing.T) {
 	tab := newTable(t, Options{ExpectedEntries: 10})
 	tab.Insert(5, 50)
-	if got := tab.Probe(999999, nil, nil); len(got) != 0 {
+	if got := probe(tab, 999999, nil); len(got) != 0 {
 		t.Errorf("probe of absent key returned %v", got)
 	}
 
@@ -49,10 +55,10 @@ func TestProbeMissingKey(t *testing.T) {
 	shared := newTable(t, Options{Buckets: 1})
 	shared.Insert(1, 10)
 	shared.Insert(2, 20)
-	if got := shared.Probe(3, nil, nil); len(got) != 0 {
+	if got := probe(shared, 3, nil); len(got) != 0 {
 		t.Errorf("shared-bucket probe of absent key returned %v", got)
 	}
-	if got := shared.Probe(1, nil, nil); len(got) != 1 || got[0] != 10 {
+	if got := probe(shared, 1, nil); len(got) != 1 || got[0] != 10 {
 		t.Errorf("shared-bucket Probe(1) = %v, want [10]", got)
 	}
 }
@@ -65,7 +71,7 @@ func TestWholeBucketMode(t *testing.T) {
 	tab.Insert(2, 20)
 	tab.Insert(1, 11)
 	for key, want := range map[uint64][]storage.SID{1: {10, 11}, 2: {20}} {
-		got := tab.Probe(key, nil, nil)
+		got := probe(tab, key, nil)
 		if len(got) != len(want) {
 			t.Fatalf("Probe(%d) = %v, want %v", key, got, want)
 		}
@@ -89,7 +95,7 @@ func TestOverflowChains(t *testing.T) {
 		tab.Insert(77, storage.SID(i))
 	}
 	var io storage.Counter
-	got := tab.Probe(77, &io, nil)
+	got := probe(tab, 77, &io)
 	if len(got) != n {
 		t.Fatalf("probe returned %d of %d entries", len(got), n)
 	}
@@ -170,7 +176,7 @@ func TestManyKeysNoCrossContamination(t *testing.T) {
 		tab.Insert(key, sid)
 	}
 	for key, want := range ref {
-		got := tab.Probe(key, nil, nil)
+		got := probe(tab, key, nil)
 		if len(got) != len(want) {
 			t.Fatalf("key %d: %d sids, want %d", key, len(got), len(want))
 		}
@@ -186,13 +192,44 @@ func TestManyKeysNoCrossContamination(t *testing.T) {
 	}
 }
 
-func TestProbeAppendsToDst(t *testing.T) {
+func TestProbeGrowsMarks(t *testing.T) {
 	tab := newTable(t, Options{ExpectedEntries: 10})
 	tab.Insert(1, 100)
-	dst := []storage.SID{5}
-	got := tab.Probe(1, nil, dst)
-	if len(got) != 2 || got[0] != 5 || got[1] != 100 {
-		t.Errorf("Probe with dst = %v", got)
+	tab.Insert(1, 3)
+	// A short bitset keeps its marks and grows, zero-filled, to the
+	// highest sid; stale words past its length must not leak in.
+	backing := []uint64{1 << 5, ^uint64(0), ^uint64(0)}
+	got := AppendMarked(nil, tab.Probe(1, nil, backing[:1:1]))
+	if !slices.Equal(got, []storage.SID{3, 5, 100}) {
+		t.Errorf("Probe into a short bitset = %v, want [3 5 100]", got)
+	}
+	got = AppendMarked(nil, tab.Probe(1, nil, backing[:1]))
+	if !slices.Equal(got, []storage.SID{3, 5, 100}) {
+		t.Errorf("Probe into a short bitset with spare capacity = %v, want [3 5 100]", got)
+	}
+	if got := AppendMarked([]storage.SID{7}, []uint64{0, 1<<63 | 1}); !slices.Equal(got, []storage.SID{7, 64, 127}) {
+		t.Errorf("AppendMarked = %v, want [7 64 127]", got)
+	}
+}
+
+// TestPageEntryRoundTrip writes and reads back every slot of the smallest
+// page (one entry) and of a MaxPageSize page, with high-bit keys and sids
+// from 0xFFFFFFFF down. Each page is allocated at exactly its size, so a
+// read past the last slot would panic.
+func TestPageEntryRoundTrip(t *testing.T) {
+	for _, size := range []int{pageHeader + entrySize, MaxPageSize} {
+		p := make([]byte, size)
+		slots := (size - pageHeader) / entrySize
+		key := func(i int) uint64 { return 1<<63 | uint64(i)*0x9e3779b97f4a7c15 }
+		sid := func(i int) storage.SID { return ^storage.SID(0) - storage.SID(i) }
+		for i := 0; i < slots; i++ {
+			setPageEntry(p, i, key(i), sid(i))
+		}
+		for i := 0; i < slots; i++ {
+			if k, s := pageEntry(p, i); k != key(i) || s != sid(i) {
+				t.Fatalf("page %d slot %d = (%x, %x), want (%x, %x)", size, i, k, s, key(i), sid(i))
+			}
+		}
 	}
 }
 
@@ -204,11 +241,11 @@ func TestDelete(t *testing.T) {
 	if got := tab.Delete(1, 10); got != 1 {
 		t.Fatalf("Delete removed %d entries, want 1", got)
 	}
-	got := tab.Probe(1, nil, nil)
+	got := probe(tab, 1, nil)
 	if len(got) != 1 || got[0] != 11 {
 		t.Errorf("Probe(1) after delete = %v, want [11]", got)
 	}
-	if got := tab.Probe(2, nil, nil); len(got) != 1 {
+	if got := probe(tab, 2, nil); len(got) != 1 {
 		t.Errorf("unrelated key disturbed: %v", got)
 	}
 	if tab.Entries() != 2 {
@@ -241,13 +278,13 @@ func TestDeleteFromOverflowChain(t *testing.T) {
 	if removed != want {
 		t.Fatalf("removed %d, want %d", removed, want)
 	}
-	if got := tab.Probe(3, nil, nil); len(got) != 0 {
+	if got := probe(tab, 3, nil); len(got) != 0 {
 		t.Errorf("key 3 still has %d entries", len(got))
 	}
 	// All other keys intact.
 	total := 0
 	for k := uint64(0); k < 7; k++ {
-		total += len(tab.Probe(k, nil, nil))
+		total += len(probe(tab, k, nil))
 	}
 	if total != n-want {
 		t.Errorf("%d entries remain, want %d", total, n-want)

@@ -3,7 +3,6 @@ package lsh
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"repro/internal/ecc"
@@ -225,38 +224,15 @@ func (g *Group) Delete(coords []uint64, sid storage.SID) int {
 }
 
 // Query probes all L tables for the vector with coordinates coords
-// (complemented when flip is 1) and returns the deduplicated union of
-// bucket contents — SimVector for this group's threshold. Page reads are
+// (complemented when flip is 1) and marks the union of bucket contents —
+// SimVector for this group's threshold — into the sid bitset marks, which
+// it returns grown as hashtable.Table.Probe grows it. Page reads are
 // charged to io (which may be nil).
-func (g *Group) Query(coords []uint64, flip byte, io *storage.Counter) []storage.SID {
-	return g.QueryAppend(coords, flip, io, nil)
-}
-
-// QueryAppend is Query writing into dst's backing array: dst must be empty
-// (length 0) but may carry capacity from a previous probe, which is reused
-// instead of growing a fresh slice. The returned slice aliases dst's
-// backing array and is only valid until the next reuse.
-func (g *Group) QueryAppend(coords []uint64, flip byte, io *storage.Counter, dst []storage.SID) []storage.SID {
-	raw := dst[:0:cap(dst)]
-	for i := range g.tables {
-		raw = g.tables[i].Probe(g.Key(i, coords, flip), io, raw)
+func (g *Group) Query(coords []uint64, flip byte, io *storage.Counter, marks []uint64) []uint64 {
+	for i, t := range g.tables {
+		marks = t.Probe(g.Key(i, coords, flip), io, marks)
 	}
-	return dedupe(raw)
-}
-
-// dedupe sorts and deduplicates sids in place.
-func dedupe(sids []storage.SID) []storage.SID {
-	if len(sids) < 2 {
-		return sids
-	}
-	slices.Sort(sids)
-	out := sids[:1]
-	for _, s := range sids[1:] {
-		if s != out[len(out)-1] {
-			out = append(out, s)
-		}
-	}
-	return out
+	return marks
 }
 
 // Entries returns the total number of stored (key, sid) pairs across tables.

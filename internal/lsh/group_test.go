@@ -95,7 +95,7 @@ func TestIdenticalVectorsAlwaysCollide(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := randomVec(rng, 256)
 	g.Insert(v, 42)
-	got := g.Query(v, 0, nil)
+	got := query(g, v)
 	if len(got) != 1 || got[0] != 42 {
 		t.Errorf("Query = %v, want [42]", got)
 	}
@@ -107,7 +107,7 @@ func TestQueryDeduplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	v := randomVec(rng, 128)
 	g.Insert(v, 7)
-	got := g.Query(v, 0, nil)
+	got := query(g, v)
 	if len(got) != 1 {
 		t.Errorf("expected one deduplicated sid, got %v", got)
 	}
@@ -122,7 +122,7 @@ func TestNearbyVectorsCollideFarOnesDoNot(t *testing.T) {
 	far := randomVec(rng, dim)         // ~50% similar
 	g.Insert(near, 1)
 	g.Insert(far, 2)
-	got := g.Query(base, 0, nil)
+	got := query(g, base)
 	foundNear, foundFar := false, false
 	for _, sid := range got {
 		if sid == 1 {
@@ -160,7 +160,7 @@ func TestEmpiricalCollisionMatchesFormula(t *testing.T) {
 			base := randomVec(rng, dim)
 			other := corrupt(rng, base, flips)
 			g.Insert(other, 1)
-			if res := g.Query(base, 0, nil); len(res) == 1 {
+			if res := query(g, base); len(res) == 1 {
 				collided++
 			}
 		}
@@ -181,7 +181,7 @@ func TestWideKeysBeyond64Bits(t *testing.T) {
 	w := randomVec(rng, dim)
 	g.Insert(v, 1)
 	g.Insert(w, 2)
-	got := g.Query(v, 0, nil)
+	got := query(g, v)
 	found1 := false
 	for _, sid := range got {
 		if sid == 1 {
@@ -202,7 +202,7 @@ func TestQueryChargesIO(t *testing.T) {
 	v := randomVec(rng, 128)
 	g.Insert(v, 1)
 	var io storage.Counter
-	g.Query(v, 0, &io)
+	g.Query(v, 0, &io, nil)
 	// One bucket probe per table, each at least one page.
 	if io.Rand() < int64(g.L()) {
 		t.Errorf("recorded %d random reads, want >= %d", io.Rand(), g.L())
@@ -248,7 +248,7 @@ func TestGroupDelete(t *testing.T) {
 	if removed := g.Delete(v, 1); removed != 5 {
 		t.Errorf("Delete removed %d entries, want one per table (5)", removed)
 	}
-	if res := g.Query(v, 0, nil); len(res) != 0 {
+	if res := query(g, v); len(res) != 0 {
 		// w may still collide by chance on loose parameters; only sid 1
 		// is forbidden.
 		for _, sid := range res {
@@ -257,7 +257,7 @@ func TestGroupDelete(t *testing.T) {
 			}
 		}
 	}
-	if res := g.Query(w, 0, nil); len(res) != 1 || res[0] != 2 {
+	if res := query(g, w); len(res) != 1 || res[0] != 2 {
 		t.Errorf("unrelated vector disturbed: %v", res)
 	}
 }
