@@ -89,14 +89,8 @@ func (o DurableOptions) recoveryOptions(dir string) recovery.Options {
 // CreateDurable to bootstrap the directory from a built collection.
 var ErrNoDurableState = errors.New("ssr: durability directory holds no state")
 
-// On-disk layout. A single-shard durable index keeps the legacy flat
-// layout: checkpoint-*.snap and wal-*.log directly in the directory,
-// exactly as previous releases wrote them. A sharded index adds a
-// MANIFEST file naming the shard count and router seed, and gives each
-// shard its own subdirectory (shard-000/, shard-001/, …) with a fully
-// independent checkpoint + log generation chain inside — shard logs fsync
-// and compact without coordinating, which is where the sharded write
-// throughput comes from.
+// manifestName names the file that commits a sharded layout (see
+// durableLayout).
 const manifestName = "MANIFEST"
 
 // durableManifest is the JSON body of the MANIFEST file. Version gates
@@ -152,26 +146,33 @@ func parseManifest(raw []byte) (*durableManifest, error) {
 	return &man, nil
 }
 
-// readManifest returns the parsed manifest, or nil when the directory has
-// none (the legacy single-shard layout, or no state at all).
-func readManifest(dir string) (*durableManifest, error) {
+// readLayout returns dir's layout: sharded when it holds a MANIFEST, flat
+// otherwise (the legacy single-shard layout, or no state at all).
+func readLayout(dir string) (durableLayout, error) {
 	raw, err := readRawManifest(dir)
 	if err != nil || raw == nil {
-		return nil, err
+		return durableLayout{dir: dir}, err
 	}
-	return parseManifest(raw)
+	man, err := parseManifest(raw)
+	return durableLayout{dir: dir, man: man}, err
 }
 
-// writeManifest persists the manifest atomically (write-temp + rename), as
-// the LAST step of a sharded bootstrap — its presence is the commit point
-// that flips the directory from "no state" to "sharded state".
+// writeManifest persists the manifest as the LAST step of a sharded
+// bootstrap — its presence is the commit point that flips the directory
+// from "no state" to "sharded state".
 func writeManifest(dir string, man durableManifest) error {
 	raw, err := json.Marshal(man)
 	if err != nil {
 		return fmt.Errorf("ssr: encoding durable manifest: %w", err)
 	}
+	return commitManifest(dir, append(raw, '\n'))
+}
+
+// commitManifest publishes raw MANIFEST bytes atomically (write-temp +
+// rename).
+func commitManifest(dir string, raw []byte) error {
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
 		return fmt.Errorf("ssr: writing durable manifest: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
@@ -190,9 +191,8 @@ type durableShard struct {
 	log *recovery.Log
 }
 
-// durable is the logging side of a durable Index: one lane per shard
-// (exactly one on an unsharded index, where the lane's directory is the
-// legacy flat layout).
+// durable is the logging side of a durable Index: one lane per shard, in
+// the directory durableLayout names.
 type durable struct {
 	closed atomic.Bool
 	shards []*durableShard
@@ -208,47 +208,10 @@ type durable struct {
 // the open-vs-bootstrap decision for servers and CLIs. Both layouts
 // count: a sharded MANIFEST or legacy flat checkpoint/log files.
 func HasDurableState(dir string) (bool, error) {
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
-		return true, nil
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return false, fmt.Errorf("ssr: checking durable manifest: %w", err)
+	if raw, err := readRawManifest(dir); err != nil || raw != nil {
+		return raw != nil, err
 	}
 	return recovery.DirHasState(dir)
-}
-
-// hooks binds the recovery machinery to a single-shard ix. The checkpoint
-// payload is exactly the public snapshot format (Save/Load), so a
-// checkpoint file's payload and an explicit Save of the same state are
-// byte-identical.
-func (ix *Index) hooks() recovery.Hooks {
-	return recovery.Hooks{
-		Load: func(r io.Reader) error {
-			loaded, err := Load(r)
-			if err != nil {
-				return err
-			}
-			ix.coll, ix.inner = loaded.coll, loaded.inner
-			return nil
-		},
-		Apply: func(rec wal.Record) error {
-			switch rec.Op {
-			case wal.OpInsert:
-				sid, err := ix.add(rec.Elements)
-				if err != nil {
-					return err
-				}
-				if sid != int(rec.SID) {
-					return fmt.Errorf("ssr: replayed insert landed on sid %d, log recorded %d", sid, rec.SID)
-				}
-				return nil
-			case wal.OpDelete:
-				return ix.remove(int(rec.SID))
-			default:
-				return fmt.Errorf("ssr: cannot apply %s record", rec.Op)
-			}
-		},
-		Save: func(w io.Writer) error { return ix.Save(w) },
-	}
 }
 
 // shardCheckpointMagic guards the per-shard checkpoint payload format.
@@ -303,16 +266,7 @@ func (ix *Index) saveShardCheckpoint(w io.Writer, si int) error {
 	if err := enc.Encode(&cp); err != nil {
 		return fmt.Errorf("ssr: encoding shard checkpoint: %w", err)
 	}
-	if gen > 0 {
-		tt := tunerTrailer{Generation: gen}
-		if hist != nil {
-			tt.BaselineBins = hist.RawBins()
-		}
-		if err := enc.Encode(&tt); err != nil {
-			return fmt.Errorf("ssr: encoding shard tuner trailer: %w", err)
-		}
-	}
-	return nil
+	return encodeTrailer(enc, gen, hist)
 }
 
 // loadShardCheckpoint parses one shard's checkpoint payload. The trailer
@@ -337,102 +291,206 @@ func loadShardCheckpoint(r io.Reader) (*shardCheckpoint, *tunerTrailer, error) {
 	return &cp, trailer, nil
 }
 
+// durableLayout is everything a durability directory's shape decides:
+// where each lane's generation chain lives, how its checkpoints are
+// encoded, and whether a MANIFEST commits the layout. A one-shard index
+// keeps the flat layout of previous releases — checkpoint-*.snap and
+// wal-*.log directly in the directory, the checkpoint payload exactly
+// Save's bytes. A sharded index has a MANIFEST naming the shard count and
+// router seed, and one shard-NNN/ lane per shard checkpointing a
+// shardCheckpoint; shard logs fsync and compact without coordinating,
+// which is where the sharded write throughput comes from.
+type durableLayout struct {
+	dir string
+	man *durableManifest // nil for the flat layout
+}
+
+func (l durableLayout) lanes() int {
+	if l.man == nil {
+		return 1
+	}
+	return l.man.Shards
+}
+
+func (l durableLayout) laneDir(si int) string {
+	if l.man == nil {
+		return l.dir
+	}
+	return shardDirPath(l.dir, si)
+}
+
+// save returns lane si's checkpoint encoder.
+func (l durableLayout) save(ix *Index, si int) func(io.Writer) error {
+	if l.man == nil {
+		return ix.Save
+	}
+	return func(w io.Writer) error { return ix.saveShardCheckpoint(w, si) }
+}
+
+// recoveredLane is what recovery feeds one lane's hooks before the index
+// exists: the decoded checkpoint and the buffered log tail.
+type recoveredLane struct {
+	names   []string
+	eng     *engine.Engine   // flat layout: the checkpointed engine
+	cp      *shardCheckpoint // sharded layout: this shard's checkpoint
+	trailer *tunerTrailer
+	recs    []wal.Record
+}
+
+// decode parses lane si's checkpoint payload.
+func (l durableLayout) decode(r io.Reader, si int) (recoveredLane, error) {
+	if l.man == nil {
+		names, eng, err := decodeSnapshot(r)
+		return recoveredLane{names: names, eng: eng}, err
+	}
+	cp, trailer, err := loadShardCheckpoint(r)
+	if err != nil {
+		return recoveredLane{}, err
+	}
+	if m := l.man; cp.Shards != m.Shards || cp.ShardIndex != si || cp.RouterSeed != m.RouterSeed {
+		return recoveredLane{}, fmt.Errorf("ssr: shard checkpoint topology (%d shards, index %d, seed %d) disagrees with manifest (%d shards, index %d, seed %d)",
+			cp.Shards, cp.ShardIndex, cp.RouterSeed, m.Shards, si, m.RouterSeed)
+	}
+	return recoveredLane{cp: cp, trailer: trailer}, nil
+}
+
+// openLanes opens every lane's generation chain through the hooks h
+// builds for it. On create each lane must be empty and gets its first
+// checkpoint; otherwise each must hold state.
+func (l durableLayout) openLanes(opt DurableOptions, create bool, h func(si int) recovery.Hooks) ([]*durableShard, error) {
+	lanes := make([]*durableShard, 0, l.lanes())
+	fail := func(err error) ([]*durableShard, error) {
+		return nil, errors.Join(err, closeLanes(lanes))
+	}
+	for si := 0; si < l.lanes(); si++ {
+		dir := l.laneDir(si)
+		log, found, err := recovery.Open(opt.recoveryOptions(dir), h(si))
+		if err != nil {
+			return fail(fmt.Errorf("ssr: recovering %s: %w", dir, err))
+		}
+		lanes = append(lanes, &durableShard{log: log})
+		switch {
+		case create:
+			// The create hooks refuse to load, so a lane that is not empty
+			// (a creator lost the bootstrap race) failed Open above.
+			if err := log.Checkpoint(); err != nil {
+				return fail(fmt.Errorf("ssr: checkpointing %s: %w", dir, err))
+			}
+		case !found && l.man == nil:
+			return fail(ErrNoDurableState)
+		case !found:
+			return fail(fmt.Errorf("ssr: %s holds no durable state (the manifest promises %d shards; the directory is corrupt or was partially copied)", dir, l.man.Shards))
+		}
+	}
+	return lanes, nil
+}
+
+func closeLanes(lanes []*durableShard) error {
+	var errs []error
+	for _, sh := range lanes {
+		errs = append(errs, sh.log.Close())
+	}
+	return errors.Join(errs...)
+}
+
 // OpenDurable opens the durable index stored in dir: it loads the newest
-// valid checkpoint (per shard, on a sharded directory), replays each log
-// tail (stopping cleanly at a torn or corrupt frame), and returns an
+// valid checkpoint of each lane (one lane per shard), replays the log
+// tails (stopping cleanly at a torn or corrupt frame), and returns an
 // index identical to the pre-crash state up to the sync horizon of
 // opt.Sync. Mutations on the returned index are logged before they are
 // acknowledged; call Close to flush a final checkpoint and release the
 // logs. If dir holds no state the error is ErrNoDurableState.
+//
+// Each lane recovers independently, but the index needs every lane's
+// checkpoint, so the hooks only buffer what recovery feeds them. Once
+// every lane is open the index is assembled and the buffered tails replay
+// through apply.
 func OpenDurable(dir string, opt DurableOptions) (*Index, error) {
-	man, err := readManifest(dir)
+	lay, err := readLayout(dir)
 	if err != nil {
 		return nil, err
-	}
-	if man != nil {
-		return openDurableSharded(dir, *man, opt)
 	}
 	ix := &Index{}
-	log, found, err := recovery.Open(opt.recoveryOptions(dir), ix.hooks())
+	lanes := make([]recoveredLane, lay.lanes())
+	shards, err := lay.openLanes(opt, false, func(si int) recovery.Hooks {
+		return recovery.Hooks{
+			// A fallback to an older generation re-enters Load; the fresh
+			// lane value drops everything from the rejected generation.
+			Load: func(r io.Reader) (err error) {
+				lanes[si], err = lay.decode(r, si)
+				return err
+			},
+			Apply: func(rec wal.Record) error {
+				lanes[si].recs = append(lanes[si].recs, rec)
+				return nil
+			},
+			Save: lay.save(ix, si),
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	if !found {
-		return nil, errors.Join(ErrNoDurableState, log.Close())
+	if err := ix.recover(lay, lanes); err != nil {
+		return nil, errors.Join(err, closeLanes(shards))
 	}
-	ix.dur = &durable{shards: []*durableShard{{log: log}}, dir: dir}
+	ix.dur = &durable{shards: shards, dir: dir}
 	return ix, nil
 }
 
-// openDurableSharded recovers a sharded durability directory. Each shard
-// recovers independently — newest valid checkpoint, then its own log
-// tail — but assembly needs all shards, so the per-shard hooks only
-// BUFFER what recovery feeds them: the decoded checkpoint and the raw
-// tail records. Once every shard's log is open, the engine is assembled
-// from the checkpoints and the buffered tails replay in shard order
-// (cross-shard order is irrelevant: every record's sid is owned by the
-// shard whose log carries it, so no replayed operation can touch another
-// shard's state).
-func openDurableSharded(dir string, man durableManifest, opt DurableOptions) (*Index, error) {
-	n := man.Shards
-	ix := &Index{}
-	type slot struct {
-		cp      *shardCheckpoint
-		trailer *tunerTrailer
-		recs    []wal.Record
+// recover assembles the index from the lanes' checkpoints, then replays
+// their buffered tails as a k-way merge by sid, preserving each lane's
+// internal order. Per-lane order is the only correctness requirement
+// (every record's sid is owned by the lane whose log carries it), but the
+// merge also re-interns replayed elements in global sid order — the order
+// a sequential writer interned them — so recovering a sequential history
+// is bit-identical to never crashing.
+func (ix *Index) recover(lay durableLayout, lanes []recoveredLane) error {
+	names, eng := lanes[0].names, lanes[0].eng
+	if lay.man != nil {
+		var err error
+		if names, eng, err = assembleShards(*lay.man, lanes); err != nil {
+			return err
+		}
 	}
-	slots := make([]slot, n)
-	logs := make([]*recovery.Log, n)
-	closeAll := func() {
-		for _, l := range logs {
-			if l != nil {
-				_ = l.Close() //ssrvet:ignore droppederr -- error-path cleanup; the original failure is returned
+	ix.coll, ix.inner = &Collection{dict: set.DictionaryFromNames(names)}, eng
+	heads := make([]int, len(lanes))
+	for {
+		best := -1
+		for si := range lanes {
+			if heads[si] >= len(lanes[si].recs) {
+				continue
+			}
+			if best < 0 || lanes[si].recs[heads[si]].SID < lanes[best].recs[heads[best]].SID {
+				best = si
 			}
 		}
-	}
-	for si := 0; si < n; si++ {
-		si := si
-		h := recovery.Hooks{
-			Load: func(r io.Reader) error {
-				cp, trailer, err := loadShardCheckpoint(r)
-				if err != nil {
-					return err
-				}
-				if cp.Shards != n || cp.ShardIndex != si || cp.RouterSeed != man.RouterSeed {
-					return fmt.Errorf("ssr: shard checkpoint topology (%d shards, index %d, seed %d) disagrees with manifest (%d shards, index %d, seed %d)",
-						cp.Shards, cp.ShardIndex, cp.RouterSeed, n, si, man.RouterSeed)
-				}
-				// A fallback to an older generation re-enters here; reset
-				// the slot so nothing from the rejected generation leaks.
-				slots[si] = slot{cp: cp, trailer: trailer}
-				return nil
-			},
-			Apply: func(rec wal.Record) error {
-				slots[si].recs = append(slots[si].recs, rec)
-				return nil
-			},
-			Save: func(w io.Writer) error { return ix.saveShardCheckpoint(w, si) },
+		if best < 0 {
+			break
 		}
-		log, found, err := recovery.Open(opt.recoveryOptions(shardDirPath(dir, si)), h)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("ssr: recovering shard %d: %w", si, err)
-		}
-		logs[si] = log
-		if !found {
-			closeAll()
-			return nil, fmt.Errorf("ssr: shard %d of %s holds no durable state (the manifest promises %d shards; the directory is corrupt or was partially copied)", si, dir, n)
+		rec := lanes[best].recs[heads[best]]
+		heads[best]++
+		if err := ix.apply(best, rec); err != nil {
+			return fmt.Errorf("ssr: replaying shard %d %s of sid %d: %w", best, rec.Op, rec.SID, err)
 		}
 	}
-	// Assemble: the longest dictionary wins (append-only prefix property),
-	// the sid space is the max any shard observed, and the router seed is
-	// re-validated against every mapping inside Assemble.
+	// The view is built once the tails are in, so a replayed delete reads
+	// as empty exactly as a checkpointed one does.
+	coll, err := collectionOf(ix.coll.dict, eng)
+	ix.coll = coll
+	return err
+}
+
+// assembleShards builds a sharded engine from its shards' checkpoints.
+// The longest dictionary wins (append-only prefix property), the sid
+// space is the max any shard observed, and the router seed is
+// re-validated against every mapping inside Assemble.
+func assembleShards(man durableManifest, lanes []recoveredLane) ([]string, *engine.Engine, error) {
 	var names []string
 	numGlobals := 0
-	cores := make([]*core.Index, n)
-	globals := make([][]uint32, n)
-	for si := range slots {
-		cp := slots[si].cp
+	cores := make([]*core.Index, len(lanes))
+	globals := make([][]uint32, len(lanes))
+	for si := range lanes {
+		cp := lanes[si].cp
 		if len(cp.Names) > len(names) {
 			names = cp.Names
 		}
@@ -441,8 +499,7 @@ func openDurableSharded(dir string, man durableManifest, opt DurableOptions) (*I
 		}
 		cix, err := core.Load(bytes.NewReader(cp.Core))
 		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("ssr: loading shard %d checkpoint: %w", si, err)
+			return nil, nil, fmt.Errorf("ssr: loading shard %d checkpoint: %w", si, err)
 		}
 		cores[si] = cix
 		globals[si] = cp.Globals
@@ -454,23 +511,22 @@ func openDurableSharded(dir string, man durableManifest, opt DurableOptions) (*I
 	// place with the winner's plan, restoring the cross-shard plan
 	// identity that scatter-gather correctness rests on.
 	winGen, winSi := uint64(0), -1
-	for si := range slots {
-		if tt := slots[si].trailer; tt != nil && tt.Generation > winGen {
+	for si := range lanes {
+		if tt := lanes[si].trailer; tt != nil && tt.Generation > winGen {
 			winGen, winSi = tt.Generation, si
 		}
 	}
 	var winHist *simdist.Histogram
 	if winSi >= 0 {
-		winHist = slots[winSi].trailer.trailerHist()
+		winHist = lanes[winSi].trailer.trailerHist()
 		winPlan := cores[winSi].Plan()
 		for si := range cores {
-			if tt := slots[si].trailer; tt != nil && tt.Generation == winGen {
+			if tt := lanes[si].trailer; tt != nil && tt.Generation == winGen {
 				continue
 			}
 			csets, csigs, ctombs, err := cores[si].CaptureRebuild()
 			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("ssr: capturing stale shard %d for plan normalization: %w", si, err)
+				return nil, nil, fmt.Errorf("ssr: capturing stale shard %d for plan normalization: %w", si, err)
 			}
 			sopt := cores[si].BuildOptions()
 			planCopy := winPlan
@@ -491,81 +547,19 @@ func openDurableSharded(dir string, man durableManifest, opt DurableOptions) (*I
 			sopt.Tombstones = ctombs
 			rebuilt, err := core.Build(csets, sopt)
 			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("ssr: rebuilding stale shard %d onto plan generation %d: %w", si, winGen, err)
+				return nil, nil, fmt.Errorf("ssr: rebuilding stale shard %d onto plan generation %d: %w", si, winGen, err)
 			}
 			cores[si] = rebuilt
 		}
 	}
 	eng, err := engine.Assemble(man.RouterSeed, cores, globals, numGlobals)
 	if err != nil {
-		closeAll()
-		return nil, err
+		return nil, nil, err
 	}
 	if winGen > 0 {
 		eng.AdoptTuneState(winGen, winHist)
 	}
-	coll := NewCollection()
-	coll.dict = set.DictionaryFromNames(names)
-	ix.coll, ix.inner = coll, eng
-	// Replay the buffered tails as a k-way merge by sid, preserving each
-	// shard's internal order. Per-shard order is the only correctness
-	// requirement (every record's sid is owned by the shard whose log
-	// carries it), but the merge also re-interns replayed elements in
-	// global sid order — the order a sequential writer interned them — so
-	// recovering a sequential history is bit-identical to never crashing.
-	heads := make([]int, n)
-	for {
-		best := -1
-		for si := range slots {
-			if heads[si] >= len(slots[si].recs) {
-				continue
-			}
-			if best < 0 || slots[si].recs[heads[si]].SID < slots[best].recs[heads[best]].SID {
-				best = si
-			}
-		}
-		if best < 0 {
-			break
-		}
-		rec := slots[best].recs[heads[best]]
-		heads[best]++
-		switch rec.Op {
-		case wal.OpInsert:
-			s := coll.intern(rec.Elements)
-			if err := eng.ApplyRecovered(best, rec.SID, s); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("ssr: replaying shard %d insert of sid %d: %w", best, rec.SID, err)
-			}
-		case wal.OpDelete:
-			if err := eng.Delete(rec.SID); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("ssr: replaying shard %d delete of sid %d: %w", best, rec.SID, err)
-			}
-		default:
-			closeAll()
-			return nil, fmt.Errorf("ssr: cannot apply %s record", rec.Op)
-		}
-	}
-	// Rehydrate the sid-indexed collection views (checkpointed and
-	// replayed sets alike); holes and tombstones stay empty views.
-	bySID, err := eng.SetsBySID()
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	coll.sets = make([]set.Set, len(bySID))
-	for sid, s := range bySID {
-		if s != nil {
-			coll.sets[sid] = *s
-		}
-	}
-	shards := make([]*durableShard, n)
-	for si, l := range logs {
-		shards[si] = &durableShard{log: l}
-	}
-	ix.dur = &durable{shards: shards, dir: dir}
-	return ix, nil
+	return names, eng, nil
 }
 
 // CreateDurable builds an index over the collection (as Build does) and
@@ -590,159 +584,143 @@ func CreateDurable(dir string, c *Collection, bopt Options, dopt DurableOptions)
 	if err != nil {
 		return nil, err
 	}
-	enableTune := func(ix *Index) (*Index, error) {
-		if !autoTune {
-			return ix, nil
+	lay := durableLayout{dir: dir}
+	if n := ix.inner.NumShards(); n > 1 {
+		lay.man = &durableManifest{Version: manifestVersion, Shards: n, RouterSeed: ix.inner.RouterSeed()}
+	}
+	shards, err := lay.openLanes(dopt, true, func(si int) recovery.Hooks {
+		refuse := fmt.Errorf("ssr: %s already holds durable state", lay.laneDir(si))
+		return recovery.Hooks{
+			Load:  func(io.Reader) error { return refuse },
+			Apply: func(wal.Record) error { return refuse },
+			Save:  lay.save(ix, si),
 		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if lay.man != nil {
+		if err := writeManifest(dir, *lay.man); err != nil {
+			return nil, errors.Join(err, closeLanes(shards))
+		}
+	}
+	ix.dur = &durable{shards: shards, dir: dir}
+	if autoTune {
 		if err := ix.EnableAutoTune(bopt.TunePolicy); err != nil {
 			return nil, errors.Join(err, ix.Close())
 		}
-		return ix, nil
 	}
-	if ix.inner.NumShards() == 1 {
-		log, found, err := recovery.Open(dopt.recoveryOptions(dir), ix.hooks())
-		if err != nil {
-			return nil, err
-		}
-		if found {
-			// Lost the bootstrap race with another creator.
-			return nil, errors.Join(fmt.Errorf("ssr: %s gained durable state concurrently", dir), log.Close())
-		}
-		if err := log.Checkpoint(); err != nil {
-			return nil, errors.Join(err, log.Close())
-		}
-		ix.dur = &durable{shards: []*durableShard{{log: log}}, dir: dir}
-		return enableTune(ix)
-	}
-	n := ix.inner.NumShards()
-	logs := make([]*recovery.Log, 0, n)
-	closeAll := func() {
-		for _, l := range logs {
-			_ = l.Close() //ssrvet:ignore droppederr -- error-path cleanup; the original failure is returned
-		}
-	}
-	for si := 0; si < n; si++ {
-		si := si
-		h := recovery.Hooks{
-			Load: func(io.Reader) error {
-				return fmt.Errorf("ssr: shard %d already holds a checkpoint", si)
-			},
-			Apply: func(wal.Record) error {
-				return fmt.Errorf("ssr: shard %d already holds a log", si)
-			},
-			Save: func(w io.Writer) error { return ix.saveShardCheckpoint(w, si) },
-		}
-		log, found, err := recovery.Open(dopt.recoveryOptions(shardDirPath(dir, si)), h)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("ssr: bootstrapping shard %d: %w", si, err)
-		}
-		logs = append(logs, log)
-		if found {
-			closeAll()
-			return nil, fmt.Errorf("ssr: shard %d of %s gained durable state concurrently", si, dir)
-		}
-		if err := log.Checkpoint(); err != nil {
-			closeAll()
-			return nil, fmt.Errorf("ssr: checkpointing shard %d: %w", si, err)
-		}
-	}
-	if err := writeManifest(dir, durableManifest{Version: manifestVersion, Shards: n, RouterSeed: ix.inner.RouterSeed()}); err != nil {
-		closeAll()
-		return nil, err
-	}
-	shards := make([]*durableShard, n)
-	for si, l := range logs {
-		shards[si] = &durableShard{log: l}
-	}
-	ix.dur = &durable{shards: shards, dir: dir}
-	return enableTune(ix)
+	return ix, nil
 }
 
 // errClosed is the uniform mutation error after Close.
 func errClosed() error { return fmt.Errorf("ssr: index is closed") }
 
-// add applies the insert in memory, then logs it to the owning shard's
-// lane. The logged record carries the caller's raw elements in original
-// order so replay re-interns them into identical dictionary ids, and the
-// GLOBAL sid, so replay routes it back to the same shard. Only the owning
-// shard's lane is locked — inserts routed to different shards apply and
-// fsync concurrently.
+// apply is the one write path: every mutation — a live durable write, a
+// replayed log record, a streamed follower record — is a WAL record
+// applied here to lane si. An insert interns the record's elements in
+// their logged order (so replay reproduces the live dictionary ids),
+// applies the set to the engine as rec.SID and records it in the
+// collection view. A delete tombstones the sid; the live collection view
+// keeps the removed set's content (see Index.Sets). On a durable index
+// the caller holds lane si.
+//
+// The collection lock wraps only the two leaf steps, never the engine
+// call, and the set is interned before the engine sees it: Save captures
+// engine bytes first and names after, so the captured dictionary is
+// always a superset of what the captured engine references.
+func (ix *Index) apply(si int, rec wal.Record) error {
+	switch rec.Op {
+	case wal.OpInsert:
+		s := ix.coll.intern(rec.Elements)
+		if err := ix.inner.Apply(si, rec.SID, s); err != nil {
+			return err
+		}
+		ix.coll.record(int(rec.SID), s)
+	case wal.OpDelete:
+		if want := ix.inner.ShardOf(rec.SID); want != si {
+			return fmt.Errorf("ssr: sid %d routes to shard %d, not %d", rec.SID, want, si)
+		}
+		if err := ix.inner.Delete(rec.SID); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("ssr: cannot apply %s record", rec.Op)
+	}
+	return nil
+}
+
+// withLane reserves the next insert's sid and runs fn with the sid's lane
+// locked, registered with the replication tracker until fn returns.
+//
+// This holds the one shard-count branch of the write lane. With several
+// lanes the sid is reserved first, because it names the lane to lock.
+// With one lane the lane is locked first: a one-shard engine's Reserve
+// allocates nothing — its global sids are its core sids, which the flat
+// layout's checkpoint (a plain Save, with no sid map) depends on — so
+// only the lane lock keeps two writers from reserving the same sid.
+func (d *durable) withLane(ix *Index, fn func(sh *durableShard, g uint32, si int) error) error {
+	if len(d.shards) > 1 {
+		tok, g, si := d.repl.reserve(ix.inner.Reserve)
+		defer d.repl.settle(tok)
+		sh := d.shards[si]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return fn(sh, g, si)
+	}
+	sh := d.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	tok, g, si := d.repl.reserve(ix.inner.Reserve)
+	defer d.repl.settle(tok)
+	return fn(sh, g, si)
+}
+
+// add logs an insert: reserve the sid and lock its lane, build the
+// record, apply it, append it. The record carries the caller's raw
+// elements in their original order, so replay re-interns them into
+// identical dictionary ids, and the global sid, so replay routes it back
+// to the same lane. Inserts routed to different lanes apply and fsync
+// concurrently. If the insert fails, a sharded reservation stays a hole —
+// holes are first-class (crash recovery produces them too) and cost one
+// mapping slot.
 func (d *durable) add(ix *Index, elements []string) (int, error) {
 	if d.closed.Load() {
 		return 0, errClosed()
 	}
-	if len(d.shards) == 1 {
-		sh := d.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if d.closed.Load() {
-			return 0, errClosed()
-		}
-		sid, err := ix.add(elements)
-		if err != nil {
-			return 0, err
-		}
-		if err := sh.log.Append(wal.Record{Op: wal.OpInsert, SID: uint32(sid), Elements: elements}); err != nil {
-			// The in-memory insert stands (queries will see it), but it is
-			// not durable — the caller must treat the mutation as failed.
-			return 0, fmt.Errorf("ssr: insert applied but not logged: %w", err)
-		}
-		return sid, nil
-	}
-	// Sharded: reserve the global sid first so the owning shard is known
-	// before any lane is locked; then apply and log under that one lane.
-	// The replication tracker brackets the reservation: its entry is
-	// registered before the sid exists (bounded below by the allocation
-	// frontier read here first) and retired once the record is logged or
-	// the insert abandoned, so the watermark never advances past an
-	// insert that is reserved but not yet durable.
-	s := ix.coll.intern(elements)
-	tok := d.repl.begin(uint32(ix.inner.NumAllocated()))
-	g, si, err := ix.inner.ReserveInsert()
+	var sid uint32
+	err := d.withLane(ix, func(sh *durableShard, g uint32, si int) error {
+		sid = g
+		return d.commit(ix, sh, si, wal.Record{Op: wal.OpInsert, SID: g, Elements: elements})
+	})
 	if err != nil {
-		d.repl.settle(tok)
 		return 0, err
 	}
-	d.repl.assign(tok, g)
-	defer d.repl.settle(tok)
-	sh := d.shards[si]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if d.closed.Load() {
-		// The reservation stays a hole — holes are first-class (crash
-		// recovery produces them too) and cost one mapping slot.
-		return 0, errClosed()
-	}
-	if err := ix.inner.ApplyReserved(si, g, s); err != nil {
-		return 0, err
-	}
-	ix.coll.record(int(g), s)
-	if err := sh.log.Append(wal.Record{Op: wal.OpInsert, SID: g, Elements: elements}); err != nil {
-		return 0, fmt.Errorf("ssr: insert applied but not logged: %w", err)
-	}
-	return int(g), nil
+	return int(sid), nil
 }
 
-func (d *durable) remove(ix *Index, sid int) error {
-	if d.closed.Load() {
-		return errClosed()
-	}
-	si := 0
-	if sid >= 0 && len(d.shards) > 1 {
-		si = ix.inner.ShardOf(uint32(sid))
-	}
+// remove logs a delete under the lane that owns its sid.
+func (d *durable) remove(ix *Index, rec wal.Record) error {
+	si := ix.inner.ShardOf(rec.SID)
 	sh := d.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return d.commit(ix, sh, si, rec)
+}
+
+// commit applies rec and appends it to lane si's log; the caller holds the
+// lane, so per-lane log order equals apply order.
+func (d *durable) commit(ix *Index, sh *durableShard, si int, rec wal.Record) error {
 	if d.closed.Load() {
 		return errClosed()
 	}
-	if err := ix.remove(sid); err != nil {
+	if err := ix.apply(si, rec); err != nil {
 		return err
 	}
-	if err := sh.log.Append(wal.Record{Op: wal.OpDelete, SID: uint32(sid)}); err != nil {
-		return fmt.Errorf("ssr: delete applied but not logged: %w", err)
+	if err := sh.log.Append(rec); err != nil {
+		// The in-memory mutation stands (queries will see it), but it is
+		// not durable — the caller must treat it as failed.
+		return fmt.Errorf("ssr: %s applied but not logged: %w", rec.Op, err)
 	}
 	return nil
 }

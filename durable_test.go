@@ -278,3 +278,69 @@ func TestParseSyncMode(t *testing.T) {
 		t.Errorf("SyncInterval.String() = %q", SyncInterval.String())
 	}
 }
+
+// TestRecoveredRemovedSIDReadsEmpty pins what a removed sid looks like
+// through the collection view — Sets, Get and QuerySID — on every index
+// rebuilt from disk: a Save/Load copy, a durable reopen that replays the
+// delete from the log, and one that loads it from the final checkpoint.
+// All three read the sid as empty and answer QuerySID alike. (The index
+// that ran the Remove keeps the content; see Index.Sets.)
+func TestRecoveredRemovedSIDReadsEmpty(t *testing.T) {
+	const removed = 3
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := durableShardedBuildOpts(shards)
+			live, err := Build(bookstore(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			dur, err := CreateDurable(dir, bookstore(), opts, DurableOptions{Sync: SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ix := range []*Index{live, dur} {
+				if err := ix.Remove(removed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			loaded, err := Load(bytes.NewReader(saveBytes(t, live)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Reopened before Close, the delete replays from the log.
+			replayed, err := OpenDurable(dir, DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := replayed.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Reopened after Close, it comes from the final checkpoint.
+			checkpointed, err := OpenDurable(dir, DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer checkpointed.Close()
+
+			want, _, err := loaded.QuerySID(removed, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, ix := range map[string]*Index{"Save/Load": loaded, "log replay": replayed, "checkpoint": checkpointed} {
+				got, err := ix.coll.Get(removed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				matches, _, err := ix.QuerySID(removed, 0, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := ix.Sets()[removed].Len(); n != 0 || len(got) != 0 || !reflect.DeepEqual(matches, want) {
+					t.Errorf("%s view of removed sid %d: %d elements, Get = %v, %d matches; want empty and %d matches",
+						name, removed, n, got, len(matches), len(want))
+				}
+			}
+		})
+	}
+}

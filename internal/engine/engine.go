@@ -398,24 +398,22 @@ func (e *Engine) RouterSeed() int64 { return e.routerSeed }
 
 // Insert routes a new set to its shard and returns its global sid. Writes
 // to different shards proceed concurrently; writes to one shard
-// serialize on its mutex.
+// serialize on its mutex. It is Reserve and Apply in one step, safe
+// without any lock of the caller's: a one-shard engine reserves under its
+// shard mutex.
 func (e *Engine) Insert(s set.Set) (uint32, error) {
 	if e.single {
 		sh := e.shards[0]
 		sh.mu.Lock()
-		ix := e.loadView().cores[0]
-		sid, err := ix.Insert(s)
-		if err != nil {
-			sh.mu.Unlock()
+		defer sh.mu.Unlock()
+		g := uint32(e.loadView().cores[0].NumAllocated())
+		if err := e.applyLocked(0, g, s); err != nil {
 			return 0, err
 		}
-		sh.noteInsert(uint32(sid), s)
-		e.trackInsert(ix, uint32(sid), uint32(sid))
-		sh.mu.Unlock()
-		return uint32(sid), nil
+		return g, nil
 	}
 	g, si := e.reserve()
-	if err := e.applyReserved(si, g, s); err != nil {
+	if err := e.Apply(si, g, s); err != nil {
 		return 0, err
 	}
 	return g, nil
@@ -464,78 +462,83 @@ func (e *Engine) reserve() (uint32, int) {
 	return g, shardOf(e.routerSeed, len(e.shards), g)
 }
 
-// applyReserved inserts s as reserved global sid g into shard si. Local
+// Reserve returns the next global sid and the shard it routes to, without
+// applying anything; Apply completes it. The durability layer uses the
+// split to lock the owning shard's log lane before applying, so per-shard
+// apply order always equals per-shard log order. A sharded engine
+// allocates the sid as a hole (if Apply never follows, it stays one). A
+// one-shard engine allocates nothing — its global sids are its core sids,
+// so the next sid is simply the core's next — and the caller must
+// serialize Reserve through Apply itself, or Apply rejects the sid.
+func (e *Engine) Reserve() (g uint32, si int) {
+	if e.single {
+		return uint32(e.loadView().cores[0].NumAllocated()), 0
+	}
+	return e.reserve()
+}
+
+// Apply inserts s as global sid g into shard si: the second half of a
+// live Reserve, and the whole of a log replay, where g comes from a WAL
+// record. A sid must route to si and may be applied once. On a sharded
+// engine the global sid space grows as needed, so sids a crash skipped
+// stay holes. On a one-shard engine g must be the next core sid. Local
 // sids are assigned in per-shard arrival order (which may differ from
 // global order under concurrency — the toGlobal table is the record).
-func (e *Engine) applyReserved(si int, g uint32, s set.Set) error {
+func (e *Engine) Apply(si int, g uint32, s set.Set) error {
+	if si < 0 || si >= len(e.shards) {
+		return fmt.Errorf("engine: shard %d out of range [0, %d)", si, len(e.shards))
+	}
+	if want := e.ShardOf(g); want != si {
+		return fmt.Errorf("engine: sid %d routes to shard %d, not %d", g, want, si)
+	}
 	sh := e.shards[si]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return e.applyLocked(si, g, s)
+}
+
+// applyLocked is Apply under shard si's mutex.
+func (e *Engine) applyLocked(si int, g uint32, s set.Set) error {
+	sh := e.shards[si]
 	ix := e.loadView().cores[si]
-	local := uint32(len(sh.toGlobal))
-	// Publish the mapping before the core insert: any sid the core can
-	// return to a concurrent query already has its toGlobal entry.
-	sh.toGlobal = append(sh.toGlobal, g)
+	local := g
+	if e.single {
+		if next := uint32(ix.NumAllocated()); g != next {
+			return fmt.Errorf("engine: sid %d is not the next sid %d of a one-shard engine", g, next)
+		}
+	} else {
+		e.gmu.Lock()
+		for uint32(len(e.locals)) <= g {
+			e.locals = append(e.locals, localUnassigned)
+		}
+		applied := e.locals[g] != localUnassigned
+		e.gmu.Unlock()
+		if applied {
+			return fmt.Errorf("engine: sid %d is already applied", g)
+		}
+		local = uint32(len(sh.toGlobal))
+		// Publish the mapping before the core insert: any sid the core can
+		// return to a concurrent query already has its toGlobal entry.
+		sh.toGlobal = append(sh.toGlobal, g)
+	}
 	got, err := ix.Insert(s)
 	if err == nil && uint32(got) != local {
 		err = fmt.Errorf("engine: shard %d insert landed on local sid %d, expected %d", si, got, local)
 	}
 	if err != nil {
-		sh.toGlobal = sh.toGlobal[:local]
-		sh.mu.Unlock()
+		if !e.single {
+			sh.toGlobal = sh.toGlobal[:local]
+		}
 		return err
 	}
 	sh.noteInsert(local, s)
 	e.trackInsert(ix, g, local)
-	sh.mu.Unlock()
-	e.gmu.Lock()
-	e.locals[g] = local
-	e.gmu.Unlock()
-	return nil
-}
-
-// ReserveInsert allocates the next global sid and returns it with its
-// shard, without applying anything yet. The durability layer uses it to
-// take the target shard's log mutex before applying, so per-shard apply
-// order always equals per-shard log order. Sharded engines only — the
-// single-shard path must keep reservation and apply atomic to preserve
-// the legacy identity numbering.
-func (e *Engine) ReserveInsert() (g uint32, si int, err error) {
-	if e.single {
-		return 0, 0, fmt.Errorf("engine: ReserveInsert requires a sharded engine")
-	}
-	g, si = e.reserve()
-	return g, si, nil
-}
-
-// ApplyReserved completes a ReserveInsert.
-func (e *Engine) ApplyReserved(si int, g uint32, s set.Set) error {
-	if e.single {
-		return fmt.Errorf("engine: ApplyReserved requires a sharded engine")
-	}
-	return e.applyReserved(si, g, s)
-}
-
-// ApplyRecovered force-inserts s as global sid g into shard si — the log
-// replay path, where g comes from a WAL record rather than a fresh
-// reservation. The global sid space grows as needed; sids skipped by
-// crash loss stay holes. Replay is single-threaded per engine.
-func (e *Engine) ApplyRecovered(si int, g uint32, s set.Set) error {
-	if e.single {
-		return fmt.Errorf("engine: ApplyRecovered requires a sharded engine")
-	}
-	if want := shardOf(e.routerSeed, len(e.shards), g); want != si {
-		return fmt.Errorf("engine: replayed sid %d routes to shard %d, log claims %d", g, want, si)
-	}
-	e.gmu.Lock()
-	for uint32(len(e.locals)) <= g {
-		e.locals = append(e.locals, localUnassigned)
-	}
-	if e.locals[g] != localUnassigned {
+	if !e.single {
+		e.gmu.Lock()
+		e.locals[g] = local
 		e.gmu.Unlock()
-		return fmt.Errorf("engine: replayed sid %d is already applied", g)
 	}
-	e.gmu.Unlock()
-	return e.applyReserved(si, g, s)
+	return nil
 }
 
 // Delete tombstones global sid g in its shard. The sid is never reused.

@@ -431,11 +431,11 @@ func TestBuildDeterminism(t *testing.T) {
 	}
 }
 
-// TestApplyRecoveredHolesAndOrder replays WAL-shaped inserts out of
-// global order with gaps — exactly what per-shard crash truncation
-// produces — and checks holes stay holes, duplicates are rejected, and
-// misrouted records are refused.
-func TestApplyRecoveredHolesAndOrder(t *testing.T) {
+// TestApplyHolesAndOrder replays WAL-shaped inserts out of global order
+// with gaps — exactly what per-shard crash truncation produces — and
+// checks holes stay holes, duplicates are rejected, and misrouted records
+// are refused.
+func TestApplyHolesAndOrder(t *testing.T) {
 	sets, err := workload.Generate(workload.Set1Params(50))
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +450,7 @@ func TestApplyRecoveredHolesAndOrder(t *testing.T) {
 	}
 	// Apply sids 0, 2, 5, 1 (out of order, 3 and 4 lost in the "crash").
 	for _, g := range []uint32{0, 2, 5, 1} {
-		if err := e.ApplyRecovered(e.ShardOf(g), g, sets[g]); err != nil {
+		if err := e.Apply(e.ShardOf(g), g, sets[g]); err != nil {
 			t.Fatalf("replay sid %d: %v", g, err)
 		}
 	}
@@ -460,18 +460,29 @@ func TestApplyRecoveredHolesAndOrder(t *testing.T) {
 	if e.NumAllocated() != 6 {
 		t.Fatalf("NumAllocated=%d, want 6 (holes at 3, 4)", e.NumAllocated())
 	}
-	if err := e.ApplyRecovered(e.ShardOf(2), 2, sets[2]); err == nil {
+	if err := e.Apply(e.ShardOf(2), 2, sets[2]); err == nil {
 		t.Fatal("duplicate replay of sid 2 succeeded")
 	}
 	wrong := (e.ShardOf(7) + 1) % 3
-	if err := e.ApplyRecovered(wrong, 7, sets[7]); err == nil {
+	if err := e.Apply(wrong, 7, sets[7]); err == nil {
 		t.Fatal("misrouted replay succeeded")
 	}
 	if err := e.Delete(3); err == nil {
 		t.Fatal("delete of a hole succeeded")
 	}
+	// A live reservation lands past the replayed frontier and applies once.
+	g, si := e.Reserve()
+	if g != 6 {
+		t.Fatalf("Reserve after replay = sid %d, want 6", g)
+	}
+	if err := e.Apply(si, g, sets[6]); err != nil {
+		t.Fatalf("apply reserved sid %d: %v", g, err)
+	}
+	if err := e.Apply(si, g, sets[6]); err == nil {
+		t.Fatal("double apply of a reserved sid succeeded")
+	}
 	// Holes never surface in queries.
-	for _, g := range []uint32{0, 1, 2, 5} {
+	for _, g := range []uint32{0, 1, 2, 5, 6} {
 		matches, _, err := e.Query(sets[g], 0.99, 1.0)
 		if err != nil {
 			t.Fatal(err)
@@ -481,6 +492,47 @@ func TestApplyRecoveredHolesAndOrder(t *testing.T) {
 				t.Fatalf("hole sid %d resurfaced in query results", m.SID)
 			}
 		}
+	}
+}
+
+// TestApplyOneShard pins the one-shard contract: global sids are core
+// sids, so Apply accepts exactly the next sid — the check every replay
+// and follower path relies on to catch a log that skips or repeats one.
+func TestApplyOneShard(t *testing.T) {
+	sets, err := workload.Generate(workload.Set1Params(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Build(sets[:10], Options{Shards: 1, Core: coreOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, si := e.Reserve()
+	if g != 10 || si != 0 {
+		t.Fatalf("Reserve = (%d, %d), want (10, 0)", g, si)
+	}
+	if e.NumAllocated() != 10 {
+		t.Fatalf("one-shard Reserve allocated: NumAllocated=%d", e.NumAllocated())
+	}
+	for _, bad := range []uint32{9, 11, 100} {
+		if err := e.Apply(0, bad, sets[bad%50]); err == nil {
+			t.Fatalf("apply of sid %d with next sid 10 succeeded", bad)
+		}
+	}
+	if err := e.Apply(1, 10, sets[10]); err == nil {
+		t.Fatal("apply to shard 1 of a one-shard engine succeeded")
+	}
+	if err := e.Apply(0, 10, sets[10]); err != nil {
+		t.Fatalf("apply of the next sid: %v", err)
+	}
+	if err := e.Apply(0, 10, sets[10]); err == nil {
+		t.Fatal("double apply of sid 10 succeeded")
+	}
+	if e.Len() != 11 || e.NumAllocated() != 11 {
+		t.Fatalf("Len=%d NumAllocated=%d after one apply, want 11, 11", e.Len(), e.NumAllocated())
+	}
+	if sid, err := e.Insert(sets[11]); err != nil || sid != 11 {
+		t.Fatalf("Insert after Apply = %d, %v; want 11", sid, err)
 	}
 }
 

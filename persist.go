@@ -125,16 +125,26 @@ func (ix *Index) Save(w io.Writer) error {
 	if err := enc.Encode(&publicSnapshot{Names: names, Core: coreBuf.Bytes()}); err != nil {
 		return fmt.Errorf("ssr: encoding snapshot: %w", err)
 	}
-	if gen > 0 {
-		tt := tunerTrailer{Generation: gen}
-		if hist != nil {
-			tt.BaselineBins = hist.RawBins()
-		}
-		if err := enc.Encode(&tt); err != nil {
-			return fmt.Errorf("ssr: encoding tuner trailer: %w", err)
-		}
+	if err := encodeTrailer(enc, gen, hist); err != nil {
+		return err
 	}
 	return bw.Flush()
+}
+
+// encodeTrailer writes the tuner trailer after a snapshot value, only once
+// the index has retuned.
+func encodeTrailer(enc *gob.Encoder, gen uint64, hist *simdist.Histogram) error {
+	if gen == 0 {
+		return nil
+	}
+	tt := tunerTrailer{Generation: gen}
+	if hist != nil {
+		tt.BaselineBins = hist.RawBins()
+	}
+	if err := enc.Encode(&tt); err != nil {
+		return fmt.Errorf("ssr: encoding tuner trailer: %w", err)
+	}
+	return nil
 }
 
 // Load reconstructs an index saved with Save. Sids are preserved: deleted
@@ -144,43 +154,60 @@ func (ix *Index) Save(w io.Writer) error {
 // Snapshots from before the sid-preserving format load densely renumbered,
 // as they always did.
 func Load(r io.Reader) (*Index, error) {
+	names, inner, err := decodeSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	coll, err := collectionOf(set.DictionaryFromNames(names), inner)
+	if err != nil {
+		return nil, err
+	}
+	return &Index{coll: coll, inner: inner}, nil
+}
+
+// decodeSnapshot parses Save's format into the dictionary names and the
+// engine, with any retune state adopted.
+func decodeSnapshot(r io.Reader) ([]string, *engine.Engine, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(persistMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("ssr: reading snapshot header: %w", err)
+		return nil, nil, fmt.Errorf("ssr: reading snapshot header: %w", err)
 	}
 	if string(magic) != persistMagic {
-		return nil, fmt.Errorf("ssr: not an index snapshot (bad magic %q)", magic)
+		return nil, nil, fmt.Errorf("ssr: not an index snapshot (bad magic %q)", magic)
 	}
 	dec := gob.NewDecoder(br)
 	var snap publicSnapshot
 	if err := dec.Decode(&snap); err != nil {
-		return nil, fmt.Errorf("ssr: decoding snapshot: %w", err)
+		return nil, nil, fmt.Errorf("ssr: decoding snapshot: %w", err)
 	}
 	trailer, err := decodeTrailer(dec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	inner, err := engine.Load(bytes.NewReader(snap.Core))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if trailer != nil && trailer.Generation > 0 {
 		inner.AdoptTuneState(trailer.Generation, trailer.trailerHist())
 	}
-	coll := NewCollection()
-	coll.dict = set.DictionaryFromNames(snap.Names)
-	// Rehydrate the sid-indexed collection views from the inner store so
-	// QuerySID and Get keep working; tombstoned sids become empty views.
+	return snap.Names, inner, nil
+}
+
+// collectionOf builds the collection of a loaded or recovered engine over
+// dictionary dict: a sid-indexed view of every set, so QuerySID and Get
+// keep working. Tombstoned sids and holes read as empty.
+func collectionOf(dict *set.Dictionary, inner *engine.Engine) (*Collection, error) {
 	bySID, err := inner.SetsBySID()
 	if err != nil {
 		return nil, err
 	}
-	coll.sets = make([]set.Set, len(bySID))
+	coll := &Collection{dict: dict, sets: make([]set.Set, len(bySID))}
 	for sid, s := range bySID {
 		if s != nil {
 			coll.sets[sid] = *s
 		}
 	}
-	return &Index{coll: coll, inner: inner}, nil
+	return coll, nil
 }

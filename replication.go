@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/recovery"
@@ -76,47 +75,30 @@ type ReplicationWatermark struct {
 	PlanGeneration uint64        `json:"plan_generation"`
 }
 
-// replTracker tracks in-flight sid reservations on the primary so the
-// watermark never runs ahead of an insert that is reserved but not yet
-// logged. Entries are registered before the engine reservation happens
-// and removed once the record is durably appended (or the insert
-// abandoned), so the floor over live entries — each bounded below by the
-// allocation frontier read before its reservation — is a sound settled
-// frontier.
+// replTracker tracks in-flight inserts on the primary so the watermark
+// never runs ahead of an insert that is reserved but not yet logged. A
+// sid is reserved under the tracker's lock and stays registered until
+// the record is appended (or the insert abandoned), so any sid the
+// allocation frontier covers is either registered or settled. Its mutex
+// nests inside a lane mutex and outside every engine lock.
 type replTracker struct {
 	mu      sync.Mutex
 	nextTok uint64
-	pending map[uint64]*replPending
+	pending map[uint64]uint32
 }
 
-type replPending struct {
-	lb       uint32 // allocation frontier observed before the reservation
-	g        uint32 // the reserved sid, once known
-	assigned bool
-}
-
-// begin registers an in-flight insert. lb must be the engine's
-// allocation frontier read by the caller BEFORE it reserves a sid, so
-// the eventual sid is ≥ lb.
-func (t *replTracker) begin(lb uint32) uint64 {
+// reserve calls next under the tracker's lock and registers the sid it
+// returns until settle(tok).
+func (t *replTracker) reserve(next func() (uint32, int)) (tok uint64, g uint32, si int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	g, si = next()
 	t.nextTok++
-	tok := t.nextTok
 	if t.pending == nil {
-		t.pending = make(map[uint64]*replPending)
+		t.pending = make(map[uint64]uint32)
 	}
-	t.pending[tok] = &replPending{lb: lb}
-	return tok
-}
-
-// assign records the sid the reservation produced.
-func (t *replTracker) assign(tok uint64, g uint32) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if p := t.pending[tok]; p != nil {
-		p.g, p.assigned = g, true
-	}
+	t.pending[t.nextTok] = g
+	return t.nextTok, g, si
 }
 
 // settle retires the entry: the record is durably logged, or the insert
@@ -127,21 +109,17 @@ func (t *replTracker) settle(tok uint64) {
 	delete(t.pending, tok)
 }
 
-// floor returns the settled frontier: the minimum over in-flight
-// entries, capped by n — the allocation frontier the caller read BEFORE
-// calling (that read order is what makes an empty scan sound: any
-// reservation n covers was registered here first).
+// floor returns the settled frontier: the minimum over in-flight sids,
+// capped by n — the allocation frontier the caller read BEFORE calling
+// (that read order is what makes an empty scan sound: any sid n covers
+// was registered before n could cover it).
 func (t *replTracker) floor(n uint32) uint32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	w := n
-	for _, p := range t.pending {
-		b := p.lb
-		if p.assigned {
-			b = p.g
-		}
-		if b < w {
-			w = b
+	for _, g := range t.pending {
+		if g < w {
+			w = g
 		}
 	}
 	return w
@@ -191,20 +169,39 @@ func (s *ReplicationSource) PlanGeneration() uint64 { return s.ix.inner.PlanGene
 // the single-shard flat layout. Followers copy it verbatim so the mirror
 // commits with the identical topology file.
 func (s *ReplicationSource) RawManifest() ([]byte, error) {
-	raw, err := readRawManifest(s.ix.dur.dir)
-	if err != nil {
-		return nil, err
+	return readRawManifest(s.ix.dur.dir)
+}
+
+// lane returns shard si's logging lane.
+func (d *durable) lane(si int) (*durableShard, error) {
+	if si < 0 || si >= len(d.shards) {
+		return nil, fmt.Errorf("ssr: shard %d out of range [0, %d)", si, len(d.shards))
 	}
-	return raw, nil
+	return d.shards[si], nil
+}
+
+// position returns the lane's live segment generation and logical size.
+func (sh *durableShard) position() WALPosition {
+	gen, off := sh.log.Position()
+	return WALPosition{Generation: gen, Offset: off}
+}
+
+// positions returns every lane's position.
+func (d *durable) positions() []WALPosition {
+	out := make([]WALPosition, len(d.shards))
+	for si, sh := range d.shards {
+		out[si] = sh.position()
+	}
+	return out
 }
 
 // Position returns shard si's live segment generation and logical size.
 func (s *ReplicationSource) Position(si int) (WALPosition, error) {
-	if si < 0 || si >= len(s.ix.dur.shards) {
-		return WALPosition{}, fmt.Errorf("ssr: shard %d out of range [0, %d)", si, len(s.ix.dur.shards))
+	sh, err := s.ix.dur.lane(si)
+	if err != nil {
+		return WALPosition{}, err
 	}
-	gen, off := s.ix.dur.shards[si].log.Position()
-	return WALPosition{Generation: gen, Offset: off}, nil
+	return sh.position(), nil
 }
 
 // Watermark snapshots the settled frontier. The read order — frontier
@@ -213,14 +210,8 @@ func (s *ReplicationSource) Position(si int) (WALPosition, error) {
 // so everything below SettledSID lies within Ends.
 func (s *ReplicationSource) Watermark() ReplicationWatermark {
 	ix := s.ix
-	n := uint32(ix.inner.NumAllocated())
-	w := ix.dur.repl.floor(n)
-	ends := make([]WALPosition, len(ix.dur.shards))
-	for si, sh := range ix.dur.shards {
-		gen, off := sh.log.Position()
-		ends[si] = WALPosition{Generation: gen, Offset: off}
-	}
-	return ReplicationWatermark{SettledSID: w, Ends: ends, PlanGeneration: ix.inner.PlanGeneration()}
+	w := ix.dur.repl.floor(uint32(ix.inner.NumAllocated()))
+	return ReplicationWatermark{SettledSID: w, Ends: ix.dur.positions(), PlanGeneration: ix.inner.PlanGeneration()}
 }
 
 // ReadFrames reads whole verified frames of shard si's chain from pos:
@@ -233,10 +224,10 @@ func (s *ReplicationSource) Watermark() ReplicationWatermark {
 // retry. A position inside a compacted-away generation returns
 // ErrCompactedSegment.
 func (s *ReplicationSource) ReadFrames(si int, pos WALPosition, maxBytes int) (data []byte, next WALPosition, sealed bool, err error) {
-	if si < 0 || si >= len(s.ix.dur.shards) {
-		return nil, pos, false, fmt.Errorf("ssr: shard %d out of range [0, %d)", si, len(s.ix.dur.shards))
+	sh, err := s.ix.dur.lane(si)
+	if err != nil {
+		return nil, pos, false, err
 	}
-	sh := s.ix.dur.shards[si]
 	for {
 		liveGen, liveOff := sh.log.Position()
 		if pos.Generation > liveGen {
@@ -277,10 +268,11 @@ func (s *ReplicationSource) ReadFrames(si int, pos WALPosition, maxBytes int) (d
 // NewestCheckpoint returns the newest generation of shard si whose
 // checkpoint seal verifies — the bootstrap artifact a follower fetches.
 func (s *ReplicationSource) NewestCheckpoint(si int) (uint64, error) {
-	if si < 0 || si >= len(s.ix.dur.shards) {
-		return 0, fmt.Errorf("ssr: shard %d out of range [0, %d)", si, len(s.ix.dur.shards))
+	sh, err := s.ix.dur.lane(si)
+	if err != nil {
+		return 0, err
 	}
-	gen, found, err := recovery.NewestCheckpoint(s.ix.dur.shards[si].log.Dir())
+	gen, found, err := recovery.NewestCheckpoint(sh.log.Dir())
 	if err != nil {
 		return 0, err
 	}
@@ -293,10 +285,11 @@ func (s *ReplicationSource) NewestCheckpoint(si int) (uint64, error) {
 // OpenCheckpoint verifies and opens shard si's checkpoint of generation
 // gen for shipping, returning the reader and the exact byte size.
 func (s *ReplicationSource) OpenCheckpoint(si int, gen uint64) (io.ReadCloser, int64, error) {
-	if si < 0 || si >= len(s.ix.dur.shards) {
-		return nil, 0, fmt.Errorf("ssr: shard %d out of range [0, %d)", si, len(s.ix.dur.shards))
+	sh, err := s.ix.dur.lane(si)
+	if err != nil {
+		return nil, 0, err
 	}
-	path := s.ix.dur.shards[si].log.CheckpointFilePath(gen)
+	path := sh.log.CheckpointFilePath(gen)
 	if err := recovery.VerifyCheckpoint(path); err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, 0, fmt.Errorf("%w: shard %d checkpoint %d", ErrCompactedSegment, si, gen)
@@ -374,12 +367,7 @@ func (ix *Index) ReplicaPositions() ([]WALPosition, error) {
 	if ix.dur == nil {
 		return nil, fmt.Errorf("ssr: index is not durable")
 	}
-	out := make([]WALPosition, len(ix.dur.shards))
-	for si, sh := range ix.dur.shards {
-		gen, off := sh.log.Position()
-		out[si] = WALPosition{Generation: gen, Offset: off}
-	}
-	return out, nil
+	return ix.dur.positions(), nil
 }
 
 // ReplicaApply applies one streamed record to shard si and mirrors it
@@ -390,43 +378,13 @@ func (ix *Index) ReplicaPositions() ([]WALPosition, error) {
 // cross-shard sid ordering via the watermark; OpCheckpoint header frames
 // are handled by ReplicaRotate, not here.
 func (ix *Index) ReplicaApply(si int, rec wal.Record) error {
-	d, sh, err := ix.replicaLane(si)
+	sh, err := ix.replicaLane(si)
 	if err != nil {
 		return err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if d.closed.Load() {
-		return errClosed()
-	}
-	switch rec.Op {
-	case wal.OpInsert:
-		if len(d.shards) == 1 {
-			sid, err := ix.add(rec.Elements)
-			if err != nil {
-				return err
-			}
-			if uint32(sid) != rec.SID {
-				return fmt.Errorf("ssr: replicated insert landed on sid %d, stream carried %d", sid, rec.SID)
-			}
-		} else {
-			s := ix.coll.intern(rec.Elements)
-			if err := ix.inner.ApplyRecovered(si, rec.SID, s); err != nil {
-				return err
-			}
-			ix.coll.record(int(rec.SID), s)
-		}
-	case wal.OpDelete:
-		if err := ix.remove(int(rec.SID)); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("ssr: cannot replicate %s record", rec.Op)
-	}
-	if err := sh.log.Append(rec); err != nil {
-		return fmt.Errorf("ssr: replicated record applied but not logged: %w", err)
-	}
-	return nil
+	return ix.dur.commit(ix, sh, si, rec)
 }
 
 // ReplicaRotate rotates shard si's local chain to generation nextGen,
@@ -435,13 +393,13 @@ func (ix *Index) ReplicaApply(si int, rec wal.Record) error {
 // header record is written locally and is byte-identical to the one the
 // primary's stream carries, which the driver therefore skips.
 func (ix *Index) ReplicaRotate(si int, nextGen uint64) error {
-	d, sh, err := ix.replicaLane(si)
+	sh, err := ix.replicaLane(si)
 	if err != nil {
 		return err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if d.closed.Load() {
+	if ix.dur.closed.Load() {
 		return errClosed()
 	}
 	if got := sh.log.Seq(); got+1 != nextGen {
@@ -450,28 +408,17 @@ func (ix *Index) ReplicaRotate(si int, nextGen uint64) error {
 	return sh.log.Checkpoint()
 }
 
-func (ix *Index) replicaLane(si int) (*durable, *durableShard, error) {
+func (ix *Index) replicaLane(si int) (*durableShard, error) {
 	if ix.dur == nil {
-		return nil, nil, fmt.Errorf("ssr: index is not durable")
+		return nil, fmt.Errorf("ssr: index is not durable")
 	}
 	if !ix.replica {
-		return nil, nil, fmt.Errorf("ssr: index is not a follower (only OpenReplica indexes accept replicated records)")
+		return nil, fmt.Errorf("ssr: index is not a follower (only OpenReplica indexes accept replicated records)")
 	}
-	d := ix.dur
-	if d.closed.Load() {
-		return nil, nil, errClosed()
-	}
-	if si < 0 || si >= len(d.shards) {
-		return nil, nil, fmt.Errorf("ssr: shard %d out of range [0, %d)", si, len(d.shards))
-	}
-	return d, d.shards[si], nil
+	return ix.dur.lane(si)
 }
 
 // --- bootstrap plumbing (module-internal, like Index.Internal) ---
-
-// DurableShardDir names shard si's subdirectory of a sharded durability
-// directory. Exposed for internal/replica's bootstrap; not a stable API.
-func DurableShardDir(dir string, si int) string { return shardDirPath(dir, si) }
 
 // ImportShardCheckpoint writes a checkpoint fetched from a primary into
 // shard si's chain at generation gen, verifying the seal before
@@ -493,12 +440,5 @@ func CommitRawManifest(dir string, raw []byte) error {
 	if _, err := parseManifest(raw); err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return fmt.Errorf("ssr: writing fetched manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("ssr: committing fetched manifest: %w", err)
-	}
-	return nil
+	return commitManifest(dir, raw)
 }

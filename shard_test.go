@@ -275,14 +275,23 @@ func TestBuildShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedMixedStress is the public-API -race workhorse for the shard
-// layer: concurrent Adds, Removes, and range queries against a durable
-// multi-shard index. During the storm only absence of errors, deadlocks,
-// and races is asserted; afterwards the surviving state must round-trip
-// through close-and-recover bit-identically.
+// TestShardedMixedStress is the public-API -race workhorse for the write
+// lane: concurrent Adds, Removes, and range queries against a durable
+// index, at one shard (lane locked before the sid is reserved) and four
+// (sid reserved first, naming the lane). During the storm only absence of
+// errors, deadlocks, and races is asserted; afterwards the surviving state
+// must round-trip through close-and-recover bit-identically.
 func TestShardedMixedStress(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			shardedMixedStress(t, shards)
+		})
+	}
+}
+
+func shardedMixedStress(t *testing.T, shards int) {
 	dir := t.TempDir()
-	ix, err := CreateDurable(dir, bookstore(), durableShardedBuildOpts(4),
+	ix, err := CreateDurable(dir, bookstore(), durableShardedBuildOpts(shards),
 		DurableOptions{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)

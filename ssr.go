@@ -40,6 +40,7 @@ import (
 	"repro/internal/set"
 	"repro/internal/simdist"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // Options tunes index construction. The zero value of every field selects a
@@ -680,26 +681,22 @@ func (ix *Index) topK(q set.Set, k int) ([]Match, Stats, error) {
 	return convertMatches(matches), ix.convertStats(qs), nil
 }
 
-// Remove deletes set sid from the index and collection bookkeeping. The
-// sid is never reused; queries simply stop returning it. On a durable
-// index the delete is logged before it is acknowledged.
+// Remove deletes set sid from the index. The sid is never reused;
+// queries simply stop returning it. On a durable index the delete is
+// logged before it is acknowledged. Sids live in a uint32 space, so a
+// larger sid is rejected here rather than truncated onto a smaller one.
 func (ix *Index) Remove(sid int) error {
 	if ix.replica {
 		return ErrReplicaReadOnly
 	}
-	if ix.dur != nil {
-		return ix.dur.remove(ix, sid)
-	}
-	return ix.remove(sid)
-}
-
-// remove is the in-memory delete path. Sids live in a uint32 space, so a
-// larger sid is rejected here rather than truncated onto a smaller one.
-func (ix *Index) remove(sid int) error {
 	if sid < 0 || uint64(sid) > math.MaxUint32 {
 		return fmt.Errorf("ssr: sid %d out of range", sid)
 	}
-	return ix.inner.Delete(uint32(sid))
+	rec := wal.Record{Op: wal.OpDelete, SID: uint32(sid)}
+	if ix.dur != nil {
+		return ix.dur.remove(ix, rec)
+	}
+	return ix.apply(ix.inner.ShardOf(rec.SID), rec)
 }
 
 // FilterIndexSummary describes one built filter index.
@@ -779,7 +776,10 @@ func (ix *Index) Len() int { return ix.inner.Len() }
 func (ix *Index) Internal() *engine.Engine { return ix.inner }
 
 // Sets returns a copy of the collection's set views (internal use by the
-// benchmark harness).
+// benchmark harness). A removed sid keeps its content in the index that
+// removed it — the harness re-scores answers kept from before a removal
+// against it — while an index loaded or recovered from disk reads every
+// removed sid as empty.
 func (ix *Index) Sets() []set.Set {
 	ix.coll.mu.Lock()
 	defer ix.coll.mu.Unlock()
