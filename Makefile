@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ecc/ -run '^$$' -fuzz FuzzHadamardRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lsh/ -run '^$$' -fuzz FuzzGatherKey -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSortMatches -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzQueryRange -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/minhash/ -run '^$$' -fuzz FuzzPackedSignatureRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replica/ -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)

@@ -3,48 +3,201 @@ package ssr
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"sync"
 	"testing"
+
+	"repro/internal/set"
+	"repro/internal/workload"
 )
 
-// TestQueryBatchMatchesQuery checks the public batch API returns, per
-// entry, exactly what the single-query path returns — unsharded and with
-// more shards than the bookstore has similar sets.
-func TestQueryBatchMatchesQuery(t *testing.T) {
-	queries := []BatchQuery{
-		{Elements: []string{"dune", "foundation", "hyperion", "neuromancer"}, Lo: 0.9, Hi: 1.0},
-		{Elements: []string{"dune", "foundation", "hyperion", "snowcrash"}, Lo: 0.5, Hi: 1.0},
-		{Elements: []string{"cookbook", "gardening", "carpentry"}, Lo: 0.9, Hi: 1.0},
+// stringCollection loads sets into a public collection, one string
+// element per uint64, returning the element lists for building queries.
+func stringCollection(sets []set.Set) (*Collection, [][]string) {
+	c := NewCollection()
+	elems := make([][]string, len(sets))
+	for i, s := range sets {
+		for _, e := range s.Elems() {
+			elems[i] = append(elems[i], strconv.FormatUint(e, 10))
+		}
+		c.Add(elems[i]...)
 	}
-	for _, shards := range []int{1, 8} {
-		ix, err := Build(bookstore(), Options{Budget: 24, RecallTarget: 0.9, MinHashes: 48, Seed: 3, Shards: shards})
+	return c, elems
+}
+
+// TestQueryBatchMatchesQuery checks the public batch returns, per entry,
+// exactly what the single query returns — byte-identical matches, the
+// same I/O and the same chosen plan — at one and four shards, with the
+// planner off, cost-based (which picks direct-scan on a collection this
+// small) and forced to either exact plan, at several worker counts. Every exact plan must also answer like the planner-off
+// reference, and a repeated batch must be served from the result cache.
+func TestQueryBatchMatchesQuery(t *testing.T) {
+	sets, err := workload.Generate(workload.Set1Params(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each range sits in its own plan-cache bucket and no entry repeats,
+	// so neither cache makes an entry's plan depend on the order the
+	// batch happened to run it in.
+	ranges := [][2]float64{{0.9, 1.0}, {0.75, 0.85}, {0.5, 1.0}, {0.3, 0.6}, {0.1, 0.9}}
+	planners := []struct {
+		name   string
+		policy *PlannerPolicy
+	}{
+		{"off", nil},
+		{"cost", &PlannerPolicy{}},
+		{"direct-scan", &PlannerPolicy{ForcePlan: "direct-scan"}},
+		{"fi-probe", &PlannerPolicy{ForcePlan: "fi-probe"}},
+	}
+	for _, shards := range []int{1, 4} {
+		c, elems := stringCollection(sets)
+		var queries []BatchQuery
+		seen := map[string]bool{}
+		for _, sid := range []int{0, 75, 150, 225, 299} {
+			if key := fmt.Sprint(elems[sid]); !seen[key] {
+				seen[key] = true
+				for _, r := range ranges {
+					queries = append(queries, BatchQuery{Elements: elems[sid], Lo: r[0], Hi: r[1]})
+				}
+			}
+		}
+		ix, err := Build(c, Options{Budget: 60, RecallTarget: 0.9, MinHashes: 64, Seed: 3, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 3, 16} {
-			label := fmt.Sprintf("shards=%d workers=%d", shards, workers)
-			results := ix.QueryBatch(queries, QueryOptions{Workers: workers})
-			if len(results) != len(queries) {
-				t.Fatalf("%s: %d results", label, len(results))
+		ref := make([][]Match, len(queries))
+		for i, q := range queries {
+			if ref[i], _, err = ix.Query(q.Elements, q.Lo, q.Hi); err != nil {
+				t.Fatal(err)
 			}
-			for i, q := range queries {
-				want, wantSt, err := ix.Query(q.Elements, q.Lo, q.Hi)
-				if err != nil {
-					t.Fatal(err)
+		}
+		for _, p := range planners {
+			for _, workers := range []int{1, 3, 16} {
+				label := fmt.Sprintf("shards=%d planner=%s workers=%d", shards, p.name, workers)
+				opt := QueryOptions{Workers: workers}
+				// Fresh caches for the single queries and again for the
+				// batch, so both meet every entry cold.
+				resetPlanner := func() {
+					if p.policy != nil {
+						ix.EnablePlanner(*p.policy)
+					}
 				}
-				r := results[i]
-				if r.Err != nil {
-					t.Fatalf("%s entry %d: %v", label, i, r.Err)
+				resetPlanner()
+				want := make([]BatchResult, len(queries))
+				for i, q := range queries {
+					r := &want[i]
+					if r.Matches, r.Stats, r.Err = ix.QueryWithOptions(q.Elements, q.Lo, q.Hi, opt); r.Err != nil {
+						t.Fatal(r.Err)
+					}
 				}
-				if fmt.Sprint(r.Matches) != fmt.Sprint(want) {
-					t.Fatalf("%s entry %d: batch %v, standalone %v", label, i, r.Matches, want)
+				resetPlanner()
+				results := ix.QueryBatch(queries, opt)
+				if len(results) != len(queries) {
+					t.Fatalf("%s: %d results for %d queries", label, len(results), len(queries))
 				}
-				if r.Stats.RandomPageReads != wantSt.RandomPageReads ||
-					r.Stats.SequentialPageReads != wantSt.SequentialPageReads {
-					t.Fatalf("%s entry %d: I/O differs: %d/%d vs %d/%d", label, i,
-						r.Stats.RandomPageReads, r.Stats.SequentialPageReads,
-						wantSt.RandomPageReads, wantSt.SequentialPageReads)
+				for i, r := range results {
+					entry := fmt.Sprintf("%s entry %d", label, i)
+					if r.Err != nil {
+						t.Fatalf("%s: %v", entry, r.Err)
+					}
+					requireSamePublicMatches(t, entry, r.Matches, want[i].Matches)
+					requireSamePublicMatches(t, entry+" vs planner off", r.Matches, ref[i])
+					st, wst := r.Stats, want[i].Stats
+					if st.PlanChosen != wst.PlanChosen || st.Candidates != wst.Candidates ||
+						st.RandomPageReads != wst.RandomPageReads || st.SequentialPageReads != wst.SequentialPageReads {
+						t.Fatalf("%s: plan %q, %d candidates, %d/%d I/O; single query: %q, %d, %d/%d", entry,
+							st.PlanChosen, st.Candidates, st.RandomPageReads, st.SequentialPageReads,
+							wst.PlanChosen, wst.Candidates, wst.RandomPageReads, wst.SequentialPageReads)
+					}
+				}
+				if p.policy == nil {
+					continue
+				}
+				for i, r := range ix.QueryBatch(queries, opt) {
+					entry := fmt.Sprintf("%s warm entry %d", label, i)
+					if r.Err != nil || r.Stats.CacheHits != 1 || r.Stats.PlanChosen != "cached" {
+						t.Fatalf("%s: err %v, %d cache hits, plan %q; want one hit", entry, r.Err, r.Stats.CacheHits, r.Stats.PlanChosen)
+					}
+					requireSamePublicMatches(t, entry, r.Matches, want[i].Matches)
 				}
 			}
+		}
+		ix.DisablePlanner()
+	}
+}
+
+// TestQueryBatchUnderMutation races QueryBatch against concurrent Add and
+// Remove (run with -race) at one and four shards: entries see the index
+// before or after each write, and none errors.
+func TestQueryBatchUnderMutation(t *testing.T) {
+	sets, err := workload.Generate(workload.Set1Params(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := workload.Queries(len(sets), workload.QueryParams{Count: 16, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		c, elems := stringCollection(sets)
+		ix, err := Build(c, Options{Budget: 30, MinHashes: 48, Seed: 5, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]BatchQuery, len(qs))
+		for i, q := range qs {
+			batch[i] = BatchQuery{Elements: elems[q.SID], Lo: q.Lo, Hi: q.Hi}
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 16)
+		stop := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					opt := QueryOptions{Workers: 1 + g, Screen: i%2 == 0}
+					for _, r := range ix.QueryBatch(batch, opt) {
+						if r.Err != nil {
+							errs <- r.Err
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		var writers sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			writers.Add(1)
+			go func(w int) {
+				defer writers.Done()
+				for i := 0; i < 20; i++ {
+					base := 2_000_000 + w*10_000 + i*100
+					sid, err := ix.Add(strconv.Itoa(base), strconv.Itoa(base+1), strconv.Itoa(base+2))
+					if err != nil {
+						errs <- err
+						return
+					}
+					if i%2 == 0 {
+						if err := ix.Remove(sid); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		writers.Wait()
+		close(stop)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("shards=%d: batch under mutation: %v", shards, err)
 		}
 	}
 }
@@ -73,6 +226,9 @@ func TestQueryBatchRangeValidation(t *testing.T) {
 	}
 	if len(results[1].Matches) != 2 {
 		t.Errorf("valid entry matches = %+v", results[1].Matches)
+	}
+	if got := ix.QueryBatch(nil, QueryOptions{}); len(got) != 0 {
+		t.Errorf("empty batch returned %d results", len(got))
 	}
 }
 

@@ -90,7 +90,7 @@ func benchFig6(b *testing.B, budget int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := f.queries[i%len(f.queries)]
-		matches, stats, err := f.ix.Query(f.sets[q.SID], q.Lo, q.Hi)
+		matches, stats, err := f.ix.QueryWithOptions(f.sets[q.SID], q.Lo, q.Hi, core.QueryOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func benchFig7(b *testing.B, params workload.Params, name string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := f.queries[i%len(f.queries)]
-		_, stats, err := f.ix.Query(f.sets[q.SID], q.Lo, q.Hi)
+		_, stats, err := f.ix.QueryWithOptions(f.sets[q.SID], q.Lo, q.Hi, core.QueryOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -334,25 +334,37 @@ func BenchmarkBuild(b *testing.B) {
 	b.Run("parallel", bench(0))
 }
 
-// BenchmarkQueryBatch compares a serial query loop with one QueryBatch
-// call over the same 256-query workload.
+// BenchmarkQueryBatch compares a serial public query loop with one
+// QueryBatch call over the same 256-query workload.
 func BenchmarkQueryBatch(b *testing.B) {
-	f := benchFixture(b, "batch", workload.Set1Params(2000), 500)
-	batch := make([]core.BatchQuery, len(f.queries))
-	for i, q := range f.queries {
-		batch[i] = core.BatchQuery{Q: f.sets[q.SID], Lo: q.Lo, Hi: q.Hi}
+	sets, err := workload.Generate(workload.Set1Params(2000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs, err := workload.Queries(len(sets), workload.QueryParams{Count: 256, Seed: 31})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, elems := stringCollection(sets)
+	ix, err := Build(c, Options{Budget: 500, RecallTarget: 0.75, MinHashes: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]BatchQuery, len(qs))
+	for i, q := range qs {
+		batch[i] = BatchQuery{Elements: elems[q.SID], Lo: q.Lo, Hi: q.Hi}
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := batch[i%len(batch)]
-			if _, _, err := f.ix.QueryWithOptions(q.Q, q.Lo, q.Hi, core.QueryOptions{Workers: 1}); err != nil {
+			if _, _, err := ix.QueryWithOptions(q.Elements, q.Lo, q.Hi, QueryOptions{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, r := range f.ix.QueryBatch(batch, core.QueryOptions{}) {
+			for _, r := range ix.QueryBatch(batch, QueryOptions{}) {
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
@@ -371,7 +383,7 @@ func BenchmarkQuerySteadyState(b *testing.B) {
 	// Warm the scratch pool.
 	for i := 0; i < 4; i++ {
 		q := f.queries[i]
-		if _, _, err := f.ix.Query(f.sets[q.SID], q.Lo, q.Hi); err != nil {
+		if _, _, err := f.ix.QueryWithOptions(f.sets[q.SID], q.Lo, q.Hi, core.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -379,7 +391,7 @@ func BenchmarkQuerySteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := f.queries[i%len(f.queries)]
-		if _, _, err := f.ix.Query(f.sets[q.SID], q.Lo, q.Hi); err != nil {
+		if _, _, err := f.ix.QueryWithOptions(f.sets[q.SID], q.Lo, q.Hi, core.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -536,7 +548,7 @@ func BenchmarkTopK(b *testing.B) {
 	f := benchFixture(b, "topk", workload.Set1Params(1000), 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.ix.TopK(f.sets[i%len(f.sets)], 10); err != nil {
+		if _, _, err := f.ix.TopKPresigned(f.sets[i%len(f.sets)], nil, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

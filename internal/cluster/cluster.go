@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/set"
 	"repro/internal/storage"
@@ -74,7 +75,7 @@ func Leaders(ix *engine.Engine, sets []set.Set, opt Options) (Result, error) {
 		if opt.MaxClusters > 0 && len(res.Clusters) >= opt.MaxClusters {
 			break
 		}
-		matches, _, err := ix.Query(sets[sid], opt.Lo, opt.Hi)
+		matches, _, err := ix.QueryWithOptions(sets[sid], opt.Lo, opt.Hi, core.QueryOptions{})
 		if err != nil {
 			return res, fmt.Errorf("cluster: leader %d: %w", sid, err)
 		}

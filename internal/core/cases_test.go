@@ -95,7 +95,7 @@ func TestCaseCorrectness(t *testing.T) {
 	for _, r := range [][2]float64{
 		{0.05, 0.15}, {0.25, 0.35}, {0.45, 0.65}, {0.75, 0.95}, {0.25, 0.55}, {0, 1},
 	} {
-		matches, _, err := ix.Query(sets[3], r[0], r[1])
+		matches, _, err := ix.QueryWithOptions(sets[3], r[0], r[1], QueryOptions{})
 		if err != nil {
 			t.Fatalf("[%g,%g]: %v", r[0], r[1], err)
 		}
@@ -111,7 +111,7 @@ func TestCaseCorrectness(t *testing.T) {
 	}
 	// The full range must return every live set (identical vectors always
 	// collide, and [0,1] unions both δ structures).
-	all, _, err := ix.Query(sets[3], 0, 1)
+	all, _, err := ix.QueryWithOptions(sets[3], 0, 1, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestResultsSubsetOfExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range qs {
-		matches, _, err := ix.Query(sets[q.SID], q.Lo, q.Hi)
+		matches, _, err := ix.QueryWithOptions(sets[q.SID], q.Lo, q.Hi, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

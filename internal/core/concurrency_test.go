@@ -25,7 +25,7 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(q workload.Query) {
 			defer wg.Done()
-			if _, _, err := ix.Query(sets[q.SID], q.Lo, q.Hi); err != nil {
+			if _, _, err := ix.QueryWithOptions(sets[q.SID], q.Lo, q.Hi, QueryOptions{}); err != nil {
 				errs <- err
 			}
 		}(q)
@@ -41,7 +41,7 @@ func TestConcurrentQueries(t *testing.T) {
 // change results: the same query run concurrently and serially agrees.
 func TestConcurrentQueriesDeterministic(t *testing.T) {
 	ix, sets := buildSmall(t, 200, 30)
-	serial, _, err := ix.Query(sets[0], 0.5, 1.0)
+	serial, _, err := ix.QueryWithOptions(sets[0], 0.5, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestConcurrentQueriesDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			m, _, err := ix.Query(sets[0], 0.5, 1.0)
+			m, _, err := ix.QueryWithOptions(sets[0], 0.5, 1.0, QueryOptions{})
 			if err == nil {
 				results[g] = m
 			}
@@ -110,12 +110,12 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 				q := qs[(g*13+i)%len(qs)]
 				switch i % 4 {
 				case 0:
-					if _, _, err := ix.Query(sets[q.SID], q.Lo, q.Hi); err != nil {
+					if _, _, err := ix.QueryWithOptions(sets[q.SID], q.Lo, q.Hi, QueryOptions{}); err != nil {
 						errs <- err
 						return
 					}
 				case 1:
-					if _, _, err := ix.TopK(sets[q.SID], 3); err != nil {
+					if _, _, err := ix.TopKPresigned(sets[q.SID], nil, 3); err != nil {
 						errs <- err
 						return
 					}
@@ -182,7 +182,7 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 	}
 	// The surviving inserts must actually be queryable.
 	probe := set.New(1_000_100, 1_000_101, 1_000_102, 1_000_103, 1_000_104)
-	if _, _, err := ix.Query(probe, 0.0, 1.0); err != nil {
+	if _, _, err := ix.QueryWithOptions(probe, 0.0, 1.0, QueryOptions{}); err != nil {
 		t.Errorf("post-stress query: %v", err)
 	}
 }

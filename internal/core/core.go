@@ -129,9 +129,9 @@ func (st *QueryStats) SimIOTime(m storage.CostModel) time.Duration {
 // Index is a built similar-set retrieval index. It is safe for concurrent
 // use: queries, estimates, and snapshots take a shared (read) lock and run
 // in parallel; Insert and Delete take the exclusive lock and serialize
-// against everything. Public entry points acquire ix.mu exactly once and
-// delegate to unexported *Locked variants, so they must never call one
-// another — a reentrant RLock deadlocks once a writer is queued.
+// against everything. Public entry points acquire ix.mu at most once and
+// never call another entry while holding it — a reentrant RLock deadlocks
+// once a writer is queued.
 type Index struct {
 	// mu guards every field below that mutates after Build: sigs, n, the
 	// store heap and its sid directory, and filter-index pages. plan, hist,
@@ -255,7 +255,7 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 	resolved.Signing = scfg
 	resolved.Tombstones = nil       // transient load instruction, not a build parameter
 	resolved.PackedSignatures = nil // likewise
-	workers := resolveWorkers(opt.Workers)
+	workers := ResolveWorkers(opt.Workers)
 	ix := &Index{
 		buildOpts:   resolved,
 		emb:         emb,
@@ -445,7 +445,7 @@ func EstimateDistribution(sets []set.Set, sigs []minhash.Signature, opt Options)
 	if sample < 1 {
 		sample = 1
 	}
-	return simdist.SampleSignaturePairsN(sigs, sample, opt.DistBins, opt.DistSeed+7, resolveWorkers(opt.Workers))
+	return simdist.SampleSignaturePairsN(sigs, sample, opt.DistBins, opt.DistSeed+7, ResolveWorkers(opt.Workers))
 }
 
 // EstimateDistributionFamily is EstimateDistribution with pair
@@ -475,7 +475,7 @@ func EstimateDistributionFamily(sets []set.Set, sigs []minhash.Signature, fam mi
 		sample = 1
 	}
 	est := func(a, b minhash.Signature) (float64, error) { return fam.Estimate(a, b) }
-	return simdist.SampleSignaturePairsEst(sigs, sample, opt.DistBins, opt.DistSeed+7, resolveWorkers(opt.Workers), est)
+	return simdist.SampleSignaturePairsEst(sigs, sample, opt.DistBins, opt.DistSeed+7, ResolveWorkers(opt.Workers), est)
 }
 
 // SignCollection computes every set's min-hash signature exactly as Build
@@ -484,7 +484,7 @@ func EstimateDistributionFamily(sets []set.Set, sigs []minhash.Signature, fam mi
 // be used with. The sharded engine signs the whole collection once and
 // hands each shard its slice as PrecomputedSignatures.
 func SignCollection(emb *embed.Embedder, sets []set.Set, workers int) []minhash.Signature {
-	return signCollection(emb, sets, resolveWorkers(workers))
+	return signCollection(emb, sets, ResolveWorkers(workers))
 }
 
 // SortMatches orders results by descending similarity, ties by ascending
@@ -627,11 +627,11 @@ func (ix *Index) IndexPages() int {
 // the deduplicated candidate sids (the paper's answer set A before
 // verification). Index I/O is charged to stats.
 func (ix *Index) Candidates(q set.Set, s1, s2 float64, stats *QueryStats) ([]storage.SID, error) {
+	if err := checkRange(s1, s2); err != nil {
+		return nil, err
+	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if s1 > s2 {
-		return nil, fmt.Errorf("core: invalid range [%g, %g]", s1, s2)
-	}
 	sc := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(sc)
 	ix.emb.SignInto(q, sc.sig)
@@ -685,70 +685,96 @@ func (ix *Index) clearedMarks(marks []uint64) []uint64 {
 	return marks
 }
 
-// Query answers the set similarity range query (q, [s1, s2]) of
-// Definition 2: filter, fetch, verify. Results are sorted by descending
-// similarity, ties by ascending sid.
-func (ix *Index) Query(q set.Set, s1, s2 float64) ([]Match, QueryStats, error) {
-	return ix.QueryWithOptions(q, s1, s2, QueryOptions{})
+// QueryWithOptions answers the set similarity range query (q, [s1, s2])
+// of Definition 2 — filter, fetch, verify — with the processor tunables
+// of QueryOptions. Results are sorted by descending similarity, ties by
+// ascending sid.
+func (ix *Index) QueryWithOptions(q set.Set, s1, s2 float64, opt QueryOptions) ([]Match, QueryStats, error) {
+	return ix.QueryPresigned(q, nil, s1, s2, opt)
 }
 
-// QueryWithOptions is Query with the processor tunables of QueryOptions:
-// signature screening and bounded verification parallelism. The zero value
-// reproduces Query exactly.
-func (ix *Index) QueryWithOptions(q set.Set, s1, s2 float64, opt QueryOptions) ([]Match, QueryStats, error) {
+// QueryPresigned is the range-query processor: every range read, on every
+// arm, runs here. sig is the query's min-hash signature if the caller has
+// it (the sharded engine signs once per query and fans it to every shard
+// — embedders are built from identical options, so the local signature
+// would be bit-identical, and skipping the per-shard SignInto removes the
+// dominant redundant CPU cost of a scatter); nil signs q locally. sig
+// must have the embedding's k coordinates and is not retained.
+//
+// opt.Arm picks the access path. The probe and scan arms produce the same
+// candidates and verify them alike, so their matches are byte-identical;
+// the scan charges one sequential heap read instead of per-fetch I/O. The
+// screen arm answers from the candidates' signature estimates.
+func (ix *Index) QueryPresigned(q set.Set, sig minhash.Signature, s1, s2 float64, opt QueryOptions) ([]Match, QueryStats, error) {
+	if err := checkRange(s1, s2); err != nil {
+		return nil, QueryStats{}, err
+	}
+	return ix.query(q, sig, func(sig minhash.Signature, sc *queryScratch, stats *QueryStats) ([]Match, error) {
+		var cands []storage.SID
+		var err error
+		if opt.Arm == ArmScan {
+			cands, err = ix.scanCandidates(sig, s1, s2, stats, sc)
+		} else {
+			cands, err = ix.candidatesFromSignature(sig, s1, s2, stats, sc)
+		}
+		if err != nil {
+			return nil, err
+		}
+		var matches []Match
+		if opt.Arm == ArmScreen {
+			matches, err = ix.screenCandidates(q, sig, cands, s1, s2, stats, sc)
+		} else {
+			var qp []uint64
+			if opt.Screen {
+				qp = ix.packQuery(q, sig, sc.packed)
+			}
+			matches, err = ix.verifyCandidates(q, qp, cands, s1, s2, opt, stats)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if opt.Arm == ArmScan {
+			// The scan verifies in place: its I/O is the one sequential
+			// heap read, not the fetches verification charged.
+			stats.FetchIO = storage.Counter{}
+			stats.FetchIO.RecordSeq(ix.store.NumPages())
+		}
+		sortMatches(matches)
+		return matches, nil
+	})
+}
+
+// query is the preamble every query entry shares: it holds the read lock
+// and pooled scratch while body runs, signs q into the scratch unless the
+// caller passed sig, and stamps the result count and processor time.
+func (ix *Index) query(q set.Set, sig minhash.Signature, body func(sig minhash.Signature, sc *queryScratch, stats *QueryStats) ([]Match, error)) ([]Match, QueryStats, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.queryLocked(q, s1, s2, opt)
-}
-
-func (ix *Index) queryLocked(q set.Set, s1, s2 float64, opt QueryOptions) ([]Match, QueryStats, error) {
-	return ix.presignedLocked(q, nil, s1, s2, opt)
-}
-
-// presignedLocked is the range-query processor with an optional caller-
-// supplied signature. A nil sig signs q locally (the single-index path);
-// the sharded engine signs once per query and fans the same signature to
-// every shard — embedders are built from identical options, so the local
-// signature would be bit-identical anyway, and skipping the per-shard
-// SignInto removes the dominant redundant CPU cost of a scatter.
-func (ix *Index) presignedLocked(q set.Set, sig minhash.Signature, s1, s2 float64, opt QueryOptions) ([]Match, QueryStats, error) {
 	var stats QueryStats
 	start := time.Now()
-	if s1 > s2 {
-		return nil, stats, fmt.Errorf("core: invalid range [%g, %g]", s1, s2)
-	}
 	sc := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(sc)
 	if sig == nil {
 		ix.emb.SignInto(q, sc.sig)
 		sig = sc.sig
 	}
-	cands, err := ix.candidatesFromSignature(sig, s1, s2, &stats, sc)
+	matches, err := body(sig, sc, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
-	var qp []uint64
-	if opt.Screen {
-		qp = ix.packQuery(q, sig, sc.packed)
-	}
-	matches, err := ix.verifyCandidates(q, qp, cands, s1, s2, opt, &stats)
-	if err != nil {
-		return nil, stats, err
-	}
-	sortMatches(matches)
 	stats.Results = len(matches)
 	stats.CPU = time.Since(start)
 	return matches, stats, nil
 }
 
-// QueryPresigned is QueryWithOptions with the query's min-hash signature
-// already computed (by an embedder built from the same options — the
-// engine's sign-once scatter path). sig must have the embedding's k
-// coordinates and is not retained.
-func (ix *Index) QueryPresigned(q set.Set, sig minhash.Signature, s1, s2 float64, opt QueryOptions) ([]Match, QueryStats, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.presignedLocked(q, sig, s1, s2, opt)
+// checkRange rejects a similarity range outside 0 <= s1 <= s2 <= 1. The
+// test is written in the accepting form so that a NaN bound, for which
+// every comparison is false, is rejected too.
+func checkRange(s1, s2 float64) error {
+	if s1 >= 0 && s2 <= 1 && s1 <= s2 {
+		return nil
+	}
+	return fmt.Errorf("core: invalid range [%g, %g]", s1, s2)
 }
 
 // sortMatches orders results by descending similarity, ties by ascending

@@ -45,7 +45,7 @@ func TestQueryNoFalsePositives(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range qs {
-		matches, _, err := ix.Query(sets[q.SID], q.Lo, q.Hi)
+		matches, _, err := ix.QueryWithOptions(sets[q.SID], q.Lo, q.Hi, QueryOptions{})
 		if err != nil {
 			t.Fatalf("query: %v", err)
 		}
@@ -66,7 +66,7 @@ func TestQueryRecallHighSimilarity(t *testing.T) {
 	// High-similarity queries: the regime the index is strongest in.
 	totTruth, totHit := 0, 0
 	for sid := 0; sid < 100; sid++ {
-		matches, _, err := ix.Query(sets[sid], 0.8, 1.0)
+		matches, _, err := ix.QueryWithOptions(sets[sid], 0.8, 1.0, QueryOptions{})
 		if err != nil {
 			t.Fatalf("query: %v", err)
 		}
@@ -87,7 +87,7 @@ func TestQuerySelfRetrieval(t *testing.T) {
 	ix, sets := buildSmall(t, 300, 40)
 	missed := 0
 	for sid := 0; sid < 50; sid++ {
-		matches, _, err := ix.Query(sets[sid], 0.95, 1.0)
+		matches, _, err := ix.QueryWithOptions(sets[sid], 0.95, 1.0, QueryOptions{})
 		if err != nil {
 			t.Fatalf("query: %v", err)
 		}
@@ -113,7 +113,7 @@ func TestQuerySelfRetrieval(t *testing.T) {
 
 func TestQueryStatsAccounting(t *testing.T) {
 	ix, sets := buildSmall(t, 300, 40)
-	_, stats, err := ix.Query(sets[0], 0.7, 1.0)
+	_, stats, err := ix.QueryWithOptions(sets[0], 0.7, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestInsertThenQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	matches, _, err := ix.Query(sets[0], 0.99, 1.0)
+	matches, _, err := ix.QueryWithOptions(sets[0], 0.99, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestBuildValidation(t *testing.T) {
 
 func TestQueryInvalidRange(t *testing.T) {
 	ix, sets := buildSmall(t, 100, 30)
-	if _, _, err := ix.Query(sets[0], 0.9, 0.1); err == nil {
+	if _, _, err := ix.QueryWithOptions(sets[0], 0.9, 0.1, QueryOptions{}); err == nil {
 		t.Error("inverted range accepted")
 	}
 }

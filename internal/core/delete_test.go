@@ -10,7 +10,7 @@ func TestDeleteRemovesFromResults(t *testing.T) {
 	ix, sets := buildSmall(t, 300, 40)
 	// Find a set with at least one high-similarity neighbour: its twin
 	// must disappear after deletion.
-	matches, _, err := ix.Query(sets[0], 0.95, 1.0)
+	matches, _, err := ix.QueryWithOptions(sets[0], 0.95, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestDeleteRemovesFromResults(t *testing.T) {
 	if err := ix.Delete(victim); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	after, _, err := ix.Query(sets[0], 0.0, 1.0)
+	after, _, err := ix.QueryWithOptions(sets[0], 0.0, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDeleteThenInsert(t *testing.T) {
 	if int(sid) != 200 {
 		t.Errorf("new sid = %d, want 200 (no reuse)", sid)
 	}
-	matches, _, err := ix.Query(sets[7], 0.99, 1.0)
+	matches, _, err := ix.QueryWithOptions(sets[7], 0.99, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDeleteAllNeighbours(t *testing.T) {
 	// Delete everything a query would return; the query must then come
 	// back empty rather than erroring on tombstoned fetches.
 	ix, sets := buildSmall(t, 150, 30)
-	matches, _, err := ix.Query(sets[0], 0.5, 1.0)
+	matches, _, err := ix.QueryWithOptions(sets[0], 0.5, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestDeleteAllNeighbours(t *testing.T) {
 			t.Fatalf("delete %d: %v", m.SID, err)
 		}
 	}
-	after, _, err := ix.Query(sets[0], 0.5, 1.0)
+	after, _, err := ix.QueryWithOptions(sets[0], 0.5, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatalf("query after deletes: %v", err)
 	}

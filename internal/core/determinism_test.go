@@ -54,11 +54,11 @@ func TestBuildDeterminism(t *testing.T) {
 
 	// And the observable behaviour agrees: identical query answers.
 	for _, r := range [][2]float64{{0.8, 1.0}, {0.3, 0.6}, {0.0, 0.2}} {
-		m1, _, err := ix1.Query(sets[0], r[0], r[1])
+		m1, _, err := ix1.QueryWithOptions(sets[0], r[0], r[1], QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, _, err := ix2.Query(sets[0], r[0], r[1])
+		m2, _, err := ix2.QueryWithOptions(sets[0], r[0], r[1], QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

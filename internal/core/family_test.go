@@ -105,11 +105,11 @@ func TestPrecomputedSignatureValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("well-formed precomputed signatures rejected: %v", err)
 	}
-	m1, _, err := base.Query(sets[0], 0.3, 1.0)
+	m1, _, err := base.QueryWithOptions(sets[0], 0.3, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := ix.Query(sets[0], 0.3, 1.0)
+	m2, _, err := ix.QueryWithOptions(sets[0], 0.3, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

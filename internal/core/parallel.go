@@ -38,10 +38,33 @@ import (
 // hand-off costs more than it saves.
 const defaultMinParallelVerify = 48
 
+// Arm is the access path of the range processor. Every arm computes the
+// same Section 4.3 candidate set; they differ in how they find it and in
+// what they answer from it.
+type Arm uint8
+
+const (
+	// ArmProbe is the paper's pipeline: probe the filter indices' bucket
+	// pages, then fetch and verify each candidate with a random read.
+	ArmProbe Arm = iota
+	// ArmScan finds the candidates by one sequential pass over the heap,
+	// recomputing each live entry's candidacy from its stored signature,
+	// and verifies them in place. Its answer is byte-identical to
+	// ArmProbe's; its I/O is seq(heap pages) and nothing else.
+	ArmScan
+	// ArmScreen probes like ArmProbe but answers from the candidates'
+	// signature estimates alone, fetching no data page. Approximate: the
+	// engine dispatches it only under AllowApproximate; core does not gate.
+	ArmScreen
+)
+
 // QueryOptions tunes the query processor beyond the basic range. The zero
-// value reproduces Query's default behaviour (no screening, GOMAXPROCS
-// verification workers above the default candidate threshold).
+// value is the paper's processor: the probe arm, no screening, GOMAXPROCS
+// verification workers above the default candidate threshold.
 type QueryOptions struct {
+	// Arm selects the access path (zero value: ArmProbe). The engine sets
+	// it per shard from the planner's decision.
+	Arm Arm
 	// Screen enables signature screening: before paying a random-access
 	// fetch, a candidate's similarity is estimated through the index's
 	// signing family from the stored packed signatures (a word-parallel
@@ -57,9 +80,9 @@ type QueryOptions struct {
 	// default family), which keeps the extra false-negative rate under 5%
 	// per candidate.
 	ScreenMargin float64
-	// Workers bounds query parallelism: the batch fan-out pool of
-	// QueryBatch and per-query candidate verification. 0 selects
-	// runtime.GOMAXPROCS(0); 1 forces serial processing.
+	// Workers bounds per-query candidate verification. 0 selects
+	// runtime.GOMAXPROCS(0); 1 forces serial processing. The fan-out never
+	// exceeds the candidate count.
 	Workers int
 	// MinParallelVerify is the candidate count at or above which
 	// verification fans across workers (0 selects a built-in default).
@@ -67,14 +90,14 @@ type QueryOptions struct {
 	// AllowApproximate permits the engine's planner to answer from
 	// signature estimates alone (the screen-only plan) when the query
 	// range is wide relative to the estimator's confidence width. Core
-	// itself ignores the flag: it gates which executor the engine
-	// dispatches, not how any executor behaves.
+	// itself ignores the flag: it gates which arm the engine dispatches,
+	// not how any arm behaves.
 	AllowApproximate bool
 }
 
-// resolveWorkers maps an Options/QueryOptions worker count to a concrete
-// pool size.
-func resolveWorkers(n int) int {
+// ResolveWorkers maps an Options/QueryOptions worker count to a concrete
+// pool size: n if positive, else runtime.GOMAXPROCS(0).
+func ResolveWorkers(n int) int {
 	if n > 0 {
 		return n
 	}
@@ -86,7 +109,7 @@ func resolveWorkers(n int) int {
 // pool%n is spread over the first consumers, and the shares sum to
 // max(pool, n) — so nesting a per-consumer pool inside the split never
 // oversubscribes the machine by more than the unavoidable one-per-consumer
-// floor. QueryBatch uses it to hand each batch worker its verification
+// floor. The public batch uses it to hand each batch worker its query
 // budget; the engine uses it to hand each shard its scatter budget.
 func SplitPool(pool, n int) []int {
 	if n <= 0 {
@@ -309,7 +332,7 @@ func (ix *Index) verifyCandidates(q set.Set, qp []uint64, cands []storage.SID, s
 	if minPar <= 0 {
 		minPar = defaultMinParallelVerify
 	}
-	workers := resolveWorkers(opt.Workers)
+	workers := min(ResolveWorkers(opt.Workers), len(cands))
 	if workers <= 1 || len(cands) < minPar {
 		matches := make([]Match, 0, len(cands)/4+1)
 		var screened int
@@ -359,87 +382,4 @@ func (ix *Index) verifyCandidates(q set.Set, qp []uint64, cands []storage.SID, s
 		matches = append(matches, chunkMatches[w]...)
 	}
 	return matches, nil
-}
-
-// BatchQuery is one entry of a QueryBatch call.
-type BatchQuery struct {
-	// Q is the query set.
-	Q set.Set
-	// Lo, Hi is the Jaccard similarity range [s1, s2].
-	Lo, Hi float64
-	// Sig, if non-nil, is Q's min-hash signature computed by an embedder
-	// built from the same options (the engine signs each query once and
-	// fans the signature to every shard's sub-batch). Nil signs locally.
-	Sig minhash.Signature
-}
-
-// BatchResult is the outcome of one batch entry: exactly what Query would
-// have returned for it.
-type BatchResult struct {
-	Matches []Match
-	Stats   QueryStats
-	Err     error
-}
-
-// QueryBatch answers a slice of range queries concurrently under a single
-// shared (read) lock, fanning them across a bounded worker pool. Each entry
-// produces exactly the matches and I/O accounting a serial Query call would
-// have (results are a consistent point-in-time view: concurrent Insert and
-// Delete calls serialize before or after the whole batch). Options apply to
-// every entry; the worker pool is split proportionally between batch
-// fan-out and per-query verification, so batch workers × verification
-// workers never exceeds the pool (beyond the one-worker-per-query floor).
-func (ix *Index) QueryBatch(queries []BatchQuery, opt QueryOptions) []BatchResult {
-	results := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return results
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	pool := resolveWorkers(opt.Workers)
-	workers := pool
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		inner := opt
-		inner.Workers = pool
-		if inner.Workers < 1 {
-			inner.Workers = 1
-		}
-		for i := range queries {
-			r := &results[i]
-			r.Matches, r.Stats, r.Err = ix.presignedLocked(queries[i].Q, queries[i].Sig, queries[i].Lo, queries[i].Hi, inner)
-		}
-		return results
-	}
-	// Split the verification pool proportionally: batch worker w owns
-	// shares[w] verification workers, and the shares sum to the pool — a
-	// saturated batch leaves one verification worker per query, a small
-	// batch on a wide machine fans each query's verification across the
-	// idle remainder, and intermediate shapes (e.g. pool=6, 4 queries) no
-	// longer collapse every query's verification to a single worker while
-	// a third of the machine idles. Verification width never changes
-	// results (pinned by the batch determinism tests), only scheduling.
-	shares := SplitPool(pool, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			inner := opt
-			inner.Workers = shares[w]
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				r := &results[i]
-				r.Matches, r.Stats, r.Err = ix.presignedLocked(queries[i].Q, queries[i].Sig, queries[i].Lo, queries[i].Hi, inner)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return results
 }

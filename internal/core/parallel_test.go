@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/embed"
@@ -86,11 +88,11 @@ func requireSameIndex(t *testing.T, label string, a, b *Index, sets []set.Set) {
 	}
 	for _, r := range [][2]float64{{0.8, 1.0}, {0.3, 0.6}, {0.0, 0.2}} {
 		for _, qi := range []int{0, len(sets) / 2, len(sets) - 1} {
-			m1, st1, err := a.Query(sets[qi], r[0], r[1])
+			m1, st1, err := a.QueryWithOptions(sets[qi], r[0], r[1], QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			m2, st2, err := b.Query(sets[qi], r[0], r[1])
+			m2, st2, err := b.QueryWithOptions(sets[qi], r[0], r[1], QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,75 +198,146 @@ func TestParallelVerificationMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestQueryBatchMatchesSerial requires QueryBatch to return, per entry,
-// exactly what a serial Query call returns — matches and exact per-query
-// I/O counters — at several pool widths.
+// TestQueryWorkersBounded pins the verification fan-out to the candidate
+// count: an absurd Workers answers exactly like a serial query and
+// allocates per candidate, not per requested worker.
+func TestQueryWorkersBounded(t *testing.T) {
+	ix, sets := buildSmall(t, 300, 40)
+	want, wantSt, err := ix.QueryWithOptions(sets[0], 0.3, 1.0, QueryOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got, gotSt, err := ix.QueryWithOptions(sets[0], 0.3, 1.0, QueryOptions{Workers: 1 << 24, MinParallelVerify: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Fatalf("Workers=1<<24 allocated %d bytes; want < 4 MiB", alloc)
+	}
+	if !slices.Equal(got, want) || gotSt.FetchIO != wantSt.FetchIO || gotSt.Candidates != wantSt.Candidates {
+		t.Fatalf("Workers=1<<24 answer differs from Workers=1: %d vs %d matches", len(got), len(want))
+	}
+}
+
+// runBatch answers n entries the way the public batch does: the worker
+// pool is split across at most n batch workers with SplitPool, and each
+// batch worker pulls entries and runs them as single queries with its
+// share as the query's own Workers.
+func runBatch(n, workers int, query func(i, share int)) {
+	pool := ResolveWorkers(workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, share := range SplitPool(pool, min(pool, n)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				query(i, share)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestQueryBatchMatchesSerial requires a batch of concurrent single
+// queries to return, per entry, exactly what a serial query returns —
+// matches and exact per-query I/O counters — on the probe and scan arms
+// at several pool widths, so pooled scratch shared by concurrent
+// queries never leaks between them.
 func TestQueryBatchMatchesSerial(t *testing.T) {
 	ix, sets := buildSmall(t, 300, 40)
 	qs, err := workload.Queries(len(sets), workload.QueryParams{Count: 40, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]BatchQuery, len(qs))
-	type serialAnswer struct {
+	type answer struct {
 		matches []Match
 		stats   QueryStats
+		err     error
 	}
-	want := make([]serialAnswer, len(qs))
-	for i, q := range qs {
-		batch[i] = BatchQuery{Q: sets[q.SID], Lo: q.Lo, Hi: q.Hi}
-		m, st, err := ix.Query(sets[q.SID], q.Lo, q.Hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = serialAnswer{m, st}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		results := ix.QueryBatch(batch, QueryOptions{Workers: workers})
-		if len(results) != len(batch) {
-			t.Fatalf("workers=%d: %d results for %d queries", workers, len(results), len(batch))
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("workers=%d entry %d: %v", workers, i, r.Err)
+	for _, arm := range []Arm{ArmProbe, ArmScan} {
+		want := make([]answer, len(qs))
+		for i, q := range qs {
+			m, st, err := ix.QueryWithOptions(sets[q.SID], q.Lo, q.Hi, QueryOptions{Arm: arm})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(r.Matches) != len(want[i].matches) {
-				t.Fatalf("workers=%d entry %d: %d vs %d matches", workers, i, len(r.Matches), len(want[i].matches))
-			}
-			for j := range r.Matches {
-				if r.Matches[j] != want[i].matches[j] {
-					t.Fatalf("workers=%d entry %d match %d differs", workers, i, j)
+			want[i] = answer{m, st, nil}
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			got := make([]answer, len(qs))
+			runBatch(len(qs), workers, func(i, share int) {
+				q, r := qs[i], &got[i]
+				r.matches, r.stats, r.err = ix.QueryWithOptions(sets[q.SID], q.Lo, q.Hi, QueryOptions{Workers: share, Arm: arm})
+			})
+			for i, r := range got {
+				label := fmt.Sprintf("arm=%d workers=%d entry %d", arm, workers, i)
+				if r.err != nil {
+					t.Fatalf("%s: %v", label, r.err)
 				}
-			}
-			if r.Stats.IndexIO != want[i].stats.IndexIO || r.Stats.FetchIO != want[i].stats.FetchIO {
-				t.Fatalf("workers=%d entry %d: I/O differs: %v/%v vs %v/%v", workers, i,
-					&r.Stats.IndexIO, &r.Stats.FetchIO, &want[i].stats.IndexIO, &want[i].stats.FetchIO)
-			}
-			if r.Stats.Candidates != want[i].stats.Candidates || r.Stats.Results != want[i].stats.Results {
-				t.Fatalf("workers=%d entry %d: counts differ", workers, i)
+				if !slices.Equal(r.matches, want[i].matches) {
+					t.Fatalf("%s: %d matches differ from the serial %d", label, len(r.matches), len(want[i].matches))
+				}
+				if r.stats.IndexIO != want[i].stats.IndexIO || r.stats.FetchIO != want[i].stats.FetchIO {
+					t.Fatalf("%s: I/O differs: %v/%v vs %v/%v", label,
+						&r.stats.IndexIO, &r.stats.FetchIO, &want[i].stats.IndexIO, &want[i].stats.FetchIO)
+				}
+				if r.stats.Candidates != want[i].stats.Candidates || r.stats.Results != want[i].stats.Results {
+					t.Fatalf("%s: counts differ", label)
+				}
 			}
 		}
 	}
 }
 
-// TestQueryBatchPropagatesErrors checks per-entry error isolation: an
-// invalid range fails its own entry without poisoning the rest.
+// TestQueryBatchPropagatesErrors checks per-entry error isolation in a
+// batch of concurrent single queries: an invalid range fails its own
+// entry without poisoning the rest, or the scratch later queries reuse.
 func TestQueryBatchPropagatesErrors(t *testing.T) {
 	ix, sets := buildSmall(t, 100, 30)
-	batch := []BatchQuery{
-		{Q: sets[0], Lo: 0.5, Hi: 1.0},
-		{Q: sets[1], Lo: 0.9, Hi: 0.1}, // inverted
-		{Q: sets[2], Lo: 0.0, Hi: 0.4},
+	type entry struct {
+		q      set.Set
+		lo, hi float64
 	}
-	results := ix.QueryBatch(batch, QueryOptions{Workers: 4})
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Fatalf("valid entries failed: %v, %v", results[0].Err, results[2].Err)
+	batch := []entry{
+		{sets[0], 0.5, 1.0},
+		{sets[1], 0.9, 0.1}, // inverted
+		{sets[2], 0.0, 0.4},
+		{sets[3], math.NaN(), 0.5},
+		{sets[4], 0.3, 0.8},
 	}
-	if results[1].Err == nil {
-		t.Fatal("inverted range did not fail")
+	invalid := map[int]bool{1: true, 3: true}
+	want := make([][]Match, len(batch))
+	for i, b := range batch {
+		if !invalid[i] {
+			m, _, err := ix.QueryWithOptions(b.q, b.lo, b.hi, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = m
+		}
 	}
-	if got := ix.QueryBatch(nil, QueryOptions{}); len(got) != 0 {
-		t.Fatalf("empty batch returned %d results", len(got))
+	for pass := 0; pass < 3; pass++ {
+		got := make([][]Match, len(batch))
+		errs := make([]error, len(batch))
+		runBatch(len(batch), 4, func(i, share int) {
+			b := batch[i]
+			got[i], _, errs[i] = ix.QueryWithOptions(b.q, b.lo, b.hi, QueryOptions{Workers: share})
+		})
+		for i := range batch {
+			switch {
+			case invalid[i] && errs[i] == nil:
+				t.Fatalf("pass %d entry %d: invalid range [%v, %v] did not fail", pass, i, batch[i].lo, batch[i].hi)
+			case !invalid[i] && errs[i] != nil:
+				t.Fatalf("pass %d entry %d: valid entry failed: %v", pass, i, errs[i])
+			case !invalid[i] && !slices.Equal(got[i], want[i]):
+				t.Fatalf("pass %d entry %d: %d matches, want %d", pass, i, len(got[i]), len(want[i]))
+			}
+		}
 	}
 }
 
@@ -276,7 +349,7 @@ func TestScreeningWideMarginIsExact(t *testing.T) {
 	ix, sets := buildSmall(t, 300, 40)
 	for qi := 0; qi < 10; qi++ {
 		q := sets[qi*17%len(sets)]
-		plain, plainSt, err := ix.Query(q, 0.4, 0.9)
+		plain, plainSt, err := ix.QueryWithOptions(q, 0.4, 0.9, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +384,7 @@ func TestScreeningReducesFetchIO(t *testing.T) {
 	var reduced bool
 	for qi := 0; qi < 20; qi++ {
 		q := sets[qi*13%len(sets)]
-		_, plainSt, err := ix.Query(q, 0.85, 1.0)
+		_, plainSt, err := ix.QueryWithOptions(q, 0.85, 1.0, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,73 +433,6 @@ func TestScreeningDefaultMargin(t *testing.T) {
 		if !found {
 			t.Fatalf("default-margin screening dropped the self-match of sid %d", qi)
 		}
-	}
-}
-
-// TestQueryBatchUnderMutation races QueryBatch against concurrent Insert
-// and Delete (run with -race): batches must see a consistent point-in-time
-// view and never error.
-func TestQueryBatchUnderMutation(t *testing.T) {
-	ix, sets := buildSmall(t, 200, 30)
-	qs, err := workload.Queries(len(sets), workload.QueryParams{Count: 16, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]BatchQuery, len(qs))
-	for i, q := range qs {
-		batch[i] = BatchQuery{Q: sets[q.SID], Lo: q.Lo, Hi: q.Hi}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				opt := QueryOptions{Workers: 1 + g, Screen: i%2 == 0}
-				for _, r := range ix.QueryBatch(batch, opt) {
-					if r.Err != nil {
-						errs <- r.Err
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	var writerWG sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		writerWG.Add(1)
-		go func(w int) {
-			defer writerWG.Done()
-			for i := 0; i < 20; i++ {
-				base := uint64(2_000_000 + w*10_000 + i*100)
-				sid, err := ix.Insert(set.New(base, base+1, base+2))
-				if err != nil {
-					errs <- err
-					return
-				}
-				if i%2 == 0 {
-					if err := ix.Delete(sid); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	writerWG.Wait()
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Errorf("batch under mutation: %v", err)
 	}
 }
 

@@ -35,11 +35,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range qs {
-		a, _, err := ix.Query(sets[q.SID], q.Lo, q.Hi)
+		a, _, err := ix.QueryWithOptions(sets[q.SID], q.Lo, q.Hi, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := loaded.Query(sets[q.SID], q.Lo, q.Hi)
+		b, _, err := loaded.QueryWithOptions(sets[q.SID], q.Lo, q.Hi, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,11 +169,11 @@ func TestSaveLoadPreservesSIDs(t *testing.T) {
 	}
 	// And queries agree.
 	q := sets[42]
-	ra, _, err := ix.Query(q, 0.3, 1.0)
+	ra, _, err := ix.QueryWithOptions(q, 0.3, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, _, err := loaded.Query(q, 0.3, 1.0)
+	rb, _, err := loaded.QueryWithOptions(q, 0.3, 1.0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,26 +1,24 @@
-// Alternative query executors and the estimates the cost-based planner
-// prices them with.
+// The range processor's scan and screen arms, the Section 6 scan
+// baseline, and the estimates the cost-based planner prices the arms with.
 //
 // ScanQuery is the sequential-scan baseline of Section 6: every set is
 // read and verified, with no filter at all. It is exact and is the
 // comparator of Figure 7.
 //
-// ScanPresigned is the direct-scan plan: one sequential pass over the
-// shard heap, recomputing each live set's filter candidacy from its stored
-// signature instead of probing bucket pages. Candidacy uses the exact
-// insert-key = probe-key test the hash tables implement (a stored entry
-// collides with the probe in table i iff its insert key equals probe key
-// i), evaluated over the full Section 4.3 case combination including the
-// negative sides — so the candidate set, and therefore the verified
-// answer, is byte-identical to QueryPresigned's. What changes is only the
+// The scan arm (ArmScan) is the direct-scan plan: one sequential pass over
+// the shard heap, recomputing each live set's filter candidacy from its
+// stored signature instead of probing bucket pages. Candidacy uses the
+// exact insert-key = probe-key test the hash tables implement (a stored
+// entry collides with the probe in table i iff its insert key equals probe
+// key i), evaluated over the full Section 4.3 case combination including
+// the negative sides — so the candidate set, and therefore the verified
+// answer, is byte-identical to the probe arm's. What changes is only the
 // access path: seq(heap pages) instead of rand(tables + candidates).
 //
-// ScreenPresigned is the screen-only plan: the normal filter probe, but
-// candidates are answered from the min-hash agreement estimator without
-// fetching a single data page. Approximate by construction — similarities
-// are estimates and boundary sets can be misplaced. The engine only ever
-// dispatches it under QueryOptions.AllowApproximate; core itself does not
-// gate.
+// The screen arm (ArmScreen) is the screen-only plan: the normal filter
+// probe, but candidates are answered from the signing family's estimator
+// without fetching a single data page. Approximate by construction —
+// similarities are estimates and boundary sets can be misplaced.
 package core
 
 import (
@@ -104,121 +102,50 @@ func (ix *Index) ScanQuery(q set.Set, s1, s2 float64) ([]Match, QueryStats, erro
 	return matches, stats, nil
 }
 
-// ScanPresigned answers the range query (q, [s1, s2]) by sequentially
-// scanning the stored collection, with filter candidacy recomputed per
-// live set from its stored signature. Matches are byte-identical to
-// QueryPresigned with the same options (screening included); FetchIO
-// charges the sequential heap read and IndexIO stays zero. A nil sig
-// signs q locally.
-func (ix *Index) ScanPresigned(q set.Set, sig minhash.Signature, s1, s2 float64, opt QueryOptions) ([]Match, QueryStats, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var stats QueryStats
-	start := time.Now()
-	if s1 > s2 {
-		return nil, stats, fmt.Errorf("core: invalid range [%g, %g]", s1, s2)
-	}
-	sc := ix.scratch.Get().(*queryScratch)
-	defer ix.scratch.Put(sc)
-	if sig == nil {
-		ix.emb.SignInto(q, sc.sig)
-		sig = sc.sig
-	}
-	probe, err := ix.buildScanProbe(sig, s1, s2, &stats)
+// scanCandidates is the scan arm's filter stage: one pass over the stored
+// signatures, testing every live entry with the tables' collision test.
+// It writes the candidates candidatesFromSignature would produce, in the
+// same ascending order, to sc.cands and returns them (aliasing sc).
+func (ix *Index) scanCandidates(sig minhash.Signature, s1, s2 float64, stats *QueryStats, sc *queryScratch) ([]storage.SID, error) {
+	probe, err := ix.buildScanProbe(sig, s1, s2, stats)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-
-	var screenLo, screenHi float64
-	var qp []uint64
-	if opt.Screen {
-		eps := opt.ScreenMargin
-		if eps <= 0 {
-			eps = ix.famEps
-		}
-		screenLo, screenHi = s1-eps, s2+eps
-		qp = ix.packQuery(q, sig, sc.packed)
-	}
-
 	// Candidacy reads each live entry's key coordinates from its stored
-	// signature. Only families that cannot reproduce them fetch every set
-	// to re-sign it; the rest fetch candidates alone. Neither fetch is
-	// charged: the scan's I/O is the one sequential heap read below.
-	resign := !ix.recoverable
-	var matches []Match
+	// signature. Only families that cannot reproduce them fetch the set
+	// to re-sign it, uncharged: the scan's I/O is one sequential heap
+	// read.
+	sc.cands = sc.cands[:0]
 	for i, stored := range ix.sigs {
 		if stored == nil {
 			continue // tombstoned
 		}
 		sid := storage.SID(i)
 		var s set.Set
-		if resign {
+		if !ix.recoverable {
 			if s, err = ix.store.Fetch(sid, nil); err != nil {
-				return nil, stats, err
+				return nil, err
 			}
 		}
-		if !probe.candidate(ix, ix.keyCoords(stored, s, sc.coords)) {
-			continue
-		}
-		stats.Candidates++
-		if opt.Screen {
-			est, err := ix.fam.Estimate(qp, stored)
-			if err != nil {
-				return nil, stats, fmt.Errorf("core: screening candidate %d: %w", sid, err)
-			}
-			if est < screenLo || est > screenHi {
-				stats.Screened++
-				continue
-			}
-		}
-		if !resign {
-			if s, err = ix.store.Fetch(sid, nil); err != nil {
-				return nil, stats, err
-			}
-		}
-		if sim := q.Jaccard(s); sim >= s1 && sim <= s2 {
-			matches = append(matches, Match{SID: sid, Similarity: sim})
+		if probe.candidate(ix, ix.keyCoords(stored, s, sc.coords)) {
+			sc.cands = append(sc.cands, sid)
 		}
 	}
-	stats.FetchIO.RecordSeq(ix.store.NumPages())
-	sortMatches(matches)
-	stats.Results = len(matches)
-	stats.CPU = time.Since(start)
-	return matches, stats, nil
+	stats.Candidates = len(sc.cands)
+	return sc.cands, nil
 }
 
-// ScreenPresigned answers the range query from the filter candidates'
-// signature estimates alone: the normal bucket probes run (IndexIO is
-// charged), but no data page is ever fetched — each candidate whose
+// screenCandidates is the screen arm's answer: every candidate whose
 // estimated similarity falls in [s1, s2] is returned with that estimate
-// as its similarity. Candidates estimated outside the range count as
-// Screened. Approximate: callers opt in through the engine's
-// AllowApproximate gate; core does not check it. A nil sig signs q
-// locally.
-func (ix *Index) ScreenPresigned(q set.Set, sig minhash.Signature, s1, s2 float64, opt QueryOptions) ([]Match, QueryStats, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var stats QueryStats
-	start := time.Now()
-	if s1 > s2 {
-		return nil, stats, fmt.Errorf("core: invalid range [%g, %g]", s1, s2)
-	}
-	sc := ix.scratch.Get().(*queryScratch)
-	defer ix.scratch.Put(sc)
-	if sig == nil {
-		ix.emb.SignInto(q, sc.sig)
-		sig = sc.sig
-	}
-	cands, err := ix.candidatesFromSignature(sig, s1, s2, &stats, sc)
-	if err != nil {
-		return nil, stats, err
-	}
+// as its similarity, and the rest count as Screened. No data page is
+// fetched.
+func (ix *Index) screenCandidates(q set.Set, sig minhash.Signature, cands []storage.SID, s1, s2 float64, stats *QueryStats, sc *queryScratch) ([]Match, error) {
 	qp := ix.packQuery(q, sig, sc.packed)
 	matches := make([]Match, 0, len(cands)/4+1)
 	for _, sid := range cands {
 		est, err := ix.fam.Estimate(qp, ix.sigs[sid])
 		if err != nil {
-			return nil, stats, fmt.Errorf("core: screening candidate %d: %w", sid, err)
+			return nil, fmt.Errorf("core: screening candidate %d: %w", sid, err)
 		}
 		if est >= s1 && est <= s2 {
 			matches = append(matches, Match{SID: sid, Similarity: est})
@@ -226,10 +153,7 @@ func (ix *Index) ScreenPresigned(q set.Set, sig minhash.Signature, s1, s2 float6
 			stats.Screened++
 		}
 	}
-	sortMatches(matches)
-	stats.Results = len(matches)
-	stats.CPU = time.Since(start)
-	return matches, stats, nil
+	return matches, nil
 }
 
 // CaptureFraction returns the Lemma 1 capture estimate for the range

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -23,10 +24,10 @@ var scanRanges = [][2]float64{
 	{0.0, 1.0},
 }
 
-// TestScanMatchesQueryPresigned pins the direct-scan executor's exactness
-// contract: for every range and query, ScanPresigned returns the same
-// candidates and byte-identical matches as the filter-probe pipeline,
-// with screening on and off, for a family whose stored signature is the
+// TestScanMatchesQueryPresigned pins the scan arm's exactness contract:
+// for every range and query, it returns the same candidates and
+// byte-identical matches as the probe arm, with screening on and off and
+// with serial and chunked verification, for a family whose stored signature is the
 // key source (classic-64), one that unpacks it (packed classic) and one
 // that re-signs the set (SuperMinHash), with deleted entries in the heap.
 // This is the foundation the planner's byte-identity guarantee rests on.
@@ -57,62 +58,77 @@ func TestScanMatchesQueryPresigned(t *testing.T) {
 func requireScanMatchesProbe(t *testing.T, ix *Index, sets []set.Set) {
 	t.Helper()
 	for _, screen := range []bool{false, true} {
-		opt := QueryOptions{Screen: screen}
-		for _, r := range scanRanges {
-			for _, qi := range []int{0, len(sets) / 3, len(sets) - 1} {
-				want, wantStats, err := ix.QueryPresigned(sets[qi], nil, r[0], r[1], opt)
-				if err != nil {
-					t.Fatalf("probe screen=%v range=%v sid=%d: %v", screen, r, qi, err)
-				}
-				got, gotStats, err := ix.ScanPresigned(sets[qi], nil, r[0], r[1], opt)
-				if err != nil {
-					t.Fatalf("scan screen=%v range=%v sid=%d: %v", screen, r, qi, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("screen=%v range=%v sid=%d: scan %d matches, probe %d",
-						screen, r, qi, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].SID != want[i].SID ||
-						math.Float64bits(got[i].Similarity) != math.Float64bits(want[i].Similarity) {
-						t.Fatalf("screen=%v range=%v sid=%d match %d: scan %+v, probe %+v",
-							screen, r, qi, i, got[i], want[i])
+		for _, workers := range []int{1, 4} {
+			for _, minPar := range []int{0, 1} {
+				opt := QueryOptions{Screen: screen, Workers: workers, MinParallelVerify: minPar}
+				for _, r := range scanRanges {
+					for _, qi := range []int{0, len(sets) / 3, len(sets) - 1} {
+						label := fmt.Sprintf("opt=%+v range=%v sid=%d", opt, r, qi)
+						want, wantStats, err := ix.QueryPresigned(sets[qi], nil, r[0], r[1], opt)
+						if err != nil {
+							t.Fatalf("probe %s: %v", label, err)
+						}
+						scan := opt
+						scan.Arm = ArmScan
+						got, gotStats, err := ix.QueryPresigned(sets[qi], nil, r[0], r[1], scan)
+						if err != nil {
+							t.Fatalf("scan %s: %v", label, err)
+						}
+						requireSameRangeAnswer(t, label, got, gotStats, want, wantStats)
 					}
-				}
-				if gotStats.Candidates != wantStats.Candidates {
-					t.Fatalf("screen=%v range=%v sid=%d: scan saw %d candidates, probe %d",
-						screen, r, qi, gotStats.Candidates, wantStats.Candidates)
-				}
-				if gotStats.EnclosedLo != wantStats.EnclosedLo || gotStats.EnclosedHi != wantStats.EnclosedHi {
-					t.Fatalf("screen=%v range=%v sid=%d: enclosures differ: [%g,%g] vs [%g,%g]",
-						screen, r, qi, gotStats.EnclosedLo, gotStats.EnclosedHi,
-						wantStats.EnclosedLo, wantStats.EnclosedHi)
 				}
 			}
 		}
 	}
 }
 
-// TestScanChargesSequentialIO pins the cost-model shape the planner
-// prices: the scan executor reads the heap sequentially and performs no
-// random candidate fetches.
-func TestScanChargesSequentialIO(t *testing.T) {
-	ix, sets := buildWorkers(t, 300, 60, 0, 42)
-	_, st, err := ix.ScanPresigned(sets[0], nil, 0.5, 1.0, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
+// requireSameRangeAnswer fails unless two answers to one range query agree
+// bit for bit in matches, candidates, screened counts and enclosure.
+func requireSameRangeAnswer(t testing.TB, label string, got []Match, gotStats QueryStats, want []Match, wantStats QueryStats) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: scan %d matches, probe %d", label, len(got), len(want))
 	}
-	if st.FetchIO.Rand() != 0 {
-		t.Fatalf("scan performed %d random reads; want 0", st.FetchIO.Rand())
+	for i := range want {
+		if got[i].SID != want[i].SID ||
+			math.Float64bits(got[i].Similarity) != math.Float64bits(want[i].Similarity) {
+			t.Fatalf("%s match %d: scan %+v, probe %+v", label, i, got[i], want[i])
+		}
 	}
-	if st.FetchIO.Seq() != ix.Store().NumPages() {
-		t.Fatalf("scan charged %d sequential reads; the heap has %d pages", st.FetchIO.Seq(), ix.Store().NumPages())
+	if gotStats.Candidates != wantStats.Candidates || gotStats.Screened != wantStats.Screened {
+		t.Fatalf("%s: scan saw %d candidates (%d screened), probe %d (%d)",
+			label, gotStats.Candidates, gotStats.Screened, wantStats.Candidates, wantStats.Screened)
+	}
+	if gotStats.EnclosedLo != wantStats.EnclosedLo || gotStats.EnclosedHi != wantStats.EnclosedHi {
+		t.Fatalf("%s: enclosures differ: [%g,%g] vs [%g,%g]", label,
+			gotStats.EnclosedLo, gotStats.EnclosedHi, wantStats.EnclosedLo, wantStats.EnclosedHi)
 	}
 }
 
-// TestScreenPresigned pins the screen-only executor: same candidate set
-// as the probe pipeline, zero data fetches, and every reported match is
-// a signature estimate inside the requested range.
+// TestScanChargesSequentialIO pins the cost-model shape the planner
+// prices: the scan arm reads the heap sequentially and performs no random
+// candidate fetches, whether it verifies serially or in chunks.
+func TestScanChargesSequentialIO(t *testing.T) {
+	ix, sets := buildWorkers(t, 300, 60, 0, 42)
+	for _, workers := range []int{1, 4} {
+		opt := QueryOptions{Arm: ArmScan, Workers: workers, MinParallelVerify: 1}
+		_, st, err := ix.QueryPresigned(sets[0], nil, 0.5, 1.0, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.FetchIO.Rand() != 0 {
+			t.Fatalf("workers=%d: scan performed %d random reads; want 0", workers, st.FetchIO.Rand())
+		}
+		if st.FetchIO.Seq() != ix.Store().NumPages() {
+			t.Fatalf("workers=%d: scan charged %d sequential reads; the heap has %d pages",
+				workers, st.FetchIO.Seq(), ix.Store().NumPages())
+		}
+	}
+}
+
+// TestScreenPresigned pins the screen arm: same candidate set as the
+// probe arm, zero data fetches, and every reported match is a signature
+// estimate inside the requested range.
 func TestScreenPresigned(t *testing.T) {
 	ix, sets := buildWorkers(t, 300, 60, 0, 42)
 	for _, r := range scanRanges {
@@ -121,7 +137,7 @@ func TestScreenPresigned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("probe range=%v sid=%d: %v", r, qi, err)
 			}
-			got, st, err := ix.ScreenPresigned(sets[qi], nil, r[0], r[1], QueryOptions{})
+			got, st, err := ix.QueryPresigned(sets[qi], nil, r[0], r[1], QueryOptions{Arm: ArmScreen})
 			if err != nil {
 				t.Fatalf("screen range=%v sid=%d: %v", r, qi, err)
 			}
@@ -146,14 +162,32 @@ func TestScreenPresigned(t *testing.T) {
 	}
 }
 
-// TestScanInvalidRange pins error parity with the probe pipeline.
+// invalidRanges are similarity ranges every entry must reject: inverted,
+// outside [0, 1], infinite, or NaN at either end.
+var invalidRanges = [][2]float64{
+	{0.9, 0.5},
+	{-0.5, 0.3},
+	{0.5, 1.5},
+	{math.Inf(-1), 0.5},
+	{0.5, math.Inf(1)},
+	{math.NaN(), 0.5},
+	{0.5, math.NaN()},
+	{math.NaN(), math.NaN()},
+}
+
+// TestScanInvalidRange pins one range check for every arm and for the
+// filter stage alone.
 func TestScanInvalidRange(t *testing.T) {
 	ix, sets := buildWorkers(t, 50, 60, 0, 42)
-	if _, _, err := ix.ScanPresigned(sets[0], nil, 0.9, 0.5, QueryOptions{}); err == nil {
-		t.Fatal("inverted range accepted by ScanPresigned")
-	}
-	if _, _, err := ix.ScreenPresigned(sets[0], nil, 0.9, 0.5, QueryOptions{}); err == nil {
-		t.Fatal("inverted range accepted by ScreenPresigned")
+	for _, r := range invalidRanges {
+		for _, arm := range []Arm{ArmProbe, ArmScan, ArmScreen} {
+			if _, _, err := ix.QueryPresigned(sets[0], nil, r[0], r[1], QueryOptions{Arm: arm}); err == nil {
+				t.Errorf("range %v accepted by arm %d", r, arm)
+			}
+		}
+		if _, err := ix.Candidates(sets[0], r[0], r[1], &QueryStats{}); err == nil {
+			t.Errorf("range %v accepted by Candidates", r)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/filter"
 	"repro/internal/hashtable"
@@ -10,40 +9,32 @@ import (
 	"repro/internal/set"
 )
 
-// TopK returns the k sets most similar to q, best first. It is the
-// nearest-neighbour application of the filter indices (Section 7 relates
-// the same machinery to Indyk's NN reductions): Similarity Filter Indices
-// are probed from the highest partition point downward, candidates are
-// verified exactly, and the walk stops as soon as k verified results sit
-// at or above the next partition point — nothing below that point can
-// improve the answer. Like range queries, the result is one-sided
-// approximate: returned similarities are exact, but a true neighbour can
-// be missed with the filter's false-negative probability at its level.
+// TopKPresigned returns the k sets most similar to q, best first. It is
+// the nearest-neighbour application of the filter indices (Section 7
+// relates the same machinery to Indyk's NN reductions): Similarity Filter
+// Indices are probed from the highest partition point downward,
+// candidates are verified exactly, and the walk stops as soon as k
+// verified results sit at or above the next partition point — nothing
+// below that point can improve the answer. Like range queries, the result
+// is one-sided approximate: returned similarities are exact, but a true
+// neighbour can be missed with the filter's false-negative probability at
+// its level.
 //
 // Ties break by ascending sid. If the filters surface fewer than k sets
 // even at the lowest partition point, fewer are returned; a scan fallback
-// is deliberately not performed (use ScanQuery for exact answers).
-func (ix *Index) TopK(q set.Set, k int) ([]Match, QueryStats, error) {
-	return ix.TopKPresigned(q, nil, k)
+// is deliberately not performed (use ScanQuery for exact answers). sig is
+// q's signature as for QueryPresigned; nil signs q locally.
+func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match, QueryStats, error) {
+	if k <= 0 {
+		return nil, QueryStats{}, fmt.Errorf("core: k must be positive, got %d", k)
+	}
+	return ix.query(q, sig, func(sig minhash.Signature, sc *queryScratch, stats *QueryStats) ([]Match, error) {
+		return ix.topK(q, sig, k, sc, stats)
+	})
 }
 
-// TopKPresigned is TopK with the query's min-hash signature already
-// computed (by an embedder built from the same options — the engine's
-// sign-once scatter path). A nil sig signs q locally.
-func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match, QueryStats, error) {
-	var stats QueryStats
-	if k <= 0 {
-		return nil, stats, fmt.Errorf("core: k must be positive, got %d", k)
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	start := time.Now()
-	sc := ix.scratch.Get().(*queryScratch)
-	defer ix.scratch.Put(sc)
-	if sig == nil {
-		sig = ix.emb.Sign(q)
-	}
-
+// topK is TopKPresigned's walk under the read lock.
+func (ix *Index) topK(q set.Set, sig minhash.Signature, k int, sc *queryScratch, stats *QueryStats) ([]Match, error) {
 	// SFIs by descending point (plan order is ascending); then the δ-point
 	// DFI as the final, loosest stage (it captures the low-similarity
 	// remainder).
@@ -87,7 +78,7 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 
 	for i, ord := range sfis {
 		if err := verify(ord); err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 		floor := 0.0
 		if i+1 < len(sfis) {
@@ -103,7 +94,7 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 		// remainder.
 		if c, ok := ix.plan.Combination(0, 1); ok {
 			if err := verify(c.PosA); err != nil {
-				return nil, stats, err
+				return nil, err
 			}
 		}
 	}
@@ -111,7 +102,5 @@ func (ix *Index) TopKPresigned(q set.Set, sig minhash.Signature, k int) ([]Match
 	if len(results) > k {
 		results = results[:k]
 	}
-	stats.Results = len(results)
-	stats.CPU = time.Since(start)
-	return results, stats, nil
+	return results, nil
 }

@@ -8,7 +8,7 @@ import (
 func TestTopKBasics(t *testing.T) {
 	ix, sets := buildSmall(t, 500, 60)
 	const k = 10
-	got, stats, err := ix.TopK(sets[0], k)
+	got, stats, err := ix.TopKPresigned(sets[0], nil, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestTopKMatchesBruteForceOnTop(t *testing.T) {
 	ix, sets := buildSmall(t, 400, 60)
 	const k = 5
 	for _, q := range []int{1, 50, 123} {
-		got, _, err := ix.TopK(sets[q], k)
+		got, _, err := ix.TopKPresigned(sets[q], nil, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,17 +89,17 @@ func TestTopKMatchesBruteForceOnTop(t *testing.T) {
 
 func TestTopKValidation(t *testing.T) {
 	ix, sets := buildSmall(t, 100, 30)
-	if _, _, err := ix.TopK(sets[0], 0); err == nil {
+	if _, _, err := ix.TopKPresigned(sets[0], nil, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := ix.TopK(sets[0], -3); err == nil {
+	if _, _, err := ix.TopKPresigned(sets[0], nil, -3); err == nil {
 		t.Error("negative k accepted")
 	}
 }
 
 func TestTopKAfterDelete(t *testing.T) {
 	ix, sets := buildSmall(t, 200, 40)
-	got, _, err := ix.TopK(sets[0], 3)
+	got, _, err := ix.TopKPresigned(sets[0], nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTopKAfterDelete(t *testing.T) {
 	if err := ix.Delete(victim); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := ix.TopK(sets[0], 3)
+	after, _, err := ix.TopKPresigned(sets[0], nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

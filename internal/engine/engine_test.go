@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -106,7 +107,7 @@ func TestShardSweepIdenticalMatches(t *testing.T) {
 		}
 		var got [][]string
 		for _, q := range qs {
-			matches, stats, err := e.Query(sets[q.SID], q.Lo, q.Hi)
+			matches, stats, err := e.QueryWithOptions(sets[q.SID], q.Lo, q.Hi, core.QueryOptions{})
 			if err != nil {
 				t.Fatalf("shards=%d query: %v", shards, err)
 			}
@@ -157,7 +158,7 @@ func TestGatherTotalOrder(t *testing.T) {
 	if len(shardsSeen) < 2 {
 		t.Fatalf("all duplicate sets landed in one shard; pick a different RouterSeed")
 	}
-	matches, _, err := e.Query(set.New(base...), 0.99, 1.0)
+	matches, _, err := e.QueryWithOptions(set.New(base...), 0.99, 1.0, core.QueryOptions{})
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -181,8 +182,7 @@ func TestGatherTotalOrder(t *testing.T) {
 }
 
 // TestEmptyShardQueries covers the degenerate partition: more shards than
-// sets, so most shards are empty, and both single queries and batches
-// must still gather cleanly.
+// sets, so most shards are empty, and queries must still gather cleanly.
 func TestEmptyShardQueries(t *testing.T) {
 	sets := []set.Set{
 		set.New(1, 2, 3, 4, 5),
@@ -192,33 +192,19 @@ func TestEmptyShardQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	matches, _, err := e.Query(sets[0], 0.5, 1.0)
+	matches, _, err := e.QueryWithOptions(sets[0], 0.5, 1.0, core.QueryOptions{})
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
 	if len(matches) == 0 {
 		t.Fatal("query over mostly-empty shards found nothing")
 	}
-	batch := []core.BatchQuery{
-		{Q: sets[0], Lo: 0.5, Hi: 1.0},
-		{Q: sets[1], Lo: 0.5, Hi: 1.0},
-		{Q: set.New(900, 901), Lo: 0.5, Hi: 1.0},
+	disjoint, _, err := e.QueryWithOptions(set.New(900, 901), 0.5, 1.0, core.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := e.QueryBatch(batch, core.QueryOptions{})
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("batch entry %d: %v", i, r.Err)
-		}
-		single, _, err := e.Query(batch[i].Q, batch[i].Lo, batch[i].Hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(matchKeys(r.Matches)) != fmt.Sprint(matchKeys(single)) {
-			t.Fatalf("batch entry %d diverged from single query", i)
-		}
-	}
-	if len(res[2].Matches) != 0 {
-		t.Fatalf("disjoint query matched %d sets", len(res[2].Matches))
+	if len(disjoint) != 0 {
+		t.Fatalf("disjoint query matched %d sets", len(disjoint))
 	}
 }
 
@@ -239,10 +225,6 @@ func TestEveryReadProbesEveryShard(t *testing.T) {
 		if _, stats["QueryWithOptions"], err = e.QueryWithOptions(sets[0], 0.5, 1.0, core.QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		res := e.QueryBatch([]core.BatchQuery{{Q: sets[1], Lo: 0.5, Hi: 1.0}}, core.QueryOptions{})
-		if stats["QueryBatch"], err = res[0].Stats, res[0].Err; err != nil {
-			t.Fatal(err)
-		}
 		if _, stats["TopK"], err = e.TopK(sets[0], 2); err != nil {
 			t.Fatal(err)
 		}
@@ -255,28 +237,80 @@ func TestEveryReadProbesEveryShard(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSingleQueries checks batch gather equals per-query
-// gather on a real workload across a sharded engine.
-func TestBatchMatchesSingleQueries(t *testing.T) {
-	e, sets := buildFixture(t, 300, 3)
-	qs, err := workload.Queries(len(sets), workload.QueryParams{Count: 12, Seed: 9})
+// batchQuery is one entry of a test batch.
+type batchQuery struct {
+	q      set.Set
+	lo, hi float64
+}
+
+// workloadBatch draws count distinct workload queries over sets: no two
+// entries share a set and range, so no entry's result-cache outcome
+// depends on the order a concurrent batch runs them in.
+func workloadBatch(t *testing.T, sets []set.Set, count int, seed int64) []batchQuery {
+	t.Helper()
+	qs, err := workload.Queries(len(sets), workload.QueryParams{Count: count, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]core.BatchQuery, len(qs))
-	for i, q := range qs {
-		batch[i] = core.BatchQuery{Q: sets[q.SID], Lo: q.Lo, Hi: q.Hi}
-	}
-	res := e.QueryBatch(batch, core.QueryOptions{Workers: 4})
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("batch entry %d: %v", i, r.Err)
+	var batch []batchQuery
+	seen := map[string]bool{}
+	for _, q := range qs {
+		key := fmt.Sprint(sets[q.SID].Elems(), q.Lo, q.Hi)
+		if !seen[key] {
+			seen[key] = true
+			batch = append(batch, batchQuery{sets[q.SID], q.Lo, q.Hi})
 		}
-		single, _, err := e.Query(batch[i].Q, batch[i].Lo, batch[i].Hi)
+	}
+	return batch
+}
+
+// batchAnswer is one entry's answer.
+type batchAnswer struct {
+	matches []core.Match
+	stats   QueryStats
+	err     error
+}
+
+// runBatch answers a batch the way the public batch does: the worker
+// pool is split across at most len(batch) batch workers with
+// core.SplitPool, and each batch worker pulls entries and runs them as
+// single queries with its share as the query's own Workers.
+func runBatch(e *Engine, batch []batchQuery, opt core.QueryOptions) []batchAnswer {
+	out := make([]batchAnswer, len(batch))
+	pool := core.ResolveWorkers(opt.Workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, share := range core.SplitPool(pool, min(pool, len(batch))) {
+		inner := opt
+		inner.Workers = share
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(batch); i = int(next.Add(1)) - 1 {
+				b, r := batch[i], &out[i]
+				r.matches, r.stats, r.err = e.QueryWithOptions(b.q, b.lo, b.hi, inner)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// TestBatchMatchesSingleQueries checks a batch of concurrent single
+// queries gathers, per entry, exactly what the query alone gathers on a
+// real workload across a sharded engine.
+func TestBatchMatchesSingleQueries(t *testing.T) {
+	e, sets := buildFixture(t, 300, 3)
+	batch := workloadBatch(t, sets, 12, 9)
+	for i, r := range runBatch(e, batch, core.QueryOptions{Workers: 4}) {
+		if r.err != nil {
+			t.Fatalf("batch entry %d: %v", i, r.err)
+		}
+		single, _, err := e.QueryWithOptions(batch[i].q, batch[i].lo, batch[i].hi, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprint(matchKeys(r.Matches)) != fmt.Sprint(matchKeys(single)) {
+		if fmt.Sprint(matchKeys(r.matches)) != fmt.Sprint(matchKeys(single)) {
 			t.Fatalf("batch entry %d diverged from single query", i)
 		}
 	}
@@ -299,7 +333,7 @@ func TestInsertDeleteRouting(t *testing.T) {
 	if e.Len() != before+1 || e.NumAllocated() != before+1 {
 		t.Fatalf("after insert Len=%d NumAllocated=%d want %d", e.Len(), e.NumAllocated(), before+1)
 	}
-	matches, _, err := e.Query(probe, 0.9, 1.0)
+	matches, _, err := e.QueryWithOptions(probe, 0.9, 1.0, core.QueryOptions{})
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -318,7 +352,7 @@ func TestInsertDeleteRouting(t *testing.T) {
 	if e.Len() != before || e.NumAllocated() != before+1 {
 		t.Fatalf("after delete Len=%d NumAllocated=%d", e.Len(), e.NumAllocated())
 	}
-	matches, _, err = e.Query(probe, 0.9, 1.0)
+	matches, _, err = e.QueryWithOptions(probe, 0.9, 1.0, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +373,7 @@ func TestInsertDeleteRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, _, err = e.Query(probe, 0.3, 1.0)
+	matches, _, err = e.QueryWithOptions(probe, 0.3, 1.0, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,11 +412,11 @@ func TestPersistRoundTrip(t *testing.T) {
 			e2.NumShards(), e2.Len(), e2.NumAllocated(), e.Len(), e.NumAllocated())
 	}
 	for _, q := range []struct{ lo, hi float64 }{{0.5, 1.0}, {0.2, 0.6}} {
-		m1, _, err := e.Query(sets[10], q.lo, q.hi)
+		m1, _, err := e.QueryWithOptions(sets[10], q.lo, q.hi, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, _, err := e2.Query(sets[10], q.lo, q.hi)
+		m2, _, err := e2.QueryWithOptions(sets[10], q.lo, q.hi, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +517,7 @@ func TestApplyHolesAndOrder(t *testing.T) {
 	}
 	// Holes never surface in queries.
 	for _, g := range []uint32{0, 1, 2, 5, 6} {
-		matches, _, err := e.Query(sets[g], 0.99, 1.0)
+		matches, _, err := e.QueryWithOptions(sets[g], 0.99, 1.0, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,7 +627,7 @@ func TestAssembleRejectsCorruptMappings(t *testing.T) {
 }
 
 // TestConcurrentShardStress is the -race workhorse: concurrent inserts,
-// deletes, range queries, batches, and snapshots against a sharded
+// deletes, range queries (serial and fanned out), and snapshots against a sharded
 // engine. Correctness of results is checked afterwards; during the storm
 // the assertions are only that nothing errors, deadlocks, or races.
 func TestConcurrentShardStress(t *testing.T) {
@@ -622,7 +656,7 @@ func TestConcurrentShardStress(t *testing.T) {
 			}
 		}(w)
 	}
-	// Readers: queries and batches against the original collection.
+	// Readers: queries against the original collection.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -630,14 +664,13 @@ func TestConcurrentShardStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(r)))
 			for i := 0; i < 20; i++ {
 				q := sets[rng.Intn(len(sets))]
-				if _, _, err := e.Query(q, 0.5, 1.0); err != nil {
+				if _, _, err := e.QueryWithOptions(q, 0.5, 1.0, core.QueryOptions{}); err != nil {
 					errCh <- fmt.Errorf("reader %d: %w", r, err)
 					return
 				}
 				if i%5 == 0 {
-					res := e.QueryBatch([]core.BatchQuery{{Q: q, Lo: 0.3, Hi: 0.9}}, core.QueryOptions{})
-					if res[0].Err != nil {
-						errCh <- fmt.Errorf("reader %d batch: %w", r, res[0].Err)
+					if _, _, err := e.QueryWithOptions(q, 0.3, 0.9, core.QueryOptions{Workers: 8}); err != nil {
+						errCh <- fmt.Errorf("reader %d wide: %w", r, err)
 						return
 					}
 				}
@@ -774,12 +807,12 @@ func TestEstimatesShardInvariant(t *testing.T) {
 // arithmetic: the shares handed to the shards always sum to exactly
 // max(requested, one per shard) with every shard getting at least one
 // worker and no share more than one above another (proportional split).
-// This is the engine's no-oversubscription contract — a Workers=W batch
+// This is the engine's no-oversubscription contract — a Workers=W query
 // never runs more than max(W, shards) core workers at once.
 func TestQueryWorkerBudgetNeverOversubscribes(t *testing.T) {
 	for _, pool := range []int{1, 2, 3, 5, 8, 16} {
 		for _, n := range []int{1, 2, 3, 8} {
-			shares := core.SplitPool(queryPool(pool), n)
+			shares := core.SplitPool(core.ResolveWorkers(pool), n)
 			if len(shares) != n {
 				t.Fatalf("SplitPool(%d, %d) returned %d shares", pool, n, len(shares))
 			}
@@ -815,18 +848,17 @@ func TestQueryWorkerBudgetNeverOversubscribes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]core.BatchQuery, len(qs))
 	for i, q := range qs {
-		batch[i] = core.BatchQuery{Q: sets[q.SID], Lo: q.Lo, Hi: q.Hi}
-	}
-	narrow := e.QueryBatch(batch, core.QueryOptions{Workers: 1})
-	wide := e.QueryBatch(batch, core.QueryOptions{Workers: 16})
-	for i := range batch {
-		if narrow[i].Err != nil || wide[i].Err != nil {
-			t.Fatalf("batch entry %d: %v / %v", i, narrow[i].Err, wide[i].Err)
+		narrow, _, err := e.QueryWithOptions(sets[q.SID], q.Lo, q.Hi, core.QueryOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fmt.Sprint(matchKeys(narrow[i].Matches)) != fmt.Sprint(matchKeys(wide[i].Matches)) {
-			t.Fatalf("batch entry %d: results vary with worker width", i)
+		wide, _, err := e.QueryWithOptions(sets[q.SID], q.Lo, q.Hi, core.QueryOptions{Workers: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(matchKeys(narrow)) != fmt.Sprint(matchKeys(wide)) {
+			t.Fatalf("query %d: results vary with worker width", i)
 		}
 	}
 }

@@ -12,9 +12,10 @@
 //     bounded mutation drift within a generation), else price the three
 //     plans from the live D_S sketch (the tuner's, when tuning is on),
 //     the Lemma 1 capture fraction, and the storage cost model.
-//  4. Execute the decision through the ordinary scatter, with per-shard
-//     executor overrides (probe / scan / screen), and store exact results
-//     back into the result cache.
+//  4. Execute the decision through the ordinary scatter, each shard
+//     running core's range processor on the arm the decision gives it
+//     (probe / scan / screen), and store exact results back into the
+//     result cache.
 //
 // Exact plans (fi-probe, direct-scan, and everything the result cache
 // serves) are byte-identical to the default pipeline; the approximate
@@ -25,11 +26,7 @@
 package engine
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/core"
-	"repro/internal/minhash"
 	"repro/internal/plan"
 	"repro/internal/set"
 	"repro/internal/storage"
@@ -248,119 +245,21 @@ func (e *Engine) computeDecision(v *planView, s1, s2 float64, opt core.QueryOpti
 	})
 }
 
-// kindFor resolves the executor for shard si under a decision (nil =
-// planner off = fi-probe).
-func kindFor(dec *plan.Decision, si int) plan.Kind {
-	switch {
-	case dec == nil:
-		return plan.FIProbe
-	case dec.Kind == plan.ScreenOnly:
-		return plan.ScreenOnly
-	case dec.PerShard != nil:
-		return dec.PerShard[si]
+// armFor resolves core's arm for shard si under a decision (nil = planner
+// off = probe).
+func armFor(dec *plan.Decision, si int) core.Arm {
+	if dec == nil {
+		return core.ArmProbe
 	}
-	return dec.Kind
-}
-
-// runShardPlan dispatches one shard's query to the decided executor. All
-// three accept a nil sig (they sign locally — the single-shard path).
-func runShardPlan(ix *core.Index, kind plan.Kind, q set.Set, sig minhash.Signature, s1, s2 float64, opt core.QueryOptions) ([]core.Match, core.QueryStats, error) {
+	kind := dec.Kind
+	if kind != plan.ScreenOnly && dec.PerShard != nil {
+		kind = dec.PerShard[si]
+	}
 	switch kind {
 	case plan.DirectScan:
-		return ix.ScanPresigned(q, sig, s1, s2, opt)
+		return core.ArmScan
 	case plan.ScreenOnly:
-		return ix.ScreenPresigned(q, sig, s1, s2, opt)
-	default:
-		return ix.QueryPresigned(q, sig, s1, s2, opt)
+		return core.ArmScreen
 	}
-}
-
-// queryBatchPlanned is QueryBatch under the planner: one token for the
-// whole batch, result-cache hits short-circuit, fi-probe decisions keep
-// the sub-batch fast path (one probe matrix, shared scatter), and
-// non-default plans run per entry across a bounded worker loop.
-func (e *Engine) queryBatchPlanned(ps *plannerState, queries []core.BatchQuery, opt core.QueryOptions, out []BatchResult) {
-	muts := e.mutsSnapshot()
-	v := e.loadView()
-	tok := plan.Token{Gen: v.gen, Muts: muts}
-
-	type pending struct {
-		i         int
-		dec       plan.Decision
-		key       plan.ResultKey
-		cacheable bool
-	}
-	var fiQueries []core.BatchQuery
-	var fiMeta []pending
-	var rest []pending
-	for i := range queries {
-		q := queries[i]
-		key, cacheable := resultKeyFor(q.Q, q.Lo, q.Hi, opt)
-		if cacheable && ps.results != nil {
-			if hit, ok := ps.results.Get(key, tok); ok {
-				out[i] = BatchResult{Matches: hit.Matches, Stats: cachedStats(v.gen, hit)}
-				continue
-			}
-		}
-		p := pending{i: i, dec: e.decidePlan(ps, v, tok, q.Lo, q.Hi, opt), key: key, cacheable: cacheable}
-		if p.dec.Kind == plan.FIProbe {
-			fiQueries = append(fiQueries, q)
-			fiMeta = append(fiMeta, p)
-		} else {
-			rest = append(rest, p)
-		}
-	}
-
-	finish := func(p pending, r BatchResult) {
-		r.Stats.Plan = p.dec.Kind.String()
-		if p.cacheable && ps.results != nil {
-			r.Stats.CacheMisses = 1
-			if r.Err == nil && p.dec.Kind != plan.ScreenOnly && len(r.Matches) <= maxCacheMatches {
-				ps.results.Put(p.key, tok, plan.CachedResult{
-					Matches:    r.Matches,
-					EnclosedLo: r.Stats.EnclosedLo,
-					EnclosedHi: r.Stats.EnclosedHi,
-				})
-			}
-		}
-		out[p.i] = r
-	}
-
-	if len(fiQueries) > 0 {
-		sub := make([]BatchResult, len(fiQueries))
-		e.queryBatchInto(v, fiQueries, opt, sub)
-		for j, p := range fiMeta {
-			finish(p, sub[j])
-		}
-	}
-	if len(rest) == 0 {
-		return
-	}
-	pool := queryPool(opt.Workers)
-	workers := pool
-	if workers > len(rest) {
-		workers = len(rest)
-	}
-	shares := core.SplitPool(pool, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			inner := opt
-			inner.Workers = shares[w]
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(rest) {
-					return
-				}
-				p := rest[j]
-				q := queries[p.i]
-				m, st, err := e.queryScatter(v, &p.dec, q.Q, q.Lo, q.Hi, inner)
-				finish(p, BatchResult{Matches: m, Stats: st, Err: err})
-			}
-		}(w)
-	}
-	wg.Wait()
+	return core.ArmProbe
 }

@@ -47,7 +47,7 @@ func TestPlannerByteIdentity(t *testing.T) {
 		var baseline []baselineAnswer
 		for _, r := range plannerRanges {
 			for _, q := range qs[:5] {
-				m, _, err := e.Query(sets[q.SID], r[0], r[1])
+				m, _, err := e.QueryWithOptions(sets[q.SID], r[0], r[1], core.QueryOptions{})
 				if err != nil {
 					t.Fatalf("shards=%d baseline: %v", shards, err)
 				}
@@ -61,7 +61,7 @@ func TestPlannerByteIdentity(t *testing.T) {
 		i := 0
 		for _, r := range plannerRanges {
 			for _, q := range qs[:5] {
-				m, st, err := e.Query(sets[q.SID], r[0], r[1])
+				m, st, err := e.QueryWithOptions(sets[q.SID], r[0], r[1], core.QueryOptions{})
 				if err != nil {
 					t.Fatalf("shards=%d cold: %v", shards, err)
 				}
@@ -70,7 +70,7 @@ func TestPlannerByteIdentity(t *testing.T) {
 					t.Fatalf("shards=%d cold stats: plan=%q hits=%d misses=%d",
 						shards, st.Plan, st.CacheHits, st.CacheMisses)
 				}
-				m2, st2, err := e.Query(sets[q.SID], r[0], r[1])
+				m2, st2, err := e.QueryWithOptions(sets[q.SID], r[0], r[1], core.QueryOptions{})
 				if err != nil {
 					t.Fatalf("shards=%d warm: %v", shards, err)
 				}
@@ -121,12 +121,12 @@ func TestPlannerForceDirectScan(t *testing.T) {
 	}
 	for _, r := range ranges {
 		for _, qi := range []int{0, len(sets) / 2, len(sets) - 1} {
-			want, _, err := e.Query(sets[qi], r[0], r[1])
+			want, _, err := e.QueryWithOptions(sets[qi], r[0], r[1], core.QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			e.EnablePlanner(PlannerPolicy{ForcePlan: "direct-scan", ResultCacheEntries: -1})
-			got, st, err := e.Query(sets[qi], r[0], r[1])
+			got, st, err := e.QueryWithOptions(sets[qi], r[0], r[1], core.QueryOptions{})
 			e.DisablePlanner()
 			if err != nil {
 				t.Fatalf("range=%v sid=%d: %v", r, qi, err)
@@ -146,12 +146,12 @@ func TestPlannerForceDirectScan(t *testing.T) {
 func TestScreenOnlyRequiresOptIn(t *testing.T) {
 	e, sets := buildFixture(t, 300, 2)
 	q, lo, hi := sets[0], 0.5, 1.0
-	want, _, err := e.Query(q, lo, hi)
+	want, _, err := e.QueryWithOptions(q, lo, hi, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.EnablePlanner(PlannerPolicy{ForcePlan: "screen-only"})
-	got, st, err := e.Query(q, lo, hi)
+	got, st, err := e.QueryWithOptions(q, lo, hi, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestPlannerInvalidationOnMutation(t *testing.T) {
 	e.EnablePlanner(PlannerPolicy{})
 	q, lo, hi := sets[7], 0.8, 1.0
 	warm := func() []core.Match {
-		m, _, err := e.Query(q, lo, hi)
+		m, _, err := e.QueryWithOptions(q, lo, hi, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, st, err := e.Query(q, lo, hi)
+		m, st, err := e.QueryWithOptions(q, lo, hi, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestPlannerInvalidationOnMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, st, err := e.Query(q, lo, hi)
+	after, st, err := e.QueryWithOptions(q, lo, hi, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestPlannerInvalidationOnMutation(t *testing.T) {
 	if err := e.Delete(g); err != nil {
 		t.Fatal(err)
 	}
-	final, st, err := e.Query(q, lo, hi)
+	final, st, err := e.QueryWithOptions(q, lo, hi, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,16 +239,16 @@ func TestPlannerInvalidationOnRetune(t *testing.T) {
 	e, sets := buildFixture(t, 300, 2)
 	q, lo, hi := sets[3], 0.5, 1.0
 	e.EnablePlanner(PlannerPolicy{})
-	if _, _, err := e.Query(q, lo, hi); err != nil {
+	if _, _, err := e.QueryWithOptions(q, lo, hi, core.QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, st, err := e.Query(q, lo, hi); err != nil || st.CacheHits != 1 {
+	if _, st, err := e.QueryWithOptions(q, lo, hi, core.QueryOptions{}); err != nil || st.CacheHits != 1 {
 		t.Fatalf("warm-up: err=%v hits=%d", err, st.CacheHits)
 	}
 	if _, err := e.Retune(); err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := e.Query(q, lo, hi)
+	got, st, err := e.QueryWithOptions(q, lo, hi, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,37 +256,34 @@ func TestPlannerInvalidationOnRetune(t *testing.T) {
 		t.Fatal("pre-retune cache entry served after the generation bump")
 	}
 	e.DisablePlanner()
-	want, _, err := e.Query(q, lo, hi)
+	want, _, err := e.QueryWithOptions(q, lo, hi, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameMatches(t, "post-retune", got, want)
 }
 
-// TestPlannerBatch pins the batch path: planner-on batches (cold and
-// warm) return byte-identical results to planner-off batches, and warm
-// batches report one cache hit per entry.
+// TestPlannerBatch pins planned batches of concurrent single queries:
+// planner-on batches (cold and warm) return byte-identical results to
+// planner-off batches, cold entries miss the result cache, and warm
+// entries are each served from it with one hit.
 func TestPlannerBatch(t *testing.T) {
 	e, sets := buildFixture(t, 300, 4)
-	qs, err := workload.Queries(len(sets), workload.QueryParams{Count: 16, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]core.BatchQuery, len(qs))
-	for i, q := range qs {
-		batch[i] = core.BatchQuery{Q: sets[q.SID], Lo: q.Lo, Hi: q.Hi}
-	}
-	baseline := e.QueryBatch(batch, core.QueryOptions{})
+	batch := workloadBatch(t, sets, 16, 9)
+	baseline := runBatch(e, batch, core.QueryOptions{})
 	e.EnablePlanner(PlannerPolicy{})
 	for pass, wantHits := range []int{0, 1} {
-		got := e.QueryBatch(batch, core.QueryOptions{})
+		got := runBatch(e, batch, core.QueryOptions{})
 		for i := range got {
-			if got[i].Err != nil || baseline[i].Err != nil {
-				t.Fatalf("pass %d entry %d: errs %v / %v", pass, i, got[i].Err, baseline[i].Err)
+			if got[i].err != nil || baseline[i].err != nil {
+				t.Fatalf("pass %d entry %d: errs %v / %v", pass, i, got[i].err, baseline[i].err)
 			}
-			requireSameMatches(t, "batch", got[i].Matches, baseline[i].Matches)
-			if got[i].Stats.CacheHits != wantHits {
-				t.Fatalf("pass %d entry %d: hits=%d want %d", pass, i, got[i].Stats.CacheHits, wantHits)
+			requireSameMatches(t, "batch", got[i].matches, baseline[i].matches)
+			if got[i].stats.CacheHits != wantHits {
+				t.Fatalf("pass %d entry %d: hits=%d want %d", pass, i, got[i].stats.CacheHits, wantHits)
+			}
+			if wantHits == 1 && got[i].stats.Plan != "cached" {
+				t.Fatalf("pass %d entry %d: plan %q, want cached", pass, i, got[i].stats.Plan)
 			}
 		}
 	}

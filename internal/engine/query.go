@@ -11,7 +11,6 @@
 package engine
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -51,13 +50,6 @@ type QueryStats struct {
 	PerShard []core.QueryStats
 }
 
-// BatchResult is the outcome of one QueryBatch entry.
-type BatchResult struct {
-	Matches []core.Match
-	Stats   QueryStats
-	Err     error
-}
-
 // aggregate folds shard stats into an engine-level view. The partition
 // points come from shard 0 (identical plans ⇒ identical enclose).
 func aggregate(gen uint64, per []core.QueryStats) QueryStats {
@@ -91,14 +83,6 @@ func toGlobalMatches(matches []core.Match, tg []uint32) []core.Match {
 		matches[i].SID = storage.SID(tg[matches[i].SID])
 	}
 	return matches
-}
-
-// queryPool resolves the scatter's worker budget the way core does.
-func queryPool(workers int) int {
-	if workers > 0 {
-		return workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // scatterScratch is the reusable per-query state of one scatter. The
@@ -212,11 +196,6 @@ func gather(perShard [][]core.Match) []core.Match {
 	return out
 }
 
-// Query answers the range query [s1, s2] with default options.
-func (e *Engine) Query(q set.Set, s1, s2 float64) ([]core.Match, QueryStats, error) {
-	return e.QueryWithOptions(q, s1, s2, core.QueryOptions{})
-}
-
 // QueryWithOptions scatters the range query across every shard and
 // gathers the union. Matches come back in the core's total order over
 // GLOBAL sids.
@@ -230,92 +209,18 @@ func (e *Engine) QueryWithOptions(q set.Set, s1, s2 float64, opt core.QueryOptio
 }
 
 // queryScatter runs one range query against view v under decision dec
-// (nil = the default fi-probe pipeline); per-shard executors come from the
-// decision. The option's worker pool is split proportionally across the
-// shards, so the scatter never oversubscribes the pool beyond the
-// one-worker-per-shard floor.
+// (nil = the planner is off: every shard probes). Each shard runs core's
+// one range processor with the arm the decision gives it. The option's
+// worker pool is split proportionally across the shards, so the scatter
+// never oversubscribes the pool beyond the one-worker-per-shard floor.
 func (e *Engine) queryScatter(v *planView, dec *plan.Decision, q set.Set, s1, s2 float64, opt core.QueryOptions) ([]core.Match, QueryStats, error) {
-	shares := core.SplitPool(queryPool(opt.Workers), len(v.cores))
+	shares := core.SplitPool(core.ResolveWorkers(opt.Workers), len(v.cores))
 	return e.scatter(v, q, func(si int, sig minhash.Signature) ([]core.Match, core.QueryStats, error) {
 		inner := opt
 		inner.Workers = shares[si]
-		return runShardPlan(v.cores[si], kindFor(dec, si), q, sig, s1, s2, inner)
+		inner.Arm = armFor(dec, si)
+		return v.cores[si].QueryPresigned(q, sig, s1, s2, inner)
 	})
-}
-
-// QueryBatch answers a slice of range queries: every query is signed
-// once, each shard runs the whole presigned batch against its partition
-// (worker pool split proportionally across the shards), then per-query
-// results gather across shards. Entry i's outcome is exactly what
-// Query(queries[i]) would return.
-func (e *Engine) QueryBatch(queries []core.BatchQuery, opt core.QueryOptions) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	if ps := e.planner.Load(); ps != nil {
-		e.queryBatchPlanned(ps, queries, opt, out)
-		return out
-	}
-	e.queryBatchInto(e.loadView(), queries, opt, out)
-	return out
-}
-
-// queryBatchInto is the default (fi-probe) batch pipeline against a fixed
-// view, writing entry i's outcome to out[i]. The planner routes its
-// fi-probe sub-batches here so they keep the shared probe matrix and
-// proportional pool split.
-func (e *Engine) queryBatchInto(v *planView, queries []core.BatchQuery, opt core.QueryOptions, out []BatchResult) {
-	if e.single {
-		for i, r := range v.cores[0].QueryBatch(queries, opt) {
-			out[i] = BatchResult{Matches: r.Matches, Stats: singleStats(v.gen, r.Stats), Err: r.Err}
-		}
-		return
-	}
-	n := len(e.shards)
-	emb := v.cores[0].Embedder()
-	k := emb.K()
-	buf := make([]uint64, len(queries)*k)
-	signed := make([]core.BatchQuery, len(queries))
-	for i, bq := range queries {
-		sig := minhash.Signature(buf[i*k : (i+1)*k : (i+1)*k])
-		emb.SignInto(bq.Q, sig)
-		signed[i] = core.BatchQuery{Q: bq.Q, Lo: bq.Lo, Hi: bq.Hi, Sig: sig}
-	}
-
-	shardRes := make([][]core.BatchResult, n)
-	shares := core.SplitPool(queryPool(opt.Workers), n)
-	var wg sync.WaitGroup
-	for si := range e.shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			inner := opt
-			inner.Workers = shares[si]
-			res := v.cores[si].QueryBatch(signed, inner)
-			tg := e.shards[si].mapping()
-			for i := range res {
-				toGlobalMatches(res[i].Matches, tg)
-			}
-			shardRes[si] = res
-		}(si)
-	}
-	wg.Wait()
-
-	parts := make([][]core.Match, n)
-	for i := range queries {
-		per := make([]core.QueryStats, n)
-		var firstErr error
-		for si, res := range shardRes {
-			r := res[i]
-			if r.Err != nil && firstErr == nil {
-				firstErr = r.Err
-			}
-			per[si] = r.Stats
-			parts[si] = r.Matches
-		}
-		out[i].Matches, out[i].Stats, out[i].Err = gatherShards(v.gen, per, parts, firstErr)
-	}
 }
 
 // TopK gathers each shard's k best and keeps the global k best. A shard's

@@ -34,7 +34,7 @@ func TestRetuneNoOpIsByteIdentical(t *testing.T) {
 		e, sets := buildFixture(t, 400, shards)
 		before := saveBytes(t, e)
 		q := sets[3]
-		mBefore, stBefore, err := e.Query(q, 0.2, 1.0)
+		mBefore, stBefore, err := e.QueryWithOptions(q, 0.2, 1.0, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("shards=%d query before: %v", shards, err)
 		}
@@ -57,7 +57,7 @@ func TestRetuneNoOpIsByteIdentical(t *testing.T) {
 		if !bytes.Equal(before, after) {
 			t.Fatalf("shards=%d: no-op retune changed the snapshot (%d vs %d bytes)", shards, len(before), len(after))
 		}
-		mAfter, stAfter, err := e.Query(q, 0.2, 1.0)
+		mAfter, stAfter, err := e.QueryWithOptions(q, 0.2, 1.0, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("shards=%d query after: %v", shards, err)
 		}
@@ -118,11 +118,11 @@ func TestRetuneEqualsFreshBuild(t *testing.T) {
 
 		for qi, q := range []set.Set{sets[0], sets[7], extra[3], extra[11]} {
 			for _, rng := range [][2]float64{{0.1, 1.0}, {0.5, 1.0}, {0.05, 0.4}} {
-				got, _, err := e.Query(q, rng[0], rng[1])
+				got, _, err := e.QueryWithOptions(q, rng[0], rng[1], core.QueryOptions{})
 				if err != nil {
 					t.Fatalf("retuned query: %v", err)
 				}
-				want, _, err := fresh.Query(q, rng[0], rng[1])
+				want, _, err := fresh.QueryWithOptions(q, rng[0], rng[1], core.QueryOptions{})
 				if err != nil {
 					t.Fatalf("fresh query: %v", err)
 				}
@@ -208,7 +208,7 @@ func TestRetuneSwapUnderLoad(t *testing.T) {
 				default:
 				}
 				q := sets[(r*31+i)%len(sets)]
-				_, st, err := e.Query(q, 0.2, 1.0)
+				_, st, err := e.QueryWithOptions(q, 0.2, 1.0, core.QueryOptions{})
 				if err != nil {
 					errCh <- err
 					return
@@ -260,11 +260,11 @@ func TestRetuneSwapUnderLoad(t *testing.T) {
 		t.Fatalf("fresh build: %v", err)
 	}
 	for qi, q := range []set.Set{sets[1], sets[50], extra[9]} {
-		got, _, err := e.Query(q, 0.3, 1.0)
+		got, _, err := e.QueryWithOptions(q, 0.3, 1.0, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("final query: %v", err)
 		}
-		want, _, err := fresh.Query(q, 0.3, 1.0)
+		want, _, err := fresh.QueryWithOptions(q, 0.3, 1.0, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("fresh query: %v", err)
 		}
@@ -392,7 +392,7 @@ func TestMaybeRetuneRecoversRecall(t *testing.T) {
 		var gen uint64
 		for _, q := range queries {
 			qset := live[q.SID]
-			matches, st, err := e.Query(qset, q.Lo, q.Hi)
+			matches, st, err := e.QueryWithOptions(qset, q.Lo, q.Hi, core.QueryOptions{})
 			if err != nil {
 				t.Fatalf("query: %v", err)
 			}

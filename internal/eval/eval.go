@@ -88,7 +88,7 @@ func (r *Runner) runOne(q workload.Query) (Outcome, error) {
 	}
 	qset := r.Sets[q.SID]
 
-	matches, stats, err := r.Index.Query(qset, q.Lo, q.Hi)
+	matches, stats, err := r.Index.QueryWithOptions(qset, q.Lo, q.Hi, core.QueryOptions{})
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -190,9 +190,18 @@ func TestRouterHedgesSlowBackend(t *testing.T) {
 		Primary:    slow.URL, // primary is the slow one; hedging saves the read
 		Followers:  []string{fast.URL},
 		HedgeDelay: 10 * time.Millisecond,
-		ProbeEvery: 10 * time.Millisecond,
+		// A slow probe interval keeps readiness steady once both backends
+		// answer: a probe that times out under load would otherwise drop
+		// the slow backend from the read order and with it every hedge.
+		ProbeEvery: time.Second,
 	})
 	defer rt.Close() //ssrvet:ignore droppederr -- test teardown
+	// With both backends ready the round-robin order puts the slow one
+	// first on every other read; before that, a router that has heard
+	// only from the fast backend sends every read there alone.
+	waitFor(t, "both backends ready", func() bool {
+		return rt.backends[0].ready.Load() && rt.backends[1].ready.Load()
+	})
 
 	var hedged bool
 	for i := 0; i < 10; i++ {

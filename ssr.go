@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -421,17 +422,11 @@ func (ix *Index) Query(elements []string, lo, hi float64) ([]Match, Stats, error
 
 // QuerySID uses an existing collection member as the query set.
 func (ix *Index) QuerySID(sid int, lo, hi float64) ([]Match, Stats, error) {
-	return ix.QuerySIDWithOptions(sid, lo, hi, QueryOptions{})
-}
-
-// QuerySIDWithOptions is QuerySID with explicit query options
-// (screening, workers, AllowApproximate).
-func (ix *Index) QuerySIDWithOptions(sid int, lo, hi float64, opt QueryOptions) ([]Match, Stats, error) {
 	q, err := ix.memberSet(sid)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return ix.queryOpts(q, lo, hi, opt)
+	return ix.query(q, lo, hi)
 }
 
 // memberSet returns collection member sid's set for use as a query.
@@ -576,41 +571,32 @@ type BatchResult struct {
 }
 
 // QueryBatch answers many range queries concurrently. Results are
-// positional: result i answers query i. Options apply to every entry.
-// With the planner off, each shard answers the whole batch under one read
-// lock, so a concurrent Add/Remove orders before or after the batch on
-// that shard. That holds per shard only: the batch is not a point-in-time
-// view across shards. Under the planner, entries that do not take the
-// fi-probe plan run one at a time, each under its own shard locks.
+// positional: result i answers query i, and is exactly what
+// QueryWithOptions would return for it — every entry is validated,
+// resolved, planned and run as its own single query, under its own shard
+// read locks, so a concurrent Add or Remove may land between two entries.
+// Options apply to every entry. Workers bounds the whole batch: it is
+// split across the concurrently running entries, each of which gets its
+// share for its own scatter and verification.
 func (ix *Index) QueryBatch(queries []BatchQuery, opt QueryOptions) []BatchResult {
-	inner := make([]core.BatchQuery, len(queries))
 	results := make([]BatchResult, len(queries))
-	ok := make([]bool, len(queries))
-	for i, bq := range queries {
-		if err := checkRange(bq.Lo, bq.Hi); err != nil {
-			results[i].Err = err
-			continue
-		}
-		inner[i] = core.BatchQuery{Q: ix.coll.resolve(bq.Elements), Lo: bq.Lo, Hi: bq.Hi}
-		ok[i] = true
+	pool := core.ResolveWorkers(opt.Workers)
+	shares := core.SplitPool(pool, min(pool, len(queries)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, share := range shares {
+		inner := opt
+		inner.Workers = share
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(queries); i = int(next.Add(1)) - 1 {
+				bq, r := queries[i], &results[i]
+				r.Matches, r.Stats, r.Err = ix.queryOpts(ix.coll.resolve(bq.Elements), bq.Lo, bq.Hi, inner)
+			}
+		}()
 	}
-	// Invalid entries keep their error; valid ones run in one core batch.
-	valid := make([]core.BatchQuery, 0, len(inner))
-	pos := make([]int, 0, len(inner))
-	for i, v := range ok {
-		if v {
-			valid = append(valid, inner[i])
-			pos = append(pos, i)
-		}
-	}
-	for j, r := range ix.inner.QueryBatch(valid, opt.toCore()) {
-		i := pos[j]
-		if r.Err != nil {
-			results[i].Err = r.Err
-			continue
-		}
-		results[i] = BatchResult{Matches: convertMatches(r.Matches), Stats: ix.convertStats(r.Stats)}
-	}
+	wg.Wait()
 	return results
 }
 
