@@ -56,7 +56,6 @@ replication:
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzSetEncoding -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzDecodeCorrupt -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecc/ -run '^$$' -fuzz FuzzHadamardRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lsh/ -run '^$$' -fuzz FuzzGatherKey -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSortMatches -fuzztime $(FUZZTIME)

@@ -44,11 +44,7 @@ func (ix *Index) SimilarPairs(threshold float64) ([]PairMatch, error) {
 	if err := ix.requireNoDeletions("SimilarPairs"); err != nil {
 		return nil, err
 	}
-	sets, err := ix.inner.Sets()
-	if err != nil {
-		return nil, err
-	}
-	pairs, _, err := join.SelfJoin(sets, join.Options{
+	pairs, _, err := join.SelfJoin(ix.inner.Sets(), join.Options{
 		Threshold: threshold,
 		Tables:    24,
 		MinHashes: ix.inner.Embedder().K(),
@@ -79,11 +75,7 @@ func (ix *Index) Clusters(lo, hi float64) ([]ClusterResult, error) {
 	if err := ix.requireNoDeletions("Clusters"); err != nil {
 		return nil, err
 	}
-	sets, err := ix.inner.Sets()
-	if err != nil {
-		return nil, err
-	}
-	res, err := cluster.Leaders(ix.inner, sets, cluster.Options{Lo: lo, Hi: hi})
+	res, err := cluster.Leaders(ix.inner, ix.inner.Sets(), cluster.Options{Lo: lo, Hi: hi})
 	if err != nil {
 		return nil, err
 	}

@@ -290,3 +290,62 @@ func TestBuildWorkersIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryInvalidScreenMargin checks that a NaN, infinite or negative
+// screening margin fails the public single and batch queries — on one and
+// four shards, planner off and on, even after the same query with a valid
+// margin has been answered (and, under the planner, cached).
+func TestQueryInvalidScreenMargin(t *testing.T) {
+	elems := []string{"dune", "foundation", "hyperion", "neuromancer"}
+	for _, shards := range []int{1, 4} {
+		for _, planner := range []bool{false, true} {
+			ix, err := Build(bookstore(), Options{Budget: 24, MinHashes: 48, Seed: 3, Shards: shards, Planner: planner})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ix.QueryWithOptions(elems, 0.5, 1.0, QueryOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			for _, eps := range []float64{math.NaN(), math.Inf(1), -1} {
+				for _, screen := range []bool{false, true} {
+					opt := QueryOptions{Screen: screen, ScreenMargin: eps}
+					if _, _, err := ix.QueryWithOptions(elems, 0.5, 1.0, opt); err == nil {
+						t.Errorf("shards=%d planner=%v: margin %g screen=%v accepted", shards, planner, eps, screen)
+					}
+					if res := ix.QueryBatch([]BatchQuery{{Elements: elems, Lo: 0.5, Hi: 1.0}}, opt); res[0].Err == nil {
+						t.Errorf("shards=%d planner=%v: batch margin %g screen=%v accepted", shards, planner, eps, screen)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStatsSizePruned checks the public Stats carry the size bound's
+// count summed over shards: near-duplicate queries skip some candidates by
+// size, and none of them is also counted as screened.
+func TestStatsSizePruned(t *testing.T) {
+	sets, err := workload.Generate(workload.Set1Params(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, elems := stringCollection(sets)
+	ix, err := Build(c, Options{Budget: 40, MinHashes: 64, Seed: 5, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := 0
+	for i := 0; i < len(elems); i += 15 {
+		_, st, err := ix.QueryWithOptions(elems[i], 0.8, 1.0, QueryOptions{Screen: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SizePruned+st.Screened+st.Results > st.Candidates {
+			t.Fatalf("query %d: %d size-pruned + %d screened + %d results exceed %d candidates", i, st.SizePruned, st.Screened, st.Results, st.Candidates)
+		}
+		pruned += st.SizePruned
+	}
+	if pruned == 0 {
+		t.Fatal("no near-duplicate query size-pruned a candidate")
+	}
+}

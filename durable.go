@@ -475,9 +475,8 @@ func (ix *Index) recover(lay durableLayout, lanes []recoveredLane) error {
 	}
 	// The view is built once the tails are in, so a replayed delete reads
 	// as empty exactly as a checkpointed one does.
-	coll, err := collectionOf(ix.coll.dict, eng)
-	ix.coll = coll
-	return err
+	ix.coll = collectionOf(ix.coll.dict, eng)
+	return nil
 }
 
 // assembleShards builds a sharded engine from its shards' checkpoints.
@@ -524,10 +523,7 @@ func assembleShards(man durableManifest, lanes []recoveredLane) ([]string, *engi
 			if tt := lanes[si].trailer; tt != nil && tt.Generation == winGen {
 				continue
 			}
-			csets, csigs, ctombs, err := cores[si].CaptureRebuild()
-			if err != nil {
-				return nil, nil, fmt.Errorf("ssr: capturing stale shard %d for plan normalization: %w", si, err)
-			}
+			csets, csigs, ctombs := cores[si].CaptureRebuild()
 			sopt := cores[si].BuildOptions()
 			planCopy := winPlan
 			sopt.PlanOverride = &planCopy

@@ -110,6 +110,11 @@ type QueryStats struct {
 	// signature screening (QueryOptions.Screen); always 0 when screening is
 	// off.
 	Screened int
+	// SizePruned is the number of candidates the probe and scan arms ruled
+	// out by size alone — min(|q|,|s|)/max(|q|,|s|) below s1 bounds their
+	// Jaccard under the range — before screening or fetching them. A
+	// size-pruned candidate is never also counted as Screened.
+	SizePruned int
 	// IndexIO counts bucket-page reads performed by filter probes.
 	IndexIO storage.Counter
 	// FetchIO counts page reads performed fetching candidate sets.
@@ -119,6 +124,21 @@ type QueryStats struct {
 	CPU time.Duration
 	// EnclosedLo, EnclosedHi are the partition points used.
 	EnclosedLo, EnclosedHi float64
+}
+
+// Add sums o's counters into st: candidates, results, screened and
+// size-pruned counts, CPU time and both I/O counters. The enclosed
+// partition points are left as they are.
+func (st *QueryStats) Add(o *QueryStats) {
+	st.Candidates += o.Candidates
+	st.Results += o.Results
+	st.Screened += o.Screened
+	st.SizePruned += o.SizePruned
+	st.CPU += o.CPU
+	st.IndexIO.RecordSeq(o.IndexIO.Seq())
+	st.IndexIO.RecordRand(o.IndexIO.Rand())
+	st.FetchIO.RecordSeq(o.FetchIO.Seq())
+	st.FetchIO.RecordRand(o.FetchIO.Rand())
 }
 
 // SimIOTime returns the simulated I/O time of the query under model m.
@@ -493,41 +513,35 @@ func SignCollection(emb *embed.Embedder, sets []set.Set, workers int) []minhash.
 // exactly this order.
 func SortMatches(matches []Match) { sortMatches(matches) }
 
-// Sets returns the live collection as in-memory set views, indexed by sid
-// (tombstoned sids are skipped, so after deletions the result is dense but
-// renumbered relative to the original sids).
-func (ix *Index) Sets() ([]set.Set, error) {
+// Sets returns the live collection indexed by sid (tombstoned sids are
+// skipped, so after deletions the result is dense but renumbered relative
+// to the original sids). The sets alias the store's: sets are immutable,
+// so they stay valid as the index keeps mutating.
+func (ix *Index) Sets() []set.Set {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	out := make([]set.Set, 0, ix.n)
-	err := ix.store.Scan(nil, func(sid storage.SID, s set.Set) bool {
+	ix.store.Scan(nil, func(sid storage.SID, s set.Set) bool {
 		out = append(out, s)
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }
 
 // SetsBySID returns the collection indexed by original sid: slot i holds
 // sid i's set, with tombstoned sids left as nil pointers. Unlike Sets, no
 // renumbering happens after deletions, which is what sid-addressed callers
 // (the durability layer's replay, the public snapshot's name alignment)
-// need.
-func (ix *Index) SetsBySID() ([]*set.Set, error) {
+// need. The pointed-to sets alias the store's, as in Sets.
+func (ix *Index) SetsBySID() []*set.Set {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	out := make([]*set.Set, len(ix.sigs))
-	err := ix.store.Scan(nil, func(sid storage.SID, s set.Set) bool {
-		cp := s
-		out[sid] = &cp
+	ix.store.Scan(nil, func(sid storage.SID, s set.Set) bool {
+		out[sid] = &s
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }
 
 // CaptureRebuild returns everything a from-scratch Build needs to
@@ -535,13 +549,13 @@ func (ix *Index) SetsBySID() ([]*set.Set, error) {
 // the sets and STORED signatures indexed by sid (full classic under the
 // default family, the family's packed words otherwise — feed them back as
 // PrecomputedSignatures or PackedSignatures accordingly), and the
-// tombstone marks for deleted sids. The captured signatures alias the index's (signatures are
-// immutable once assigned), and sets alias the store's append-only heap —
-// both stay valid as the live index keeps mutating, because neither is
-// ever rewritten in place. The re-tuner captures each shard under its
-// shard mutex, rebuilds off-lock from the capture, and replays the
-// journaled delta at swap time.
-func (ix *Index) CaptureRebuild() (sets []set.Set, sigs []minhash.Signature, tombstones []bool, err error) {
+// tombstone marks for deleted sids. The captured sets and signatures
+// alias the ones the store and index hold, which are immutable once
+// appended — so the capture stays valid as the live index keeps mutating.
+// The re-tuner captures each shard under its shard mutex, rebuilds
+// off-lock from the capture, and replays the journaled delta at swap
+// time.
+func (ix *Index) CaptureRebuild() (sets []set.Set, sigs []minhash.Signature, tombstones []bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	n := len(ix.sigs)
@@ -552,15 +566,12 @@ func (ix *Index) CaptureRebuild() (sets []set.Set, sigs []minhash.Signature, tom
 	for i := range tombstones {
 		tombstones[i] = true
 	}
-	err = ix.store.Scan(nil, func(sid storage.SID, s set.Set) bool {
+	ix.store.Scan(nil, func(sid storage.SID, s set.Set) bool {
 		sets[sid] = s
 		tombstones[sid] = false
 		return true
 	})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: capturing collection for rebuild: %w", err)
-	}
-	return sets, sigs, tombstones, nil
+	return sets, sigs, tombstones
 }
 
 // Signature returns sid's STORED signature — full classic under the
@@ -709,6 +720,9 @@ func (ix *Index) QueryPresigned(q set.Set, sig minhash.Signature, s1, s2 float64
 	if err := checkRange(s1, s2); err != nil {
 		return nil, QueryStats{}, err
 	}
+	if err := checkMargin(opt.ScreenMargin); err != nil {
+		return nil, QueryStats{}, err
+	}
 	return ix.query(q, sig, func(sig minhash.Signature, sc *queryScratch, stats *QueryStats) ([]Match, error) {
 		var cands []storage.SID
 		var err error
@@ -775,6 +789,17 @@ func checkRange(s1, s2 float64) error {
 		return nil
 	}
 	return fmt.Errorf("core: invalid range [%g, %g]", s1, s2)
+}
+
+// checkMargin rejects a screening margin that is negative, NaN or
+// infinite, on every arm and whether or not screening is on: a NaN or
+// infinite margin would silently screen nothing, and a negative one is no
+// width at all.
+func checkMargin(eps float64) error {
+	if eps >= 0 && !math.IsInf(eps, 1) {
+		return nil
+	}
+	return fmt.Errorf("core: invalid screen margin %g", eps)
 }
 
 // sortMatches orders results by descending similarity, ties by ascending

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/embed"
@@ -13,8 +14,10 @@ import (
 // FuzzQueryRange drives the one range processor with arbitrary bounds,
 // worker counts, screening and arms on a small fixed index. An invalid
 // range must fail on every arm; on a valid one the scan arm must answer
-// exactly like the probe arm, and the screen arm must account every
-// candidate as a result or a screened estimate without fetching a page.
+// exactly like the probe arm, the probe arm must answer exactly like an
+// unbounded fetch + Jaccard over its candidates (the size bound has no
+// false negatives), and the screen arm must account every candidate as a
+// result or a screened estimate without fetching a page.
 func FuzzQueryRange(f *testing.F) {
 	sets, err := workload.Generate(workload.Set1Params(120))
 	if err != nil {
@@ -72,6 +75,11 @@ func FuzzQueryRange(f *testing.F) {
 		}
 		if opt.Arm == ArmProbe {
 			got, st, want, wantSt = want, wantSt, got, st
+		}
+		if !screen { // screening may drop true matches; the bound may not
+			if brute := bruteForceVerify(t, ix, q, lo, hi); !slices.Equal(want, brute) {
+				t.Fatalf("range [%g, %g] opt %+v: probe arm %d matches, unbounded verify %d", lo, hi, opt, len(want), len(brute))
+			}
 		}
 		requireSameRangeAnswer(t, fmt.Sprintf("range [%g, %g] opt %+v", lo, hi, opt), got, st, want, wantSt)
 	})

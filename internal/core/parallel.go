@@ -13,9 +13,9 @@
 //     in ascending sid order, so its bucket chains and page layout are a
 //     pure function of (plan, seed, signatures) — exactly what snapshot
 //     rebuilds require.
-//   - Parallel verification merges per-worker I/O counters with atomics
-//     after the workers join, so IndexIO/FetchIO accounting stays exact,
-//     and the final sort is a total order, so result slices are identical.
+//   - Parallel verification sums per-worker counters after the workers
+//     join, so FetchIO and skip accounting stays exact, and the final sort
+//     is a total order, so result slices are identical.
 package core
 
 import (
@@ -78,7 +78,8 @@ type QueryOptions struct {
 	// family's 95%-confidence half-width (the same bound
 	// EstimateSimilarity reports — the classic Chernoff width under the
 	// default family), which keeps the extra false-negative rate under 5%
-	// per candidate.
+	// per candidate. A negative, NaN or infinite margin is an error on
+	// every arm, screening on or off.
 	ScreenMargin float64
 	// Workers bounds per-query candidate verification. 0 selects
 	// runtime.GOMAXPROCS(0); 1 forces serial processing. The fan-out never
@@ -287,23 +288,35 @@ type queryScratch struct {
 	cands  []storage.SID
 }
 
-// verifyChunk runs the fetch-and-verify loop (with optional signature
-// screening) over one candidate slice, appending matches to dst and
-// charging fetches to io. qp is the query's packed family signature (nil
-// unless screening).
-func (ix *Index) verifyChunk(q set.Set, qp []uint64, cands []storage.SID, s1, s2 float64, screen bool, screenLo, screenHi float64, dst []Match, io *storage.Counter, screened *int) ([]Match, error) {
+// verifyChunk runs the verify loop over one candidate slice, appending
+// matches to dst and charging fetches and skips to st. qp is the query's
+// packed family signature (nil unless screening).
+//
+// A candidate is first ruled out by size, before it is screened or
+// fetched: J = |q∩s|/|q∪s| ≤ min(|q|,|s|)/max(|q|,|s|), and correctly
+// rounded division is monotone, so when the float size ratio is below s1
+// the float Jaccard is too, and the candidate cannot verify. |s| is read
+// from the store's in-memory sid directory at no I/O. Two empty sets
+// (Jaccard 1) are never pruned, and an out-of-range sid has no size and
+// falls through to Fetch's error.
+func (ix *Index) verifyChunk(q set.Set, qp []uint64, cands []storage.SID, s1, s2 float64, screen bool, screenLo, screenHi float64, dst []Match, st *QueryStats) ([]Match, error) {
+	qn := q.Len()
 	for _, sid := range cands {
+		if n, ok := ix.store.SetLen(sid); ok && max(qn, n) > 0 && float64(min(qn, n))/float64(max(qn, n)) < s1 {
+			st.SizePruned++
+			continue
+		}
 		if screen {
 			est, err := ix.fam.Estimate(qp, ix.sigs[sid])
 			if err != nil {
 				return dst, fmt.Errorf("core: screening candidate %d: %w", sid, err)
 			}
 			if est < screenLo || est > screenHi {
-				*screened++
+				st.Screened++
 				continue
 			}
 		}
-		s, err := ix.store.Fetch(sid, io)
+		s, err := ix.store.Fetch(sid, &st.FetchIO)
 		if err != nil {
 			return dst, fmt.Errorf("core: fetching candidate %d: %w", sid, err)
 		}
@@ -316,14 +329,14 @@ func (ix *Index) verifyChunk(q set.Set, qp []uint64, cands []storage.SID, s1, s2
 }
 
 // verifyCandidates fetches and verifies the candidate set, in parallel
-// above the candidate-count threshold. Per-worker I/O counters and screened
-// counts are merged into stats with atomics after the workers join, so the
-// totals equal the serial accounting exactly.
+// above the candidate-count threshold. Each worker counts into its own
+// QueryStats, summed into stats after the workers join, so the totals
+// equal the serial accounting exactly.
 func (ix *Index) verifyCandidates(q set.Set, qp []uint64, cands []storage.SID, s1, s2 float64, opt QueryOptions, stats *QueryStats) ([]Match, error) {
 	var screenLo, screenHi float64
 	if opt.Screen {
 		eps := opt.ScreenMargin
-		if eps <= 0 {
+		if eps == 0 {
 			eps = ix.famEps
 		}
 		screenLo, screenHi = s1-eps, s2+eps
@@ -335,18 +348,14 @@ func (ix *Index) verifyCandidates(q set.Set, qp []uint64, cands []storage.SID, s
 	workers := min(ResolveWorkers(opt.Workers), len(cands))
 	if workers <= 1 || len(cands) < minPar {
 		matches := make([]Match, 0, len(cands)/4+1)
-		var screened int
-		matches, err := ix.verifyChunk(q, qp, cands, s1, s2, opt.Screen, screenLo, screenHi, matches, &stats.FetchIO, &screened)
-		stats.Screened += screened
-		return matches, err
+		return ix.verifyChunk(q, qp, cands, s1, s2, opt.Screen, screenLo, screenHi, matches, stats)
 	}
 
 	var (
-		wg                  sync.WaitGroup
-		fetchSeq, fetchRand atomic.Int64
-		screenedN           atomic.Int64
-		chunkMatches        = make([][]Match, workers)
-		chunkErrs           = make([]error, workers)
+		wg           sync.WaitGroup
+		chunkStats   = make([]QueryStats, workers)
+		chunkMatches = make([][]Match, workers)
+		chunkErrs    = make([]error, workers)
 	)
 	for w := 0; w < workers; w++ {
 		lo := w * len(cands) / workers
@@ -357,19 +366,15 @@ func (ix *Index) verifyCandidates(q set.Set, qp []uint64, cands []storage.SID, s
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			var io storage.Counter
-			var screened int
-			m, err := ix.verifyChunk(q, qp, cands[lo:hi], s1, s2, opt.Screen, screenLo, screenHi, nil, &io, &screened)
-			chunkMatches[w], chunkErrs[w] = m, err
-			fetchSeq.Add(io.Seq())
-			fetchRand.Add(io.Rand())
-			screenedN.Add(int64(screened))
+			var st QueryStats // local, so workers share no cache line while counting
+			chunkMatches[w], chunkErrs[w] = ix.verifyChunk(q, qp, cands[lo:hi], s1, s2, opt.Screen, screenLo, screenHi, nil, &st)
+			chunkStats[w] = st
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	stats.FetchIO.RecordSeq(fetchSeq.Load())
-	stats.FetchIO.RecordRand(fetchRand.Load())
-	stats.Screened += int(screenedN.Load())
+	for w := range chunkStats {
+		stats.Add(&chunkStats[w])
+	}
 	total := 0
 	for _, m := range chunkMatches {
 		total += len(m)

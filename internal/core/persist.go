@@ -104,7 +104,7 @@ func (ix *Index) Save(w io.Writer) error {
 		Plan:           ix.plan,
 		NumSIDs:        len(ix.sigs),
 	}
-	err := ix.store.Scan(nil, func(sid storage.SID, s set.Set) bool {
+	ix.store.Scan(nil, func(sid storage.SID, s set.Set) bool {
 		elems := make([]uint64, s.Len())
 		copy(elems, s.Elems())
 		snap.Sets = append(snap.Sets, elems)
@@ -112,9 +112,6 @@ func (ix *Index) Save(w io.Writer) error {
 		snap.SIDs = append(snap.SIDs, uint32(sid))
 		return true
 	})
-	if err != nil {
-		return fmt.Errorf("core: scanning collection for snapshot: %w", err)
-	}
 	if err := gob.NewEncoder(bw).Encode(&snap); err != nil {
 		return fmt.Errorf("core: encoding snapshot: %w", err)
 	}

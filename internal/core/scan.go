@@ -85,7 +85,7 @@ func (ix *Index) ScanQuery(q set.Set, s1, s2 float64) ([]Match, QueryStats, erro
 	var stats QueryStats
 	start := time.Now()
 	var matches []Match
-	err := ix.store.Scan(&stats.FetchIO, func(sid storage.SID, s set.Set) bool {
+	ix.store.Scan(&stats.FetchIO, func(sid storage.SID, s set.Set) bool {
 		stats.Candidates++
 		sim := q.Jaccard(s)
 		if sim >= s1 && sim <= s2 {
@@ -93,9 +93,6 @@ func (ix *Index) ScanQuery(q set.Set, s1, s2 float64) ([]Match, QueryStats, erro
 		}
 		return true
 	})
-	if err != nil {
-		return nil, stats, err
-	}
 	sortMatches(matches)
 	stats.Results = len(matches)
 	stats.CPU = time.Since(start)

@@ -665,17 +665,14 @@ func (e *Engine) EstimateAnswerSize(lo, hi float64) (float64, error) {
 
 // SetsBySID returns the collection indexed by global sid: slot g holds
 // sid g's set, with tombstoned and never-applied sids left nil.
-func (e *Engine) SetsBySID() ([]*set.Set, error) {
+func (e *Engine) SetsBySID() []*set.Set {
 	v := e.loadView()
 	if e.single {
 		return v.cores[0].SetsBySID()
 	}
 	out := make([]*set.Set, e.NumAllocated())
 	for si, sh := range e.shards {
-		bySID, err := v.cores[si].SetsBySID()
-		if err != nil {
-			return nil, fmt.Errorf("engine: shard %d: %w", si, err)
-		}
+		bySID := v.cores[si].SetsBySID()
 		tg := sh.mapping()
 		for local, s := range bySID {
 			if s != nil {
@@ -683,27 +680,24 @@ func (e *Engine) SetsBySID() ([]*set.Set, error) {
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Sets returns the live collection in ascending global-sid order (dense;
 // positions equal global sids only when the engine has no deletions or
 // holes — the callers that need alignment check NumAllocated == Len).
-func (e *Engine) Sets() ([]set.Set, error) {
+func (e *Engine) Sets() []set.Set {
 	if e.single {
 		return e.loadView().cores[0].Sets()
 	}
-	bySID, err := e.SetsBySID()
-	if err != nil {
-		return nil, err
-	}
+	bySID := e.SetsBySID()
 	out := make([]set.Set, 0, len(bySID))
 	for _, s := range bySID {
 		if s != nil {
 			out = append(out, *s)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // mapping captures the shard's local→global table header. Entries are

@@ -124,11 +124,9 @@ func resultKeyFor(q set.Set, s1, s2 float64, opt core.QueryOptions) (plan.Result
 	if opt.AllowApproximate {
 		flags |= 2
 	}
-	margin := 0.0
-	if opt.Screen {
-		margin = opt.ScreenMargin
-	}
-	return plan.ResultKey{Elems: elems, Lo: s1, Hi: s2, Flags: flags, Margin: margin}, true
+	// The margin is keyed even with screening off: core rejects an
+	// invalid one either way, so it must not hit a valid query's entry.
+	return plan.ResultKey{Elems: elems, Lo: s1, Hi: s2, Flags: flags, Margin: opt.ScreenMargin}, true
 }
 
 // cachedStats builds the QueryStats of a result-cache hit.

@@ -55,15 +55,7 @@ type QueryStats struct {
 func aggregate(gen uint64, per []core.QueryStats) QueryStats {
 	agg := QueryStats{PlanGeneration: gen, ShardsQueried: len(per), PerShard: per}
 	for i := range per {
-		st := &per[i]
-		agg.Candidates += st.Candidates
-		agg.Results += st.Results
-		agg.Screened += st.Screened
-		agg.CPU += st.CPU
-		agg.IndexIO.RecordSeq(st.IndexIO.Seq())
-		agg.IndexIO.RecordRand(st.IndexIO.Rand())
-		agg.FetchIO.RecordSeq(st.FetchIO.Seq())
-		agg.FetchIO.RecordRand(st.FetchIO.Rand())
+		agg.QueryStats.Add(&per[i])
 	}
 	agg.EnclosedLo, agg.EnclosedHi = per[0].EnclosedLo, per[0].EnclosedHi
 	return agg

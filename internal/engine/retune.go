@@ -160,20 +160,13 @@ func (e *Engine) retune(force bool) (RetuneResult, error) {
 	caps := make([]rebuildCapture, len(e.shards))
 	for si, sh := range e.shards {
 		sh.mu.Lock()
-		sets, sigs, tombs, err := v.cores[si].CaptureRebuild()
-		if err == nil {
-			sh.journalOn = true
-			sh.journal = nil
-			if !e.single {
-				caps[si].tg = append([]uint32(nil), sh.toGlobal...)
-			}
+		caps[si].sets, caps[si].sigs, caps[si].tombs = v.cores[si].CaptureRebuild()
+		sh.journalOn = true
+		sh.journal = nil
+		if !e.single {
+			caps[si].tg = append([]uint32(nil), sh.toGlobal...)
 		}
 		sh.mu.Unlock()
-		if err != nil {
-			e.closeJournals()
-			return res, fmt.Errorf("engine: capturing shard %d for retune: %w", si, err)
-		}
-		caps[si].sets, caps[si].sigs, caps[si].tombs = sets, sigs, tombs
 	}
 
 	// Phase 2a: re-estimate the global profile from the captured live

@@ -107,11 +107,7 @@ func TestRetuneEqualsFreshBuild(t *testing.T) {
 
 		// Fresh build over the final live collection, in global-sid order
 		// — the same dense ordering the retune re-estimated D_S from.
-		live, err := e.Sets()
-		if err != nil {
-			t.Fatalf("sets: %v", err)
-		}
-		fresh, err := core.Build(live, coreOptions())
+		fresh, err := core.Build(e.Sets(), coreOptions())
 		if err != nil {
 			t.Fatalf("fresh build: %v", err)
 		}
@@ -251,11 +247,7 @@ func TestRetuneSwapUnderLoad(t *testing.T) {
 	if _, err := e.Retune(); err != nil {
 		t.Fatalf("final retune: %v", err)
 	}
-	live, err := e.Sets()
-	if err != nil {
-		t.Fatalf("sets: %v", err)
-	}
-	fresh, err := core.Build(live, coreOptions())
+	fresh, err := core.Build(e.Sets(), coreOptions())
 	if err != nil {
 		t.Fatalf("fresh build: %v", err)
 	}

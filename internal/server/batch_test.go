@@ -96,3 +96,18 @@ func TestQueryBatchValidation(t *testing.T) {
 	}
 	resp.Body.Close()
 }
+
+// TestQueryBatchRejectsNegativeScreenMargin checks that a negative
+// screening margin fails the whole /query/batch request with 400 rather
+// than being read as the default. (/query takes no screening options.)
+func TestQueryBatchRejectsNegativeScreenMargin(t *testing.T) {
+	srv, _ := testServer(t)
+	resp := postJSON(t, srv.URL+"/query/batch", map[string]any{
+		"screen": true, "screenMargin": -1,
+		"queries": []map[string]any{{"elements": []string{"a"}, "lo": 0.5, "hi": 1}},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", resp.StatusCode)
+	}
+	resp.Body.Close()
+}

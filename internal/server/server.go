@@ -504,6 +504,10 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds limit %d", len(req.Queries), maxBatchQueries))
 		return
 	}
+	if req.ScreenMargin < 0 { // JSON carries no NaN or infinity
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("screenMargin %g is negative", req.ScreenMargin))
+		return
+	}
 	batch := make([]ssr.BatchQuery, len(req.Queries))
 	for i, q := range req.Queries {
 		if len(q.Elements) == 0 {

@@ -1,8 +1,8 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/set"
 )
@@ -10,28 +10,28 @@ import (
 // SID is a set identifier: the dense index of a set within a collection.
 type SID = uint32
 
-// SetStore is the heap file holding the serialized set collection. Sets are
-// appended contiguously during build; fetching a set costs one random page
-// access for the first page of the record plus sequential accesses for any
+// SetStore is the heap file holding the set collection. Sets are appended
+// contiguously during build; fetching a set costs one random page access
+// for the first page of the record plus sequential accesses for any
 // continuation pages — the access pattern behind the paper's Figure 7 cost
-// analysis. The per-sid directory (offsets, lengths) is held in memory, as
-// the paper's cost model assumes of the sid index, so resolving a sid costs
-// no page reads.
+// analysis. The per-sid directory (record offsets and lengths, set sizes)
+// is held in memory, as the paper's cost model assumes of the sid index,
+// so resolving a sid or reading a set's size costs no page reads.
 //
-// The paper's records are raw HTTP log strings (~2KB per set); this store
-// keeps elements as compact varint-coded ids but can account I/O as if each
-// element carried its original string payload (PayloadPerElem), so the
-// simulated scan/fetch costs match the paper's record sizes without holding
-// hundreds of megabytes of padding in memory.
+// The paper's records are raw HTTP log strings (~2KB per set). The store
+// keeps each appended set.Set as it was given and only accounts the heap:
+// a record is as long as a varint element count plus varint gaps between
+// the sorted elements would be, plus PayloadPerElem bytes per element for
+// its original string form. So the simulated scan/fetch costs match the
+// paper's record sizes without holding hundreds of megabytes of padding in
+// memory, and a fetch hands back the stored set without decoding it.
 type SetStore struct {
 	pageSize int
-	payload  int // accounted-but-not-stored bytes per element
-	data     []byte
-	offsets  []uint64 // per-sid record offset (physical heap)
-	lengths  []uint32 // per-sid record length (physical heap)
-	virtOff  []uint64 // per-sid record offset in the accounted heap
-	virtLen  []uint32 // per-sid record length in the accounted heap
-	virtEnd  uint64   // accounted heap size
+	payload  int       // accounted-but-not-stored bytes per element
+	sets     []set.Set // per-sid set, as appended
+	virtOff  []uint64  // per-sid record offset in the accounted heap
+	virtLen  []uint32  // per-sid record length in the accounted heap
+	virtEnd  uint64    // accounted heap size
 	deleted  map[SID]struct{}
 }
 
@@ -53,86 +53,59 @@ func NewSetStoreWithPayload(pageSize, payload int) *SetStore {
 	return &SetStore{pageSize: pageSize, payload: payload}
 }
 
-// Append serializes s and returns its sid. Sids are assigned densely in
-// append order.
+// Append stores s and returns its sid. Sids are assigned densely in append
+// order. The store retains s itself, not a copy: sets are immutable, so
+// every later Fetch and Scan returns the same elements.
 func (st *SetStore) Append(s set.Set) SID {
-	sid := SID(len(st.offsets))
-	off := uint64(len(st.data))
-	st.data = appendSet(st.data, s)
-	physLen := uint32(uint64(len(st.data)) - off)
-	st.offsets = append(st.offsets, off)
-	st.lengths = append(st.lengths, physLen)
-	vlen := physLen + uint32(st.payload*s.Len())
+	sid := SID(len(st.sets))
+	st.sets = append(st.sets, s)
+	vlen := recordLen(s) + uint32(st.payload*s.Len())
 	st.virtOff = append(st.virtOff, st.virtEnd)
 	st.virtLen = append(st.virtLen, vlen)
 	st.virtEnd += uint64(vlen)
 	return sid
 }
 
-// appendSet encodes a set as a varint element count followed by varint
-// deltas of the sorted elements (+1 so deltas are never zero after the
-// first, keeping the encoding self-checking).
-func appendSet(dst []byte, s set.Set) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	elems := s.Elems()
-	n := binary.PutUvarint(buf[:], uint64(len(elems)))
-	dst = append(dst, buf[:n]...)
-	prev := uint64(0)
-	for i, e := range elems {
-		d := uint64(e) - prev
-		if i > 0 {
-			d-- // strictly increasing, so delta >= 1; store delta-1
-		}
-		n := binary.PutUvarint(buf[:], d)
-		dst = append(dst, buf[:n]...)
-		prev = uint64(e)
+// recordLen returns the byte length of s's heap record before payload: a
+// varint element count, then the first element and each later element's
+// gap to its predecessor minus one, all as varints. Starting prev at
+// 2^64−1 makes the first gap e−prev−1 wrap around to e itself.
+func recordLen(s set.Set) uint32 {
+	n := uvarintLen(uint64(s.Len()))
+	prev := ^uint64(0)
+	for _, e := range s.Elems() {
+		n += uvarintLen(e - prev - 1)
+		prev = e
 	}
-	return dst
+	return uint32(n)
 }
 
-// decodeSet parses a record produced by appendSet.
-func decodeSet(b []byte) (set.Set, error) {
-	cnt, n := binary.Uvarint(b)
-	if n <= 0 {
-		return set.Set{}, fmt.Errorf("storage: corrupt set header")
+// uvarintLen is the length of x's unsigned varint encoding: one byte per
+// started group of 7 significant bits, and one byte for 0.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// SetLen returns the element count of sid's set from the in-memory sid
+// directory, charging no I/O; ok is false when sid is out of range.
+func (st *SetStore) SetLen(sid SID) (n int, ok bool) {
+	if int(sid) >= len(st.sets) {
+		return 0, false
 	}
-	b = b[n:]
-	// Every element takes at least one byte, so a count beyond the
-	// remaining record length is corruption — checked before allocating.
-	if cnt > uint64(len(b)) {
-		return set.Set{}, fmt.Errorf("storage: corrupt set header: %d elements in %d bytes", cnt, len(b))
-	}
-	elems := make([]set.Elem, cnt)
-	prev := uint64(0)
-	for i := range elems {
-		d, n := binary.Uvarint(b)
-		if n <= 0 {
-			return set.Set{}, fmt.Errorf("storage: corrupt set element %d", i)
-		}
-		b = b[n:]
-		if i == 0 {
-			prev = d
-		} else {
-			prev += d + 1
-		}
-		elems[i] = set.Elem(prev)
-	}
-	return set.FromSorted(elems), nil
+	return st.sets[sid].Len(), true
 }
 
 // Len returns the number of sets ever appended (deleted sets keep their
 // sid; see Live).
-func (st *SetStore) Len() int { return len(st.offsets) }
+func (st *SetStore) Len() int { return len(st.sets) }
 
 // Live returns the number of non-deleted sets.
-func (st *SetStore) Live() int { return len(st.offsets) - len(st.deleted) }
+func (st *SetStore) Live() int { return len(st.sets) - len(st.deleted) }
 
 // Delete tombstones sid: Fetch will fail for it and Scan will skip it. The
 // record's pages remain allocated (heap compaction is out of scope, as in
 // the paper's hash-file substrate).
 func (st *SetStore) Delete(sid SID) error {
-	if int(sid) >= len(st.offsets) {
-		return fmt.Errorf("storage: sid %d out of range (%d sets)", sid, len(st.offsets))
+	if int(sid) >= len(st.sets) {
+		return fmt.Errorf("storage: sid %d out of range (%d sets)", sid, len(st.sets))
 	}
 	if st.deleted == nil {
 		st.deleted = make(map[SID]struct{})
@@ -161,10 +134,10 @@ func (st *SetStore) NumPages() int64 {
 
 // AvgPagesPerSet returns the paper's a parameter: average set size in pages.
 func (st *SetStore) AvgPagesPerSet() float64 {
-	if len(st.offsets) == 0 {
+	if len(st.sets) == 0 {
 		return 0
 	}
-	return float64(st.NumPages()) / float64(len(st.offsets))
+	return float64(st.NumPages()) / float64(len(st.sets))
 }
 
 // recordPages returns how many pages the record [off, off+length) touches.
@@ -177,17 +150,17 @@ func (st *SetStore) recordPages(off uint64, length uint32) int64 {
 	return last - first + 1
 }
 
-// Fetch retrieves and decodes the set for sid, charging one random page
-// read for the first page and sequential reads for continuation pages to io
-// (which may be nil). The sid resolves through the in-memory directory.
+// Fetch returns the set stored for sid, charging one random page read for
+// the first page of its record and sequential reads for continuation
+// pages to io (which may be nil). The sid resolves through the in-memory
+// directory, and the set comes back as appended: no decode, no copy.
 func (st *SetStore) Fetch(sid SID, io *Counter) (set.Set, error) {
-	if int(sid) >= len(st.offsets) {
-		return set.Set{}, fmt.Errorf("storage: sid %d out of range (%d sets)", sid, len(st.offsets))
+	if int(sid) >= len(st.sets) {
+		return set.Set{}, fmt.Errorf("storage: sid %d out of range (%d sets)", sid, len(st.sets))
 	}
 	if st.Deleted(sid) {
 		return set.Set{}, fmt.Errorf("storage: sid %d deleted", sid)
 	}
-	off, length := st.offsets[sid], st.lengths[sid]
 	if io != nil {
 		pages := st.recordPages(st.virtOff[sid], st.virtLen[sid])
 		io.RecordRand(1)
@@ -195,23 +168,18 @@ func (st *SetStore) Fetch(sid SID, io *Counter) (set.Set, error) {
 			io.RecordSeq(pages - 1)
 		}
 	}
-	return decodeSet(st.data[off : off+uint64(length)])
+	return st.sets[sid], nil
 }
 
 // Scan iterates over all sets in sid order, charging a full sequential read
 // of the heap to io (which may be nil). fn returning false stops early; the
 // I/O charge is then prorated to the pages actually visited.
-func (st *SetStore) Scan(io *Counter, fn func(sid SID, s set.Set) bool) error {
+func (st *SetStore) Scan(io *Counter, fn func(sid SID, s set.Set) bool) {
 	lastOff := uint64(0)
-	for sid := range st.offsets {
+	for sid, s := range st.sets {
 		lastOff = st.virtOff[sid] + uint64(st.virtLen[sid])
 		if st.Deleted(SID(sid)) {
 			continue // tombstoned records are read past, not surfaced
-		}
-		off, length := st.offsets[sid], st.lengths[sid]
-		s, err := decodeSet(st.data[off : off+uint64(length)])
-		if err != nil {
-			return fmt.Errorf("storage: sid %d: %w", sid, err)
 		}
 		if !fn(SID(sid), s) {
 			break
@@ -221,5 +189,4 @@ func (st *SetStore) Scan(io *Counter, fn func(sid SID, s set.Set) bool) error {
 		pages := (int64(lastOff) + int64(st.pageSize) - 1) / int64(st.pageSize)
 		io.RecordSeq(pages)
 	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/set"
+	"repro/internal/workload"
 )
 
 func TestCostModelTime(t *testing.T) {
@@ -144,13 +145,10 @@ func TestSetStoreScan(t *testing.T) {
 	}
 	var io Counter
 	var seen []SID
-	err := st.Scan(&io, func(sid SID, s set.Set) bool {
+	st.Scan(&io, func(sid SID, s set.Set) bool {
 		seen = append(seen, sid)
 		return true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(seen) != 20 {
 		t.Errorf("scanned %d sets", len(seen))
 	}
@@ -174,7 +172,7 @@ func TestSetStoreScanEarlyStop(t *testing.T) {
 	}
 	var io Counter
 	count := 0
-	_ = st.Scan(&io, func(sid SID, s set.Set) bool {
+	st.Scan(&io, func(sid SID, s set.Set) bool {
 		count++
 		return count < 5
 	})
@@ -334,7 +332,7 @@ func TestSetStoreDelete(t *testing.T) {
 	}
 	// Scan skips the tombstone but still visits b.
 	var got []SID
-	_ = st.Scan(nil, func(sid SID, s set.Set) bool {
+	st.Scan(nil, func(sid SID, s set.Set) bool {
 		got = append(got, sid)
 		return true
 	})
@@ -359,4 +357,19 @@ func TestPayloadAccounting(t *testing.T) {
 	if NewSetStoreWithPayload(0, -5).payload != 0 {
 		t.Error("negative payload not clamped")
 	}
+}
+
+// TestSetStoreAccountingMatchesCodec pins the store's page accounting to
+// the varint record codec it was defined by, on a Set1-like collection at
+// the paper's ~110-byte payload per element and on edge sets: empty, one
+// element, and elements at and above 2^63 (ten-byte varints).
+func TestSetStoreAccountingMatchesCodec(t *testing.T) {
+	sets, err := workload.Generate(workload.Set1Params(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const top = uint64(1) << 63
+	sets = append(sets, set.New(), set.New(7), set.New(top), set.New(0, top, top+1, ^uint64(0)))
+	checkAccountingMatchesCodec(t, DefaultPageSize, 110, sets)
+	checkAccountingMatchesCodec(t, 64, 0, sets)
 }

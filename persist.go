@@ -158,11 +158,7 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	coll, err := collectionOf(set.DictionaryFromNames(names), inner)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{coll: coll, inner: inner}, nil
+	return &Index{coll: collectionOf(set.DictionaryFromNames(names), inner), inner: inner}, nil
 }
 
 // decodeSnapshot parses Save's format into the dictionary names and the
@@ -198,16 +194,13 @@ func decodeSnapshot(r io.Reader) ([]string, *engine.Engine, error) {
 // collectionOf builds the collection of a loaded or recovered engine over
 // dictionary dict: a sid-indexed view of every set, so QuerySID and Get
 // keep working. Tombstoned sids and holes read as empty.
-func collectionOf(dict *set.Dictionary, inner *engine.Engine) (*Collection, error) {
-	bySID, err := inner.SetsBySID()
-	if err != nil {
-		return nil, err
-	}
+func collectionOf(dict *set.Dictionary, inner *engine.Engine) *Collection {
+	bySID := inner.SetsBySID()
 	coll := &Collection{dict: dict, sets: make([]set.Set, len(bySID))}
 	for sid, s := range bySID {
 		if s != nil {
 			coll.sets[sid] = *s
 		}
 	}
-	return coll, nil
+	return coll
 }

@@ -274,6 +274,11 @@ type Stats struct {
 	// proposals the signing family's estimator rejected before any page
 	// fetch (0 when there were no candidates or screening was off).
 	ScreenedFraction float64
+	// SizePruned is how many candidates were ruled out by size alone —
+	// their size ratio to the query bounds their similarity below the
+	// range — before any screening or page fetch. Such a candidate is not
+	// counted as Screened.
+	SizePruned int
 	// SignatureBytesPerSet is the stored signature footprint per set under
 	// the index's signing family (k·8 bytes for classic-64, k·b/8 for
 	// b-bit packing).
@@ -487,6 +492,7 @@ func (ix *Index) convertStats(qs engine.QueryStats) Stats {
 		Candidates:           qs.Candidates,
 		Results:              qs.Results,
 		Screened:             qs.Screened,
+		SizePruned:           qs.SizePruned,
 		SignatureBytesPerSet: ix.inner.SignatureBytesPerSet(),
 		RandomPageReads:      qs.IndexIO.Rand() + qs.FetchIO.Rand(),
 		SequentialPageReads:  qs.IndexIO.Seq() + qs.FetchIO.Seq(),
@@ -524,7 +530,8 @@ type QueryOptions struct {
 	// margin) may additionally be missed. Screened counts appear in Stats.
 	Screen bool
 	// ScreenMargin is the widening ε on the Jaccard scale; 0 selects the
-	// 95%-confidence bound for the index's signature length.
+	// 95%-confidence bound for the index's signature length. A negative,
+	// NaN or infinite margin makes the query fail.
 	ScreenMargin float64
 	// Workers bounds query parallelism (batch fan-out and per-query
 	// candidate verification). 0 uses every CPU, 1 forces serial processing.
