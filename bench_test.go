@@ -25,9 +25,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/experiments"
+	"repro/internal/filter"
 	"repro/internal/hashtable"
 	"repro/internal/join"
-	"repro/internal/lsh"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -225,32 +225,15 @@ func BenchmarkMinhashSign(b *testing.B) {
 	}
 }
 
-// BenchmarkEmbedFull measures the full S → H materialization (k=100, b=8:
-// a 25600-bit vector).
-func BenchmarkEmbedFull(b *testing.B) {
-	e, err := embed.New(embed.Options{K: 100, Bits: 8, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	elems := make([]set.Elem, 100)
-	for i := range elems {
-		elems[i] = set.Elem(i * 7)
-	}
-	s := set.New(elems...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.Embed(s)
-	}
-}
-
 // BenchmarkLazyKeyExtraction measures one bucket key gathered straight
-// from the signature (r=16 compiled taps, no materialization).
+// from the signature (r=16 compiled taps: an SFI at s*=0.958 with one
+// table).
 func BenchmarkLazyKeyExtraction(b *testing.B) {
 	e, err := embed.New(embed.Options{K: 100, Bits: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := lsh.NewGroup(0, lsh.GroupOptions{Code: e.Code(), K: e.K(), R: 16, L: 1, Seed: 2})
+	ix, err := filter.New(0, filter.Options{Threshold: 0.958, Code: e.Code(), K: e.K(), Tables: 1, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -261,19 +244,19 @@ func BenchmarkLazyKeyExtraction(b *testing.B) {
 	sig := e.Sign(set.New(elems...))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.Key(0, sig, 0)
+		_ = ix.Key(0, sig, 0)
 	}
 }
 
-// BenchmarkGroupInsert measures inserting a vector into an l=20 table
-// group.
+// BenchmarkGroupInsert measures inserting a vector into a filter index of
+// l=20 tables (r=12: an SFI at s*=0.75).
 func BenchmarkGroupInsert(b *testing.B) {
 	e, err := embed.New(embed.Options{K: 64, Bits: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := lsh.NewGroup(0, lsh.GroupOptions{
-		Code: e.Code(), K: e.K(), R: 12, L: 20, Seed: 2, ExpectedEntries: 1 << 20,
+	ix, err := filter.New(0, filter.Options{
+		Threshold: 0.75, Code: e.Code(), K: e.K(), Tables: 20, Seed: 2, ExpectedEntries: 1 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -285,7 +268,7 @@ func BenchmarkGroupInsert(b *testing.B) {
 	sig := e.Sign(set.New(elems...))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Insert(sig, storage.SID(i))
+		ix.Insert(sig, storage.SID(i))
 	}
 }
 

@@ -17,11 +17,11 @@
 // Scoping policy (package import paths, applied on top of the patterns):
 //
 //	seededrand     repro/internal/... (all library code)
-//	floatcmp       repro/internal/{lsh,optimize,simdist,eval}
+//	floatcmp       repro/internal/{lsh,filter,optimize,simdist,eval}
 //	droppederr     repro (persist.go and friends), repro/internal/{storage,textio,server,wal,recovery,engine,tuner}, repro/cmd/...
 //	guardedescape  everywhere
 //	lockorder      repro (durable.go, ssr.go), repro/internal/{engine,core,tuner,plan} — the documented lock hierarchy
-//	maprange       repro, repro/internal/{core,engine,optimize,storage,textio,lsh,minhash} — pinned artifacts and signatures
+//	maprange       repro, repro/internal/{core,engine,optimize,storage,textio,lsh,filter,minhash} — pinned artifacts and signatures
 //	atomicview     everywhere
 //	looplife       everywhere
 //
@@ -79,6 +79,7 @@ var suite = []scopedAnalyzer{
 	{seededrand.Analyzer, prefixScope("repro/internal")},
 	{floatcmp.Analyzer, prefixScope(
 		"repro/internal/lsh",
+		"repro/internal/filter",
 		"repro/internal/optimize",
 		"repro/internal/simdist",
 		"repro/internal/eval",
@@ -121,6 +122,7 @@ var suite = []scopedAnalyzer{
 			"repro/internal/storage",
 			"repro/internal/textio",
 			"repro/internal/lsh",
+			"repro/internal/filter",
 			"repro/internal/minhash",
 		)(path)
 	}},

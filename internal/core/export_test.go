@@ -92,7 +92,7 @@ func (ix *Index) ReferenceCandidates(q set.Set, s1, s2 float64) ([]storage.SID, 
 			}
 			coords := ix.keyCoords(stored, s, buf)
 			for tab, key := range probe {
-				if f.Group().Key(tab, coords, 0) == key {
+				if f.Key(tab, coords, 0) == key {
 					raw = append(raw, storage.SID(i))
 				}
 			}

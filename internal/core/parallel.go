@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/filter"
-	"repro/internal/lsh"
 	"repro/internal/minhash"
 	"repro/internal/set"
 	"repro/internal/storage"
@@ -214,13 +213,13 @@ const populateBlock = 256
 // their pages, so workers share no mutable state.
 func populateFilters(coords []minhash.Signature, fis []*filter.Index, workers int) {
 	type table struct {
-		g *lsh.Group
+		f *filter.Index
 		i int
 	}
 	var tables []table
 	for _, f := range fis {
 		for i := 0; i < f.Tables(); i++ {
-			tables = append(tables, table{f.Group(), i})
+			tables = append(tables, table{f, i})
 		}
 	}
 	workers = max(1, min(workers, len(tables)))
@@ -229,10 +228,10 @@ func populateFilters(coords []minhash.Signature, fis []*filter.Index, workers in
 			block := coords[lo:min(lo+populateBlock, len(coords))]
 			for j := w; j < len(tables); j += workers {
 				t := tables[j]
-				tab := t.g.Table(t.i)
+				tab := t.f.Table(t.i)
 				for k, c := range block {
 					if c != nil {
-						tab.Insert(t.g.Key(t.i, c, 0), storage.SID(lo+k))
+						tab.Insert(t.f.Key(t.i, c, 0), storage.SID(lo+k))
 					}
 				}
 			}

@@ -138,12 +138,12 @@ func TestPopulationDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: %d index pages, serial build %d", workers, got, want)
 		}
 		for ord, f := range serial.fis {
-			g1, g2 := f.Group(), par.fis[ord].Group()
-			for i := 0; i < g1.L(); i++ {
+			f2 := par.fis[ord]
+			for i := 0; i < f.Tables(); i++ {
 				for sid, sig := range serial.sigs {
-					key := g1.Key(i, sig, 0)
-					want := g1.Table(i).Probe(key, nil, nil)
-					if got := g2.Table(i).Probe(key, nil, nil); !slices.Equal(got, want) {
+					key := f.Key(i, sig, 0)
+					want := f.Table(i).Probe(key, nil, nil)
+					if got := f2.Table(i).Probe(key, nil, nil); !slices.Equal(got, want) {
 						t.Fatalf("workers=%d FI %d table %d sid %d: probe %v, serial build %v", workers, ord, i, sid, got, want)
 					}
 				}

@@ -52,8 +52,8 @@ const (
 // deterministically on load. Signatures ARE stored (k uint64s per set), so
 // loading skips min-hash signing, the dominant build cost.
 type snapshot struct {
-	// Embedding parameters. Only the default Hadamard code is supported;
-	// custom ecc.Code values are not serializable.
+	// Embedding parameters. The code is always Hadamard(EmbedBits), the
+	// only one an embedder is built with, so it is not stored.
 	EmbedK    int
 	EmbedBits int
 	EmbedSeed int64

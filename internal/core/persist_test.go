@@ -107,8 +107,8 @@ func TestSaveLoadPreservesEmbedding(t *testing.T) {
 	if loaded.Embedder().K() != 48 {
 		t.Errorf("K = %d after reload", loaded.Embedder().K())
 	}
-	if loaded.Embedder().Dimension() != 48*64 {
-		t.Errorf("dimension = %d after reload", loaded.Embedder().Dimension())
+	if d := loaded.Embedder().K() * loaded.Embedder().Code().Length(); d != 48*64 {
+		t.Errorf("dimension = %d after reload", d)
 	}
 }
 

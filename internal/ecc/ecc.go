@@ -6,56 +6,31 @@
 // of k b-bit min-hash values that agree in s·k coordinates maps to a D = m·k
 // bit string at Hamming distance (1-s)/2·D (Theorem 1).
 //
-// The Hadamard code has this property exactly: the codeword for a b-bit
-// message u has length m = 2^b, with bit x equal to the GF(2) inner product
-// <u, x>. For u != w, <u,x> and <w,x> differ on exactly half of all x, so
-// d(C(u), C(w)) = 2^(b-1) = m/2 for every distinct pair.
-//
-// The paper mentions simplex codes; the simplex code is the Hadamard code
-// with the x = 0 column (which is constantly zero) punctured, giving length
-// 2^b - 1 and pairwise distance exactly 2^(b-1) — i.e. (m+1)/2. Both are
-// provided; Hadamard is the default since its distance is exactly m/2.
+// Every code here is linear, so it is given by its generator columns:
+// codeword bit x of a message v is the GF(2) inner product parity(v &
+// Column(x)). The Hadamard code has column x = x for x in [0, 2^b): for
+// u != w, parity((u^w) & x) is 1 on exactly half of all x, so d(C(u), C(w))
+// = 2^(b-1) = m/2 for every distinct pair. The embedded D-bit vector is
+// never materialised; the filter indices read the r sampled bits they need
+// straight from the signature coordinates through these columns.
 package ecc
 
-import (
-	"fmt"
-	"math/bits"
+import "fmt"
 
-	"repro/internal/bitvec"
-)
-
-// Code is a binary error-correcting code over b-bit messages with the
-// equidistance property required by Theorem 1.
+// Code is a linear binary code over b-bit messages, given by its generator
+// columns: codeword bit pos of message v is parity(v & Column(pos)). A
+// column only has bits below b set, so the message's higher bits are never
+// read.
 type Code interface {
-	// MessageBits returns b, the number of message bits encoded.
-	MessageBits() int
 	// Length returns m, the codeword length in bits.
 	Length() int
-	// Distance returns the (exact) pairwise distance between any two
-	// distinct codewords.
-	Distance() int
-	// Bit returns bit pos of the codeword for message v. Only the low
-	// MessageBits bits of v are used. This is the lazy access path: filter
-	// indices sample individual codeword bits without materialising the
-	// whole embedded vector.
-	Bit(v uint64, pos int) byte
-	// AppendCodeword appends the codeword bits for message v to dst
-	// starting at bit offset off. dst must have at least off+Length bits.
-	AppendCodeword(dst bitvec.Vector, off int, v uint64)
-}
-
-// parity returns the GF(2) inner product <u, x> of two words.
-func parity(u, x uint64) byte {
-	return byte(bits.OnesCount64(u&x) & 1)
+	// Column returns generator column pos, 0 <= pos < Length().
+	Column(pos int) uint64
 }
 
 // Hadamard is the length-2^b Hadamard code. Distinct codewords are at
 // distance exactly 2^(b-1) = m/2.
-type Hadamard struct {
-	b    int
-	m    int
-	mask uint64
-}
+type Hadamard struct{ m int }
 
 // NewHadamard returns the Hadamard code over b-bit messages, 1 <= b <= 20.
 // The upper bound keeps codewords (2^b bits) to a sane size.
@@ -63,100 +38,19 @@ func NewHadamard(b int) (*Hadamard, error) {
 	if b < 1 || b > 20 {
 		return nil, fmt.Errorf("ecc: hadamard message bits must be in [1,20], got %d", b)
 	}
-	return &Hadamard{b: b, m: 1 << uint(b), mask: (1 << uint(b)) - 1}, nil
+	return &Hadamard{m: 1 << uint(b)}, nil
 }
-
-// MessageBits returns b.
-func (h *Hadamard) MessageBits() int { return h.b }
 
 // Length returns m = 2^b.
 func (h *Hadamard) Length() int { return h.m }
 
-// Distance returns 2^(b-1), exactly half the length.
-func (h *Hadamard) Distance() int { return h.m / 2 }
-
-// Bit returns <v, pos> over GF(2).
-func (h *Hadamard) Bit(v uint64, pos int) byte {
-	return parity(v&h.mask, uint64(pos))
-}
-
-// AppendCodeword writes the 2^b codeword bits of v into dst at offset off.
-func (h *Hadamard) AppendCodeword(dst bitvec.Vector, off int, v uint64) {
-	v &= h.mask
-	for x := 0; x < h.m; x++ {
-		if parity(v, uint64(x)) == 1 {
-			dst.Set(off + x)
-		}
-	}
-}
-
-// Decode recovers the b-bit message from a clean Hadamard codeword: message
-// bit i is codeword bit 2^i, because <u, 2^i> = u_i. This is exact-inverse
-// decoding (no error correction); it exists so the encode path is testable
-// as a round trip. It errors if cw is shorter than the code length or is
-// not a codeword at all (bit 0, the <u,0> coordinate, must be zero).
-func (h *Hadamard) Decode(cw bitvec.Vector) (uint64, error) {
-	if cw.Len() < h.m {
-		return 0, fmt.Errorf("ecc: codeword has %d bits, hadamard(b=%d) needs %d", cw.Len(), h.b, h.m)
-	}
-	if cw.Bit(0) != 0 {
-		return 0, fmt.Errorf("ecc: not a hadamard codeword (bit 0 is set)")
-	}
-	var v uint64
-	for i := 0; i < h.b; i++ {
-		if cw.Bit(1<<uint(i)) == 1 {
-			v |= 1 << uint(i)
-		}
-	}
-	return v, nil
-}
-
-// Simplex is the length-(2^b - 1) simplex code: the Hadamard code with the
-// all-zero coordinate punctured. Distinct codewords are at distance exactly
-// 2^(b-1) (slightly more than half the length, since the length is odd).
-type Simplex struct {
-	b    int
-	m    int
-	mask uint64
-}
-
-// NewSimplex returns the simplex code over b-bit messages, 1 <= b <= 20.
-func NewSimplex(b int) (*Simplex, error) {
-	if b < 1 || b > 20 {
-		return nil, fmt.Errorf("ecc: simplex message bits must be in [1,20], got %d", b)
-	}
-	return &Simplex{b: b, m: 1<<uint(b) - 1, mask: (1 << uint(b)) - 1}, nil
-}
-
-// MessageBits returns b.
-func (s *Simplex) MessageBits() int { return s.b }
-
-// Length returns m = 2^b - 1.
-func (s *Simplex) Length() int { return s.m }
-
-// Distance returns 2^(b-1).
-func (s *Simplex) Distance() int { return (s.m + 1) / 2 }
-
-// Bit returns bit pos of the codeword: <v, pos+1> (position 0 of the
-// Hadamard code is punctured).
-func (s *Simplex) Bit(v uint64, pos int) byte {
-	return parity(v&s.mask, uint64(pos+1))
-}
-
-// AppendCodeword writes the 2^b - 1 codeword bits of v into dst at offset off.
-func (s *Simplex) AppendCodeword(dst bitvec.Vector, off int, v uint64) {
-	v &= s.mask
-	for x := 1; x <= s.m; x++ {
-		if parity(v, uint64(x)) == 1 {
-			dst.Set(off + x - 1)
-		}
-	}
-}
+// Column returns x: codeword bit x of v is <v, x> over GF(2).
+func (h *Hadamard) Column(x int) uint64 { return uint64(x) }
 
 // Identity is the trivial "code" that emits the b message bits unchanged —
 // the straightforward embedding the paper shows to be broken (Example 1:
 // disagreeing min-hash values still share bits). It exists so tests and
-// benchmarks can demonstrate the distortion the real codes remove.
+// experiments can demonstrate the distortion the Hadamard code removes.
 type Identity struct{ b int }
 
 // NewIdentity returns the identity mapping over b-bit messages.
@@ -167,33 +61,8 @@ func NewIdentity(b int) (*Identity, error) {
 	return &Identity{b: b}, nil
 }
 
-// MessageBits returns b.
-func (c *Identity) MessageBits() int { return c.b }
-
 // Length returns b: the message is its own codeword.
 func (c *Identity) Length() int { return c.b }
 
-// Distance returns 1, the minimum distance of the identity map.
-func (c *Identity) Distance() int { return 1 }
-
-// Bit returns message bit pos.
-func (c *Identity) Bit(v uint64, pos int) byte {
-	return byte((v >> uint(pos)) & 1)
-}
-
-// AppendCodeword writes the b message bits of v into dst at offset off.
-func (c *Identity) AppendCodeword(dst bitvec.Vector, off int, v uint64) {
-	for i := 0; i < c.b; i++ {
-		if (v>>uint(i))&1 == 1 {
-			dst.Set(off + i)
-		}
-	}
-}
-
-// Encode materialises the full codeword of v as a Vector. It is a
-// convenience for tests; production paths use Bit or AppendCodeword.
-func Encode(c Code, v uint64) bitvec.Vector {
-	out := bitvec.New(c.Length())
-	c.AppendCodeword(out, 0, v)
-	return out
-}
+// Column returns 1<<x: codeword bit x is message bit x.
+func (c *Identity) Column(x int) uint64 { return 1 << uint(x) }

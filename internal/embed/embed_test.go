@@ -2,9 +2,11 @@ package embed
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 
-	"repro/internal/ecc"
+	"repro/internal/minhash"
 	"repro/internal/set"
 )
 
@@ -17,13 +19,12 @@ func mkEmbedder(t *testing.T, k, b int, seed int64) *Embedder {
 	return e
 }
 
+// TestDimension pins D = k·m: K signature coordinates, each a codeword of
+// m = 2^b bits.
 func TestDimension(t *testing.T) {
 	e := mkEmbedder(t, 10, 6, 1)
-	if got, want := e.Dimension(), 10*64; got != want {
-		t.Errorf("Dimension = %d, want %d", got, want)
-	}
-	if e.K() != 10 || e.CodeLength() != 64 {
-		t.Errorf("K=%d m=%d", e.K(), e.CodeLength())
+	if e.K() != 10 || e.Code().Length() != 64 || e.EmbedBits() != 6 {
+		t.Errorf("K=%d m=%d b=%d, want 10, 64, 6", e.K(), e.Code().Length(), e.EmbedBits())
 	}
 }
 
@@ -34,19 +35,28 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{K: 4, Bits: 25}); err == nil {
 		t.Error("Bits=25 accepted (hadamard limit)")
 	}
-	code, _ := ecc.NewHadamard(4)
-	if _, err := New(Options{K: 4, Bits: 8, Code: code}); err == nil {
-		t.Error("code/Bits mismatch accepted")
-	}
 }
 
 func TestIdenticalSetsIdenticalVectors(t *testing.T) {
+	// The embedded vector is a function of the signature, so identical
+	// sets embed identically when they sign identically.
 	e := mkEmbedder(t, 16, 8, 3)
-	a := e.Embed(set.New(1, 2, 3))
-	b := e.Embed(set.New(3, 2, 1, 1))
-	if !a.Equal(b) {
-		t.Error("identical sets embedded differently")
+	if a, b := e.Sign(set.New(1, 2, 3)), e.Sign(set.New(3, 2, 1, 1)); !slices.Equal(a, b) {
+		t.Error("identical sets signed differently")
 	}
+}
+
+// hammingDistance is the distance between the D-bit embeddings of two
+// signatures, read bit by bit through the code's columns: bit p is
+// parity(sig[p/m] & Column(p%m)).
+func hammingDistance(e *Embedder, a, b minhash.Signature) int {
+	m := e.Code().Length()
+	d := 0
+	for p := 0; p < e.K()*m; p++ {
+		col := e.Code().Column(p % m)
+		d += (bits.OnesCount64(a[p/m]&col) ^ bits.OnesCount64(b[p/m]&col)) & 1
+	}
+	return d
 }
 
 // TestTheorem1 is the central embedding property: for sets with Jaccard
@@ -68,8 +78,8 @@ func TestTheorem1(t *testing.T) {
 		const seeds = 12
 		for seed := int64(0); seed < seeds; seed++ {
 			e := mkEmbedder(t, 80, 8, seed)
-			d := e.Embed(sa).HammingDistance(e.Embed(sb))
-			sum += float64(d) / float64(e.Dimension())
+			d := hammingDistance(e, e.Sign(sa), e.Sign(sb))
+			sum += float64(d) / float64(e.K()*e.Code().Length())
 		}
 		got := sum / seeds
 		if math.Abs(got-want) > 0.03 {
@@ -78,49 +88,15 @@ func TestTheorem1(t *testing.T) {
 	}
 }
 
-// TestLazyBitMatchesMaterialized pins the addressing the filter indices'
-// key gather relies on: bit p of the embedded vector is Code().Bit of the
-// untruncated signature coordinate p/m at codeword bit p%m.
-func TestLazyBitMatchesMaterialized(t *testing.T) {
-	e := mkEmbedder(t, 12, 7, 9)
-	s := set.New(10, 20, 30, 40)
-	sig := e.Sign(s)
-	full := e.EmbedSignature(sig)
-	m := e.CodeLength()
-	for pos := 0; pos < e.Dimension(); pos++ {
-		if got, want := e.Code().Bit(sig[pos/m], pos%m), full.Bit(pos); got != want {
-			t.Fatalf("pos %d: lazy %d, materialized %d", pos, got, want)
-		}
-	}
-}
-
 func TestScaleConversions(t *testing.T) {
-	for _, s := range []float64{0, 0.25, 0.5, 0.9, 1} {
-		sh := HammingFromJaccard(s)
-		if got := JaccardFromHamming(sh); math.Abs(got-s) > 1e-12 {
-			t.Errorf("roundtrip %g → %g → %g", s, sh, got)
-		}
-	}
 	if HammingFromJaccard(0) != 0.5 {
 		t.Error("disjoint sets should land at Hamming similarity 1/2")
 	}
 	if HammingFromJaccard(1) != 1 {
 		t.Error("identical sets should land at Hamming similarity 1")
 	}
-}
-
-func TestDistanceRange(t *testing.T) {
-	e := mkEmbedder(t, 10, 8, 1)
-	d1, d2 := e.DistanceRange(0.8, 1.0)
-	if d1 != 0 {
-		t.Errorf("d1 = %g, want 0 for sigma2=1", d1)
-	}
-	wantD2 := (1 - 0.8) / 2 * float64(e.Dimension())
-	if math.Abs(d2-wantD2) > 1e-9 {
-		t.Errorf("d2 = %g, want %g", d2, wantD2)
-	}
-	if d1 > d2 {
-		t.Error("d1 > d2")
+	if got := HammingFromJaccard(0.5); math.Abs(got-0.75) > 1e-12 {
+		t.Errorf("HammingFromJaccard(0.5) = %g, want 0.75", got)
 	}
 }
 
@@ -133,54 +109,22 @@ func TestDefaultOptionsMatchPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Dimension() != 100*256 {
-		t.Errorf("default dimension = %d, want 25600", e.Dimension())
+	if d := e.K() * e.Code().Length(); d != 100*256 {
+		t.Errorf("default dimension = %d, want 25600", d)
 	}
 }
 
-func TestDistanceRangeMonotone(t *testing.T) {
-	// Wider similarity ranges map to wider Hamming distance ranges, and
-	// distance bounds stay inside [0, D].
-	e := mkEmbedder(t, 16, 8, 2)
-	d := float64(e.Dimension())
-	for lo := 0.0; lo <= 0.9; lo += 0.1 {
-		for hi := lo; hi <= 1.0; hi += 0.1 {
-			d1, d2 := e.DistanceRange(lo, hi)
-			if d1 < 0 || d2 > d/2+1e-9 || d1 > d2 {
-				t.Fatalf("range [%.1f,%.1f]: distances (%g, %g)", lo, hi, d1, d2)
-			}
+// TestSignIntoMatchesSign checks the embedder-level allocation-free signing
+// agrees with Sign.
+func TestSignIntoMatchesSign(t *testing.T) {
+	e := mkEmbedder(t, 12, 6, 9)
+	s := set.New(4, 8, 15, 16, 23, 42)
+	want := e.Sign(s)
+	dst := make([]uint64, e.K())
+	e.SignInto(s, dst)
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("coordinate %d: SignInto %d, Sign %d", i, dst[i], want[i])
 		}
-	}
-}
-
-func TestSimplexThroughPipeline(t *testing.T) {
-	// The pipeline works with the simplex code too (odd-length codewords).
-	code, err := ecc.NewSimplex(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(Options{K: 24, Bits: 7, Seed: 5, Code: code})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Dimension() != 24*127 {
-		t.Fatalf("dimension = %d", e.Dimension())
-	}
-	a := set.New(1, 2, 3, 4, 5, 6, 7, 8)
-	b := set.New(1, 2, 3, 4, 5, 6, 7, 9)
-	sig := e.Sign(a)
-	full := e.EmbedSignature(sig)
-	for pos := 0; pos < e.Dimension(); pos += 37 {
-		if e.Code().Bit(sig[pos/127], pos%127) != full.Bit(pos) {
-			t.Fatalf("lazy/materialized mismatch at %d", pos)
-		}
-	}
-	// Identical sets map to identical vectors; near-identical to nearby.
-	if !e.Embed(a).Equal(e.Embed(set.New(8, 7, 6, 5, 4, 3, 2, 1))) {
-		t.Error("identical sets embedded differently under simplex")
-	}
-	da := e.Embed(a).HammingDistance(e.Embed(b))
-	if da <= 0 || da > e.Dimension()/2+e.CodeLength() {
-		t.Errorf("distance %d out of plausible range", da)
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"repro/internal/ecc"
 	"repro/internal/embed"
 	"repro/internal/filter"
 	"repro/internal/lsh"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/simdist"
@@ -383,12 +385,9 @@ func Embedding(w io.Writer, cfg Config) ([]EmbedRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			ident, err := embed.New(embed.Options{K: k, Bits: 8, Seed: cfg.Seed + seed, Code: idCode})
-			if err != nil {
-				return nil, err
-			}
-			hMean, hSpread := codewordDistances(had, sa, sb)
-			iMean, iSpread := codewordDistances(ident, sa, sb)
+			siga, sigb := had.Sign(sa), had.Sign(sb)
+			hMean, hSpread := codewordDistances(had.Code(), siga, sigb)
+			iMean, iSpread := codewordDistances(idCode, siga, sigb)
 			row.Hadamard += hMean / seeds
 			row.HadamardSpread += hSpread / seeds
 			row.Identity += iMean / seeds
@@ -401,25 +400,26 @@ func Embedding(w io.Writer, cfg Config) ([]EmbedRow, error) {
 	return rows, nil
 }
 
-// codewordDistances returns the overall relative Hamming distance of the
-// embedded pair and the standard deviation of per-codeword relative
-// distances over the disagreeing coordinates.
-func codewordDistances(e *embed.Embedder, a, b set.Set) (mean, disagreeSpread float64) {
-	va, vb := e.Embed(a), e.Embed(b)
-	m := e.CodeLength()
+// codewordDistances returns the overall relative Hamming distance between
+// the embeddings of two signatures under code, and the standard deviation
+// of per-codeword relative distances over the disagreeing coordinates.
+// Codeword bit x of coordinate i differs exactly when parity((a_i^b_i) &
+// Column(x)) is 1, the code being linear.
+func codewordDistances(code ecc.Code, a, b minhash.Signature) (mean, disagreeSpread float64) {
+	m := code.Length()
 	var dists []float64
-	for c := 0; c < e.K(); c++ {
+	total := 0
+	for i := range a {
 		d := 0
-		for j := 0; j < m; j++ {
-			if va.Get(c*m+j) != vb.Get(c*m+j) {
-				d++
-			}
+		for x := 0; x < m; x++ {
+			d += bits.OnesCount64((a[i]^b[i])&code.Column(x)) & 1
 		}
+		total += d
 		if d > 0 { // disagreeing codeword
 			dists = append(dists, float64(d)/float64(m))
 		}
 	}
-	mean = float64(va.HammingDistance(vb)) / float64(va.Len())
+	mean = float64(total) / float64(len(a)*m)
 	if len(dists) == 0 {
 		return mean, 0
 	}

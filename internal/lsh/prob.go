@@ -1,7 +1,8 @@
-// Package lsh implements the bit-sampling locality-sensitive hashing layer
-// of Section 4.1: groups of l hash tables, each keyed on r randomly sampled
-// bits of the embedded Hamming vector, and the probabilistic filter function
-// p_{r,l}(s) = 1 - (1 - s^r)^l that governs them.
+// Package lsh implements the probabilistic filter function of Section 4.1,
+// p_{r,l}(s) = 1 - (1 - s^r)^l: the chance that l hash tables, each keyed on
+// r randomly sampled bits of the embedded Hamming vector, put two vectors at
+// Hamming similarity s in a common bucket. The tables themselves are
+// package filter's.
 package lsh
 
 import (
@@ -37,7 +38,7 @@ func SolveR(l int, sStar float64) (int, error) {
 	if l < 1 {
 		return 0, fmt.Errorf("lsh: l must be >= 1, got %d", l)
 	}
-	if sStar <= 0 || sStar >= 1 {
+	if !(sStar > 0 && sStar < 1) {
 		return 0, fmt.Errorf("lsh: sStar must be in (0,1), got %g", sStar)
 	}
 	x := 1 - math.Pow(2, -1/float64(l)) // sStar^r at the turning point

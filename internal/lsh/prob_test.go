@@ -85,6 +85,11 @@ func TestSolveRValidation(t *testing.T) {
 	if _, err := SolveR(5, 1); err == nil {
 		t.Error("sStar=1 accepted")
 	}
+	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := SolveR(5, s); err == nil {
+			t.Errorf("sStar=%g accepted", s)
+		}
+	}
 }
 
 func TestSolveRMonotonicInL(t *testing.T) {

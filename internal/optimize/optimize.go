@@ -39,7 +39,7 @@ type FI struct {
 }
 
 // turningHamming returns the Hamming-similarity turning point the FI's
-// internal LSH group must realize. An SFI at Jaccard σ captures vectors
+// tables must realize. An SFI at Jaccard σ captures vectors
 // with s_H >= (1+σ)/2; a DFI probes complemented queries, where a set at
 // Jaccard similarity s appears at similarity 1-s_H(s) = (1-s)/2, so its
 // turning point is (1-σ)/2.
