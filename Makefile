@@ -57,6 +57,7 @@ FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzSetEncoding -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter/ -run '^$$' -fuzz FuzzGatherKey -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hashtable/ -run '^$$' -fuzz FuzzTableOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSortMatches -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzQueryRange -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/minhash/ -run '^$$' -fuzz FuzzPackedSignatureRoundTrip -fuzztime $(FUZZTIME)

@@ -366,10 +366,10 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 		ix.plan = plan
 	}
 
-	// 5. Materialize the filter indices and insert every signature. Each
-	// hash table owns its pages and is filled by one goroutine in ascending
-	// sid order, so tables fill concurrently with no shared mutable state
-	// and a page layout independent of scheduling.
+	// 5. Materialize the filter indices and load every signature. Each
+	// hash table owns its entries and is filled by one goroutine in
+	// ascending sid order, so tables fill concurrently with no shared
+	// mutable state and bucket chains independent of scheduling.
 	fidxs := make([]*filter.Index, len(ix.plan.FIs))
 	for i, fi := range ix.plan.FIs {
 		fidx, err := filter.New(opt.PageSize, filter.Options{

@@ -9,10 +9,10 @@
 //     so chunk scheduling cannot reorder anything.
 //   - Distribution sampling pre-draws its pair sequence from the seeded rng
 //     before fan-out (see simdist.SampleSignaturePairsN).
-//   - Each hash table owns its pages and is filled by exactly one goroutine
-//     in ascending sid order, so its bucket chains and page layout are a
-//     pure function of (plan, seed, signatures) — exactly what snapshot
-//     rebuilds require.
+//   - Each hash table owns its entries and is filled by exactly one
+//     goroutine in ascending sid order, so its bucket chains and page count
+//     are a pure function of (plan, seed, signatures) — exactly what
+//     snapshot rebuilds require.
 //   - Parallel verification sums per-worker counters after the workers
 //     join, so FetchIO and skip accounting stays exact, and the final sort
 //     is a total order, so result slices are identical.
@@ -198,19 +198,14 @@ func signCollection(emb *embed.Embedder, sets []set.Set, workers int) []minhash.
 	return sigs
 }
 
-// populateBlock is the number of sids population inserts into one table
-// before moving to the next: a block's signatures stay in cache while the
-// table's bucket tails stay in cache too, which halves the fill time
-// against inserting each sid into every table in turn.
-const populateBlock = 256
-
-// populateFilters inserts every entry into every table of every filter
+// populateFilters loads every live entry into every table of every filter
 // index; coords[sid] holds the signature coordinates its keys are gathered
 // from (nil at tombstones). The tables are dealt round-robin to up to
-// workers goroutines, each walking the sids in ascending order: every
-// table sees the serial build's insertion sequence, so its bucket chains
-// and page count are identical for every worker count, and tables own
-// their pages, so workers share no mutable state.
+// workers goroutines, each computing one table's keys at a time into its
+// own buffer and loading them in ascending sid order: every table sees the
+// serial build's insertion sequence, so its bucket chains and page count
+// are identical for every worker count, and tables own their entries, so
+// workers share no mutable state.
 func populateFilters(coords []minhash.Signature, fis []*filter.Index, workers int) {
 	type table struct {
 		f *filter.Index
@@ -222,31 +217,26 @@ func populateFilters(coords []minhash.Signature, fis []*filter.Index, workers in
 			tables = append(tables, table{f, i})
 		}
 	}
-	workers = max(1, min(workers, len(tables)))
-	fill := func(w int) {
-		for lo := 0; lo < len(coords); lo += populateBlock {
-			block := coords[lo:min(lo+populateBlock, len(coords))]
-			for j := w; j < len(tables); j += workers {
-				t := tables[j]
-				tab := t.f.Table(t.i)
-				for k, c := range block {
-					if c != nil {
-						tab.Insert(t.f.Key(t.i, c, 0), storage.SID(lo+k))
-					}
-				}
-			}
+	var sids []storage.SID
+	for sid, c := range coords {
+		if c != nil {
+			sids = append(sids, storage.SID(sid))
 		}
 	}
-	if workers == 1 {
-		fill(0)
-		return
-	}
+	workers = max(1, min(workers, len(tables)))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			fill(w)
+			keys := make([]uint64, len(sids))
+			for j := w; j < len(tables); j += workers {
+				t := tables[j]
+				for k, sid := range sids {
+					keys[k] = t.f.Key(t.i, coords[sid], 0)
+				}
+				t.f.Table(t.i).Load(sids, keys)
+			}
 		}(w)
 	}
 	wg.Wait()

@@ -86,10 +86,10 @@ type tap struct {
 	bit   int32
 }
 
-// New creates an empty filter index whose tables hold pageSize-byte pages
-// (0 selects storage.DefaultPageSize). r is solved so the collision curve
-// turns at s* — for a DFI, at the complementary 1 - s* — and clamped to
-// the dimension.
+// New creates an empty filter index whose tables are charged as
+// pageSize-byte pages (0 selects storage.DefaultPageSize). r is solved so
+// the collision curve turns at s* — for a DFI, at the complementary 1 - s*
+// — and clamped to the dimension.
 func New(pageSize int, opt Options) (*Index, error) {
 	if !(opt.Threshold > 0 && opt.Threshold < 1) {
 		return nil, fmt.Errorf("filter: threshold must be in (0,1), got %g", opt.Threshold)
@@ -256,7 +256,8 @@ func (ix *Index) Insert(coords []uint64, sid storage.SID) {
 
 // Delete removes a previously inserted data vector; the coordinates it was
 // inserted with must be supplied. It returns the number of table entries
-// removed (at most one per table).
+// removed: every stored (key, sid) pair that matches, so one per table for
+// a vector inserted once.
 func (ix *Index) Delete(coords []uint64, sid storage.SID) int {
 	removed := 0
 	for i, t := range ix.tables {

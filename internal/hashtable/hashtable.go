@@ -1,66 +1,107 @@
-// Package hashtable implements the paged bucket hash tables underlying the
-// filter indices (Section 4.1).
+// Package hashtable implements the bucket hash tables underlying the filter
+// indices (Section 4.1).
 //
 // Each Similarity Filter Index repetition hashes an r-bit sample of every
 // embedded vector into a table of buckets holding set identifiers; a query
-// probes one bucket per repetition. Buckets are chains of fixed-size pages
-// (the paper's sidcount entries per bucket, with enough buckets that
-// overflows are rare), and every page visited during a probe is charged as
-// one random page read — hash indices are exactly the "readily available"
-// ORDBMS primitive the paper builds on.
+// probes one bucket per repetition. The paper's buckets are chains of
+// fixed-size pages (its sidcount entries per bucket, with enough buckets
+// that overflows are rare), and every page visited during a probe is
+// charged as one random page read — hash indices are exactly the "readily
+// available" ORDBMS primitive the paper builds on.
+//
+// A Table keeps two layouts of the same entries. The simulated layout is
+// the paper's: bucket mix(key) % Buckets() holds a chain of pages, kept
+// only as a count of live entries per page. It decides what a probe is
+// charged and how many pages exist. The physical layout is where entries
+// live: a power-of-two array of slots chosen by the top bits of mix(key),
+// each holding (key, sid, page) entries, so a probe scans only the slot
+// its key hashes to. Both layouts see every Insert, Load and
+// Delete, so the charges and page counts are those of a table that stored
+// its pages.
 package hashtable
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
 	"repro/internal/storage"
 )
 
-const noPage = ^uint32(0)
-
-// entrySize is key (8 bytes) + sid (4 bytes).
+// entrySize is the simulated size of an entry on a page: key (8 bytes) +
+// sid (4 bytes).
 const entrySize = 12
 
-// pageHeader is next-page id (4 bytes) + entry count (2 bytes).
+// pageHeader is the simulated page header: next-page id (4 bytes) + entry
+// count (2 bytes).
 const pageHeader = 6
 
 // MaxPageSize is the largest page size whose entry count still fits the
-// header's 16-bit count field (65 535 entries).
+// simulated header's 16-bit count field (65 535 entries).
 const MaxPageSize = pageHeader + (1<<16)*entrySize - 1
+
+// slotEntries is the least mean number of entries per physical slot at
+// Options.ExpectedEntries; the slot count is the largest power of two that
+// keeps the mean at or above it, so below twice it. A probe scans one
+// slot, and each slot costs a slice header.
+const slotEntries = 32
 
 // Options configures a Table.
 type Options struct {
 	// Buckets is the number of hash buckets. If zero it is derived from
 	// ExpectedEntries so that the average bucket fits in one page.
 	Buckets int
-	// ExpectedEntries sizes the directory when Buckets is zero.
+	// ExpectedEntries sizes the directory when Buckets is zero, and the
+	// physical slot array always.
 	ExpectedEntries int
 }
 
-// Table is one paged hash table: the unit the optimizer's budget counts
-// ("a specified number K of hash tables", Section 5). It owns its pages, so
-// distinct tables share no mutable state and can be filled concurrently.
+// entry is one stored (key, sid) pair and the simulated page it was
+// charged to; the page index fits in what would be the struct's padding.
+type entry struct {
+	key  uint64
+	sid  storage.SID
+	page uint32
+}
+
+// bucket is one simulated chain: its length in pages and its tail page,
+// the insert point.
+type bucket struct {
+	pages, tail uint32
+}
+
+// Table is one hash table: the unit the optimizer's budget counts ("a
+// specified number K of hash tables", Section 5). It owns its entries and
+// page counts, so distinct tables share no mutable state and can be filled
+// concurrently.
+//
+// Slot i of the physical layout is two slices: loaded[i], the entries Load
+// placed, a capacity-capped window of one arena; and added[i], those
+// Inserted since (added is nil until the first Insert). A few keys can
+// hold thousands of a table's entries, so an Insert that grew a loaded
+// window would copy all of them.
 type Table struct {
-	pager   *storage.Pager
-	first   []storage.PageID // per-bucket chain head
-	last    []storage.PageID // per-bucket chain tail (insert point)
+	loaded  [][]entry // indexed by mix(key) >> shift
+	added   [][]entry
+	shift   uint
+	buckets []bucket // simulated chains, indexed by mix(key) % len(buckets)
+	live    []uint16 // live entries per simulated page
 	entries int
 	perPage int
 }
 
-// New creates an empty table whose pages hold pageSize bytes (0 selects
-// storage.DefaultPageSize). A page must fit at least one entry and be at
-// most MaxPageSize bytes.
+// New creates an empty table whose simulated pages hold pageSize bytes (0
+// selects storage.DefaultPageSize). A page must fit at least one entry and
+// be at most MaxPageSize bytes.
 func New(pageSize int, opt Options) (*Table, error) {
-	pager := storage.NewPager(pageSize)
-	perPage := (pager.PageSize() - pageHeader) / entrySize
-	if perPage < 1 {
-		return nil, fmt.Errorf("hashtable: page size %d too small", pager.PageSize())
+	if pageSize <= 0 {
+		pageSize = storage.DefaultPageSize
 	}
-	if pager.PageSize() > MaxPageSize {
-		return nil, fmt.Errorf("hashtable: page size %d too large (max %d)", pager.PageSize(), MaxPageSize)
+	perPage := (pageSize - pageHeader) / entrySize
+	if perPage < 1 {
+		return nil, fmt.Errorf("hashtable: page size %d too small", pageSize)
+	}
+	if pageSize > MaxPageSize {
+		return nil, fmt.Errorf("hashtable: page size %d too large (max %d)", pageSize, MaxPageSize)
 	}
 	nb := opt.Buckets
 	if nb <= 0 {
@@ -70,21 +111,23 @@ func New(pageSize int, opt Options) (*Table, error) {
 			nb = 64
 		}
 	}
-	t := &Table{
-		pager:   pager,
-		first:   make([]storage.PageID, nb),
-		last:    make([]storage.PageID, nb),
+	expected := opt.ExpectedEntries
+	if expected <= 0 {
+		expected = nb * perPage
+	}
+	slotBits := max(0, bits.Len(uint(expected/slotEntries))-1)
+	return &Table{
+		loaded:  make([][]entry, 1<<slotBits),
+		shift:   uint(64 - slotBits),
+		buckets: make([]bucket, nb),
 		perPage: perPage,
-	}
-	for i := range t.first {
-		t.first[i] = storage.PageID(noPage)
-		t.last[i] = storage.PageID(noPage)
-	}
-	return t, nil
+	}, nil
 }
 
-// mix finalizes a key into a bucket index; keys produced by bit sampling
-// are already hash-like but cheap extra mixing guards degenerate cases.
+// mix finalizes a key into the hash that picks its bucket (the residue
+// modulo Buckets()) and its slot (the top bits); keys produced by bit
+// sampling are already hash-like but cheap extra mixing guards degenerate
+// cases.
 func mix(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -94,99 +137,98 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-func (t *Table) bucket(key uint64) int {
-	return int(mix(key) % uint64(len(t.first)))
-}
-
 // Entries returns the number of stored (key, sid) pairs.
 func (t *Table) Entries() int { return t.entries }
 
 // Buckets returns the directory size.
-func (t *Table) Buckets() int { return len(t.first) }
+func (t *Table) Buckets() int { return len(t.buckets) }
 
-// Pages returns the number of bucket pages allocated.
-func (t *Table) Pages() int { return t.pager.NumPages() }
+// Pages returns the number of simulated bucket pages allocated.
+func (t *Table) Pages() int { return len(t.live) }
 
-func pageCount(p []byte) int { return int(p[4]) | int(p[5])<<8 }
-
-func setPageCount(p []byte, n int) { p[4], p[5] = byte(n), byte(n>>8) }
-
-func pageNext(p []byte) storage.PageID {
-	return storage.PageID(uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24)
-}
-
-func setPageNext(p []byte, id storage.PageID) {
-	p[0], p[1], p[2], p[3] = byte(id), byte(id>>8), byte(id>>16), byte(id>>24)
-}
-
-func pageEntry(p []byte, i int) (key uint64, sid storage.SID) {
-	e := p[pageHeader+i*entrySize:][:entrySize]
-	return binary.LittleEndian.Uint64(e), binary.LittleEndian.Uint32(e[8:])
-}
-
-func setPageEntry(p []byte, i int, key uint64, sid storage.SID) {
-	off := pageHeader + i*entrySize
-	for b := 0; b < 8; b++ {
-		p[off+b] = byte(key >> (8 * b))
+// charge appends one entry to the simulated chain of the bucket h selects
+// and returns the page it lands on: the tail page, or a new one when the
+// chain is empty or its tail is full. Pages are never freed.
+func (t *Table) charge(h uint64) uint32 {
+	b := &t.buckets[h%uint64(len(t.buckets))]
+	if b.pages == 0 || int(t.live[b.tail]) == t.perPage {
+		b.tail = uint32(len(t.live))
+		b.pages++
+		t.live = append(t.live, 0)
 	}
-	p[off+8], p[off+9], p[off+10], p[off+11] = byte(sid), byte(sid>>8), byte(sid>>16), byte(sid>>24)
+	t.live[b.tail]++
+	return b.tail
 }
 
 // Insert stores (key, sid). Duplicate pairs are stored again; filter-index
 // build never produces duplicates within one table.
 func (t *Table) Insert(key uint64, sid storage.SID) {
-	b := t.bucket(key)
-	if t.last[b] == storage.PageID(noPage) {
-		id := t.allocPage()
-		t.first[b], t.last[b] = id, id
+	if t.added == nil {
+		t.added = make([][]entry, len(t.loaded))
 	}
-	p := t.pager.MustPage(t.last[b])
-	n := pageCount(p)
-	if n == t.perPage {
-		id := t.allocPage()
-		setPageNext(p, id)
-		t.last[b] = id
-		p = t.pager.MustPage(id)
-		n = 0
-	}
-	setPageEntry(p, n, key, sid)
-	setPageCount(p, n+1)
+	h := mix(key)
+	s := &t.added[h>>t.shift]
+	*s = append(*s, entry{key: key, sid: sid, page: t.charge(h)})
 	t.entries++
 }
 
-func (t *Table) allocPage() storage.PageID {
-	id := t.pager.Alloc()
-	p := t.pager.MustPage(id)
-	setPageNext(p, storage.PageID(noPage))
-	setPageCount(p, 0)
-	return id
+// Load stores the pairs (keys[i], sids[i]) exactly as Inserting them in
+// order would, but moves the loaded entries into one new arena sized to
+// hold them and the new pairs.
+func (t *Table) Load(sids []storage.SID, keys []uint64) {
+	counts := make([]int, len(t.loaded))
+	total := len(keys)
+	for i, s := range t.loaded {
+		counts[i] = len(s)
+		total += len(s)
+	}
+	for _, k := range keys {
+		counts[mix(k)>>t.shift]++
+	}
+	arena := make([]entry, total)
+	off := 0
+	for i, n := range counts {
+		t.loaded[i] = append(arena[off:off:off+n], t.loaded[i]...)
+		off += n
+	}
+	for i, k := range keys {
+		h := mix(k)
+		s := &t.loaded[h>>t.shift]
+		*s = append(*s, entry{key: k, sid: sids[i], page: t.charge(h)})
+	}
+	t.entries += len(keys)
 }
 
 // Probe marks in the sid bitset marks (sid s is bit s%64 of word s/64) the
 // sids whose stored key equals key — the collision the p_{r,l}(s) analysis
 // assumes (two vectors collide iff their sampled bits agree), so other keys
 // sharing the bucket are skipped. marks grows, zero-filled, to cover a sid
-// past its end, so the result must be used in its place. Every chain page
-// visited costs one random page read on io (which may be nil).
+// past its end, so the result must be used in its place. Every page of the
+// key's bucket chain costs one random page read on io (which may be nil);
+// an empty bucket costs none.
 func (t *Table) Probe(key uint64, io *storage.Counter, marks []uint64) []uint64 {
-	b := t.bucket(key)
-	id := t.first[b]
-	for id != storage.PageID(noPage) {
-		if io != nil {
-			io.RecordRand(1)
-		}
-		p := t.pager.MustPage(id)
-		n := pageCount(p)
-		for i := 0; i < n; i++ {
-			if k, sid := pageEntry(p, i); k == key {
-				w := int(sid >> 6)
-				if w >= len(marks) {
-					marks = append(marks, make([]uint64, w+1-len(marks))...)
-				}
-				marks[w] |= 1 << (sid & 63)
+	h := mix(key)
+	if io != nil {
+		io.RecordRand(int64(t.buckets[h%uint64(len(t.buckets))].pages))
+	}
+	i := h >> t.shift
+	marks = mark(t.loaded[i], key, marks)
+	if t.added != nil {
+		marks = mark(t.added[i], key, marks)
+	}
+	return marks
+}
+
+// mark sets in marks the sids of the entries in s stored under key.
+func mark(s []entry, key uint64, marks []uint64) []uint64 {
+	for _, e := range s {
+		if e.key == key {
+			w := int(e.sid >> 6)
+			if w >= len(marks) {
+				marks = append(marks, make([]uint64, w+1-len(marks))...)
 			}
+			marks[w] |= 1 << (e.sid & 63)
 		}
-		id = pageNext(p)
 	}
 	return marks
 }
@@ -202,32 +244,34 @@ func AppendMarked(dst []storage.SID, marks []uint64) []storage.SID {
 	return dst
 }
 
-// Delete removes every (key, sid) pair from the table, compacting within
-// each page (the last entry moves into the hole). It returns the number of
-// entries removed — the dynamic maintenance the paper notes hash indices
-// support.
+// Delete removes every (key, sid) pair from the table and returns the
+// number removed — the dynamic maintenance the paper notes hash indices
+// support. Each removal frees its place on the simulated page it was
+// charged to; the page itself stays in its chain.
 func (t *Table) Delete(key uint64, sid storage.SID) int {
-	b := t.bucket(key)
-	removed := 0
-	id := t.first[b]
-	for id != storage.PageID(noPage) {
-		p := t.pager.MustPage(id)
-		n := pageCount(p)
-		for i := 0; i < n; {
-			k, s := pageEntry(p, i)
-			if k == key && s == sid {
-				// Move the page's last entry into the hole.
-				lk, ls := pageEntry(p, n-1)
-				setPageEntry(p, i, lk, ls)
-				n--
-				setPageCount(p, n)
-				removed++
-				continue // re-examine the moved entry
-			}
-			i++
-		}
-		id = pageNext(p)
+	i := mix(key) >> t.shift
+	removed := t.remove(&t.loaded[i], key, sid)
+	if t.added != nil {
+		removed += t.remove(&t.added[i], key, sid)
 	}
 	t.entries -= removed
+	return removed
+}
+
+// remove deletes the (key, sid) entries of s, moving s's last entry into
+// each hole, and frees their places on their simulated pages.
+func (t *Table) remove(s *[]entry, key uint64, sid storage.SID) int {
+	removed := 0
+	for i := 0; i < len(*s); {
+		if e := (*s)[i]; e.key == key && e.sid == sid {
+			t.live[e.page]--
+			last := len(*s) - 1
+			(*s)[i] = (*s)[last]
+			*s = (*s)[:last]
+			removed++
+			continue // re-examine the moved entry
+		}
+		i++
+	}
 	return removed
 }

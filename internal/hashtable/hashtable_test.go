@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -107,11 +108,19 @@ func TestOverflowChains(t *testing.T) {
 }
 
 func TestBucketsSizedFromExpectedEntries(t *testing.T) {
-	tab := newTable(t, Options{ExpectedEntries: 10000})
-	perPage := (256 - pageHeader) / entrySize
-	want := (10000 + perPage - 1) / perPage
-	if tab.Buckets() != want {
-		t.Errorf("Buckets = %d, want %d", tab.Buckets(), want)
+	// A page size of zero or below selects storage.DefaultPageSize.
+	for _, size := range []int{256, 0, -5} {
+		tab, err := New(size, Options{ExpectedEntries: 10000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size <= 0 {
+			size = storage.DefaultPageSize
+		}
+		perPage := (size - pageHeader) / entrySize
+		if want := (10000 + perPage - 1) / perPage; tab.Buckets() != want {
+			t.Errorf("page size %d: Buckets = %d, want %d", size, tab.Buckets(), want)
+		}
 	}
 }
 
@@ -136,32 +145,6 @@ func TestPageTooSmall(t *testing.T) {
 	}
 	if _, err := New(MaxPageSize+1, Options{}); err == nil {
 		t.Errorf("%d-byte pages accepted", MaxPageSize+1)
-	}
-}
-
-func TestEntryEncodingRoundTrip(t *testing.T) {
-	p := make([]byte, 256)
-	setPageEntry(p, 0, ^uint64(0), ^uint32(0))
-	setPageEntry(p, 1, 0x0102030405060708, 42)
-	k, s := pageEntry(p, 0)
-	if k != ^uint64(0) || s != ^uint32(0) {
-		t.Errorf("entry 0 = %x, %d", k, s)
-	}
-	k, s = pageEntry(p, 1)
-	if k != 0x0102030405060708 || s != 42 {
-		t.Errorf("entry 1 = %x, %d", k, s)
-	}
-}
-
-func TestPageHeaderEncoding(t *testing.T) {
-	p := make([]byte, 64)
-	setPageNext(p, 0xDEADBEEF)
-	setPageCount(p, 513)
-	if pageNext(p) != 0xDEADBEEF {
-		t.Errorf("next = %x", pageNext(p))
-	}
-	if pageCount(p) != 513 {
-		t.Errorf("count = %d", pageCount(p))
 	}
 }
 
@@ -209,27 +192,6 @@ func TestProbeGrowsMarks(t *testing.T) {
 	}
 	if got := AppendMarked([]storage.SID{7}, []uint64{0, 1<<63 | 1}); !slices.Equal(got, []storage.SID{7, 64, 127}) {
 		t.Errorf("AppendMarked = %v, want [7 64 127]", got)
-	}
-}
-
-// TestPageEntryRoundTrip writes and reads back every slot of the smallest
-// page (one entry) and of a MaxPageSize page, with high-bit keys and sids
-// from 0xFFFFFFFF down. Each page is allocated at exactly its size, so a
-// read past the last slot would panic.
-func TestPageEntryRoundTrip(t *testing.T) {
-	for _, size := range []int{pageHeader + entrySize, MaxPageSize} {
-		p := make([]byte, size)
-		slots := (size - pageHeader) / entrySize
-		key := func(i int) uint64 { return 1<<63 | uint64(i)*0x9e3779b97f4a7c15 }
-		sid := func(i int) storage.SID { return ^storage.SID(0) - storage.SID(i) }
-		for i := 0; i < slots; i++ {
-			setPageEntry(p, i, key(i), sid(i))
-		}
-		for i := 0; i < slots; i++ {
-			if k, s := pageEntry(p, i); k != key(i) || s != sid(i) {
-				t.Fatalf("page %d slot %d = (%x, %x), want (%x, %x)", size, i, k, s, key(i), sid(i))
-			}
-		}
 	}
 }
 
@@ -289,4 +251,248 @@ func TestDeleteFromOverflowChain(t *testing.T) {
 	if total != n-want {
 		t.Errorf("%d entries remain, want %d", total, n-want)
 	}
+}
+
+// pagedTable is the reference model of a Table: the paper's layout stored
+// as bytes. Each bucket is a chain of pages, each page a header (next-page
+// id, entry count) followed by 12-byte entries; a probe decodes every entry
+// of every page in the chain and is charged one random read per page. A
+// Table must be indistinguishable from it through the exported API.
+type pagedTable struct {
+	pages       [][]byte
+	first, last []uint32
+	entries     int
+	perPage     int
+	pageSize    int
+}
+
+const noPage = ^uint32(0)
+
+func newPagedTable(t testing.TB, pageSize int, opt Options) *pagedTable {
+	t.Helper()
+	tab, err := New(pageSize, opt) // validates the options and sizes the directory
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pageSize <= 0 {
+		pageSize = storage.DefaultPageSize
+	}
+	m := &pagedTable{
+		first:    make([]uint32, tab.Buckets()),
+		last:     make([]uint32, tab.Buckets()),
+		perPage:  (pageSize - pageHeader) / entrySize,
+		pageSize: pageSize,
+	}
+	for i := range m.first {
+		m.first[i], m.last[i] = noPage, noPage
+	}
+	return m
+}
+
+func pageCount(p []byte) int { return int(binary.LittleEndian.Uint16(p[4:])) }
+
+func setPageCount(p []byte, n int) { binary.LittleEndian.PutUint16(p[4:], uint16(n)) }
+
+func pageNext(p []byte) uint32 { return binary.LittleEndian.Uint32(p) }
+
+func pageEntry(p []byte, i int) (uint64, storage.SID) {
+	e := p[pageHeader+i*entrySize:][:entrySize]
+	return binary.LittleEndian.Uint64(e), binary.LittleEndian.Uint32(e[8:])
+}
+
+func setPageEntry(p []byte, i int, key uint64, sid storage.SID) {
+	e := p[pageHeader+i*entrySize:][:entrySize]
+	binary.LittleEndian.PutUint64(e, key)
+	binary.LittleEndian.PutUint32(e[8:], sid)
+}
+
+func (m *pagedTable) bucket(key uint64) int { return int(mix(key) % uint64(len(m.first))) }
+
+func (m *pagedTable) allocPage() uint32 {
+	p := make([]byte, m.pageSize)
+	binary.LittleEndian.PutUint32(p, noPage)
+	m.pages = append(m.pages, p)
+	return uint32(len(m.pages) - 1)
+}
+
+func (m *pagedTable) Insert(key uint64, sid storage.SID) {
+	b := m.bucket(key)
+	if m.last[b] == noPage {
+		id := m.allocPage()
+		m.first[b], m.last[b] = id, id
+	}
+	p := m.pages[m.last[b]]
+	n := pageCount(p)
+	if n == m.perPage {
+		id := m.allocPage()
+		binary.LittleEndian.PutUint32(p, id)
+		m.last[b] = id
+		p, n = m.pages[id], 0
+	}
+	setPageEntry(p, n, key, sid)
+	setPageCount(p, n+1)
+	m.entries++
+}
+
+func (m *pagedTable) Probe(key uint64, io *storage.Counter, marks []uint64) []uint64 {
+	for id := m.first[m.bucket(key)]; id != noPage; id = pageNext(m.pages[id]) {
+		io.RecordRand(1)
+		p := m.pages[id]
+		for i := 0; i < pageCount(p); i++ {
+			if k, sid := pageEntry(p, i); k == key {
+				w := int(sid >> 6)
+				if w >= len(marks) {
+					marks = append(marks, make([]uint64, w+1-len(marks))...)
+				}
+				marks[w] |= 1 << (sid & 63)
+			}
+		}
+	}
+	return marks
+}
+
+// Delete removes every (key, sid) pair, moving each page's last entry into
+// the hole it leaves.
+func (m *pagedTable) Delete(key uint64, sid storage.SID) int {
+	removed := 0
+	for id := m.first[m.bucket(key)]; id != noPage; id = pageNext(m.pages[id]) {
+		p := m.pages[id]
+		for i, n := 0, pageCount(p); i < n; {
+			if k, s := pageEntry(p, i); k == key && s == sid {
+				lk, ls := pageEntry(p, n-1)
+				setPageEntry(p, i, lk, ls)
+				n--
+				setPageCount(p, n)
+				removed++
+				continue
+			}
+			i++
+		}
+	}
+	m.entries -= removed
+	return removed
+}
+
+// Operations of a differential run. A run of consecutive opLoad pairs is
+// applied to the Table as one Load and to the model as Inserts in order.
+const (
+	opInsert = iota
+	opDelete
+	opProbe
+	opLoad
+	numOps
+)
+
+type tableOp struct {
+	kind int
+	key  uint64
+	sid  storage.SID
+}
+
+// checkAgainstModel applies ops to a Table and to the paged model built
+// with the same options, failing on the first difference in probe marks,
+// probe charges, Delete counts, Entries or Pages. At the end every key the
+// run touched is probed once more.
+func checkAgainstModel(t testing.TB, pageSize int, opt Options, ops []tableOp) {
+	t.Helper()
+	tab, err := New(pageSize, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := newPagedTable(t, pageSize, opt)
+	keys := map[uint64]bool{}
+	probeBoth := func(step int, key uint64) {
+		var gotIO, wantIO storage.Counter
+		got := AppendMarked(nil, tab.Probe(key, &gotIO, nil))
+		want := AppendMarked(nil, model.Probe(key, &wantIO, nil))
+		if !slices.Equal(got, want) || gotIO.Rand() != wantIO.Rand() {
+			t.Fatalf("step %d: Probe(%#x) = %v charged %d, model %v charged %d", step, key, got, gotIO.Rand(), want, wantIO.Rand())
+		}
+	}
+	for i := 0; i < len(ops); i++ {
+		op := ops[i]
+		keys[op.key] = true
+		switch op.kind {
+		case opInsert:
+			tab.Insert(op.key, op.sid)
+			model.Insert(op.key, op.sid)
+		case opDelete:
+			if got, want := tab.Delete(op.key, op.sid), model.Delete(op.key, op.sid); got != want {
+				t.Fatalf("step %d: Delete(%#x, %d) = %d, model %d", i, op.key, op.sid, got, want)
+			}
+		case opProbe:
+			probeBoth(i, op.key)
+		case opLoad:
+			var sids []storage.SID
+			var ks []uint64
+			for ; i < len(ops) && ops[i].kind == opLoad; i++ {
+				keys[ops[i].key] = true
+				sids, ks = append(sids, ops[i].sid), append(ks, ops[i].key)
+				model.Insert(ops[i].key, ops[i].sid)
+			}
+			i--
+			tab.Load(sids, ks)
+		}
+		if tab.Entries() != model.entries || tab.Pages() != len(model.pages) {
+			t.Fatalf("step %d: Entries %d Pages %d, model %d and %d", i, tab.Entries(), tab.Pages(), model.entries, len(model.pages))
+		}
+	}
+	for key := range keys {
+		probeBoth(len(ops), key)
+	}
+}
+
+// TestTableMatchesPagedModel runs seeded random sequences of Insert,
+// Delete, Probe and Load against the paged model: repeated pairs, deletes
+// of absent pairs, one shared bucket, and two-entry pages whose chains grow
+// long.
+func TestTableMatchesPagedModel(t *testing.T) {
+	configs := []struct {
+		pageSize int
+		opt      Options
+	}{
+		{256, Options{ExpectedEntries: 200}},
+		{256, Options{Buckets: 1}},
+		{30, Options{Buckets: 1}},
+		{30, Options{ExpectedEntries: 40}},
+		{30, Options{Buckets: 3, ExpectedEntries: 1000}},
+		{0, Options{}},
+	}
+	for ci, c := range configs {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed*100 + int64(ci)))
+			var ops []tableOp
+			// A leading bulk load of ascending sids, as a build does.
+			for sid, n := 0, rng.Intn(300); sid < n; sid++ {
+				ops = append(ops, tableOp{opLoad, uint64(rng.Intn(12)), storage.SID(sid)})
+			}
+			for n := 0; n < 400; n++ {
+				kind := rng.Intn(numOps)
+				if kind == opLoad && rng.Intn(4) > 0 {
+					kind = opInsert
+				}
+				ops = append(ops, tableOp{kind, uint64(rng.Intn(12)) * 0x9e3779b97f4a7c15, storage.SID(rng.Intn(150))})
+			}
+			checkAgainstModel(t, c.pageSize, c.opt, ops)
+		}
+	}
+}
+
+// FuzzTableOps decodes a page size, a directory and an operation stream
+// from the input and checks the Table against the paged model.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{1, 1, 0, 3, 1, 1, 3, 1, 2, 0, 1, 3, 1, 1, 1, 2, 1, 0})
+	f.Add([]byte{0, 0, 10, 0, 5, 200, 0, 5, 201, 0, 5, 200, 2, 5, 0, 1, 5, 200, 2, 5, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		pageSize := pageHeader + entrySize*(1+int(data[0]%8))
+		opt := Options{Buckets: int(data[1] % 4), ExpectedEntries: 4 * int(data[2])}
+		var ops []tableOp
+		for b := data[3:]; len(b) >= 3; b = b[3:] {
+			ops = append(ops, tableOp{int(b[0] % numOps), uint64(b[1]%16) * 0x9e3779b97f4a7c15, storage.SID(b[2])})
+		}
+		checkAgainstModel(t, pageSize, opt, ops)
+	})
 }

@@ -48,48 +48,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestPagerAllocAndAccess(t *testing.T) {
-	p := NewPager(128)
-	if p.PageSize() != 128 {
-		t.Errorf("PageSize = %d", p.PageSize())
-	}
-	id1 := p.Alloc()
-	id2 := p.Alloc()
-	if id1 == id2 {
-		t.Error("duplicate page ids")
-	}
-	if p.NumPages() != 2 {
-		t.Errorf("NumPages = %d", p.NumPages())
-	}
-	b, err := p.Page(id1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != 128 {
-		t.Errorf("page len = %d", len(b))
-	}
-	b[0] = 0xAA
-	b2, _ := p.Page(id1)
-	if b2[0] != 0xAA {
-		t.Error("page write did not persist")
-	}
-	if _, err := p.Page(99); err == nil {
-		t.Error("out-of-range page access succeeded")
-	}
-	if p.Bytes() != 256 {
-		t.Errorf("Bytes = %d", p.Bytes())
-	}
-}
-
-func TestPagerDefaultPageSize(t *testing.T) {
-	if got := NewPager(0).PageSize(); got != DefaultPageSize {
-		t.Errorf("default page size = %d", got)
-	}
-	if got := NewPager(-5).PageSize(); got != DefaultPageSize {
-		t.Errorf("negative page size gave %d", got)
-	}
-}
-
 func TestSetStoreRoundTrip(t *testing.T) {
 	st := NewSetStore(64)
 	sets := []set.Set{
@@ -297,15 +255,6 @@ func TestManyRandomSetsRoundTrip(t *testing.T) {
 			t.Fatalf("set %d mismatched after round-trip", i)
 		}
 	}
-}
-
-func TestMustPagePanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustPage(99) did not panic")
-		}
-	}()
-	NewPager(64).MustPage(99)
 }
 
 func TestSetStoreDelete(t *testing.T) {
