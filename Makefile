@@ -60,7 +60,6 @@ fuzz-smoke:
 	$(GO) test ./internal/hashtable/ -run '^$$' -fuzz FuzzTableOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSortMatches -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzQueryRange -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/minhash/ -run '^$$' -fuzz FuzzPackedSignatureRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replica/ -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME)

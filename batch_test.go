@@ -323,7 +323,8 @@ func TestQueryInvalidScreenMargin(t *testing.T) {
 
 // TestStatsSizePruned checks the public Stats carry the size bound's
 // count summed over shards: near-duplicate queries skip some candidates by
-// size, and none of them is also counted as screened.
+// size, and none of them is also counted as screened. ScreenedFraction is
+// Screened/Candidates.
 func TestStatsSizePruned(t *testing.T) {
 	sets, err := workload.Generate(workload.Set1Params(300))
 	if err != nil {
@@ -342,6 +343,9 @@ func TestStatsSizePruned(t *testing.T) {
 		}
 		if st.SizePruned+st.Screened+st.Results > st.Candidates {
 			t.Fatalf("query %d: %d size-pruned + %d screened + %d results exceed %d candidates", i, st.SizePruned, st.Screened, st.Results, st.Candidates)
+		}
+		if st.Candidates > 0 && st.ScreenedFraction != float64(st.Screened)/float64(st.Candidates) {
+			t.Fatalf("query %d: ScreenedFraction = %g, want %d/%d", i, st.ScreenedFraction, st.Screened, st.Candidates)
 		}
 		pruned += st.SizePruned
 	}

@@ -47,8 +47,6 @@ func main() {
 		walPre   = flag.Int64("wal-prealloc", 0, "preallocate log segments in chunks of this many bytes (0 = plain append+fsync)")
 		autotune = flag.Bool("autotune", false, "track similarity drift and hot-swap a re-derived plan in the background while this process runs")
 		retune   = flag.Bool("retune", false, "re-derive the plan from the live collection once after opening (on a durable index the new plan is checkpointed)")
-		signFam  = flag.String("sign-family", "", "signing family for stored signatures: classic (default) or superminhash; exact answers are identical either way")
-		signBits = flag.Int("sign-bits", 0, "bits stored per hash value (1, 2, 4, 8, or 64; 0 = full 64-bit words); lower values pack signatures b-bit style")
 	)
 	flag.Parse()
 	if *data == "" && *load == "" && *walDir == "" {
@@ -59,18 +57,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ssrindex: -wal and -load are mutually exclusive (the durability directory has its own checkpoints)")
 		os.Exit(1)
 	}
-	signing := ssr.SigningOptions{Family: *signFam, BitsPerHash: *signBits}
-	if err := run(*data, *budget, *recall, *k, *seed, *shards, *queryIdx, *lo, *hi, *plan, *limit, *save, *load, *walDir, *walPre, *autotune, *retune, signing); err != nil {
+	if err := run(*data, *budget, *recall, *k, *seed, *shards, *queryIdx, *lo, *hi, *plan, *limit, *save, *load, *walDir, *walPre, *autotune, *retune); err != nil {
 		fmt.Fprintf(os.Stderr, "ssrindex: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, budget int, recall float64, k int, seed int64, shards, queryIdx int, lo, hi float64, planOnly bool, limit int, savePath, loadPath, walDir string, walPre int64, autotune, retune bool, signing ssr.SigningOptions) (err error) {
+func run(path string, budget int, recall float64, k int, seed int64, shards, queryIdx int, lo, hi float64, planOnly bool, limit int, savePath, loadPath, walDir string, walPre int64, autotune, retune bool) (err error) {
 	var ix *ssr.Index
 	switch {
 	case walDir != "":
-		ix, err = openDurable(walDir, path, budget, recall, k, seed, shards, walPre, signing)
+		ix, err = openDurable(walDir, path, budget, recall, k, seed, shards, walPre)
 		if err != nil {
 			return err
 		}
@@ -108,7 +105,6 @@ func run(path string, budget int, recall float64, k int, seed int64, shards, que
 			MinHashes:    k,
 			Seed:         seed,
 			Shards:       shards,
-			Signing:      signing,
 		})
 		if err != nil {
 			return err
@@ -181,7 +177,7 @@ func run(path string, budget int, recall float64, k int, seed int64, shards, que
 
 // openDurable recovers the durability directory, bootstrapping it from the
 // collection file on first use.
-func openDurable(walDir, path string, budget int, recall float64, k int, seed int64, shards int, walPre int64, signing ssr.SigningOptions) (*ssr.Index, error) {
+func openDurable(walDir, path string, budget int, recall float64, k int, seed int64, shards int, walPre int64) (*ssr.Index, error) {
 	has, err := ssr.HasDurableState(walDir)
 	if err != nil {
 		return nil, err
@@ -209,7 +205,6 @@ func openDurable(walDir, path string, budget int, recall float64, k int, seed in
 		MinHashes:    k,
 		Seed:         seed,
 		Shards:       shards,
-		Signing:      signing,
 	}, ssr.DurableOptions{PreallocBytes: walPre})
 	if err != nil {
 		return nil, err

@@ -57,8 +57,6 @@ func main() {
 		k        = flag.Int("k", 100, "min-hash signature length")
 		seed     = flag.Int64("seed", 1, "build seed")
 		shards   = flag.Int("shards", 1, "independent index shards (1 = classic monolithic layout)")
-		signFam  = flag.String("sign-family", "", "signing family for stored signatures: classic (default) or superminhash; exact answers are identical either way")
-		signBits = flag.Int("sign-bits", 0, "bits stored per hash value (1, 2, 4, 8, or 64; 0 = full 64-bit words); lower values pack signatures b-bit style")
 
 		walDir       = flag.String("wal", "", "durability directory (write-ahead log + checkpoints)")
 		walSync      = flag.String("wal-sync", "always", "log sync policy: always, interval, never")
@@ -126,8 +124,7 @@ func main() {
 		})
 		log.Printf("following %s into %s", *follow, *walDir)
 	} else {
-		signing := ssr.SigningOptions{Family: *signFam, BitsPerHash: *signBits}
-		ix, err := openIndex(*data, *snapshot, *walDir, *walSync, *walSyncEvery, *walCkptBytes, *walPrealloc, *budget, *recall, *k, *seed, *shards, signing)
+		ix, err := openIndex(*data, *snapshot, *walDir, *walSync, *walSyncEvery, *walCkptBytes, *walPrealloc, *budget, *recall, *k, *seed, *shards)
 		if err != nil {
 			log.Fatalf("ssrserver: %v", err)
 		}
@@ -187,9 +184,9 @@ func main() {
 
 // openIndex resolves the three serving modes: durable (-wal), snapshot
 // (-snapshot), or ephemeral build (-data).
-func openIndex(data, snapshot, walDir, walSync string, walSyncEvery time.Duration, walCkptBytes, walPrealloc int64, budget int, recall float64, k int, seed int64, shards int, signing ssr.SigningOptions) (*ssr.Index, error) {
+func openIndex(data, snapshot, walDir, walSync string, walSyncEvery time.Duration, walCkptBytes, walPrealloc int64, budget int, recall float64, k int, seed int64, shards int) (*ssr.Index, error) {
 	if walDir == "" {
-		return buildOrLoad(data, snapshot, budget, recall, k, seed, shards, signing)
+		return buildOrLoad(data, snapshot, budget, recall, k, seed, shards)
 	}
 	mode, err := ssr.ParseSyncMode(walSync)
 	if err != nil {
@@ -224,7 +221,6 @@ func openIndex(data, snapshot, walDir, walSync string, walSyncEvery time.Duratio
 	start := time.Now()
 	ix, err := ssr.CreateDurable(walDir, coll, ssr.Options{
 		Budget: budget, RecallTarget: recall, MinHashes: k, Seed: seed, Shards: shards,
-		Signing: signing,
 	}, dopt)
 	if err != nil {
 		return nil, err
@@ -233,7 +229,7 @@ func openIndex(data, snapshot, walDir, walSync string, walSyncEvery time.Duratio
 	return ix, nil
 }
 
-func buildOrLoad(data, snapshot string, budget int, recall float64, k int, seed int64, shards int, signing ssr.SigningOptions) (*ssr.Index, error) {
+func buildOrLoad(data, snapshot string, budget int, recall float64, k int, seed int64, shards int) (*ssr.Index, error) {
 	switch {
 	case snapshot != "":
 		f, err := os.Open(snapshot)
@@ -250,7 +246,6 @@ func buildOrLoad(data, snapshot string, budget int, recall float64, k int, seed 
 		start := time.Now()
 		ix, err := ssr.Build(coll, ssr.Options{
 			Budget: budget, RecallTarget: recall, MinHashes: k, Seed: seed, Shards: shards,
-			Signing: signing,
 		})
 		if err != nil {
 			return nil, err

@@ -528,18 +528,7 @@ func assembleShards(man durableManifest, lanes []recoveredLane) ([]string, *engi
 			planCopy := winPlan
 			sopt.PlanOverride = &planCopy
 			sopt.Distribution = winHist
-			if cores[si].SigningConfig().IsClassic64() {
-				sopt.PrecomputedSignatures = csigs
-			} else {
-				// Captured signatures are the stored packed words; feed
-				// them back through the packed channel so the rebuild
-				// neither re-signs nor misreads them as full classic ones.
-				packed := make([][]uint64, len(csigs))
-				for i, s := range csigs {
-					packed[i] = s
-				}
-				sopt.PackedSignatures = packed
-			}
+			sopt.PrecomputedSignatures = csigs
 			sopt.Tombstones = ctombs
 			rebuilt, err := core.Build(csets, sopt)
 			if err != nil {

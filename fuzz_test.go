@@ -2,6 +2,7 @@ package ssr
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 )
 
@@ -26,6 +27,7 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(snap.Bytes())
 	f.Add(snap.Bytes()[:len(snap.Bytes())/2])
+	f.Add(withCoreTrailer(f, snap.Bytes(), append([]byte("SSRFAM1\n"), 2, 64, 40, 0, 0, 0)))
 	f.Add([]byte("SSRPUB1\n"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -38,4 +40,22 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("loaded index cannot query: %v", qerr)
 		}
 	})
+}
+
+// withCoreTrailer re-wraps a public snapshot with tail appended to its
+// core snapshot bytes — the shape of a snapshot whose core carries a
+// trailer Load does not read.
+func withCoreTrailer(tb testing.TB, pub, tail []byte) []byte {
+	tb.Helper()
+	var snap publicSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(pub[len(persistMagic):])).Decode(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	snap.Core = append(snap.Core, tail...)
+	var out bytes.Buffer
+	out.WriteString(persistMagic)
+	if err := gob.NewEncoder(&out).Encode(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
 }

@@ -27,13 +27,6 @@ type Options struct {
 	// Embed configures the S → V → H pipeline. Zero value selects
 	// embed.DefaultOptions (k=100, b=8).
 	Embed embed.Options
-	// Signing selects the signing family for STORED signatures and every
-	// similarity estimate (screening, screen-only answers, the tuner's
-	// sketch). The zero value is classic k-min at 64 bits/hash — the
-	// historical layout. Candidate generation (Hamming embedding, filter
-	// keys) always runs on classic full-width signatures regardless, so
-	// exact answers are byte-identical across families.
-	Signing minhash.Config
 	// Plan configures the Section 5 optimizer. Budget is required.
 	Plan optimize.Options
 	// PageSize is the simulated disk page size (0 = storage default).
@@ -58,30 +51,19 @@ type Options struct {
 	// the optimizer; the distribution is then neither estimated nor
 	// consulted. Used by snapshot loading to reproduce an index exactly.
 	PlanOverride *optimize.Plan
-	// PrecomputedSignatures, if non-nil, must hold one FULL classic
-	// signature per set computed under exactly the Embed options given;
-	// min-hash signing (the dominant build cost) is then skipped. Used by
-	// snapshot loading and the engine's sign-once partitioned build.
-	// Positions marked in Tombstones must hold nil signatures.
+	// PrecomputedSignatures, if non-nil, must hold one signature per set
+	// computed under exactly the Embed options given; min-hash signing (the
+	// dominant build cost) is then skipped. Used by snapshot loading, retune
+	// and the engine's sign-once partitioned build. Positions marked in
+	// Tombstones must hold nil signatures.
 	PrecomputedSignatures []minhash.Signature
-	// PackedSignatures, if non-nil, must hold one PACKED signature per set
-	// under the configured Signing family (fam.Words() words each, nil at
-	// tombstoned positions) and is installed as the stored representation
-	// directly. Requires PlanOverride (the packed estimates must not feed
-	// D_S). Snapshot loading and retune use it for non-classic-64 families,
-	// whose captured signatures are packed.
-	PackedSignatures [][]uint64
-	// UnionSizeHint is the approximate average union cardinality of
-	// compared pairs, used by families whose confidence width depends on it
-	// (SuperMinHash). 0 derives 2× the mean live set size at build time.
-	UnionSizeHint int
 	// Tombstones, if non-nil, marks positions of sets[i] whose sid was
 	// allocated and later deleted: the placeholder is appended to the store
 	// and immediately tombstoned, keeping every later sid at its original
 	// value, but it enters no filter index. This is what lets the
 	// durability layer replay logged operations that name original sids
-	// against a reloaded snapshot. Requires PlanOverride and precomputed
-	// (full or packed) signatures.
+	// against a reloaded snapshot. Requires PlanOverride and
+	// PrecomputedSignatures.
 	Tombstones []bool
 	// Workers bounds build parallelism: min-hash signing, distribution
 	// sampling, and filter-index population all fan across up to Workers
@@ -161,21 +143,14 @@ type Index struct {
 	plan  optimize.Plan
 	store *storage.SetStore
 	hist  *simdist.Histogram
-	// sigs holds the STORED signatures in the signing family's packed
-	// layout (for the default classic-64 family the packed layout is the
-	// historical full Signature, bit for bit). All similarity estimates go
-	// through fam; filter keys always come from classic full signatures.
+	// sigs holds each set's min-hash signature, indexed by sid (nil once
+	// deleted). It is both what every similarity estimate compares and the
+	// coordinates the set's filter keys are gathered from.
 	sigs []minhash.Signature
 	n    int
-	// fam is the signing family; classic64 short-circuits the packing
-	// paths, recoverable says whether embedding bits can be re-derived from
-	// stored words, famEps is the family's 95% half-width at unionHint.
-	// All immutable after Build.
-	fam         minhash.Family
-	classic64   bool
-	recoverable bool
-	famEps      float64
-	unionHint   int
+	// eps is the 95% half-width of minhash.Estimate at the embedding's k;
+	// immutable after Build.
+	eps float64
 	// fis lists the filter indices in plan order: fis[i] realizes
 	// plan.FIs[i], so an optimize.Combination's ordinals index it directly.
 	// Immutable after Build.
@@ -205,20 +180,12 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	scfg, err := opt.Signing.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	fam, err := scfg.New(emb.Perms(), emb.K(), eopt.Seed)
-	if err != nil {
-		return nil, err
-	}
 
 	if opt.Tombstones != nil {
 		if len(opt.Tombstones) != len(sets) {
 			return nil, fmt.Errorf("core: %d tombstone marks for %d sets", len(opt.Tombstones), len(sets))
 		}
-		if opt.PlanOverride == nil || (opt.PrecomputedSignatures == nil && opt.PackedSignatures == nil) {
+		if opt.PlanOverride == nil || opt.PrecomputedSignatures == nil {
 			return nil, fmt.Errorf("core: Tombstones requires PlanOverride and precomputed signatures")
 		}
 	}
@@ -249,45 +216,20 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 			}
 		}
 	}
-	if opt.PackedSignatures != nil {
-		if opt.PlanOverride == nil {
-			return nil, fmt.Errorf("core: PackedSignatures requires PlanOverride")
-		}
-		if len(opt.PackedSignatures) != len(sets) {
-			return nil, fmt.Errorf("core: %d packed signatures for %d sets", len(opt.PackedSignatures), len(sets))
-		}
-		for i, w := range opt.PackedSignatures {
-			if tombstoned(i) {
-				if w != nil {
-					return nil, fmt.Errorf("core: tombstoned position %d carries a packed signature", i)
-				}
-				continue
-			}
-			if len(w) != fam.Words() {
-				return nil, fmt.Errorf("core: packed signature %d has %d words, family %s/b=%d wants %d",
-					i, len(w), fam.Name(), fam.BitsPerHash(), fam.Words())
-			}
-		}
-	}
 
 	resolved := opt
 	resolved.Embed = eopt
-	resolved.Signing = scfg
-	resolved.Tombstones = nil       // transient load instruction, not a build parameter
-	resolved.PackedSignatures = nil // likewise
+	resolved.Tombstones = nil // transient load instruction, not a build parameter
 	workers := ResolveWorkers(opt.Workers)
 	ix := &Index{
-		buildOpts:   resolved,
-		emb:         emb,
-		fam:         fam,
-		classic64:   scfg.IsClassic64(),
-		recoverable: fam.Recoverable(emb.EmbedBits()),
-		store:       storage.NewSetStoreWithPayload(opt.PageSize, opt.PayloadPerElem),
-		n:           live,
+		buildOpts: resolved,
+		emb:       emb,
+		eps:       minhash.Eps95(emb.K()),
+		store:     storage.NewSetStoreWithPayload(opt.PageSize, opt.PayloadPerElem),
+		n:         live,
 	}
-	famWords := fam.Words()
 	ix.scratch.New = func() any {
-		return &queryScratch{sig: make(minhash.Signature, emb.K()), packed: make([]uint64, famWords), coords: make([]uint64, emb.K())}
+		return &queryScratch{sig: make(minhash.Signature, emb.K())}
 	}
 
 	// 1. Persist the collection; sids are dense append order. Tombstoned
@@ -301,49 +243,16 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 		}
 	}
 
-	// 2. Min-hash signatures. fullSigs are the classic full-width
-	// signatures that drive the Hamming embedding (filter keys) and D_S;
-	// ix.sigs is the stored family representation. For classic-64 the two
-	// coincide. fullSigs may stay nil on packed-only loads, where filters
-	// are populated from packed words (recoverable families) or by
-	// re-signing classic from the stored sets.
-	var fullSigs []minhash.Signature
-	if opt.PrecomputedSignatures != nil {
-		fullSigs = opt.PrecomputedSignatures
-	}
-	switch {
-	case opt.PackedSignatures != nil:
-		packed := make([]minhash.Signature, len(opt.PackedSignatures))
-		for i, w := range opt.PackedSignatures {
-			if w != nil {
-				packed[i] = minhash.Signature(w)
-			}
-		}
-		ix.sigs = packed
-		if ix.classic64 && fullSigs == nil {
-			fullSigs = packed // identical representation at 64 bits/hash
-		}
-	case ix.classic64:
-		if fullSigs == nil {
-			fullSigs = signCollection(emb, sets, workers)
-			nilTombstoned(fullSigs, opt.Tombstones)
-		}
-		ix.sigs = fullSigs
-	default:
-		if fullSigs == nil {
-			fullSigs = signCollection(emb, sets, workers)
-			nilTombstoned(fullSigs, opt.Tombstones)
-		}
-		ix.sigs = packCollection(fam, fullSigs, sets, workers)
+	// 2. Min-hash signatures.
+	ix.sigs = opt.PrecomputedSignatures
+	if ix.sigs == nil {
+		ix.sigs = signCollection(emb, sets, workers)
 	}
 
-	// 3. Similarity distribution D_S (skipped under a plan override; the
-	// packed-only input shape always carries one). Estimation always runs
-	// on the classic full signatures, so D_S — and the plan derived from
-	// it — is identical across signing families.
+	// 3. Similarity distribution D_S (skipped under a plan override).
 	ix.hist = opt.Distribution
 	if ix.hist == nil && opt.PlanOverride == nil {
-		h, err := EstimateDistribution(sets, fullSigs, opt)
+		h, err := EstimateDistribution(sets, ix.sigs, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -387,53 +296,8 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 		fidxs[i] = fidx
 	}
 	ix.fis = fidxs
-	coords := fullSigs
-	if coords == nil {
-		// Packed-only load: each entry's key coordinates come from its
-		// stored words, or from re-signing its set for families that cannot
-		// reproduce them (deterministic, so keys match the original build).
-		coords = make([]minhash.Signature, len(sets))
-		parallelFor(len(sets), workers, signChunk, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if ix.sigs[i] != nil {
-					coords[i] = ix.keyCoords(ix.sigs[i], sets[i], make([]uint64, emb.K()))
-				}
-			}
-		})
-	}
-	populateFilters(coords, fidxs, workers)
-
-	// 6. Family confidence half-width. The union hint (≈ average pair
-	// union) defaults to 2× the mean live set size; it is recorded in
-	// buildOpts so snapshots and retune rebuilds reproduce the same width.
-	hint := opt.UnionSizeHint
-	if hint <= 0 && live > 0 {
-		total := 0
-		for i, s := range sets {
-			if !tombstoned(i) {
-				total += s.Len()
-			}
-		}
-		hint = 2 * total / live
-	}
-	ix.unionHint = hint
-	ix.famEps = fam.Eps95(hint)
-	ix.buildOpts.UnionSizeHint = hint
+	populateFilters(ix.sigs, fidxs, workers)
 	return ix, nil
-}
-
-// nilTombstoned clears signatures at tombstoned positions after a fresh
-// signing pass (a tombstoned placeholder signs like an empty set, but must
-// enter no filter index and screen against nothing).
-func nilTombstoned(sigs []minhash.Signature, tombstones []bool) {
-	if tombstones == nil {
-		return
-	}
-	for i, dead := range tombstones {
-		if dead {
-			sigs[i] = nil
-		}
-	}
 }
 
 // EstimateDistribution reproduces Build's similarity-distribution step as
@@ -466,36 +330,6 @@ func EstimateDistribution(sets []set.Set, sigs []minhash.Signature, opt Options)
 		sample = 1
 	}
 	return simdist.SampleSignaturePairsN(sigs, sample, opt.DistBins, opt.DistSeed+7, ResolveWorkers(opt.Workers))
-}
-
-// EstimateDistributionFamily is EstimateDistribution with pair
-// similarities estimated through a signing family from PACKED signatures —
-// the retune path of non-classic families, whose captured signatures are
-// packed. The pair sample sequence is identical to EstimateDistribution's
-// (same seed arithmetic), only the per-pair estimator differs.
-func EstimateDistributionFamily(sets []set.Set, sigs []minhash.Signature, fam minhash.Family, opt Options) (*simdist.Histogram, error) {
-	if opt.Distribution != nil {
-		return opt.Distribution, nil
-	}
-	if opt.DistSample < 0 {
-		return simdist.ExactPairs(sets, opt.DistBins), nil
-	}
-	sample := opt.DistSample
-	if sample == 0 {
-		sample = 100 * len(sets)
-		if sample > 200000 {
-			sample = 200000
-		}
-	}
-	maxPairs := len(sets) * (len(sets) - 1) / 2
-	if sample > maxPairs {
-		sample = maxPairs
-	}
-	if sample < 1 {
-		sample = 1
-	}
-	est := func(a, b minhash.Signature) (float64, error) { return fam.Estimate(a, b) }
-	return simdist.SampleSignaturePairsEst(sigs, sample, opt.DistBins, opt.DistSeed+7, ResolveWorkers(opt.Workers), est)
 }
 
 // SignCollection computes every set's min-hash signature exactly as Build
@@ -546,12 +380,11 @@ func (ix *Index) SetsBySID() []*set.Set {
 
 // CaptureRebuild returns everything a from-scratch Build needs to
 // reproduce this index's exact sid space at a consistent point in time:
-// the sets and STORED signatures indexed by sid (full classic under the
-// default family, the family's packed words otherwise — feed them back as
-// PrecomputedSignatures or PackedSignatures accordingly), and the
-// tombstone marks for deleted sids. The captured sets and signatures
-// alias the ones the store and index hold, which are immutable once
-// appended — so the capture stays valid as the live index keeps mutating.
+// the sets and signatures indexed by sid (feed them back as
+// PrecomputedSignatures), and the tombstone marks for deleted sids. The
+// captured sets and signatures alias the ones the store and index hold,
+// which are immutable once appended — so the capture stays valid as the
+// live index keeps mutating.
 // The re-tuner captures each shard under its shard mutex, rebuilds
 // off-lock from the capture, and replays the journaled delta at swap
 // time.
@@ -574,12 +407,10 @@ func (ix *Index) CaptureRebuild() (sets []set.Set, sigs []minhash.Signature, tom
 	return sets, sigs, tombstones
 }
 
-// Signature returns sid's STORED signature — full classic under the
-// default family, the family's packed words otherwise (nil for tombstoned
-// sids). Signatures are immutable once assigned, so the returned slice
-// stays valid without the lock. The engine feeds it to the drift tracker
-// right after an insert, avoiding a second signing pass; the tracker's
-// estimator must therefore be the family's.
+// Signature returns sid's min-hash signature (nil for tombstoned sids).
+// Signatures are immutable once assigned, so the returned slice stays
+// valid without the lock. The engine feeds it to the drift tracker right
+// after an insert, avoiding a second signing pass.
 func (ix *Index) Signature(sid storage.SID) minhash.Signature {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -736,13 +567,9 @@ func (ix *Index) QueryPresigned(q set.Set, sig minhash.Signature, s1, s2 float64
 		}
 		var matches []Match
 		if opt.Arm == ArmScreen {
-			matches, err = ix.screenCandidates(q, sig, cands, s1, s2, stats, sc)
+			matches, err = ix.screenCandidates(sig, cands, s1, s2, stats)
 		} else {
-			var qp []uint64
-			if opt.Screen {
-				qp = ix.packQuery(q, sig, sc.packed)
-			}
-			matches, err = ix.verifyCandidates(q, qp, cands, s1, s2, opt, stats)
+			matches, err = ix.verifyCandidates(q, sig, cands, s1, s2, opt, stats)
 		}
 		if err != nil {
 			return nil, err
@@ -877,15 +704,7 @@ func (ix *Index) Insert(s set.Set) (storage.SID, error) {
 	defer ix.mu.Unlock()
 	sid := ix.store.Append(s)
 	sig := ix.emb.Sign(s)
-	stored := sig
-	if !ix.classic64 {
-		w := make([]uint64, ix.fam.Words())
-		if !ix.fam.PackFull(sig, w) {
-			ix.fam.Sign(s, w)
-		}
-		stored = minhash.Signature(w)
-	}
-	ix.sigs = append(ix.sigs, stored)
+	ix.sigs = append(ix.sigs, sig)
 	for _, f := range ix.fis {
 		f.Insert(sig, sid)
 	}
@@ -906,22 +725,11 @@ func (ix *Index) Delete(sid storage.SID) error {
 	if ix.sigs[sid] == nil {
 		return fmt.Errorf("core: sid %d already deleted", sid)
 	}
-	// Families that can't reproduce the key coordinates from stored words
-	// re-sign from the set, which must be fetched before the record is
-	// tombstoned.
-	var s set.Set
-	if !ix.recoverable {
-		var err error
-		if s, err = ix.store.Fetch(sid, nil); err != nil {
-			return err
-		}
-	}
-	coords := ix.keyCoords(ix.sigs[sid], s, make([]uint64, ix.emb.K()))
 	if err := ix.store.Delete(sid); err != nil {
 		return err
 	}
 	for _, f := range ix.fis {
-		f.Delete(coords, sid)
+		f.Delete(ix.sigs[sid], sid)
 	}
 	ix.sigs[sid] = nil
 	ix.n--
@@ -940,9 +748,8 @@ func (ix *Index) FilterIndexes() []optimize.FI {
 	return out
 }
 
-// EstimateSimilarity returns the signing family's estimate of sim(q, sid)
-// without touching storage, together with the family's 95%-confidence
-// half-width (the classic Chernoff width under the default family).
+// EstimateSimilarity returns the min-hash estimate of sim(q, sid) without
+// touching storage, together with its 95%-confidence half-width.
 func (ix *Index) EstimateSimilarity(q set.Set, sid storage.SID) (est float64, epsAt95 float64, err error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -952,62 +759,18 @@ func (ix *Index) EstimateSimilarity(q set.Set, sid storage.SID) (est float64, ep
 	if ix.sigs[sid] == nil {
 		return 0, 0, fmt.Errorf("core: sid %d deleted", sid)
 	}
-	qs := ix.emb.Sign(q)
-	qp := ix.packQuery(q, qs, make([]uint64, ix.fam.Words()))
-	est, err = ix.fam.Estimate(qp, ix.sigs[sid])
+	est, err = minhash.Estimate(ix.emb.Sign(q), ix.sigs[sid])
 	if err != nil {
 		return 0, 0, err
 	}
-	return est, ix.famEps, nil
+	return est, ix.eps, nil
 }
 
-// packQuery derives the query's stored-family representation from its full
-// classic signature, writing into dst (length fam.Words()) for families
-// that pack, or signing from the set for families on a different hash
-// stream. For classic-64 it returns the full signature itself.
-func (ix *Index) packQuery(q set.Set, full minhash.Signature, dst []uint64) []uint64 {
-	if ix.classic64 {
-		return full
-	}
-	if !ix.fam.PackFull(full, dst) {
-		ix.fam.Sign(q, dst)
-	}
-	return dst
-}
+// Eps95 is the two-sided 95%-confidence half-width of the signature
+// estimate — the default screening margin and the planner's screen-only
+// answer width.
+func (ix *Index) Eps95() float64 { return ix.eps }
 
-// keyCoords returns the signature coordinates a stored entry's filter keys
-// are gathered from: its stored signature under classic-64, the b-bit
-// coordinates unpacked from a recoverable family's words, and otherwise
-// its set s re-signed classic. The latter two are written into buf (length
-// k).
-func (ix *Index) keyCoords(stored minhash.Signature, s set.Set, buf []uint64) []uint64 {
-	switch {
-	case ix.classic64:
-		return stored
-	case ix.recoverable:
-		b := ix.emb.EmbedBits()
-		for i := range buf {
-			buf[i] = ix.fam.Trunc(stored, i, b)
-		}
-	default:
-		ix.emb.SignInto(s, buf)
-	}
-	return buf
-}
-
-// SigningFamily returns the index's signing family (immutable after Build).
-func (ix *Index) SigningFamily() minhash.Family { return ix.fam }
-
-// SigningConfig returns the resolved signing selection.
-func (ix *Index) SigningConfig() minhash.Config { return ix.buildOpts.Signing }
-
-// Eps95 is the signing family's two-sided 95%-confidence half-width — the
-// default screening margin and the planner's screen-only answer width.
-func (ix *Index) Eps95() float64 { return ix.famEps }
-
-// SignatureBytesPerSet is the stored signature footprint per live set.
-func (ix *Index) SignatureBytesPerSet() int { return ix.fam.SignatureBytes() }
-
-// UnionSizeHint returns the resolved average-union hint the family width
-// was computed at (0 when the collection was empty at build).
-func (ix *Index) UnionSizeHint() int { return ix.unionHint }
+// SignatureBytesPerSet is the stored signature footprint per live set:
+// eight bytes for each of the embedding's k coordinates.
+func (ix *Index) SignatureBytesPerSet() int { return 8 * ix.emb.K() }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/embed"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/workload"
@@ -25,6 +27,16 @@ func buildSmall(t *testing.T, n, budget int) (*Index, []set.Set) {
 		t.Fatalf("build: %v", err)
 	}
 	return ix, sets
+}
+
+// smallOptions is a cheap build configuration for tests that exercise
+// build inputs rather than retrieval quality.
+func smallOptions() Options {
+	return Options{
+		Embed:    embed.Options{K: 32, Bits: 6, Seed: 3},
+		Plan:     optimize.Options{Budget: 30, RecallTarget: 0.9},
+		DistSeed: 5,
+	}
 }
 
 func exactAnswer(sets []set.Set, q set.Set, lo, hi float64) map[uint32]struct{} {
@@ -208,5 +220,112 @@ func TestQueryInvalidRange(t *testing.T) {
 	ix, sets := buildSmall(t, 100, 30)
 	if _, _, err := ix.QueryWithOptions(sets[0], 0.9, 0.1, QueryOptions{}); err == nil {
 		t.Error("inverted range accepted")
+	}
+}
+
+// TestPrecomputedSignatureValidation pins the fail-fast contract: a
+// malformed signature slice or tombstone mark must fail Build with an
+// error BEFORE any side effect (store appends, filter population) — never
+// panic mid-sign.
+func TestPrecomputedSignatureValidation(t *testing.T) {
+	sets, err := workload.Generate(workload.Set1Params(120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Build(sets, smallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodSigs := make([]minhash.Signature, len(sets))
+	for i, s := range sets {
+		goodSigs[i] = base.Embedder().Sign(s)
+	}
+	plan := base.Plan()
+	tombs := make([]bool, len(sets))
+	tombs[3] = true
+
+	cases := []struct {
+		name    string
+		mutate  func(o *Options)
+		wantSub string
+	}{
+		{
+			name: "wrong signature count",
+			mutate: func(o *Options) {
+				o.PrecomputedSignatures = goodSigs[:len(goodSigs)-1]
+			},
+			wantSub: "precomputed signatures",
+		},
+		{
+			name: "wrong signature length",
+			mutate: func(o *Options) {
+				sigs := make([]minhash.Signature, len(goodSigs))
+				copy(sigs, goodSigs)
+				sigs[2] = sigs[2][:5]
+				o.PrecomputedSignatures = sigs
+			},
+			wantSub: "coordinates",
+		},
+		{
+			name: "wrong tombstone count",
+			mutate: func(o *Options) {
+				o.PlanOverride = &plan
+				o.PrecomputedSignatures = goodSigs
+				o.Tombstones = tombs[1:]
+			},
+			wantSub: "tombstone marks",
+		},
+		{
+			name: "tombstones without signatures",
+			mutate: func(o *Options) {
+				o.PlanOverride = &plan
+				o.Tombstones = tombs
+			},
+			wantSub: "requires PlanOverride",
+		},
+		{
+			name: "tombstoned position carries a signature",
+			mutate: func(o *Options) {
+				o.PlanOverride = &plan
+				o.PrecomputedSignatures = goodSigs
+				o.Tombstones = tombs
+			},
+			wantSub: "tombstoned position 3",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Build panicked instead of returning an error: %v", r)
+				}
+			}()
+			o := smallOptions()
+			tc.mutate(&o)
+			if _, err := Build(sets, o); err == nil {
+				t.Fatal("Build accepted malformed signatures")
+			} else if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+			}
+		})
+	}
+
+	// The well-formed slice must still build, identically to signing fresh.
+	o := smallOptions()
+	o.PrecomputedSignatures = goodSigs
+	ix, err := Build(sets, o)
+	if err != nil {
+		t.Fatalf("well-formed precomputed signatures rejected: %v", err)
+	}
+	m1, _, err := base.QueryWithOptions(sets[0], 0.3, 1.0, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, _, err := ix.QueryWithOptions(sets[0], 0.3, 1.0, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m1) != len(m2) {
+		t.Fatalf("precomputed build answers differ: %d vs %d matches", len(m1), len(m2))
 	}
 }

@@ -3,61 +3,46 @@ package core
 import (
 	"testing"
 
-	"repro/internal/minhash"
 	"repro/internal/set"
 	"repro/internal/workload"
 )
 
 // TestDeleteRemovesOneEntryPerTable requires Delete to remove exactly
 // Tables() entries from every filter index, for a built sid and for an
-// Inserted one. Insert keys a set by its full signature and Delete by the
-// coordinates it recovers from the stored words (or, for a family that
-// cannot recover them, by re-signing the set); if the two ever disagreed,
-// stale entries would stay behind in the tables unnoticed.
+// Inserted one. Insert keys a set by the signature it stores and Delete by
+// the stored signature it finds; if the two ever disagreed, stale entries
+// would stay behind in the tables unnoticed.
+// The one case is named for the stored signature: classic k-min hashing
+// with full 64-bit slots.
 func TestDeleteRemovesOneEntryPerTable(t *testing.T) {
-	sets, err := workload.Generate(workload.Set1Params(120))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name        string
-		signing     minhash.Config
-		recoverable bool
-	}{
-		{"classic-64", minhash.Config{}, true},
-		{"classic-8", minhash.Config{Base: "classic", BitsPerHash: 8}, true},
-		{"classic-4", minhash.Config{Base: "classic", BitsPerHash: 4}, false},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			o := familyTestOptions()
-			o.Signing = c.signing
-			ix, err := Build(sets, o)
-			if err != nil {
+	t.Run("classic-64", func(t *testing.T) {
+		sets, err := workload.Generate(workload.Set1Params(120))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := Build(sets, smallOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inserted, err := ix.Insert(set.New(sets[5].Elems()...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sid := range []uint32{17, inserted} {
+			before := make([]int, len(ix.fis))
+			for i, f := range ix.fis {
+				before[i] = f.Entries()
+			}
+			if err := ix.Delete(sid); err != nil {
 				t.Fatal(err)
 			}
-			if ix.recoverable != c.recoverable {
-				t.Fatalf("recoverable = %v, want %v", ix.recoverable, c.recoverable)
-			}
-			inserted, err := ix.Insert(set.New(sets[5].Elems()...))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sid := range []uint32{17, inserted} {
-				before := make([]int, len(ix.fis))
-				for i, f := range ix.fis {
-					before[i] = f.Entries()
-				}
-				if err := ix.Delete(sid); err != nil {
-					t.Fatal(err)
-				}
-				for i, f := range ix.fis {
-					if got := before[i] - f.Entries(); got != f.Tables() {
-						t.Errorf("sid %d: filter index %d lost %d entries, want %d", sid, i, got, f.Tables())
-					}
+			for i, f := range ix.fis {
+				if got := before[i] - f.Entries(); got != f.Tables() {
+					t.Errorf("sid %d: filter index %d lost %d entries, want %d", sid, i, got, f.Tables())
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestDeleteRemovesFromResults(t *testing.T) {

@@ -72,38 +72,28 @@ func (ix *Index) ReferenceCandidates(q set.Set, s1, s2 float64) ([]storage.SID, 
 		return nil, err
 	}
 	sig := ix.emb.Sign(q)
-	vector := func(ord int) ([]storage.SID, error) {
+	vector := func(ord int) []storage.SID {
 		if ord < 0 {
-			return nil, nil
+			return nil
 		}
 		f := ix.fis[ord]
 		probe := f.AppendProbeKeys(sig, nil)
 		var raw []storage.SID
-		buf := make([]uint64, ix.emb.K())
 		for i, stored := range ix.sigs {
 			if stored == nil {
 				continue
 			}
-			var s set.Set
-			if !ix.recoverable {
-				if s, err = ix.store.Fetch(storage.SID(i), nil); err != nil {
-					return nil, err
-				}
-			}
-			coords := ix.keyCoords(stored, s, buf)
 			for tab, key := range probe {
-				if f.Key(tab, coords, 0) == key {
+				if f.Key(tab, stored, 0) == key {
 					raw = append(raw, storage.SID(i))
 				}
 			}
 		}
-		return dedupe(raw), nil
+		return dedupe(raw)
 	}
 	var terms [4][]storage.SID
 	for slot, ord := range [4]int{c.PosA, c.NegA, c.PosB, c.NegB} {
-		if terms[slot], err = vector(ord); err != nil {
-			return nil, err
-		}
+		terms[slot] = vector(ord)
 	}
 	a := sidDiff(terms[0], terms[1])
 	if c.PosB >= 0 {

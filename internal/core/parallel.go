@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,20 +64,18 @@ type QueryOptions struct {
 	// it per shard from the planner's decision.
 	Arm Arm
 	// Screen enables signature screening: before paying a random-access
-	// fetch, a candidate's similarity is estimated through the index's
-	// signing family from the stored packed signatures (a word-parallel
-	// popcount loop, no I/O) and the fetch is skipped when the estimate
-	// falls outside [s1−ε, s2+ε]. Skipped candidates are counted in
-	// QueryStats.Screened. Screening trades a small recall loss (true
+	// fetch, a candidate's similarity is estimated from the stored
+	// signatures (minhash.Estimate, no I/O) and the fetch is skipped when
+	// the estimate falls outside [s1−ε, s2+ε]. Skipped candidates are
+	// counted in QueryStats.Screened. Screening trades a small recall loss (true
 	// matches whose estimate errs by more than ε) for one random page read
 	// per screened candidate; all returned matches remain exact.
 	Screen bool
-	// ScreenMargin is ε on the Jaccard scale. 0 selects the signing
-	// family's 95%-confidence half-width (the same bound
-	// EstimateSimilarity reports — the classic Chernoff width under the
-	// default family), which keeps the extra false-negative rate under 5%
-	// per candidate. A negative, NaN or infinite margin is an error on
-	// every arm, screening on or off.
+	// ScreenMargin is ε on the Jaccard scale. 0 selects the estimate's
+	// 95%-confidence half-width (minhash.Eps95, the bound
+	// EstimateSimilarity reports), which keeps the extra false-negative
+	// rate under 5% per candidate. A negative, NaN or infinite margin is
+	// an error on every arm, screening on or off.
 	ScreenMargin float64
 	// Workers bounds per-query candidate verification. 0 selects
 	// runtime.GOMAXPROCS(0); 1 forces serial processing. The fan-out never
@@ -127,12 +124,6 @@ func SplitPool(pool, n int) []int {
 		}
 	}
 	return shares
-}
-
-// chernoffEps95 solves 2·exp(-2k·eps²) = 0.05 for eps: the 95%-confidence
-// half-width of the k-coordinate agreement estimator.
-func chernoffEps95(k int) float64 {
-	return math.Sqrt(math.Log(2/0.05) / (2 * float64(k)))
 }
 
 // parallelFor invokes fn over [0, n) in contiguous chunks of the given
@@ -242,44 +233,19 @@ func populateFilters(coords []minhash.Signature, fis []*filter.Index, workers in
 	wg.Wait()
 }
 
-// packCollection derives the stored (packed) signatures of a non-classic-64
-// family from the full classic signatures, falling back to signing from the
-// set for families on a different hash stream (SuperMinHash). Writes are
-// index-addressed, so the result is bit-identical for every worker count.
-func packCollection(fam minhash.Family, full []minhash.Signature, sets []set.Set, workers int) []minhash.Signature {
-	out := make([]minhash.Signature, len(full))
-	words := fam.Words()
-	parallelFor(len(full), workers, signChunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if full[i] == nil {
-				continue
-			}
-			dst := make([]uint64, words)
-			if !fam.PackFull(full[i], dst) {
-				fam.Sign(sets[i], dst)
-			}
-			out[i] = minhash.Signature(dst)
-		}
-	})
-	return out
-}
-
 // queryScratch holds the reusable per-query buffers pooled on the index:
-// the full query signature, its packed family representation (screening),
-// the direct scan's key coordinates, the sid bitsets of the Section 4.3
-// terms PosA, NegA, PosB, NegB, and the candidate sids. Steady-state
-// queries allocate only their results.
+// the query signature, the sid bitsets of the Section 4.3 terms PosA,
+// NegA, PosB, NegB, and the candidate sids. Steady-state queries allocate
+// only their results.
 type queryScratch struct {
-	sig    minhash.Signature
-	packed []uint64
-	coords []uint64
-	terms  [4][]uint64
-	cands  []storage.SID
+	sig   minhash.Signature
+	terms [4][]uint64
+	cands []storage.SID
 }
 
 // verifyChunk runs the verify loop over one candidate slice, appending
-// matches to dst and charging fetches and skips to st. qp is the query's
-// packed family signature (nil unless screening).
+// matches to dst and charging fetches and skips to st. sig is the query's
+// signature, read only when screening.
 //
 // A candidate is first ruled out by size, before it is screened or
 // fetched: J = |q∩s|/|q∪s| ≤ min(|q|,|s|)/max(|q|,|s|), and correctly
@@ -288,7 +254,7 @@ type queryScratch struct {
 // from the store's in-memory sid directory at no I/O. Two empty sets
 // (Jaccard 1) are never pruned, and an out-of-range sid has no size and
 // falls through to Fetch's error.
-func (ix *Index) verifyChunk(q set.Set, qp []uint64, cands []storage.SID, s1, s2 float64, screen bool, screenLo, screenHi float64, dst []Match, st *QueryStats) ([]Match, error) {
+func (ix *Index) verifyChunk(q set.Set, sig minhash.Signature, cands []storage.SID, s1, s2 float64, screen bool, screenLo, screenHi float64, dst []Match, st *QueryStats) ([]Match, error) {
 	qn := q.Len()
 	for _, sid := range cands {
 		if n, ok := ix.store.SetLen(sid); ok && max(qn, n) > 0 && float64(min(qn, n))/float64(max(qn, n)) < s1 {
@@ -296,7 +262,7 @@ func (ix *Index) verifyChunk(q set.Set, qp []uint64, cands []storage.SID, s1, s2
 			continue
 		}
 		if screen {
-			est, err := ix.fam.Estimate(qp, ix.sigs[sid])
+			est, err := minhash.Estimate(sig, ix.sigs[sid])
 			if err != nil {
 				return dst, fmt.Errorf("core: screening candidate %d: %w", sid, err)
 			}
@@ -321,12 +287,12 @@ func (ix *Index) verifyChunk(q set.Set, qp []uint64, cands []storage.SID, s1, s2
 // above the candidate-count threshold. Each worker counts into its own
 // QueryStats, summed into stats after the workers join, so the totals
 // equal the serial accounting exactly.
-func (ix *Index) verifyCandidates(q set.Set, qp []uint64, cands []storage.SID, s1, s2 float64, opt QueryOptions, stats *QueryStats) ([]Match, error) {
+func (ix *Index) verifyCandidates(q set.Set, sig minhash.Signature, cands []storage.SID, s1, s2 float64, opt QueryOptions, stats *QueryStats) ([]Match, error) {
 	var screenLo, screenHi float64
 	if opt.Screen {
 		eps := opt.ScreenMargin
 		if eps == 0 {
-			eps = ix.famEps
+			eps = ix.eps
 		}
 		screenLo, screenHi = s1-eps, s2+eps
 	}
@@ -337,7 +303,7 @@ func (ix *Index) verifyCandidates(q set.Set, qp []uint64, cands []storage.SID, s
 	workers := min(ResolveWorkers(opt.Workers), len(cands))
 	if workers <= 1 || len(cands) < minPar {
 		matches := make([]Match, 0, len(cands)/4+1)
-		return ix.verifyChunk(q, qp, cands, s1, s2, opt.Screen, screenLo, screenHi, matches, stats)
+		return ix.verifyChunk(q, sig, cands, s1, s2, opt.Screen, screenLo, screenHi, matches, stats)
 	}
 
 	var (
@@ -356,7 +322,7 @@ func (ix *Index) verifyCandidates(q set.Set, qp []uint64, cands []storage.SID, s
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			var st QueryStats // local, so workers share no cache line while counting
-			chunkMatches[w], chunkErrs[w] = ix.verifyChunk(q, qp, cands[lo:hi], s1, s2, opt.Screen, screenLo, screenHi, nil, &st)
+			chunkMatches[w], chunkErrs[w] = ix.verifyChunk(q, sig, cands[lo:hi], s1, s2, opt.Screen, screenLo, screenHi, nil, &st)
 			chunkStats[w] = st
 		}(w, lo, hi)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -64,8 +65,9 @@ func requireSameFilters(t *testing.T, label string, a, b *Index) {
 	}
 }
 
-// requireSameIndex fails unless a and b have bit-identical signatures and
-// filter-index bit positions, and agree on query answers for a few ranges.
+// requireSameIndex fails unless a and b have bit-identical signatures,
+// filter-index bit positions and snapshot bytes, and agree on query
+// answers for a few ranges.
 func requireSameIndex(t *testing.T, label string, a, b *Index, sets []set.Set) {
 	t.Helper()
 	if len(a.sigs) != len(b.sigs) {
@@ -85,6 +87,16 @@ func requireSameIndex(t *testing.T, label string, a, b *Index, sets []set.Set) {
 	requireSameFilters(t, label, a, b)
 	if a.IndexPages() != b.IndexPages() {
 		t.Fatalf("%s: index pages differ: %d vs %d", label, a.IndexPages(), b.IndexPages())
+	}
+	var snapA, snapB bytes.Buffer
+	if err := a.Save(&snapA); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Save(&snapB); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapA.Bytes(), snapB.Bytes()) {
+		t.Fatalf("%s: snapshot bytes differ", label)
 	}
 	for _, r := range [][2]float64{{0.8, 1.0}, {0.3, 0.6}, {0.0, 0.2}} {
 		for _, qi := range []int{0, len(sets) / 2, len(sets) - 1} {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -17,22 +16,6 @@ import (
 
 // snapshotMagic guards the persistence format.
 const snapshotMagic = "SSRIDX1\n"
-
-// famTrailerMagic opens the signing-family trailer appended AFTER the gob
-// snapshot value for any non-classic-64 family. The trailer is plain
-// binary, not gob: gob allocates type ids process-globally in first-encode
-// order, so a gob-encoded trailer type would shift the ids embedded in
-// every other snapshot's bytes and break byte-stability guarantees. The
-// default family writes no trailer at all — classic-64 snapshot bytes are
-// identical to the pre-family format, and legacy snapshots (clean EOF
-// where the trailer would start) load as classic-64.
-const famTrailerMagic = "SSRFAM1\n"
-
-// Family base codes in the trailer.
-const (
-	famBaseClassic      = 1
-	famBaseSuperMinHash = 2
-)
 
 // Sanity ceilings applied when decoding a snapshot. Corrupt or hostile
 // input must fail with an error before it can drive a huge allocation or a
@@ -71,9 +54,7 @@ type snapshot struct {
 	// Sets is the live collection in sid order; tombstoned sids are not
 	// stored.
 	Sets [][]uint64
-	// Sigs caches the per-set STORED signatures, aligned with Sets: full
-	// classic min-hash under the default family, the signing family's
-	// packed words otherwise (the trailer says which).
+	// Sigs caches the per-set min-hash signatures, aligned with Sets.
 	Sigs [][]uint64
 	// SIDs, aligned with Sets, records each live set's original sid, and
 	// NumSIDs the total allocated sid space. Gaps are deleted sids; Load
@@ -115,76 +96,7 @@ func (ix *Index) Save(w io.Writer) error {
 	if err := gob.NewEncoder(bw).Encode(&snap); err != nil {
 		return fmt.Errorf("core: encoding snapshot: %w", err)
 	}
-	if !ix.classic64 {
-		if err := writeFamilyTrailer(bw, ix.buildOpts.Signing, ix.unionHint); err != nil {
-			return err
-		}
-	}
 	return bw.Flush()
-}
-
-// writeFamilyTrailer appends the 14-byte family descriptor: magic, base
-// code, bits/hash, and the uint32 union hint the confidence width was
-// computed at (little endian).
-func writeFamilyTrailer(w io.Writer, cfg minhash.Config, unionHint int) error {
-	var base byte
-	switch cfg.Base {
-	case "", "classic":
-		base = famBaseClassic
-	case "superminhash":
-		base = famBaseSuperMinHash
-	default:
-		return fmt.Errorf("core: unknown signing family %q in snapshot", cfg.Base)
-	}
-	bits := cfg.BitsPerHash
-	if bits == 0 {
-		bits = 64
-	}
-	if unionHint < 0 {
-		unionHint = 0
-	}
-	buf := make([]byte, 0, len(famTrailerMagic)+6)
-	buf = append(buf, famTrailerMagic...)
-	buf = append(buf, base, byte(bits))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(unionHint))
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("core: writing family trailer: %w", err)
-	}
-	return nil
-}
-
-// readFamilyTrailer reads the family descriptor after the snapshot value.
-// A clean EOF is the legacy / default layout: classic at 64 bits/hash.
-func readFamilyTrailer(r io.Reader) (minhash.Config, int, error) {
-	magic := make([]byte, len(famTrailerMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		if err == io.EOF {
-			return minhash.Config{}, 0, nil
-		}
-		return minhash.Config{}, 0, fmt.Errorf("core: reading family trailer: %w", err)
-	}
-	if string(magic) != famTrailerMagic {
-		return minhash.Config{}, 0, fmt.Errorf("core: bad family trailer magic %q", magic)
-	}
-	var body [6]byte
-	if _, err := io.ReadFull(r, body[:]); err != nil {
-		return minhash.Config{}, 0, fmt.Errorf("core: reading family trailer body: %w", err)
-	}
-	var cfg minhash.Config
-	switch body[0] {
-	case famBaseClassic:
-		cfg.Base = "classic"
-	case famBaseSuperMinHash:
-		cfg.Base = "superminhash"
-	default:
-		return minhash.Config{}, 0, fmt.Errorf("core: unknown family base code %d in trailer", body[0])
-	}
-	cfg.BitsPerHash = int(body[1])
-	if _, err := cfg.Normalize(); err != nil {
-		return minhash.Config{}, 0, err
-	}
-	hint := int(binary.LittleEndian.Uint32(body[2:6]))
-	return cfg, hint, nil
 }
 
 // RegisterSnapshotGobTypes forces gob's process-global type-id allocation
@@ -200,10 +112,8 @@ func RegisterSnapshotGobTypes() {
 // validate rejects structurally or semantically corrupt snapshots before
 // any rebuild work happens. gob guarantees type shape but nothing about
 // values, so every field that sizes an allocation or parameterizes a loop
-// is bounded here. sigWords is the expected stored-signature length: the
-// embedding's k under the classic-64 family, the family's packed word
-// count otherwise.
-func (snap *snapshot) validate(sigWords int) error {
+// is bounded here.
+func (snap *snapshot) validate() error {
 	if snap.EmbedK < 1 || snap.EmbedK > maxSnapshotK {
 		return fmt.Errorf("core: snapshot embedding k=%d out of range [1, %d]", snap.EmbedK, maxSnapshotK)
 	}
@@ -227,8 +137,8 @@ func (snap *snapshot) validate(sigWords int) error {
 		}
 	}
 	for i, sig := range snap.Sigs {
-		if len(sig) != sigWords {
-			return fmt.Errorf("core: snapshot signature %d has %d words, expected %d", i, len(sig), sigWords)
+		if len(sig) != snap.EmbedK {
+			return fmt.Errorf("core: snapshot signature %d has %d words, expected %d", i, len(sig), snap.EmbedK)
 		}
 	}
 	if snap.NumSIDs != 0 {
@@ -269,7 +179,8 @@ func (snap *snapshot) validate(sigWords int) error {
 // plan are restored, and original sids are preserved — deleted sids come
 // back as tombstones, so an operation log recorded against the saved index
 // replays against the loaded one. (Legacy snapshots without sid metadata
-// load densely renumbered.)
+// load densely renumbered.) r must hold exactly one snapshot: any byte
+// after the snapshot value is an error.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
@@ -284,24 +195,20 @@ func Load(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
 	}
 	// The gob decoder reads exactly the length-prefixed snapshot value off
-	// the shared buffered reader, so the next bytes (if any) are the
-	// family trailer; clean EOF means the default classic-64 layout.
-	scfg, unionHint, err := readFamilyTrailer(br)
-	if err != nil {
-		return nil, err
+	// the buffered reader, so anything left is not part of the snapshot —
+	// appended data, or a trailer from an older format whose signatures
+	// are not the classic min-hashes this Load rebuilds filters from.
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err == nil {
+			return nil, fmt.Errorf("core: unexpected data after snapshot")
+		}
+		return nil, fmt.Errorf("core: reading past snapshot: %w", err)
 	}
-	classic64 := scfg.IsClassic64()
-	sigWords := snap.EmbedK
-	if !classic64 {
-		sigWords = minhash.PackedWords(snap.EmbedK, scfg.BitsPerHash)
-	}
-	if err := snap.validate(sigWords); err != nil {
+	if err := snap.validate(); err != nil {
 		return nil, err
 	}
 	opt := Options{
 		Embed:          embed.Options{K: snap.EmbedK, Bits: snap.EmbedBits, Seed: snap.EmbedSeed},
-		Signing:        scfg,
-		UnionSizeHint:  unionHint,
 		PageSize:       snap.PageSize,
 		PayloadPerElem: snap.PayloadPerElem,
 		DistSeed:       snap.DistSeed,
@@ -309,19 +216,12 @@ func Load(r io.Reader) (*Index, error) {
 	plan := snap.Plan
 	opt.PlanOverride = &plan
 
-	// Stored signatures feed back through the matching Options channel:
-	// full classic signatures for the classic-64 layout, the family's
-	// packed words otherwise.
 	setSigs := func(sigs [][]uint64) {
-		if classic64 {
-			full := make([]minhash.Signature, len(sigs))
-			for i, sig := range sigs {
-				full[i] = minhash.Signature(sig)
-			}
-			opt.PrecomputedSignatures = full
-		} else {
-			opt.PackedSignatures = sigs
+		full := make([]minhash.Signature, len(sigs))
+		for i, sig := range sigs {
+			full[i] = minhash.Signature(sig)
 		}
+		opt.PrecomputedSignatures = full
 	}
 
 	if snap.NumSIDs == 0 {

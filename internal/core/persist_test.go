@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -235,5 +236,46 @@ func TestLoadRejectsBadSnapshots(t *testing.T) {
 		if _, err := Load(&buf); err == nil {
 			t.Errorf("%s: hostile snapshot accepted", name)
 		}
+	}
+}
+
+// TestLoadRejectsTrailingBytes requires Load to take exactly one snapshot
+// value. The signing-family trailer older snapshots could carry
+// ("SSRFAM1\n", base code 2, 64 bits/hash, a uint32 union hint) marks
+// signatures drawn from another hash stream than the one the filters are
+// rebuilt from, so a snapshot carrying
+// one, or any other trailing byte, must fail to load; the bare snapshot
+// still loads and saves back to the same bytes.
+func TestLoadRejectsTrailingBytes(t *testing.T) {
+	sets, err := workload.Generate(workload.Set1Params(80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(sets, smallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	bare := buf.Bytes()
+	trailer := append([]byte("SSRFAM1\n"), 2, 64, 40, 0, 0, 0)
+	for name, tail := range map[string][]byte{"family trailer": trailer, "one byte": {0}} {
+		raw := append(slices.Clip(bare), tail...)
+		if _, err := Load(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: snapshot with trailing bytes loaded", name)
+		}
+	}
+	loaded, err := Load(bytes.NewReader(bare))
+	if err != nil {
+		t.Fatalf("bare snapshot: %v", err)
+	}
+	var again bytes.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), bare) {
+		t.Fatal("reloaded snapshot saves different bytes")
 	}
 }

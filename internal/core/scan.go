@@ -16,7 +16,7 @@
 // access path: seq(heap pages) instead of rand(tables + candidates).
 //
 // The screen arm (ArmScreen) is the screen-only plan: the normal filter
-// probe, but candidates are answered from the signing family's estimator
+// probe, but candidates are answered from their signature estimates
 // without fetching a single data page. Approximate by construction —
 // similarities are estimates and boundary sets can be misplaced.
 package core
@@ -31,12 +31,6 @@ import (
 	"repro/internal/simdist"
 	"repro/internal/storage"
 )
-
-// ChernoffEps95 returns the 95%-confidence half-width of the k-coordinate
-// min-hash agreement estimator (the classic family's screening margin).
-// Family-aware callers should prefer Index.Eps95, which accounts for the
-// packed-width debiasing and SuperMinHash's variance reduction.
-func ChernoffEps95(k int) float64 { return chernoffEps95(k) }
 
 // scanProbe is the precomputed candidacy test of one Section 4.3 range:
 // the plan's combination, with the query's per-table probe keys derived
@@ -108,24 +102,10 @@ func (ix *Index) scanCandidates(sig minhash.Signature, s1, s2 float64, stats *Qu
 	if err != nil {
 		return nil, err
 	}
-	// Candidacy reads each live entry's key coordinates from its stored
-	// signature. Only families that cannot reproduce them fetch the set
-	// to re-sign it, uncharged: the scan's I/O is one sequential heap
-	// read.
 	sc.cands = sc.cands[:0]
 	for i, stored := range ix.sigs {
-		if stored == nil {
-			continue // tombstoned
-		}
-		sid := storage.SID(i)
-		var s set.Set
-		if !ix.recoverable {
-			if s, err = ix.store.Fetch(sid, nil); err != nil {
-				return nil, err
-			}
-		}
-		if probe.candidate(ix, ix.keyCoords(stored, s, sc.coords)) {
-			sc.cands = append(sc.cands, sid)
+		if stored != nil && probe.candidate(ix, stored) {
+			sc.cands = append(sc.cands, storage.SID(i))
 		}
 	}
 	stats.Candidates = len(sc.cands)
@@ -136,11 +116,10 @@ func (ix *Index) scanCandidates(sig minhash.Signature, s1, s2 float64, stats *Qu
 // estimated similarity falls in [s1, s2] is returned with that estimate
 // as its similarity, and the rest count as Screened. No data page is
 // fetched.
-func (ix *Index) screenCandidates(q set.Set, sig minhash.Signature, cands []storage.SID, s1, s2 float64, stats *QueryStats, sc *queryScratch) ([]Match, error) {
-	qp := ix.packQuery(q, sig, sc.packed)
+func (ix *Index) screenCandidates(sig minhash.Signature, cands []storage.SID, s1, s2 float64, stats *QueryStats) ([]Match, error) {
 	matches := make([]Match, 0, len(cands)/4+1)
 	for _, sid := range cands {
-		est, err := ix.fam.Estimate(qp, ix.sigs[sid])
+		est, err := minhash.Estimate(sig, ix.sigs[sid])
 		if err != nil {
 			return nil, fmt.Errorf("core: screening candidate %d: %w", sid, err)
 		}

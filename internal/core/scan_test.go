@@ -27,32 +27,27 @@ var scanRanges = [][2]float64{
 // TestScanMatchesQueryPresigned pins the scan arm's exactness contract:
 // for every range and query, it returns the same candidates and
 // byte-identical matches as the probe arm, with screening on and off and
-// with serial and chunked verification, for a family whose stored signature is the
-// key source (classic-64), one that unpacks it (packed classic) and one
-// that re-signs the set (SuperMinHash), with deleted entries in the heap.
+// with serial and chunked verification, with deleted entries in the heap.
 // This is the foundation the planner's byte-identity guarantee rests on.
 func TestScanMatchesQueryPresigned(t *testing.T) {
 	sets, err := workload.Generate(workload.Set1Params(300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scfg := range []minhash.Config{{}, {Base: "classic", BitsPerHash: 8}, {Base: "superminhash"}} {
-		ix, err := Build(sets, Options{
-			Embed:    embed.Options{K: 64, Bits: 8, Seed: 42},
-			Signing:  scfg,
-			Plan:     optimize.Options{Budget: 60, RecallTarget: 0.9},
-			DistSeed: 42,
-		})
-		if err != nil {
+	ix, err := Build(sets, Options{
+		Embed:    embed.Options{K: 64, Bits: 8, Seed: 42},
+		Plan:     optimize.Options{Budget: 60, RecallTarget: 0.9},
+		DistSeed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sid := range []storage.SID{5, 150} {
+		if err := ix.Delete(sid); err != nil {
 			t.Fatal(err)
 		}
-		for _, sid := range []storage.SID{5, 150} {
-			if err := ix.Delete(sid); err != nil {
-				t.Fatal(err)
-			}
-		}
-		requireScanMatchesProbe(t, ix, sets)
 	}
+	requireScanMatchesProbe(t, ix, sets)
 }
 
 func requireScanMatchesProbe(t *testing.T, ix *Index, sets []set.Set) {
@@ -191,10 +186,10 @@ func TestScanInvalidRange(t *testing.T) {
 	}
 }
 
-// TestChernoffEps95 sanity-checks the exported confidence width: positive
-// and shrinking with k.
+// TestChernoffEps95 sanity-checks the estimate's confidence width:
+// positive and shrinking with k.
 func TestChernoffEps95(t *testing.T) {
-	e64, e256 := ChernoffEps95(64), ChernoffEps95(256)
+	e64, e256 := minhash.Eps95(64), minhash.Eps95(256)
 	if e64 <= 0 || e256 <= 0 || e256 >= e64 {
 		t.Fatalf("eps95(64)=%g eps95(256)=%g; want positive and decreasing", e64, e256)
 	}

@@ -62,11 +62,6 @@ func New(opt Options) (*Embedder, error) {
 	return &Embedder{family: fam, code: code, k: opt.K, b: opt.Bits}, nil
 }
 
-// Perms exposes the classic permutation bank, so signing families built
-// on classic k-min hashes (minhash.Config.New) share the exact
-// permutations the embedding pipeline uses.
-func (e *Embedder) Perms() *minhash.Perms { return e.family }
-
 // EmbedBits returns b, the truncation width each signature coordinate is
 // stored at in the Hamming embedding.
 func (e *Embedder) EmbedBits() int { return e.b }

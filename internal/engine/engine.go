@@ -620,18 +620,6 @@ func (e *Engine) FilterIndexes() []optimize.FI { return e.loadView().cores[0].Fi
 // every plan generation — retunes never change the embedding).
 func (e *Engine) Embedder() *embed.Embedder { return e.loadView().cores[0].Embedder() }
 
-// SignatureBytesPerSet reports the stored signature footprint per set under
-// the configured signing family (identical in every shard).
-func (e *Engine) SignatureBytesPerSet() int {
-	return e.loadView().cores[0].SignatureBytesPerSet()
-}
-
-// SigningConfig reports the normalized signing-family configuration
-// (identical in every shard and plan generation).
-func (e *Engine) SigningConfig() minhash.Config {
-	return e.loadView().cores[0].SigningConfig()
-}
-
 // IndexPages sums filter-index bucket pages across shards.
 func (e *Engine) IndexPages() int {
 	n := 0

@@ -227,15 +227,12 @@ func (e *Engine) computeDecision(v *planView, s1, s2 float64, opt core.QueryOpti
 		pred = frac * float64(totalLive-1)
 	}
 	return plan.Decide(plan.Inputs{
-		Predicted:   pred,
-		NoEstimate:  !ok,
-		ProbeTables: c0.ProbeTables(s1, s2),
-		Shards:      shards,
-		Model:       storage.DefaultCostModel(),
-		Width:       s2 - s1,
-		// The family's half-width, not the raw Chernoff bound: wider for
-		// b-bit packed signatures (debiasing), tighter for SuperMinHash —
-		// so the screen-only gate tracks the estimator actually answering.
+		Predicted:        pred,
+		NoEstimate:       !ok,
+		ProbeTables:      c0.ProbeTables(s1, s2),
+		Shards:           shards,
+		Model:            storage.DefaultCostModel(),
+		Width:            s2 - s1,
 		Eps95:            c0.Eps95(),
 		SigBytesPerSet:   c0.SignatureBytesPerSet(),
 		PageBytes:        c0.BuildOptions().PageSize,

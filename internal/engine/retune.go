@@ -56,12 +56,6 @@ type RetuneResult struct {
 // baseline and MaybeRetune stays quiet until a forced Retune or
 // AdoptTuneState establishes one.
 func (e *Engine) EnableTuning(cfg tuner.Config) error {
-	if cfg.Estimate == nil {
-		// The tracker is fed STORED signatures (core.Signature), so its
-		// estimator must be the signing family's.
-		fam := e.loadView().cores[0].SigningFamily()
-		cfg.Estimate = func(a, b minhash.Signature) (float64, error) { return fam.Estimate(a, b) }
-	}
 	tr, err := tuner.New(cfg)
 	if err != nil {
 		return err
@@ -185,17 +179,7 @@ func (e *Engine) retune(force bool) (RetuneResult, error) {
 		DistSeed:   bopt.DistSeed,
 		Workers:    bopt.Workers,
 	}
-	// The captured signatures are the STORED representation, so a
-	// non-classic-64 family re-estimates D_S through its own estimator
-	// (same pre-drawn pair sequence, family per-pair estimate).
-	classic64 := v.cores[0].SigningConfig().IsClassic64()
-	var newHist *simdist.Histogram
-	var err error
-	if classic64 {
-		newHist, err = core.EstimateDistribution(liveSets, liveSigs, estOpt)
-	} else {
-		newHist, err = core.EstimateDistributionFamily(liveSets, liveSigs, v.cores[0].SigningFamily(), estOpt)
-	}
+	newHist, err := core.EstimateDistribution(liveSets, liveSigs, estOpt)
 	if err != nil {
 		e.closeJournals()
 		return res, fmt.Errorf("engine: re-estimating similarity distribution: %w", err)
@@ -233,19 +217,7 @@ func (e *Engine) retune(force bool) (RetuneResult, error) {
 		sopt.PlanOverride = &planCopy
 		sopt.Distribution = newHist
 		sopt.Plan = popt
-		if classic64 {
-			sopt.PrecomputedSignatures = caps[si].sigs
-		} else {
-			// Captured signatures are packed words; feed them back through
-			// the packed channel so the rebuild neither re-signs nor
-			// misreads them as full classic signatures.
-			packed := make([][]uint64, len(caps[si].sigs))
-			for i, s := range caps[si].sigs {
-				packed[i] = s
-			}
-			sopt.PrecomputedSignatures = nil
-			sopt.PackedSignatures = packed
-		}
+		sopt.PrecomputedSignatures = caps[si].sigs
 		sopt.Tombstones = caps[si].tombs
 		ix, err := core.Build(caps[si].sets, sopt)
 		if err != nil {

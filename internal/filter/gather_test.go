@@ -83,27 +83,11 @@ func randomSignature(rng *rand.Rand) minhash.Signature {
 
 // TestGatherMatchesPerBitReference pins key identity: for the Hadamard and
 // identity codes at b ∈ {1, 4, 8, 12}, every r in 1..130 and both kinds,
-// the compiled gather over a classic-64 signature, and over the truncated
-// coordinates unpacked from a packed recoverable signature, equals the
-// per-bit derivation bit for bit.
+// the compiled gather over a signature equals the per-bit derivation bit
+// for bit.
 func TestGatherMatchesPerBitReference(t *testing.T) {
-	perms, err := minhash.NewFamily(gatherK, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := minhash.Config{Base: "classic", BitsPerHash: 8}.New(perms, gatherK, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(7))
 	sigs := []minhash.Signature{randomSignature(rng), randomSignature(rng)}
-	words := make([][]uint64, len(sigs))
-	for i, sig := range sigs {
-		words[i] = make([]uint64, packed.Words())
-		if !packed.PackFull(sig, words[i]) {
-			t.Fatal("classic packing refused a full signature")
-		}
-	}
 	for _, name := range codeNames {
 		for _, b := range []int{1, 4, 8, 12} {
 			code := newCode(t, name, b)
@@ -113,29 +97,14 @@ func TestGatherMatchesPerBitReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				for si, sig := range sigs {
-					type source struct {
-						label  string
-						coords []uint64
-						trunc  func(i int) uint64
-					}
-					sources := []source{{"classic-64", sig, func(i int) uint64 { return sig.Truncate(i, b) }}}
-					if packed.Recoverable(b) {
-						w := words[si]
-						unpacked := make([]uint64, gatherK)
-						for i := range unpacked {
-							unpacked[i] = packed.Trunc(w, i, b)
-						}
-						sources = append(sources, source{"classic-8", unpacked, func(i int) uint64 { return packed.Trunc(w, i, b) }})
-					}
-					for _, src := range sources {
-						for _, flip := range []byte{0, 1} {
-							for i := 0; i < ix.Tables(); i++ {
-								got := ix.Key(i, src.coords, flip)
-								want := refKey(name, code.Length(), ix.Positions(i), src.trunc, flip == 1)
-								if got != want {
-									t.Fatalf("%s b=%d r=%d %s flip=%d sig %d table %d: gather %#x, per-bit %#x",
-										name, b, r, src.label, flip, si, i, got, want)
-								}
+					trunc := func(i int) uint64 { return sig.Truncate(i, b) }
+					for _, flip := range []byte{0, 1} {
+						for i := 0; i < ix.Tables(); i++ {
+							got := ix.Key(i, sig, flip)
+							want := refKey(name, code.Length(), ix.Positions(i), trunc, flip == 1)
+							if got != want {
+								t.Fatalf("%s b=%d r=%d flip=%d sig %d table %d: gather %#x, per-bit %#x",
+									name, b, r, flip, si, i, got, want)
 							}
 						}
 					}

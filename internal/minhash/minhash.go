@@ -28,9 +28,6 @@ const mersenne61 = (1 << 61) - 1
 // permutations — the classic k-min signing primitive. A Perms is immutable
 // after construction and safe for concurrent use. Both parties of a
 // comparison must use the same Perms (same seed, same k).
-//
-// Perms was named Family before the signing-family interface (family.go)
-// took that name; the constructors keep their historical names.
 type Perms struct {
 	a, b []uint64 // per-permutation coefficients, a != 0
 	k    int
@@ -134,7 +131,7 @@ func (f *Perms) SignInto(s set.Set, dst Signature) {
 
 // Estimate returns the fraction of coordinates on which the two signatures
 // agree — the unbiased Jaccard estimator of Section 3.1. Signatures must
-// come from the same Family.
+// come from the same Perms.
 func Estimate(a, b Signature) (float64, error) {
 	if len(a) != len(b) {
 		return 0, fmt.Errorf("minhash: signature lengths differ: %d vs %d", len(a), len(b))
@@ -157,6 +154,14 @@ func Estimate(a, b Signature) (float64, error) {
 // the default b the effect is far below the sampling noise of k repetitions.
 func (s Signature) Truncate(i, b int) uint64 {
 	return s[i] & ((1 << uint(b)) - 1)
+}
+
+// Eps95 is the two-sided 95%-confidence half-width of Estimate at k
+// coordinates: the smallest eps with AgreeBound(k, eps) ≤ 0.05, i.e.
+// sqrt(ln(2/0.05) / 2k). It is the screening margin, the screen-only
+// plan's answer width and the width EstimateSimilarity reports.
+func Eps95(k int) float64 {
+	return math.Sqrt(math.Log(2/0.05) / (2 * float64(k)))
 }
 
 // AgreeBound returns the two-sided Chernoff bound on the probability that

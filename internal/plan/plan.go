@@ -124,15 +124,12 @@ type Inputs struct {
 	Model storage.CostModel
 	// Width is the query range width s2 − s1.
 	Width float64
-	// Eps95 is the 95% half-width of the signing family's estimator (the
-	// Chernoff width under classic-64; tighter under SuperMinHash, wider
-	// under b-bit packing) — so the screen-only gate relaxes or tightens
-	// with the family's actual confidence.
+	// Eps95 is the 95% half-width of the signature estimate the
+	// screen-only plan answers from.
 	Eps95 float64
-	// SigBytesPerSet is the stored signature footprint per set under the
-	// signing family; screen-only charges reading each candidate's packed
-	// signature sequentially from the resident arrays. 0 prices screening
-	// as free (the historical model).
+	// SigBytesPerSet is the stored signature footprint per set;
+	// screen-only charges reading each candidate's signature sequentially
+	// from the resident arrays. 0 prices screening as free.
 	SigBytesPerSet int
 	// PageBytes converts signature bytes to page counts (0 selects
 	// DefaultPageBytes).
@@ -181,10 +178,9 @@ func Decide(in Inputs) Decision {
 		fi := in.Model.Time(int64(share*(pps-1)), int64(share)+int64(in.ProbeTables))
 		// direct-scan: the whole heap, sequentially. No bucket probes.
 		scan := in.Model.Time(s.ScanPages, 0)
-		// screen-only: bucket probes plus the candidates' packed signatures,
-		// read sequentially from the resident signature arrays — a small
-		// family-dependent term (b-bit packing shrinks it 8–64×) that keeps
-		// the plan comparison honest without data-page fetches.
+		// screen-only: bucket probes plus the candidates' signatures, read
+		// sequentially from the resident signature arrays — a small term
+		// that keeps the plan comparison honest without data-page fetches.
 		var sigPages int64
 		if in.SigBytesPerSet > 0 {
 			page := in.PageBytes

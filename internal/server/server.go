@@ -292,13 +292,6 @@ type statsResponse struct {
 		Mixed      int64 `json:"mixed"`
 		Cached     int64 `json:"cached"`
 	} `json:"plans"`
-	// Signing reports the configured signing family and its stored
-	// per-set signature footprint.
-	Signing struct {
-		Family               string `json:"family"`
-		BitsPerHash          int    `json:"bitsPerHash"`
-		SignatureBytesPerSet int    `json:"signatureBytesPerSet"`
-	} `json:"signing"`
 	Tuner tunerView `json:"tuner"`
 }
 
@@ -327,10 +320,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Plans.ScreenOnly = s.totals.planScreenOnly.Load()
 	resp.Plans.Mixed = s.totals.planMixed.Load()
 	resp.Plans.Cached = s.totals.planCached.Load()
-	scfg := eng.SigningConfig()
-	resp.Signing.Family = scfg.Base
-	resp.Signing.BitsPerHash = scfg.BitsPerHash
-	resp.Signing.SignatureBytesPerSet = eng.SignatureBytesPerSet()
 	ts := s.index().TunerState()
 	resp.Tuner = tunerView{
 		Enabled:        ts.Enabled,

@@ -277,19 +277,6 @@ func SampleSignaturePairs(sigs []minhash.Signature, sample int, bins int, seed i
 // float64, associative far below 2^53), so the result is bit-identical to
 // the serial computation for every worker count.
 func SampleSignaturePairsN(sigs []minhash.Signature, sample, bins int, seed int64, workers int) (*Histogram, error) {
-	return SampleSignaturePairsEst(sigs, sample, bins, seed, workers, minhash.Estimate)
-}
-
-// Estimator turns two stored signatures into a similarity estimate. The
-// default is minhash.Estimate (classic agreement fraction); signing
-// families supply their packed-word estimator.
-type Estimator func(a, b minhash.Signature) (float64, error)
-
-// SampleSignaturePairsEst is SampleSignaturePairsN with the per-pair
-// estimator injected, so D_S can be re-estimated from any signing family's
-// stored signatures. The pair sequence depends only on (n, sample, seed) —
-// never on the estimator.
-func SampleSignaturePairsEst(sigs []minhash.Signature, sample, bins int, seed int64, workers int, est Estimator) (*Histogram, error) {
 	n := len(sigs)
 	if n < 2 {
 		return nil, fmt.Errorf("simdist: need at least 2 signatures, got %d", n)
@@ -312,7 +299,7 @@ func SampleSignaturePairsEst(sigs []minhash.Signature, sample, bins int, seed in
 	}
 	h := NewHistogram(bins)
 	if workers <= 1 {
-		if err := estimatePairs(sigs, pairs, h, est); err != nil {
+		if err := estimatePairs(sigs, pairs, h); err != nil {
 			return nil, err
 		}
 		return h, nil
@@ -327,7 +314,7 @@ func SampleSignaturePairsEst(sigs []minhash.Signature, sample, bins int, seed in
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			errs[w] = estimatePairs(sigs, pairs[lo:hi], parts[w], est)
+			errs[w] = estimatePairs(sigs, pairs[lo:hi], parts[w])
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -343,10 +330,10 @@ func SampleSignaturePairsEst(sigs []minhash.Signature, sample, bins int, seed in
 	return h, nil
 }
 
-// estimatePairs records the estimator's similarity of every pair into h.
-func estimatePairs(sigs []minhash.Signature, pairs [][2]int, h *Histogram, est Estimator) error {
+// estimatePairs records the estimated similarity of every pair into h.
+func estimatePairs(sigs []minhash.Signature, pairs [][2]int, h *Histogram) error {
 	for _, p := range pairs {
-		s, err := est(sigs[p[0]], sigs[p[1]])
+		s, err := minhash.Estimate(sigs[p[0]], sigs[p[1]])
 		if err != nil {
 			return err
 		}

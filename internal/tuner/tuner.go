@@ -80,17 +80,9 @@ type Config struct {
 	// Rand drives reservoir replacement and partner choice. Required —
 	// the caller owns seeding (determinism contract).
 	Rand *rand.Rand
-	// Estimate turns two STORED signatures into a similarity estimate.
-	// Nil selects minhash.Estimate (the classic agreement fraction); an
-	// engine whose core stores a non-classic signing family must inject
-	// that family's estimator, since OnInsert receives packed signatures.
-	Estimate simdist.Estimator
 }
 
 func (c Config) withDefaults() Config {
-	if c.Estimate == nil {
-		c.Estimate = minhash.Estimate
-	}
 	if c.ReservoirMembers == 0 {
 		c.ReservoirMembers = DefaultReservoirMembers
 	}
@@ -252,7 +244,7 @@ func (t *Tracker) samplePairs(g uint32, sig minhash.Signature) {
 		if partner == g {
 			continue
 		}
-		est, err := t.cfg.Estimate(sig, t.sigs[partner])
+		est, err := minhash.Estimate(sig, t.sigs[partner])
 		if err != nil {
 			// Signature-length mismatch cannot happen for one engine's
 			// sets; skip rather than poison the sketch.

@@ -36,7 +36,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/engine"
-	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/simdist"
@@ -114,29 +113,6 @@ type Options struct {
 	// PlannerPolicy tunes the planner; the zero value selects defaults.
 	// Ignored unless Planner is set.
 	PlannerPolicy PlannerPolicy
-	// Signing selects the signing family for STORED signatures — the
-	// per-set sketches used by screening, similarity estimation, and the
-	// tuner's drift sketch. The Hamming embedding, filter keys, and
-	// candidate generation always use classic full-width min-hashes, so
-	// exact query answers are byte-identical for every family; Signing
-	// trades stored-signature memory against estimator confidence. The
-	// zero value keeps today's classic 64-bit representation.
-	Signing SigningOptions
-}
-
-// SigningOptions configures the signature representation (Options.Signing).
-type SigningOptions struct {
-	// Family is "classic" (k independent min-wise permutations, the
-	// default) or "superminhash" (Ertl's SuperMinHash: one pass per
-	// element, lower estimator variance for small sets — the screen gate
-	// relaxes accordingly).
-	Family string
-	// BitsPerHash stores only the low b bits of each of the k hash values,
-	// packed 64/b to a word (b-bit minwise hashing). Allowed values are
-	// 1, 2, 4, 8, and 64; 0 selects 64 (full width, today's layout). b=4
-	// cuts signature memory 16× while screening with the unbiased b-bit
-	// estimator; the 95% confidence half-width widens by 1/(1−2⁻ᵇ).
-	BitsPerHash int
 }
 
 // Collection accumulates sets before building an index. Elements are
@@ -271,18 +247,14 @@ type Stats struct {
 	// a page fetch (0 unless QueryOptions.Screen is set).
 	Screened int
 	// ScreenedFraction is Screened/Candidates — the share of filter
-	// proposals the signing family's estimator rejected before any page
-	// fetch (0 when there were no candidates or screening was off).
+	// proposals the signature estimate rejected before any page fetch (0
+	// when there were no candidates or screening was off).
 	ScreenedFraction float64
 	// SizePruned is how many candidates were ruled out by size alone —
 	// their size ratio to the query bounds their similarity below the
 	// range — before any screening or page fetch. Such a candidate is not
 	// counted as Screened.
 	SizePruned int
-	// SignatureBytesPerSet is the stored signature footprint per set under
-	// the index's signing family (k·8 bytes for classic-64, k·b/8 for
-	// b-bit packing).
-	SignatureBytesPerSet int
 	// RandomPageReads and SequentialPageReads count simulated disk I/O.
 	RandomPageReads, SequentialPageReads int64
 	// SimulatedIOTime converts those reads under the default cost model
@@ -394,10 +366,6 @@ func Build(c *Collection, opt Options) (*Index, error) {
 			DistSample:     opt.DistSample,
 			DistSeed:       opt.Seed,
 			Workers:        opt.Workers,
-			Signing: minhash.Config{
-				Base:        opt.Signing.Family,
-				BitsPerHash: opt.Signing.BitsPerHash,
-			},
 		},
 	})
 	if err != nil {
@@ -484,26 +452,24 @@ func convertMatches(matches []core.Match) []Match {
 }
 
 // convertStats maps internal query stats to the public type under the
-// default cost model, carrying the per-shard breakdown through and
-// annotating the signing family's screening behaviour.
+// default cost model, carrying the per-shard breakdown through.
 func (ix *Index) convertStats(qs engine.QueryStats) Stats {
 	model := storage.DefaultCostModel()
 	st := Stats{
-		Candidates:           qs.Candidates,
-		Results:              qs.Results,
-		Screened:             qs.Screened,
-		SizePruned:           qs.SizePruned,
-		SignatureBytesPerSet: ix.inner.SignatureBytesPerSet(),
-		RandomPageReads:      qs.IndexIO.Rand() + qs.FetchIO.Rand(),
-		SequentialPageReads:  qs.IndexIO.Seq() + qs.FetchIO.Seq(),
-		SimulatedIOTime:      qs.SimIOTime(model),
-		CPUTime:              qs.CPU,
-		PlanGeneration:       qs.PlanGeneration,
-		ShardsQueried:        qs.ShardsQueried,
-		GatherTime:           qs.Gather,
-		PlanChosen:           qs.Plan,
-		CacheHits:            qs.CacheHits,
-		CacheMisses:          qs.CacheMisses,
+		Candidates:          qs.Candidates,
+		Results:             qs.Results,
+		Screened:            qs.Screened,
+		SizePruned:          qs.SizePruned,
+		RandomPageReads:     qs.IndexIO.Rand() + qs.FetchIO.Rand(),
+		SequentialPageReads: qs.IndexIO.Seq() + qs.FetchIO.Seq(),
+		SimulatedIOTime:     qs.SimIOTime(model),
+		CPUTime:             qs.CPU,
+		PlanGeneration:      qs.PlanGeneration,
+		ShardsQueried:       qs.ShardsQueried,
+		GatherTime:          qs.Gather,
+		PlanChosen:          qs.Plan,
+		CacheHits:           qs.CacheHits,
+		CacheMisses:         qs.CacheMisses,
 	}
 	if st.Candidates > 0 {
 		st.ScreenedFraction = float64(st.Screened) / float64(st.Candidates)
