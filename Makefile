@@ -1,6 +1,6 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the go
-# commands of build, test, vet and race (race over the full tree) itself
-# and calls only `make fuzz-smoke` and benchmark/run.sh from here; crash
+# commands of build, test and race (race over the full tree) itself and
+# calls `make vet`, `make fuzz-smoke` and benchmark/run.sh from here; crash
 # and replication are the local fast loops over subsets of CI's race job.
 
 GO ?= go
@@ -16,9 +16,10 @@ test:
 	$(GO) test ./...
 
 # Formatting, stock go vet and the repo's own analyzer suite — one
-# target, so "it vets" always means all three.
+# target, so "it vets" always means all three. The gofmt step lists every
+# file it rejects before failing.
 vet:
-	test -z "$$(gofmt -l .)"
+	@unformatted="$$(gofmt -l .)"; echo "$$unformatted"; test -z "$$unformatted"
 	$(GO) vet ./...
 	$(GO) run ./cmd/ssrvet ./...
 

@@ -92,7 +92,7 @@ func run(path string, budget int, recall float64, k int, seed int64, shards, que
 		}
 		fmt.Printf("loaded snapshot %s (%d sets) in %v\n", loadPath, ix.Internal().Len(), time.Since(start).Round(time.Millisecond))
 	default:
-		coll, err := loadCollection(path)
+		coll, err := textio.LoadCollection(path)
 		if err != nil {
 			return err
 		}
@@ -194,7 +194,7 @@ func openDurable(walDir, path string, budget int, recall float64, k int, seed in
 	if path == "" {
 		return nil, fmt.Errorf("%s holds no durable state; pass -data <file> to bootstrap it", walDir)
 	}
-	coll, err := loadCollection(path)
+	coll, err := textio.LoadCollection(path)
 	if err != nil {
 		return nil, err
 	}
@@ -211,24 +211,4 @@ func openDurable(walDir, path string, budget int, recall float64, k int, seed in
 	}
 	fmt.Printf("bootstrapped durable index over %d sets into %s in %v\n", coll.Len(), walDir, time.Since(start).Round(time.Millisecond))
 	return ix, nil
-}
-
-// loadCollection reads the one-set-per-line format via internal/textio.
-func loadCollection(path string) (*ssr.Collection, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //ssrvet:ignore droppederr -- read-only fd; ReadSets fails on any read error
-	sets, err := textio.ReadSets(f, path)
-	if err != nil {
-		return nil, err
-	}
-	coll := ssr.NewCollection()
-	for _, s := range sets {
-		if _, err := coll.AddIDs(s.Elems()...); err != nil {
-			return nil, err
-		}
-	}
-	return coll, nil
 }

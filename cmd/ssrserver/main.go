@@ -214,7 +214,7 @@ func openIndex(data, snapshot, walDir, walSync string, walSyncEvery time.Duratio
 	if data == "" {
 		return nil, fmt.Errorf("%s holds no durable state; pass -data <file> to bootstrap it", walDir)
 	}
-	coll, err := loadCollection(data)
+	coll, err := textio.LoadCollection(data)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +239,7 @@ func buildOrLoad(data, snapshot string, budget int, recall float64, k int, seed 
 		defer f.Close() //ssrvet:ignore droppederr -- read-only fd; Load fails on any read error
 		return ssr.Load(f)
 	case data != "":
-		coll, err := loadCollection(data)
+		coll, err := textio.LoadCollection(data)
 		if err != nil {
 			return nil, err
 		}
@@ -255,24 +255,4 @@ func buildOrLoad(data, snapshot string, budget int, recall float64, k int, seed 
 	default:
 		return nil, fmt.Errorf("pass -data <file>, -snapshot <file>, or -wal <dir>")
 	}
-}
-
-// loadCollection reads the one-set-per-line format via internal/textio.
-func loadCollection(path string) (*ssr.Collection, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //ssrvet:ignore droppederr -- read-only fd; ReadSets fails on any read error
-	sets, err := textio.ReadSets(f, path)
-	if err != nil {
-		return nil, err
-	}
-	coll := ssr.NewCollection()
-	for _, s := range sets {
-		if _, err := coll.AddIDs(s.Elems()...); err != nil {
-			return nil, err
-		}
-	}
-	return coll, nil
 }

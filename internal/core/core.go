@@ -169,25 +169,9 @@ type Index struct {
 // plan override — a shard of a partitioned engine can start empty and fill
 // by Insert, but a standalone build has nothing to optimize against.
 func Build(sets []set.Set, opt Options) (*Index, error) {
-	if len(sets) == 0 && opt.Distribution == nil && opt.PlanOverride == nil {
-		return nil, fmt.Errorf("core: empty collection")
-	}
-	eopt := opt.Embed
-	if eopt.K == 0 {
-		eopt = embed.DefaultOptions()
-	}
-	emb, err := embed.New(eopt)
+	opt, emb, err := prepare(sets, opt)
 	if err != nil {
 		return nil, err
-	}
-
-	if opt.Tombstones != nil {
-		if len(opt.Tombstones) != len(sets) {
-			return nil, fmt.Errorf("core: %d tombstone marks for %d sets", len(opt.Tombstones), len(sets))
-		}
-		if opt.PlanOverride == nil || opt.PrecomputedSignatures == nil {
-			return nil, fmt.Errorf("core: Tombstones requires PlanOverride and precomputed signatures")
-		}
 	}
 	tombstoned := func(i int) bool { return opt.Tombstones != nil && opt.Tombstones[i] }
 	live := len(sets)
@@ -197,42 +181,27 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 		}
 	}
 
-	// Validate supplied signatures up front, before any build side effect
-	// (store appends, signing): a wrong-length signature must fail the
-	// build cleanly rather than panic deep inside the pipeline.
-	if opt.PrecomputedSignatures != nil {
-		if len(opt.PrecomputedSignatures) != len(sets) {
-			return nil, fmt.Errorf("core: %d precomputed signatures for %d sets", len(opt.PrecomputedSignatures), len(sets))
-		}
-		for i, sig := range opt.PrecomputedSignatures {
-			if tombstoned(i) {
-				if sig != nil {
-					return nil, fmt.Errorf("core: tombstoned position %d carries a signature", i)
-				}
-				continue
-			}
-			if len(sig) != emb.K() {
-				return nil, fmt.Errorf("core: signature %d has %d coordinates, embedding has k=%d", i, len(sig), emb.K())
-			}
-		}
-	}
-
 	resolved := opt
-	resolved.Embed = eopt
-	resolved.Tombstones = nil // transient load instruction, not a build parameter
+	// Transient load instructions, not build parameters: the signatures
+	// live on in ix.sigs, which Insert and Delete change.
+	resolved.PrecomputedSignatures = nil
+	resolved.Tombstones = nil
 	workers := ResolveWorkers(opt.Workers)
 	ix := &Index{
 		buildOpts: resolved,
 		emb:       emb,
 		eps:       minhash.Eps95(emb.K()),
 		store:     storage.NewSetStoreWithPayload(opt.PageSize, opt.PayloadPerElem),
+		sigs:      opt.PrecomputedSignatures,
+		hist:      opt.Distribution,
+		plan:      *opt.PlanOverride,
 		n:         live,
 	}
 	ix.scratch.New = func() any {
 		return &queryScratch{sig: make(minhash.Signature, emb.K())}
 	}
 
-	// 1. Persist the collection; sids are dense append order. Tombstoned
+	// Persist the collection; sids are dense append order. Tombstoned
 	// positions keep their sid allocated but are deleted on the spot.
 	for i, s := range sets {
 		sid := ix.store.Append(s)
@@ -243,39 +212,7 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 		}
 	}
 
-	// 2. Min-hash signatures.
-	ix.sigs = opt.PrecomputedSignatures
-	if ix.sigs == nil {
-		ix.sigs = signCollection(emb, sets, workers)
-	}
-
-	// 3. Similarity distribution D_S (skipped under a plan override).
-	ix.hist = opt.Distribution
-	if ix.hist == nil && opt.PlanOverride == nil {
-		h, err := EstimateDistribution(sets, ix.sigs, opt)
-		if err != nil {
-			return nil, err
-		}
-		ix.hist = h
-	}
-
-	// 4. Plan: placement, kinds, table budget (Figure 4). The capture
-	// model needs the signature length of the embedding it serves.
-	if opt.PlanOverride != nil {
-		ix.plan = *opt.PlanOverride
-	} else {
-		popt := opt.Plan
-		if popt.SignatureK == 0 {
-			popt.SignatureK = emb.K()
-		}
-		plan, err := optimize.BuildPlan(ix.hist, popt)
-		if err != nil {
-			return nil, err
-		}
-		ix.plan = plan
-	}
-
-	// 5. Materialize the filter indices and load every signature. Each
+	// Materialize the filter indices and load every signature. Each
 	// hash table owns its entries and is filled by one goroutine in
 	// ascending sid order, so tables fill concurrently with no shared
 	// mutable state and bucket chains independent of scheduling.
@@ -300,14 +237,88 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 	return ix, nil
 }
 
+// Prepare runs the collection-wide steps of Build — sign every set
+// (Section 3), profile D_S and plan (Section 5) — and returns opt with each
+// result installed as its override: Embed resolved, PrecomputedSignatures,
+// Distribution (nil when a PlanOverride came without one) and PlanOverride.
+// A step whose override opt already carries is skipped, so the optimizer
+// runs at most once; building from the returned options, over the sets or
+// any partition of them with their signatures, runs none of the steps
+// again. The sharded engine and the re-tuner plan through it.
+func Prepare(sets []set.Set, opt Options) (Options, error) {
+	opt, _, err := prepare(sets, opt)
+	return opt, err
+}
+
+// prepare is Prepare, also returning the embedder it resolved.
+func prepare(sets []set.Set, opt Options) (Options, *embed.Embedder, error) {
+	if len(sets) == 0 && opt.Distribution == nil && opt.PlanOverride == nil {
+		return opt, nil, fmt.Errorf("core: empty collection")
+	}
+	if opt.Embed.K == 0 {
+		opt.Embed = embed.DefaultOptions()
+	}
+	emb, err := embed.New(opt.Embed)
+	if err != nil {
+		return opt, nil, err
+	}
+
+	if opt.Tombstones != nil {
+		if len(opt.Tombstones) != len(sets) {
+			return opt, nil, fmt.Errorf("core: %d tombstone marks for %d sets", len(opt.Tombstones), len(sets))
+		}
+		if opt.PlanOverride == nil || opt.PrecomputedSignatures == nil {
+			return opt, nil, fmt.Errorf("core: Tombstones requires PlanOverride and precomputed signatures")
+		}
+	}
+	// Validate supplied signatures before anything uses them: a
+	// wrong-length signature must fail the build cleanly rather than panic
+	// deep inside the pipeline.
+	if sigs := opt.PrecomputedSignatures; sigs != nil {
+		if len(sigs) != len(sets) {
+			return opt, nil, fmt.Errorf("core: %d precomputed signatures for %d sets", len(sigs), len(sets))
+		}
+		for i, sig := range sigs {
+			if opt.Tombstones != nil && opt.Tombstones[i] {
+				if sig != nil {
+					return opt, nil, fmt.Errorf("core: tombstoned position %d carries a signature", i)
+				}
+				continue
+			}
+			if len(sig) != emb.K() {
+				return opt, nil, fmt.Errorf("core: signature %d has %d coordinates, embedding has k=%d", i, len(sig), emb.K())
+			}
+		}
+	} else {
+		opt.PrecomputedSignatures = signCollection(emb, sets, ResolveWorkers(opt.Workers))
+	}
+
+	// D_S is neither estimated nor consulted under a plan override.
+	if opt.PlanOverride != nil {
+		return opt, emb, nil
+	}
+	if opt.Distribution, err = EstimateDistribution(sets, opt.PrecomputedSignatures, opt); err != nil {
+		return opt, nil, err
+	}
+	// The capture model needs the signature length of the embedding it
+	// serves.
+	popt := opt.Plan
+	if popt.SignatureK == 0 {
+		popt.SignatureK = emb.K()
+	}
+	plan, err := optimize.BuildPlan(opt.Distribution, popt)
+	if err != nil {
+		return opt, nil, err
+	}
+	opt.PlanOverride = &plan
+	return opt, emb, nil
+}
+
 // EstimateDistribution reproduces Build's similarity-distribution step as
 // a standalone function: the exact histogram from the raw sets when
 // opt.DistSample is negative, otherwise the Lemma 1 signature-pair sample
-// (default min(100·N, 200000) pairs, seeded with opt.DistSeed+7). The
-// sharded engine calls it once over the whole collection before
-// partitioning, so every shard plans from the same D_S a monolithic Build
-// would have seen — that shared distribution is what keeps plans (and
-// therefore filter candidacy) identical across shard counts.
+// (default min(100·N, 200000) pairs, seeded with opt.DistSeed+7).
+// opt.Distribution, when set, is returned as it is.
 func EstimateDistribution(sets []set.Set, sigs []minhash.Signature, opt Options) (*simdist.Histogram, error) {
 	if opt.Distribution != nil {
 		return opt.Distribution, nil
@@ -335,8 +346,7 @@ func EstimateDistribution(sets []set.Set, sigs []minhash.Signature, opt Options)
 // SignCollection computes every set's min-hash signature exactly as Build
 // does (index-addressed parallel writes, bit-identical for every worker
 // count). The embedder must come from the same options the signatures will
-// be used with. The sharded engine signs the whole collection once and
-// hands each shard its slice as PrecomputedSignatures.
+// be used with. The benchmark times Build's signing step with it.
 func SignCollection(emb *embed.Embedder, sets []set.Set, workers int) []minhash.Signature {
 	return signCollection(emb, sets, ResolveWorkers(workers))
 }
@@ -421,16 +431,15 @@ func (ix *Index) Signature(sid storage.SID) minhash.Signature {
 }
 
 // BuildOptions returns the resolved options the index was built with
-// (immutable after Build). The re-tuner copies them, overrides the plan
-// and inputs, and rebuilds — preserving every knob (page size, payload
-// accounting, seeds, worker budget) the original build used.
+// (immutable after Build): Prepare's result, with its distribution and
+// plan as overrides, less the signatures and tombstones. The re-tuner
+// copies them, overrides the plan and inputs, and rebuilds — preserving
+// every knob (page size, payload accounting, seeds, worker budget) the
+// original build used.
 func (ix *Index) BuildOptions() Options { return ix.buildOpts }
 
 // Plan returns the optimizer's plan for inspection.
 func (ix *Index) Plan() optimize.Plan { return ix.plan }
-
-// Distribution returns the similarity distribution the index was tuned to.
-func (ix *Index) Distribution() *simdist.Histogram { return ix.hist }
 
 // Len returns the collection size.
 func (ix *Index) Len() int {

@@ -150,26 +150,6 @@ func (ix *Index) CaptureFraction(hist *simdist.Histogram, lo, hi float64) (float
 	return captured / hist.Total(), true
 }
 
-// EstimateAnswerSize predicts the expected number of sets a random query
-// with range [lo, hi] returns, from the similarity distribution the index
-// was tuned to: E_a(σ1, σ2) = (2/|S|)·∫ D_S (the Section 5 identity). It
-// returns an error if the index was built with a plan override and no
-// distribution.
-func (ix *Index) EstimateAnswerSize(lo, hi float64) (float64, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.hist == nil {
-		return 0, fmt.Errorf("core: index has no similarity distribution (built with a plan override)")
-	}
-	// n is the live count: tombstoned sids answer no query.
-	n := float64(ix.n)
-	if ix.hist.Total() == 0 || n == 0 {
-		return 0, nil
-	}
-	pairsMass := ix.hist.Mass(lo, hi) / ix.hist.Total() * (n * (n - 1) / 2)
-	return 2 * pairsMass / n, nil
-}
-
 // ProbeTables returns the number of hash tables a query with the given
 // range probes under the Section 4.3 combination (each probe is one
 // random bucket-page read in the cost model), or 0 when the plan has no

@@ -238,32 +238,3 @@ func TestScanQueryIsExactBaseline(t *testing.T) {
 		t.Errorf("disjoint query: %d matches, err %v", len(none), err)
 	}
 }
-
-func TestEstimateAnswerSizeTracksTruth(t *testing.T) {
-	ix, sets := buildSmall(t, 600, 60)
-	for _, r := range [][2]float64{{0, 0.1}, {0.1, 0.3}, {0.5, 1}} {
-		est, err := ix.EstimateAnswerSize(r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		// True average answer size over a sample of queries.
-		trueAvg := 0.0
-		const probes = 40
-		for q := 0; q < probes; q++ {
-			cnt := 0
-			for _, s := range sets {
-				sim := sets[q*7%len(sets)].Jaccard(s)
-				if sim >= r[0] && sim <= r[1] {
-					cnt++
-				}
-			}
-			trueAvg += float64(cnt)
-		}
-		trueAvg /= probes
-		// The estimate is distribution-based; demand the right order of
-		// magnitude (factor 3 + small absolute slack).
-		if est > 3*trueAvg+20 || trueAvg > 3*est+20 {
-			t.Errorf("range %v: estimate %.1f vs measured %.1f", r, est, trueAvg)
-		}
-	}
-}

@@ -15,15 +15,18 @@
 // candidates equals the monolithic candidate set and exact-verified
 // matches are identical for every shard count. For a fixed (seed, Shards)
 // the whole build is bit-identical, preserving the repo's determinism
-// invariant; Shards <= 1 bypasses the partitioning entirely and is
-// byte-identical to the pre-engine index.
+// invariant. One shard is the same pipeline with one partition: its core
+// is byte-identical to a core.Build of the whole collection.
 //
 // Sid spaces. Callers see global sids (dense allocation order, exactly the
 // pre-engine numbering). Each shard's core.Index has its own dense local
 // sid space; the engine maintains the global→local table (locals, guarded
 // by gmu) and each shard's local→global table (toGlobal, guarded by the
-// shard mutex). On a single-shard engine both mappings are the identity
-// and are not materialized.
+// shard mutex). On a one-shard engine both tables are the identity, and
+// two rules keep them so, because a one-shard engine persists as a bare
+// core snapshot (SSRIDX1), which carries no sid map: Save writes that
+// snapshot, and sids stay dense — Reserve allocates nothing and Apply
+// accepts only the next sid.
 //
 // Plan generations. The engine's query-serving state (the per-shard core
 // indexes plus the global profile they were planned from) lives in an
@@ -47,7 +50,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -73,9 +75,8 @@ const localUnassigned = ^uint32(0)
 
 // Options configures Build.
 type Options struct {
-	// Shards is the number of independent core indexes; <= 1 builds a
-	// single monolithic index (the default, bit-identical to pre-engine
-	// builds).
+	// Shards is the number of independent core indexes; <= 1 builds one
+	// (the default, bit-identical to a core.Build of the collection).
 	Shards int
 	// RouterSeed seeds the sid → shard hash. It must be stable for the
 	// life of the index (snapshots persist it).
@@ -97,7 +98,6 @@ type shard struct {
 	mu sync.Mutex
 	// toGlobal maps shard-local sids (dense core allocation order) to
 	// global sids. Entries are append-only and immutable once written.
-	// Nil on single-shard engines (identity).
 	toGlobal []uint32
 	// journalOn records mutations into journal while a retune rebuilds
 	// this shard off-lock; the ops replay into the new core at swap so
@@ -137,9 +137,6 @@ type planView struct {
 type Engine struct {
 	shards     []*shard
 	routerSeed int64
-	// single marks the Shards <= 1 fast path: no routing, no sid
-	// translation, byte-identical persistence.
-	single bool
 	// view is the current plan generation. Queries load it exactly once;
 	// mutators load it under their shard mutex (a swap holds every shard
 	// mutex, so the view cannot change under a held one).
@@ -148,7 +145,7 @@ type Engine struct {
 	// gmu guards locals.
 	gmu sync.RWMutex
 	// locals maps global sids to shard-local sids (shard identity comes
-	// from the router). Nil on single-shard engines.
+	// from the router).
 	locals []uint32
 
 	// tmu serializes retunes (at most one rebuild in flight per engine).
@@ -175,94 +172,27 @@ func (e *Engine) setView(gen uint64, cores []*core.Index, hist *simdist.Histogra
 	e.view.Store(&planView{gen: gen, cores: cores, hist: hist})
 }
 
-// Wrap adapts an existing core index into a single-shard engine — for
-// callers that built (or loaded) a core.Index directly and want the
-// engine API over it. No routing or sid translation is installed, so the
-// wrapped engine is byte-identical to the core in persistence and sids.
-func Wrap(ix *core.Index) *Engine {
-	e := &Engine{
-		shards: []*shard{{}},
-		single: true,
-	}
-	e.setView(0, []*core.Index{ix}, ix.Distribution())
-	return e
-}
-
-// Build constructs the engine over the collection. With Shards <= 1 it is
-// exactly core.Build; otherwise it signs the collection once, profiles
-// D_S once globally, partitions sets by the router, and builds every
-// shard from the shared distribution (see the package comment for why
-// that preserves cross-shard-count result identity).
+// Build constructs the engine over the collection: it signs the
+// collection, profiles D_S and plans once globally (core.Prepare),
+// partitions sets by the router, and builds every shard from the shared
+// plan (see the package comment for why that preserves cross-shard-count
+// result identity).
 func Build(sets []set.Set, opt Options) (*Engine, error) {
-	n := opt.Shards
-	if n <= 0 {
-		n = 1
-	}
+	n := max(opt.Shards, 1)
 	if n > MaxShards {
 		return nil, fmt.Errorf("engine: %d shards exceeds the maximum %d", n, MaxShards)
 	}
-	if n == 1 {
-		ix, err := core.Build(sets, opt.Core)
-		if err != nil {
-			return nil, err
-		}
-		e := &Engine{
-			shards:     []*shard{{}},
-			routerSeed: opt.RouterSeed,
-			single:     true,
-		}
-		e.setView(0, []*core.Index{ix}, ix.Distribution())
-		return e, nil
+	if opt.Core.Tombstones != nil {
+		return nil, fmt.Errorf("engine: Tombstones are not supported by engine builds (shards load through Assemble)")
 	}
-	copt := opt.Core
-	if copt.Tombstones != nil {
-		return nil, fmt.Errorf("engine: Tombstones are not supported by sharded builds (shards load through Assemble)")
-	}
-
-	// Resolve the embedding exactly as core.Build does, sign the whole
-	// collection once, and profile D_S from the full signature list — the
-	// same sample, seed, and worker discipline a monolithic build uses.
-	eopt := copt.Embed
-	if eopt.K == 0 {
-		eopt = embed.DefaultOptions()
-	}
-	emb, err := embed.New(eopt)
+	// One optimizer run, globally. Every shard would derive this very plan
+	// from (D_S, Plan) anyway, so installing it as each shard's override
+	// changes nothing in the built bytes while sparing N − 1 optimizer
+	// runs. copt.Plan stays in each shard's build options: the re-tuner
+	// echoes its Budget / RecallTarget / SignatureK.
+	copt, err := core.Prepare(sets, opt.Core)
 	if err != nil {
 		return nil, err
-	}
-	sigs := copt.PrecomputedSignatures
-	if sigs == nil {
-		sigs = core.SignCollection(emb, sets, copt.Workers)
-	} else if len(sigs) != len(sets) {
-		return nil, fmt.Errorf("engine: %d precomputed signatures for %d sets", len(sigs), len(sets))
-	}
-	hist := copt.Distribution
-	if hist == nil && copt.PlanOverride == nil {
-		hist, err = core.EstimateDistribution(sets, sigs, copt)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Run the Section 5 optimizer exactly once, globally — the same
-	// machinery the retune path uses. Every shard would derive this very
-	// plan from (hist, Plan) anyway (BuildPlan is deterministic on its
-	// inputs), so injecting it as a per-shard override changes nothing in
-	// the built bytes while removing the dominant serial cost of sharded
-	// builds (N shards × one optimizer run). copt.Plan stays populated in
-	// each shard's build options: the re-tuner echoes its Budget /
-	// RecallTarget / SignatureK when planning future generations.
-	planOverride := copt.PlanOverride
-	if planOverride == nil {
-		popt := copt.Plan
-		if popt.SignatureK == 0 {
-			popt.SignatureK = emb.K()
-		}
-		plan, err := optimize.BuildPlan(hist, popt)
-		if err != nil {
-			return nil, err
-		}
-		planOverride = &plan
 	}
 
 	// Partition by router. Global order is preserved within each shard,
@@ -280,7 +210,7 @@ func Build(sets []set.Set, opt Options) (*Engine, error) {
 		p := &parts[si]
 		locals[g] = uint32(len(p.toGlobal))
 		p.sets = append(p.sets, sets[g])
-		p.sigs = append(p.sigs, sigs[g])
+		p.sigs = append(p.sigs, copt.PrecomputedSignatures[g])
 		p.toGlobal = append(p.toGlobal, uint32(g))
 	}
 
@@ -293,11 +223,7 @@ func Build(sets []set.Set, opt Options) (*Engine, error) {
 	// fan-out never oversubscribes beyond the one-worker-per-shard floor.
 	// core.Build is bit-identical for every worker count, so the parallel
 	// build produces exactly the bytes the serial loop did.
-	pool := copt.Workers
-	if pool <= 0 {
-		pool = runtime.GOMAXPROCS(0)
-	}
-	shares := core.SplitPool(pool, n)
+	shares := core.SplitPool(core.ResolveWorkers(copt.Workers), n)
 	cores := make([]*core.Index, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -306,8 +232,6 @@ func Build(sets []set.Set, opt Options) (*Engine, error) {
 		go func(si int) {
 			defer wg.Done()
 			sopt := copt
-			sopt.Distribution = hist
-			sopt.PlanOverride = planOverride
 			sopt.PrecomputedSignatures = parts[si].sigs
 			sopt.Workers = shares[si]
 			cores[si], errs[si] = core.Build(parts[si].sets, sopt)
@@ -322,19 +246,19 @@ func Build(sets []set.Set, opt Options) (*Engine, error) {
 	for si := range parts {
 		e.shards[si] = &shard{toGlobal: parts[si].toGlobal}
 	}
-	e.setView(0, cores, hist)
+	e.setView(0, cores, copt.Distribution)
 	return e, nil
 }
 
-// Assemble reconstructs a sharded engine from per-shard core indexes and
-// their local→global tables — the load side of snapshots and per-shard
+// Assemble reconstructs an engine from per-shard core indexes and their
+// local→global tables — the load side of snapshots and per-shard
 // recovery. It validates the mapping end to end: table lengths match each
 // core's allocated sid space, every global sid is in range and routes to
 // the shard that claims it, and no global sid appears twice.
 func Assemble(routerSeed int64, cores []*core.Index, globals [][]uint32, numGlobals int) (*Engine, error) {
 	n := len(cores)
-	if n < 2 {
-		return nil, fmt.Errorf("engine: Assemble needs at least 2 shards (got %d)", n)
+	if n < 1 {
+		return nil, fmt.Errorf("engine: Assemble needs at least 1 shard")
 	}
 	if n > MaxShards {
 		return nil, fmt.Errorf("engine: %d shards exceeds the maximum %d", n, MaxShards)
@@ -381,13 +305,8 @@ func Assemble(routerSeed int64, cores []*core.Index, globals [][]uint32, numGlob
 func (e *Engine) NumShards() int { return len(e.shards) }
 
 // ShardOf returns the shard a global sid routes to (always 0 on a
-// single-shard engine).
-func (e *Engine) ShardOf(g uint32) int {
-	if e.single {
-		return 0
-	}
-	return shardOf(e.routerSeed, len(e.shards), g)
-}
+// one-shard engine).
+func (e *Engine) ShardOf(g uint32) int { return shardOf(e.routerSeed, len(e.shards), g) }
 
 // ShardCore exposes shard si's core index in the current plan generation
 // (benchmarks, experiments, and the recovery harness; not a stable API).
@@ -402,18 +321,18 @@ func (e *Engine) RouterSeed() int64 { return e.routerSeed }
 // without any lock of the caller's: a one-shard engine reserves under its
 // shard mutex.
 func (e *Engine) Insert(s set.Set) (uint32, error) {
-	if e.single {
+	apply := e.Apply
+	if len(e.shards) == 1 {
+		// One shard keeps its sids dense (its bare SSRIDX1 snapshot has
+		// no sid map), so the next sid is read and applied under one hold
+		// of the shard mutex.
 		sh := e.shards[0]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		g := uint32(e.loadView().cores[0].NumAllocated())
-		if err := e.applyLocked(0, g, s); err != nil {
-			return 0, err
-		}
-		return g, nil
+		apply = e.applyLocked
 	}
-	g, si := e.reserve()
-	if err := e.Apply(si, g, s); err != nil {
+	g, si := e.Reserve()
+	if err := apply(si, g, s); err != nil {
 		return 0, err
 	}
 	return g, nil
@@ -453,15 +372,6 @@ func (e *Engine) trackDelete(g uint32) {
 	}
 }
 
-// reserve allocates the next global sid (as a hole) and routes it.
-func (e *Engine) reserve() (uint32, int) {
-	e.gmu.Lock()
-	g := uint32(len(e.locals))
-	e.locals = append(e.locals, localUnassigned)
-	e.gmu.Unlock()
-	return g, shardOf(e.routerSeed, len(e.shards), g)
-}
-
 // Reserve returns the next global sid and the shard it routes to, without
 // applying anything; Apply completes it. The durability layer uses the
 // split to lock the owning shard's log lane before applying, so per-shard
@@ -471,10 +381,15 @@ func (e *Engine) reserve() (uint32, int) {
 // so the next sid is simply the core's next — and the caller must
 // serialize Reserve through Apply itself, or Apply rejects the sid.
 func (e *Engine) Reserve() (g uint32, si int) {
-	if e.single {
-		return uint32(e.loadView().cores[0].NumAllocated()), 0
+	if len(e.shards) == 1 {
+		// Dense sids: a bare SSRIDX1 snapshot has no sid map.
+		return uint32(e.NumAllocated()), 0
 	}
-	return e.reserve()
+	e.gmu.Lock()
+	g = uint32(len(e.locals))
+	e.locals = append(e.locals, localUnassigned)
+	e.gmu.Unlock()
+	return g, e.ShardOf(g)
 }
 
 // Apply inserts s as global sid g into shard si: the second half of a
@@ -501,59 +416,44 @@ func (e *Engine) Apply(si int, g uint32, s set.Set) error {
 func (e *Engine) applyLocked(si int, g uint32, s set.Set) error {
 	sh := e.shards[si]
 	ix := e.loadView().cores[si]
-	local := g
-	if e.single {
-		if next := uint32(ix.NumAllocated()); g != next {
-			return fmt.Errorf("engine: sid %d is not the next sid %d of a one-shard engine", g, next)
-		}
-	} else {
-		e.gmu.Lock()
-		for uint32(len(e.locals)) <= g {
-			e.locals = append(e.locals, localUnassigned)
-		}
-		applied := e.locals[g] != localUnassigned
-		e.gmu.Unlock()
-		if applied {
-			return fmt.Errorf("engine: sid %d is already applied", g)
-		}
-		local = uint32(len(sh.toGlobal))
-		// Publish the mapping before the core insert: any sid the core can
-		// return to a concurrent query already has its toGlobal entry.
-		sh.toGlobal = append(sh.toGlobal, g)
+	e.gmu.RLock()
+	next := uint32(len(e.locals))
+	applied := g < next && e.locals[g] != localUnassigned
+	e.gmu.RUnlock()
+	if len(e.shards) == 1 && g != next {
+		// Dense sids: a bare SSRIDX1 snapshot has no sid map.
+		return fmt.Errorf("engine: sid %d is not the next sid %d of a one-shard engine", g, next)
 	}
+	if applied {
+		return fmt.Errorf("engine: sid %d is already applied", g)
+	}
+	local := uint32(len(sh.toGlobal))
+	// Publish the mapping before the core insert: any sid the core can
+	// return to a concurrent query already has its toGlobal entry.
+	sh.toGlobal = append(sh.toGlobal, g)
 	got, err := ix.Insert(s)
 	if err == nil && uint32(got) != local {
 		err = fmt.Errorf("engine: shard %d insert landed on local sid %d, expected %d", si, got, local)
 	}
 	if err != nil {
-		if !e.single {
-			sh.toGlobal = sh.toGlobal[:local]
-		}
+		sh.toGlobal = sh.toGlobal[:local]
 		return err
 	}
 	sh.noteInsert(local, s)
 	e.trackInsert(ix, g, local)
-	if !e.single {
-		e.gmu.Lock()
-		e.locals[g] = local
-		e.gmu.Unlock()
+	// The sid space grows only once the insert landed, so a failed one
+	// leaves no sid behind.
+	e.gmu.Lock()
+	for uint32(len(e.locals)) <= g {
+		e.locals = append(e.locals, localUnassigned)
 	}
+	e.locals[g] = local
+	e.gmu.Unlock()
 	return nil
 }
 
 // Delete tombstones global sid g in its shard. The sid is never reused.
 func (e *Engine) Delete(g uint32) error {
-	if e.single {
-		sh := e.shards[0]
-		sh.mu.Lock()
-		err := e.loadView().cores[0].Delete(storage.SID(g))
-		if err == nil {
-			sh.noteDelete(g)
-			e.trackDelete(g)
-		}
-		sh.mu.Unlock()
-		return err
-	}
 	e.gmu.RLock()
 	var local uint32 = localUnassigned
 	if int(g) < len(e.locals) {
@@ -597,9 +497,6 @@ func (e *Engine) ShardLens() []int {
 // NumAllocated returns the global sid space: live sets, tombstones, and
 // reservation holes. Global sids are dense in [0, NumAllocated).
 func (e *Engine) NumAllocated() int {
-	if e.single {
-		return e.loadView().cores[0].NumAllocated()
-	}
 	e.gmu.RLock()
 	defer e.gmu.RUnlock()
 	return len(e.locals)
@@ -634,11 +531,8 @@ func (e *Engine) IndexPages() int {
 // Section 5 identity, shard-count invariant.
 func (e *Engine) EstimateAnswerSize(lo, hi float64) (float64, error) {
 	v := e.loadView()
-	if e.single {
-		return v.cores[0].EstimateAnswerSize(lo, hi)
-	}
 	if v.hist == nil {
-		return 0, fmt.Errorf("core: index has no similarity distribution (built with a plan override)")
+		return 0, fmt.Errorf("engine: the index has no similarity distribution (loaded, or built with a plan override)")
 	}
 	if v.hist.Total() == 0 {
 		return 0, nil
@@ -655,14 +549,18 @@ func (e *Engine) EstimateAnswerSize(lo, hi float64) (float64, error) {
 // sid g's set, with tombstoned and never-applied sids left nil.
 func (e *Engine) SetsBySID() []*set.Set {
 	v := e.loadView()
-	if e.single {
-		return v.cores[0].SetsBySID()
-	}
-	out := make([]*set.Set, e.NumAllocated())
+	bySID := make([][]*set.Set, len(e.shards))
+	tgs := make([][]uint32, len(e.shards))
 	for si, sh := range e.shards {
-		bySID := v.cores[si].SetsBySID()
-		tg := sh.mapping()
-		for local, s := range bySID {
+		bySID[si] = v.cores[si].SetsBySID()
+		tgs[si] = sh.mapping()
+	}
+	// Size the result only after every mapping capture: applyLocked grows
+	// the sid space before it releases the shard mutex that mapping waits
+	// on, so every sid captured above is below NumAllocated by now.
+	out := make([]*set.Set, e.NumAllocated())
+	for si, tg := range tgs {
+		for local, s := range bySID[si] {
 			if s != nil {
 				out[tg[local]] = s
 			}
@@ -675,9 +573,6 @@ func (e *Engine) SetsBySID() []*set.Set {
 // positions equal global sids only when the engine has no deletions or
 // holes — the callers that need alignment check NumAllocated == Len).
 func (e *Engine) Sets() []set.Set {
-	if e.single {
-		return e.loadView().cores[0].Sets()
-	}
 	bySID := e.SetsBySID()
 	out := make([]set.Set, 0, len(bySID))
 	for _, s := range bySID {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -627,15 +628,24 @@ func TestAssembleRejectsCorruptMappings(t *testing.T) {
 }
 
 // TestConcurrentShardStress is the -race workhorse: concurrent inserts,
-// deletes, range queries (serial and fanned out), and snapshots against a sharded
-// engine. Correctness of results is checked afterwards; during the storm
-// the assertions are only that nothing errors, deadlocks, or races.
+// deletes, range queries (serial and fanned out), and snapshots, at one
+// shard and at four. Correctness of results is checked afterwards; during
+// the storm the assertions are only that nothing errors, deadlocks, or
+// races.
 func TestConcurrentShardStress(t *testing.T) {
-	e, sets := buildFixture(t, 150, 4)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { concurrentShardStress(t, shards) })
+	}
+}
+
+func concurrentShardStress(t *testing.T, shards int) {
+	e, sets := buildFixture(t, 150, shards)
 	base := e.NumAllocated()
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
 	// Writers: each inserts its own sid range worth of fresh sets.
+	var sidMu sync.Mutex
+	var sids []uint32
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -647,6 +657,9 @@ func TestConcurrentShardStress(t *testing.T) {
 					errCh <- fmt.Errorf("writer %d: %w", w, err)
 					return
 				}
+				sidMu.Lock()
+				sids = append(sids, g)
+				sidMu.Unlock()
 				if i%7 == 3 {
 					if err := e.Delete(g); err != nil {
 						errCh <- fmt.Errorf("writer %d delete: %w", w, err)
@@ -698,8 +711,16 @@ func TestConcurrentShardStress(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if got := e.NumAllocated(); got != base+90 {
-		t.Fatalf("NumAllocated=%d, want %d", got, base+90)
+	// Sids stay dense under concurrent inserts: the writers were handed
+	// exactly base..base+89, and the sid space is what was handed out.
+	slices.Sort(sids)
+	for i, g := range sids {
+		if g != uint32(base+i) {
+			t.Fatalf("inserts were handed sids %v, want %d..%d", sids, base, base+89)
+		}
+	}
+	if got := e.NumAllocated(); got != base+len(sids) || len(sids) != 90 {
+		t.Fatalf("NumAllocated=%d after handing out %d sids over a build of %d", got, len(sids), base)
 	}
 	// Every surviving insert is findable by its own content.
 	bySID := e.SetsBySID()
@@ -722,6 +743,82 @@ func TestConcurrentShardStress(t *testing.T) {
 	}
 	if e2.Len() != e.Len() {
 		t.Fatalf("post-storm reload Len=%d, want %d", e2.Len(), e.Len())
+	}
+	// The reload holds every sid's set under the same sid.
+	reloaded, want := e2.SetsBySID(), e.SetsBySID()
+	if len(reloaded) != len(want) {
+		t.Fatalf("reload has a sid space of %d, want %d", len(reloaded), len(want))
+	}
+	for g, s := range want {
+		if (s == nil) != (reloaded[g] == nil) || s != nil && !s.Equal(*reloaded[g]) {
+			t.Fatalf("sid %d holds a different set after Save → Load", g)
+		}
+	}
+	var again bytes.Buffer
+	if err := e2.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatal("Save → Load → Save changed the snapshot bytes")
+	}
+}
+
+// TestSetsBySIDDuringInserts reads the collection while inserts land, at
+// one shard and at four: a read must never index past the sid space it
+// sized, and every slot it fills must hold the set inserted under that sid.
+func TestSetsBySIDDuringInserts(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e, _ := buildFixture(t, 40, shards)
+			base := e.NumAllocated()
+			const perWriter = 150
+			var writers, readers sync.WaitGroup
+			done := make(chan struct{})
+			errCh := make(chan error, 8)
+			for w := 0; w < 2; w++ {
+				writers.Add(1)
+				go func(w int) {
+					defer writers.Done()
+					for i := 0; i < perWriter; i++ {
+						if _, err := e.Insert(set.New(uint64(500000+w*1000+i), uint64(1<<40+i))); err != nil {
+							errCh <- fmt.Errorf("writer %d: %w", w, err)
+							return
+						}
+					}
+				}(w)
+			}
+			for r := 0; r < 2; r++ {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						bySID := e.SetsBySID()
+						for g, s := range bySID[base:] {
+							if s != nil && s.Len() != 2 {
+								errCh <- fmt.Errorf("sid %d holds a %d-element set, not an insert", base+g, s.Len())
+								return
+							}
+						}
+						_ = e.Sets()
+					}
+				}()
+			}
+			writers.Wait()
+			close(done)
+			readers.Wait()
+			close(errCh)
+			for err := range errCh {
+				t.Fatal(err)
+			}
+			if got, want := len(e.SetsBySID()), base+2*perWriter; got != want || len(e.Sets()) != want {
+				t.Fatalf("after the storm SetsBySID has %d slots and Sets %d sets, want %d", got, len(e.Sets()), want)
+			}
+		})
 	}
 }
 
@@ -765,15 +862,17 @@ func TestTopKAcrossShards(t *testing.T) {
 }
 
 // TestEstimatesShardInvariant: the Section 5 answer-size estimate comes
-// from the global distribution and must not move with the shard count.
+// from the global distribution and must not move with the shard count,
+// and it must track the true average answer size.
 func TestEstimatesShardInvariant(t *testing.T) {
 	sets, err := workload.Generate(workload.Set1Params(300))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ranges := [][2]float64{{0.7, 1}, {0, 0.1}, {0.1, 0.3}, {0.5, 1}}
 	// Estimated as built, then with every third set deleted: tombstones
 	// must leave the estimates as shard-invariant as the build does.
-	var base [2]float64
+	base := make([][]float64, 2)
 	for i, shards := range []int{1, 4} {
 		e, err := Build(sets, Options{Shards: shards, RouterSeed: 7, Core: coreOptions()})
 		if err != nil {
@@ -787,14 +886,33 @@ func TestEstimatesShardInvariant(t *testing.T) {
 					}
 				}
 			}
-			est, err := e.EstimateAnswerSize(0.7, 1.0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				base[pass] = est
-			} else if diff := est - base[pass]; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("pass %d: estimate moved with shard count: %g vs %g", pass, est, base[pass])
+			live := e.Sets()
+			for ri, r := range ranges {
+				est, err := e.EstimateAnswerSize(r[0], r[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					base[pass] = append(base[pass], est)
+				} else if diff := est - base[pass][ri]; diff > 1e-9 || diff < -1e-9 {
+					t.Fatalf("pass %d range %v: estimate moved with shard count: %g vs %g", pass, r, est, base[pass][ri])
+				}
+				// The true average answer size over a sample of live
+				// queries. The estimate is distribution-based; demand the
+				// right order of magnitude (factor 3 + small absolute slack).
+				truth := 0.0
+				const probes = 40
+				for q := 0; q < probes; q++ {
+					for _, s := range live {
+						if sim := live[q*7%len(live)].Jaccard(s); sim >= r[0] && sim <= r[1] {
+							truth++
+						}
+					}
+				}
+				truth /= probes
+				if est > 3*truth+20 || truth > 3*est+20 {
+					t.Errorf("shards=%d pass %d range %v: estimate %.1f vs measured %.1f", shards, pass, r, est, truth)
+				}
 			}
 		}
 	}

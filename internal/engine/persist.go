@@ -1,8 +1,8 @@
 // Sharded snapshot container.
 //
-// A single-shard engine persists as a bare core snapshot (SSRIDX1) —
+// A one-shard engine persists as a bare core snapshot (SSRIDX1) —
 // byte-identical to the pre-engine format, so old snapshots load and new
-// single-shard snapshots are readable by old readers. A sharded engine
+// one-shard snapshots are readable by old readers. A sharded engine
 // persists as an SSRSHD1 container: the router seed, the global sid
 // space, each shard's local→global table, and each shard's own core
 // snapshot nested as opaque bytes. Load sniffs the magic and branches, so
@@ -41,13 +41,15 @@ type shardedSnapshot struct {
 	Cores [][]byte
 }
 
-// Save writes the engine to w. Single-shard engines write a bare core
-// snapshot; sharded engines write the SSRSHD1 container. The sharded
+// Save writes the engine to w. A one-shard engine writes a bare core
+// snapshot; a sharded engine writes the SSRSHD1 container. The sharded
 // capture holds every shard mutex at once (ascending order), so the
 // snapshot is one consistent cut across shards, and reads the global sid
 // space afterwards so every captured mapping is covered by it.
 func (e *Engine) Save(w io.Writer) error {
-	if e.single {
+	if len(e.shards) == 1 {
+		// The pre-engine format: its sids are the core's, which the dense
+		// sid rule (Reserve, applyLocked) keeps equal to the global ones.
 		return e.loadView().cores[0].Save(w)
 	}
 	snap := shardedSnapshot{
@@ -115,9 +117,6 @@ func (e *Engine) ShardSnapshot(si int) (coreBytes []byte, toGlobal []uint32, num
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("engine: saving shard %d: %w", si, err)
 	}
-	if e.single {
-		return buf.Bytes(), toGlobal, ix.NumAllocated(), nil
-	}
 	e.gmu.RLock()
 	numGlobals = len(e.locals)
 	e.gmu.RUnlock()
@@ -134,9 +133,9 @@ func RegisterSnapshotGobTypes() {
 }
 
 // Load reconstructs an engine from a snapshot written by Save. Bare core
-// snapshots (including every pre-engine snapshot) load as single-shard
-// engines; SSRSHD1 containers rebuild each shard and re-validate the
-// whole sid mapping against the router.
+// snapshots (including every pre-engine snapshot) load as one-shard
+// engines whose sid tables are the identity; SSRSHD1 containers rebuild
+// each shard and re-validate the whole sid mapping against the router.
 func Load(r io.Reader) (*Engine, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(len(shardedMagic))
@@ -144,12 +143,16 @@ func Load(r io.Reader) (*Engine, error) {
 		return nil, fmt.Errorf("engine: reading snapshot header: %w", err)
 	}
 	if string(magic) != shardedMagic {
-		// Legacy / single-shard: the whole stream is a core snapshot.
+		// One shard: the whole stream is a core snapshot.
 		ix, err := core.Load(br)
 		if err != nil {
 			return nil, err
 		}
-		return Wrap(ix), nil
+		identity := make([]uint32, ix.NumAllocated())
+		for i := range identity {
+			identity[i] = uint32(i)
+		}
+		return Assemble(0, []*core.Index{ix}, [][]uint32{identity}, len(identity))
 	}
 	if _, err := br.Discard(len(shardedMagic)); err != nil {
 		return nil, fmt.Errorf("engine: reading snapshot header: %w", err)

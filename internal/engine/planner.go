@@ -223,7 +223,7 @@ func (e *Engine) computeDecision(v *planView, s1, s2 float64, opt core.QueryOpti
 	if totalLive > 1 {
 		// The capture integral predicts the captured fraction of pairs;
 		// for one query against N live sets that is frac·(N−1) candidates
-		// (the Section 5 identity, as in core.EstimateAnswerSize).
+		// (the Section 5 identity, as in Engine.EstimateAnswerSize).
 		pred = frac * float64(totalLive-1)
 	}
 	return plan.Decide(plan.Inputs{

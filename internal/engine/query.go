@@ -34,8 +34,8 @@ type QueryStats struct {
 	// shard, or 0 for a result-cache hit.
 	ShardsQueried int
 	// Gather is the wall time of the final cross-shard merge — the
-	// gather half of scatter-gather. Zero for single-shard engines,
-	// where no merge runs.
+	// gather half of scatter-gather. A one-shard answer is already in
+	// total order, so its gather only hands it on.
 	Gather time.Duration
 	// Plan is the planner's chosen plan label — "fi-probe",
 	// "direct-scan", "screen-only", "mixed", or "cached" (served from the
@@ -59,12 +59,6 @@ func aggregate(gen uint64, per []core.QueryStats) QueryStats {
 	}
 	agg.EnclosedLo, agg.EnclosedHi = per[0].EnclosedLo, per[0].EnclosedHi
 	return agg
-}
-
-// singleStats is aggregate for the single-shard fast path: the one core's
-// stats pass through whole.
-func singleStats(gen uint64, st core.QueryStats) QueryStats {
-	return QueryStats{QueryStats: st, PlanGeneration: gen, ShardsQueried: 1, PerShard: []core.QueryStats{st}}
 }
 
 // toGlobalMatches rewrites shard-local sids to global sids in place. tg
@@ -111,41 +105,41 @@ func (e *Engine) getScatter(n, k int) *scatterScratch {
 }
 
 // shardQuery answers one query on shard si's core of the scattering view.
-// sig is the query's signature, signed once by scatter — or nil on a
-// single-shard engine, where the core signs locally.
+// sig is the query's signature, signed once by scatter.
 type shardQuery func(si int, sig minhash.Signature) ([]core.Match, core.QueryStats, error)
 
 // scatter is the engine's one fan-out: it signs q once (embedders are
-// identical across shards), runs one goroutine per shard, rewrites each
-// shard's local sids to global ones, and gathers the union in the core's
-// total order. The first shard error (in shard order) fails the query.
+// identical across shards), runs shard 0 on the calling goroutine and one
+// goroutine per further shard, rewrites each shard's local sids to global
+// ones, and gathers the union in the core's total order. The first shard
+// error (in shard order) fails the query.
 func (e *Engine) scatter(v *planView, q set.Set, run shardQuery) ([]core.Match, QueryStats, error) {
-	if e.single {
-		m, st, err := run(0, nil)
-		return m, singleStats(v.gen, st), err
-	}
 	n := len(e.shards)
 	per := make([]core.QueryStats, n)
 	emb := v.cores[0].Embedder()
 	sc := e.getScatter(n, emb.K())
 	defer e.scatterPool.Put(sc)
 	emb.SignInto(q, sc.sig)
+	one := func(si int) {
+		m, st, err := run(si, sc.sig)
+		if err != nil {
+			sc.errs[si] = err
+			return
+		}
+		// Capture the mapping after the query: every sid it returned was
+		// fully inserted, so its toGlobal entry exists.
+		sc.matches[si] = toGlobalMatches(m, e.shards[si].mapping())
+		per[si] = st
+	}
 	var wg sync.WaitGroup
-	for si := range e.shards {
+	for si := 1; si < n; si++ {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			m, st, err := run(si, sc.sig)
-			if err != nil {
-				sc.errs[si] = err
-				return
-			}
-			// Capture the mapping after the query: every sid it returned
-			// was fully inserted, so its toGlobal entry exists.
-			sc.matches[si] = toGlobalMatches(m, e.shards[si].mapping())
-			per[si] = st
+			one(si)
 		}(si)
 	}
+	one(0)
 	wg.Wait()
 	var firstErr error
 	for _, err := range sc.errs {
@@ -174,8 +168,13 @@ func gatherShards(gen uint64, per []core.QueryStats, parts [][]core.Match, err e
 // gather concatenates per-shard match lists and restores the total order.
 // Within a shard, matches arrive ordered by (similarity desc, local sid
 // asc) — but local order is per-shard arrival order, not global order, so
-// a plain k-way merge is not sound; a full sort over the union is.
+// a plain k-way merge is not sound; a full sort over the union is. A
+// single part is returned as it is: only a one-shard engine gathers one,
+// and its dense sids make local order the global order.
 func gather(perShard [][]core.Match) []core.Match {
+	if len(perShard) == 1 {
+		return perShard[0]
+	}
 	total := 0
 	for _, m := range perShard {
 		total += len(m)

@@ -7,12 +7,12 @@
 //     live sets, signatures, and tombstone marks (CaptureRebuild) and
 //     turn on the mutation journal. From this point every insert/delete
 //     applied to the shard is also recorded for replay.
-//  2. Rebuild, off-lock. Re-estimate the global similarity distribution
-//     D_S from the captured live collection in ascending global-sid order
-//     with the build-time sampling parameters (same DistSeed discipline —
-//     an unchanged collection reproduces the build-time histogram
-//     bit-for-bit), re-run the optimizer once globally, and rebuild every
-//     shard's core with the new plan via the parallel build pipeline.
+//  2. Rebuild, off-lock. core.Prepare re-estimates the global similarity
+//     distribution D_S from the captured live collection in ascending
+//     global-sid order with the build-time sampling parameters (same
+//     DistSeed discipline — an unchanged collection reproduces the
+//     build-time histogram bit-for-bit) and re-runs the optimizer once
+//     globally; every shard's core is then rebuilt with the new plan.
 //     Queries and mutations proceed concurrently against the old
 //     generation the whole time.
 //  3. Swap. Take every shard mutex (ascending), replay each shard's
@@ -157,66 +157,45 @@ func (e *Engine) retune(force bool) (RetuneResult, error) {
 		caps[si].sets, caps[si].sigs, caps[si].tombs = v.cores[si].CaptureRebuild()
 		sh.journalOn = true
 		sh.journal = nil
-		if !e.single {
-			caps[si].tg = append([]uint32(nil), sh.toGlobal...)
-		}
+		caps[si].tg = append([]uint32(nil), sh.toGlobal...)
 		sh.mu.Unlock()
 	}
 
-	// Phase 2a: re-estimate the global profile from the captured live
-	// collection in ascending global-sid order — the same dense ordering
-	// a from-scratch build of the live collection would see, so the same
-	// DistSeed yields the same sample pairs.
-	liveSets, liveSigs := globalLiveOrder(caps, e.single)
+	// Phase 2a: re-profile D_S and re-plan with one core.Prepare over the
+	// captured live collection in ascending global-sid order — the same
+	// dense ordering a from-scratch build of the live collection would see,
+	// so the same DistSeed yields the same sample pairs. A loaded engine
+	// carries no optimizer options (core snapshots persist the plan, not
+	// its inputs), so the plan's own echoes stand in: budget, recall
+	// target, and capture-model k. Placement and allocation then take the
+	// paper defaults (equidepth, greedy).
+	liveSets, liveSigs := globalLiveOrder(caps)
 	if len(liveSets) < 2 {
 		e.closeJournals()
 		return res, fmt.Errorf("engine: %d live sets is too few to retune (need at least 2)", len(liveSets))
 	}
-	bopt := v.cores[0].BuildOptions()
-	estOpt := core.Options{
-		DistBins:   bopt.DistBins,
-		DistSample: bopt.DistSample,
-		DistSeed:   bopt.DistSeed,
-		Workers:    bopt.Workers,
-	}
-	newHist, err := core.EstimateDistribution(liveSets, liveSigs, estOpt)
-	if err != nil {
-		e.closeJournals()
-		return res, fmt.Errorf("engine: re-estimating similarity distribution: %w", err)
-	}
-
-	// Phase 2b: one global optimizer run, exactly as core.Build resolves
-	// it. A loaded engine carries no optimizer options (core snapshots
-	// persist the plan, not its inputs), so the plan's own echoes stand
-	// in: budget, recall target, and capture-model k. Placement and
-	// allocation then take the paper defaults (equidepth, greedy).
-	popt := bopt.Plan
-	if popt.Budget == 0 {
+	opt := v.cores[0].BuildOptions()
+	if opt.Plan.Budget == 0 {
 		old := v.cores[0].Plan()
-		popt = optimize.Options{
+		opt.Plan = optimize.Options{
 			Budget:       old.Budget,
 			RecallTarget: old.RecallTarget,
 			SignatureK:   old.K,
 		}
 	}
-	if popt.SignatureK == 0 {
-		popt.SignatureK = v.cores[0].Embedder().K()
-	}
-	newPlan, err := optimize.BuildPlan(newHist, popt)
+	opt.Distribution, opt.PlanOverride = nil, nil
+	opt.PrecomputedSignatures = liveSigs
+	opt, err := core.Prepare(liveSets, opt)
 	if err != nil {
 		e.closeJournals()
 		return res, fmt.Errorf("engine: re-planning: %w", err)
 	}
 
-	// Phase 2c: rebuild every shard's core off-lock with the new plan,
+	// Phase 2b: rebuild every shard's core off-lock with the new plan,
 	// preserving local sids via tombstones. Old cores keep serving.
 	newCores := make([]*core.Index, len(e.shards))
 	for si := range e.shards {
-		sopt := v.cores[si].BuildOptions()
-		planCopy := newPlan
-		sopt.PlanOverride = &planCopy
-		sopt.Distribution = newHist
-		sopt.Plan = popt
+		sopt := opt
 		sopt.PrecomputedSignatures = caps[si].sigs
 		sopt.Tombstones = caps[si].tombs
 		ix, err := core.Build(caps[si].sets, sopt)
@@ -252,7 +231,7 @@ replay:
 		}
 	}
 	if replayErr == nil {
-		nv := &planView{gen: v.gen + 1, cores: newCores, hist: newHist}
+		nv := &planView{gen: v.gen + 1, cores: newCores, hist: opt.Distribution}
 		e.view.Store(nv)
 		res.Swapped = true
 		res.Generation = nv.gen
@@ -268,7 +247,7 @@ replay:
 		return res, replayErr
 	}
 	if tr != nil {
-		tr.Rebase(newHist)
+		tr.Rebase(opt.Distribution)
 	}
 	return res, nil
 }
@@ -287,19 +266,7 @@ func (e *Engine) closeJournals() {
 // globalLiveOrder flattens per-shard captures into the live collection in
 // ascending global-sid order (dense — exactly the ordering ssr.Build
 // would see for the same collection).
-func globalLiveOrder(caps []rebuildCapture, single bool) ([]set.Set, []minhash.Signature) {
-	if single {
-		c := caps[0]
-		sets := make([]set.Set, 0, len(c.sets))
-		sigs := make([]minhash.Signature, 0, len(c.sets))
-		for i := range c.sets {
-			if !c.tombs[i] {
-				sets = append(sets, c.sets[i])
-				sigs = append(sigs, c.sigs[i])
-			}
-		}
-		return sets, sigs
-	}
+func globalLiveOrder(caps []rebuildCapture) ([]set.Set, []minhash.Signature) {
 	type entry struct {
 		g   uint32
 		s   set.Set

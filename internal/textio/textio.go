@@ -1,15 +1,18 @@
 // Package textio reads and writes the repository's interchange format for
 // set collections: one set per line, elements as space-separated decimal
-// ids. cmd/ssrgen writes it; cmd/ssrindex and cmd/ssrserver read it.
+// ids. cmd/ssrgen writes it; cmd/ssrindex and cmd/ssrserver read it with
+// LoadCollection.
 package textio
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
+	ssr "repro"
 	"repro/internal/set"
 )
 
@@ -66,4 +69,25 @@ func ReadSets(r io.Reader, name string) ([]set.Set, error) {
 		return nil, fmt.Errorf("%s: no sets", name)
 	}
 	return sets, nil
+}
+
+// LoadCollection reads the file at path into a public collection, one set
+// per line in sid order.
+func LoadCollection(path string) (*ssr.Collection, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close() //ssrvet:ignore droppederr -- read-only fd; ReadSets fails on any read error
+	sets, err := ReadSets(f, path)
+	if err != nil {
+		return nil, err
+	}
+	coll := ssr.NewCollection()
+	for _, s := range sets {
+		if _, err := coll.AddIDs(s.Elems()...); err != nil {
+			return nil, err
+		}
+	}
+	return coll, nil
 }

@@ -273,7 +273,8 @@ type Stats struct {
 	// benchmark/trace.go reads it, and goes with the next benchmark PR.
 	ShardsQueried, ShardsPruned int
 	// GatherTime is the wall time of the final cross-shard merge — the
-	// gather half of scatter-gather (zero on an unsharded index).
+	// gather half of scatter-gather. A one-shard answer is already in
+	// order, so there it is only the hand-over (nanoseconds).
 	GatherTime time.Duration
 	// PlanChosen is the query planner's chosen plan: "fi-probe",
 	// "direct-scan", "screen-only", "mixed", or "cached" (answered from
@@ -708,20 +709,28 @@ func (ix *Index) Plan() PlanSummary {
 }
 
 // Distribution returns the similarity histogram the index was tuned to,
-// with the given resolution collapsed to n points (n <= 0 returns the raw
-// bin count). Values are normalized masses per bin.
+// as normalized masses per bin over [0, 1]. It returns nil when no profile
+// is known: an index loaded or recovered from disk learns one at its first
+// retune.
 func (ix *Index) Distribution() []float64 {
 	h := ix.inner.Distribution()
-	out := make([]float64, h.Bins())
+	if h == nil {
+		return nil
+	}
+	return binMasses(h)
+}
+
+// binMasses returns h's mass per bin, normalized to sum to 1 (all zero
+// when h is empty).
+func binMasses(h *simdist.Histogram) []float64 {
+	n := h.Bins()
+	out := make([]float64, n)
 	total := h.Total()
 	if total == 0 {
 		return out
 	}
-	n := h.Bins()
-	for i := 0; i < n; i++ {
-		lo := float64(i) / float64(n)
-		hi := float64(i+1) / float64(n)
-		out[i] = h.Mass(lo, hi) / total
+	for i := range out {
+		out[i] = h.Mass(float64(i)/float64(n), float64(i+1)/float64(n)) / total
 	}
 	return out
 }
@@ -769,14 +778,5 @@ func EstimateDistribution(c *Collection, bins, samplePairs int, seed int64) ([]f
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, h.Bins())
-	total := h.Total()
-	n := h.Bins()
-	for i := 0; i < n; i++ {
-		out[i] = h.Mass(float64(i)/float64(n), float64(i+1)/float64(n))
-		if total > 0 {
-			out[i] /= total
-		}
-	}
-	return out, nil
+	return binMasses(h), nil
 }

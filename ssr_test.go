@@ -1,6 +1,7 @@
 package ssr
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -229,6 +230,37 @@ func TestDistribution(t *testing.T) {
 	}
 	if est, err := ix.EstimateAnswerSize(0, 1); err != nil || est <= 0 {
 		t.Errorf("EstimateAnswerSize = %g, %v", est, err)
+	}
+}
+
+// TestDistributionOfLoadedIndex: a loaded index knows no profile until it
+// retunes, so Distribution returns nil rather than panicking; a forced
+// retune profiles the live collection afresh.
+func TestDistributionOfLoadedIndex(t *testing.T) {
+	built, err := Build(bookstore(), Options{Budget: 16, MinHashes: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ix.Distribution(); d != nil {
+		t.Fatalf("loaded index reports a distribution before any retune: %v", d)
+	}
+	if _, err := ix.Retune(); err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, v := range ix.Distribution() {
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("retuned distribution sums to %g", sum)
 	}
 }
 
