@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/embed"
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/experiments"
@@ -64,7 +63,7 @@ func benchFixture(b *testing.B, name string, params workload.Params, budget int)
 		b.Fatal(err)
 	}
 	ix, err := core.Build(sets, core.Options{
-		Embed:          embed.Options{K: 64, Bits: 8, Seed: 1},
+		Embed:          minhash.Options{K: 64, Bits: 8, Seed: 1},
 		Plan:           optimize.Options{Budget: budget, RecallTarget: 0.75},
 		PayloadPerElem: 110,
 	})
@@ -229,11 +228,15 @@ func BenchmarkMinhashSign(b *testing.B) {
 // from the signature (r=16 compiled taps: an SFI at s*=0.958 with one
 // table).
 func BenchmarkLazyKeyExtraction(b *testing.B) {
-	e, err := embed.New(embed.Options{K: 100, Bits: 8, Seed: 1})
+	perms, err := minhash.NewFamily(100, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := filter.New(0, filter.Options{Threshold: 0.958, Code: e.Code(), K: e.K(), Tables: 1, Seed: 2})
+	code, err := filter.NewHadamard(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := filter.New(0, filter.Options{Threshold: 0.958, Code: code, K: perms.K(), Tables: 1, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -241,7 +244,7 @@ func BenchmarkLazyKeyExtraction(b *testing.B) {
 	for i := range elems {
 		elems[i] = set.Elem(i * 7)
 	}
-	sig := e.Sign(set.New(elems...))
+	sig := perms.Sign(set.New(elems...))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ix.Key(0, sig, 0)
@@ -251,12 +254,16 @@ func BenchmarkLazyKeyExtraction(b *testing.B) {
 // BenchmarkGroupInsert measures inserting a vector into a filter index of
 // l=20 tables (r=12: an SFI at s*=0.75).
 func BenchmarkGroupInsert(b *testing.B) {
-	e, err := embed.New(embed.Options{K: 64, Bits: 8, Seed: 1})
+	perms, err := minhash.NewFamily(64, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	code, err := filter.NewHadamard(8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ix, err := filter.New(0, filter.Options{
-		Threshold: 0.75, Code: e.Code(), K: e.K(), Tables: 20, Seed: 2, ExpectedEntries: 1 << 20,
+		Threshold: 0.75, Code: code, K: perms.K(), Tables: 20, Seed: 2, ExpectedEntries: 1 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -265,7 +272,7 @@ func BenchmarkGroupInsert(b *testing.B) {
 	for i := range elems {
 		elems[i] = set.Elem(i * 5)
 	}
-	sig := e.Sign(set.New(elems...))
+	sig := perms.Sign(set.New(elems...))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Insert(sig, storage.SID(i))
@@ -281,7 +288,7 @@ func BenchmarkBuildIndex(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := core.Build(sets, core.Options{
-			Embed: embed.Options{K: 32, Bits: 8, Seed: 1},
+			Embed: minhash.Options{K: 32, Bits: 8, Seed: 1},
 			Plan:  optimize.Options{Budget: 60, RecallTarget: 0.75},
 		})
 		if err != nil {
@@ -303,7 +310,7 @@ func BenchmarkBuild(b *testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := core.Build(sets, core.Options{
-					Embed:   embed.Options{K: 64, Bits: 8, Seed: 1},
+					Embed:   minhash.Options{K: 64, Bits: 8, Seed: 1},
 					Plan:    optimize.Options{Budget: 500, RecallTarget: 0.75},
 					Workers: workers,
 				})

@@ -27,7 +27,7 @@ import (
 
 // Package is one parsed, type-checked package ready for analysis.
 type Package struct {
-	// ImportPath is the package's import path ("repro/internal/lsh").
+	// ImportPath is the package's import path ("repro/internal/filter").
 	ImportPath string
 	// Dir is the directory holding the sources.
 	Dir string

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/embed"
 	"repro/internal/engine"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/workload"
@@ -18,7 +18,7 @@ func fixture(t *testing.T, n int) (*engine.Engine, []set.Set) {
 		t.Fatal(err)
 	}
 	ix, err := engine.Build(sets, engine.Options{Core: core.Options{
-		Embed: embed.Options{K: 48, Bits: 8, Seed: 4},
+		Embed: minhash.Options{K: 48, Bits: 8, Seed: 4},
 		Plan:  optimize.Options{Budget: 40, RecallTarget: 0.8},
 	}})
 	if err != nil {

@@ -170,7 +170,7 @@ func TestCandidatesEveryCombinationShape(t *testing.T) {
 // combination and the sid emission allocate nothing.
 func TestCandidateGenerationAllocatesNothing(t *testing.T) {
 	ix, sets := fixedPlanIndex(t)
-	sig := ix.emb.Sign(sets[3])
+	sig := ix.perms.Sign(sets[3])
 	sc := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(sc)
 	for _, r := range [][2]float64{{0, 1}, {0.2, 0.7}, {0.45, 0.8}, {0.1, 0.3}} {

@@ -3,8 +3,8 @@ package core
 import (
 	"testing"
 
-	"repro/internal/embed"
 	"repro/internal/filter"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/workload"
@@ -32,7 +32,7 @@ func fixedPlanIndex(t *testing.T) (*Index, []set.Set) {
 		K:      32,
 	}
 	ix, err := Build(sets, Options{
-		Embed:        embed.Options{K: 32, Bits: 8, Seed: 6},
+		Embed:        minhash.Options{K: 32, Bits: 8, Seed: 6},
 		PlanOverride: &plan,
 	})
 	if err != nil {

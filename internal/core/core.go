@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/embed"
 	"repro/internal/filter"
 	"repro/internal/hashtable"
 	"repro/internal/minhash"
@@ -24,9 +23,9 @@ import (
 
 // Options configures Build.
 type Options struct {
-	// Embed configures the S → V → H pipeline. Zero value selects
-	// embed.DefaultOptions (k=100, b=8).
-	Embed embed.Options
+	// Embed configures signing and the Hamming embedding. Zero value
+	// selects minhash.DefaultOptions (k=100, b=8).
+	Embed minhash.Options
 	// Plan configures the Section 5 optimizer. Budget is required.
 	Plan optimize.Options
 	// PageSize is the simulated disk page size (0 = storage default).
@@ -137,9 +136,9 @@ func (st *QueryStats) SimIOTime(m storage.CostModel) time.Duration {
 type Index struct {
 	// mu guards every field below that mutates after Build: sigs, n, the
 	// store heap and its sid directory, and filter-index pages. plan, hist,
-	// emb, and buildOpts are immutable after Build.
+	// perms, and buildOpts are immutable after Build.
 	mu    sync.RWMutex
-	emb   *embed.Embedder
+	perms *minhash.Perms
 	plan  optimize.Plan
 	store *storage.SetStore
 	hist  *simdist.Histogram
@@ -169,7 +168,11 @@ type Index struct {
 // plan override — a shard of a partitioned engine can start empty and fill
 // by Insert, but a standalone build has nothing to optimize against.
 func Build(sets []set.Set, opt Options) (*Index, error) {
-	opt, emb, err := prepare(sets, opt)
+	opt, perms, err := prepare(sets, opt)
+	if err != nil {
+		return nil, err
+	}
+	code, err := filter.NewHadamard(opt.Embed.Bits)
 	if err != nil {
 		return nil, err
 	}
@@ -189,8 +192,8 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 	workers := ResolveWorkers(opt.Workers)
 	ix := &Index{
 		buildOpts: resolved,
-		emb:       emb,
-		eps:       minhash.Eps95(emb.K()),
+		perms:     perms,
+		eps:       minhash.Eps95(perms.K()),
 		store:     storage.NewSetStoreWithPayload(opt.PageSize, opt.PayloadPerElem),
 		sigs:      opt.PrecomputedSignatures,
 		hist:      opt.Distribution,
@@ -198,7 +201,7 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 		n:         live,
 	}
 	ix.scratch.New = func() any {
-		return &queryScratch{sig: make(minhash.Signature, emb.K())}
+		return &queryScratch{sig: make(minhash.Signature, perms.K())}
 	}
 
 	// Persist the collection; sids are dense append order. Tombstoned
@@ -220,9 +223,9 @@ func Build(sets []set.Set, opt Options) (*Index, error) {
 	for i, fi := range ix.plan.FIs {
 		fidx, err := filter.New(opt.PageSize, filter.Options{
 			Kind:            fi.Kind,
-			Threshold:       embed.HammingFromJaccard(fi.Point),
-			Code:            emb.Code(),
-			K:               emb.K(),
+			Threshold:       filter.HammingFromJaccard(fi.Point),
+			Code:            code,
+			K:               perms.K(),
 			Tables:          fi.Tables,
 			Seed:            opt.DistSeed + int64(i)*7919 + 13,
 			ExpectedEntries: len(sets),
@@ -250,15 +253,18 @@ func Prepare(sets []set.Set, opt Options) (Options, error) {
 	return opt, err
 }
 
-// prepare is Prepare, also returning the embedder it resolved.
-func prepare(sets []set.Set, opt Options) (Options, *embed.Embedder, error) {
+// prepare is Prepare, also returning the permutations it resolved.
+func prepare(sets []set.Set, opt Options) (Options, *minhash.Perms, error) {
 	if len(sets) == 0 && opt.Distribution == nil && opt.PlanOverride == nil {
 		return opt, nil, fmt.Errorf("core: empty collection")
 	}
 	if opt.Embed.K == 0 {
-		opt.Embed = embed.DefaultOptions()
+		opt.Embed = minhash.DefaultOptions()
 	}
-	emb, err := embed.New(opt.Embed)
+	if err := opt.Embed.Validate(); err != nil {
+		return opt, nil, fmt.Errorf("core: %w", err)
+	}
+	perms, err := minhash.NewFamily(opt.Embed.K, opt.Embed.Seed)
 	if err != nil {
 		return opt, nil, err
 	}
@@ -285,17 +291,17 @@ func prepare(sets []set.Set, opt Options) (Options, *embed.Embedder, error) {
 				}
 				continue
 			}
-			if len(sig) != emb.K() {
-				return opt, nil, fmt.Errorf("core: signature %d has %d coordinates, embedding has k=%d", i, len(sig), emb.K())
+			if len(sig) != perms.K() {
+				return opt, nil, fmt.Errorf("core: signature %d has %d coordinates, embedding has k=%d", i, len(sig), perms.K())
 			}
 		}
 	} else {
-		opt.PrecomputedSignatures = signCollection(emb, sets, ResolveWorkers(opt.Workers))
+		opt.PrecomputedSignatures = signCollection(perms, sets, ResolveWorkers(opt.Workers))
 	}
 
 	// D_S is neither estimated nor consulted under a plan override.
 	if opt.PlanOverride != nil {
-		return opt, emb, nil
+		return opt, perms, nil
 	}
 	if opt.Distribution, err = EstimateDistribution(sets, opt.PrecomputedSignatures, opt); err != nil {
 		return opt, nil, err
@@ -304,14 +310,14 @@ func prepare(sets []set.Set, opt Options) (Options, *embed.Embedder, error) {
 	// serves.
 	popt := opt.Plan
 	if popt.SignatureK == 0 {
-		popt.SignatureK = emb.K()
+		popt.SignatureK = perms.K()
 	}
 	plan, err := optimize.BuildPlan(opt.Distribution, popt)
 	if err != nil {
 		return opt, nil, err
 	}
 	opt.PlanOverride = &plan
-	return opt, emb, nil
+	return opt, perms, nil
 }
 
 // EstimateDistribution reproduces Build's similarity-distribution step as
@@ -345,10 +351,10 @@ func EstimateDistribution(sets []set.Set, sigs []minhash.Signature, opt Options)
 
 // SignCollection computes every set's min-hash signature exactly as Build
 // does (index-addressed parallel writes, bit-identical for every worker
-// count). The embedder must come from the same options the signatures will
-// be used with. The benchmark times Build's signing step with it.
-func SignCollection(emb *embed.Embedder, sets []set.Set, workers int) []minhash.Signature {
-	return signCollection(emb, sets, ResolveWorkers(workers))
+// count). The permutations must come from the same options the signatures
+// will be used with. The benchmark times Build's signing step with it.
+func SignCollection(perms *minhash.Perms, sets []set.Set, workers int) []minhash.Signature {
+	return signCollection(perms, sets, ResolveWorkers(workers))
 }
 
 // SortMatches orders results by descending similarity, ties by ascending
@@ -459,8 +465,9 @@ func (ix *Index) NumAllocated() int {
 // Store exposes the underlying set store (for the scan baseline and eval).
 func (ix *Index) Store() *storage.SetStore { return ix.store }
 
-// Embedder exposes the embedding pipeline (queries must use the same one).
-func (ix *Index) Embedder() *embed.Embedder { return ix.emb }
+// Embedder exposes the min-hash permutations the index signs with (queries
+// must be signed with the same ones).
+func (ix *Index) Embedder() *minhash.Perms { return ix.perms }
 
 // IndexPages returns the number of pages consumed by filter-index buckets,
 // summed across every table.
@@ -485,7 +492,7 @@ func (ix *Index) Candidates(q set.Set, s1, s2 float64, stats *QueryStats) ([]sto
 	defer ix.mu.RUnlock()
 	sc := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(sc)
-	ix.emb.SignInto(q, sc.sig)
+	ix.perms.SignInto(q, sc.sig)
 	cands, err := ix.candidatesFromSignature(sc.sig, s1, s2, stats, sc)
 	return slices.Clone(cands), err
 }
@@ -547,7 +554,7 @@ func (ix *Index) QueryWithOptions(q set.Set, s1, s2 float64, opt QueryOptions) (
 // QueryPresigned is the range-query processor: every range read, on every
 // arm, runs here. sig is the query's min-hash signature if the caller has
 // it (the sharded engine signs once per query and fans it to every shard
-// — embedders are built from identical options, so the local signature
+// — every shard's permutations come from identical options, so the local signature
 // would be bit-identical, and skipping the per-shard SignInto removes the
 // dominant redundant CPU cost of a scatter); nil signs q locally. sig
 // must have the embedding's k coordinates and is not retained.
@@ -605,7 +612,7 @@ func (ix *Index) query(q set.Set, sig minhash.Signature, body func(sig minhash.S
 	sc := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(sc)
 	if sig == nil {
-		ix.emb.SignInto(q, sc.sig)
+		ix.perms.SignInto(q, sc.sig)
 		sig = sc.sig
 	}
 	matches, err := body(sig, sc, &stats)
@@ -712,7 +719,7 @@ func (ix *Index) Insert(s set.Set) (storage.SID, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	sid := ix.store.Append(s)
-	sig := ix.emb.Sign(s)
+	sig := ix.perms.Sign(s)
 	ix.sigs = append(ix.sigs, sig)
 	for _, f := range ix.fis {
 		f.Insert(sig, sid)
@@ -768,7 +775,7 @@ func (ix *Index) EstimateSimilarity(q set.Set, sid storage.SID) (est float64, ep
 	if ix.sigs[sid] == nil {
 		return 0, 0, fmt.Errorf("core: sid %d deleted", sid)
 	}
-	est, err = minhash.Estimate(ix.emb.Sign(q), ix.sigs[sid])
+	est, err = minhash.Estimate(ix.perms.Sign(q), ix.sigs[sid])
 	if err != nil {
 		return 0, 0, err
 	}
@@ -782,4 +789,4 @@ func (ix *Index) Eps95() float64 { return ix.eps }
 
 // SignatureBytesPerSet is the stored signature footprint per live set:
 // eight bytes for each of the embedding's k coordinates.
-func (ix *Index) SignatureBytesPerSet() int { return 8 * ix.emb.K() }
+func (ix *Index) SignatureBytesPerSet() int { return 8 * ix.perms.K() }

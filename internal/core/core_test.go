@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/embed"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -20,7 +19,7 @@ func buildSmall(t *testing.T, n, budget int) (*Index, []set.Set) {
 		t.Fatalf("generate: %v", err)
 	}
 	ix, err := Build(sets, Options{
-		Embed: embed.Options{K: 64, Bits: 8, Seed: 42},
+		Embed: minhash.Options{K: 64, Bits: 8, Seed: 42},
 		Plan:  optimize.Options{Budget: budget, RecallTarget: 0.9},
 	})
 	if err != nil {
@@ -33,7 +32,7 @@ func buildSmall(t *testing.T, n, budget int) (*Index, []set.Set) {
 // build inputs rather than retrieval quality.
 func smallOptions() Options {
 	return Options{
-		Embed:    embed.Options{K: 32, Bits: 6, Seed: 3},
+		Embed:    minhash.Options{K: 32, Bits: 6, Seed: 3},
 		Plan:     optimize.Options{Budget: 30, RecallTarget: 0.9},
 		DistSeed: 5,
 	}

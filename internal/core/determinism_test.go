@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"repro/internal/embed"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/workload"
 )
@@ -20,7 +20,7 @@ func TestBuildDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{
-		Embed:    embed.Options{K: 64, Bits: 8, Seed: 42},
+		Embed:    minhash.Options{K: 64, Bits: 8, Seed: 42},
 		Plan:     optimize.Options{Budget: 30, RecallTarget: 0.9},
 		DistSeed: 7,
 	}

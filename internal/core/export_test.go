@@ -71,7 +71,7 @@ func (ix *Index) ReferenceCandidates(q set.Set, s1, s2 float64) ([]storage.SID, 
 	if err != nil {
 		return nil, err
 	}
-	sig := ix.emb.Sign(q)
+	sig := ix.perms.Sign(q)
 	vector := func(ord int) []storage.SID {
 		if ord < 0 {
 			return nil

@@ -6,7 +6,7 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/embed"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/workload"
 )
@@ -24,7 +24,7 @@ func FuzzQueryRange(f *testing.F) {
 		f.Fatal(err)
 	}
 	ix, err := Build(sets, Options{
-		Embed: embed.Options{K: 64, Bits: 8, Seed: 42},
+		Embed: minhash.Options{K: 64, Bits: 8, Seed: 42},
 		Plan:  optimize.Options{Budget: 40, RecallTarget: 0.9},
 	})
 	if err != nil {

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/embed"
 	"repro/internal/filter"
 	"repro/internal/minhash"
 	"repro/internal/set"
@@ -175,14 +174,14 @@ const signChunk = 64
 // serial loop for every worker count. Each chunk's signatures share one
 // flat coordinate block (a single allocation per chunk instead of one per
 // set).
-func signCollection(emb *embed.Embedder, sets []set.Set, workers int) []minhash.Signature {
+func signCollection(perms *minhash.Perms, sets []set.Set, workers int) []minhash.Signature {
 	sigs := make([]minhash.Signature, len(sets))
-	k := emb.K()
+	k := perms.K()
 	parallelFor(len(sets), workers, signChunk, func(lo, hi int) {
 		buf := make([]uint64, (hi-lo)*k)
 		for i := lo; i < hi; i++ {
 			sig := minhash.Signature(buf[(i-lo)*k : (i-lo+1)*k : (i-lo+1)*k])
-			emb.SignInto(sets[i], sig)
+			perms.SignInto(sets[i], sig)
 			sigs[i] = sig
 		}
 	})

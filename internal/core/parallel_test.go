@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/embed"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/storage"
@@ -26,7 +26,7 @@ func buildWorkers(t *testing.T, n, budget, workers int, seed int64) (*Index, []s
 		t.Fatalf("generate: %v", err)
 	}
 	ix, err := Build(sets, Options{
-		Embed:    embed.Options{K: 64, Bits: 8, Seed: seed},
+		Embed:    minhash.Options{K: 64, Bits: 8, Seed: seed},
 		Plan:     optimize.Options{Budget: budget, RecallTarget: 0.9},
 		DistSeed: seed,
 		Workers:  workers,
@@ -478,7 +478,7 @@ func TestParallelForCoversRange(t *testing.T) {
 // verification paths rather than a panic or silent drop.
 func TestVerifyCandidatesErrorPropagation(t *testing.T) {
 	ix, sets := buildSmall(t, 100, 30)
-	sig := ix.emb.Sign(sets[0])
+	sig := ix.perms.Sign(sets[0])
 	bogus := make([]storage.SID, 60)
 	for i := range bogus {
 		bogus[i] = storage.SID(1 << 30)

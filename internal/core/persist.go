@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/embed"
 	"repro/internal/hashtable"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
@@ -22,8 +21,6 @@ const snapshotMagic = "SSRIDX1\n"
 // non-terminating rebuild; these bounds sit far above anything the paper's
 // experiments (or this repo's tests) produce.
 const (
-	maxSnapshotK      = 1 << 16 // signature coordinates
-	maxSnapshotBits   = 20      // matches ecc's Hadamard limit
 	maxSnapshotSIDs   = 1 << 26 // allocated sid space
 	maxSnapshotFIs    = 1 << 10 // filter indices in a plan
 	maxSnapshotTables = 1 << 16 // hash tables per filter index
@@ -36,7 +33,7 @@ const (
 // loading skips min-hash signing, the dominant build cost.
 type snapshot struct {
 	// Embedding parameters. The code is always Hadamard(EmbedBits), the
-	// only one an embedder is built with, so it is not stored.
+	// only one Build uses, so it is not stored.
 	EmbedK    int
 	EmbedBits int
 	EmbedSeed int64
@@ -114,21 +111,21 @@ func RegisterSnapshotGobTypes() {
 // values, so every field that sizes an allocation or parameterizes a loop
 // is bounded here.
 func (snap *snapshot) validate() error {
-	if snap.EmbedK < 1 || snap.EmbedK > maxSnapshotK {
-		return fmt.Errorf("core: snapshot embedding k=%d out of range [1, %d]", snap.EmbedK, maxSnapshotK)
-	}
-	if snap.EmbedBits < 0 || snap.EmbedBits > maxSnapshotBits {
-		return fmt.Errorf("core: snapshot embedding bits=%d out of range [0, %d]", snap.EmbedBits, maxSnapshotBits)
+	if err := (minhash.Options{K: snap.EmbedK, Bits: snap.EmbedBits}).Validate(); err != nil {
+		return fmt.Errorf("core: snapshot embedding: %w", err)
 	}
 	if snap.PageSize < 0 || snap.PayloadPerElem < 0 {
 		return fmt.Errorf("core: snapshot has negative storage parameters")
+	}
+	if snap.PayloadPerElem > storage.MaxPayloadPerElem {
+		return fmt.Errorf("core: snapshot payload %d bytes per element exceeds %d", snap.PayloadPerElem, storage.MaxPayloadPerElem)
 	}
 	if snap.PageSize > hashtable.MaxPageSize {
 		return fmt.Errorf("core: snapshot page size %d exceeds %d", snap.PageSize, hashtable.MaxPageSize)
 	}
 	// An empty snapshot (no sets, no allocated sids) is legal: a shard of a
 	// partitioned engine can be empty at save time. Zero-value garbage is
-	// still rejected by the EmbedK bound above.
+	// still rejected by the embedding bounds above.
 	if len(snap.Sigs) != len(snap.Sets) {
 		// Legacy snapshots may omit signatures entirely (they are re-signed);
 		// anything else is truncation.
@@ -208,7 +205,7 @@ func Load(r io.Reader) (*Index, error) {
 		return nil, err
 	}
 	opt := Options{
-		Embed:          embed.Options{K: snap.EmbedK, Bits: snap.EmbedBits, Seed: snap.EmbedSeed},
+		Embed:          minhash.Options{K: snap.EmbedK, Bits: snap.EmbedBits, Seed: snap.EmbedSeed},
 		PageSize:       snap.PageSize,
 		PayloadPerElem: snap.PayloadPerElem,
 		DistSeed:       snap.DistSeed,

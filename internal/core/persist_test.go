@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/embed"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/workload"
 )
@@ -91,7 +91,7 @@ func TestSaveLoadPreservesEmbedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix, err := Build(sets, Options{
-		Embed: embed.Options{K: 48, Bits: 6, Seed: 99},
+		Embed: minhash.Options{K: 48, Bits: 6, Seed: 99},
 		Plan:  optimize.Options{Budget: 30, RecallTarget: 0.7},
 	})
 	if err != nil {
@@ -108,7 +108,7 @@ func TestSaveLoadPreservesEmbedding(t *testing.T) {
 	if loaded.Embedder().K() != 48 {
 		t.Errorf("K = %d after reload", loaded.Embedder().K())
 	}
-	if d := loaded.Embedder().K() * loaded.Embedder().Code().Length(); d != 48*64 {
+	if d := loaded.Embedder().K() << loaded.BuildOptions().Embed.Bits; d != 48*64 {
 		t.Errorf("dimension = %d after reload", d)
 	}
 }
@@ -207,6 +207,7 @@ func TestLoadRejectsBadSnapshots(t *testing.T) {
 		"huge bits":       func(s *snapshot) { s.EmbedBits = 64 },
 		"negative page":   func(s *snapshot) { s.PageSize = -1 },
 		"huge page":       func(s *snapshot) { s.PageSize = 1 << 20 },
+		"huge payload":    func(s *snapshot) { s.PayloadPerElem = 1 << 40 },
 		"sig mismatch":    func(s *snapshot) { s.Sigs = [][]uint64{{1}} },
 		"sig count":       func(s *snapshot) { s.Sigs = nil },
 		"sid count":       func(s *snapshot) { s.SIDs = nil },

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/embed"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -35,7 +34,7 @@ func TestScanMatchesQueryPresigned(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix, err := Build(sets, Options{
-		Embed:    embed.Options{K: 64, Bits: 8, Seed: 42},
+		Embed:    minhash.Options{K: 64, Bits: 8, Seed: 42},
 		Plan:     optimize.Options{Budget: 60, RecallTarget: 0.9},
 		DistSeed: 42,
 	})

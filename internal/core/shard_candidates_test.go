@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/embed"
 	"repro/internal/engine"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 )
@@ -43,7 +43,7 @@ func TestCandidatesMatchReferenceAcrossShards(t *testing.T) {
 				Shards:     shards,
 				RouterSeed: 7,
 				Core: core.Options{
-					Embed:    embed.Options{K: 24, Bits: 6, Seed: 7},
+					Embed:    minhash.Options{K: 24, Bits: 6, Seed: 7},
 					Plan:     optimize.Options{Budget: 60},
 					PageSize: 1024,
 					DistSeed: 7,

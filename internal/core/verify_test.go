@@ -6,8 +6,8 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/embed"
 	"repro/internal/filter"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/workload"
@@ -78,7 +78,7 @@ func TestSizeBoundBoundaryCases(t *testing.T) {
 		Budget: 20,
 		K:      32,
 	}
-	ix, err := Build(sets, Options{Embed: embed.Options{K: 32, Bits: 8, Seed: 3}, PlanOverride: &plan})
+	ix, err := Build(sets, Options{Embed: minhash.Options{K: 32, Bits: 8, Seed: 3}, PlanOverride: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/embed"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -513,9 +512,10 @@ func (e *Engine) Distribution() *simdist.Histogram { return e.loadView().hist }
 // shard; per-shard contents differ only in membership).
 func (e *Engine) FilterIndexes() []optimize.FI { return e.loadView().cores[0].FilterIndexes() }
 
-// Embedder exposes the embedding pipeline (identical in every shard and
-// every plan generation — retunes never change the embedding).
-func (e *Engine) Embedder() *embed.Embedder { return e.loadView().cores[0].Embedder() }
+// Embedder exposes the min-hash permutations queries are signed with
+// (identical in every shard and every plan generation — retunes never
+// change the embedding).
+func (e *Engine) Embedder() *minhash.Perms { return e.loadView().cores[0].Embedder() }
 
 // IndexPages sums filter-index bucket pages across shards.
 func (e *Engine) IndexPages() int {

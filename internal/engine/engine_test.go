@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/embed"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/storage"
@@ -19,7 +19,7 @@ import (
 
 func coreOptions() core.Options {
 	return core.Options{
-		Embed:    embed.Options{K: 64, Bits: 8, Seed: 42},
+		Embed:    minhash.Options{K: 64, Bits: 8, Seed: 42},
 		Plan:     optimize.Options{Budget: 60, RecallTarget: 0.9},
 		DistSeed: 42,
 	}
@@ -476,7 +476,7 @@ func TestApplyHolesAndOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := Build(sets[:0], Options{Shards: 3, RouterSeed: 7, Core: core.Options{
-		Embed:        embed.Options{K: 64, Bits: 8, Seed: 42},
+		Embed:        minhash.Options{K: 64, Bits: 8, Seed: 42},
 		PlanOverride: planFor(t, sets),
 		DistSeed:     42,
 	}})

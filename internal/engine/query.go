@@ -108,18 +108,18 @@ func (e *Engine) getScatter(n, k int) *scatterScratch {
 // sig is the query's signature, signed once by scatter.
 type shardQuery func(si int, sig minhash.Signature) ([]core.Match, core.QueryStats, error)
 
-// scatter is the engine's one fan-out: it signs q once (embedders are
-// identical across shards), runs shard 0 on the calling goroutine and one
+// scatter is the engine's one fan-out: it signs q once (the permutations
+// are identical across shards), runs shard 0 on the calling goroutine and one
 // goroutine per further shard, rewrites each shard's local sids to global
 // ones, and gathers the union in the core's total order. The first shard
 // error (in shard order) fails the query.
 func (e *Engine) scatter(v *planView, q set.Set, run shardQuery) ([]core.Match, QueryStats, error) {
 	n := len(e.shards)
 	per := make([]core.QueryStats, n)
-	emb := v.cores[0].Embedder()
-	sc := e.getScatter(n, emb.K())
+	perms := v.cores[0].Embedder()
+	sc := e.getScatter(n, perms.K())
 	defer e.scatterPool.Put(sc)
-	emb.SignInto(q, sc.sig)
+	perms.SignInto(q, sc.sig)
 	one := func(si int) {
 		m, st, err := run(si, sc.sig)
 		if err != nil {

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/embed"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/tuner"
@@ -346,7 +346,7 @@ func TestMaybeRetuneRecoversRecall(t *testing.T) {
 		t.Fatalf("generate base: %v", err)
 	}
 	e, err := Build(base, Options{Core: core.Options{
-		Embed:    embed.Options{K: 32, Bits: 8, Seed: 1},
+		Embed:    minhash.Options{K: 32, Bits: 8, Seed: 1},
 		Plan:     optimize.Options{Budget: 120, RecallTarget: 0.75},
 		DistSeed: 1,
 	}})

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/embed"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/workload"
@@ -18,7 +18,7 @@ func buildFixture(t *testing.T, n int) (*core.Index, []set.Set) {
 		t.Fatal(err)
 	}
 	ix, err := core.Build(sets, core.Options{
-		Embed: embed.Options{K: 48, Bits: 8, Seed: 2},
+		Embed: minhash.Options{K: 48, Bits: 8, Seed: 2},
 		Plan:  optimize.Options{Budget: 50, RecallTarget: 0.85},
 	})
 	if err != nil {

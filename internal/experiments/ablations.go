@@ -6,10 +6,7 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/ecc"
-	"repro/internal/embed"
 	"repro/internal/filter"
-	"repro/internal/lsh"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -42,7 +39,7 @@ func FilterCurve(w io.Writer, sStar float64) ([]Curve, error) {
 	fmt.Fprintf(w, "Filter functions p_{r,l}(s) with turning point s* = %.2f\n", sStar)
 	fmt.Fprintf(w, "%-6s", "s")
 	for _, l := range ls {
-		r, err := lsh.SolveR(l, sStar)
+		r, err := filter.SolveR(l, sStar)
 		if err != nil {
 			return nil, err
 		}
@@ -53,7 +50,7 @@ func FilterCurve(w io.Writer, sStar float64) ([]Curve, error) {
 	for s := 0.0; s <= 1.0001; s += 0.05 {
 		fmt.Fprintf(w, "%-6.2f", s)
 		for i := range curves {
-			p := lsh.CollisionProb(s, curves[i].R, curves[i].L)
+			p := filter.CollisionProb(s, curves[i].R, curves[i].L)
 			curves[i].Points = append(curves[i].Points, CurvePoint{S: s, P: p})
 			fmt.Fprintf(w, " %11.4f", p)
 		}
@@ -82,14 +79,14 @@ func RLTradeoff(w io.Writer, sStar float64) ([]TradeoffRow, error) {
 	fmt.Fprintf(w, "%6s %6s %10s %12s\n", "l", "r", "steepness", "width(10-90)")
 	var rows []TradeoffRow
 	for _, l := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256} {
-		r, err := lsh.SolveR(l, sStar)
+		r, err := filter.SolveR(l, sStar)
 		if err != nil {
 			return nil, err
 		}
 		row := TradeoffRow{
 			L:           l,
 			R:           r,
-			Steepness:   lsh.Steepness(r, l),
+			Steepness:   filter.Steepness(r, l),
 			Width10To90: curveWidth(r, l),
 		}
 		rows = append(rows, row)
@@ -105,7 +102,7 @@ func curveWidth(r, l int) float64 {
 		lo, hi := 0.0, 1.0
 		for i := 0; i < 60; i++ {
 			mid := (lo + hi) / 2
-			if lsh.CollisionProb(mid, r, l) < target {
+			if filter.CollisionProb(mid, r, l) < target {
 				lo = mid
 			} else {
 				hi = mid
@@ -260,7 +257,11 @@ func DFIGain(w io.Writer, cfg Config) ([]DFIGainRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	emb, err := embed.New(embed.Options{K: cfg.MinHashes, Bits: 8, Seed: cfg.Seed})
+	perms, err := minhash.NewFamily(cfg.MinHashes, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	code, err := filter.NewHadamard(8)
 	if err != nil {
 		return nil, err
 	}
@@ -274,16 +275,16 @@ func DFIGain(w io.Writer, cfg Config) ([]DFIGainRow, error) {
 			if _, ok := fis[p]; ok {
 				continue
 			}
-			th := embed.HammingFromJaccard(p)
+			th := filter.HammingFromJaccard(p)
 			sfi, err := filter.New(0, filter.Options{
-				Kind: filter.Similar, Threshold: th, Code: emb.Code(), K: emb.K(),
+				Kind: filter.Similar, Threshold: th, Code: code, K: cfg.MinHashes,
 				Tables: tables, Seed: cfg.Seed + int64(p*1000), ExpectedEntries: len(sets),
 			})
 			if err != nil {
 				return nil, err
 			}
 			dfi, err := filter.New(0, filter.Options{
-				Kind: filter.Dissimilar, Threshold: th, Code: emb.Code(), K: emb.K(),
+				Kind: filter.Dissimilar, Threshold: th, Code: code, K: cfg.MinHashes,
 				Tables: tables, Seed: cfg.Seed + int64(p*1000) + 1, ExpectedEntries: len(sets),
 			})
 			if err != nil {
@@ -293,7 +294,7 @@ func DFIGain(w io.Writer, cfg Config) ([]DFIGainRow, error) {
 		}
 	}
 	for sid, s := range sets {
-		src := emb.Sign(s)
+		src := perms.Sign(s)
 		for _, pf := range fis {
 			pf.sfi.Insert(src, storage.SID(sid))
 			pf.dfi.Insert(src, storage.SID(sid))
@@ -309,7 +310,7 @@ func DFIGain(w io.Writer, cfg Config) ([]DFIGainRow, error) {
 	for _, r := range ranges {
 		var sfiTot, dfiTot float64
 		for q := 0; q < nq; q++ {
-			src := emb.Sign(sets[(q*37)%len(sets)])
+			src := perms.Sign(sets[(q*37)%len(sets)])
 			lo, hi := fis[r[0]], fis[r[1]]
 			sfiTot += float64(len(lo.sfi.Vector(src, nil)) + len(hi.sfi.Vector(src, nil)))
 			dfiTot += float64(len(hi.dfi.Vector(src, nil)) + len(lo.dfi.Vector(src, nil)))
@@ -355,7 +356,11 @@ func Embedding(w io.Writer, cfg Config) ([]EmbedRow, error) {
 	cfg = cfg.withDefaults()
 	k := cfg.MinHashes
 	const seeds = 10 // average out per-family binomial noise
-	idCode, err := ecc.NewIdentity(8)
+	hadCode, err := filter.NewHadamard(8)
+	if err != nil {
+		return nil, err
+	}
+	idCode, err := filter.NewIdentity(8)
 	if err != nil {
 		return nil, err
 	}
@@ -381,12 +386,12 @@ func Embedding(w io.Writer, cfg Config) ([]EmbedRow, error) {
 		row.Similarity = s
 		row.Expected = (1 - s) / 2
 		for seed := int64(0); seed < seeds; seed++ {
-			had, err := embed.New(embed.Options{K: k, Bits: 8, Seed: cfg.Seed + seed})
+			perms, err := minhash.NewFamily(k, cfg.Seed+seed)
 			if err != nil {
 				return nil, err
 			}
-			siga, sigb := had.Sign(sa), had.Sign(sb)
-			hMean, hSpread := codewordDistances(had.Code(), siga, sigb)
+			siga, sigb := perms.Sign(sa), perms.Sign(sb)
+			hMean, hSpread := codewordDistances(hadCode, siga, sigb)
 			iMean, iSpread := codewordDistances(idCode, siga, sigb)
 			row.Hadamard += hMean / seeds
 			row.HadamardSpread += hSpread / seeds
@@ -405,7 +410,7 @@ func Embedding(w io.Writer, cfg Config) ([]EmbedRow, error) {
 // of per-codeword relative distances over the disagreeing coordinates.
 // Codeword bit x of coordinate i differs exactly when parity((a_i^b_i) &
 // Column(x)) is 1, the code being linear.
-func codewordDistances(code ecc.Code, a, b minhash.Signature) (mean, disagreeSpread float64) {
+func codewordDistances(code filter.Code, a, b minhash.Signature) (mean, disagreeSpread float64) {
 	m := code.Length()
 	var dists []float64
 	total := 0

@@ -29,8 +29,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/embed"
 	"repro/internal/eval"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/workload"
@@ -110,7 +110,7 @@ func buildIndexed(d dataset, budget int, cfg Config) (*core.Index, []set.Set, er
 		return nil, nil, fmt.Errorf("generating %s: %w", d.name, err)
 	}
 	ix, err := core.Build(sets, core.Options{
-		Embed: embed.Options{K: cfg.MinHashes, Bits: 8, Seed: cfg.Seed},
+		Embed: minhash.Options{K: cfg.MinHashes, Bits: 8, Seed: cfg.Seed},
 		Plan: optimize.Options{
 			Budget:       budget,
 			RecallTarget: cfg.RecallTarget,

@@ -1,4 +1,4 @@
-package ecc
+package filter
 
 import (
 	"math/bits"

@@ -1,59 +1,51 @@
-package embed
+package filter
 
 import (
 	"math"
 	"math/bits"
-	"slices"
 	"testing"
 
 	"repro/internal/minhash"
 	"repro/internal/set"
 )
 
-func mkEmbedder(t *testing.T, k, b int, seed int64) *Embedder {
+// embedding is the S → V → H pipeline of Section 3 under test: k min-hash
+// permutations and the Hadamard code over b-bit truncated coordinates.
+type embedding struct {
+	perms *minhash.Perms
+	code  Code
+}
+
+func mkEmbedding(t *testing.T, k, b int, seed int64) embedding {
 	t.Helper()
-	e, err := New(Options{K: k, Bits: b, Seed: seed})
+	perms, err := minhash.NewFamily(k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	code, err := NewHadamard(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return embedding{perms, code}
 }
 
 // TestDimension pins D = k·m: K signature coordinates, each a codeword of
 // m = 2^b bits.
 func TestDimension(t *testing.T) {
-	e := mkEmbedder(t, 10, 6, 1)
-	if e.K() != 10 || e.Code().Length() != 64 || e.EmbedBits() != 6 {
-		t.Errorf("K=%d m=%d b=%d, want 10, 64, 6", e.K(), e.Code().Length(), e.EmbedBits())
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Options{K: 0, Bits: 8}); err == nil {
-		t.Error("K=0 accepted")
-	}
-	if _, err := New(Options{K: 4, Bits: 25}); err == nil {
-		t.Error("Bits=25 accepted (hadamard limit)")
-	}
-}
-
-func TestIdenticalSetsIdenticalVectors(t *testing.T) {
-	// The embedded vector is a function of the signature, so identical
-	// sets embed identically when they sign identically.
-	e := mkEmbedder(t, 16, 8, 3)
-	if a, b := e.Sign(set.New(1, 2, 3)), e.Sign(set.New(3, 2, 1, 1)); !slices.Equal(a, b) {
-		t.Error("identical sets signed differently")
+	e := mkEmbedding(t, 10, 6, 1)
+	if e.perms.K() != 10 || e.code.Length() != 64 {
+		t.Errorf("K=%d m=%d, want 10, 64", e.perms.K(), e.code.Length())
 	}
 }
 
 // hammingDistance is the distance between the D-bit embeddings of two
 // signatures, read bit by bit through the code's columns: bit p is
 // parity(sig[p/m] & Column(p%m)).
-func hammingDistance(e *Embedder, a, b minhash.Signature) int {
-	m := e.Code().Length()
+func hammingDistance(e embedding, a, b minhash.Signature) int {
+	m := e.code.Length()
 	d := 0
-	for p := 0; p < e.K()*m; p++ {
-		col := e.Code().Column(p % m)
+	for p := 0; p < e.perms.K()*m; p++ {
+		col := e.code.Column(p % m)
 		d += (bits.OnesCount64(a[p/m]&col) ^ bits.OnesCount64(b[p/m]&col)) & 1
 	}
 	return d
@@ -77,9 +69,9 @@ func TestTheorem1(t *testing.T) {
 		sum := 0.0
 		const seeds = 12
 		for seed := int64(0); seed < seeds; seed++ {
-			e := mkEmbedder(t, 80, 8, seed)
-			d := hammingDistance(e, e.Sign(sa), e.Sign(sb))
-			sum += float64(d) / float64(e.K()*e.Code().Length())
+			e := mkEmbedding(t, 80, 8, seed)
+			d := hammingDistance(e, e.perms.Sign(sa), e.perms.Sign(sb))
+			sum += float64(d) / float64(e.perms.K()*e.code.Length())
 		}
 		got := sum / seeds
 		if math.Abs(got-want) > 0.03 {
@@ -101,30 +93,12 @@ func TestScaleConversions(t *testing.T) {
 }
 
 func TestDefaultOptionsMatchPaper(t *testing.T) {
-	o := DefaultOptions()
+	o := minhash.DefaultOptions()
 	if o.K != 100 || o.Bits != 8 {
 		t.Errorf("defaults = k=%d b=%d, want paper's k=100 b=8", o.K, o.Bits)
 	}
-	e, err := New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := e.K() * e.Code().Length(); d != 100*256 {
+	e := mkEmbedding(t, o.K, o.Bits, o.Seed)
+	if d := e.perms.K() * e.code.Length(); d != 100*256 {
 		t.Errorf("default dimension = %d, want 25600", d)
-	}
-}
-
-// TestSignIntoMatchesSign checks the embedder-level allocation-free signing
-// agrees with Sign.
-func TestSignIntoMatchesSign(t *testing.T) {
-	e := mkEmbedder(t, 12, 6, 9)
-	s := set.New(4, 8, 15, 16, 23, 42)
-	want := e.Sign(s)
-	dst := make([]uint64, e.K())
-	e.SignInto(s, dst)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("coordinate %d: SignInto %d, Sign %d", i, dst[i], want[i])
-		}
 	}
 }

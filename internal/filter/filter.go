@@ -1,7 +1,16 @@
-// Package filter implements the two hash-based data structure primitives of
-// Section 4: the Similarity Filter Index (SFI) and the Dissimilarity Filter
-// Index (DFI). Both operate on embedded vectors in Hamming space, with
-// thresholds expressed as Hamming similarities.
+// Package filter implements the Hamming-space half of the paper: the
+// embedding of min-hash signatures into Hamming space (Section 3.2), the
+// filter function p_{r,l} of Section 4.1, and the Similarity and
+// Dissimilarity Filter Indices (SFI, DFI) of Section 4. Thresholds are
+// Hamming similarities.
+//
+// The embedding encodes each b-bit truncated signature coordinate with a
+// linear code of length m, given by its generator columns: codeword bit x
+// of message v is parity(v & Column(x)). The Hadamard code's column x is x
+// itself, for x in [0, 2^b); for u != w, parity((u^w) & x) is 1 on exactly
+// half of all x, so distinct codewords are all at distance m/2. Hence k
+// coordinates agreeing in s·k places map to D = m·k bits at expected
+// Hamming distance (1-s)/2·D, i.e. Hamming similarity (1+s)/2 (Theorem 1).
 //
 // SFI(s*) retrieves, with high probability, the sids of all vectors at
 // Hamming similarity >= s* to a query vector: l hash tables each keyed on r
@@ -24,9 +33,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/ecc"
 	"repro/internal/hashtable"
-	"repro/internal/lsh"
 	"repro/internal/storage"
 )
 
@@ -56,7 +63,7 @@ type Options struct {
 	Threshold float64
 	// Code is the embedding's error-correcting code and K its signature
 	// length: the Hamming dimensionality is D = K·Code.Length().
-	Code ecc.Code
+	Code Code
 	K    int
 	// Tables is l, the number of hash tables allocated to this index.
 	Tables int
@@ -98,9 +105,9 @@ func New(pageSize int, opt Options) (*Index, error) {
 	if opt.Kind == Dissimilar {
 		turning = 1 - opt.Threshold
 	}
-	r, err := lsh.SolveR(opt.Tables, turning)
+	r, err := SolveR(opt.Tables, turning)
 	if err != nil {
-		return nil, fmt.Errorf("filter: %w", err)
+		return nil, err
 	}
 	if opt.Code != nil && r > opt.K*opt.Code.Length() {
 		r = opt.K * opt.Code.Length()

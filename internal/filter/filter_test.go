@@ -6,15 +6,14 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/ecc"
 	"repro/internal/storage"
 )
 
 // bitCode is the identity code on 1-bit coordinates: a test vector of D
 // bits is D coordinates of 0 or 1.
-func bitCode(t *testing.T) ecc.Code {
+func bitCode(t *testing.T) Code {
 	t.Helper()
-	c, err := ecc.NewIdentity(1)
+	c, err := NewIdentity(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/ecc"
 	"repro/internal/minhash"
 )
 
@@ -54,14 +53,14 @@ func refKey(name string, m int, positions []int, trunc func(i int) uint64, compl
 
 var codeNames = []string{"hadamard", "identity"}
 
-func newCode(t testing.TB, name string, b int) ecc.Code {
+func newCode(t testing.TB, name string, b int) Code {
 	t.Helper()
-	var c ecc.Code
+	var c Code
 	var err error
 	if name == "hadamard" {
-		c, err = ecc.NewHadamard(b)
+		c, err = NewHadamard(b)
 	} else {
-		c, err = ecc.NewIdentity(b)
+		c, err = NewIdentity(b)
 	}
 	if err != nil {
 		t.Fatal(err)

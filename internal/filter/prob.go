@@ -1,9 +1,4 @@
-// Package lsh implements the probabilistic filter function of Section 4.1,
-// p_{r,l}(s) = 1 - (1 - s^r)^l: the chance that l hash tables, each keyed on
-// r randomly sampled bits of the embedded Hamming vector, put two vectors at
-// Hamming similarity s in a common bucket. The tables themselves are
-// package filter's.
-package lsh
+package filter
 
 import (
 	"fmt"
@@ -36,10 +31,10 @@ func CollisionProb(s float64, r, l int) float64 {
 // sStar must lie strictly inside (0, 1).
 func SolveR(l int, sStar float64) (int, error) {
 	if l < 1 {
-		return 0, fmt.Errorf("lsh: l must be >= 1, got %d", l)
+		return 0, fmt.Errorf("filter: l must be >= 1, got %d", l)
 	}
 	if !(sStar > 0 && sStar < 1) {
-		return 0, fmt.Errorf("lsh: sStar must be in (0,1), got %g", sStar)
+		return 0, fmt.Errorf("filter: sStar must be in (0,1), got %g", sStar)
 	}
 	x := 1 - math.Pow(2, -1/float64(l)) // sStar^r at the turning point
 	r := math.Log(x) / math.Log(sStar)

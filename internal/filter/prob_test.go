@@ -1,4 +1,4 @@
-package lsh
+package filter
 
 import (
 	"math"

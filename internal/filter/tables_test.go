@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/hashtable"
-	"repro/internal/lsh"
 	"repro/internal/storage"
 )
 
@@ -164,7 +163,7 @@ func TestEmpiricalCollisionMatchesFormula(t *testing.T) {
 			}
 		}
 		got := float64(collided) / trials
-		want := lsh.CollisionProb(sim, r, l)
+		want := CollisionProb(sim, r, l)
 		if diff := got - want; diff > 0.25 || diff < -0.25 {
 			t.Errorf("sim=%.2f: empirical %.2f vs formula %.2f", sim, got, want)
 		}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/embed"
 	"repro/internal/filter"
 	"repro/internal/minhash"
 	"repro/internal/set"
@@ -76,15 +75,19 @@ func SelfJoin(sets []set.Set, opt Options) ([]Pair, Stats, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	emb, err := embed.New(embed.Options{K: k, Bits: 8, Seed: seed})
+	perms, err := minhash.NewFamily(k, seed)
+	if err != nil {
+		return nil, stats, err
+	}
+	code, err := filter.NewHadamard(8)
 	if err != nil {
 		return nil, stats, err
 	}
 	sfi, err := filter.New(0, filter.Options{
 		Kind:            filter.Similar,
-		Threshold:       embed.HammingFromJaccard(opt.Threshold),
-		Code:            emb.Code(),
-		K:               emb.K(),
+		Threshold:       filter.HammingFromJaccard(opt.Threshold),
+		Code:            code,
+		K:               k,
 		Tables:          tables,
 		Seed:            seed + 101,
 		ExpectedEntries: len(sets),
@@ -95,7 +98,7 @@ func SelfJoin(sets []set.Set, opt Options) ([]Pair, Stats, error) {
 
 	sigs := make([]minhash.Signature, len(sets))
 	for i, s := range sets {
-		sigs[i] = emb.Sign(s)
+		sigs[i] = perms.Sign(s)
 		sfi.Insert(sigs[i], storage.SID(i))
 	}
 

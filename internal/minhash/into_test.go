@@ -31,6 +31,24 @@ func TestSignIntoMatchesSign(t *testing.T) {
 	}
 }
 
+// TestSignIntoMatchesSignSmallFamily repeats the check on a short k=12
+// family, the width the filter tests sign with.
+func TestSignIntoMatchesSignSmallFamily(t *testing.T) {
+	f, err := NewFamily(12, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := set.New(4, 8, 15, 16, 23, 42)
+	want := f.Sign(s)
+	dst := make(Signature, 12)
+	f.SignInto(s, dst)
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("coordinate %d: SignInto %d, Sign %d", i, dst[i], want[i])
+		}
+	}
+}
+
 // TestSignIntoReuse checks a reused destination is fully overwritten —
 // stale coordinates from a previous set must not leak through.
 func TestSignIntoReuse(t *testing.T) {

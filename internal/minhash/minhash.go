@@ -9,7 +9,7 @@
 // hashing: each permutation is a degree-1 polynomial over the Mersenne prime
 // field GF(2^61 - 1) applied to a well-mixed image of the element id. Values
 // are then truncated to a configurable number of bits b for the Hamming
-// embedding stage.
+// embedding stage (package filter), as b-bit minwise hashing does.
 package minhash
 
 import (
@@ -23,6 +23,46 @@ import (
 
 // mersenne61 is the modulus of the permutation field.
 const mersenne61 = (1 << 61) - 1
+
+// Bounds on Options. Options arrive from callers and from snapshots, and k
+// sizes the permutation bank and every signature; b sizes the 2^b-bit
+// Hadamard codewords the truncated values embed into.
+const (
+	MaxK    = 1 << 16
+	MaxBits = 20
+)
+
+// Options configures signing and the truncation of signatures for the
+// Hamming embedding.
+type Options struct {
+	// K is the number of min-hash permutations (signature length).
+	// The paper's experiments use 100.
+	K int
+	// Bits is the precision b of each truncated min-hash value; codewords
+	// of the Hadamard code have m = 2^Bits bits.
+	Bits int
+	// Seed makes the permutations reproducible. The same seed must be used
+	// to sign the collection and the queries.
+	Seed int64
+}
+
+// DefaultOptions mirrors the paper's experimental setup: 100 min-hash
+// values, 8-bit truncation (256-bit Hadamard codewords, D = 25600).
+func DefaultOptions() Options {
+	return Options{K: 100, Bits: 8, Seed: 1}
+}
+
+// Validate reports an error unless K is in [1, MaxK] and Bits in
+// [1, MaxBits].
+func (o Options) Validate() error {
+	if o.K < 1 || o.K > MaxK {
+		return fmt.Errorf("minhash: k=%d out of range [1, %d]", o.K, MaxK)
+	}
+	if o.Bits < 1 || o.Bits > MaxBits {
+		return fmt.Errorf("minhash: bits=%d out of range [1, %d]", o.Bits, MaxBits)
+	}
+	return nil
+}
 
 // Perms is a bank of k hash functions approximating min-wise independent
 // permutations — the classic k-min signing primitive. A Perms is immutable

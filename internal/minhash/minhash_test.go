@@ -3,6 +3,7 @@ package minhash
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -253,5 +254,26 @@ func TestSignMatchesPerCoordinateMin(t *testing.T) {
 		if sig[i] != min {
 			t.Errorf("coordinate %d: Sign %d != min %d", i, sig[i], min)
 		}
+	}
+}
+
+func TestOptionsValidate(t *testing.T) {
+	if err := (Options{K: 0, Bits: 8}).Validate(); err == nil {
+		t.Error("K=0 accepted")
+	}
+	if err := (Options{K: 4, Bits: 25}).Validate(); err == nil {
+		t.Error("Bits=25 accepted (hadamard limit)")
+	}
+}
+
+func TestIdenticalSetsIdenticalVectors(t *testing.T) {
+	// The embedded vector is a function of the signature, so identical
+	// sets embed identically when they sign identically.
+	f, err := NewFamily(16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := f.Sign(set.New(1, 2, 3)), f.Sign(set.New(3, 2, 1, 1)); !slices.Equal(a, b) {
+		t.Error("identical sets signed differently")
 	}
 }

@@ -3,9 +3,7 @@ package optimize
 import (
 	"math"
 
-	"repro/internal/embed"
 	"repro/internal/filter"
-	"repro/internal/lsh"
 )
 
 // Capture returns the probability that a set at Jaccard similarity s to the
@@ -75,7 +73,7 @@ func (c *kernel) curve(kind filter.Kind, sigma float64, l int) func(s float64) f
 		c.rs[rk] = r
 	}
 	if c.k <= 0 {
-		return func(s float64) float64 { return collision(kind, embed.HammingFromJaccard(s), r, l) }
+		return func(s float64) float64 { return collision(kind, filter.HammingFromJaccard(s), r, l) }
 	}
 	vk := vecKey{kind, r, l}
 	vec, ok := c.vecs[vk]
@@ -105,7 +103,7 @@ func collision(kind filter.Kind, sH float64, r, l int) float64 {
 	if kind == filter.Dissimilar {
 		sH = 1 - sH
 	}
-	return lsh.CollisionProb(sH, r, l)
+	return filter.CollisionProb(sH, r, l)
 }
 
 // row returns the pmf row at s, keyed by the value itself so that a bin

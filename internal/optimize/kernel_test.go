@@ -6,9 +6,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/embed"
 	"repro/internal/filter"
-	"repro/internal/lsh"
 	"repro/internal/simdist"
 )
 
@@ -24,10 +22,10 @@ func referenceCapture(kind filter.Kind, sigma float64, l, k int, s float64) floa
 		if kind == filter.Dissimilar {
 			x = 1 - x
 		}
-		return lsh.CollisionProb(x, r, l)
+		return filter.CollisionProb(x, r, l)
 	}
 	if k <= 0 {
-		return prob(embed.HammingFromJaccard(s))
+		return prob(filter.HammingFromJaccard(s))
 	}
 	return binomialAverage(k, s, func(a int) float64 {
 		return prob((1 + float64(a)/float64(k)) / 2)

@@ -17,10 +17,8 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/embed"
 	"repro/internal/filter"
 	"repro/internal/floats"
-	"repro/internal/lsh"
 	"repro/internal/simdist"
 )
 
@@ -44,7 +42,7 @@ type FI struct {
 // Jaccard similarity s appears at similarity 1-s_H(s) = (1-s)/2, so its
 // turning point is (1-σ)/2.
 func turningHamming(kind filter.Kind, sigma float64) float64 {
-	sh := embed.HammingFromJaccard(sigma)
+	sh := filter.HammingFromJaccard(sigma)
 	if kind == filter.Dissimilar {
 		return 1 - sh
 	}
@@ -57,7 +55,7 @@ func solveR(kind filter.Kind, sigma float64, l int) int {
 		return 0
 	}
 	turning := turningHamming(kind, sigma)
-	r, err := lsh.SolveR(l, turning)
+	r, err := filter.SolveR(l, turning)
 	if err != nil {
 		return 1
 	}
@@ -398,12 +396,7 @@ func BuildPlan(hist *simdist.Histogram, opt Options) (Plan, error) {
 	if maxFIs <= 0 {
 		maxFIs = 16
 	}
-	answerFrac := opt.AnswerFrac
-	if answerFrac <= 0 {
-		answerFrac = 0.01
-	}
 	m := NewModelK(hist, opt.SignatureK)
-	delta := hist.Delta()
 
 	// Grow the number of intervals and keep the finest decomposition whose
 	// expected recall still clears the target: precision improves with
@@ -413,33 +406,20 @@ func BuildPlan(hist *simdist.Histogram, opt Options) (Plan, error) {
 	// failure.
 	var best, fallback *Plan
 	for n := 1; n <= maxFIs; n++ {
-		cuts := cutsFor(hist, n, opt.Placement)
-		fis := pointKinds(cuts, delta)
-		if opt.Budget < len(fis) {
+		plan, err := m.planStep(hist, n, opt, target)
+		if opt.Budget < len(plan.FIs) {
 			break // cannot give each FI a table
-		}
-		var alloc []int
-		var err error
-		if opt.Allocation == UniformTables {
-			alloc, err = UniformAllocate(len(fis), opt.Budget)
-		} else {
-			alloc, err = m.GreedyAllocate(fis, opt.Budget)
 		}
 		if err != nil {
 			return Plan{}, err
 		}
-		for i := range fis {
-			fis[i].Tables = alloc[i]
-			fis[i].R = solveR(fis[i].Kind, fis[i].Point, alloc[i])
-		}
-		plan := assemble(hist, cuts, fis, delta, opt.Budget, target, answerFrac, opt.Objective, opt.SignatureK)
 		if plan.guardedRecall(opt.Objective) >= target {
 			best = &plan
 		}
 		if fallback == nil || plan.guardedRecall(opt.Objective) > fallback.guardedRecall(opt.Objective) {
 			fallback = &plan
 		}
-		if len(cuts) < n {
+		if len(plan.Cuts) < n {
 			break // quantiles collapsed; more intervals are unobtainable
 		}
 	}
@@ -462,17 +442,27 @@ func BuildPlanFixedIntervals(hist *simdist.Histogram, n int, opt Options) (Plan,
 	if n < 1 {
 		return Plan{}, fmt.Errorf("optimize: need at least 1 cut, got %d", n)
 	}
+	plan, err := NewModelK(hist, opt.SignatureK).planStep(hist, n, opt, opt.RecallTarget)
+	if err != nil {
+		return Plan{}, err
+	}
+	return plan, nil
+}
+
+// planStep is one step of the Figure 4 construction: n cuts placed per
+// opt.Placement, the FIs their points call for, opt.Budget allocated over
+// those FIs per opt.Allocation, each FI's r solved, and the plan assembled
+// against target. On an error the plan holds just the unallocated FIs, so
+// a caller can tell a budget short of one table per FI, which both
+// allocators reject.
+func (m *Model) planStep(hist *simdist.Histogram, n int, opt Options, target float64) (Plan, error) {
 	answerFrac := opt.AnswerFrac
 	if answerFrac <= 0 {
 		answerFrac = 0.01
 	}
-	m := NewModelK(hist, opt.SignatureK)
 	delta := hist.Delta()
 	cuts := cutsFor(hist, n, opt.Placement)
 	fis := pointKinds(cuts, delta)
-	if opt.Budget < len(fis) {
-		return Plan{}, fmt.Errorf("optimize: budget %d below one table per FI (%d FIs)", opt.Budget, len(fis))
-	}
 	var alloc []int
 	var err error
 	if opt.Allocation == UniformTables {
@@ -481,13 +471,13 @@ func BuildPlanFixedIntervals(hist *simdist.Histogram, n int, opt Options) (Plan,
 		alloc, err = m.GreedyAllocate(fis, opt.Budget)
 	}
 	if err != nil {
-		return Plan{}, err
+		return Plan{FIs: fis}, err
 	}
 	for i := range fis {
 		fis[i].Tables = alloc[i]
 		fis[i].R = solveR(fis[i].Kind, fis[i].Point, alloc[i])
 	}
-	return assemble(hist, cuts, fis, delta, opt.Budget, opt.RecallTarget, answerFrac, opt.Objective, opt.SignatureK), nil
+	return assemble(hist, cuts, fis, delta, opt.Budget, target, answerFrac, opt.Objective, opt.SignatureK), nil
 }
 
 // assemble computes interval expectations and packages a Plan.

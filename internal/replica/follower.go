@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -20,7 +21,7 @@ import (
 
 // errResync reports a condition that makes tailing impossible — plan
 // generation moved, resume position compacted away, topology changed —
-// so the follower must wipe its mirror and re-bootstrap from the
+// so the follower must replace its mirror with a re-bootstrap from the
 // primary's newest checkpoints.
 var errResync = errors.New("replica: follower must re-bootstrap")
 
@@ -28,7 +29,10 @@ var errResync = errors.New("replica: follower must re-bootstrap")
 // required; everything else has a usable zero value.
 type FollowerOptions struct {
 	// Dir is the local durability directory holding the mirror. It is
-	// wiped and rebuilt on resync; nothing else may live there.
+	// replaced wholesale on resync; nothing else may live there. A new
+	// mirror is fetched into the sibling Dir+".resync" and swapped in by
+	// renaming the old one to Dir+".old", so those two names are the
+	// follower's as well.
 	Dir string
 	// Primary is the primary's base URL (e.g. http://host:7600).
 	Primary string
@@ -103,7 +107,7 @@ func StartFollower(ctx context.Context, opt FollowerOptions) (*Follower, error) 
 		return nil, err
 	}
 	if !has {
-		if err := f.bootstrap(ctx); err != nil {
+		if err := f.installMirror(ctx); err != nil {
 			return nil, fmt.Errorf("replica: bootstrapping from %s: %w", opt.Primary, err)
 		}
 	}
@@ -188,26 +192,64 @@ func (f *Follower) run(ctx context.Context) {
 	}
 }
 
-// bootstrap pulls the primary's newest sealed checkpoints into an empty
-// Dir: manifest handshake, one checkpoint per shard, and — sharded
-// layouts only — the raw MANIFEST committed last, mirroring
-// CreateDurable's ordering so a crash mid-bootstrap never leaves a
-// half-valid mirror.
-func (f *Follower) bootstrap(ctx context.Context) error {
+// installMirror replaces Dir with a fresh mirror of the primary. The
+// mirror is bootstrapped into Dir+".resync" and swapped in with two
+// renames, so a crash at any point leaves Dir the old complete mirror,
+// absent (StartFollower then bootstraps again), or the new complete
+// mirror — never a half-removed one, which a crash inside a plain
+// RemoveAll of Dir could leave: a sharded MANIFEST naming a shard
+// directory already deleted.
+func (f *Follower) installMirror(ctx context.Context) error {
+	stage, old := f.opt.Dir+".resync", f.opt.Dir+".old"
+	for _, d := range []string{stage, old} {
+		if err := os.RemoveAll(d); err != nil {
+			return err
+		}
+	}
+	if err := f.bootstrap(ctx, stage); err != nil {
+		return err
+	}
+	if err := os.Rename(f.opt.Dir, old); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	if err := os.Rename(stage, f.opt.Dir); err != nil {
+		return err
+	}
+	if err := syncDir(filepath.Dir(f.opt.Dir)); err != nil {
+		return err
+	}
+	return os.RemoveAll(old)
+}
+
+// syncDir fsyncs a directory so renames within it are durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	serr := d.Sync()
+	return errors.Join(serr, d.Close())
+}
+
+// bootstrap pulls the primary's newest sealed checkpoints into the empty
+// directory dir: manifest handshake, one checkpoint per shard, and —
+// sharded layouts only — the raw MANIFEST committed last, mirroring
+// CreateDurable's ordering.
+func (f *Follower) bootstrap(ctx context.Context, dir string) error {
 	man, err := f.fetchManifest(ctx)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(f.opt.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, ref := range man.Checkpoints {
-		if err := f.fetchCheckpoint(ctx, man.Shards, ref); err != nil {
+		if err := f.fetchCheckpoint(ctx, dir, man.Shards, ref); err != nil {
 			return err
 		}
 	}
 	if man.Shards > 1 {
-		if err := ssr.CommitRawManifest(f.opt.Dir, man.Manifest); err != nil {
+		if err := ssr.CommitRawManifest(dir, man.Manifest); err != nil {
 			return err
 		}
 	}
@@ -243,7 +285,7 @@ func (f *Follower) fetchManifest(ctx context.Context) (*ManifestResponse, error)
 	return &man, nil
 }
 
-func (f *Follower) fetchCheckpoint(ctx context.Context, shards int, ref CheckpointRef) error {
+func (f *Follower) fetchCheckpoint(ctx context.Context, dir string, shards int, ref CheckpointRef) error {
 	url := fmt.Sprintf("%s/replica/checkpoint?shard=%d&gen=%d", f.opt.Primary, ref.Shard, ref.Generation)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -259,16 +301,14 @@ func (f *Follower) fetchCheckpoint(ctx context.Context, shards int, ref Checkpoi
 	}
 	// ImportCheckpoint verifies the seal before publishing, so a short or
 	// corrupted body cannot land.
-	return ssr.ImportShardCheckpoint(f.opt.Dir, shards, ref.Shard, ref.Generation, resp.Body)
+	return ssr.ImportShardCheckpoint(dir, shards, ref.Shard, ref.Generation, resp.Body)
 }
 
-// resync wipes the mirror and bootstraps a fresh one. The outgoing index
-// keeps serving reads until the replacement is open, then closes.
+// resync replaces the mirror with a freshly bootstrapped one. The
+// outgoing index keeps serving reads until the replacement is open, then
+// closes.
 func (f *Follower) resync(ctx context.Context) error {
-	if err := os.RemoveAll(f.opt.Dir); err != nil {
-		return err
-	}
-	if err := f.bootstrap(ctx); err != nil {
+	if err := f.installMirror(ctx); err != nil {
 		return err
 	}
 	ix, err := ssr.OpenReplica(f.opt.Dir, f.opt.Durable)

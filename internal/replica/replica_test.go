@@ -233,6 +233,77 @@ func TestFollowerRestartResumes(t *testing.T) {
 	requireEqualState(t, primary, f2.Index())
 }
 
+// TestFollowerSurvivesInterruptedResync restarts a follower on each
+// state a crash inside installMirror can leave: a half-fetched staging
+// directory beside an intact mirror, and the mirror renamed away before
+// its replacement was renamed in. Either way the follower must come up,
+// converge bit-identically, and leave no staging directory behind.
+func TestFollowerSurvivesInterruptedResync(t *testing.T) {
+	primary, srv := startPrimary(t, 2, 30)
+	dir := filepath.Join(t.TempDir(), "mirror")
+	ctx := context.Background()
+	start := func() *Follower {
+		t.Helper()
+		f, err := StartFollower(ctx, fastFollowerOptions(dir, srv.URL))
+		if err != nil {
+			t.Fatalf("starting follower: %v", err)
+		}
+		return f
+	}
+	stop := func(f *Follower) {
+		t.Helper()
+		if err := f.Close(); err != nil {
+			t.Fatalf("closing follower: %v", err)
+		}
+	}
+	requireNoLeftovers := func() {
+		t.Helper()
+		for _, d := range []string{dir + ".resync", dir + ".old"} {
+			if _, err := os.Stat(d); !os.IsNotExist(err) {
+				t.Fatalf("%s survived the resync (stat: %v)", d, err)
+			}
+		}
+	}
+
+	f := start()
+	mutate(t, primary, 200, 20)
+	waitMirrored(t, f, primary)
+	stop(f)
+
+	// Crash while staging: the intact mirror resumes, and the next resync
+	// (forced by a retune) clears the stale stage before fetching.
+	if err := os.MkdirAll(filepath.Join(dir+".resync", "shard-000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir+".resync", "MANIFEST"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f = start()
+	waitMirrored(t, f, primary)
+	if _, err := primary.Retune(); err != nil {
+		t.Fatalf("retune: %v", err)
+	}
+	mutate(t, primary, 300, 20)
+	waitFor(t, "resync", func() bool { return f.Status().Resyncs > 0 })
+	waitMirrored(t, f, primary)
+	requireEqualState(t, primary, f.Index())
+	requireNoLeftovers()
+	stop(f)
+
+	// Crash between the renames: no mirror at Dir, the old one at
+	// Dir+".old". The follower bootstraps afresh and removes the old one
+	// on the way.
+	if err := os.Rename(dir, dir+".old"); err != nil {
+		t.Fatal(err)
+	}
+	mutate(t, primary, 400, 20)
+	f = start()
+	defer f.Close() //ssrvet:ignore droppederr -- test teardown
+	waitMirrored(t, f, primary)
+	requireEqualState(t, primary, f.Index())
+	requireNoLeftovers()
+}
+
 // cuttingTransport breaks /replica/stream response bodies after a
 // scripted number of bytes, one entry per connection attempt; once the
 // script runs dry, streams flow uncut.

@@ -10,6 +10,10 @@ import (
 // SID is a set identifier: the dense index of a set within a collection.
 type SID = uint32
 
+// MaxPayloadPerElem bounds the accounted payload per element that callers
+// and snapshots may ask for: 1 MiB, far above the paper's ~2 KB records.
+const MaxPayloadPerElem = 1 << 20
+
 // SetStore is the heap file holding the set collection. Sets are appended
 // contiguously during build; fetching a set costs one random page access
 // for the first page of the record plus sequential accesses for any
@@ -30,7 +34,6 @@ type SetStore struct {
 	payload  int       // accounted-but-not-stored bytes per element
 	sets     []set.Set // per-sid set, as appended
 	virtOff  []uint64  // per-sid record offset in the accounted heap
-	virtLen  []uint32  // per-sid record length in the accounted heap
 	virtEnd  uint64    // accounted heap size
 	deleted  map[SID]struct{}
 }
@@ -59,25 +62,32 @@ func NewSetStoreWithPayload(pageSize, payload int) *SetStore {
 func (st *SetStore) Append(s set.Set) SID {
 	sid := SID(len(st.sets))
 	st.sets = append(st.sets, s)
-	vlen := recordLen(s) + uint32(st.payload*s.Len())
 	st.virtOff = append(st.virtOff, st.virtEnd)
-	st.virtLen = append(st.virtLen, vlen)
-	st.virtEnd += uint64(vlen)
+	st.virtEnd += recordLen(s) + uint64(st.payload)*uint64(s.Len())
 	return sid
+}
+
+// span returns sid's record [off, end) in the accounted heap: a record
+// ends where the next one starts.
+func (st *SetStore) span(sid SID) (off, end uint64) {
+	if int(sid)+1 < len(st.virtOff) {
+		return st.virtOff[sid], st.virtOff[sid+1]
+	}
+	return st.virtOff[sid], st.virtEnd
 }
 
 // recordLen returns the byte length of s's heap record before payload: a
 // varint element count, then the first element and each later element's
 // gap to its predecessor minus one, all as varints. Starting prev at
 // 2^64−1 makes the first gap e−prev−1 wrap around to e itself.
-func recordLen(s set.Set) uint32 {
+func recordLen(s set.Set) uint64 {
 	n := uvarintLen(uint64(s.Len()))
 	prev := ^uint64(0)
 	for _, e := range s.Elems() {
 		n += uvarintLen(e - prev - 1)
 		prev = e
 	}
-	return uint32(n)
+	return uint64(n)
 }
 
 // uvarintLen is the length of x's unsigned varint encoding: one byte per
@@ -141,7 +151,7 @@ func (st *SetStore) AvgPagesPerSet() float64 {
 }
 
 // recordPages returns how many pages the record [off, off+length) touches.
-func (st *SetStore) recordPages(off uint64, length uint32) int64 {
+func (st *SetStore) recordPages(off, length uint64) int64 {
 	if length == 0 {
 		return 1
 	}
@@ -162,7 +172,8 @@ func (st *SetStore) Fetch(sid SID, io *Counter) (set.Set, error) {
 		return set.Set{}, fmt.Errorf("storage: sid %d deleted", sid)
 	}
 	if io != nil {
-		pages := st.recordPages(st.virtOff[sid], st.virtLen[sid])
+		off, end := st.span(sid)
+		pages := st.recordPages(off, end-off)
 		io.RecordRand(1)
 		if pages > 1 {
 			io.RecordSeq(pages - 1)
@@ -177,7 +188,7 @@ func (st *SetStore) Fetch(sid SID, io *Counter) (set.Set, error) {
 func (st *SetStore) Scan(io *Counter, fn func(sid SID, s set.Set) bool) {
 	lastOff := uint64(0)
 	for sid, s := range st.sets {
-		lastOff = st.virtOff[sid] + uint64(st.virtLen[sid])
+		_, lastOff = st.span(SID(sid))
 		if st.Deleted(SID(sid)) {
 			continue // tombstoned records are read past, not surfaced
 		}

@@ -91,7 +91,8 @@ func TestSetStoreFetchIO(t *testing.T) {
 	if io.Rand() != 1 {
 		t.Errorf("rand reads = %d, want exactly 1 (first page)", io.Rand())
 	}
-	if want := st.recordPages(st.virtOff[sid], st.virtLen[sid]) - 1; io.Seq() != want || want < 1 {
+	off, end := st.span(sid)
+	if want := st.recordPages(off, end-off) - 1; io.Seq() != want || want < 1 {
 		t.Errorf("seq reads = %d, want %d continuation pages", io.Seq(), want)
 	}
 }
@@ -220,7 +221,7 @@ func TestRecordPages(t *testing.T) {
 	st := NewSetStore(100)
 	cases := []struct {
 		off    uint64
-		length uint32
+		length uint64
 		want   int64
 	}{
 		{0, 0, 1}, {0, 100, 1}, {0, 101, 2}, {50, 100, 2}, {99, 2, 2}, {100, 100, 1},
@@ -305,6 +306,32 @@ func TestPayloadAccounting(t *testing.T) {
 	// Negative payload clamps to zero.
 	if NewSetStoreWithPayload(0, -5).payload != 0 {
 		t.Error("negative payload not clamped")
+	}
+}
+
+// TestPayloadAccountingBeyond4GiB appends one record whose payload alone is
+// 2^32 bytes, the largest MaxPayloadPerElem allows on 4096 elements: the
+// heap, its page count and a fetch's continuation pages must all count it.
+func TestPayloadAccountingBeyond4GiB(t *testing.T) {
+	elems := make([]set.Elem, 4096)
+	for i := range elems {
+		elems[i] = set.Elem(i)
+	}
+	st := NewSetStoreWithPayload(4096, MaxPayloadPerElem)
+	sid := st.Append(set.New(elems...))
+	const payload = 4096 * MaxPayloadPerElem
+	if st.Bytes() < payload {
+		t.Errorf("Bytes() = %d, want >= %d", st.Bytes(), int64(payload))
+	}
+	if want := int64(payload / 4096); st.NumPages() < want {
+		t.Errorf("NumPages() = %d, want >= %d", st.NumPages(), want)
+	}
+	var io Counter
+	if _, err := st.Fetch(sid, &io); err != nil {
+		t.Fatal(err)
+	}
+	if io.Rand() != 1 || io.Seq() != st.NumPages()-1 {
+		t.Errorf("fetch charged %d random + %d sequential pages, want 1 + %d", io.Rand(), io.Seq(), st.NumPages()-1)
 	}
 }
 

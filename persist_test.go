@@ -2,6 +2,7 @@ package ssr
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,32 @@ func TestPublicSaveLoadRoundTrip(t *testing.T) {
 	}
 	if len(names) != 4 {
 		t.Errorf("Get(0) after reload = %v", names)
+	}
+}
+
+// TestSignatureLengthBounds pins Build and Load to one bound on k: the
+// largest signature Build accepts round-trips through Save and Load, and
+// one coordinate more is rejected at Build rather than at Load.
+func TestSignatureLengthBounds(t *testing.T) {
+	c := NewCollection()
+	for i := 0; i < 6; i++ {
+		c.Add(fmt.Sprint("a", i), fmt.Sprint("b", i), "shared")
+	}
+	opt := Options{Budget: 4, HashBits: 2, MinHashes: 1 << 16}
+	ix, err := Build(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err != nil {
+		t.Fatalf("k=%d: %v", opt.MinHashes, err)
+	}
+	opt.MinHashes++
+	if _, err := Build(c, opt); err == nil {
+		t.Errorf("k=%d accepted", opt.MinHashes)
 	}
 }
 

@@ -34,8 +34,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/embed"
 	"repro/internal/engine"
+	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
 	"repro/internal/simdist"
@@ -52,7 +52,8 @@ type Options struct {
 	// RecallTarget is the expected worst-case recall threshold T in (0, 1]
 	// the optimizer must respect; 0 selects the default, 0.9.
 	RecallTarget float64
-	// MinHashes is the signature length k (default 100, as in the paper).
+	// MinHashes is the signature length k (default 100, as in the paper;
+	// at most 65 536).
 	MinHashes int
 	// HashBits is the truncation width b of each min-hash value; Hamming
 	// codewords have 2^HashBits bits (default 8).
@@ -65,7 +66,7 @@ type Options struct {
 	// PayloadBytesPerElement makes the simulated disk account each element
 	// at its original record size (e.g. ~100 bytes for a URL string) even
 	// though elements are stored as compact ids. It only affects the I/O
-	// cost model (Stats, the planner), not results.
+	// cost model (Stats, the planner), not results. At most 1 MiB.
 	PayloadBytesPerElement int
 	// Seed makes the whole build reproducible (default 1).
 	Seed int64
@@ -328,7 +329,7 @@ func Build(c *Collection, opt Options) (*Index, error) {
 	if opt.Budget <= 0 {
 		return nil, fmt.Errorf("ssr: Options.Budget must be positive")
 	}
-	eopt := embed.DefaultOptions()
+	eopt := minhash.DefaultOptions()
 	if opt.MinHashes > 0 {
 		eopt.K = opt.MinHashes
 	}
@@ -351,6 +352,9 @@ func Build(c *Collection, opt Options) (*Index, error) {
 	}
 	if opt.Shards > engine.MaxShards {
 		return nil, fmt.Errorf("ssr: Options.Shards %d exceeds the maximum %d", opt.Shards, engine.MaxShards)
+	}
+	if opt.PayloadBytesPerElement > storage.MaxPayloadPerElem {
+		return nil, fmt.Errorf("ssr: Options.PayloadBytesPerElement %d exceeds the maximum %d", opt.PayloadBytesPerElement, storage.MaxPayloadPerElem)
 	}
 	c.mu.Lock()
 	sets := make([]set.Set, len(c.sets))

@@ -43,6 +43,9 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(c, Options{Budget: 20, PageSize: 1 << 20}); err == nil {
 		t.Error("1 MiB pages accepted")
 	}
+	if _, err := Build(c, Options{Budget: 20, PayloadBytesPerElement: 1 << 30}); err == nil {
+		t.Error("1 GiB payload per element accepted")
+	}
 }
 
 func TestQueryFindsDuplicates(t *testing.T) {
