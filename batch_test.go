@@ -299,9 +299,12 @@ func TestQueryInvalidScreenMargin(t *testing.T) {
 	elems := []string{"dune", "foundation", "hyperion", "neuromancer"}
 	for _, shards := range []int{1, 4} {
 		for _, planner := range []bool{false, true} {
-			ix, err := Build(bookstore(), Options{Budget: 24, MinHashes: 48, Seed: 3, Shards: shards, Planner: planner})
+			ix, err := Build(bookstore(), Options{Budget: 24, MinHashes: 48, Seed: 3, Shards: shards})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if planner {
+				ix.EnablePlanner(PlannerPolicy{})
 			}
 			if _, _, err := ix.QueryWithOptions(elems, 0.5, 1.0, QueryOptions{}); err != nil {
 				t.Fatal(err)

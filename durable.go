@@ -560,11 +560,6 @@ func CreateDurable(dir string, c *Collection, bopt Options, dopt DurableOptions)
 	if has {
 		return nil, fmt.Errorf("ssr: %s already holds durable state (use OpenDurable)", dir)
 	}
-	// Auto-tuning starts only after the durable lanes are installed: the
-	// background loop checkpoints after a swap, which needs ix.dur in
-	// place (and its publication to happen-before the loop's first tick).
-	autoTune := bopt.AutoTune
-	bopt.AutoTune = false
 	ix, err := Build(c, bopt)
 	if err != nil {
 		return nil, err
@@ -590,11 +585,6 @@ func CreateDurable(dir string, c *Collection, bopt Options, dopt DurableOptions)
 		}
 	}
 	ix.dur = &durable{shards: shards, dir: dir}
-	if autoTune {
-		if err := ix.EnableAutoTune(bopt.TunePolicy); err != nil {
-			return nil, errors.Join(err, ix.Close())
-		}
-	}
 	return ix, nil
 }
 

@@ -220,6 +220,31 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 	assertSameIndex(t, re, ref)
 }
 
+// TestDurableNegativeStorageParameters checks that CreateDurable refuses
+// a negative page size or payload per element and writes nothing, where
+// it used to checkpoint an index that OpenDurable could not reopen.
+func TestDurableNegativeStorageParameters(t *testing.T) {
+	for _, opt := range []Options{
+		{Budget: 24, MinHashes: 48, Seed: 3, PageSize: -1},
+		{Budget: 24, MinHashes: 48, Seed: 3, PayloadBytesPerElement: -1},
+	} {
+		dir := t.TempDir()
+		ix, err := CreateDurable(dir, bookstore(), opt, DurableOptions{})
+		if err == nil {
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenDurable(dir, DurableOptions{})
+			t.Errorf("PageSize %d, PayloadBytesPerElement %d: CreateDurable accepted; reopen: %v",
+				opt.PageSize, opt.PayloadBytesPerElement, err)
+			continue
+		}
+		if has, err := HasDurableState(dir); err != nil || has {
+			t.Errorf("rejected CreateDurable left durable state (has=%v, err=%v)", has, err)
+		}
+	}
+}
+
 func TestDurableOpenErrors(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := OpenDurable(filepath.Join(dir, "empty"), DurableOptions{}); !errors.Is(err, ErrNoDurableState) {

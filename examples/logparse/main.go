@@ -60,11 +60,11 @@ func main() {
 		// Account pages at their raw log-string size so the planner's
 		// scan-vs-index economics match the original medium.
 		PayloadBytesPerElement: 80,
-		Planner:                true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ix.EnablePlanner(ssr.PlannerPolicy{})
 	for _, r := range [][2]float64{{0.9, 1.0}, {0.4, 0.7}, {0.0, 1.0}} {
 		matches, stats, err := ix.Query(pages[3], r[0], r[1])
 		if err != nil {

@@ -83,8 +83,7 @@ func Repo() Config {
 	return Config{
 		Levels: []Level{
 			{Name: "plan-cache", Mutexes: []string{
-				"repro/internal/plan.ResultCache.mu",
-				"repro/internal/plan.PlanCache.mu",
+				"repro/internal/plan.lru.mu",
 			}, Types: []string{
 				"repro/internal/plan.ResultCache",
 				"repro/internal/plan.PlanCache",

@@ -35,8 +35,6 @@ type Options struct {
 	// storage.NewSetStoreWithPayload. Zero accounts only the compact
 	// encoding.
 	PayloadPerElem int
-	// DistBins is the similarity-histogram resolution (0 = default).
-	DistBins int
 	// DistSample is the number of pairs sampled to estimate D_S from
 	// signatures (Lemma 1). 0 selects min(100·N, 200000). Negative values
 	// request the exact O(N²) computation from the stored sets.
@@ -330,7 +328,7 @@ func EstimateDistribution(sets []set.Set, sigs []minhash.Signature, opt Options)
 		return opt.Distribution, nil
 	}
 	if opt.DistSample < 0 {
-		return simdist.ExactPairs(sets, opt.DistBins), nil
+		return simdist.ExactPairs(sets, simdist.DefaultBins), nil
 	}
 	sample := opt.DistSample
 	if sample == 0 {
@@ -346,7 +344,7 @@ func EstimateDistribution(sets []set.Set, sigs []minhash.Signature, opt Options)
 	if sample < 1 {
 		sample = 1
 	}
-	return simdist.SampleSignaturePairsN(sigs, sample, opt.DistBins, opt.DistSeed+7, ResolveWorkers(opt.Workers))
+	return simdist.SampleSignaturePairsN(sigs, sample, simdist.DefaultBins, opt.DistSeed+7, ResolveWorkers(opt.Workers))
 }
 
 // SignCollection computes every set's min-hash signature exactly as Build

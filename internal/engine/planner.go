@@ -45,17 +45,18 @@ const maxCacheElems = 4096
 const maxCacheMatches = 4096
 
 // PlannerPolicy configures EnablePlanner. The zero value selects the
-// defaults noted per field; negative cache sizes disable that cache.
+// defaults noted per field.
 type PlannerPolicy struct {
-	// ResultCacheEntries sizes the query-result cache (0 = 1024,
+	// ResultCacheEntries bounds the query-result LRU cache (0 = 1024,
 	// negative = no result cache).
 	ResultCacheEntries int
-	// PlanCacheEntries sizes the plan-decision cache (0 = 256, negative =
-	// no plan cache).
+	// PlanCacheEntries bounds the plan-decision LRU cache, keyed on
+	// bucketed similarity ranges (0 = 256, negative = no plan cache).
 	PlanCacheEntries int
-	// MutationTolerance is the total mutation drift a cached plan
-	// DECISION survives within one generation (0 = 1024). Result-cache
-	// entries never tolerate drift — any mutation invalidates them.
+	// MutationTolerance is how many inserts and deletes a cached plan
+	// DECISION survives within one plan generation before it is re-costed
+	// (0 = 1024). Cached RESULTS never tolerate drift: any mutation
+	// invalidates them.
 	MutationTolerance uint64
 	// ForcePlan pins every query to one plan, bypassing cost comparison:
 	// "fi-probe", "direct-scan", or "screen-only" (the latter still

@@ -1,6 +1,10 @@
 package filter
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/minhash"
+)
 
 // Code is a linear binary code over b-bit messages, given by its generator
 // columns: codeword bit pos of message v is parity(v & Column(pos)). A
@@ -17,11 +21,12 @@ type Code interface {
 // distance exactly 2^(b-1) = m/2.
 type Hadamard struct{ m int }
 
-// NewHadamard returns the Hadamard code over b-bit messages, 1 <= b <= 20.
-// The upper bound keeps codewords (2^b bits) to a sane size.
+// NewHadamard returns the Hadamard code over b-bit messages,
+// 1 <= b <= minhash.MaxBits, the truncation widths signing accepts. The
+// upper bound keeps codewords (2^b bits) to a sane size.
 func NewHadamard(b int) (*Hadamard, error) {
-	if b < 1 || b > 20 {
-		return nil, fmt.Errorf("filter: hadamard message bits must be in [1,20], got %d", b)
+	if b < 1 || b > minhash.MaxBits {
+		return nil, fmt.Errorf("filter: hadamard message bits must be in [1,%d], got %d", minhash.MaxBits, b)
 	}
 	return &Hadamard{m: 1 << uint(b)}, nil
 }

@@ -55,6 +55,17 @@ func (k Kind) String() string {
 	return "SFI"
 }
 
+// ProbeSimilarity returns the Hamming similarity at which an index of this
+// kind sees a pair at Hamming similarity sH: sH for an SFI, 1 - sH for a
+// DFI, which probes the complemented query (Theorem 2). It places a DFI's
+// turning point and prices its collisions.
+func (k Kind) ProbeSimilarity(sH float64) float64 {
+	if k == Dissimilar {
+		return 1 - sH
+	}
+	return sH
+}
+
 // Options configures an Index.
 type Options struct {
 	// Kind selects SFI or DFI behaviour.
@@ -101,11 +112,7 @@ func New(pageSize int, opt Options) (*Index, error) {
 	if !(opt.Threshold > 0 && opt.Threshold < 1) {
 		return nil, fmt.Errorf("filter: threshold must be in (0,1), got %g", opt.Threshold)
 	}
-	turning := opt.Threshold
-	if opt.Kind == Dissimilar {
-		turning = 1 - opt.Threshold
-	}
-	r, err := SolveR(opt.Tables, turning)
+	r, err := SolveR(opt.Tables, opt.Kind.ProbeSimilarity(opt.Threshold))
 	if err != nil {
 		return nil, err
 	}

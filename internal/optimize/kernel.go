@@ -100,10 +100,7 @@ func (c *kernel) curve(kind filter.Kind, sigma float64, l int) func(s float64) f
 // collision is p_{r,l} at Hamming similarity sH, seen through the FI's
 // kind: a DFI probes complemented queries.
 func collision(kind filter.Kind, sH float64, r, l int) float64 {
-	if kind == filter.Dissimilar {
-		sH = 1 - sH
-	}
-	return filter.CollisionProb(sH, r, l)
+	return filter.CollisionProb(kind.ProbeSimilarity(sH), r, l)
 }
 
 // row returns the pmf row at s, keyed by the value itself so that a bin

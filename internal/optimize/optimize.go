@@ -42,11 +42,7 @@ type FI struct {
 // Jaccard similarity s appears at similarity 1-s_H(s) = (1-s)/2, so its
 // turning point is (1-σ)/2.
 func turningHamming(kind filter.Kind, sigma float64) float64 {
-	sh := filter.HammingFromJaccard(sigma)
-	if kind == filter.Dissimilar {
-		return 1 - sh
-	}
-	return sh
+	return kind.ProbeSimilarity(filter.HammingFromJaccard(sigma))
 }
 
 // solveR resolves r for an FI with l tables at Jaccard point sigma.
@@ -54,8 +50,7 @@ func solveR(kind filter.Kind, sigma float64, l int) int {
 	if l < 1 {
 		return 0
 	}
-	turning := turningHamming(kind, sigma)
-	r, err := filter.SolveR(l, turning)
+	r, err := filter.SolveR(l, turningHamming(kind, sigma))
 	if err != nil {
 		return 1
 	}
@@ -177,6 +172,12 @@ const (
 	Uniform
 )
 
+// answerFrac is the reference expected answer size of a query, as a
+// fraction of the pair-mass, used by the Definition 9 precision model:
+// worst-case precision of an interval is the answer mass over the interval
+// mass a narrow query must drag along.
+const answerFrac = 0.01
+
 // Options configures BuildPlan.
 type Options struct {
 	// Budget is the total number of hash tables the index may use (the
@@ -193,11 +194,6 @@ type Options struct {
 	Placement Placement
 	// Allocation selects greedy (default, Lemma 6) or uniform budgeting.
 	Allocation Allocation
-	// AnswerFrac is the reference expected answer size of a query, as a
-	// fraction of the pair-mass, used by the Definition 9 precision model
-	// (defaults to 0.01). Worst-case precision of an interval is the
-	// answer mass over the interval mass a narrow query must drag along.
-	AnswerFrac float64
 	// SignatureK is the min-hash signature length k of the embedding the
 	// plan will serve; the capture model averages over the Binomial
 	// agreement distribution it induces. Zero selects the cheaper
@@ -456,10 +452,6 @@ func BuildPlanFixedIntervals(hist *simdist.Histogram, n int, opt Options) (Plan,
 // a caller can tell a budget short of one table per FI, which both
 // allocators reject.
 func (m *Model) planStep(hist *simdist.Histogram, n int, opt Options, target float64) (Plan, error) {
-	answerFrac := opt.AnswerFrac
-	if answerFrac <= 0 {
-		answerFrac = 0.01
-	}
 	delta := hist.Delta()
 	cuts := cutsFor(hist, n, opt.Placement)
 	fis := pointKinds(cuts, delta)
@@ -477,11 +469,11 @@ func (m *Model) planStep(hist *simdist.Histogram, n int, opt Options, target flo
 		fis[i].Tables = alloc[i]
 		fis[i].R = solveR(fis[i].Kind, fis[i].Point, alloc[i])
 	}
-	return assemble(hist, cuts, fis, delta, opt.Budget, target, answerFrac, opt.Objective, opt.SignatureK), nil
+	return assemble(hist, cuts, fis, delta, opt.Budget, target, opt.Objective, opt.SignatureK), nil
 }
 
 // assemble computes interval expectations and packages a Plan.
-func assemble(hist *simdist.Histogram, cuts []float64, fis []FI, delta float64, budget int, target, answerFrac float64, objective RecallObjective, k int) Plan {
+func assemble(hist *simdist.Histogram, cuts []float64, fis []FI, delta float64, budget int, target float64, objective RecallObjective, k int) Plan {
 	plan := Plan{
 		Cuts:         cuts,
 		FIs:          fis,

@@ -276,7 +276,7 @@ func TestLemma3FewerIntervalsHigherRecall(t *testing.T) {
 		for i := range fis {
 			fis[i].Tables = alloc[i]
 		}
-		return assemble(hist, cuts, fis, hist.Delta(), 60, 0.5, 0.01, WorstCaseRecall, 0).WorstRecall
+		return assemble(hist, cuts, fis, hist.Delta(), 60, 0.5, WorstCaseRecall, 0).WorstRecall
 	}
 	if w1, w4 := worst(1), worst(6); w1 < w4-0.05 {
 		t.Errorf("1-cut worst recall %.3f below 6-cut %.3f (Lemma 3 shape violated)", w1, w4)
@@ -368,7 +368,7 @@ func TestLemma5MoreIntervalsBetterPrecision(t *testing.T) {
 		for i := range fis {
 			fis[i].Tables = alloc[i]
 		}
-		return assemble(hist, cuts, fis, hist.Delta(), 60, 0.5, 0.01, WorstCaseRecall, 0).WorstPrecision
+		return assemble(hist, cuts, fis, hist.Delta(), 60, 0.5, WorstCaseRecall, 0).WorstPrecision
 	}
 	if p1, p6 := worstP(1), worstP(6); p6 <= p1 {
 		t.Errorf("worst precision did not improve with intervals: %g (1 cut) vs %g (6 cuts)", p1, p6)

@@ -11,7 +11,7 @@
 // will not, so a later lookup (which sees the newer counter) misses —
 // conservative, never stale.
 //
-// Lock order: ResultCache.mu and PlanCache.mu sit outside (above) the
+// Lock order: each cache's mutex (lru.mu) sits outside (above) the
 // engine's lock chain; see the package comment in plan.go.
 package plan
 
@@ -29,19 +29,6 @@ type Token struct {
 	Gen uint64
 	// Muts holds each shard's mutation counter at snapshot time.
 	Muts []uint64
-}
-
-// equal reports exact state identity (generation and every counter).
-func (t Token) equal(o Token) bool {
-	if t.Gen != o.Gen || len(t.Muts) != len(o.Muts) {
-		return false
-	}
-	for i, m := range t.Muts {
-		if m != o.Muts[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // drift returns the total mutation distance between two tokens of the same
@@ -124,103 +111,35 @@ type CachedResult struct {
 	EnclosedLo, EnclosedHi float64
 }
 
-type resultEntry struct {
-	hash uint64
-	key  ResultKey
-	tok  Token
-	val  CachedResult
-}
-
-// ResultCache is an LRU query-result cache. One slot per 64-bit key hash:
-// a hash collision between different keys behaves as a miss (Get) or a
-// replacement (Put) — deterministic and vanishingly rare. All state is
-// guarded by mu; values are deep-copied on both Put and Get so no caller
-// ever aliases guarded memory.
-type ResultCache struct {
-	mu     sync.Mutex
-	cap    int
-	lru    *list.List
-	byHash map[uint64]*list.Element
-}
+// ResultCache is an LRU query-result cache. An entry is served only
+// against exactly the state it was computed on, and values are deep-copied
+// on both Put and Get so no caller ever aliases guarded memory.
+type ResultCache struct{ lru[ResultKey, CachedResult] }
 
 // NewResultCache returns a cache holding at most capacity entries
 // (capacity < 1 is clamped to 1).
 func NewResultCache(capacity int) *ResultCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &ResultCache{cap: capacity, lru: list.New(), byHash: make(map[uint64]*list.Element)}
+	return &ResultCache{newLRU[ResultKey, CachedResult](capacity)}
 }
 
 // Get returns the cached answer for key if present AND computed against
 // exactly the state tok describes. A present-but-stale entry is evicted.
 func (c *ResultCache) Get(key ResultKey, tok Token) (CachedResult, bool) {
-	h := key.hash()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byHash[h]
+	val, ok := c.get(key, tok, 0)
 	if !ok {
 		return CachedResult{}, false
 	}
-	e := el.Value.(*resultEntry)
-	if !e.key.equal(key) {
-		return CachedResult{}, false
-	}
-	if !e.tok.equal(tok) {
-		c.lru.Remove(el)
-		delete(c.byHash, h)
-		return CachedResult{}, false
-	}
-	c.lru.MoveToFront(el)
-	out := CachedResult{
-		Matches:    append([]core.Match(nil), e.val.Matches...),
-		EnclosedLo: e.val.EnclosedLo,
-		EnclosedHi: e.val.EnclosedHi,
-	}
-	return out, true
+	val.Matches = append([]core.Match(nil), val.Matches...)
+	return val, true
 }
 
 // Put stores the answer for key computed against state tok, copying the
 // key's elements and the matches so the cache shares no memory with the
 // caller. An existing entry under the same hash is replaced.
 func (c *ResultCache) Put(key ResultKey, tok Token, val CachedResult) {
-	h := key.hash()
-	stored := resultEntry{
-		hash: h,
-		key: ResultKey{
-			Elems:  append([]uint64(nil), key.Elems...),
-			Lo:     key.Lo,
-			Hi:     key.Hi,
-			Flags:  key.Flags,
-			Margin: key.Margin,
-		},
-		tok: Token{Gen: tok.Gen, Muts: append([]uint64(nil), tok.Muts...)},
-		val: CachedResult{
-			Matches:    append([]core.Match(nil), val.Matches...),
-			EnclosedLo: val.EnclosedLo,
-			EnclosedHi: val.EnclosedHi,
-		},
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byHash[h]; ok {
-		*el.Value.(*resultEntry) = stored
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.byHash[h] = c.lru.PushFront(&stored)
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.byHash, back.Value.(*resultEntry).hash)
-	}
-}
-
-// Len returns the number of live entries (for tests).
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+	key.Elems = append([]uint64(nil), key.Elems...)
+	val.Matches = append([]core.Match(nil), val.Matches...)
+	c.put(key, tok, val)
 }
 
 // planBuckets is the plan-key range resolution: ranges are bucketed to
@@ -258,57 +177,30 @@ func (k PlanKey) hash() uint64 {
 	return h
 }
 
-type planEntry struct {
-	hash uint64
-	key  PlanKey
-	tok  Token
-	dec  Decision
-}
-
 // PlanCache is an LRU cache of plan Decisions keyed on bucketed ranges.
 // Unlike the result cache, entries tolerate bounded mutation drift within
 // the same plan generation: a few thousand inserts shift shard geometry
 // too little to flip a cost comparison, while a generation bump (retune /
 // hot-swap) always invalidates.
-type PlanCache struct {
-	mu     sync.Mutex
-	cap    int
-	lru    *list.List
-	byHash map[uint64]*list.Element
-}
+type PlanCache struct{ lru[PlanKey, Decision] }
 
 // NewPlanCache returns a cache holding at most capacity decisions
 // (capacity < 1 is clamped to 1).
 func NewPlanCache(capacity int) *PlanCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &PlanCache{cap: capacity, lru: list.New(), byHash: make(map[uint64]*list.Element)}
+	return &PlanCache{newLRU[PlanKey, Decision](capacity)}
 }
+
+func (k PlanKey) equal(o PlanKey) bool { return k == o }
 
 // Get returns the cached decision for key if its token matches tok's
 // generation and drifts by at most tolerance total mutations. Stale
 // entries are evicted. The decision is copied; FromCache is set.
 func (c *PlanCache) Get(key PlanKey, tok Token, tolerance uint64) (Decision, bool) {
-	h := key.hash()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byHash[h]
+	dec, ok := c.get(key, tok, tolerance)
 	if !ok {
 		return Decision{}, false
 	}
-	e := el.Value.(*planEntry)
-	if e.key != key {
-		return Decision{}, false
-	}
-	if d, comparable := e.tok.drift(tok); !comparable || d > tolerance {
-		c.lru.Remove(el)
-		delete(c.byHash, h)
-		return Decision{}, false
-	}
-	c.lru.MoveToFront(el)
-	dec := e.dec
-	dec.PerShard = append([]Kind(nil), e.dec.PerShard...)
+	dec.PerShard = append([]Kind(nil), dec.PerShard...)
 	dec.FromCache = true
 	return dec, true
 }
@@ -316,33 +208,92 @@ func (c *PlanCache) Get(key PlanKey, tok Token, tolerance uint64) (Decision, boo
 // Put stores the decision for key computed against state tok (copied, so
 // the cache shares no memory with the caller).
 func (c *PlanCache) Put(key PlanKey, tok Token, dec Decision) {
-	h := key.hash()
-	stored := planEntry{
-		hash: h,
-		key:  key,
-		tok:  Token{Gen: tok.Gen, Muts: append([]uint64(nil), tok.Muts...)},
-		dec:  dec,
+	dec.PerShard = append([]Kind(nil), dec.PerShard...)
+	dec.FromCache = false
+	c.put(key, tok, dec)
+}
+
+// lru is the LRU both caches are built on. One slot per 64-bit key hash:
+// a hash collision between different keys behaves as a miss (get) or a
+// replacement (put) — deterministic and vanishingly rare. All state is
+// guarded by mu. Callers hand put values they no longer share and copy
+// what get returns before handing it out; a stored value is never
+// written in place, only replaced.
+type lru[K lruKey[K], V any] struct {
+	mu     sync.Mutex
+	cap    int
+	order  *list.List
+	byHash map[uint64]*list.Element
+}
+
+// lruKey is what a cache key provides: its slot hash and exact equality.
+type lruKey[K any] interface {
+	hash() uint64
+	equal(K) bool
+}
+
+type lruEntry[K, V any] struct {
+	hash uint64
+	key  K
+	tok  Token
+	val  V
+}
+
+func newLRU[K lruKey[K], V any](capacity int) lru[K, V] {
+	if capacity < 1 {
+		capacity = 1
 	}
-	stored.dec.PerShard = append([]Kind(nil), dec.PerShard...)
-	stored.dec.FromCache = false
+	return lru[K, V]{cap: capacity, order: list.New(), byHash: make(map[uint64]*list.Element)}
+}
+
+// get returns the value stored for key if its token is of tok's
+// generation and shard count and drifts from tok by at most tolerance
+// total mutations. A present entry that fails the test is evicted.
+func (c *lru[K, V]) get(key K, tok Token, tolerance uint64) (V, bool) {
+	var zero V
+	h := key.hash()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byHash[h]
+	if !ok {
+		return zero, false
+	}
+	e := el.Value.(*lruEntry[K, V])
+	if !e.key.equal(key) {
+		return zero, false
+	}
+	if d, comparable := e.tok.drift(tok); !comparable || d > tolerance {
+		c.order.Remove(el)
+		delete(c.byHash, h)
+		return zero, false
+	}
+	c.order.MoveToFront(el)
+	return e.val, true
+}
+
+// put stores val for key against a copy of tok, replacing an entry under
+// the same hash, and evicts the least recently used beyond capacity.
+func (c *lru[K, V]) put(key K, tok Token, val V) {
+	h := key.hash()
+	stored := lruEntry[K, V]{hash: h, key: key, tok: Token{Gen: tok.Gen, Muts: append([]uint64(nil), tok.Muts...)}, val: val}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byHash[h]; ok {
-		*el.Value.(*planEntry) = stored
-		c.lru.MoveToFront(el)
+		*el.Value.(*lruEntry[K, V]) = stored
+		c.order.MoveToFront(el)
 		return
 	}
-	c.byHash[h] = c.lru.PushFront(&stored)
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.byHash, back.Value.(*planEntry).hash)
+	c.byHash[h] = c.order.PushFront(&stored)
+	for c.order.Len() > c.cap {
+		back := c.order.Back()
+		c.order.Remove(back)
+		delete(c.byHash, back.Value.(*lruEntry[K, V]).hash)
 	}
 }
 
 // Len returns the number of live entries (for tests).
-func (c *PlanCache) Len() int {
+func (c *lru[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.order.Len()
 }

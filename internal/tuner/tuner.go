@@ -33,6 +33,7 @@
 package tuner
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -68,7 +69,8 @@ type Config struct {
 	// estimated against (0 selects DefaultPairsPerInsert).
 	PairsPerInsert int
 	// DriftThreshold is the max-CDF-distance past which ShouldRetune
-	// fires (0 selects DefaultDriftThreshold).
+	// fires, in [0, 1] (0 selects DefaultDriftThreshold). New rejects
+	// any other value with ErrDriftThreshold.
 	DriftThreshold float64
 	// MinMutations is the hysteresis: ShouldRetune stays quiet until at
 	// least this many mutations accumulated since the last rebase
@@ -162,12 +164,20 @@ type Tracker struct {
 	lastCheck time.Time
 }
 
+// ErrDriftThreshold rejects a Config.DriftThreshold outside [0, 1]. The
+// drift is a CDF distance in [0, 1], so a NaN threshold or one above 1
+// would never fire and a negative one would fire on every check.
+var ErrDriftThreshold = errors.New("tuner: DriftThreshold must be in [0, 1]")
+
 // New validates the config and returns an empty tracker. The baseline is
 // installed separately (SetBaseline) because a freshly loaded index may
 // not know its profile yet.
 func New(cfg Config) (*Tracker, error) {
 	if cfg.Rand == nil {
 		return nil, fmt.Errorf("tuner: Config.Rand is required (inject a seeded *rand.Rand; package-global randomness is banned)")
+	}
+	if !(cfg.DriftThreshold >= 0 && cfg.DriftThreshold <= 1) {
+		return nil, fmt.Errorf("%w, got %g", ErrDriftThreshold, cfg.DriftThreshold)
 	}
 	cfg = cfg.withDefaults()
 	if cfg.ReservoirMembers < 2 {

@@ -1,6 +1,8 @@
 package tuner
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -47,6 +49,34 @@ func newTestTracker(t *testing.T, cfg Config) *Tracker {
 func TestNewRequiresRand(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted a nil Rand; injected randomness is mandatory")
+	}
+}
+
+// TestDriftThresholdBounds pins DriftThreshold to the range of the drift it
+// is compared with: 0 (the default) through 1 are accepted, and every other
+// value is rejected with ErrDriftThreshold.
+func TestDriftThresholdBounds(t *testing.T) {
+	for _, tc := range []struct {
+		threshold float64
+		ok        bool
+	}{
+		{0, true},
+		{0.15, true},
+		{1, true},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{-1, false},
+		{-0.01, false},
+		{1.01, false},
+	} {
+		_, err := New(Config{DriftThreshold: tc.threshold, Rand: rand.New(rand.NewSource(1))})
+		if tc.ok && err != nil {
+			t.Errorf("threshold %g rejected: %v", tc.threshold, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrDriftThreshold) {
+			t.Errorf("threshold %g: err %v, want ErrDriftThreshold", tc.threshold, err)
+		}
 	}
 }
 

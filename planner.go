@@ -20,48 +20,16 @@ package ssr
 
 import "repro/internal/engine"
 
-// PlannerPolicy tunes the cost-based query planner. The zero value
-// selects defaults for every field.
-type PlannerPolicy struct {
-	// ResultCacheEntries bounds the query-result LRU cache. 0 means the
-	// default (1024); negative disables result caching.
-	ResultCacheEntries int
-	// PlanCacheEntries bounds the plan-decision LRU cache, keyed on
-	// bucketed similarity ranges. 0 means the default (256); negative
-	// disables plan caching.
-	PlanCacheEntries int
-	// MutationTolerance is how many inserts/deletes a cached PLAN
-	// decision survives before it is re-costed (cost estimates age
-	// gracefully; cached RESULTS never tolerate any drift). 0 means the
-	// default (1024).
-	MutationTolerance int
-	// ForcePlan, when non-empty, overrides the cost model: "fi-probe",
-	// "direct-scan", or "screen-only" (the last still requires
-	// AllowApproximate and otherwise falls back to fi-probe). Intended
-	// for testing and benchmarking.
-	ForcePlan string
-}
-
-func (p PlannerPolicy) toEngine() engine.PlannerPolicy {
-	ep := engine.PlannerPolicy{
-		ResultCacheEntries: p.ResultCacheEntries,
-		PlanCacheEntries:   p.PlanCacheEntries,
-		ForcePlan:          p.ForcePlan,
-	}
-	if p.MutationTolerance > 0 {
-		ep.MutationTolerance = uint64(p.MutationTolerance)
-	}
-	return ep
-}
+// PlannerPolicy tunes the cost-based query planner; the zero value
+// selects defaults for every field. It is the engine's policy type.
+type PlannerPolicy = engine.PlannerPolicy
 
 // EnablePlanner turns on the cost-based query planner with the given
 // policy (zero value for defaults). Safe to call on a live index;
 // concurrent queries pick the planner up on their next dispatch. Exact
 // plans and all cached answers stay byte-identical to the default
 // pipeline; only AllowApproximate queries can receive estimates.
-func (ix *Index) EnablePlanner(p PlannerPolicy) {
-	ix.inner.EnablePlanner(p.toEngine())
-}
+func (ix *Index) EnablePlanner(p PlannerPolicy) { ix.inner.EnablePlanner(p) }
 
 // DisablePlanner turns the planner off and drops its caches. Queries in
 // flight finish under whichever mode they observed at dispatch.

@@ -31,22 +31,25 @@ func requireSamePublicMatches(t *testing.T, label string, got, want []Match) {
 	}
 }
 
-// TestPlannerOption pins the public wiring: Options.Planner enables the
-// planner at Build, exact answers stay byte-identical to a planner-off
-// build, and Stats surfaces the chosen plan and cache counters.
-func TestPlannerOption(t *testing.T) {
+// TestEnablePlanner pins the public wiring: EnablePlanner switches the
+// planner on, exact answers stay byte-identical to a planner-off build,
+// and Stats surfaces the chosen plan and cache counters.
+func TestEnablePlanner(t *testing.T) {
 	opt := durableBuildOpts()
 	base, err := Build(bookstore(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Planner = true
 	ix, err := Build(bookstore(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ix.PlannerEnabled() {
+		t.Fatal("planner on before EnablePlanner")
+	}
+	ix.EnablePlanner(PlannerPolicy{})
 	if !ix.PlannerEnabled() {
-		t.Fatal("Options.Planner did not enable the planner")
+		t.Fatal("EnablePlanner did not enable the planner")
 	}
 	for _, r := range plannerTestRanges {
 		for _, q := range plannerQueries {
@@ -82,13 +85,11 @@ func TestPlannerOption(t *testing.T) {
 // screen-only plan runs only under QueryOptions.AllowApproximate, and
 // estimates land inside the requested range.
 func TestPlannerAllowApproximate(t *testing.T) {
-	opt := durableBuildOpts()
-	opt.Planner = true
-	opt.PlannerPolicy = PlannerPolicy{ForcePlan: "screen-only"}
-	ix, err := Build(bookstore(), opt)
+	ix, err := Build(bookstore(), durableBuildOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.EnablePlanner(PlannerPolicy{ForcePlan: "screen-only"})
 	q, lo, hi := plannerQueries[0], 0.5, 1.0
 	_, st, err := ix.QueryWithOptions(q, lo, hi, QueryOptions{})
 	if err != nil {
@@ -114,12 +115,11 @@ func TestPlannerAllowApproximate(t *testing.T) {
 // TestPlannerMutationInvalidation pins the public invalidation story:
 // cached results created before Add/Remove are never served after.
 func TestPlannerMutationInvalidation(t *testing.T) {
-	opt := durableBuildOpts()
-	opt.Planner = true
-	ix, err := Build(bookstore(), opt)
+	ix, err := Build(bookstore(), durableBuildOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.EnablePlanner(PlannerPolicy{})
 	q, lo, hi := plannerQueries[0], 0.8, 1.0
 	if _, _, err := ix.Query(q, lo, hi); err != nil {
 		t.Fatal(err)
@@ -164,13 +164,12 @@ func TestPlannerMutationInvalidation(t *testing.T) {
 func TestPlannerDurableMixedGenerationRecovery(t *testing.T) {
 	const shards = 3
 	dir := t.TempDir()
-	opt := durableShardedBuildOpts(shards)
-	opt.Planner = true
-	ix, err := CreateDurable(dir, bookstore(), opt,
+	ix, err := CreateDurable(dir, bookstore(), durableShardedBuildOpts(shards),
 		DurableOptions{Sync: SyncAlways, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatalf("CreateDurable: %v", err)
 	}
+	ix.EnablePlanner(PlannerPolicy{})
 	applyOps(t, ix, workloadOps(25))
 	q, lo, hi := plannerQueries[1], 0.5, 1.0
 	// Warm the pre-crash cache so stale entries exist to be discarded.

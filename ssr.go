@@ -44,7 +44,9 @@ import (
 )
 
 // Options tunes index construction. The zero value of every field selects a
-// sensible default except Budget, which must be positive.
+// sensible default except Budget, which must be positive. The query planner
+// and adaptive re-tuning are switched on after Build, by Index.EnablePlanner
+// and Index.EnableAutoTune.
 type Options struct {
 	// Budget is the total number of hash tables the index may use — the
 	// space constraint of the paper's Section 5 optimization. Required.
@@ -61,12 +63,14 @@ type Options struct {
 	// MaxFilterIndices caps the optimizer's interval-growing loop
 	// (default 16).
 	MaxFilterIndices int
-	// PageSize is the simulated disk page size in bytes (default 4096).
+	// PageSize is the simulated disk page size in bytes (default 4096;
+	// negative is rejected).
 	PageSize int
 	// PayloadBytesPerElement makes the simulated disk account each element
 	// at its original record size (e.g. ~100 bytes for a URL string) even
 	// though elements are stored as compact ids. It only affects the I/O
-	// cost model (Stats, the planner), not results. At most 1 MiB.
+	// cost model (Stats, the planner), not results. At most 1 MiB; negative
+	// is rejected.
 	PayloadBytesPerElement int
 	// Seed makes the whole build reproducible (default 1).
 	Seed int64
@@ -74,12 +78,6 @@ type Options struct {
 	// similarity distribution; 0 picks a size-based default, negative
 	// forces the exact O(N²) computation.
 	DistSample int
-	// UniformPlacement switches partition-point placement from equidepth
-	// (the paper's choice) to uniform. For ablation studies.
-	UniformPlacement bool
-	// UniformAllocation switches hash-table budgeting from greedy
-	// (the paper's choice) to uniform. For ablation studies.
-	UniformAllocation bool
 	// Workers bounds build parallelism (signing, distribution sampling,
 	// filter population). 0 uses every CPU, 1 forces a serial build; every
 	// value produces a bit-identical index.
@@ -92,28 +90,6 @@ type Options struct {
 	// for every shard count. 0 or 1 (the default) builds the classic
 	// monolithic index, bit-identical to previous releases.
 	Shards int
-	// AutoTune starts adaptive re-tuning: an online sketch tracks how the
-	// collection's similarity distribution drifts under inserts and
-	// deletes, and when it drifts past TunePolicy's threshold the
-	// Section 5 plan is re-derived in the background and hot-swapped
-	// without blocking queries. Equivalent to calling EnableAutoTune on
-	// the built index.
-	AutoTune bool
-	// TunePolicy tunes AutoTune's decision rule; the zero value selects
-	// defaults. Ignored unless AutoTune is set.
-	TunePolicy TunePolicy
-	// Planner enables the cost-based query planner: each range query is
-	// priced from the live similarity distribution and the storage cost
-	// model, then executed by the cheapest of fi-probe (the default
-	// pipeline), direct-scan, or — only with QueryOptions.AllowApproximate
-	// — screen-only, with plan decisions and exact results cached and
-	// invalidated by plan-generation and mutation counters. Exact plans
-	// and all cached answers are byte-identical to the default pipeline.
-	// Equivalent to calling EnablePlanner on the built index.
-	Planner bool
-	// PlannerPolicy tunes the planner; the zero value selects defaults.
-	// Ignored unless Planner is set.
-	PlannerPolicy PlannerPolicy
 }
 
 // Collection accumulates sets before building an index. Elements are
@@ -339,22 +315,16 @@ func Build(c *Collection, opt Options) (*Index, error) {
 	if opt.Seed != 0 {
 		eopt.Seed = opt.Seed
 	}
-	popt := optimize.Options{
-		Budget:       opt.Budget,
-		RecallTarget: opt.RecallTarget,
-		MaxFIs:       opt.MaxFilterIndices,
-	}
-	if opt.UniformPlacement {
-		popt.Placement = optimize.Uniform
-	}
-	if opt.UniformAllocation {
-		popt.Allocation = optimize.UniformTables
-	}
 	if opt.Shards > engine.MaxShards {
 		return nil, fmt.Errorf("ssr: Options.Shards %d exceeds the maximum %d", opt.Shards, engine.MaxShards)
 	}
-	if opt.PayloadBytesPerElement > storage.MaxPayloadPerElem {
-		return nil, fmt.Errorf("ssr: Options.PayloadBytesPerElement %d exceeds the maximum %d", opt.PayloadBytesPerElement, storage.MaxPayloadPerElem)
+	// Load rejects a snapshot with negative storage parameters, so Build
+	// must not produce one.
+	if opt.PageSize < 0 {
+		return nil, fmt.Errorf("ssr: Options.PageSize %d is negative", opt.PageSize)
+	}
+	if opt.PayloadBytesPerElement < 0 || opt.PayloadBytesPerElement > storage.MaxPayloadPerElem {
+		return nil, fmt.Errorf("ssr: Options.PayloadBytesPerElement %d is outside [0, %d]", opt.PayloadBytesPerElement, storage.MaxPayloadPerElem)
 	}
 	c.mu.Lock()
 	sets := make([]set.Set, len(c.sets))
@@ -365,7 +335,7 @@ func Build(c *Collection, opt Options) (*Index, error) {
 		RouterSeed: opt.Seed,
 		Core: core.Options{
 			Embed:          eopt,
-			Plan:           popt,
+			Plan:           optimize.Options{Budget: opt.Budget, RecallTarget: opt.RecallTarget, MaxFIs: opt.MaxFilterIndices},
 			PageSize:       opt.PageSize,
 			PayloadPerElem: opt.PayloadBytesPerElement,
 			DistSample:     opt.DistSample,
@@ -376,16 +346,7 @@ func Build(c *Collection, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{coll: c, inner: inner}
-	if opt.Planner {
-		ix.EnablePlanner(opt.PlannerPolicy)
-	}
-	if opt.AutoTune {
-		if err := ix.EnableAutoTune(opt.TunePolicy); err != nil {
-			return nil, err
-		}
-	}
-	return ix, nil
+	return &Index{coll: c, inner: inner}, nil
 }
 
 // Shards returns the number of independently locked partitions the index
@@ -507,7 +468,7 @@ type QueryOptions struct {
 	// Workers bounds query parallelism (batch fan-out and per-query
 	// candidate verification). 0 uses every CPU, 1 forces serial processing.
 	Workers int
-	// AllowApproximate permits the query planner (Options.Planner) to
+	// AllowApproximate permits the query planner (Index.EnablePlanner) to
 	// answer from signature estimates alone — the screen-only plan — when
 	// the range is wide relative to the estimator's 95%-confidence width
 	// and the cost model favours it. Returned similarities are then

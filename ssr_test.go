@@ -46,6 +46,14 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(c, Options{Budget: 20, PayloadBytesPerElement: 1 << 30}); err == nil {
 		t.Error("1 GiB payload per element accepted")
 	}
+	// Load rejects a snapshot with negative storage parameters, so Build
+	// must reject them too.
+	if _, err := Build(c, Options{Budget: 20, PageSize: -1}); err == nil {
+		t.Error("negative page size accepted")
+	}
+	if _, err := Build(c, Options{Budget: 20, PayloadBytesPerElement: -1}); err == nil {
+		t.Error("negative payload per element accepted")
+	}
 }
 
 func TestQueryFindsDuplicates(t *testing.T) {

@@ -13,14 +13,15 @@ import (
 	"repro/internal/tuner"
 )
 
-// TunePolicy configures automatic re-tuning (Options.AutoTune or
-// EnableAutoTune). The zero value selects sensible defaults throughout.
+// TunePolicy configures automatic re-tuning (EnableAutoTune). The zero
+// value selects sensible defaults throughout.
 type TunePolicy struct {
 	// CheckEvery is the background drift-evaluation period (default 30s).
 	CheckEvery time.Duration
 	// DriftThreshold is the max-CDF-distance between the live similarity
-	// sketch and the build-time profile past which a retune triggers
-	// (default 0.15, tuner.DefaultDriftThreshold).
+	// sketch and the build-time profile past which a retune triggers, in
+	// [0, 1] (0 selects the default 0.15, tuner.DefaultDriftThreshold;
+	// EnableAutoTune rejects any other value).
 	DriftThreshold float64
 	// MinMutations is the hysteresis: no retune until at least this many
 	// inserts+deletes accumulated since the plan was last (re)derived
@@ -72,8 +73,9 @@ type TuneReport struct {
 // TunerState is a point-in-time snapshot of the adaptive-tuning
 // machinery, for monitoring (ssrserver exposes it on GET /stats).
 type TunerState struct {
-	// Enabled reports whether a drift tracker is installed (AutoTune also
-	// requires the background loop, reported by AutoTuning).
+	// Enabled reports whether a drift tracker is installed (EnableAutoTune
+	// installs one and starts the background loop, reported by
+	// AutoTuning).
 	Enabled bool
 	// AutoTuning reports whether the background loop is running.
 	AutoTuning bool
@@ -147,8 +149,9 @@ func (ix *Index) Retune() (TuneReport, error) {
 // retunes when it fires. The baseline profile is the current plan's
 // similarity distribution; indexes loaded from pre-retune snapshots
 // carry none, and the loop stays quiet until a manual Retune establishes
-// one. Returns an error if auto-tuning is already enabled. Close stops
-// the loop (also on non-durable indexes).
+// one. Returns an error if auto-tuning is already enabled or the
+// policy's DriftThreshold is outside [0, 1] (tuner.ErrDriftThreshold).
+// Close stops the loop (also on non-durable indexes).
 func (ix *Index) EnableAutoTune(policy TunePolicy) error {
 	if ix.replica {
 		return fmt.Errorf("ssr: %w (followers mirror the primary's plan)", ErrReplicaReadOnly)

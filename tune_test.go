@@ -1,9 +1,13 @@
 package ssr
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
+
+	"repro/internal/tuner"
 )
 
 // driftFlood inserts n near-duplicate sets — a high-similarity mode the
@@ -63,18 +67,18 @@ func TestManualRetune(t *testing.T) {
 	}
 }
 
-// TestAutoTuneLifecycle builds with Options.AutoTune, drifts the
+// TestAutoTuneLifecycle enables auto-tuning on a built index, drifts the
 // collection, and waits for the background loop to hot-swap — then
 // checks Close stops the loop.
 func TestAutoTuneLifecycle(t *testing.T) {
-	opt := durableBuildOpts()
-	opt.AutoTune = true
-	opt.TunePolicy = TunePolicy{CheckEvery: 5 * time.Millisecond, MinMutations: 32, MinPairs: 16, Seed: 11}
-	ix, err := Build(bookstore(), opt)
+	ix, err := Build(bookstore(), durableBuildOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
+	if err := ix.EnableAutoTune(TunePolicy{CheckEvery: 5 * time.Millisecond, MinMutations: 32, MinPairs: 16, Seed: 11}); err != nil {
+		t.Fatal(err)
+	}
 	st := ix.TunerState()
 	if !st.Enabled || !st.AutoTuning {
 		t.Fatalf("tuner state %+v, want enabled and auto-tuning", st)
@@ -104,16 +108,35 @@ func TestAutoTuneLifecycle(t *testing.T) {
 	}
 }
 
+// TestAutoTuneRejectsDriftThreshold checks that EnableAutoTune refuses a
+// drift threshold the drift can never cross (NaN, above 1) or always
+// crosses (negative), and leaves the index without a tuner.
+func TestAutoTuneRejectsDriftThreshold(t *testing.T) {
+	ix, err := Build(bookstore(), durableBuildOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for _, th := range []float64{math.NaN(), math.Inf(1), -1, 1.5} {
+		if err := ix.EnableAutoTune(TunePolicy{DriftThreshold: th}); !errors.Is(err, tuner.ErrDriftThreshold) {
+			t.Errorf("threshold %g: err %v, want ErrDriftThreshold", th, err)
+		}
+		if st := ix.TunerState(); st.Enabled || st.AutoTuning {
+			t.Fatalf("threshold %g: tuner state %+v after a rejected enable", th, st)
+		}
+	}
+}
+
 // TestAutoTuneDurable runs the loop on a durable sharded index: the
 // background swap must checkpoint, so a reopen recovers the retuned
 // plan.
 func TestAutoTuneDurable(t *testing.T) {
 	dir := t.TempDir()
-	opt := durableShardedBuildOpts(3)
-	opt.AutoTune = true
-	opt.TunePolicy = TunePolicy{CheckEvery: 5 * time.Millisecond, MinMutations: 32, MinPairs: 16, Seed: 11}
-	ix, err := CreateDurable(dir, bookstore(), opt, DurableOptions{Sync: SyncNever, CheckpointBytes: -1})
+	ix, err := CreateDurable(dir, bookstore(), durableShardedBuildOpts(3), DurableOptions{Sync: SyncNever, CheckpointBytes: -1})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.EnableAutoTune(TunePolicy{CheckEvery: 5 * time.Millisecond, MinMutations: 32, MinPairs: 16, Seed: 11}); err != nil {
 		t.Fatal(err)
 	}
 	driftFlood(t, ix, 300)
