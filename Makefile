@@ -56,6 +56,7 @@ replication:
 # A bounded run of every fuzz target; regressions in the corpus fail fast.
 FUZZTIME ?= 20s
 fuzz-smoke:
+	$(GO) test ./internal/set/ -run '^$$' -fuzz FuzzIntersection -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzSetEncoding -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter/ -run '^$$' -fuzz FuzzGatherKey -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hashtable/ -run '^$$' -fuzz FuzzTableOps -fuzztime $(FUZZTIME)

@@ -262,6 +262,10 @@ func prepare(sets []set.Set, opt Options) (Options, *minhash.Perms, error) {
 	if err := opt.Embed.Validate(); err != nil {
 		return opt, nil, fmt.Errorf("core: %w", err)
 	}
+	// Load rejects a snapshot with these, so no build may produce one.
+	if opt.PageSize < 0 || opt.PayloadPerElem < 0 || opt.PayloadPerElem > storage.MaxPayloadPerElem {
+		return opt, nil, fmt.Errorf("core: page size %d must not be negative and payload %d bytes per element must lie in [0, %d]", opt.PageSize, opt.PayloadPerElem, storage.MaxPayloadPerElem)
+	}
 	perms, err := minhash.NewFamily(opt.Embed.K, opt.Embed.Seed)
 	if err != nil {
 		return opt, nil, err
@@ -583,7 +587,7 @@ func (ix *Index) QueryPresigned(q set.Set, sig minhash.Signature, s1, s2 float64
 		if opt.Arm == ArmScreen {
 			matches, err = ix.screenCandidates(sig, cands, s1, s2, stats)
 		} else {
-			matches, err = ix.verifyCandidates(q, sig, cands, s1, s2, opt, stats)
+			matches, err = ix.verifyCandidates(q, &sc.qbits, sig, cands, s1, s2, opt, stats)
 		}
 		if err != nil {
 			return nil, err
@@ -645,9 +649,10 @@ func checkMargin(eps float64) error {
 
 // sortMatches orders results by descending similarity, ties by ascending
 // sid — a deterministic total order, so serial and parallel verification
-// return identical slices. It is a stable LSD radix sort over the byte
-// digits of radixDigit, skipping any digit constant across the input; the
-// result does not depend on the input order.
+// return identical slices. sortByKey sorts sid-ascending input with
+// similarities in [0, 1], as verification emits it; the rest takes a
+// stable LSD radix sort over the byte digits of radixDigit, skipping any
+// digit constant across the input. Neither depends on the input order.
 func sortMatches(matches []Match) {
 	if len(matches) < 2 {
 		return
@@ -658,16 +663,23 @@ func sortMatches(matches []Match) {
 	var sidVar uint32
 	var simVar uint64
 	sidSorted := true
+	unit := matches[0].Similarity >= 0 && matches[0].Similarity <= 1
 	for i, m := range matches[1:] {
 		sidVar |= m.SID ^ matches[0].SID
 		simVar |= math.Float64bits(m.Similarity) ^ math.Float64bits(matches[0].Similarity)
 		sidSorted = sidSorted && matches[i].SID < m.SID
+		unit = unit && m.Similarity >= 0 && m.Similarity <= 1
+	}
+	bp := sortScratch.Get().(*sortBuffers)
+	defer sortScratch.Put(bp)
+	if sidSorted && unit && bp.sortByKey(matches) {
+		return
 	}
 	if sidSorted {
 		sidVar = 0
 	}
-	bp := sortScratch.Get().(*[]Match)
-	buf := slices.Grow((*bp)[:0], len(matches))[:len(matches)]
+	buf := slices.Grow(bp.m[:0], len(matches))[:len(matches)]
+	bp.m = buf
 	src, dst := matches, buf
 	for d := 0; d < 12; d++ {
 		if radixDigit(sidVar, simVar, d) == 0 {
@@ -691,8 +703,6 @@ func sortMatches(matches []Match) {
 	if &src[0] != &matches[0] {
 		copy(matches, src)
 	}
-	*bp = buf
-	sortScratch.Put(bp)
 }
 
 // radixDigit returns digit d, least significant first, of the sort key
@@ -706,8 +716,62 @@ func radixDigit(sid uint32, simKey uint64, d int) byte {
 	return byte(simKey >> (8 * (d - 4)))
 }
 
-// sortScratch pools sortMatches' scatter buffers.
-var sortScratch = sync.Pool{New: func() any { return new([]Match) }}
+// sortBuffers pools sortMatches' scatter buffer and sortByKey's keys.
+type sortBuffers struct {
+	m    []Match
+	keys [2][]uint64
+}
+
+// sortByKey sorts sid-ascending matches with similarities in [0, 1] by LSD
+// passes over the key ^floor(sim·2^32) (1 clamped to 2^32−1), packed above
+// each match's input position, which breaks ties by sid. Fractions a/b
+// with b < 2^16 lie over 2^-32 apart, so never share a key; when two
+// different similarities do, it reports false and leaves matches as given.
+func (bp *sortBuffers) sortByKey(matches []Match) bool {
+	n := len(matches)
+	src := slices.Grow(bp.keys[0][:0], n)[:n]
+	dst := slices.Grow(bp.keys[1][:0], n)[:n]
+	bp.keys = [2][]uint64{src, dst}
+	for i, m := range matches {
+		src[i] = uint64(^uint32(min(m.Similarity*(1<<32), 1<<32-1)))<<32 | uint64(i)
+	}
+	// 11-bit digits save a pass once the input outnumbers their counters.
+	w := 8
+	if n >= 1<<11 {
+		w = 11
+	}
+	var counts [1 << 11]int
+	for shift := 32; shift < 64; shift += w {
+		c := counts[:1<<w]
+		clear(c)
+		for _, k := range src {
+			c[k>>shift&(1<<w-1)]++
+		}
+		sum := 0
+		for b, cnt := range c {
+			c[b], sum = sum, sum+cnt
+		}
+		for _, k := range src {
+			b := k >> shift & (1<<w - 1)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	out := slices.Grow(bp.m[:0], n)[:n]
+	bp.m = out
+	for i, k := range src {
+		out[i] = matches[uint32(k)]
+		if i > 0 && k>>32 == src[i-1]>>32 && out[i].Similarity != out[i-1].Similarity {
+			return false
+		}
+	}
+	copy(matches, out)
+	return true
+}
+
+// sortScratch pools sortMatches' buffers.
+var sortScratch = sync.Pool{New: func() any { return new(sortBuffers) }}
 
 // Insert adds a new set to the collection and all filter indices, returning
 // its sid — the dynamic maintenance the paper notes hash indices support.

@@ -8,11 +8,12 @@ import (
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
 // buildSmall builds a small but realistic index for integration tests.
-func buildSmall(t *testing.T, n, budget int) (*Index, []set.Set) {
+func buildSmall(t testing.TB, n, budget int) (*Index, []set.Set) {
 	t.Helper()
 	sets, err := workload.Generate(workload.Set1Params(n))
 	if err != nil {
@@ -212,6 +213,18 @@ func TestBuildValidation(t *testing.T) {
 	sets, _ := workload.Generate(workload.Set1Params(10))
 	if _, err := Build(sets, Options{Plan: optimize.Options{Budget: 0}}); err == nil {
 		t.Error("zero budget accepted")
+	}
+	// Load rejects a snapshot with these storage parameters, so Build
+	// must reject them before Save can write one.
+	for _, o := range []Options{
+		{PageSize: -1},
+		{PayloadPerElem: -1},
+		{PayloadPerElem: storage.MaxPayloadPerElem + 1},
+	} {
+		o.Plan = optimize.Options{Budget: 20}
+		if _, err := Build(sets, o); err == nil {
+			t.Errorf("page size %d, payload %d bytes per element accepted", o.PageSize, o.PayloadPerElem)
+		}
 	}
 }
 

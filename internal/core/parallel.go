@@ -20,7 +20,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -234,38 +236,59 @@ func populateFilters(coords []minhash.Signature, fis []*filter.Index, workers in
 
 // queryScratch holds the reusable per-query buffers pooled on the index:
 // the query signature, the sid bitsets of the Section 4.3 terms PosA,
-// NegA, PosB, NegB, and the candidate sids. Steady-state queries allocate
-// only their results.
+// NegA, PosB, NegB, the candidate sids and the query's element bitmap.
+// Steady-state queries allocate only their results.
 type queryScratch struct {
 	sig   minhash.Signature
 	terms [4][]uint64
 	cands []storage.SID
+	qbits set.Bitmap
+}
+
+// verifyPass is one query's verification constants, read by every verify
+// worker; sig is read only when screening.
+type verifyPass struct {
+	qbits              *set.Bitmap
+	sig                minhash.Signature
+	s1, s2             float64
+	nlo, nhi           int
+	screen             bool
+	screenLo, screenHi float64
+}
+
+// sizeWindow returns the sizes [lo, hi] outside which a set cannot verify
+// against a query of qn elements at s1: float64(min(qn, n))/float64(max(qn,
+// n)) < s1 bounds its Jaccard below s1 too. The ratio rises with n up to
+// qn and falls after it, so binary searches of it find both ends exactly.
+func sizeWindow(qn int, s1 float64) (lo, hi int) {
+	fits := func(n int) bool {
+		return max(qn, n) == 0 || float64(min(qn, n))/float64(max(qn, n)) >= s1
+	}
+	lo = sort.Search(qn, fits)
+	hi = qn + sort.Search(math.MaxInt-qn, func(i int) bool { return !fits(qn + i + 1) })
+	return lo, hi
 }
 
 // verifyChunk runs the verify loop over one candidate slice, appending
-// matches to dst and charging fetches and skips to st. sig is the query's
-// signature, read only when screening.
+// matches to dst and charging fetches and skips to st.
 //
-// A candidate is first ruled out by size, before it is screened or
-// fetched: J = |q∩s|/|q∪s| ≤ min(|q|,|s|)/max(|q|,|s|), and correctly
-// rounded division is monotone, so when the float size ratio is below s1
-// the float Jaccard is too, and the candidate cannot verify. |s| is read
-// from the store's in-memory sid directory at no I/O. Two empty sets
-// (Jaccard 1) are never pruned, and an out-of-range sid has no size and
-// falls through to Fetch's error.
-func (ix *Index) verifyChunk(q set.Set, sig minhash.Signature, cands []storage.SID, s1, s2 float64, screen bool, screenLo, screenHi float64, dst []Match, st *QueryStats) ([]Match, error) {
-	qn := q.Len()
+// A candidate whose size lies outside the query's size window is skipped
+// before it is screened or fetched. |s| is read from the store's in-memory
+// sid directory at no I/O, and an out-of-range sid has no size and falls
+// through to Fetch's error. A fetched candidate's similarity is counted
+// against the query bitmap, bit-identical to Set.Jaccard's.
+func (ix *Index) verifyChunk(v *verifyPass, cands []storage.SID, dst []Match, st *QueryStats) ([]Match, error) {
 	for _, sid := range cands {
-		if n, ok := ix.store.SetLen(sid); ok && max(qn, n) > 0 && float64(min(qn, n))/float64(max(qn, n)) < s1 {
+		if n, ok := ix.store.SetLen(sid); ok && (n < v.nlo || n > v.nhi) {
 			st.SizePruned++
 			continue
 		}
-		if screen {
-			est, err := minhash.Estimate(sig, ix.sigs[sid])
+		if v.screen {
+			est, err := minhash.Estimate(v.sig, ix.sigs[sid])
 			if err != nil {
 				return dst, fmt.Errorf("core: screening candidate %d: %w", sid, err)
 			}
-			if est < screenLo || est > screenHi {
+			if est < v.screenLo || est > v.screenHi {
 				st.Screened++
 				continue
 			}
@@ -274,8 +297,8 @@ func (ix *Index) verifyChunk(q set.Set, sig minhash.Signature, cands []storage.S
 		if err != nil {
 			return dst, fmt.Errorf("core: fetching candidate %d: %w", sid, err)
 		}
-		sim := q.Jaccard(s)
-		if sim >= s1 && sim <= s2 {
+		sim := v.qbits.Jaccard(s)
+		if sim >= v.s1 && sim <= v.s2 {
 			dst = append(dst, Match{SID: sid, Similarity: sim})
 		}
 	}
@@ -286,15 +309,18 @@ func (ix *Index) verifyChunk(q set.Set, sig minhash.Signature, cands []storage.S
 // above the candidate-count threshold. Each worker counts into its own
 // QueryStats, summed into stats after the workers join, so the totals
 // equal the serial accounting exactly.
-func (ix *Index) verifyCandidates(q set.Set, sig minhash.Signature, cands []storage.SID, s1, s2 float64, opt QueryOptions, stats *QueryStats) ([]Match, error) {
-	var screenLo, screenHi float64
+func (ix *Index) verifyCandidates(q set.Set, qbits *set.Bitmap, sig minhash.Signature, cands []storage.SID, s1, s2 float64, opt QueryOptions, stats *QueryStats) ([]Match, error) {
+	v := verifyPass{qbits: qbits, sig: sig, s1: s1, s2: s2, screen: opt.Screen}
+	v.nlo, v.nhi = sizeWindow(q.Len(), s1)
 	if opt.Screen {
 		eps := opt.ScreenMargin
 		if eps == 0 {
 			eps = ix.eps
 		}
-		screenLo, screenHi = s1-eps, s2+eps
+		v.screenLo, v.screenHi = s1-eps, s2+eps
 	}
+	qbits.Load(q)
+	defer qbits.Reset()
 	minPar := opt.MinParallelVerify
 	if minPar <= 0 {
 		minPar = defaultMinParallelVerify
@@ -302,7 +328,7 @@ func (ix *Index) verifyCandidates(q set.Set, sig minhash.Signature, cands []stor
 	workers := min(ResolveWorkers(opt.Workers), len(cands))
 	if workers <= 1 || len(cands) < minPar {
 		matches := make([]Match, 0, len(cands)/4+1)
-		return ix.verifyChunk(q, sig, cands, s1, s2, opt.Screen, screenLo, screenHi, matches, stats)
+		return ix.verifyChunk(&v, cands, matches, stats)
 	}
 
 	var (
@@ -321,7 +347,7 @@ func (ix *Index) verifyCandidates(q set.Set, sig minhash.Signature, cands []stor
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			var st QueryStats // local, so workers share no cache line while counting
-			chunkMatches[w], chunkErrs[w] = ix.verifyChunk(q, sig, cands[lo:hi], s1, s2, opt.Screen, screenLo, screenHi, nil, &st)
+			chunkMatches[w], chunkErrs[w] = ix.verifyChunk(&v, cands[lo:hi], nil, &st)
 			chunkStats[w] = st
 		}(w, lo, hi)
 	}

@@ -484,11 +484,11 @@ func TestVerifyCandidatesErrorPropagation(t *testing.T) {
 		bogus[i] = storage.SID(1 << 30)
 	}
 	var stats QueryStats
-	if _, err := ix.verifyCandidates(sets[0], sig, bogus, 0, 1, QueryOptions{Workers: 1}, &stats); err == nil {
+	if _, err := ix.verifyCandidates(sets[0], new(set.Bitmap), sig, bogus, 0, 1, QueryOptions{Workers: 1}, &stats); err == nil {
 		t.Fatal("serial verification swallowed a fetch failure")
 	}
 	stats = QueryStats{}
-	if _, err := ix.verifyCandidates(sets[0], sig, bogus, 0, 1, QueryOptions{Workers: 4, MinParallelVerify: 1}, &stats); err == nil {
+	if _, err := ix.verifyCandidates(sets[0], new(set.Bitmap), sig, bogus, 0, 1, QueryOptions{Workers: 4, MinParallelVerify: 1}, &stats); err == nil {
 		t.Fatal("parallel verification swallowed a fetch failure")
 	}
 }

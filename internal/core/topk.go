@@ -49,6 +49,8 @@ func (ix *Index) topK(q set.Set, sig minhash.Signature, k int, sc *queryScratch,
 	// the sids no earlier stage produced; seen marks every sid produced.
 	seen := ix.clearedMarks(sc.terms[1])
 	sc.terms[1] = seen
+	sc.qbits.Load(q)
+	defer sc.qbits.Reset()
 	var results []Match
 	verify := func(ord int) error {
 		fresh := ix.fis[ord].Probe(sig, &stats.IndexIO, ix.clearedMarks(sc.terms[0]))
@@ -64,7 +66,7 @@ func (ix *Index) topK(q set.Set, sig minhash.Signature, k int, sc *queryScratch,
 			if err != nil {
 				return fmt.Errorf("core: fetching candidate %d: %w", sid, err)
 			}
-			results = append(results, Match{SID: sid, Similarity: q.Jaccard(s)})
+			results = append(results, Match{SID: sid, Similarity: sc.qbits.Jaccard(s)})
 		}
 		return nil
 	}

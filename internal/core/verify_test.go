@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -164,6 +165,43 @@ func TestInvalidScreenMarginRejected(t *testing.T) {
 		for _, arm := range []Arm{ArmProbe, ArmScan, ArmScreen} {
 			if _, _, err := ix.QueryPresigned(sets[0], nil, 0.5, 1, QueryOptions{Arm: arm, Screen: true, ScreenMargin: eps}); err != nil {
 				t.Fatalf("margin %g arm %d: %v", eps, arm, err)
+			}
+		}
+	}
+}
+
+// TestSizeWindowMatchesRatioTest checks the per-query size window against
+// the float ratio test it replaces, n by n, for sampled query sizes and
+// thresholds: 0, 1, small fractions, fractions at the window's ends for
+// that query (k/|q| and |q|/k) and each one's float neighbours.
+func TestSizeWindowMatchesRatioTest(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	qns := []int{0, 1, 2, 3, 7, 64, 1000, 4999, 5000}
+	for len(qns) < 40 {
+		qns = append(qns, rng.Intn(5001))
+	}
+	for _, qn := range qns {
+		s1s := []float64{0, 1, 0.5, 1.0 / 3, 2.0 / 3, 0.8, 0.9, 1e-300}
+		for i := 0; i < 6; i++ {
+			b := 1 + rng.Intn(5000)
+			s1s = append(s1s, float64(rng.Intn(b+1))/float64(b))
+			if qn > 0 {
+				k := 1 + rng.Intn(4*qn+10)
+				s1s = append(s1s, float64(min(k, qn))/float64(qn), float64(qn)/float64(max(k, qn)))
+			}
+		}
+		for _, base := range s1s {
+			for _, s1 := range []float64{math.Nextafter(base, -1), base, math.Nextafter(base, 2)} {
+				if s1 < 0 || s1 > 1 {
+					continue
+				}
+				lo, hi := sizeWindow(qn, s1)
+				for n := 0; n <= 4*qn+10; n++ {
+					pruned := max(qn, n) > 0 && float64(min(qn, n))/float64(max(qn, n)) < s1
+					if inWindow := n >= lo && n <= hi; inWindow == pruned {
+						t.Fatalf("|q| = %d, s1 = %v: window [%d, %d] holds n = %d %v, ratio test prunes it %v", qn, s1, lo, hi, n, inWindow, pruned)
+					}
+				}
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 // Package set provides the set representation used throughout the library.
 //
 // Sets hold interned element identifiers (see Dictionary) kept sorted and
-// deduplicated, which makes exact Jaccard similarity a linear merge. The
+// deduplicated, which makes exact Jaccard similarity a linear merge. A query
+// verified against many sets loads it once into a Bitmap instead, which
+// counts each overlap with one bit test per element of the other set. The
 // element universe is not assumed to be known in advance: a Dictionary grows
 // as new elements are observed, matching the paper's requirement that no
 // a-priori universe or set-cardinality knowledge is needed.
@@ -9,6 +11,7 @@ package set
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -184,15 +187,78 @@ func (s Set) Union(t Set) Set {
 // Jaccard returns sim(s, t) = |s ∩ t| / |s ∪ t| (Definition 1). Two empty
 // sets are defined to have similarity 1 (they are identical).
 func (s Set) Jaccard(t Set) float64 {
-	if len(s.elems) == 0 && len(t.elems) == 0 {
-		return 1
-	}
-	inter := s.IntersectionSize(t)
-	union := len(s.elems) + len(t.elems) - inter
+	return jaccardFromCounts(s.IntersectionSize(t), len(s.elems), len(t.elems))
+}
+
+// jaccardFromCounts returns the Jaccard similarity of two sets of sizes n
+// and m that share inter elements: inter / (n + m − inter), and 1 when both
+// are empty. Set.Jaccard and Bitmap.Jaccard both compute it here, so their
+// results are bit-identical.
+func jaccardFromCounts(inter, n, m int) float64 {
+	union := n + m - inter
 	if union == 0 {
 		return 1
 	}
 	return float64(inter) / float64(union)
+}
+
+// bitmapCap bounds the elements a Bitmap holds as bits, and so its size to
+// 512 KiB. Dictionary ids are dense from 0; the public package's bit-63
+// ids for unseen query elements lie above it.
+const bitmapCap = 1 << 22
+
+// Bitmap holds one query set q for counting |q ∩ s| against many sets s:
+// bit e is set for each element e of q below limit (q's largest element
+// below bitmapCap, plus one), and the rest of q is the sorted tail. The
+// zero value is ready to Load; goroutines may share a loaded Bitmap.
+type Bitmap struct {
+	words []uint64 // all zero outside Load..Reset
+	limit Elem
+	q     []Elem
+	tail  []Elem
+}
+
+// Load makes b hold q, clearing what an earlier Load left first.
+func (b *Bitmap) Load(q Set) {
+	b.Reset()
+	b.q = q.elems
+	i := sort.Search(len(b.q), func(i int) bool { return b.q[i] >= bitmapCap })
+	b.tail = b.q[i:]
+	if i > 0 {
+		b.limit = b.q[i-1] + 1
+		words := int(b.limit+63) / 64
+		b.words = slices.Grow(b.words[:0], words)[:words]
+	}
+	for _, e := range b.q[:i] {
+		b.words[e>>6] |= 1 << (e & 63)
+	}
+}
+
+// Reset clears only the words the loaded query set, and drops the query.
+func (b *Bitmap) Reset() {
+	for _, e := range b.q[:len(b.q)-len(b.tail)] {
+		b.words[e>>6] = 0
+	}
+	b.q, b.tail, b.limit = nil, nil, 0
+}
+
+// IntersectionSize returns |q ∩ s| for the loaded q: a bit test per element
+// of s below the limit, then a merge of the rest of s against the tail.
+func (b *Bitmap) IntersectionSize(s Set) int {
+	n, i := 0, 0
+	for ; i < len(s.elems) && s.elems[i] < b.limit; i++ {
+		e := s.elems[i]
+		n += int(b.words[e>>6] >> (e & 63) & 1)
+	}
+	if i < len(s.elems) && len(b.tail) > 0 {
+		n += FromSorted(s.elems[i:]).IntersectionSize(FromSorted(b.tail))
+	}
+	return n
+}
+
+// Jaccard returns sim(q, s) for the loaded q, equal to q.Jaccard(s).
+func (b *Bitmap) Jaccard(s Set) float64 {
+	return jaccardFromCounts(b.IntersectionSize(s), len(b.q), len(s.elems))
 }
 
 // Distance returns the Jaccard distance 1 - sim(s, t), which is a metric.

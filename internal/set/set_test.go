@@ -245,3 +245,97 @@ func TestNewMatchesNaiveConstruction(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// overlapElem maps a fuzz or random draw to an element id from one of the
+// ranges a Bitmap treats differently: small dense ids, ids straddling
+// bitmapCap, ids near 2^40, ids with bit 63 set, and ids at 2^64−1.
+func overlapElem(kind, v uint16) Elem {
+	switch kind % 5 {
+	case 0:
+		return Elem(v % 600)
+	case 1:
+		return bitmapCap - 4 + Elem(v%8)
+	case 2:
+		return 1<<40 + Elem(v%8)
+	case 3:
+		return 1<<63 | Elem(v%8)
+	default:
+		return ^Elem(0) - Elem(v%8)
+	}
+}
+
+// checkBitmapOverlap loads q into b and checks its overlap, and the
+// similarity through Bitmap.Jaccard, against the merge for each s.
+func checkBitmapOverlap(t *testing.T, b *Bitmap, q Set, ss ...Set) {
+	t.Helper()
+	b.Load(q)
+	defer b.Reset()
+	for _, s := range ss {
+		if got, want := b.IntersectionSize(s), q.IntersectionSize(s); got != want {
+			t.Fatalf("bitmap |q∩s| = %d, merge %d (q %v, s %v)", got, want, q.Elems(), s.Elems())
+		}
+		if got, want := b.Jaccard(s), q.Jaccard(s); got != want {
+			t.Fatalf("bitmap Jaccard = %v, Set.Jaccard %v", got, want)
+		}
+	}
+}
+
+// TestBitmapMatchesIntersectionSize checks the query bitmap against the
+// merge on random sets of skewed sizes drawn from every id range, with
+// empty sets on either side, reusing one Bitmap throughout so a bit a
+// previous query left behind would show.
+func TestBitmapMatchesIntersectionSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	draw := func(n int, kinds uint16) Set {
+		elems := make([]Elem, n)
+		for i := range elems {
+			elems[i] = overlapElem(uint16(rng.Intn(int(kinds))), uint16(rng.Intn(1<<16)))
+		}
+		return New(elems...)
+	}
+	var b Bitmap
+	checkBitmapOverlap(t, &b, Set{}, Set{}, New(0, 5), New(bitmapCap, 1<<63, ^Elem(0)))
+	checkBitmapOverlap(t, &b, New(0, bitmapCap-1, bitmapCap, 1<<40, 1<<63, ^Elem(0)),
+		Set{}, New(bitmapCap-1), New(bitmapCap), New(0, 1<<40, ^Elem(0)), New(1, bitmapCap+1, 1<<63|1))
+	for trial := 0; trial < 400; trial++ {
+		kinds := uint16(1 + trial%5) // small ids only, then ever wider ranges
+		q := draw([]int{0, 1, 5, 40, 900}[rng.Intn(5)], kinds)
+		ss := make([]Set, 20)
+		for i := range ss {
+			ss[i] = draw([]int{0, 1, 3, 30, 400, 2000}[rng.Intn(6)], kinds)
+		}
+		checkBitmapOverlap(t, &b, q, ss...)
+	}
+	for i, w := range b.words {
+		if w != 0 {
+			t.Fatalf("word %d = %#x after Reset", i, w)
+		}
+	}
+}
+
+// FuzzIntersection checks the query bitmap against Set.IntersectionSize
+// on arbitrary pairs: each 4 bytes of data are one element, its first byte
+// choosing the id range (overlapElem), whether it joins q, s or both, and
+// the next two bytes its value in that range. One Bitmap serves every
+// input, so Reset is checked too.
+func FuzzIntersection(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x20, 1, 0, 0, 0x20, 2, 0, 0, 0x00, 3, 0, 0, 0x10, 4, 0, 0})
+	f.Add([]byte{0x21, 3, 0, 0, 0x22, 0, 0, 0, 0x23, 1, 0, 0, 0x24, 7, 0, 0, 0x11, 4, 0, 0})
+	var b Bitmap
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var q, s []Elem
+		for ; len(data) >= 4; data = data[4:] {
+			e := overlapElem(uint16(data[0]&15), uint16(data[1])|uint16(data[2])<<8)
+			switch data[0] >> 4 & 3 {
+			case 0:
+				q = append(q, e)
+			case 1:
+				s = append(s, e)
+			default:
+				q, s = append(q, e), append(s, e)
+			}
+		}
+		checkBitmapOverlap(t, &b, New(q...), New(s...))
+	})
+}

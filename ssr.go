@@ -318,14 +318,6 @@ func Build(c *Collection, opt Options) (*Index, error) {
 	if opt.Shards > engine.MaxShards {
 		return nil, fmt.Errorf("ssr: Options.Shards %d exceeds the maximum %d", opt.Shards, engine.MaxShards)
 	}
-	// Load rejects a snapshot with negative storage parameters, so Build
-	// must not produce one.
-	if opt.PageSize < 0 {
-		return nil, fmt.Errorf("ssr: Options.PageSize %d is negative", opt.PageSize)
-	}
-	if opt.PayloadBytesPerElement < 0 || opt.PayloadBytesPerElement > storage.MaxPayloadPerElem {
-		return nil, fmt.Errorf("ssr: Options.PayloadBytesPerElement %d is outside [0, %d]", opt.PayloadBytesPerElement, storage.MaxPayloadPerElem)
-	}
 	c.mu.Lock()
 	sets := make([]set.Set, len(c.sets))
 	copy(sets, c.sets)
