@@ -62,9 +62,11 @@ fuzz-smoke:
 	$(GO) test ./internal/hashtable/ -run '^$$' -fuzz FuzzTableOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSortMatches -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzQueryRange -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzBuildRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replica/ -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz FuzzBuildRoundTrip -fuzztime $(FUZZTIME)
 
 # The repository's one benchmark (BENCHMARK.json; benchmark/README.md has
 # the workloads and metric tables): every workload once at seed 1.

@@ -140,7 +140,7 @@ func parseManifest(raw []byte) (*durableManifest, error) {
 		return nil, fmt.Errorf("ssr: durable manifest version %d is not supported (this build reads versions 1 through %d; the image was written by a newer release — upgrade this binary, it cannot safely interpret the layout)",
 			man.Version, manifestMaxVersion)
 	}
-	if man.Shards < 2 || man.Shards > engine.MaxShards {
+	if err := engine.CheckShards(man.Shards); err != nil || man.Shards < 2 {
 		return nil, fmt.Errorf("ssr: durable manifest shard count %d out of range [2, %d]", man.Shards, engine.MaxShards)
 	}
 	return &man, nil

@@ -221,12 +221,14 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 }
 
 // TestDurableNegativeStorageParameters checks that CreateDurable refuses
-// a negative page size or payload per element and writes nothing, where
+// a negative page size or payload per element, or a budget whose plan
+// gives one filter index more than 2^16 tables, and writes nothing, where
 // it used to checkpoint an index that OpenDurable could not reopen.
 func TestDurableNegativeStorageParameters(t *testing.T) {
 	for _, opt := range []Options{
 		{Budget: 24, MinHashes: 48, Seed: 3, PageSize: -1},
 		{Budget: 24, MinHashes: 48, Seed: 3, PayloadBytesPerElement: -1},
+		{Budget: 70000, MinHashes: 16, Seed: 3},
 	} {
 		dir := t.TempDir()
 		ix, err := CreateDurable(dir, bookstore(), opt, DurableOptions{})
@@ -235,8 +237,8 @@ func TestDurableNegativeStorageParameters(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err := OpenDurable(dir, DurableOptions{})
-			t.Errorf("PageSize %d, PayloadBytesPerElement %d: CreateDurable accepted; reopen: %v",
-				opt.PageSize, opt.PayloadBytesPerElement, err)
+			t.Errorf("Budget %d, PageSize %d, PayloadBytesPerElement %d: CreateDurable accepted; reopen: %v",
+				opt.Budget, opt.PageSize, opt.PayloadBytesPerElement, err)
 			continue
 		}
 		if has, err := HasDurableState(dir); err != nil || has {

@@ -23,8 +23,9 @@ import (
 
 // Options configures Build.
 type Options struct {
-	// Embed configures signing and the Hamming embedding. Zero value
-	// selects minhash.DefaultOptions (k=100, b=8).
+	// Embed configures signing and the Hamming embedding. Required: core
+	// resolves no default, so a decoded snapshot never gets one; callers
+	// pick theirs (ssr.Build starts from minhash.DefaultOptions).
 	Embed minhash.Options
 	// Plan configures the Section 5 optimizer. Budget is required.
 	Plan optimize.Options
@@ -155,9 +156,28 @@ type Index struct {
 	// scratch pools per-query buffers (query signature, probe vectors,
 	// merge outputs) so steady-state queries allocate only their results.
 	scratch sync.Pool
-	// buildOpts records how the index was built, for snapshots. The Embed
-	// options stored are the resolved ones (defaults applied).
+	// buildOpts records how the index was built, for snapshots.
 	buildOpts Options
+}
+
+// MaxSIDs bounds the sid space of a build, of a snapshot Load accepts and
+// of a sharded engine.
+const MaxSIDs = 1 << 26
+
+// Validate reports an error unless the embedding, the page size
+// (hashtable.CheckPageSize) and the payload per element are ones Load
+// accepts back.
+func (o Options) Validate() error {
+	if err := o.Embed.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if err := hashtable.CheckPageSize(o.PageSize); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if o.PayloadPerElem < 0 || o.PayloadPerElem > storage.MaxPayloadPerElem {
+		return fmt.Errorf("core: payload %d bytes per element outside [0, %d]", o.PayloadPerElem, storage.MaxPayloadPerElem)
+	}
+	return nil
 }
 
 // Build preprocesses the collection per Sections 3 and 5 and returns a
@@ -251,20 +271,18 @@ func Prepare(sets []set.Set, opt Options) (Options, error) {
 	return opt, err
 }
 
-// prepare is Prepare, also returning the permutations it resolved.
+// prepare is Prepare, also returning the permutations it resolved. It
+// validates the options and the plan it installs (given or optimized)
+// before any table is allocated.
 func prepare(sets []set.Set, opt Options) (Options, *minhash.Perms, error) {
 	if len(sets) == 0 && opt.Distribution == nil && opt.PlanOverride == nil {
 		return opt, nil, fmt.Errorf("core: empty collection")
 	}
-	if opt.Embed.K == 0 {
-		opt.Embed = minhash.DefaultOptions()
+	if len(sets) > MaxSIDs {
+		return opt, nil, fmt.Errorf("core: %d sets exceed the sid space of %d", len(sets), MaxSIDs)
 	}
-	if err := opt.Embed.Validate(); err != nil {
-		return opt, nil, fmt.Errorf("core: %w", err)
-	}
-	// Load rejects a snapshot with these, so no build may produce one.
-	if opt.PageSize < 0 || opt.PayloadPerElem < 0 || opt.PayloadPerElem > storage.MaxPayloadPerElem {
-		return opt, nil, fmt.Errorf("core: page size %d must not be negative and payload %d bytes per element must lie in [0, %d]", opt.PageSize, opt.PayloadPerElem, storage.MaxPayloadPerElem)
+	if err := opt.Validate(); err != nil {
+		return opt, nil, err
 	}
 	perms, err := minhash.NewFamily(opt.Embed.K, opt.Embed.Seed)
 	if err != nil {
@@ -302,23 +320,25 @@ func prepare(sets []set.Set, opt Options) (Options, *minhash.Perms, error) {
 	}
 
 	// D_S is neither estimated nor consulted under a plan override.
-	if opt.PlanOverride != nil {
-		return opt, perms, nil
+	if opt.PlanOverride == nil {
+		if opt.Distribution, err = EstimateDistribution(sets, opt.PrecomputedSignatures, opt); err != nil {
+			return opt, nil, err
+		}
+		// The capture model needs the signature length of the embedding
+		// it serves.
+		popt := opt.Plan
+		if popt.SignatureK == 0 {
+			popt.SignatureK = perms.K()
+		}
+		plan, err := optimize.BuildPlan(opt.Distribution, popt)
+		if err != nil {
+			return opt, nil, err
+		}
+		opt.PlanOverride = &plan
 	}
-	if opt.Distribution, err = EstimateDistribution(sets, opt.PrecomputedSignatures, opt); err != nil {
-		return opt, nil, err
+	if err := opt.PlanOverride.Validate(); err != nil {
+		return opt, nil, fmt.Errorf("core: %w", err)
 	}
-	// The capture model needs the signature length of the embedding it
-	// serves.
-	popt := opt.Plan
-	if popt.SignatureK == 0 {
-		popt.SignatureK = perms.K()
-	}
-	plan, err := optimize.BuildPlan(opt.Distribution, popt)
-	if err != nil {
-		return opt, nil, err
-	}
-	opt.PlanOverride = &plan
 	return opt, perms, nil
 }
 

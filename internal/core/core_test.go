@@ -211,7 +211,8 @@ func TestBuildValidation(t *testing.T) {
 		t.Error("empty collection accepted")
 	}
 	sets, _ := workload.Generate(workload.Set1Params(10))
-	if _, err := Build(sets, Options{Plan: optimize.Options{Budget: 0}}); err == nil {
+	embed := minhash.Options{K: 16, Bits: 6, Seed: 1}
+	if _, err := Build(sets, Options{Embed: embed, Plan: optimize.Options{Budget: 0}}); err == nil {
 		t.Error("zero budget accepted")
 	}
 	// Load rejects a snapshot with these storage parameters, so Build
@@ -221,10 +222,16 @@ func TestBuildValidation(t *testing.T) {
 		{PayloadPerElem: -1},
 		{PayloadPerElem: storage.MaxPayloadPerElem + 1},
 	} {
-		o.Plan = optimize.Options{Budget: 20}
+		o.Embed, o.Plan = embed, optimize.Options{Budget: 20}
 		if _, err := Build(sets, o); err == nil {
 			t.Errorf("page size %d, payload %d bytes per element accepted", o.PageSize, o.PayloadPerElem)
 		}
+	}
+	// Load rejects a filter index with more than 2^16 tables, so Build
+	// must reject such a plan override.
+	huge := optimize.Plan{FIs: []optimize.FI{{Point: 0.5, Tables: optimize.MaxTables + 1}}}
+	if _, err := Build(sets, Options{Embed: embed, PlanOverride: &huge}); err == nil {
+		t.Errorf("plan override with a %d-table filter index accepted", optimize.MaxTables+1)
 	}
 }
 

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
 	"testing"
 
+	"repro/internal/filter"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/workload"
@@ -83,4 +85,68 @@ func FuzzQueryRange(f *testing.F) {
 		}
 		requireSameRangeAnswer(t, fmt.Sprintf("range [%g, %g] opt %+v", lo, hi, opt), got, st, want, wantSt)
 	})
+}
+
+// FuzzBuildRoundTrip drives Build with hostile Options, a plan override
+// among them: NaN, infinite, negative, zero and huge values. Build must
+// refuse them with an error, or Save → Load → Save of its index must give
+// identical bytes. The budget comes from a small range and shrink keeps
+// valid signature lengths, filter-index counts and table counts small, so
+// each execution stays fast; the 2^16-table edge is TestBuildValidation's.
+func FuzzBuildRoundTrip(f *testing.F) {
+	sets, err := workload.Generate(workload.Set1Params(40))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(int64(32), int8(6), int64(3), uint8(28), 0.9, int16(16), int32(0), int32(0), int64(0), 0.5, int64(1))
+	f.Add(int64(0), int8(8), int64(0), uint8(28), 0.9, int16(16), int32(0), int32(0), int64(0), 0.5, int64(1))
+	f.Add(int64(16), int8(8), int64(0), uint8(0), math.NaN(), int16(-1), int32(0), int32(0), int64(3), 0.4, int64(5))
+	f.Add(int64(8), int8(4), int64(0), uint8(9), 0.9, int16(3), int32(-1), int32(-1), int64(2), math.NaN(), int64(1))
+	f.Add(int64(1<<16+1), int8(21), int64(-1), uint8(5), math.Inf(1), int16(0), int32(786438), int32(1<<20+1), int64(3), 0.0, int64(0))
+	f.Add(int64(16), int8(20), int64(7), uint8(12), 0.5, int16(2), int32(786437), int32(1<<20), int64(2), 0.3, int64(1<<16+1))
+	f.Add(int64(16), int8(1), int64(7), uint8(12), 0.5, int16(2), int32(18), int32(0), int64(1<<10+1), 0.999, int64(3))
+	f.Fuzz(func(t *testing.T, k int64, bits int8, seed int64, budget uint8, recall float64, maxFIs int16, pageSize, payload int32, nFIs int64, point float64, tables int64) {
+		opt := Options{
+			Embed:          minhash.Options{K: shrink(k, 128, minhash.MaxK), Bits: int(bits), Seed: seed},
+			Plan:           optimize.Options{Budget: int(budget%64) - 4, RecallTarget: recall, MaxFIs: int(maxFIs)},
+			PageSize:       int(pageSize),
+			PayloadPerElem: int(payload),
+			DistSeed:       seed,
+		}
+		if n := min(shrink(nFIs, 4, optimize.MaxPlanFIs), optimize.MaxPlanFIs+1); n > 0 {
+			plan := optimize.Plan{FIs: make([]optimize.FI, n)}
+			for i := range plan.FIs {
+				plan.FIs[i] = optimize.FI{Point: point, Kind: filter.Kind(i % 2), Tables: shrink(tables, 8, optimize.MaxTables)}
+			}
+			opt.PlanOverride = &plan
+		}
+		ix, err := Build(sets, opt)
+		if err != nil {
+			return
+		}
+		var saved, again bytes.Buffer
+		if err := ix.Save(&saved); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		loaded, err := Load(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatalf("Build accepted what Load refuses: %v", err)
+		}
+		if err := loaded.Save(&again); err != nil {
+			t.Fatalf("Save after Load: %v", err)
+		}
+		if !bytes.Equal(saved.Bytes(), again.Bytes()) {
+			t.Fatal("Save → Load → Save changed the bytes")
+		}
+	})
+}
+
+// shrink maps a fuzzed value in (cheap, limit] into [1, cheap], keeping a
+// valid but costly option cheap; every other value, the hostile ones
+// included, passes through unchanged.
+func shrink(v int64, cheap, limit int64) int {
+	if v > cheap && v <= limit {
+		return int(v%cheap) + 1
+	}
+	return int(v)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/hashtable"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -15,16 +14,6 @@ import (
 
 // snapshotMagic guards the persistence format.
 const snapshotMagic = "SSRIDX1\n"
-
-// Sanity ceilings applied when decoding a snapshot. Corrupt or hostile
-// input must fail with an error before it can drive a huge allocation or a
-// non-terminating rebuild; these bounds sit far above anything the paper's
-// experiments (or this repo's tests) produce.
-const (
-	maxSnapshotSIDs   = 1 << 26 // allocated sid space
-	maxSnapshotFIs    = 1 << 10 // filter indices in a plan
-	maxSnapshotTables = 1 << 16 // hash tables per filter index
-)
 
 // snapshot is the durable form of an index: everything needed to rebuild
 // it exactly. Filter-index contents are not stored — they are a pure
@@ -106,26 +95,12 @@ func RegisterSnapshotGobTypes() {
 	_ = gob.NewEncoder(io.Discard).Encode(&snapshot{}) //ssrvet:ignore droppederr -- zero-value encode to io.Discard cannot fail; run for the type-id side effect
 }
 
-// validate rejects structurally or semantically corrupt snapshots before
-// any rebuild work happens. gob guarantees type shape but nothing about
-// values, so every field that sizes an allocation or parameterizes a loop
-// is bounded here.
+// validate rejects a structurally corrupt snapshot before Load allocates
+// for it: signatures against EmbedK, sid order and the sid space. The
+// build parameters are Build's to check, which Load ends in.
 func (snap *snapshot) validate() error {
-	if err := (minhash.Options{K: snap.EmbedK, Bits: snap.EmbedBits}).Validate(); err != nil {
-		return fmt.Errorf("core: snapshot embedding: %w", err)
-	}
-	if snap.PageSize < 0 || snap.PayloadPerElem < 0 {
-		return fmt.Errorf("core: snapshot has negative storage parameters")
-	}
-	if snap.PayloadPerElem > storage.MaxPayloadPerElem {
-		return fmt.Errorf("core: snapshot payload %d bytes per element exceeds %d", snap.PayloadPerElem, storage.MaxPayloadPerElem)
-	}
-	if snap.PageSize > hashtable.MaxPageSize {
-		return fmt.Errorf("core: snapshot page size %d exceeds %d", snap.PageSize, hashtable.MaxPageSize)
-	}
 	// An empty snapshot (no sets, no allocated sids) is legal: a shard of a
-	// partitioned engine can be empty at save time. Zero-value garbage is
-	// still rejected by the embedding bounds above.
+	// partitioned engine can be empty at save time.
 	if len(snap.Sigs) != len(snap.Sets) {
 		// Legacy snapshots may omit signatures entirely (they are re-signed);
 		// anything else is truncation.
@@ -139,7 +114,7 @@ func (snap *snapshot) validate() error {
 		}
 	}
 	if snap.NumSIDs != 0 {
-		if snap.NumSIDs < 0 || snap.NumSIDs > maxSnapshotSIDs {
+		if snap.NumSIDs < 0 || snap.NumSIDs > MaxSIDs {
 			return fmt.Errorf("core: snapshot sid space %d out of range", snap.NumSIDs)
 		}
 		if len(snap.SIDs) != len(snap.Sets) {
@@ -154,19 +129,6 @@ func (snap *snapshot) validate() error {
 		}
 	} else if len(snap.SIDs) != 0 {
 		return fmt.Errorf("core: snapshot has sids but no sid space")
-	}
-	if len(snap.Plan.FIs) > maxSnapshotFIs {
-		return fmt.Errorf("core: snapshot plan has %d filter indices (max %d)", len(snap.Plan.FIs), maxSnapshotFIs)
-	}
-	for i, fi := range snap.Plan.FIs {
-		// NaN fails both comparisons of a naive lo/hi check, so the bound is
-		// phrased positively: inside (0,1) or rejected.
-		if !(fi.Point > 0 && fi.Point < 1) {
-			return fmt.Errorf("core: snapshot plan FI %d at point %g outside (0,1)", i, fi.Point)
-		}
-		if fi.Tables < 1 || fi.Tables > maxSnapshotTables {
-			return fmt.Errorf("core: snapshot plan FI %d has %d tables (range [1, %d])", i, fi.Tables, maxSnapshotTables)
-		}
 	}
 	return nil
 }

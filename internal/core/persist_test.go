@@ -202,6 +202,7 @@ func TestLoadRejectsBadSnapshots(t *testing.T) {
 		}
 	}
 	cases := map[string]func(*snapshot){
+		"all zero":        func(s *snapshot) { *s = snapshot{} },
 		"zero k":          func(s *snapshot) { s.EmbedK = 0 },
 		"huge k":          func(s *snapshot) { s.EmbedK = 1 << 30 },
 		"huge bits":       func(s *snapshot) { s.EmbedBits = 64 },

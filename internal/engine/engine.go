@@ -62,9 +62,9 @@ import (
 	"repro/internal/tuner"
 )
 
-// MaxShards bounds Options.Shards (and snapshot validation): far above any
-// sensible deployment, low enough that a corrupt shard count cannot drive
-// a huge allocation.
+// MaxShards bounds the shard count of a build and of every load path
+// (CheckShards): far above any sensible deployment, low enough that a
+// corrupt shard count cannot drive a huge allocation.
 const MaxShards = 1 << 10
 
 // localUnassigned marks a global sid that was reserved but never applied
@@ -178,8 +178,8 @@ func (e *Engine) setView(gen uint64, cores []*core.Index, hist *simdist.Histogra
 // result identity).
 func Build(sets []set.Set, opt Options) (*Engine, error) {
 	n := max(opt.Shards, 1)
-	if n > MaxShards {
-		return nil, fmt.Errorf("engine: %d shards exceeds the maximum %d", n, MaxShards)
+	if err := CheckShards(n); err != nil {
+		return nil, err
 	}
 	if opt.Core.Tombstones != nil {
 		return nil, fmt.Errorf("engine: Tombstones are not supported by engine builds (shards load through Assemble)")
@@ -249,6 +249,15 @@ func Build(sets []set.Set, opt Options) (*Engine, error) {
 	return e, nil
 }
 
+// CheckShards reports an error unless n lies in [1, MaxShards]: Build's
+// and Assemble's check, and the decoders' before they open n lanes.
+func CheckShards(n int) error {
+	if n < 1 || n > MaxShards {
+		return fmt.Errorf("engine: shard count %d out of range [1, %d]", n, MaxShards)
+	}
+	return nil
+}
+
 // Assemble reconstructs an engine from per-shard core indexes and their
 // local→global tables — the load side of snapshots and per-shard
 // recovery. It validates the mapping end to end: table lengths match each
@@ -256,17 +265,14 @@ func Build(sets []set.Set, opt Options) (*Engine, error) {
 // the shard that claims it, and no global sid appears twice.
 func Assemble(routerSeed int64, cores []*core.Index, globals [][]uint32, numGlobals int) (*Engine, error) {
 	n := len(cores)
-	if n < 1 {
-		return nil, fmt.Errorf("engine: Assemble needs at least 1 shard")
-	}
-	if n > MaxShards {
-		return nil, fmt.Errorf("engine: %d shards exceeds the maximum %d", n, MaxShards)
+	if err := CheckShards(n); err != nil {
+		return nil, err
 	}
 	if len(globals) != n {
 		return nil, fmt.Errorf("engine: %d global tables for %d shards", len(globals), n)
 	}
-	if numGlobals < 0 || numGlobals > maxSnapshotGlobals {
-		return nil, fmt.Errorf("engine: global sid space %d out of range", numGlobals)
+	if numGlobals < 0 || numGlobals > core.MaxSIDs {
+		return nil, fmt.Errorf("engine: global sid space %d out of range [0, %d]", numGlobals, core.MaxSIDs)
 	}
 	locals := make([]uint32, numGlobals)
 	for i := range locals {

@@ -22,10 +22,6 @@ import (
 // shardedMagic guards the sharded container format.
 const shardedMagic = "SSRSHD1\n"
 
-// maxSnapshotGlobals bounds the decoded global sid space (matches the
-// core's allocated-sid ceiling).
-const maxSnapshotGlobals = 1 << 26
-
 // shardedSnapshot is the durable form of a multi-shard engine.
 type shardedSnapshot struct {
 	// Shards is the shard count; the router needs it to re-derive
@@ -161,15 +157,11 @@ func Load(r io.Reader) (*Engine, error) {
 	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("engine: decoding snapshot: %w", err)
 	}
-	if snap.Shards < 2 || snap.Shards > MaxShards {
-		return nil, fmt.Errorf("engine: snapshot shard count %d out of range [2, %d]", snap.Shards, MaxShards)
-	}
-	if len(snap.Cores) != snap.Shards || len(snap.Globals) != snap.Shards {
+	// The shard count and sid space are bounded by Assemble; a container
+	// holds at least two shards, since Save writes one shard bare.
+	if snap.Shards < 2 || len(snap.Cores) != snap.Shards || len(snap.Globals) != snap.Shards {
 		return nil, fmt.Errorf("engine: snapshot declares %d shards but carries %d cores and %d mappings",
 			snap.Shards, len(snap.Cores), len(snap.Globals))
-	}
-	if snap.NumGlobals < 0 || snap.NumGlobals > maxSnapshotGlobals {
-		return nil, fmt.Errorf("engine: snapshot global sid space %d out of range", snap.NumGlobals)
 	}
 	cores := make([]*core.Index, snap.Shards)
 	for si, raw := range snap.Cores {

@@ -113,20 +113,25 @@ type Table struct {
 	perPage int
 }
 
-// New creates an empty table whose simulated pages hold pageSize bytes (0
-// selects storage.DefaultPageSize). A page must fit at least one entry and
-// be at most MaxPageSize bytes.
+// CheckPageSize reports an error unless pageSize is 0 (the default) or
+// fits one entry in at most MaxPageSize bytes.
+func CheckPageSize(pageSize int) error {
+	if pageSize != 0 && (pageSize < pageHeader+entrySize || pageSize > MaxPageSize) {
+		return fmt.Errorf("hashtable: page size %d is neither 0 nor in [%d, %d]", pageSize, pageHeader+entrySize, MaxPageSize)
+	}
+	return nil
+}
+
+// New creates an empty table whose simulated pages hold pageSize bytes;
+// see CheckPageSize for the sizes it accepts.
 func New(pageSize int, opt Options) (*Table, error) {
-	if pageSize <= 0 {
+	if err := CheckPageSize(pageSize); err != nil {
+		return nil, err
+	}
+	if pageSize == 0 {
 		pageSize = storage.DefaultPageSize
 	}
 	perPage := (pageSize - pageHeader) / entrySize
-	if perPage < 1 {
-		return nil, fmt.Errorf("hashtable: page size %d too small", pageSize)
-	}
-	if pageSize > MaxPageSize {
-		return nil, fmt.Errorf("hashtable: page size %d too large (max %d)", pageSize, MaxPageSize)
-	}
 	nb := opt.Buckets
 	if nb <= 0 {
 		if opt.ExpectedEntries > 0 {

@@ -108,13 +108,17 @@ func TestOverflowChains(t *testing.T) {
 }
 
 func TestBucketsSizedFromExpectedEntries(t *testing.T) {
-	// A page size of zero or below selects storage.DefaultPageSize.
-	for _, size := range []int{256, 0, -5} {
+	// A page size of zero selects storage.DefaultPageSize; a negative one
+	// is refused, as core refuses it in a build's options.
+	if _, err := New(-5, Options{ExpectedEntries: 10000}); err == nil {
+		t.Error("page size -5 accepted")
+	}
+	for _, size := range []int{256, 0} {
 		tab, err := New(size, Options{ExpectedEntries: 10000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if size <= 0 {
+		if size == 0 {
 			size = storage.DefaultPageSize
 		}
 		perPage := (size - pageHeader) / entrySize

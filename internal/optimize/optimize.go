@@ -302,6 +302,29 @@ type Plan struct {
 	RecallMet bool
 }
 
+// Bounds on a plan an index installs (Plan.Validate).
+const (
+	MaxPlanFIs = 1 << 10 // filter indices in a plan
+	MaxTables  = 1 << 16 // hash tables per filter index
+)
+
+// Validate reports an error unless the plan has at most MaxPlanFIs filter
+// indices, each at a point inside (0,1) with 1 to MaxTables tables.
+func (p *Plan) Validate() error {
+	if len(p.FIs) > MaxPlanFIs {
+		return fmt.Errorf("optimize: plan has %d filter indices (max %d)", len(p.FIs), MaxPlanFIs)
+	}
+	for i, fi := range p.FIs {
+		if !(fi.Point > 0 && fi.Point < 1) { // phrased so that NaN fails
+			return fmt.Errorf("optimize: plan FI %d at point %g outside (0,1)", i, fi.Point)
+		}
+		if fi.Tables < 1 || fi.Tables > MaxTables {
+			return fmt.Errorf("optimize: plan FI %d has %d tables (range [1, %d])", i, fi.Tables, MaxTables)
+		}
+	}
+	return nil
+}
+
 // pointKinds returns the FI descriptors for a cut list: DFIs strictly below
 // the point closest to delta, SFIs strictly above, and both kinds at the
 // closest point itself (Section 5.3).

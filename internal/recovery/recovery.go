@@ -496,16 +496,6 @@ func (l *Log) Seq() uint64 {
 	return l.seq
 }
 
-// LiveBytes returns the size of the live log segment.
-func (l *Log) LiveBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.w == nil {
-		return 0
-	}
-	return l.w.Size()
-}
-
 // Close syncs and closes the live segment, surfacing any pending
 // automatic-compaction failure.
 func (l *Log) Close() error {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	ssr "repro"
+	"repro/internal/engine"
 	"repro/internal/wal"
 )
 
@@ -276,8 +277,8 @@ func (f *Follower) fetchManifest(ctx context.Context) (*ManifestResponse, error)
 	if man.WireVersion != WireVersion {
 		return nil, fmt.Errorf("replica: primary speaks wire version %d, this build speaks %d", man.WireVersion, WireVersion)
 	}
-	if man.Shards < 1 || man.Shards > maxWireShards {
-		return nil, fmt.Errorf("replica: primary reports %d shards", man.Shards)
+	if err := engine.CheckShards(man.Shards); err != nil {
+		return nil, fmt.Errorf("replica: primary's manifest: %w", err)
 	}
 	if len(man.Checkpoints) != man.Shards {
 		return nil, fmt.Errorf("replica: manifest names %d checkpoints for %d shards", len(man.Checkpoints), man.Shards)

@@ -20,6 +20,7 @@ import (
 	"io"
 
 	ssr "repro"
+	"repro/internal/engine"
 )
 
 // Wire protocol. A stream is the magic WireMagic followed by frames:
@@ -64,9 +65,6 @@ const (
 	// chunk size any primary sends and below anything worth allocating on
 	// a decoder's say-so.
 	MaxWirePayload = 8 << 20
-	// maxWireShards bounds the Ends vector in watermark frames and token
-	// blobs (the engine's own shard limit is far lower).
-	maxWireShards = 4096
 )
 
 // Frame kinds.
@@ -242,7 +240,7 @@ func ParseWatermark(p []byte) (ssr.ReplicationWatermark, error) {
 		return ssr.ReplicationWatermark{}, fmt.Errorf("%w: watermark payload %d bytes", ErrBadFrame, len(p))
 	}
 	n := int(binary.LittleEndian.Uint16(p[12:14]))
-	if n > maxWireShards || len(p) != 14+16*n {
+	if n > engine.MaxShards || len(p) != 14+16*n {
 		return ssr.ReplicationWatermark{}, fmt.Errorf("%w: watermark with %d ends in %d bytes", ErrBadFrame, n, len(p))
 	}
 	wm := ssr.ReplicationWatermark{
@@ -316,7 +314,7 @@ func DecodeTokens(p []byte) (planGen uint64, pos []ssr.WALPosition, err error) {
 	p = p[len(TokenMagic):]
 	planGen = binary.LittleEndian.Uint64(p[:8])
 	n := int(binary.LittleEndian.Uint16(p[8:10]))
-	if n > maxWireShards || len(p) != 10+16*n {
+	if n > engine.MaxShards || len(p) != 10+16*n {
 		return 0, nil, fmt.Errorf("%w: token blob with %d positions in %d bytes", ErrBadFrame, n, len(p))
 	}
 	pos = make([]ssr.WALPosition, n)

@@ -2,10 +2,16 @@ package replica
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	ssr "repro"
+	"repro/internal/engine"
 )
 
 // TestWireRoundTrip drives every frame kind and the token blob through
@@ -110,5 +116,47 @@ func TestWireTruncation(t *testing.T) {
 		if _, err := fr.Next(); err == nil {
 			t.Fatalf("cut at %d decoded a full frame from a truncated stream", cut)
 		}
+	}
+}
+
+// TestShardBoundMatchesEngine holds the replication layer to the engine's
+// shard bound: a manifest handshake naming engine.MaxShards+1 shards is
+// refused before any checkpoint is fetched, and so are watermark frames
+// and token blobs carrying that many positions.
+func TestShardBoundMatchesEngine(t *testing.T) {
+	n := engine.MaxShards + 1
+	man := ManifestResponse{WireVersion: WireVersion, Shards: n}
+	for si := 0; si < n; si++ {
+		man.Checkpoints = append(man.Checkpoints, CheckpointRef{Shard: si, Generation: 1})
+	}
+	var fetches atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/replica/manifest" {
+			fetches.Add(1)
+			http.NotFound(w, r)
+			return
+		}
+		if err := json.NewEncoder(w).Encode(man); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer srv.Close()
+	f := &Follower{opt: FollowerOptions{Primary: srv.URL, Client: srv.Client()}}
+	if err := f.bootstrap(context.Background(), t.TempDir()); err == nil || fetches.Load() != 0 {
+		t.Errorf("handshake naming %d shards: err %v after %d checkpoint fetches; want refusal before any", n, err, fetches.Load())
+	}
+
+	ends := make([]ssr.WALPosition, n)
+	if _, err := ParseWatermark(EncodeWatermark(ssr.ReplicationWatermark{Ends: ends})); err == nil {
+		t.Errorf("watermark with %d ends accepted", n)
+	}
+	if _, _, err := DecodeTokens(EncodeTokens(1, ends)); err == nil {
+		t.Errorf("token blob with %d positions accepted", n)
+	}
+	if _, err := ParseWatermark(EncodeWatermark(ssr.ReplicationWatermark{Ends: ends[:n-1]})); err != nil {
+		t.Errorf("watermark with %d ends: %v", n-1, err)
+	}
+	if _, _, err := DecodeTokens(EncodeTokens(1, ends[:n-1])); err != nil {
+		t.Errorf("token blob with %d positions: %v", n-1, err)
 	}
 }

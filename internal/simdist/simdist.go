@@ -18,6 +18,10 @@ import (
 // DefaultBins is the histogram resolution used when options leave it zero.
 const DefaultBins = 200
 
+// MaxBins bounds the resolution SamplePairs accepts and a decoded
+// histogram may carry: 2^20 bins, far finer than any estimate needs.
+const MaxBins = 1 << 20
+
 // Histogram is a discretized similarity distribution over [0, 1]. Bin i
 // covers [i/n, (i+1)/n), except the last bin which also includes 1. Mass is
 // stored unnormalized; integral queries normalize on demand.
@@ -237,6 +241,9 @@ func SamplePairs(sets []set.Set, sample int, bins int, seed int64) (*Histogram, 
 	}
 	if sample < 1 {
 		return nil, fmt.Errorf("simdist: sample must be >= 1, got %d", sample)
+	}
+	if bins > MaxBins {
+		return nil, fmt.Errorf("simdist: %d bins exceed the maximum %d", bins, MaxBins)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	type pair struct{ i, j int }

@@ -46,12 +46,10 @@ func NewSetStore(pageSize int) *SetStore {
 
 // NewSetStoreWithPayload creates an empty store that accounts I/O as if
 // every element carried payload extra bytes (e.g. its log-string form).
+// payload must lie in [0, MaxPayloadPerElem], as core.Options.Validate checks.
 func NewSetStoreWithPayload(pageSize, payload int) *SetStore {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
-	}
-	if payload < 0 {
-		payload = 0
 	}
 	return &SetStore{pageSize: pageSize, payload: payload}
 }

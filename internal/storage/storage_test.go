@@ -303,10 +303,6 @@ func TestPayloadAccounting(t *testing.T) {
 	if padded.NumPages() < plain.NumPages() {
 		t.Error("payload reduced page count")
 	}
-	// Negative payload clamps to zero.
-	if NewSetStoreWithPayload(0, -5).payload != 0 {
-		t.Error("negative payload not clamped")
-	}
 }
 
 // TestPayloadAccountingBeyond4GiB appends one record whose payload alone is

@@ -214,16 +214,6 @@ func (t *Tracker) SetBaseline(h *simdist.Histogram) {
 	t.mutations = 0
 }
 
-// Baseline returns a clone of the installed baseline (nil if none).
-func (t *Tracker) Baseline() *simdist.Histogram {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.baseline == nil {
-		return nil
-	}
-	return t.baseline.Clone()
-}
-
 // OnInsert records a newly inserted live set: it may join the member
 // reservoir, and it is estimated against PairsPerInsert distinct
 // reservoir members to extend the pair sample. sig must be g's stored

@@ -64,9 +64,6 @@ type tunerTrailer struct {
 	BaselineBins []float64
 }
 
-// maxTrailerBins caps a decoded baseline against hostile gob input.
-const maxTrailerBins = 1 << 20
-
 // trailerHist reconstructs the baseline histogram (nil when absent).
 func (tt *tunerTrailer) trailerHist() *simdist.Histogram {
 	if tt == nil || tt.BaselineBins == nil {
@@ -86,8 +83,8 @@ func decodeTrailer(dec *gob.Decoder) (*tunerTrailer, error) {
 		}
 		return nil, fmt.Errorf("ssr: decoding tuner trailer: %w", err)
 	}
-	if len(tt.BaselineBins) > maxTrailerBins {
-		return nil, fmt.Errorf("ssr: tuner trailer carries %d histogram bins (limit %d)", len(tt.BaselineBins), maxTrailerBins)
+	if len(tt.BaselineBins) > simdist.MaxBins {
+		return nil, fmt.Errorf("ssr: tuner trailer carries %d histogram bins (limit %d)", len(tt.BaselineBins), simdist.MaxBins)
 	}
 	return &tt, nil
 }

@@ -44,12 +44,13 @@ import (
 )
 
 // Options tunes index construction. The zero value of every field selects a
-// sensible default except Budget, which must be positive. The query planner
+// sensible default except Budget, which must be at least 2. The query planner
 // and adaptive re-tuning are switched on after Build, by Index.EnablePlanner
 // and Index.EnableAutoTune.
 type Options struct {
 	// Budget is the total number of hash tables the index may use — the
-	// space constraint of the paper's Section 5 optimization. Required.
+	// space constraint of the paper's Section 5 optimization. Required: at
+	// least 2, and refused if its plan gives one filter index over 2^16 tables.
 	Budget int
 	// RecallTarget is the expected worst-case recall threshold T in (0, 1]
 	// the optimizer must respect; 0 selects the default, 0.9.
@@ -299,11 +300,8 @@ type Index struct {
 // Build constructs the index over the collection per the paper's pipeline.
 // The collection must not be mutated afterwards.
 func Build(c *Collection, opt Options) (*Index, error) {
-	if c == nil || c.Len() == 0 {
-		return nil, fmt.Errorf("ssr: empty collection")
-	}
-	if opt.Budget <= 0 {
-		return nil, fmt.Errorf("ssr: Options.Budget must be positive")
+	if c == nil {
+		return nil, fmt.Errorf("ssr: nil collection")
 	}
 	eopt := minhash.DefaultOptions()
 	if opt.MinHashes > 0 {
@@ -314,9 +312,6 @@ func Build(c *Collection, opt Options) (*Index, error) {
 	}
 	if opt.Seed != 0 {
 		eopt.Seed = opt.Seed
-	}
-	if opt.Shards > engine.MaxShards {
-		return nil, fmt.Errorf("ssr: Options.Shards %d exceeds the maximum %d", opt.Shards, engine.MaxShards)
 	}
 	c.mu.Lock()
 	sets := make([]set.Set, len(c.sets))
@@ -680,14 +675,16 @@ func (ix *Index) Distribution() []float64 {
 // binMasses returns h's mass per bin, normalized to sum to 1 (all zero
 // when h is empty).
 func binMasses(h *simdist.Histogram) []float64 {
-	n := h.Bins()
-	out := make([]float64, n)
+	out := h.RawBins()
 	total := h.Total()
 	if total == 0 {
-		return out
+		return make([]float64, len(out))
 	}
-	for i := range out {
-		out[i] = h.Mass(float64(i)/float64(n), float64(i+1)/float64(n)) / total
+	n := float64(len(out))
+	for i, w := range out {
+		// h.Mass over exactly bin i, in Mass's operation order, without
+		// Mass's scan of every bin.
+		out[i] = w * (float64(i+1)/n - float64(i)/n) * n / total
 	}
 	return out
 }
@@ -715,15 +712,14 @@ func (ix *Index) Sets() []set.Set {
 
 // EstimateDistribution estimates the collection's similarity distribution
 // without building an index — useful for choosing a budget before Build.
-// It returns normalized per-bin masses over [0, 1].
+// It returns normalized per-bin masses over [0, 1] in bins bins: at most
+// 2^20, and bins <= 0 selects the default of 200. samplePairs <= 0 samples
+// 20 000 pairs (at most every pair of the collection).
 func EstimateDistribution(c *Collection, bins, samplePairs int, seed int64) ([]float64, error) {
 	c.mu.Lock()
 	sets := make([]set.Set, len(c.sets))
 	copy(sets, c.sets)
 	c.mu.Unlock()
-	if len(sets) < 2 {
-		return nil, fmt.Errorf("ssr: need at least 2 sets")
-	}
 	if samplePairs <= 0 {
 		samplePairs = 20000
 	}

@@ -54,6 +54,11 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(c, Options{Budget: 20, PayloadBytesPerElement: -1}); err == nil {
 		t.Error("negative payload per element accepted")
 	}
+	// This budget gives one filter index more than 2^16 tables, which
+	// Load refuses, so Build must refuse it before allocating a table.
+	if _, err := Build(c, Options{Budget: 70000, MinHashes: 16}); err == nil {
+		t.Error("budget 70000 accepted")
+	}
 }
 
 func TestQueryFindsDuplicates(t *testing.T) {
@@ -305,6 +310,14 @@ func TestEstimateDistribution(t *testing.T) {
 	}
 	if _, err := EstimateDistribution(NewCollection(), 10, 10, 1); err == nil {
 		t.Error("empty collection accepted")
+	}
+	// More than 2^20 bins is refused before a histogram is allocated
+	// (1<<40 used to exhaust memory); bins <= 0 selects 200.
+	if _, err := EstimateDistribution(c, 1<<20+1, 500, 1); err == nil {
+		t.Error("2^20+1 bins accepted")
+	}
+	if d, err := EstimateDistribution(c, 0, 500, 1); err != nil || len(d) != 200 {
+		t.Errorf("bins 0: %d masses, %v; want the default 200", len(d), err)
 	}
 }
 
