@@ -23,7 +23,7 @@ func TestParseDirectives(t *testing.T) {
 
 func f() {
 	_ = 1 //ssrvet:ignore droppederr -- read-only fd
-	_ = 2 //ssrvet:ignore lockorder, maprange
+	_ = 2 //ssrvet:ignore lockorder, floatcmp
 	_ = 3 //ssrvet:ignore
 }
 `)
@@ -37,8 +37,8 @@ func f() {
 	if ds[0].Reason != "read-only fd" {
 		t.Errorf("directive 0 reason = %q, want %q", ds[0].Reason, "read-only fd")
 	}
-	if got := ds[1].Analyzers; len(got) != 2 || got[0] != "lockorder" || got[1] != "maprange" {
-		t.Errorf("directive 1 analyzers = %v, want [lockorder maprange]", got)
+	if got := ds[1].Analyzers; len(got) != 2 || got[0] != "lockorder" || got[1] != "floatcmp" {
+		t.Errorf("directive 1 analyzers = %v, want [lockorder floatcmp]", got)
 	}
 	if ds[1].Reason != "" || ds[2].Reason != "" {
 		t.Errorf("directives 1 and 2 should have empty reasons")

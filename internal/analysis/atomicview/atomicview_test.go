@@ -9,7 +9,7 @@ import (
 
 func TestAtomicView(t *testing.T) {
 	diags := analysistest.Run(t, "testdata/src/atomuse", atomicview.Analyzer)
-	if len(diags) != 4 {
-		t.Errorf("got %d diagnostics, want 4", len(diags))
+	if len(diags) != 2 {
+		t.Errorf("got %d diagnostics, want 2", len(diags))
 	}
 }

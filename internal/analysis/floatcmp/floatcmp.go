@@ -18,6 +18,11 @@
 //     of the similarity scale); both are exactly representable and testing
 //     them is idiomatic ("was this ever assigned?").
 //   - comparisons where both operands are constants (folded at compile time).
+//
+// What only this analyzer catches: `fi.Point == p` in place of
+// floats.Eq in optimize's fiAt, the lookup of a planned filter index at a
+// partition point. gofmt, go build, go vet and go test with and without
+// -race all pass with that plant in.
 package floatcmp
 
 import (

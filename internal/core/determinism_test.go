@@ -12,8 +12,8 @@ import (
 // options and requires bit-identical internals: every min-hash signature
 // and every filter index's sampled bit positions. This is the end-to-end
 // form of the guarantee snapshot loading relies on (filter contents are
-// rebuilt, not persisted) and the invariant the seededrand analyzer
-// protects — one stray global-rand call anywhere in the pipeline breaks it.
+// rebuilt, not persisted) — one stray global-rand call anywhere in the
+// pipeline breaks it.
 func TestBuildDeterminism(t *testing.T) {
 	sets, err := workload.Generate(workload.Set1Params(250))
 	if err != nil {

@@ -9,8 +9,7 @@ import (
 
 // TestFamilyDeterminism verifies the contract NewFamily documents: the same
 // (seed, k) always yields the same family, and therefore bit-identical
-// signatures. Snapshot loading and the ssrvet seededrand policy both lean
-// on this.
+// signatures. Snapshot loading leans on this.
 func TestFamilyDeterminism(t *testing.T) {
 	const k, seed = 64, 12345
 	f1, err := NewFamily(k, seed)

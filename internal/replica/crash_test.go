@@ -151,7 +151,7 @@ func TestTwoProcessCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("final open of crashed mirror: %v", err)
 	}
-	defer f.Close() //ssrvet:ignore droppederr -- test teardown
+	defer f.Close()
 	waitMirrored(t, f, primary)
 	requireEqualState(t, primary, f.Index())
 }

@@ -59,7 +59,7 @@ func startPrimary(t *testing.T, shards, seedSets int) (*ssr.Index, *httptest.Ser
 	if err != nil {
 		t.Fatalf("creating primary: %v", err)
 	}
-	t.Cleanup(func() { ix.Close() }) //ssrvet:ignore droppederr -- test teardown; double close is fine
+	t.Cleanup(func() { ix.Close() })
 	h, err := NewHandler(ix, fastStream)
 	if err != nil {
 		t.Fatalf("replication handler: %v", err)
@@ -174,7 +174,7 @@ func TestFollowerMirrorsPrimary(t *testing.T) {
 			if err != nil {
 				t.Fatalf("starting follower: %v", err)
 			}
-			defer f.Close() //ssrvet:ignore droppederr -- test teardown
+			defer f.Close()
 			waitMirrored(t, f, primary)
 			requireEqualState(t, primary, f.Index())
 
@@ -225,7 +225,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restarting follower: %v", err)
 	}
-	defer f2.Close() //ssrvet:ignore droppederr -- test teardown
+	defer f2.Close()
 	waitMirrored(t, f2, primary)
 	if got := f2.Status().Resyncs; got != 0 {
 		t.Fatalf("restart resorted to %d resync(s); should have resumed from its token", got)
@@ -298,7 +298,7 @@ func TestFollowerSurvivesInterruptedResync(t *testing.T) {
 	}
 	mutate(t, primary, 400, 20)
 	f = start()
-	defer f.Close() //ssrvet:ignore droppederr -- test teardown
+	defer f.Close()
 	waitMirrored(t, f, primary)
 	requireEqualState(t, primary, f.Index())
 	requireNoLeftovers()
@@ -374,7 +374,7 @@ func TestFollowerSurvivesStreamCuts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("starting follower: %v", err)
 	}
-	defer f.Close() //ssrvet:ignore droppederr -- test teardown
+	defer f.Close()
 	waitFor(t, "all scripted cuts to fire", func() bool {
 		return int(ct.next.Load()) > len(cuts)
 	})
@@ -460,7 +460,7 @@ func TestFollowerRotationLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("starting follower: %v", err)
 	}
-	defer f.Close() //ssrvet:ignore droppederr -- test teardown
+	defer f.Close()
 	waitMirrored(t, f, primary)
 
 	// Catch up between rotations: the primary retains one sealed
@@ -508,7 +508,7 @@ func TestFollowerResyncsAcrossRetune(t *testing.T) {
 	if err != nil {
 		t.Fatalf("starting follower: %v", err)
 	}
-	defer f.Close() //ssrvet:ignore droppederr -- test teardown
+	defer f.Close()
 	waitMirrored(t, f, primary)
 
 	mutate(t, primary, 700, 30)

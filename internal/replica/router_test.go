@@ -35,7 +35,7 @@ func startCluster(t *testing.T) (primary *httptest.Server, follower *httptest.Se
 	if err != nil {
 		t.Fatalf("starting follower: %v", err)
 	}
-	t.Cleanup(func() { f.Close() }) //ssrvet:ignore droppederr -- test teardown
+	t.Cleanup(func() { f.Close() })
 	waitMirrored(t, f, ix)
 	follower = httptest.NewServer(server.NewWithConfig(nil, server.Config{
 		Role: "follower", ReadOnly: true, Index: f.Index,
@@ -52,7 +52,7 @@ func startCluster(t *testing.T) (primary *httptest.Server, follower *httptest.Se
 		HedgeDelay: 5 * time.Millisecond,
 		ProbeEvery: 10 * time.Millisecond,
 	})
-	t.Cleanup(func() { router.Close() }) //ssrvet:ignore droppederr -- test teardown
+	t.Cleanup(func() { router.Close() })
 	return primary, follower, router
 }
 
@@ -195,7 +195,7 @@ func TestRouterHedgesSlowBackend(t *testing.T) {
 		// the slow backend from the read order and with it every hedge.
 		ProbeEvery: time.Second,
 	})
-	defer rt.Close() //ssrvet:ignore droppederr -- test teardown
+	defer rt.Close()
 	// With both backends ready the round-robin order puts the slow one
 	// first on every other read; before that, a router that has heard
 	// only from the fast backend sends every read there alone.
@@ -248,7 +248,7 @@ func doPost(t *testing.T, url, body string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //ssrvet:ignore droppederr -- test client; body fully read
+	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +272,8 @@ func httptestHandler(srv *httptest.Server) http.Handler {
 			w.WriteHeader(http.StatusBadGateway)
 			return
 		}
-		defer resp.Body.Close() //ssrvet:ignore droppederr -- test proxy; body copied below
+		defer resp.Body.Close()
 		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body) //ssrvet:ignore droppederr -- test proxy; client saw the status already
+		io.Copy(w, resp.Body)
 	})
 }

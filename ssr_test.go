@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -307,6 +308,29 @@ func TestEstimateDistribution(t *testing.T) {
 	}
 	if sum < 0.99 || sum > 1.01 {
 		t.Errorf("estimate sums to %g", sum)
+	}
+	// The seed is the whole source of randomness: the same seed draws the
+	// same pairs, so the masses repeat bit for bit. Sliding windows spread
+	// the pair similarities over many bins (bookstore's pairs almost all
+	// fall in bin 0), so two independent draws would differ.
+	windows := NewCollection()
+	for i := 0; i < 50; i++ {
+		elems := make([]string, 20)
+		for j := range elems {
+			elems[j] = fmt.Sprint(i + j)
+		}
+		windows.Add(elems...)
+	}
+	first, err := EstimateDistribution(windows, 20, 500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := EstimateDistribution(windows, 20, 500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(first, again) {
+		t.Errorf("same seed, different masses:\n%v\n%v", first, again)
 	}
 	if _, err := EstimateDistribution(NewCollection(), 10, 10, 1); err == nil {
 		t.Error("empty collection accepted")
