@@ -1,11 +1,11 @@
 package ssr
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
-	"repro/internal/cluster"
-	"repro/internal/join"
 	"repro/internal/weblog"
 )
 
@@ -36,28 +36,35 @@ type PairMatch struct {
 	Similarity float64
 }
 
-// SimilarPairs returns every pair of collection sets with similarity at
-// least threshold (a set-similarity self-join), sorted by descending
-// similarity. Reported pairs are exact; a pair may be missed with the
-// filter's false-negative probability at its similarity level.
+// SimilarPairs returns every pair of live sets with similarity at least
+// threshold (a set-similarity self-join), sorted by descending similarity,
+// then A, then B. It is one [threshold, 1] range query per live set, so
+// every reported pair is exact, and a pair is missed only when the queries
+// of both its sets miss it.
 func (ix *Index) SimilarPairs(threshold float64) ([]PairMatch, error) {
-	if err := ix.requireNoDeletions("SimilarPairs"); err != nil {
-		return nil, err
+	if !(threshold > 0 && threshold < 1) {
+		return nil, fmt.Errorf("ssr: threshold must be in (0,1), got %g", threshold)
 	}
-	pairs, _, err := join.SelfJoin(ix.inner.Sets(), join.Options{
-		Threshold: threshold,
-		Tables:    24,
-		MinHashes: ix.inner.Embedder().K(),
-		Seed:      1,
+	var out []PairMatch
+	for a, s := range ix.inner.SetsBySID() {
+		if s == nil {
+			continue
+		}
+		matches, _, err := ix.query(*s, threshold, 1)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range matches {
+			if m.SID != a {
+				out = append(out, PairMatch{A: min(a, m.SID), B: max(a, m.SID), Similarity: m.Similarity})
+			}
+		}
+	}
+	slices.SortFunc(out, func(x, y PairMatch) int {
+		return cmp.Or(cmp.Compare(y.Similarity, x.Similarity), cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PairMatch, len(pairs))
-	for i, p := range pairs {
-		out[i] = PairMatch{A: int(p.A), B: int(p.B), Similarity: p.Similarity}
-	}
-	return out, nil
+	// A pair both of whose sets found it sits twice, side by side.
+	return slices.Compact(out), nil
 }
 
 // ClusterResult is one leader cluster from Clusters.
@@ -68,34 +75,41 @@ type ClusterResult struct {
 	Members []int
 }
 
-// Clusters groups the collection by similarity band using leader
-// clustering (each unassigned set pulls in every unassigned set within
-// [lo, hi] of it). Sets in no cluster of size >= 2 are omitted.
+// Clusters groups the live sets by similarity band using leader
+// clustering: in sid order, each unassigned set queries [lo, hi] and pulls
+// in every unassigned set the query returns. Sets in no cluster of size
+// >= 2 are omitted. Hi below 1 keeps exact duplicates out of a leader's
+// cluster (the paper's related-but-not-copies use).
 func (ix *Index) Clusters(lo, hi float64) ([]ClusterResult, error) {
-	if err := ix.requireNoDeletions("Clusters"); err != nil {
+	if err := checkRange(lo, hi); err != nil {
 		return nil, err
 	}
-	res, err := cluster.Leaders(ix.inner, ix.inner.Sets(), cluster.Options{Lo: lo, Hi: hi})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ClusterResult, len(res.Clusters))
-	for i, c := range res.Clusters {
-		members := make([]int, len(c.Members))
-		for j, m := range c.Members {
-			members[j] = int(m)
+	bySID := ix.inner.SetsBySID()
+	assigned := make([]bool, len(bySID))
+	var out []ClusterResult
+	for leader, s := range bySID {
+		if s == nil || assigned[leader] {
+			continue
 		}
-		out[i] = ClusterResult{Leader: int(c.Leader), Members: members}
+		matches, _, err := ix.query(*s, lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		members := []int{leader}
+		for _, m := range matches {
+			// A sid past the snapshot was inserted during the call.
+			if m.SID != leader && m.SID < len(assigned) && !assigned[m.SID] {
+				members = append(members, m.SID)
+			}
+		}
+		if len(members) < 2 {
+			continue // the leader stays unassigned and may join a later cluster
+		}
+		for _, m := range members {
+			assigned[m] = true
+		}
+		slices.Sort(members)
+		out = append(out, ClusterResult{Leader: leader, Members: members})
 	}
 	return out, nil
-}
-
-// requireNoDeletions guards the bulk operations whose sid numbering would
-// drift on a deleted-from index.
-func (ix *Index) requireNoDeletions(op string) error {
-	if ix.inner.NumAllocated() != ix.inner.Len() {
-		return fmt.Errorf("ssr: %s requires an index without deletions (%d of %d sids live); rebuild first",
-			op, ix.inner.Len(), ix.inner.NumAllocated())
-	}
-	return nil
 }

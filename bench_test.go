@@ -19,14 +19,11 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/filter"
 	"repro/internal/hashtable"
-	"repro/internal/join"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -405,18 +402,7 @@ func BenchmarkQueryScreened(b *testing.B) {
 // BenchmarkPublicAPIQuery measures an end-to-end query through the public
 // ssr API.
 func BenchmarkPublicAPIQuery(b *testing.B) {
-	sets, err := workload.Generate(workload.Set1Params(1000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := NewCollection()
-	for _, s := range sets {
-		c.AddIDs(s.Elems()...)
-	}
-	ix, err := Build(c, Options{Budget: 100, RecallTarget: 0.75, MinHashes: 64, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := publicBenchIndex(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := ix.QuerySID(i%1000, 0.7, 1.0); err != nil {
@@ -464,46 +450,44 @@ func BenchmarkHashtableProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkSelfJoin measures the filter-powered similarity self-join over
-// 1000 sets at threshold 0.8.
-func BenchmarkSelfJoin(b *testing.B) {
+// publicBenchIndex builds the public index BenchmarkPublicAPIQuery
+// queries: 1000 Set1 sets at budget 100.
+func publicBenchIndex(b *testing.B) *Index {
+	b.Helper()
 	sets, err := workload.Generate(workload.Set1Params(1000))
 	if err != nil {
 		b.Fatal(err)
 	}
+	c := NewCollection()
+	for _, s := range sets {
+		c.AddIDs(s.Elems()...)
+	}
+	ix, err := Build(c, Options{Budget: 100, RecallTarget: 0.75, MinHashes: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ix
+}
+
+// BenchmarkSelfJoin measures the similarity self-join — one range query
+// per set — over 1000 sets at threshold 0.8.
+func BenchmarkSelfJoin(b *testing.B) {
+	ix := publicBenchIndex(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := join.SelfJoin(sets, join.Options{Threshold: 0.8, Tables: 16, MinHashes: 64, Seed: 3}); err != nil {
+		if _, err := ix.SimilarPairs(0.8); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkExactJoin is the quadratic comparator for BenchmarkSelfJoin.
-func BenchmarkExactJoin(b *testing.B) {
-	sets, err := workload.Generate(workload.Set1Params(1000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = join.Exact(sets, 0.8)
-	}
-}
-
-// BenchmarkClusterLeaders measures leader clustering over the benchmark
-// fixture.
+// BenchmarkClusterLeaders measures leader clustering over 1000 sets in
+// the band [0.5, 0.95].
 func BenchmarkClusterLeaders(b *testing.B) {
-	f := benchFixture(b, "cluster", workload.Set1Params(1000), 100)
-	// The fixture's build options carry its plan, so this one-shard engine
-	// holds the fixture's index.
-	e, err := engine.Build(f.sets, engine.Options{Core: f.ix.BuildOptions()})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := publicBenchIndex(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Leaders(e, f.sets, cluster.Options{Lo: 0.5, Hi: 0.95}); err != nil {
+		if _, err := ix.Clusters(0.5, 0.95); err != nil {
 			b.Fatal(err)
 		}
 	}

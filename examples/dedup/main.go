@@ -2,9 +2,8 @@
 // mirrored-web-pages use case from the paper's introduction ("identify
 // clusters of web pages which are similar but not copies of each other"
 // and mirror identification à la Broder et al.). The program generates a
-// collection with injected near-copies, joins it at a high threshold, and
-// reports duplicate groups, comparing the filter-powered join's work
-// against the quadratic brute force.
+// collection with injected near-copies, indexes it, joins it at a high
+// threshold with one range query per set, and reports duplicate groups.
 package main
 
 import (
@@ -12,8 +11,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/join"
-	"repro/internal/storage"
+	ssr "repro"
 	"repro/internal/workload"
 )
 
@@ -30,28 +28,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	c := ssr.NewCollection()
+	for _, s := range sets {
+		c.AddIDs(s.Elems()...)
+	}
+	ix, err := ssr.Build(c, ssr.Options{Budget: 200})
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	pairs, stats, err := join.SelfJoin(sets, join.Options{
-		Threshold: *threshold,
-		Tables:    24,
-		MinHashes: 96,
-		Seed:      9,
-	})
+	pairs, err := ix.SimilarPairs(*threshold)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("self-join at threshold %.2f over %d sets:\n", *threshold, len(sets))
-	fmt.Printf("  %d candidate pairs verified (brute force would verify %d)\n",
-		stats.CandidatePairs, len(sets)*(len(sets)-1)/2)
-	fmt.Printf("  %d duplicate pairs found\n\n", stats.Results)
+	fmt.Printf("  %d range queries (brute force would compare %d pairs)\n",
+		len(sets), len(sets)*(len(sets)-1)/2)
+	fmt.Printf("  %d duplicate pairs found\n\n", len(pairs))
 
 	// Union the pairs into duplicate groups.
-	parent := make([]storage.SID, len(sets))
+	parent := make([]int, len(sets))
 	for i := range parent {
-		parent[i] = storage.SID(i)
+		parent[i] = i
 	}
-	var find func(storage.SID) storage.SID
-	find = func(x storage.SID) storage.SID {
+	var find func(int) int
+	find = func(x int) int {
 		if parent[x] != x {
 			parent[x] = find(parent[x])
 		}
@@ -63,10 +64,10 @@ func main() {
 			parent[rb] = ra
 		}
 	}
-	groups := make(map[storage.SID][]storage.SID)
+	groups := make(map[int][]int)
 	for i := range parent {
-		r := find(storage.SID(i))
-		groups[r] = append(groups[r], storage.SID(i))
+		r := find(i)
+		groups[r] = append(groups[r], i)
 	}
 	sizes := map[int]int{}
 	largest := 0

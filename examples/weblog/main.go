@@ -12,7 +12,6 @@ import (
 	"log"
 
 	ssr "repro"
-	"repro/internal/cluster"
 	"repro/internal/workload"
 )
 
@@ -57,19 +56,19 @@ func main() {
 	fmt.Printf("mirror scan: %d of the first %d visitors have a >= 0.95 twin\n", mirrors, checked)
 
 	// Related-but-not-copies clustering: leader clustering with the
-	// paper's similar-but-distinct band, via the cluster package.
-	const lo, hi = 0.5, 0.95
-	res, err := cluster.Leaders(ix.Internal(), sets, cluster.Options{
-		Lo: lo, Hi: hi, MaxClusters: 12,
-	})
+	// paper's similar-but-distinct band, one index query per leader.
+	const lo, hi, shown = 0.5, 0.95, 12
+	clusters, err := ix.Clusters(lo, hi)
 	if err != nil {
 		log.Fatal(err)
 	}
 	clustered := 0
-	for i, cl := range res.Clusters {
+	for i, cl := range clusters {
 		clustered += len(cl.Members)
-		fmt.Printf("cluster %2d: leader %-6d members %d\n", i, cl.Leader, len(cl.Members))
+		if i < shown {
+			fmt.Printf("cluster %2d: leader %-6d members %d\n", i, cl.Leader, len(cl.Members))
+		}
 	}
-	fmt.Printf("%d visitors grouped into %d related-content clusters (band [%.2f, %.2f]) using %d index queries\n",
-		clustered, len(res.Clusters), lo, hi, res.Queries)
+	fmt.Printf("%d visitors grouped into %d related-content clusters (band [%.2f, %.2f]; the first %d shown)\n",
+		clustered, len(clusters), lo, hi, min(shown, len(clusters)))
 }

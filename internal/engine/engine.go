@@ -384,7 +384,9 @@ func (e *Engine) trackDelete(g uint32) {
 // allocates the sid as a hole (if Apply never follows, it stays one). A
 // one-shard engine allocates nothing — its global sids are its core sids,
 // so the next sid is simply the core's next — and the caller must
-// serialize Reserve through Apply itself, or Apply rejects the sid.
+// serialize Reserve through Apply itself, or Apply rejects the sid. At
+// core.MaxSIDs the sid space is full: Reserve allocates nothing and
+// returns a sid that Apply rejects.
 func (e *Engine) Reserve() (g uint32, si int) {
 	if len(e.shards) == 1 {
 		// Dense sids: a bare SSRIDX1 snapshot has no sid map.
@@ -392,18 +394,21 @@ func (e *Engine) Reserve() (g uint32, si int) {
 	}
 	e.gmu.Lock()
 	g = uint32(len(e.locals))
-	e.locals = append(e.locals, localUnassigned)
+	if g < core.MaxSIDs {
+		e.locals = append(e.locals, localUnassigned)
+	}
 	e.gmu.Unlock()
 	return g, e.ShardOf(g)
 }
 
 // Apply inserts s as global sid g into shard si: the second half of a
 // live Reserve, and the whole of a log replay, where g comes from a WAL
-// record. A sid must route to si and may be applied once. On a sharded
-// engine the global sid space grows as needed, so sids a crash skipped
-// stay holes. On a one-shard engine g must be the next core sid. Local
-// sids are assigned in per-shard arrival order (which may differ from
-// global order under concurrency — the toGlobal table is the record).
+// record. A sid must route to si, lie below core.MaxSIDs (the sid space
+// Load accepts back) and may be applied once. On a sharded engine the
+// global sid space grows as needed, so sids a crash skipped stay holes.
+// On a one-shard engine g must be the next core sid. Local sids are
+// assigned in per-shard arrival order (which may differ from global order
+// under concurrency — the toGlobal table is the record).
 func (e *Engine) Apply(si int, g uint32, s set.Set) error {
 	if si < 0 || si >= len(e.shards) {
 		return fmt.Errorf("engine: shard %d out of range [0, %d)", si, len(e.shards))
@@ -419,6 +424,9 @@ func (e *Engine) Apply(si int, g uint32, s set.Set) error {
 
 // applyLocked is Apply under shard si's mutex.
 func (e *Engine) applyLocked(si int, g uint32, s set.Set) error {
+	if g >= core.MaxSIDs {
+		return fmt.Errorf("engine: sid %d out of the sid space [0, %d)", g, core.MaxSIDs)
+	}
 	sh := e.shards[si]
 	ix := e.loadView().cores[si]
 	e.gmu.RLock()
@@ -577,7 +585,7 @@ func (e *Engine) SetsBySID() []*set.Set {
 
 // Sets returns the live collection in ascending global-sid order (dense;
 // positions equal global sids only when the engine has no deletions or
-// holes — the callers that need alignment check NumAllocated == Len).
+// holes — SetsBySID keeps the alignment).
 func (e *Engine) Sets() []set.Set {
 	bySID := e.SetsBySID()
 	out := make([]set.Set, 0, len(bySID))

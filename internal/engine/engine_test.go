@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/minhash"
@@ -568,6 +570,90 @@ func TestApplyOneShard(t *testing.T) {
 	}
 	if sid, err := e.Insert(sets[11]); err != nil || sid != 11 {
 		t.Fatalf("Insert after Apply = %d, %v; want 11", sid, err)
+	}
+}
+
+// TestApplyRefusesSIDsPastMaxSIDs pins the sid-space bound on the write
+// path: a replayed or replicated record whose sid lies at or past
+// core.MaxSIDs is refused before anything grows, so every engine a write
+// leaves behind still saves into a snapshot Load accepts.
+func TestApplyRefusesSIDsPastMaxSIDs(t *testing.T) {
+	e, sets := buildFixture(t, 50, 2)
+	n, allocated := e.Len(), e.NumAllocated()
+	for _, g := range []uint32{core.MaxSIDs, core.MaxSIDs + 1, 1<<32 - 1} {
+		if err := e.Apply(e.ShardOf(g), g, sets[0]); err == nil {
+			t.Fatalf("Apply of sid %d accepted", g)
+		}
+		if e.Len() != n || e.NumAllocated() != allocated {
+			t.Fatalf("refused Apply of sid %d changed Len %d -> %d, NumAllocated %d -> %d",
+				g, n, e.Len(), allocated, e.NumAllocated())
+		}
+	}
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err != nil {
+		t.Fatalf("Load after refused Applies: %v", err)
+	}
+}
+
+// TestInsertDeleteNoDeadlock interleaves Insert and Delete of fresh sids
+// from several writers, on one shard and on four. Insert takes the shard
+// mutex before the sid-mapping lock gmu; a Delete holding gmu while it
+// takes the shard mutex deadlocks against it. The test waits on its own
+// deadline, so such an inversion fails here in seconds and names the
+// stuck operations instead of hanging to the go test timeout.
+func TestInsertDeleteNoDeadlock(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e, _ := buildFixture(t, 100, shards)
+			const writers, ops = 4, 300
+			var current [writers]atomic.Pointer[string]
+			done := make(chan error, writers)
+			for w := 0; w < writers; w++ {
+				go func(w int) {
+					for i := 0; i < ops; i++ {
+						base := uint64(1_000_000 + 3*(w*ops+i))
+						op := fmt.Sprintf("writer %d: Insert #%d", w, i)
+						current[w].Store(&op)
+						g, err := e.Insert(set.New(base, base+1, base+2))
+						if err != nil {
+							done <- fmt.Errorf("%s: %w", op, err)
+							return
+						}
+						op = fmt.Sprintf("writer %d: Delete(%d)", w, g)
+						current[w].Store(&op)
+						if err := e.Delete(g); err != nil {
+							done <- fmt.Errorf("%s: %w", op, err)
+							return
+						}
+					}
+					current[w].Store(nil)
+					done <- nil
+				}(w)
+			}
+			deadline := time.After(10 * time.Second)
+			for left := writers; left > 0; left-- {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-deadline:
+					var stuck []string
+					for w := range current {
+						if op := current[w].Load(); op != nil {
+							stuck = append(stuck, *op)
+						}
+					}
+					t.Fatalf("writers still blocked after 10 s (lock-order deadlock?): %s", strings.Join(stuck, "; "))
+				}
+			}
+			if e.Len() != 100 {
+				t.Fatalf("Len = %d after every insert was deleted, want 100", e.Len())
+			}
+		})
 	}
 }
 

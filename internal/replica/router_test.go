@@ -52,8 +52,25 @@ func startCluster(t *testing.T) (primary *httptest.Server, follower *httptest.Se
 		HedgeDelay: 5 * time.Millisecond,
 		ProbeEvery: 10 * time.Millisecond,
 	})
-	t.Cleanup(func() { router.Close() })
+	t.Cleanup(func() { closeWithin(t, "Router.probeLoop", router.Close) })
 	return primary, follower, router
+}
+
+// closeWithin calls close and fails the test if it has not returned in
+// 10 s, naming the background loop that ignored its stop signal — instead
+// of hanging the package to the go test timeout.
+func closeWithin(t *testing.T, loop string, close func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Errorf("Close did not return in 10 s: %s ignored its stop signal", loop)
+	}
 }
 
 func postJSON(t *testing.T, h http.Handler, path, body string) (int, []byte) {
@@ -195,7 +212,7 @@ func TestRouterHedgesSlowBackend(t *testing.T) {
 		// the slow backend from the read order and with it every hedge.
 		ProbeEvery: time.Second,
 	})
-	defer rt.Close()
+	defer closeWithin(t, "Router.probeLoop", rt.Close)
 	// With both backends ready the round-robin order puts the slow one
 	// first on every other read; before that, a router that has heard
 	// only from the fast backend sends every read there alone.

@@ -97,14 +97,29 @@ func TestAutoTuneLifecycle(t *testing.T) {
 		t.Fatalf("tuner state %+v records no drift measurement", st)
 	}
 
-	if err := ix.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	closeWithin(t, "autoTuneLoop", ix.Close)
 	if ix.TunerState().AutoTuning {
 		t.Fatal("auto-tune loop still reported running after Close")
 	}
 	if err := ix.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// closeWithin calls close and fails the test if it has not returned in
+// 10 s, naming the background loop that ignored its stop signal — instead
+// of hanging the package to the go test timeout.
+func closeWithin(t *testing.T, loop string, close func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Close did not return in 10 s: %s ignored its stop signal", loop)
 	}
 }
 
