@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet ssrvet race crash replication fuzz-smoke bench check
+.PHONY: all build test vet race crash replication fuzz-smoke bench check
 
 all: check
 
@@ -15,21 +15,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Formatting, stock go vet and the repo's own analyzer suite — one
-# target, so "it vets" always means all three. The gofmt step lists every
-# file it rejects before failing.
+# Formatting and stock go vet — one target, so "it vets" always means
+# both. The gofmt step lists every file it rejects before failing.
 vet:
 	@unformatted="$$(gofmt -l .)"; echo "$$unformatted"; test -z "$$unformatted"
 	$(GO) vet ./...
-	$(GO) run ./cmd/ssrvet ./...
-
-# The repo-specific analyzer suite alone: float comparison (floatcmp),
-# dropped errors (droppederr), lock-guarded aliasing (guardedescape),
-# lock order (lockorder) and mixed atomic/plain access (atomicview) — the
-# bug classes that go vet and the tests miss (cmd/ssrvet names each
-# analyzer's plant). Exits non-zero on findings.
-ssrvet:
-	$(GO) run ./cmd/ssrvet ./...
 
 # The concurrency suites under the race detector (the mixed read/write
 # stress tests in internal/core, internal/engine, and the public shard
@@ -37,7 +27,7 @@ ssrvet:
 # is the fast local loop.
 race:
 	$(GO) test -race ./internal/core/ ./internal/engine/ ./internal/server/ ./internal/wal/ ./internal/recovery/ ./internal/tuner/
-	$(GO) test -race -run 'TestShardedMixedStress|TestManualRetune|TestAutoTune' .
+	$(GO) test -race -run 'TestShardedMixedStress|TestBuildBesideShardedAdds|TestManualRetune|TestAutoTune' .
 
 # The durability stack: WAL torn-tail/bit-flip sweeps, chained-checkpoint
 # recovery, and the crash-injection harness — all under -race.

@@ -236,7 +236,7 @@ func buildOrLoad(data, snapshot string, budget int, recall float64, k int, seed 
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close() //ssrvet:ignore droppederr -- read-only fd; Load fails on any read error
+		defer f.Close() // read-only fd; Load fails on any read error
 		return ssr.Load(f)
 	case data != "":
 		coll, err := textio.LoadCollection(data)

@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // durableShardedBuildOpts is durableBuildOpts plus sharding.
@@ -461,4 +464,96 @@ func TestDurableShardedPrealloc(t *testing.T) {
 	}
 	defer re2.Close()
 	assertSameIndex(t, re2, ref)
+}
+
+// TestShardedCheckpointBesideWritesNoDeadlock checkpoints a 4-shard
+// durable index in a loop beside adds, removes and queries. A checkpoint
+// holds a shard's lane while it snapshots the shard and captures the
+// collection's names; the writers take the lanes, the collection lock and
+// the engine's locks in their own order. The test keeps its own deadline,
+// so a lock-order cycle among them fails in seconds and names the stuck
+// operations.
+func TestShardedCheckpointBesideWritesNoDeadlock(t *testing.T) {
+	ix, err := CreateDurable(t.TempDir(), bookstore(), durableShardedBuildOpts(4), DurableOptions{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ix.Len()
+
+	const writers, ops = 4, 60
+	var current [writers + 1]atomic.Pointer[string] // the writers, then the checkpointer
+	done := make(chan error, writers+1)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				op := fmt.Sprintf("writer %d: Add #%d", w, i)
+				current[w].Store(&op)
+				sid, err := ix.Add(fmt.Sprintf("ckpt-%d-%d", w, i), "dune")
+				if err == nil && i%3 == 0 {
+					op = fmt.Sprintf("writer %d: Remove(%d)", w, sid)
+					current[w].Store(&op)
+					err = ix.Remove(sid)
+				}
+				if err == nil {
+					op = fmt.Sprintf("writer %d: Query #%d", w, i)
+					current[w].Store(&op)
+					_, _, err = ix.Query([]string{"dune", "foundation"}, 0.2, 1.0)
+				}
+				if err != nil {
+					done <- fmt.Errorf("%s: %w", op, err)
+					return
+				}
+			}
+			current[w].Store(nil)
+			done <- nil
+		}(w)
+	}
+	writersDone := make(chan struct{})
+	go func() { wg.Wait(); close(writersDone) }()
+	go func() {
+		for n := 0; ; n++ {
+			select {
+			case <-writersDone:
+				current[writers].Store(nil)
+				done <- nil
+				return
+			default:
+			}
+			op := fmt.Sprintf("Checkpoint #%d", n)
+			current[writers].Store(&op)
+			if err := ix.Checkpoint(); err != nil {
+				done <- fmt.Errorf("%s: %w", op, err)
+				return
+			}
+		}
+	}()
+
+	deadline := time.After(20 * time.Second)
+	for left := writers + 1; left > 0; left-- {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			var stuck []string
+			for i := range current {
+				if op := current[i].Load(); op != nil {
+					stuck = append(stuck, *op)
+				}
+			}
+			t.Fatalf("still blocked after 20 s (lock-order deadlock?): %s", strings.Join(stuck, "; "))
+		}
+	}
+	if got, want := ix.Len(), base+writers*(ops-ops/3); got != want {
+		t.Fatalf("Len = %d after the writers, want %d", got, want)
+	}
+	// Closed here, not deferred: after a deadlock Close would block on
+	// the stuck lane.
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -92,7 +92,7 @@ func (ix *Index) Save(w io.Writer) error {
 // meaning) would depend on which encode happened to run first. Callers
 // that promise byte-stable snapshots invoke this from init.
 func RegisterSnapshotGobTypes() {
-	_ = gob.NewEncoder(io.Discard).Encode(&snapshot{}) //ssrvet:ignore droppederr -- zero-value encode to io.Discard cannot fail; run for the type-id side effect
+	_ = gob.NewEncoder(io.Discard).Encode(&snapshot{}) // zero-value encode to io.Discard cannot fail; run for the type-id side effect
 }
 
 // validate rejects a structurally corrupt snapshot before Load allocates

@@ -281,3 +281,53 @@ func TestLoadRejectsTrailingBytes(t *testing.T) {
 		t.Fatal("reloaded snapshot saves different bytes")
 	}
 }
+
+// TestLoadToleratesOneULPCuts moves every partition point of a decoded
+// snapshot up by one ulp. Load accepts such a plan (it checks FI points,
+// not their tie to the cuts), so a range whose endpoints resolve to
+// partition points must still find the filter indices planned there: the
+// loaded index answers every range of a grid exactly as the original
+// does, with the same candidate counts.
+func TestLoadToleratesOneULPCuts(t *testing.T) {
+	ix, sets := buildSmall(t, 1500, 200)
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()[len(snapshotMagic):]
+	var snap snapshot
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Plan.Cuts) == 0 {
+		t.Fatal("plan has no cuts to move")
+	}
+	for i, c := range snap.Plan.Cuts {
+		snap.Plan.Cuts[i] = math.Nextafter(c, 2)
+	}
+	var moved bytes.Buffer
+	moved.WriteString(snapshotMagic)
+	if err := gob.NewEncoder(&moved).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&moved)
+	if err != nil {
+		t.Fatalf("load with cuts one ulp up: %v", err)
+	}
+	for _, sid := range []int{0, 700} {
+		for lo := 0; lo < 10; lo++ {
+			for hi := lo + 1; hi <= 10; hi++ {
+				l, h := float64(lo)/10, float64(hi)/10
+				want, wst, werr := ix.QueryWithOptions(sets[sid], l, h, QueryOptions{})
+				got, gst, gerr := loaded.QueryWithOptions(sets[sid], l, h, QueryOptions{})
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("set %d [%g, %g]: error %v, want %v", sid, l, h, gerr, werr)
+				}
+				if gst.Candidates != wst.Candidates || !slices.Equal(got, want) {
+					t.Errorf("set %d [%g, %g]: %d results from %d candidates, want %d from %d",
+						sid, l, h, len(got), gst.Candidates, len(want), wst.Candidates)
+				}
+			}
+		}
+	}
+}

@@ -125,7 +125,7 @@ func (e *Engine) ShardSnapshot(si int) (coreBytes []byte, toGlobal []uint32, num
 // bytes, so allocation must not depend on whether a sharded or a
 // single-shard Save runs first.
 func RegisterSnapshotGobTypes() {
-	_ = gob.NewEncoder(io.Discard).Encode(&shardedSnapshot{}) //ssrvet:ignore droppederr -- zero-value encode to io.Discard cannot fail; run for the type-id side effect
+	_ = gob.NewEncoder(io.Discard).Encode(&shardedSnapshot{}) // zero-value encode to io.Discard cannot fail; run for the type-id side effect
 }
 
 // Load reconstructs an engine from a snapshot written by Save. Bare core

@@ -1,9 +1,9 @@
-// Package floats is the approved tolerance-comparison helper for the
-// probability-math packages. The ssrvet floatcmp analyzer forbids raw ==/!=
-// between computed floating-point values (rounding makes them meaningless
-// and the bugs skew recall silently); code that genuinely needs an equality
-// predicate routes it through this package, making the tolerance explicit
-// and auditable.
+// Package floats is the tolerance comparison for O(1) quantities such as
+// partition points. A plan stores its cuts and its filter-index points as
+// separate values, and a decoded snapshot may carry either a few ulps
+// away from the other, so resolving a range endpoint to the filter index
+// planned at that point needs a tolerance, not ==
+// (TestLoadToleratesOneULPCuts in internal/core).
 package floats
 
 import "math"

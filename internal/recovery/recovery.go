@@ -342,7 +342,7 @@ func zerosFrom(path string, off int64) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("recovery: opening %s for padding scan: %w", path, err)
 	}
-	defer f.Close() //ssrvet:ignore droppederr -- read-only fd
+	defer f.Close() // read-only fd
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return false, fmt.Errorf("recovery: seeking %s: %w", path, err)
 	}
@@ -576,7 +576,7 @@ func loadCheckpoint(path string, load func(r io.Reader) error) error {
 	if err != nil {
 		return fmt.Errorf("recovery: opening checkpoint: %w", err)
 	}
-	defer f.Close() //ssrvet:ignore droppederr -- read-only fd; verification reads detect I/O failure
+	defer f.Close() // read-only fd; verification reads detect I/O failure
 	fi, err := f.Stat()
 	if err != nil {
 		return fmt.Errorf("recovery: stat checkpoint: %w", err)

@@ -473,3 +473,37 @@ func TestPaddedSegmentMidChain(t *testing.T) {
 		}
 	})
 }
+
+// TestCheckpointSyncFailureNotPublished makes the checkpoint's fsync fail
+// and checks that nothing is published under the checkpoint's name. The
+// temp file is a symlink to the null device, so every write succeeds and
+// only Sync fails (EINVAL): a writer that dropped Sync's error would
+// rename the symlink into place as a "durable" checkpoint.
+func TestCheckpointSyncFailureNotPublished(t *testing.T) {
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncErr := null.Sync()
+	null.Close()
+	if syncErr == nil {
+		t.Skip("the null device accepts fsync on this platform")
+	}
+	path := filepath.Join(t.TempDir(), "sync.snap")
+	if err := os.Symlink(os.DevNull, path+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	err = writeCheckpoint(path, func(w io.Writer) error {
+		_, err := w.Write([]byte(`{"Sets":{},"Next":0}`))
+		return err
+	})
+	if err == nil {
+		t.Fatal("writeCheckpoint succeeded although Sync failed")
+	}
+	if !strings.Contains(err.Error(), "syncing checkpoint") {
+		t.Fatalf("error %q does not name the failed sync", err)
+	}
+	if _, err := os.Lstat(path); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint published after a failed sync (Lstat: %v)", err)
+	}
+}

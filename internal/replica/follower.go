@@ -266,7 +266,7 @@ func (f *Follower) fetchManifest(ctx context.Context) (*ManifestResponse, error)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close() //ssrvet:ignore droppederr -- response fully read below; close failure changes nothing
+	defer resp.Body.Close() // response fully read below; close failure changes nothing
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("replica: manifest handshake: %s", resp.Status)
 	}
@@ -296,7 +296,7 @@ func (f *Follower) fetchCheckpoint(ctx context.Context, dir string, shards int, 
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close() //ssrvet:ignore droppederr -- body fully consumed by the import; close failure changes nothing
+	defer resp.Body.Close() // body fully consumed by the import; close failure changes nothing
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("replica: fetching checkpoint shard=%d gen=%d: %s", ref.Shard, ref.Generation, resp.Status)
 	}
@@ -371,7 +371,7 @@ func (f *Follower) tail(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close() //ssrvet:ignore droppederr -- stream teardown; the tail loop reconnects regardless
+	defer resp.Body.Close() // stream teardown; the tail loop reconnects regardless
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusConflict:

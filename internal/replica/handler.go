@@ -159,7 +159,7 @@ func (h *Handler) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		httpJSON(w, status, map[string]string{"error": err.Error()})
 		return
 	}
-	defer rc.Close() //ssrvet:ignore droppederr -- read-only fd; a short copy already failed the response
+	defer rc.Close() // read-only fd; a short copy already failed the response
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
 	w.WriteHeader(http.StatusOK)
@@ -258,7 +258,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	fail := func(code byte, msg string) {
 		send(KindError, 0, EncodeStreamError(StreamError{Code: code, Message: msg}))
-		rc.Flush() //ssrvet:ignore droppederr -- the stream is ending either way
+		rc.Flush() // the stream is ending either way
 	}
 
 	sub, cancel := h.src.Subscribe()

@@ -127,8 +127,8 @@ func (rt *Router) probeLoop(ctx context.Context) {
 					b.ready.Store(false)
 					return
 				}
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //ssrvet:ignore droppederr -- drain for connection reuse; the status code already decided
-				resp.Body.Close()                                    //ssrvet:ignore droppederr -- read-side close of a drained body
+				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) // drain for connection reuse; the status code already decided
+				resp.Body.Close()                                    // read-side close of a drained body
 				b.ready.Store(resp.StatusCode == http.StatusOK)
 			}(b)
 		}
@@ -185,7 +185,7 @@ func (rt *Router) forward(ctx context.Context, b *backend, method, path string, 
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close() //ssrvet:ignore droppederr -- body fully read; close failure changes nothing
+	defer resp.Body.Close() // body fully read; close failure changes nothing
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
 		return nil, err
@@ -199,7 +199,7 @@ func (rt *Router) reply(w http.ResponseWriter, p *proxied) {
 	}
 	w.Header().Set("X-SSR-Backend", p.from.url)
 	w.WriteHeader(p.status)
-	w.Write(p.body) //ssrvet:ignore droppederr -- client went away; nothing to recover
+	w.Write(p.body) // client went away; nothing to recover
 }
 
 // handleRead serves a read with hedging: fire at the first ready

@@ -3,15 +3,27 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	ssr "repro"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *ssr.Index) {
+	t.Helper()
+	ix := testIndex(t)
+	srv := httptest.NewServer(New(ix))
+	t.Cleanup(srv.Close)
+	return srv, ix
+}
+
+func testIndex(t *testing.T) *ssr.Index {
 	t.Helper()
 	c := ssr.NewCollection()
 	c.Add("dune", "foundation", "hyperion", "neuromancer") // 0
@@ -24,9 +36,7 @@ func testServer(t *testing.T) (*httptest.Server, *ssr.Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(ix))
-	t.Cleanup(srv.Close)
-	return srv, ix
+	return ix
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -379,5 +389,75 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("POST /stats status %d, want 405", got.StatusCode)
 	} else {
 		got.Body.Close()
+	}
+}
+
+// hungUpWriter is a ResponseWriter whose client has gone away: the
+// status goes out, the body write fails.
+type hungUpWriter struct{ h http.Header }
+
+func (w *hungUpWriter) Header() http.Header       { return w.h }
+func (w *hungUpWriter) WriteHeader(int)           {}
+func (w *hungUpWriter) Write([]byte) (int, error) { return 0, errors.New("client hung up") }
+
+// TestWriteJSONLogsFailedWrite checks that a body write that fails after
+// the status is sent leaves a log line: it is the only trace the failure
+// can leave.
+func TestWriteJSONLogsFailedWrite(t *testing.T) {
+	var buf bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&buf)
+	t.Cleanup(func() { log.SetOutput(prev) })
+
+	writeJSON(&hungUpWriter{h: http.Header{}}, http.StatusOK, statsResponse{})
+	if got := buf.String(); !strings.Contains(got, "server: writing") || !strings.Contains(got, "client hung up") {
+		t.Fatalf("failed write not logged; log output %q", got)
+	}
+}
+
+// TestStatsBesideQueries runs /query and /stats concurrently through one
+// handler: the query counters are written by every query and read by
+// every stats request, so -race sees any counter left unsynchronized, and
+// the final count shows any lost update.
+func TestStatsBesideQueries(t *testing.T) {
+	h := New(testIndex(t))
+	const perWorker = 50
+	serve := func(method, path, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if code := serve(http.MethodPost, "/query", `{"elements":["dune","foundation"],"lo":0.1,"hi":1.0}`); code != http.StatusOK {
+					t.Errorf("query status %d", code)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if code := serve(http.MethodGet, "/stats", ""); code != http.StatusOK {
+					t.Errorf("stats status %d", code)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var st statsResponse
+	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Queries.Count != 2*perWorker {
+		t.Fatalf("query counter %d, want %d", st.Queries.Count, 2*perWorker)
 	}
 }

@@ -132,6 +132,46 @@ func TestEquidepth(t *testing.T) {
 	}
 }
 
+// TestEquidepthStrictlyIncreasing pins that Equidepth never returns two
+// equal cuts, so no caller needs to drop repeats. Consecutive targets
+// differ by total/k and no bin holds more than the total, so consecutive
+// quantiles differ by at least 1/(k·bins) — far above rounding for k up
+// to 1 024 — and an empty histogram returns i/k. Histograms here are
+// random: sparse, spiky, dense and empty, with weights over twelve orders
+// of magnitude.
+func TestEquidepthStrictlyIncreasing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		bins := 1 + rng.Intn(1000)
+		h := NewHistogram(bins)
+		switch trial % 4 {
+		case 0: // empty
+		case 1: // one spike
+			h.Add(rng.Float64(), 1+rng.Float64())
+		default: // sparse or dense, weights 1e-6 .. 1e6
+			n := 1 + rng.Intn(2*bins)
+			for i := 0; i < n; i++ {
+				h.Add(rng.Float64(), math.Pow(10, 12*rng.Float64()-6))
+			}
+		}
+		k := 1 + rng.Intn(1024)
+		cuts, err := h.Equidepth(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cuts) != k-1 {
+			t.Fatalf("trial %d (%d bins, k %d): %d cuts, want %d", trial, bins, k, len(cuts), k-1)
+		}
+		minGap := 1 / (float64(k) * float64(bins))
+		for i := 1; i < len(cuts); i++ {
+			if gap := cuts[i] - cuts[i-1]; !(gap >= minGap*(1-1e-9)) {
+				t.Fatalf("trial %d (%d bins, k %d): cuts %d and %d are %g apart, want at least %g",
+					trial, bins, k, i-1, i, gap, minGap)
+			}
+		}
+	}
+}
+
 func TestDelta(t *testing.T) {
 	h := NewHistogram(100)
 	for i := 0; i < 1000; i++ {

@@ -78,7 +78,7 @@ func LoadCollection(path string) (*ssr.Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close() //ssrvet:ignore droppederr -- read-only fd; ReadSets fails on any read error
+	defer f.Close() // read-only fd; ReadSets fails on any read error
 	sets, err := ReadSets(f, path)
 	if err != nil {
 		return nil, err

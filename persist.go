@@ -27,10 +27,10 @@ import (
 func init() {
 	core.RegisterSnapshotGobTypes()
 	enc := gob.NewEncoder(io.Discard)
-	_ = enc.Encode(&publicSnapshot{}) //ssrvet:ignore droppederr -- zero-value encode to io.Discard cannot fail; run for the type-id side effect
-	_ = enc.Encode(&tunerTrailer{})   //ssrvet:ignore droppederr -- zero-value encode to io.Discard cannot fail; run for the type-id side effect
+	_ = enc.Encode(&publicSnapshot{}) // zero-value encode to io.Discard cannot fail; run for the type-id side effect
+	_ = enc.Encode(&tunerTrailer{})   // zero-value encode to io.Discard cannot fail; run for the type-id side effect
 	engine.RegisterSnapshotGobTypes()
-	_ = enc.Encode(&shardCheckpoint{}) //ssrvet:ignore droppederr -- zero-value encode to io.Discard cannot fail; run for the type-id side effect
+	_ = enc.Encode(&shardCheckpoint{}) // zero-value encode to io.Discard cannot fail; run for the type-id side effect
 }
 
 // persistMagic guards the public snapshot format (which wraps the core

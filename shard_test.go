@@ -353,3 +353,60 @@ func shardedMixedStress(t *testing.T, shards int) {
 		t.Fatal("post-stress recovery produced a different snapshot")
 	}
 }
+
+// TestBuildBesideShardedAdds builds from a collection while a sharded
+// index over it takes adds. Inserts on several shards finish out of sid
+// order, so the collection fills slots it appended empty moments before;
+// Build must copy the sets under the collection's lock, or -race sees
+// such a fill beside the copy. The writers' work is bounded: builds run
+// only until the writers finish, and small plans keep each build short so
+// that many copies overlap the adds.
+func TestBuildBesideShardedAdds(t *testing.T) {
+	const trials, base, writers, adds = 20, 100, 8, 100
+	opts := Options{Budget: 4, MinHashes: 16, Seed: 3, DistSample: 200}
+	sharded := opts
+	sharded.Shards = 8
+	for trial := 0; trial < trials; trial++ {
+		c := NewCollection()
+		for i := 0; i < base; i++ {
+			c.Add(fmt.Sprintf("base-%d", i), fmt.Sprintf("base-%d", i+1))
+		}
+		ix, err := Build(c, sharded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errCh := make(chan error, writers)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < adds; i++ {
+					if _, err := ix.Add(fmt.Sprintf("w%d-%d", w, i), "shared"); err != nil {
+						errCh <- fmt.Errorf("writer %d add %d: %w", w, i, err)
+						return
+					}
+				}
+			}(w)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		for building := true; building; {
+			select {
+			case <-done:
+				building = false
+			default:
+			}
+			if _, err := Build(c, opts); err != nil {
+				t.Fatalf("trial %d: Build beside adds: %v", trial, err)
+			}
+		}
+		close(errCh)
+		for err := range errCh {
+			t.Fatal(err)
+		}
+		if got, want := c.Len(), base+writers*adds; got != want {
+			t.Fatalf("trial %d: collection holds %d sets, want %d", trial, got, want)
+		}
+	}
+}

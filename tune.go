@@ -193,7 +193,7 @@ func (ix *Index) autoTuneLoop(every time.Duration, stop <-chan struct{}, done ch
 		if ix.dur != nil && !ix.dur.closed.Load() {
 			// Commit the swap; if the checkpoint fails the plan still
 			// serves, and recovery falls back to the previous plan.
-			_ = ix.Checkpoint() //ssrvet:ignore droppederr -- background lane; the swap stands and the next checkpoint retries
+			_ = ix.Checkpoint() // background lane; the swap stands and the next checkpoint retries
 		}
 	}
 }
