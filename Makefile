@@ -30,10 +30,11 @@ race:
 	$(GO) test -race -run 'TestShardedMixedStress|TestBuildBesideShardedAdds|TestManualRetune|TestAutoTune' .
 
 # The durability stack: WAL torn-tail/bit-flip sweeps, chained-checkpoint
-# recovery, and the crash-injection harness — all under -race.
+# recovery, the crash-injection harness, the MANIFEST layout and version
+# gate, and the replication watermark — all under -race.
 crash:
 	$(GO) test -race ./internal/wal/ ./internal/recovery/
-	$(GO) test -race -run 'Durable|CrashInjection|Sharded' .
+	$(GO) test -race -run 'Durable|CrashInjection|Sharded|Manifest|Watermark' .
 
 # The replication suite under the race detector: wire-codec corruption
 # sweeps, live follower mirroring (incl. stream cuts at swept byte

@@ -1,8 +1,7 @@
 package ssr
 
 import (
-	"bytes"
-	"encoding/gob"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/optimize"
 	"repro/internal/recovery"
 	"repro/internal/set"
 	"repro/internal/simdist"
@@ -89,14 +89,14 @@ func (o DurableOptions) recoveryOptions(dir string) recovery.Options {
 // CreateDurable to bootstrap the directory from a built collection.
 var ErrNoDurableState = errors.New("ssr: durability directory holds no state")
 
-// manifestName names the file that commits a sharded layout (see
+// manifestName names the file that commits a durable layout (see
 // durableLayout).
 const manifestName = "MANIFEST"
 
 // durableManifest is the JSON body of the MANIFEST file. Version gates
 // the whole image format: a reader refuses versions it does not know
-// (the image was written by a newer release and may rely on invariants
-// this code predates) but tolerates unknown FIELDS within a known
+// (the image was written by another release and may rely on invariants
+// this code does not share) but tolerates unknown FIELDS within a known
 // version, so additive evolution needs no version bump.
 type durableManifest struct {
 	Version    int   `json:"version"`
@@ -104,21 +104,17 @@ type durableManifest struct {
 	RouterSeed int64 `json:"router_seed"`
 }
 
-// manifestVersion is what this release writes; manifestMaxVersion is the
-// newest version it can read. They are equal today — the constants exist
-// so a future writer bump is one edit and the reader-side error below
-// stays honest.
-const (
-	manifestVersion    = 1
-	manifestMaxVersion = 1
-)
+// manifestVersion is the one version this release writes and reads.
+// Version 1 directories checkpointed sharded lanes in a container format
+// of their own, and their one-shard directories had no MANIFEST at all.
+const manifestVersion = 2
 
 func shardDirPath(dir string, si int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", si))
 }
 
 // readRawManifest returns the MANIFEST bytes, or nil when the directory
-// has none (the legacy single-shard layout, or no state at all).
+// has none.
 func readRawManifest(dir string) ([]byte, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -131,35 +127,43 @@ func readRawManifest(dir string) ([]byte, error) {
 }
 
 // parseManifest validates raw MANIFEST bytes.
-func parseManifest(raw []byte) (*durableManifest, error) {
+func parseManifest(raw []byte) (durableManifest, error) {
 	var man durableManifest
 	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, fmt.Errorf("ssr: parsing durable manifest: %w", err)
+		return man, fmt.Errorf("ssr: parsing durable manifest: %w", err)
 	}
-	if man.Version < 1 || man.Version > manifestMaxVersion {
-		return nil, fmt.Errorf("ssr: durable manifest version %d is not supported (this build reads versions 1 through %d; the image was written by a newer release — upgrade this binary, it cannot safely interpret the layout)",
-			man.Version, manifestMaxVersion)
+	if man.Version != manifestVersion {
+		return man, fmt.Errorf("ssr: durable manifest version %d is not supported (this build reads version %d only; a higher version was written by a newer release — upgrade this binary — and a lower one by an older release whose lane format this one no longer reads)",
+			man.Version, manifestVersion)
 	}
-	if err := engine.CheckShards(man.Shards); err != nil || man.Shards < 2 {
-		return nil, fmt.Errorf("ssr: durable manifest shard count %d out of range [2, %d]", man.Shards, engine.MaxShards)
+	if err := engine.CheckShards(man.Shards); err != nil {
+		return man, fmt.Errorf("ssr: durable manifest: %w", err)
 	}
-	return &man, nil
+	return man, nil
 }
 
-// readLayout returns dir's layout: sharded when it holds a MANIFEST, flat
-// otherwise (the legacy single-shard layout, or no state at all).
+// readLayout returns dir's layout. A directory without a MANIFEST holds no
+// state — unless it holds checkpoint or log files directly, the flat
+// one-shard layout of releases before manifest version 2, which this
+// release refuses without touching it.
 func readLayout(dir string) (durableLayout, error) {
 	raw, err := readRawManifest(dir)
-	if err != nil || raw == nil {
-		return durableLayout{dir: dir}, err
+	if err != nil {
+		return durableLayout{}, err
+	}
+	if raw == nil {
+		if flat, err := recovery.DirHasState(dir); err != nil || !flat {
+			return durableLayout{}, cmp.Or(err, ErrNoDurableState)
+		}
+		return durableLayout{}, fmt.Errorf("ssr: %s holds checkpoint and log files with no MANIFEST, the flat one-shard layout of older releases; this release reads only MANIFEST version %d with shard-NNN/ lanes", dir, manifestVersion)
 	}
 	man, err := parseManifest(raw)
 	return durableLayout{dir: dir, man: man}, err
 }
 
-// writeManifest persists the manifest as the LAST step of a sharded
-// bootstrap — its presence is the commit point that flips the directory
-// from "no state" to "sharded state".
+// writeManifest persists the manifest as the LAST step of a bootstrap —
+// its presence is the commit point that flips the directory from "no
+// state" to "state".
 func writeManifest(dir string, man durableManifest) error {
 	raw, err := json.Marshal(man)
 	if err != nil {
@@ -205,8 +209,9 @@ type durable struct {
 }
 
 // HasDurableState reports whether dir already holds durable index state —
-// the open-vs-bootstrap decision for servers and CLIs. Both layouts
-// count: a sharded MANIFEST or legacy flat checkpoint/log files.
+// the open-vs-bootstrap decision for servers and CLIs. A MANIFEST counts,
+// and so do checkpoint or log files of the older flat layout, which
+// OpenDurable refuses and CreateDurable must not overwrite.
 func HasDurableState(dir string) (bool, error) {
 	if raw, err := readRawManifest(dir); err != nil || raw != nil {
 		return raw != nil, err
@@ -214,156 +219,49 @@ func HasDurableState(dir string) (bool, error) {
 	return recovery.DirHasState(dir)
 }
 
-// shardCheckpointMagic guards the per-shard checkpoint payload format.
-const shardCheckpointMagic = "SSRSHC1\n"
-
-// shardCheckpoint is the payload of one shard's checkpoint file: that
-// shard's core snapshot plus everything needed to stitch it back into the
-// engine — the shard topology, the local→global table, the global sid
-// space, and the element dictionary. Every shard carries the full
-// dictionary: dictionaries are append-only with dense ids, so any capture
-// is a prefix of any later capture, and recovery simply keeps the longest
-// one across shards (a superset of what every shard's core references,
-// because each Save captures its core bytes before its Names).
-type shardCheckpoint struct {
-	Shards     int
-	ShardIndex int
-	RouterSeed int64
-	NumGlobals int
-	Globals    []uint32
-	Names      []string
-	Core       []byte
-}
-
-// saveShardCheckpoint writes shard si's checkpoint payload. Retuned
-// indexes append a tunerTrailer after the shardCheckpoint value (same
-// optional-second-gob-value convention as the public snapshot format), so
-// never-retuned checkpoints stay byte-identical to previous releases.
-func (ix *Index) saveShardCheckpoint(w io.Writer, si int) error {
-	// Captured before the shard bytes; see Index.Save for why this
-	// ordering is the benign one under a concurrent retune.
-	gen, hist := ix.inner.TuneState()
-	coreBytes, toGlobal, numGlobals, err := ix.inner.ShardSnapshot(si)
-	if err != nil {
-		return err
-	}
-	ix.coll.mu.Lock()
-	names := ix.coll.dict.NamesInOrder()
-	ix.coll.mu.Unlock()
-	cp := shardCheckpoint{
-		Shards:     ix.inner.NumShards(),
-		ShardIndex: si,
-		RouterSeed: ix.inner.RouterSeed(),
-		NumGlobals: numGlobals,
-		Globals:    toGlobal,
-		Names:      names,
-		Core:       coreBytes,
-	}
-	if _, err := io.WriteString(w, shardCheckpointMagic); err != nil {
-		return fmt.Errorf("ssr: writing shard checkpoint header: %w", err)
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(&cp); err != nil {
-		return fmt.Errorf("ssr: encoding shard checkpoint: %w", err)
-	}
-	return encodeTrailer(enc, gen, hist)
-}
-
-// loadShardCheckpoint parses one shard's checkpoint payload. The trailer
-// is nil for checkpoints written before any retune (or by older code).
-func loadShardCheckpoint(r io.Reader) (*shardCheckpoint, *tunerTrailer, error) {
-	magic := make([]byte, len(shardCheckpointMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, nil, fmt.Errorf("ssr: reading shard checkpoint header: %w", err)
-	}
-	if string(magic) != shardCheckpointMagic {
-		return nil, nil, fmt.Errorf("ssr: not a shard checkpoint (bad magic %q)", magic)
-	}
-	dec := gob.NewDecoder(r)
-	var cp shardCheckpoint
-	if err := dec.Decode(&cp); err != nil {
-		return nil, nil, fmt.Errorf("ssr: decoding shard checkpoint: %w", err)
-	}
-	trailer, err := decodeTrailer(dec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &cp, trailer, nil
-}
-
-// durableLayout is everything a durability directory's shape decides:
-// where each lane's generation chain lives, how its checkpoints are
-// encoded, and whether a MANIFEST commits the layout. A one-shard index
-// keeps the flat layout of previous releases — checkpoint-*.snap and
-// wal-*.log directly in the directory, the checkpoint payload exactly
-// Save's bytes. A sharded index has a MANIFEST naming the shard count and
-// router seed, and one shard-NNN/ lane per shard checkpointing a
-// shardCheckpoint; shard logs fsync and compact without coordinating,
-// which is where the sharded write throughput comes from.
+// durableLayout is a durability directory's shape, which its MANIFEST
+// commits: the shard count and router seed, and one shard-NNN/ lane per
+// shard. Each lane runs its own generation chain, and its checkpoint is
+// Save restricted to its shard; shard logs fsync and compact without
+// coordinating, which is where the sharded write throughput comes from.
 type durableLayout struct {
 	dir string
-	man *durableManifest // nil for the flat layout
+	man durableManifest
 }
 
-func (l durableLayout) lanes() int {
-	if l.man == nil {
-		return 1
-	}
-	return l.man.Shards
-}
-
-func (l durableLayout) laneDir(si int) string {
-	if l.man == nil {
-		return l.dir
-	}
-	return shardDirPath(l.dir, si)
-}
-
-// save returns lane si's checkpoint encoder.
-func (l durableLayout) save(ix *Index, si int) func(io.Writer) error {
-	if l.man == nil {
-		return ix.Save
-	}
-	return func(w io.Writer) error { return ix.saveShardCheckpoint(w, si) }
-}
-
-// recoveredLane is what recovery feeds one lane's hooks before the index
-// exists: the decoded checkpoint and the buffered log tail.
+// recoveredLane is one decoded Save envelope: a whole snapshot (Load), or
+// a lane's checkpoint, for which recovery also buffers the log tail.
 type recoveredLane struct {
 	names   []string
-	eng     *engine.Engine   // flat layout: the checkpointed engine
-	cp      *shardCheckpoint // sharded layout: this shard's checkpoint
+	img     *engine.Image
 	trailer *tunerTrailer
 	recs    []wal.Record
 }
 
-// decode parses lane si's checkpoint payload.
+// decode parses lane si's checkpoint and checks it holds shard si alone,
+// under the manifest's topology.
 func (l durableLayout) decode(r io.Reader, si int) (recoveredLane, error) {
-	if l.man == nil {
-		names, eng, err := decodeSnapshot(r)
-		return recoveredLane{names: names, eng: eng}, err
-	}
-	cp, trailer, err := loadShardCheckpoint(r)
+	lane, err := decodeSnapshot(r)
 	if err != nil {
 		return recoveredLane{}, err
 	}
-	if m := l.man; cp.Shards != m.Shards || cp.ShardIndex != si || cp.RouterSeed != m.RouterSeed {
-		return recoveredLane{}, fmt.Errorf("ssr: shard checkpoint topology (%d shards, index %d, seed %d) disagrees with manifest (%d shards, index %d, seed %d)",
-			cp.Shards, cp.ShardIndex, cp.RouterSeed, m.Shards, si, m.RouterSeed)
+	if img, m := lane.img, l.man; img.Shards != m.Shards || img.RouterSeed != m.RouterSeed || len(img.Parts) != 1 || img.Parts[0].Index != si {
+		return recoveredLane{}, fmt.Errorf("ssr: checkpoint of %d parts (%d shards, seed %d) does not hold shard %d alone under the manifest's topology (%d shards, seed %d)",
+			len(img.Parts), img.Shards, img.RouterSeed, si, m.Shards, m.RouterSeed)
 	}
-	return recoveredLane{cp: cp, trailer: trailer}, nil
+	return lane, nil
 }
 
 // openLanes opens every lane's generation chain through the hooks h
 // builds for it. On create each lane must be empty and gets its first
 // checkpoint; otherwise each must hold state.
 func (l durableLayout) openLanes(opt DurableOptions, create bool, h func(si int) recovery.Hooks) ([]*durableShard, error) {
-	lanes := make([]*durableShard, 0, l.lanes())
+	lanes := make([]*durableShard, 0, l.man.Shards)
 	fail := func(err error) ([]*durableShard, error) {
 		return nil, errors.Join(err, closeLanes(lanes))
 	}
-	for si := 0; si < l.lanes(); si++ {
-		dir := l.laneDir(si)
+	for si := 0; si < l.man.Shards; si++ {
+		dir := shardDirPath(l.dir, si)
 		log, found, err := recovery.Open(opt.recoveryOptions(dir), h(si))
 		if err != nil {
 			return fail(fmt.Errorf("ssr: recovering %s: %w", dir, err))
@@ -376,8 +274,6 @@ func (l durableLayout) openLanes(opt DurableOptions, create bool, h func(si int)
 			if err := log.Checkpoint(); err != nil {
 				return fail(fmt.Errorf("ssr: checkpointing %s: %w", dir, err))
 			}
-		case !found && l.man == nil:
-			return fail(ErrNoDurableState)
 		case !found:
 			return fail(fmt.Errorf("ssr: %s holds no durable state (the manifest promises %d shards; the directory is corrupt or was partially copied)", dir, l.man.Shards))
 		}
@@ -411,7 +307,7 @@ func OpenDurable(dir string, opt DurableOptions) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{}
-	lanes := make([]recoveredLane, lay.lanes())
+	lanes := make([]recoveredLane, lay.man.Shards)
 	shards, err := lay.openLanes(opt, false, func(si int) recovery.Hooks {
 		return recovery.Hooks{
 			// A fallback to an older generation re-enters Load; the fresh
@@ -424,13 +320,13 @@ func OpenDurable(dir string, opt DurableOptions) (*Index, error) {
 				lanes[si].recs = append(lanes[si].recs, rec)
 				return nil
 			},
-			Save: lay.save(ix, si),
+			Save: func(w io.Writer) error { return ix.saveShard(w, si) },
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.recover(lay, lanes); err != nil {
+	if err := ix.recover(lanes); err != nil {
 		return nil, errors.Join(err, closeLanes(shards))
 	}
 	ix.dur = &durable{shards: shards, dir: dir}
@@ -444,13 +340,10 @@ func OpenDurable(dir string, opt DurableOptions) (*Index, error) {
 // merge also re-interns replayed elements in global sid order — the order
 // a sequential writer interned them — so recovering a sequential history
 // is bit-identical to never crashing.
-func (ix *Index) recover(lay durableLayout, lanes []recoveredLane) error {
-	names, eng := lanes[0].names, lanes[0].eng
-	if lay.man != nil {
-		var err error
-		if names, eng, err = assembleShards(*lay.man, lanes); err != nil {
-			return err
-		}
+func (ix *Index) recover(lanes []recoveredLane) error {
+	names, eng, err := assembleShards(lanes)
+	if err != nil {
+		return err
 	}
 	ix.coll, ix.inner = &Collection{dict: set.DictionaryFromNames(names)}, eng
 	heads := make([]int, len(lanes))
@@ -479,30 +372,13 @@ func (ix *Index) recover(lay durableLayout, lanes []recoveredLane) error {
 	return nil
 }
 
-// assembleShards builds a sharded engine from its shards' checkpoints.
-// The longest dictionary wins (append-only prefix property), the sid
-// space is the max any shard observed, and the router seed is
-// re-validated against every mapping inside Assemble.
-func assembleShards(man durableManifest, lanes []recoveredLane) ([]string, *engine.Engine, error) {
-	var names []string
-	numGlobals := 0
-	cores := make([]*core.Index, len(lanes))
-	globals := make([][]uint32, len(lanes))
-	for si := range lanes {
-		cp := lanes[si].cp
-		if len(cp.Names) > len(names) {
-			names = cp.Names
-		}
-		if cp.NumGlobals > numGlobals {
-			numGlobals = cp.NumGlobals
-		}
-		cix, err := core.Load(bytes.NewReader(cp.Core))
-		if err != nil {
-			return nil, nil, fmt.Errorf("ssr: loading shard %d checkpoint: %w", si, err)
-		}
-		cores[si] = cix
-		globals[si] = cp.Globals
-	}
+// assembleShards builds the engine from the parts the decoded images
+// carry: every lane's one part on recovery, or one whole snapshot's parts
+// on Load. The longest dictionary wins (append-only prefix property), the
+// sid space is the max any image observed, and the parts must cover every
+// shard exactly once (Image.Engine re-validates the router seed against
+// every mapping).
+func assembleShards(lanes []recoveredLane) ([]string, *engine.Engine, error) {
 	// Shards checkpoint independently, so a crash between a retune and the
 	// last shard's next checkpoint leaves checkpoints from different plan
 	// generations on disk. The highest generation wins (it is the one a
@@ -516,28 +392,38 @@ func assembleShards(man durableManifest, lanes []recoveredLane) ([]string, *engi
 		}
 	}
 	var winHist *simdist.Histogram
+	var winPlan optimize.Plan
 	if winSi >= 0 {
 		winHist = lanes[winSi].trailer.trailerHist()
-		winPlan := cores[winSi].Plan()
-		for si := range cores {
-			if tt := lanes[si].trailer; tt != nil && tt.Generation == winGen {
-				continue
+		winPlan = lanes[winSi].img.Parts[0].Core.Plan()
+	}
+	var names []string
+	img := engine.Image{Shards: lanes[0].img.Shards, RouterSeed: lanes[0].img.RouterSeed}
+	for _, lane := range lanes {
+		if len(lane.names) > len(names) {
+			names = lane.names
+		}
+		img.NumGlobals = max(img.NumGlobals, lane.img.NumGlobals)
+		stale := winSi >= 0 && (lane.trailer == nil || lane.trailer.Generation != winGen)
+		for _, p := range lane.img.Parts {
+			if stale {
+				csets, csigs, ctombs := p.Core.CaptureRebuild()
+				sopt := p.Core.BuildOptions()
+				planCopy := winPlan
+				sopt.PlanOverride = &planCopy
+				sopt.Distribution = winHist
+				sopt.PrecomputedSignatures = csigs
+				sopt.Tombstones = ctombs
+				rebuilt, err := core.Build(csets, sopt)
+				if err != nil {
+					return nil, nil, fmt.Errorf("ssr: rebuilding stale shard %d onto plan generation %d: %w", p.Index, winGen, err)
+				}
+				p.Core = rebuilt
 			}
-			csets, csigs, ctombs := cores[si].CaptureRebuild()
-			sopt := cores[si].BuildOptions()
-			planCopy := winPlan
-			sopt.PlanOverride = &planCopy
-			sopt.Distribution = winHist
-			sopt.PrecomputedSignatures = csigs
-			sopt.Tombstones = ctombs
-			rebuilt, err := core.Build(csets, sopt)
-			if err != nil {
-				return nil, nil, fmt.Errorf("ssr: rebuilding stale shard %d onto plan generation %d: %w", si, winGen, err)
-			}
-			cores[si] = rebuilt
+			img.Parts = append(img.Parts, p)
 		}
 	}
-	eng, err := engine.Assemble(man.RouterSeed, cores, globals, numGlobals)
+	eng, err := img.Engine()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -548,10 +434,10 @@ func assembleShards(man durableManifest, lanes []recoveredLane) ([]string, *engi
 }
 
 // CreateDurable builds an index over the collection (as Build does) and
-// bootstraps dir with its first checkpoint — per shard, when
-// bopt.Shards > 1, committing the layout with a MANIFEST only after every
-// shard's checkpoint is on disk. It refuses to run on a directory that
-// already holds durable state — open that with OpenDurable instead.
+// bootstraps dir with each shard's first checkpoint, committing the
+// layout with a MANIFEST only after every checkpoint is on disk. It
+// refuses to run on a directory that already holds durable state — open
+// that with OpenDurable instead.
 func CreateDurable(dir string, c *Collection, bopt Options, dopt DurableOptions) (*Index, error) {
 	has, err := HasDurableState(dir)
 	if err != nil {
@@ -564,25 +450,20 @@ func CreateDurable(dir string, c *Collection, bopt Options, dopt DurableOptions)
 	if err != nil {
 		return nil, err
 	}
-	lay := durableLayout{dir: dir}
-	if n := ix.inner.NumShards(); n > 1 {
-		lay.man = &durableManifest{Version: manifestVersion, Shards: n, RouterSeed: ix.inner.RouterSeed()}
-	}
+	lay := durableLayout{dir: dir, man: durableManifest{Version: manifestVersion, Shards: ix.inner.NumShards(), RouterSeed: ix.inner.RouterSeed()}}
 	shards, err := lay.openLanes(dopt, true, func(si int) recovery.Hooks {
-		refuse := fmt.Errorf("ssr: %s already holds durable state", lay.laneDir(si))
+		refuse := fmt.Errorf("ssr: %s already holds durable state", shardDirPath(dir, si))
 		return recovery.Hooks{
 			Load:  func(io.Reader) error { return refuse },
 			Apply: func(wal.Record) error { return refuse },
-			Save:  lay.save(ix, si),
+			Save:  func(w io.Writer) error { return ix.saveShard(w, si) },
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	if lay.man != nil {
-		if err := writeManifest(dir, *lay.man); err != nil {
-			return nil, errors.Join(err, closeLanes(shards))
-		}
+	if err := writeManifest(dir, lay.man); err != nil {
+		return nil, errors.Join(err, closeLanes(shards))
 	}
 	ix.dur = &durable{shards: shards, dir: dir}
 	return ix, nil
@@ -631,9 +512,9 @@ func (ix *Index) apply(si int, rec wal.Record) error {
 // This holds the one shard-count branch of the write lane. With several
 // lanes the sid is reserved first, because it names the lane to lock.
 // With one lane the lane is locked first: a one-shard engine's Reserve
-// allocates nothing — its global sids are its core sids, which the flat
-// layout's checkpoint (a plain Save, with no sid map) depends on — so
-// only the lane lock keeps two writers from reserving the same sid.
+// allocates nothing — its global sids are its core sids, which its
+// checkpoint (a bare core snapshot, with no sid map) depends on — so only
+// the lane lock keeps two writers from reserving the same sid.
 func (d *durable) withLane(ix *Index, fn func(sh *durableShard, g uint32, si int) error) error {
 	if len(d.shards) > 1 {
 		tok, g, si := d.repl.reserve(ix.inner.Reserve)

@@ -82,9 +82,9 @@ func copyDir(t *testing.T, src, dst string) {
 
 // recordCrashScenario builds a durable index, applies the workload, and
 // "crashes" (closes the log with no final checkpoint). It returns the
-// directory, the single live wal path, and the per-prefix reference
-// snapshots: prefixes[k] is the Save output of an index that saw exactly
-// ops[:k].
+// directory, the single live wal path (relative to the directory), and
+// the per-prefix reference snapshots: prefixes[k] is the Save output of
+// an index that saw exactly ops[:k].
 func recordCrashScenario(t *testing.T, ops []crashOp) (dir, walFile string, prefixes [][]byte) {
 	t.Helper()
 	dir = t.TempDir()
@@ -101,7 +101,7 @@ func recordCrashScenario(t *testing.T, ops []crashOp) (dir, walFile string, pref
 	}
 	ix.dur.closed.Store(true)
 
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(filepath.Join(dir, "shard-000"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func recordCrashScenario(t *testing.T, ops []crashOp) (dir, walFile string, pref
 			if walFile != "" {
 				t.Fatalf("expected one wal segment, found %q and %q", walFile, e.Name())
 			}
-			walFile = e.Name()
+			walFile = filepath.Join("shard-000", e.Name())
 		}
 	}
 	if walFile == "" {
@@ -257,13 +257,13 @@ func TestCrashInjectionCheckpointCorruption(t *testing.T) {
 	ops := crashWorkload()
 	dir, _, _ := recordCrashScenario(t, ops)
 	var ckptFile string
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(filepath.Join(dir, "shard-000"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), "checkpoint-") {
-			ckptFile = e.Name()
+			ckptFile = filepath.Join("shard-000", e.Name())
 		}
 	}
 	data, err := os.ReadFile(filepath.Join(dir, ckptFile))

@@ -200,7 +200,7 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(filepath.Join(dir, "shard-000"))
 	if err != nil {
 		t.Fatal(err)
 	}

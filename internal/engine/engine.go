@@ -78,7 +78,8 @@ type Options struct {
 	// (the default, bit-identical to a core.Build of the collection).
 	Shards int
 	// RouterSeed seeds the sid → shard hash. It must be stable for the
-	// life of the index (snapshots persist it).
+	// life of the index (snapshots persist it). A one-shard build ignores
+	// it and records 0.
 	RouterSeed int64
 	// Core configures each shard's build. Distribution and
 	// PrecomputedSignatures, when set, are treated as global (whole
@@ -183,6 +184,11 @@ func Build(sets []set.Set, opt Options) (*Engine, error) {
 	}
 	if opt.Core.Tombstones != nil {
 		return nil, fmt.Errorf("engine: Tombstones are not supported by engine builds (shards load through Assemble)")
+	}
+	if n == 1 {
+		// One shard routes nothing, and its bare snapshot keeps no seed:
+		// the seed is 0, as Decode reads it back.
+		opt.RouterSeed = 0
 	}
 	// One optimizer run, globally. Every shard would derive this very plan
 	// from (D_S, Plan) anyway, so installing it as each shard's override

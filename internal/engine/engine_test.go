@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -441,6 +442,65 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = buf2 // shapes differ only by the post-load insert; no byte compare here
+}
+
+// TestLoadRefusesPartialImages checks that Load assembles an engine only
+// from parts that cover every shard exactly once: a lane's one-part image
+// decodes but does not load, and containers with a missing or repeated
+// part are refused. A one-shard lane image is Save's bytes.
+func TestLoadRefusesPartialImages(t *testing.T) {
+	e, _ := buildFixture(t, 120, 3)
+	var whole, lane bytes.Buffer
+	if err := e.Save(&whole); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SaveShard(&lane, 1); err != nil {
+		t.Fatal(err)
+	}
+	img, err := Decode(bytes.NewReader(lane.Bytes()))
+	if err != nil {
+		t.Fatalf("decoding a lane image: %v", err)
+	}
+	if img.Shards != 3 || len(img.Parts) != 1 || img.Parts[0].Index != 1 {
+		t.Fatalf("lane image holds %d parts of %d shards, want shard 1 of 3", len(img.Parts), img.Shards)
+	}
+	if _, err := Load(bytes.NewReader(lane.Bytes())); err == nil {
+		t.Fatal("Load accepted a one-part image of a 3-shard engine")
+	}
+	for _, keep := range [][]int{{0, 1}, {0, 1, 1}, {0, 1, 2, 2}} {
+		var snap shardedSnapshot
+		if err := gob.NewDecoder(bytes.NewReader(whole.Bytes()[len(shardedMagic):])).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		parts := snap.Parts
+		snap.Parts = nil
+		for _, si := range keep {
+			snap.Parts = append(snap.Parts, parts[si])
+		}
+		var buf bytes.Buffer
+		buf.WriteString(shardedMagic)
+		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("Load accepted parts %v of 3 shards", keep)
+		}
+	}
+	if _, err := Load(bytes.NewReader(whole.Bytes())); err != nil {
+		t.Fatalf("Load of a whole image: %v", err)
+	}
+
+	one, _ := buildFixture(t, 60, 1)
+	var save, shard bytes.Buffer
+	if err := one.Save(&save); err != nil {
+		t.Fatal(err)
+	}
+	if err := one.SaveShard(&shard, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(save.Bytes(), shard.Bytes()) {
+		t.Fatal("a one-shard engine's lane image differs from Save's bytes")
+	}
 }
 
 // TestBuildDeterminism pins bit-identical sharded builds for a fixed

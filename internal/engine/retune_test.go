@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/minhash"
@@ -219,17 +220,40 @@ func TestRetuneSwapUnderLoad(t *testing.T) {
 
 	// Tuner: force swaps while the load runs.
 	swaps := 0
-	for i := 0; i < 3; i++ {
-		res, err := e.Retune()
+	retuned := make(chan error, 1)
+	go func() {
+		for i := 0; i < 3; i++ {
+			res, err := e.Retune()
+			if err != nil {
+				retuned <- fmt.Errorf("retune %d: %w", i, err)
+				return
+			}
+			if res.Swapped {
+				swaps++
+			}
+		}
+		retuned <- nil
+	}()
+	// The load waits on its own deadline, as TestInsertDeleteNoDeadlock
+	// does, so a lock-order deadlock between a swap and a worker fails
+	// here in seconds instead of hanging to the go test timeout.
+	deadline := time.After(10 * time.Second)
+	select {
+	case err := <-retuned:
 		if err != nil {
-			t.Fatalf("retune %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if res.Swapped {
-			swaps++
-		}
+	case <-deadline:
+		t.Fatal("retunes still blocked after 10 s (lock-order deadlock?)")
 	}
 	close(stop)
-	wg.Wait()
+	workersDone := make(chan struct{})
+	go func() { wg.Wait(); close(workersDone) }()
+	select {
+	case <-workersDone:
+	case <-deadline:
+		t.Fatal("workers still blocked after 10 s (lock-order deadlock?)")
+	}
 	select {
 	case err := <-errCh:
 		t.Fatalf("background worker: %v", err)

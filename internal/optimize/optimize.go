@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/filter"
-	"repro/internal/floats"
 	"repro/internal/simdist"
 )
 
@@ -382,7 +381,7 @@ func cutsFor(hist *simdist.Histogram, n int, p Placement) []float64 {
 	// Deduplicate: heavy spikes in the distribution can collapse quantiles.
 	out := cuts[:0]
 	for _, c := range cuts {
-		if len(out) == 0 || c > out[len(out)-1]+1e-9 {
+		if len(out) == 0 || c > out[len(out)-1]+pointTol {
 			out = append(out, c)
 		}
 	}
@@ -596,11 +595,21 @@ func (p *Plan) guardedRecall(obj RecallObjective) float64 {
 // reads this one decision.
 type Combination struct{ PosA, NegA, PosB, NegB int }
 
+// pointTol is the tolerance of identity checks on partition points. A
+// plan stores its cuts and its FI points as separate values, and a decoded
+// snapshot may carry either a few ulps away from the other, so resolving a
+// range endpoint to the FI planned at that point needs a tolerance, not ==
+// (TestLoadToleratesOneULPCuts in internal/core). Points are O(1) values
+// computed in a handful of float64 operations: 1e-9 is far above their
+// rounding error and far below any meaningful similarity difference, and
+// cutsFor deduplicates cuts by the same tolerance.
+const pointTol = 1e-9
+
 // fiAt returns the ordinal of the planned FI of the given kind at point p,
 // or -1.
 func fiAt(fis []FI, p float64, kind filter.Kind) int {
 	for i, fi := range fis {
-		if floats.Eq(fi.Point, p) && fi.Kind == kind {
+		if math.Abs(fi.Point-p) <= pointTol && fi.Kind == kind {
 			return i
 		}
 	}

@@ -233,9 +233,8 @@ func syncDir(dir string) error {
 }
 
 // bootstrap pulls the primary's newest sealed checkpoints into the empty
-// directory dir: manifest handshake, one checkpoint per shard, and —
-// sharded layouts only — the raw MANIFEST committed last, mirroring
-// CreateDurable's ordering.
+// directory dir: manifest handshake, one checkpoint per shard, and the
+// raw MANIFEST committed last, mirroring CreateDurable's ordering.
 func (f *Follower) bootstrap(ctx context.Context, dir string) error {
 	man, err := f.fetchManifest(ctx)
 	if err != nil {
@@ -245,16 +244,11 @@ func (f *Follower) bootstrap(ctx context.Context, dir string) error {
 		return err
 	}
 	for _, ref := range man.Checkpoints {
-		if err := f.fetchCheckpoint(ctx, dir, man.Shards, ref); err != nil {
+		if err := f.fetchCheckpoint(ctx, dir, ref); err != nil {
 			return err
 		}
 	}
-	if man.Shards > 1 {
-		if err := ssr.CommitRawManifest(dir, man.Manifest); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ssr.CommitRawManifest(dir, man.Manifest)
 }
 
 func (f *Follower) fetchManifest(ctx context.Context) (*ManifestResponse, error) {
@@ -286,7 +280,7 @@ func (f *Follower) fetchManifest(ctx context.Context) (*ManifestResponse, error)
 	return &man, nil
 }
 
-func (f *Follower) fetchCheckpoint(ctx context.Context, dir string, shards int, ref CheckpointRef) error {
+func (f *Follower) fetchCheckpoint(ctx context.Context, dir string, ref CheckpointRef) error {
 	url := fmt.Sprintf("%s/replica/checkpoint?shard=%d&gen=%d", f.opt.Primary, ref.Shard, ref.Generation)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -302,7 +296,7 @@ func (f *Follower) fetchCheckpoint(ctx context.Context, dir string, shards int, 
 	}
 	// ImportCheckpoint verifies the seal before publishing, so a short or
 	// corrupted body cannot land.
-	return ssr.ImportShardCheckpoint(dir, shards, ref.Shard, ref.Generation, resp.Body)
+	return ssr.ImportShardCheckpoint(dir, ref.Shard, ref.Generation, resp.Body)
 }
 
 // resync replaces the mirror with a freshly bootstrapped one. The

@@ -14,8 +14,9 @@ import (
 )
 
 // WireVersion is negotiated at bootstrap: a follower refuses to speak to
-// a primary whose wire version it does not know.
-const WireVersion = 1
+// a primary whose wire version it does not know. Version 2 ships every
+// layout as a MANIFEST (version 2) plus one lane checkpoint per shard.
+const WireVersion = 2
 
 // HandlerOptions tunes the primary-side stream server. The zero value is
 // usable.
@@ -99,12 +100,12 @@ type CheckpointRef struct {
 
 // ManifestResponse is the GET /replica/manifest payload — everything a
 // follower needs to plan a bootstrap in one round trip. Manifest is the
-// raw MANIFEST bytes (base64 in JSON), absent on a single-shard layout.
+// raw MANIFEST bytes (base64 in JSON).
 type ManifestResponse struct {
 	WireVersion    int             `json:"wire_version"`
 	Shards         int             `json:"shards"`
 	PlanGeneration uint64          `json:"plan_generation"`
-	Manifest       []byte          `json:"manifest,omitempty"`
+	Manifest       []byte          `json:"manifest"`
 	Checkpoints    []CheckpointRef `json:"checkpoints"`
 }
 

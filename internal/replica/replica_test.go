@@ -3,8 +3,10 @@ package replica
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -200,6 +202,42 @@ func TestFollowerMirrorsPrimary(t *testing.T) {
 				t.Fatalf("queries diverge:\nprimary  %v\nfollower %v", pm, fm)
 			}
 		})
+	}
+}
+
+// TestFollowerMirrorLayout checks that a one-shard follower's mirror has
+// the primary's one durable layout: a version-2 MANIFEST and a shard-000/
+// lane, with no checkpoint or log file at the top level.
+func TestFollowerMirrorLayout(t *testing.T) {
+	primary, srv := startPrimary(t, 1, 20)
+	dir := t.TempDir()
+	f, err := StartFollower(context.Background(), fastFollowerOptions(dir, srv.URL))
+	if err != nil {
+		t.Fatalf("starting follower: %v", err)
+	}
+	mutate(t, primary, 100, 10)
+	waitMirrored(t, f, primary)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct{ Version, Shards int }
+	if err := json.Unmarshal(raw, &man); err != nil || man.Version != 2 || man.Shards != 1 {
+		t.Fatalf("mirror MANIFEST %s (%v), want version 2 for one shard", raw, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if fmt.Sprint(names) != "[MANIFEST shard-000]" {
+		t.Fatalf("mirror holds %v at the top level, want [MANIFEST shard-000]", names)
 	}
 }
 
@@ -406,7 +444,7 @@ func TestFollowerCrashAtEveryByteOffset(t *testing.T) {
 	want := saveBytes(t, primary)
 
 	// Find the follower's live segment.
-	names, err := filepath.Glob(filepath.Join(golden, "wal-*.log"))
+	names, err := filepath.Glob(filepath.Join(golden, "shard-000", "wal-*.log"))
 	if err != nil || len(names) == 0 {
 		t.Fatalf("finding follower segment: %v (%d files)", err, len(names))
 	}
@@ -415,24 +453,31 @@ func TestFollowerCrashAtEveryByteOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	for off := 0; off <= len(data); off++ {
 		dir := t.TempDir()
-		for _, e := range entries {
-			src, err := os.ReadFile(filepath.Join(golden, e.Name()))
+		err := filepath.WalkDir(golden, func(path string, e fs.DirEntry, err error) error {
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
-			if filepath.Join(golden, e.Name()) == live {
+			rel, err := filepath.Rel(golden, path)
+			if err != nil {
+				return err
+			}
+			if e.IsDir() {
+				return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			if path == live {
 				src = src[:off]
 			}
-			if err := os.WriteFile(filepath.Join(dir, e.Name()), src, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			return os.WriteFile(filepath.Join(dir, rel), src, 0o644)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		fc, err := StartFollower(ctx, fastFollowerOptions(dir, srv.URL))
 		if err != nil {

@@ -1,11 +1,19 @@
 package ssr
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/recovery"
+	"repro/internal/wal"
 )
 
 // The MANIFEST version field is the forward-compatibility gate for the
@@ -13,7 +21,8 @@ import (
 // (the image may rely on invariants this code predates) while
 // tolerating unknown FIELDS within a known version, so additive
 // evolution needs no bump. These tests pin both halves of that
-// contract by rewriting a real sharded image's MANIFEST.
+// contract by rewriting a real sharded image's MANIFEST, and pin the one
+// layout every durable directory has.
 
 // buildShardedDir creates a small sharded durable image and returns its
 // directory with the index closed, ready for MANIFEST surgery.
@@ -117,5 +126,177 @@ func TestManifestUnknownFieldsTolerated(t *testing.T) {
 	defer re.Close()
 	if re.Shards() != 3 {
 		t.Fatalf("reopened with %d shards, want 3", re.Shards())
+	}
+}
+
+func TestManifestVersion1Refused(t *testing.T) {
+	dir := buildShardedDir(t)
+	rewriteManifest(t, dir, func(doc map[string]any) {
+		doc["version"] = 1
+	})
+	_, err := OpenDurable(dir, DurableOptions{Sync: SyncNever})
+	if err == nil || !strings.Contains(err.Error(), "version 1 ") {
+		t.Fatalf("OpenDurable of a version-1 MANIFEST: %v, want the version gate's error", err)
+	}
+}
+
+// assertLaneLayout checks that dir holds a version-2 MANIFEST for shards
+// lanes, one shard-NNN/ directory per lane, and nothing else at the top.
+func assertLaneLayout(t *testing.T, dir string, shards int) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man durableManifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	if man.Version != 2 || man.Shards != shards {
+		t.Fatalf("MANIFEST %s, want version 2 for %d shards", raw, shards)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lanes []string
+	for _, e := range entries {
+		switch {
+		case e.Name() == "MANIFEST":
+		case e.IsDir() && strings.HasPrefix(e.Name(), "shard-"):
+			lanes = append(lanes, e.Name())
+		default:
+			t.Errorf("%s holds %q at the top level", dir, e.Name())
+		}
+	}
+	want := make([]string, shards)
+	for si := range want {
+		want[si] = fmt.Sprintf("shard-%03d", si)
+	}
+	if fmt.Sprint(lanes) != fmt.Sprint(want) {
+		t.Fatalf("%s holds lanes %v, want %v", dir, lanes, want)
+	}
+}
+
+// TestDurableLayoutEveryShardCount pins the one durable layout: one shard
+// or four, a directory is a MANIFEST plus shard-NNN/ lanes, fresh and
+// after a close and reopen.
+func TestDurableLayoutEveryShardCount(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		dir := t.TempDir()
+		ix, err := CreateDurable(dir, bookstore(), durableShardedBuildOpts(shards), DurableOptions{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertLaneLayout(t, dir, shards)
+		applyOps(t, ix, workloadOps(10))
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenDurable(dir, DurableOptions{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertLaneLayout(t, dir, shards)
+	}
+}
+
+// TestOneShardLaneCheckpointIsSave pins the one checkpoint codec: a
+// one-shard lane's checkpoint payload is byte-for-byte the index's Save.
+func TestOneShardLaneCheckpointIsSave(t *testing.T) {
+	dir := t.TempDir()
+	ix, err := CreateDurable(dir, bookstore(), durableBuildOpts(), DurableOptions{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyOps(t, ix, workloadOps(10))
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var payload []byte
+	log, found, err := recovery.Open(recovery.Options{Dir: filepath.Join(dir, "shard-000")}, recovery.Hooks{
+		Load: func(r io.Reader) (err error) {
+			payload, err = io.ReadAll(r)
+			return err
+		},
+		Apply: func(wal.Record) error { return errors.New("the final checkpoint leaves no tail") },
+		Save:  func(io.Writer) error { return errors.New("not saved") },
+	})
+	if err != nil || !found {
+		t.Fatalf("opening the lane: found=%v, %v", found, err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payload, saveBytes(t, ix)) {
+		t.Fatal("the one-shard lane's checkpoint payload differs from Save's bytes")
+	}
+}
+
+// readTree returns every file under dir by relative path, and every
+// directory with an empty body.
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			files[strings.TrimPrefix(path, dir)+"/"] = ""
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[strings.TrimPrefix(path, dir)] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestFlatLayoutRefused seals a directory in the flat one-shard layout of
+// manifest version 1 releases — checkpoints whose payload is Save's bytes
+// and a log beside them, no MANIFEST — and checks that OpenDurable
+// refuses it with an error naming the layout, that CreateDurable refuses
+// it too, and that neither touches a byte.
+func TestFlatLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	ix, err := Build(bookstore(), durableBuildOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, _, err := recovery.Open(recovery.Options{Dir: dir}, recovery.Hooks{
+		Load:  func(io.Reader) error { return errors.New("empty directory") },
+		Apply: func(wal.Record) error { return errors.New("empty directory") },
+		Save:  ix.Save,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(wal.Record{Op: wal.OpInsert, SID: 65, Elements: []string{"dune"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := readTree(t, dir)
+
+	_, err = OpenDurable(dir, DurableOptions{})
+	if err == nil || errors.Is(err, ErrNoDurableState) || !strings.Contains(err.Error(), "flat") || !strings.Contains(err.Error(), "MANIFEST") {
+		t.Fatalf("OpenDurable of the flat layout: %v, want an error naming the layout", err)
+	}
+	if has, err := HasDurableState(dir); err != nil || !has {
+		t.Fatalf("HasDurableState of the flat layout = %v, %v", has, err)
+	}
+	if _, err := CreateDurable(dir, bookstore(), durableBuildOpts(), DurableOptions{}); err == nil {
+		t.Fatal("CreateDurable over the flat layout succeeded")
+	}
+	if after := readTree(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("refusing the flat layout changed the directory: %d files before, %d after", len(before), len(after))
 	}
 }

@@ -30,7 +30,6 @@ func init() {
 	_ = enc.Encode(&publicSnapshot{}) // zero-value encode to io.Discard cannot fail; run for the type-id side effect
 	_ = enc.Encode(&tunerTrailer{})   // zero-value encode to io.Discard cannot fail; run for the type-id side effect
 	engine.RegisterSnapshotGobTypes()
-	_ = enc.Encode(&shardCheckpoint{}) // zero-value encode to io.Discard cannot fail; run for the type-id side effect
 }
 
 // persistMagic guards the public snapshot format (which wraps the core
@@ -42,9 +41,11 @@ type publicSnapshot struct {
 	// Names is the interned-element dictionary in id order (empty for
 	// collections built purely with AddIDs).
 	Names []string
-	// Core is the inner engine snapshot: a bare core snapshot for
-	// single-shard indexes (byte-identical to previous releases), or a
-	// sharded container (see engine.Save) — Load branches on its magic.
+	// Core is the inner engine image: a bare core snapshot for a whole
+	// single-shard index (byte-identical to previous releases), or a
+	// sharded container (see engine.Save) holding every shard's part, or
+	// one part in a durable lane's checkpoint. engine.Decode branches on
+	// its magic.
 	Core []byte
 }
 
@@ -100,7 +101,17 @@ func decodeTrailer(dec *gob.Decoder) (*tunerTrailer, error) {
 // (The reverse order would let an Add intern-and-insert between the two
 // captures, leaving the engine bytes referencing names the dictionary
 // never recorded.)
-func (ix *Index) Save(w io.Writer) error {
+func (ix *Index) Save(w io.Writer) error { return ix.save(w, ix.inner.Save) }
+
+// saveShard writes durable lane si's checkpoint: Save restricted to shard
+// si, captured under that shard's lock only. On a one-shard index it is
+// Save's bytes.
+func (ix *Index) saveShard(w io.Writer, si int) error {
+	return ix.save(w, func(w io.Writer) error { return ix.inner.SaveShard(w, si) })
+}
+
+// save writes Save's envelope around the engine image saveEngine writes.
+func (ix *Index) save(w io.Writer, saveEngine func(io.Writer) error) error {
 	// Tuner state is captured BEFORE the engine bytes: if a retune swaps
 	// between the two captures, the trailer undersells the generation of
 	// the (newer) cores it rides with — the benign direction, since the
@@ -108,7 +119,7 @@ func (ix *Index) Save(w io.Writer) error {
 	// worst re-triggers a drift check after recovery.
 	gen, hist := ix.inner.TuneState()
 	var coreBuf bytes.Buffer
-	if err := ix.inner.Save(&coreBuf); err != nil {
+	if err := saveEngine(&coreBuf); err != nil {
 		return err
 	}
 	ix.coll.mu.Lock()
@@ -151,41 +162,43 @@ func encodeTrailer(enc *gob.Encoder, gen uint64, hist *simdist.Histogram) error 
 // Snapshots from before the sid-preserving format load densely renumbered,
 // as they always did.
 func Load(r io.Reader) (*Index, error) {
-	names, inner, err := decodeSnapshot(r)
+	snap, err := decodeSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	names, inner, err := assembleShards([]recoveredLane{snap})
 	if err != nil {
 		return nil, err
 	}
 	return &Index{coll: collectionOf(set.DictionaryFromNames(names), inner), inner: inner}, nil
 }
 
-// decodeSnapshot parses Save's format into the dictionary names and the
-// engine, with any retune state adopted.
-func decodeSnapshot(r io.Reader) ([]string, *engine.Engine, error) {
+// decodeSnapshot parses Save's envelope — a whole snapshot or one durable
+// lane's checkpoint — into the dictionary names, the engine image and the
+// tuner trailer.
+func decodeSnapshot(r io.Reader) (recoveredLane, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(persistMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, fmt.Errorf("ssr: reading snapshot header: %w", err)
+		return recoveredLane{}, fmt.Errorf("ssr: reading snapshot header: %w", err)
 	}
 	if string(magic) != persistMagic {
-		return nil, nil, fmt.Errorf("ssr: not an index snapshot (bad magic %q)", magic)
+		return recoveredLane{}, fmt.Errorf("ssr: not an index snapshot (bad magic %q)", magic)
 	}
 	dec := gob.NewDecoder(br)
 	var snap publicSnapshot
 	if err := dec.Decode(&snap); err != nil {
-		return nil, nil, fmt.Errorf("ssr: decoding snapshot: %w", err)
+		return recoveredLane{}, fmt.Errorf("ssr: decoding snapshot: %w", err)
 	}
 	trailer, err := decodeTrailer(dec)
 	if err != nil {
-		return nil, nil, err
+		return recoveredLane{}, err
 	}
-	inner, err := engine.Load(bytes.NewReader(snap.Core))
+	img, err := engine.Decode(bytes.NewReader(snap.Core))
 	if err != nil {
-		return nil, nil, err
+		return recoveredLane{}, err
 	}
-	if trailer != nil && trailer.Generation > 0 {
-		inner.AdoptTuneState(trailer.Generation, trailer.trailerHist())
-	}
-	return snap.Names, inner, nil
+	return recoveredLane{names: snap.Names, img: img, trailer: trailer}, nil
 }
 
 // collectionOf builds the collection of a loaded or recovered engine over

@@ -165,9 +165,8 @@ func (s *ReplicationSource) Shards() int { return len(s.ix.dur.shards) }
 // from capture cuts a stream cannot reproduce.
 func (s *ReplicationSource) PlanGeneration() uint64 { return s.ix.inner.PlanGeneration() }
 
-// RawManifest returns the MANIFEST bytes of a sharded layout, or nil for
-// the single-shard flat layout. Followers copy it verbatim so the mirror
-// commits with the identical topology file.
+// RawManifest returns the MANIFEST bytes. Followers copy them verbatim so
+// the mirror commits with the identical topology file.
 func (s *ReplicationSource) RawManifest() ([]byte, error) {
 	return readRawManifest(s.ix.dur.dir)
 }
@@ -422,14 +421,9 @@ func (ix *Index) replicaLane(si int) (*durableShard, error) {
 
 // ImportShardCheckpoint writes a checkpoint fetched from a primary into
 // shard si's chain at generation gen, verifying the seal before
-// publishing. si is ignored (the flat layout) when shards is 1. Exposed
-// for internal/replica's bootstrap; not a stable API.
-func ImportShardCheckpoint(dir string, shards, si int, gen uint64, r io.Reader) error {
-	target := dir
-	if shards > 1 {
-		target = shardDirPath(dir, si)
-	}
-	return recovery.ImportCheckpoint(target, gen, r)
+// publishing. Exposed for internal/replica's bootstrap; not a stable API.
+func ImportShardCheckpoint(dir string, si int, gen uint64, r io.Reader) error {
+	return recovery.ImportCheckpoint(shardDirPath(dir, si), gen, r)
 }
 
 // CommitRawManifest validates and atomically publishes raw MANIFEST

@@ -358,9 +358,10 @@ func shardedMixedStress(t *testing.T, shards int) {
 // index over it takes adds. Inserts on several shards finish out of sid
 // order, so the collection fills slots it appended empty moments before;
 // Build must copy the sets under the collection's lock, or -race sees
-// such a fill beside the copy. The writers' work is bounded: builds run
-// only until the writers finish, and small plans keep each build short so
-// that many copies overlap the adds.
+// such a fill beside the copy, and must stop before the first slot still
+// in flight, or the built index holds that sid as a live empty set. The
+// writers' work is bounded: builds run only until the writers finish, and
+// small plans keep each build short so that many copies overlap the adds.
 func TestBuildBesideShardedAdds(t *testing.T) {
 	const trials, base, writers, adds = 20, 100, 8, 100
 	opts := Options{Budget: 4, MinHashes: 16, Seed: 3, DistSample: 200}
@@ -397,8 +398,14 @@ func TestBuildBesideShardedAdds(t *testing.T) {
 				building = false
 			default:
 			}
-			if _, err := Build(c, opts); err != nil {
+			built, err := Build(c, opts)
+			if err != nil {
 				t.Fatalf("trial %d: Build beside adds: %v", trial, err)
+			}
+			for sid, s := range built.Internal().SetsBySID() {
+				if s != nil && s.Len() == 0 {
+					t.Fatalf("trial %d: the built index holds sid %d as an empty set (an in-flight add's placeholder)", trial, sid)
+				}
 			}
 		}
 		close(errCh)

@@ -29,6 +29,7 @@ package ssr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,6 +103,9 @@ type Collection struct {
 	mu   sync.Mutex
 	dict *set.Dictionary
 	sets []set.Set
+	// inFlight holds the positions record appended empty ahead of an
+	// insert that has not landed yet (see record).
+	inFlight map[int]bool
 }
 
 // NewCollection returns an empty collection.
@@ -195,14 +199,34 @@ func (c *Collection) resolve(elements []string) set.Set {
 // record stores set s at sid position, growing the slice as needed —
 // inserts on a sharded index can complete out of submission order, so
 // positions between the recorded one and the end may be briefly empty
-// while their inserts are in flight.
+// while their inserts are in flight. Those positions stay in inFlight
+// until their own record.
 func (c *Collection) record(sid int, s set.Set) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.sets) <= sid {
+		if len(c.sets) < sid {
+			if c.inFlight == nil {
+				c.inFlight = make(map[int]bool)
+			}
+			c.inFlight[len(c.sets)] = true
+		}
 		c.sets = append(c.sets, set.Set{})
 	}
+	delete(c.inFlight, sid)
 	c.sets[sid] = s
+}
+
+// settled returns a copy of the sets below the first in-flight position:
+// an insert's empty placeholder is not a set to build over.
+func (c *Collection) settled() []set.Set {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.sets)
+	for sid := range c.inFlight {
+		n = min(n, sid)
+	}
+	return slices.Clone(c.sets[:n])
 }
 
 // Match is one query result.
@@ -313,11 +337,7 @@ func Build(c *Collection, opt Options) (*Index, error) {
 	if opt.Seed != 0 {
 		eopt.Seed = opt.Seed
 	}
-	c.mu.Lock()
-	sets := make([]set.Set, len(c.sets))
-	copy(sets, c.sets)
-	c.mu.Unlock()
-	inner, err := engine.Build(sets, engine.Options{
+	inner, err := engine.Build(c.settled(), engine.Options{
 		Shards:     opt.Shards,
 		RouterSeed: opt.Seed,
 		Core: core.Options{
