@@ -493,13 +493,13 @@ func BenchmarkClusterLeaders(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotSave measures serializing the benchmark fixture.
+// BenchmarkSnapshotSave measures serializing the public benchmark index.
 func BenchmarkSnapshotSave(b *testing.B) {
-	f := benchFixture(b, "snap", workload.Set1Params(1000), 100)
+	ix := publicBenchIndex(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := f.ix.Save(&buf); err != nil {
+		if err := ix.Save(&buf); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(buf.Len()))
@@ -509,15 +509,15 @@ func BenchmarkSnapshotSave(b *testing.B) {
 // BenchmarkSnapshotLoad measures the deterministic rebuild from a snapshot
 // (signatures cached, signing skipped).
 func BenchmarkSnapshotLoad(b *testing.B) {
-	f := benchFixture(b, "snapload", workload.Set1Params(1000), 100)
+	ix := publicBenchIndex(b)
 	var buf bytes.Buffer
-	if err := f.ix.Save(&buf); err != nil {
+	if err := ix.Save(&buf); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Load(bytes.NewReader(raw)); err != nil {
+		if _, err := Load(bytes.NewReader(raw)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,12 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/optimize"
 	"repro/internal/recovery"
 	"repro/internal/set"
-	"repro/internal/simdist"
 	"repro/internal/wal"
 )
 
@@ -48,9 +45,11 @@ func ParseSyncMode(s string) (SyncMode, error) {
 
 // DurableOptions tunes the durability layer of OpenDurable/CreateDurable.
 // The zero value is a safe default: fsync per mutation, 8MB checkpoint
-// threshold, one spare generation retained. On a sharded index every
-// option applies per shard (each shard runs its own log and checkpoint
-// cycle).
+// threshold. Each lane always retains one prior generation, so a damaged
+// newest checkpoint still recovers through its predecessor plus the
+// chained logs, and a follower one rotation behind can keep tailing. On a
+// sharded index every option applies per shard (each shard runs its own
+// log and checkpoint cycle).
 type DurableOptions struct {
 	// Sync is the log's fsync policy.
 	Sync SyncMode
@@ -61,10 +60,6 @@ type DurableOptions struct {
 	// an 8MB default; negative disables automatic checkpoints (explicit
 	// Checkpoint/Close still rotate).
 	CheckpointBytes int64
-	// Keep is how many generations before the current one compaction
-	// retains (default 1, so a damaged newest checkpoint still recovers
-	// through its predecessor plus the chained logs).
-	Keep int
 	// PreallocBytes enables zero-fill preallocation of log segments in
 	// chunks of this many bytes: per-mutation syncs become metadata-free
 	// fdatasync calls, which cost less and — decisively for a sharded index
@@ -80,7 +75,6 @@ func (o DurableOptions) recoveryOptions(dir string) recovery.Options {
 		Sync:          wal.Policy(o.Sync),
 		SyncEvery:     o.SyncEvery,
 		CompactBytes:  o.CheckpointBytes,
-		Keep:          o.Keep,
 		PreallocBytes: o.PreallocBytes,
 	}
 }
@@ -106,8 +100,9 @@ type durableManifest struct {
 
 // manifestVersion is the one version this release writes and reads.
 // Version 1 directories checkpointed sharded lanes in a container format
-// of their own, and their one-shard directories had no MANIFEST at all.
-const manifestVersion = 2
+// of their own, and their one-shard directories had no MANIFEST at all;
+// version 2 lanes checkpointed in the nested SSRPUB1 snapshot envelope.
+const manifestVersion = 3
 
 func shardDirPath(dir string, si int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", si))
@@ -131,6 +126,9 @@ func parseManifest(raw []byte) (durableManifest, error) {
 	var man durableManifest
 	if err := json.Unmarshal(raw, &man); err != nil {
 		return man, fmt.Errorf("ssr: parsing durable manifest: %w", err)
+	}
+	if man.Version == 2 {
+		return man, fmt.Errorf("ssr: durable manifest version 2 is not supported: its lanes checkpoint in the SSRPUB1 snapshot format of older releases, and this build reads version %d only", manifestVersion)
 	}
 	if man.Version != manifestVersion {
 		return man, fmt.Errorf("ssr: durable manifest version %d is not supported (this build reads version %d only; a higher version was written by a newer release — upgrade this binary — and a lower one by an older release whose lane format this one no longer reads)",
@@ -229,27 +227,25 @@ type durableLayout struct {
 	man durableManifest
 }
 
-// recoveredLane is one decoded Save envelope: a whole snapshot (Load), or
-// a lane's checkpoint, for which recovery also buffers the log tail.
+// recoveredLane is one lane's decoded checkpoint and its buffered log
+// tail.
 type recoveredLane struct {
-	names   []string
-	img     *engine.Image
-	trailer *tunerTrailer
-	recs    []wal.Record
+	img  *engine.Image
+	recs []wal.Record
 }
 
 // decode parses lane si's checkpoint and checks it holds shard si alone,
 // under the manifest's topology.
 func (l durableLayout) decode(r io.Reader, si int) (recoveredLane, error) {
-	lane, err := decodeSnapshot(r)
+	img, err := engine.Decode(r)
 	if err != nil {
 		return recoveredLane{}, err
 	}
-	if img, m := lane.img, l.man; img.Shards != m.Shards || img.RouterSeed != m.RouterSeed || len(img.Parts) != 1 || img.Parts[0].Index != si {
+	if m := l.man; img.Shards != m.Shards || img.RouterSeed != m.RouterSeed || len(img.Parts) != 1 || img.Parts[0].Index != si {
 		return recoveredLane{}, fmt.Errorf("ssr: checkpoint of %d parts (%d shards, seed %d) does not hold shard %d alone under the manifest's topology (%d shards, seed %d)",
 			len(img.Parts), img.Shards, img.RouterSeed, si, m.Shards, m.RouterSeed)
 	}
-	return lane, nil
+	return recoveredLane{img: img}, nil
 }
 
 // openLanes opens every lane's generation chain through the hooks h
@@ -333,15 +329,26 @@ func OpenDurable(dir string, opt DurableOptions) (*Index, error) {
 	return ix, nil
 }
 
-// recover assembles the index from the lanes' checkpoints, then replays
-// their buffered tails as a k-way merge by sid, preserving each lane's
-// internal order. Per-lane order is the only correctness requirement
-// (every record's sid is owned by the lane whose log carries it), but the
-// merge also re-interns replayed elements in global sid order — the order
-// a sequential writer interned them — so recovering a sequential history
-// is bit-identical to never crashing.
+// recover assembles the index from the lanes' checkpoints (engine.Join,
+// which also rebuilds lanes checkpointed before a retune the others
+// absorbed), then replays their buffered tails as a k-way merge by sid,
+// preserving each lane's internal order. Per-lane order is the only
+// correctness requirement (every record's sid is owned by the lane whose
+// log carries it), but the merge also re-interns replayed elements in
+// global sid order — the order a sequential writer interned them — so
+// recovering a sequential history is bit-identical to never crashing.
+// The longest dictionary wins: dictionaries are append-only, so every
+// lane's is a prefix of it.
 func (ix *Index) recover(lanes []recoveredLane) error {
-	names, eng, err := assembleShards(lanes)
+	var names []string
+	imgs := make([]*engine.Image, len(lanes))
+	for si, lane := range lanes {
+		imgs[si] = lane.img
+		if len(lane.img.Names) > len(names) {
+			names = lane.img.Names
+		}
+	}
+	eng, err := engine.Join(imgs...)
 	if err != nil {
 		return err
 	}
@@ -370,67 +377,6 @@ func (ix *Index) recover(lanes []recoveredLane) error {
 	// as empty exactly as a checkpointed one does.
 	ix.coll = collectionOf(ix.coll.dict, eng)
 	return nil
-}
-
-// assembleShards builds the engine from the parts the decoded images
-// carry: every lane's one part on recovery, or one whole snapshot's parts
-// on Load. The longest dictionary wins (append-only prefix property), the
-// sid space is the max any image observed, and the parts must cover every
-// shard exactly once (Image.Engine re-validates the router seed against
-// every mapping).
-func assembleShards(lanes []recoveredLane) ([]string, *engine.Engine, error) {
-	// Shards checkpoint independently, so a crash between a retune and the
-	// last shard's next checkpoint leaves checkpoints from different plan
-	// generations on disk. The highest generation wins (it is the one a
-	// completed retune installed everywhere): stale shards are rebuilt in
-	// place with the winner's plan, restoring the cross-shard plan
-	// identity that scatter-gather correctness rests on.
-	winGen, winSi := uint64(0), -1
-	for si := range lanes {
-		if tt := lanes[si].trailer; tt != nil && tt.Generation > winGen {
-			winGen, winSi = tt.Generation, si
-		}
-	}
-	var winHist *simdist.Histogram
-	var winPlan optimize.Plan
-	if winSi >= 0 {
-		winHist = lanes[winSi].trailer.trailerHist()
-		winPlan = lanes[winSi].img.Parts[0].Core.Plan()
-	}
-	var names []string
-	img := engine.Image{Shards: lanes[0].img.Shards, RouterSeed: lanes[0].img.RouterSeed}
-	for _, lane := range lanes {
-		if len(lane.names) > len(names) {
-			names = lane.names
-		}
-		img.NumGlobals = max(img.NumGlobals, lane.img.NumGlobals)
-		stale := winSi >= 0 && (lane.trailer == nil || lane.trailer.Generation != winGen)
-		for _, p := range lane.img.Parts {
-			if stale {
-				csets, csigs, ctombs := p.Core.CaptureRebuild()
-				sopt := p.Core.BuildOptions()
-				planCopy := winPlan
-				sopt.PlanOverride = &planCopy
-				sopt.Distribution = winHist
-				sopt.PrecomputedSignatures = csigs
-				sopt.Tombstones = ctombs
-				rebuilt, err := core.Build(csets, sopt)
-				if err != nil {
-					return nil, nil, fmt.Errorf("ssr: rebuilding stale shard %d onto plan generation %d: %w", p.Index, winGen, err)
-				}
-				p.Core = rebuilt
-			}
-			img.Parts = append(img.Parts, p)
-		}
-	}
-	eng, err := img.Engine()
-	if err != nil {
-		return nil, nil, err
-	}
-	if winGen > 0 {
-		eng.AdoptTuneState(winGen, winHist)
-	}
-	return names, eng, nil
 }
 
 // CreateDurable builds an index over the collection (as Build does) and
@@ -512,9 +458,9 @@ func (ix *Index) apply(si int, rec wal.Record) error {
 // This holds the one shard-count branch of the write lane. With several
 // lanes the sid is reserved first, because it names the lane to lock.
 // With one lane the lane is locked first: a one-shard engine's Reserve
-// allocates nothing — its global sids are its core sids, which its
-// checkpoint (a bare core snapshot, with no sid map) depends on — so only
-// the lane lock keeps two writers from reserving the same sid.
+// allocates nothing — its global sids are its core sids (the engine's
+// dense one-shard rule) — so only the lane lock keeps two writers from
+// reserving the same sid.
 func (d *durable) withLane(ix *Index, fn func(sh *durableShard, g uint32, si int) error) error {
 	if len(d.shards) > 1 {
 		tok, g, si := d.repl.reserve(ix.inner.Reserve)

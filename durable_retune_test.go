@@ -71,7 +71,7 @@ func TestDurableRetuneCrashSemantics(t *testing.T) {
 		}
 		saveNew := saveBytes(t, ix)
 		if bytes.Equal(saveOld, saveNew) {
-			t.Fatalf("shards=%d: retune trailer left the snapshot unchanged", shards)
+			t.Fatalf("shards=%d: retune left the snapshot header unchanged", shards)
 		}
 
 		// Checkpoint commits the retune; crash without Close.

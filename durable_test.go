@@ -192,7 +192,7 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 	applyOps(t, ref, ops)
 
 	ix, err := CreateDurable(dir, bookstore(), durableBuildOpts(),
-		DurableOptions{Sync: SyncNever, CheckpointBytes: 512, Keep: 1})
+		DurableOptions{Sync: SyncNever, CheckpointBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep=1: at most current + one prior generation of each kind.
+	// One prior generation is kept: at most current + one prior of each kind.
 	if len(entries) > 4 {
 		names := make([]string, len(entries))
 		for i, e := range entries {

@@ -2,8 +2,8 @@ package ssr
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -12,25 +12,41 @@ import (
 // allocate unboundedly. Mirrors internal/storage's FuzzDecodeCorrupt
 // discipline at the top of the persistence stack.
 func FuzzLoad(f *testing.F) {
-	// Seed with a genuine snapshot (with a tombstone, exercising the
-	// sid-preserving layout) so mutations explore near-valid encodings.
-	c := bookstore()
-	ix, err := Build(c, Options{Budget: 24, MinHashes: 32, Seed: 3})
-	if err != nil {
-		f.Fatal(err)
+	// Seed with genuine images (with a tombstone, exercising the
+	// sid-preserving layout) so mutations explore near-valid encodings: a
+	// one-shard Save, a 4-shard Save and one lane's checkpoint of it.
+	var seeds [][]byte
+	for _, shards := range []int{1, 4} {
+		ix, err := Build(bookstore(), Options{Budget: 24, MinHashes: 32, Seed: 3, Shards: shards})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := ix.Remove(1); err != nil {
+			f.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := ix.Save(&snap); err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, snap.Bytes())
+		if shards > 1 {
+			var lane bytes.Buffer
+			if err := ix.saveShard(&lane, 1); err != nil {
+				f.Fatal(err)
+			}
+			seeds = append(seeds, lane.Bytes())
+		}
 	}
-	if err := ix.Remove(1); err != nil {
-		f.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := ix.Save(&snap); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(snap.Bytes())
-	f.Add(snap.Bytes()[:len(snap.Bytes())/2])
-	f.Add(withCoreTrailer(f, snap.Bytes(), append([]byte("SSRFAM1\n"), 2, 64, 40, 0, 0, 0)))
+	one := seeds[0]
+	f.Add(one)
+	f.Add(one[:len(one)/2])
+	// The signing-family trailer an older core format appended.
+	f.Add(append(slices.Clip(one), "SSRFAM1\n\x02\x40\x28\x00\x00\x00"...))
 	f.Add([]byte("SSRPUB1\n"))
 	f.Add([]byte{})
+	for _, seed := range seeds[1:] {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := Load(bytes.NewReader(data))
 		if err != nil {
@@ -41,24 +57,6 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("loaded index cannot query: %v", qerr)
 		}
 	})
-}
-
-// withCoreTrailer re-wraps a public snapshot with tail appended to its
-// core snapshot bytes — the shape of a snapshot whose core carries a
-// trailer Load does not read.
-func withCoreTrailer(tb testing.TB, pub, tail []byte) []byte {
-	tb.Helper()
-	var snap publicSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(pub[len(persistMagic):])).Decode(&snap); err != nil {
-		tb.Fatal(err)
-	}
-	snap.Core = append(snap.Core, tail...)
-	var out bytes.Buffer
-	out.WriteString(persistMagic)
-	if err := gob.NewEncoder(&out).Encode(&snap); err != nil {
-		tb.Fatal(err)
-	}
-	return out.Bytes()
 }
 
 // FuzzBuildRoundTrip drives Build with hostile Options: NaN, infinite,

@@ -2,16 +2,19 @@ package ssr
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // goldenSnapshotPath pins the exact Save bytes of a fixed single-shard
-// build. The fixture was generated by the pre-sharding index (run with
-// SSR_WRITE_GOLDEN=1 to regenerate — only legitimate when the snapshot
-// format itself versions up deliberately).
+// build. The fixture was last regenerated when the snapshot became one
+// magic and one gob value (run with SSR_WRITE_GOLDEN=1 to regenerate —
+// only legitimate when the snapshot format itself versions up
+// deliberately).
 const goldenSnapshotPath = "testdata/golden-shard1.snap"
 
 // goldenSnapshotCollection is a fixed, deterministic collection: twelve
@@ -42,10 +45,9 @@ func goldenSnapshotOptions() Options {
 }
 
 // TestGoldenShard1SnapshotBytes asserts the default (single-shard) build
-// still serializes byte-for-byte like the pre-sharding index: same core
-// snapshot format, same magic, same gob stream. This is the refactor's
-// backward-compatibility contract — Shards=1 must be bit-identical to
-// what the repo produced before the engine layer existed.
+// serializes byte-for-byte like the fixture: same magic, same gob stream.
+// Save is a pure function of the index state, so any change to these
+// bytes is a change of the snapshot format.
 func TestGoldenShard1SnapshotBytes(t *testing.T) {
 	ix, err := Build(goldenSnapshotCollection(), goldenSnapshotOptions())
 	if err != nil {
@@ -108,5 +110,39 @@ func TestGoldenShard1SnapshotBytes(t *testing.T) {
 		if m1[i] != m2[i] {
 			t.Fatalf("golden reload match %d differs: %+v vs %+v", i, m1[i], m2[i])
 		}
+	}
+}
+
+// TestGoldenBytesIndependentOfHistory encodes a value of a type of its
+// own, then saves a 4-shard index and writes one of its lane
+// checkpoints, and only then requires the golden collection's one-shard
+// Save to equal the fixture. gob numbers types in first-use order and
+// writes the numbers into the stream, so this passes only while the one
+// type-id pin covers every image type — also when this test runs alone.
+func TestGoldenBytesIndependentOfHistory(t *testing.T) {
+	type unrelated struct{ A []float64 }
+	if err := gob.NewEncoder(io.Discard).Encode(unrelated{A: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	opt := goldenSnapshotOptions()
+	opt.Shards = 4
+	sharded, err := Build(goldenSnapshotCollection(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveBytes(t, sharded)
+	if err := sharded.saveShard(io.Discard, 2); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(goldenSnapshotCollection(), goldenSnapshotOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(goldenSnapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := saveBytes(t, ix); !bytes.Equal(got, want) {
+		t.Fatalf("one-shard Save after other images: %d bytes differ from the %d-byte fixture", len(got), len(want))
 	}
 }

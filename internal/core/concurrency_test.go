@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/gob"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -128,7 +129,10 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 					_ = ix.Len()
 					_ = ix.IndexPages()
 				case 3:
-					if err := ix.Save(io.Discard); err != nil {
+					// Encode the capture outside the lock, as an image does:
+					// the aliased sets must not race with the writers.
+					snap := ix.Snapshot()
+					if err := gob.NewEncoder(io.Discard).Encode(&snap); err != nil {
 						errs <- err
 						return
 					}

@@ -89,8 +89,8 @@ func FuzzQueryRange(f *testing.F) {
 
 // FuzzBuildRoundTrip drives Build with hostile Options, a plan override
 // among them: NaN, infinite, negative, zero and huge values. Build must
-// refuse them with an error, or Save → Load → Save of its index must give
-// identical bytes. The budget comes from a small range and shrink keeps
+// refuse them with an error, or Snapshot → Restore → Snapshot of its index
+// must give identical bytes. The budget comes from a small range and shrink keeps
 // valid signature lengths, filter-index counts and table counts small, so
 // each execution stays fast; the 2^16-table edge is TestBuildValidation's.
 func FuzzBuildRoundTrip(f *testing.F) {
@@ -124,19 +124,13 @@ func FuzzBuildRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var saved, again bytes.Buffer
-		if err := ix.Save(&saved); err != nil {
-			t.Fatalf("Save: %v", err)
-		}
-		loaded, err := Load(bytes.NewReader(saved.Bytes()))
+		snap := ix.Snapshot()
+		loaded, err := Restore(&snap)
 		if err != nil {
-			t.Fatalf("Build accepted what Load refuses: %v", err)
+			t.Fatalf("Build accepted what Restore refuses: %v", err)
 		}
-		if err := loaded.Save(&again); err != nil {
-			t.Fatalf("Save after Load: %v", err)
-		}
-		if !bytes.Equal(saved.Bytes(), again.Bytes()) {
-			t.Fatal("Save → Load → Save changed the bytes")
+		if !bytes.Equal(snapshotBytes(t, ix), snapshotBytes(t, loaded)) {
+			t.Fatal("Snapshot → Restore → Snapshot changed the bytes")
 		}
 	})
 }

@@ -88,14 +88,7 @@ func requireSameIndex(t *testing.T, label string, a, b *Index, sets []set.Set) {
 	if a.IndexPages() != b.IndexPages() {
 		t.Fatalf("%s: index pages differ: %d vs %d", label, a.IndexPages(), b.IndexPages())
 	}
-	var snapA, snapB bytes.Buffer
-	if err := a.Save(&snapA); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Save(&snapB); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapA.Bytes(), snapB.Bytes()) {
+	if !bytes.Equal(snapshotBytes(t, a), snapshotBytes(t, b)) {
 		t.Fatalf("%s: snapshot bytes differ", label)
 	}
 	for _, r := range [][2]float64{{0.8, 1.0}, {0.3, 0.6}, {0.0, 0.2}} {

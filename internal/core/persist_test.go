@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/minhash"
@@ -13,16 +12,33 @@ import (
 	"repro/internal/workload"
 )
 
+// restored captures ix's Snapshot and restores it, as an image's round
+// trip does on each of its parts.
+func restored(t testing.TB, ix *Index) *Index {
+	t.Helper()
+	snap := ix.Snapshot()
+	loaded, err := Restore(&snap)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	return loaded
+}
+
+// snapshotBytes gob-encodes ix's Snapshot: the core's share of every
+// image, so equal bytes mean equal durable state.
+func snapshotBytes(t testing.TB, ix *Index) []byte {
+	t.Helper()
+	snap := ix.Snapshot()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ix, sets := buildSmall(t, 400, 50)
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
+	loaded := restored(t, ix)
 	if loaded.Len() != ix.Len() {
 		t.Fatalf("loaded %d sets, want %d", loaded.Len(), ix.Len())
 	}
@@ -55,31 +71,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a snapshot")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Load(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := Load(strings.NewReader("SSRIDX1\ncorrupt-gob-payload")); err == nil {
-		t.Error("corrupt payload accepted")
-	}
-}
-
 func TestSaveLoadAfterDelete(t *testing.T) {
 	ix, sets := buildSmall(t, 200, 40)
 	if err := ix.Delete(5); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := restored(t, ix)
 	if loaded.Len() != len(sets)-1 {
 		t.Errorf("loaded %d sets, want %d (deleted sets compacted)", loaded.Len(), len(sets)-1)
 	}
@@ -97,14 +94,7 @@ func TestSaveLoadPreservesEmbedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := restored(t, ix)
 	if loaded.Embedder().K() != 48 {
 		t.Errorf("K = %d after reload", loaded.Embedder().K())
 	}
@@ -124,14 +114,7 @@ func TestSaveLoadPreservesSIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := restored(t, ix)
 	if loaded.Len() != len(sets)-3 {
 		t.Fatalf("loaded %d live sets, want %d", loaded.Len(), len(sets)-3)
 	}
@@ -158,14 +141,7 @@ func TestSaveLoadPreservesSIDs(t *testing.T) {
 		t.Fatalf("insert sid diverged after reload: %d vs %d", a, b)
 	}
 	// Both indices now hold identical state: snapshots are byte-identical.
-	var sa, sb bytes.Buffer
-	if err := ix.Save(&sa); err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.Save(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sa.Bytes(), sb.Bytes()) {
+	if !bytes.Equal(snapshotBytes(t, ix), snapshotBytes(t, loaded)) {
 		t.Fatal("snapshots diverge after reload + identical mutations")
 	}
 	// And queries agree.
@@ -188,11 +164,12 @@ func TestSaveLoadPreservesSIDs(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsBadSnapshots drives the semantic validation: structurally
-// valid gob with hostile values must error, not panic or allocate wildly.
+// TestLoadRejectsBadSnapshots drives the semantic validation: snapshots
+// with hostile values — what a structurally valid image can decode to —
+// must be refused by Restore, not panic or allocate wildly.
 func TestLoadRejectsBadSnapshots(t *testing.T) {
-	base := func() snapshot {
-		return snapshot{
+	base := func() Snapshot {
+		return Snapshot{
 			EmbedK:    4,
 			EmbedBits: 6,
 			Sets:      [][]uint64{{1, 2}},
@@ -201,116 +178,58 @@ func TestLoadRejectsBadSnapshots(t *testing.T) {
 			NumSIDs:   1,
 		}
 	}
-	cases := map[string]func(*snapshot){
-		"all zero":        func(s *snapshot) { *s = snapshot{} },
-		"zero k":          func(s *snapshot) { s.EmbedK = 0 },
-		"huge k":          func(s *snapshot) { s.EmbedK = 1 << 30 },
-		"huge bits":       func(s *snapshot) { s.EmbedBits = 64 },
-		"negative page":   func(s *snapshot) { s.PageSize = -1 },
-		"huge page":       func(s *snapshot) { s.PageSize = 1 << 20 },
-		"huge payload":    func(s *snapshot) { s.PayloadPerElem = 1 << 40 },
-		"sig mismatch":    func(s *snapshot) { s.Sigs = [][]uint64{{1}} },
-		"sig count":       func(s *snapshot) { s.Sigs = nil },
-		"sid count":       func(s *snapshot) { s.SIDs = nil },
-		"sid out of room": func(s *snapshot) { s.SIDs = []uint32{9} },
-		"huge sid space":  func(s *snapshot) { s.NumSIDs = 1 << 30 },
-		"nan fi point": func(s *snapshot) {
+	cases := map[string]func(*Snapshot){
+		"all zero":        func(s *Snapshot) { *s = Snapshot{} },
+		"zero k":          func(s *Snapshot) { s.EmbedK = 0 },
+		"huge k":          func(s *Snapshot) { s.EmbedK = 1 << 30 },
+		"huge bits":       func(s *Snapshot) { s.EmbedBits = 64 },
+		"negative page":   func(s *Snapshot) { s.PageSize = -1 },
+		"huge page":       func(s *Snapshot) { s.PageSize = 1 << 20 },
+		"huge payload":    func(s *Snapshot) { s.PayloadPerElem = 1 << 40 },
+		"sig mismatch":    func(s *Snapshot) { s.Sigs = [][]uint64{{1}} },
+		"sig count":       func(s *Snapshot) { s.Sigs = nil },
+		"sid count":       func(s *Snapshot) { s.SIDs = nil },
+		"sid out of room": func(s *Snapshot) { s.SIDs = []uint32{9} },
+		"huge sid space":  func(s *Snapshot) { s.NumSIDs = 1 << 30 },
+		"nan fi point": func(s *Snapshot) {
 			s.Plan.FIs = []optimize.FI{{Point: math.NaN(), Tables: 1}}
 		},
-		"fi point 0": func(s *snapshot) {
+		"fi point 0": func(s *Snapshot) {
 			s.Plan.FIs = []optimize.FI{{Point: 0, Tables: 1}}
 		},
-		"fi zero tables": func(s *snapshot) {
+		"fi zero tables": func(s *Snapshot) {
 			s.Plan.FIs = []optimize.FI{{Point: 0.5, Tables: 0}}
 		},
-		"fi huge tables": func(s *snapshot) {
+		"fi huge tables": func(s *Snapshot) {
 			s.Plan.FIs = []optimize.FI{{Point: 0.5, Tables: 1 << 20}}
 		},
 	}
 	for name, mutate := range cases {
 		snap := base()
 		mutate(&snap)
-		var buf bytes.Buffer
-		buf.WriteString(snapshotMagic)
-		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		if _, err := Load(&buf); err == nil {
+		if _, err := Restore(&snap); err == nil {
 			t.Errorf("%s: hostile snapshot accepted", name)
 		}
 	}
 }
 
-// TestLoadRejectsTrailingBytes requires Load to take exactly one snapshot
-// value. The signing-family trailer older snapshots could carry
-// ("SSRFAM1\n", base code 2, 64 bits/hash, a uint32 union hint) marks
-// signatures drawn from another hash stream than the one the filters are
-// rebuilt from, so a snapshot carrying
-// one, or any other trailing byte, must fail to load; the bare snapshot
-// still loads and saves back to the same bytes.
-func TestLoadRejectsTrailingBytes(t *testing.T) {
-	sets, err := workload.Generate(workload.Set1Params(80))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := Build(sets, smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	bare := buf.Bytes()
-	trailer := append([]byte("SSRFAM1\n"), 2, 64, 40, 0, 0, 0)
-	for name, tail := range map[string][]byte{"family trailer": trailer, "one byte": {0}} {
-		raw := append(slices.Clip(bare), tail...)
-		if _, err := Load(bytes.NewReader(raw)); err == nil {
-			t.Errorf("%s: snapshot with trailing bytes loaded", name)
-		}
-	}
-	loaded, err := Load(bytes.NewReader(bare))
-	if err != nil {
-		t.Fatalf("bare snapshot: %v", err)
-	}
-	var again bytes.Buffer
-	if err := loaded.Save(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), bare) {
-		t.Fatal("reloaded snapshot saves different bytes")
-	}
-}
-
-// TestLoadToleratesOneULPCuts moves every partition point of a decoded
-// snapshot up by one ulp. Load accepts such a plan (it checks FI points,
+// TestLoadToleratesOneULPCuts moves every partition point of a captured
+// snapshot up by one ulp. Restore accepts such a plan (it checks FI points,
 // not their tie to the cuts), so a range whose endpoints resolve to
 // partition points must still find the filter indices planned there: the
 // loaded index answers every range of a grid exactly as the original
 // does, with the same candidate counts.
 func TestLoadToleratesOneULPCuts(t *testing.T) {
 	ix, sets := buildSmall(t, 1500, 200)
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()[len(snapshotMagic):]
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := ix.Snapshot()
 	if len(snap.Plan.Cuts) == 0 {
 		t.Fatal("plan has no cuts to move")
 	}
+	snap.Plan.Cuts = slices.Clone(snap.Plan.Cuts)
 	for i, c := range snap.Plan.Cuts {
 		snap.Plan.Cuts[i] = math.Nextafter(c, 2)
 	}
-	var moved bytes.Buffer
-	moved.WriteString(snapshotMagic)
-	if err := gob.NewEncoder(&moved).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&moved)
+	loaded, err := Restore(&snap)
 	if err != nil {
 		t.Fatalf("load with cuts one ulp up: %v", err)
 	}

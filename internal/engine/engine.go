@@ -23,10 +23,10 @@
 // sid space; the engine maintains the global→local table (locals, guarded
 // by gmu) and each shard's local→global table (toGlobal, guarded by the
 // shard mutex). On a one-shard engine both tables are the identity, and
-// two rules keep them so, because a one-shard engine persists as a bare
-// core snapshot (SSRIDX1), which carries no sid map: Save writes that
-// snapshot, and sids stay dense — Reserve allocates nothing and Apply
-// accepts only the next sid.
+// one rule keeps them so: sids stay dense — Reserve allocates nothing,
+// Apply accepts only the next sid, and Assemble refuses any other table
+// or a sid space beyond it. gather's single-part shortcut rests on it:
+// with dense sids a one-shard engine's local order is the global order.
 //
 // Plan generations. The engine's query-serving state (the per-shard core
 // indexes plus the global profile they were planned from) lives in an
@@ -78,8 +78,7 @@ type Options struct {
 	// (the default, bit-identical to a core.Build of the collection).
 	Shards int
 	// RouterSeed seeds the sid → shard hash. It must be stable for the
-	// life of the index (snapshots persist it). A one-shard build ignores
-	// it and records 0.
+	// life of the index (snapshots persist it).
 	RouterSeed int64
 	// Core configures each shard's build. Distribution and
 	// PrecomputedSignatures, when set, are treated as global (whole
@@ -125,7 +124,8 @@ type journalOp struct {
 // planView is one immutable generation of the query-serving state: the
 // per-shard cores all planned from one global profile. gen counts plan
 // swaps (0 = the build-time plan); hist is the profile this generation
-// was tuned to (nil for loaded engines until a retune or AdoptTuneState).
+// was tuned to (nil for loaded engines whose image carries no baseline,
+// until a retune).
 type planView struct {
 	gen   uint64
 	cores []*core.Index
@@ -184,11 +184,6 @@ func Build(sets []set.Set, opt Options) (*Engine, error) {
 	}
 	if opt.Core.Tombstones != nil {
 		return nil, fmt.Errorf("engine: Tombstones are not supported by engine builds (shards load through Assemble)")
-	}
-	if n == 1 {
-		// One shard routes nothing, and its bare snapshot keeps no seed:
-		// the seed is 0, as Decode reads it back.
-		opt.RouterSeed = 0
 	}
 	// One optimizer run, globally. Every shard would derive this very plan
 	// from (D_S, Plan) anyway, so installing it as each shard's override
@@ -289,6 +284,9 @@ func Assemble(routerSeed int64, cores []*core.Index, globals [][]uint32, numGlob
 		routerSeed: routerSeed,
 		locals:     locals,
 	}
+	if n == 1 && numGlobals != len(globals[0]) {
+		return nil, fmt.Errorf("engine: one shard maps %d sids of space %d; one shard keeps its sids dense", len(globals[0]), numGlobals)
+	}
 	for si, ix := range cores {
 		tg := globals[si]
 		if got := ix.NumAllocated(); got != len(tg) {
@@ -303,6 +301,9 @@ func Assemble(routerSeed int64, cores []*core.Index, globals [][]uint32, numGlob
 			}
 			if locals[g] != localUnassigned {
 				return nil, fmt.Errorf("engine: global sid %d mapped by two shards", g)
+			}
+			if n == 1 && int(g) != local {
+				return nil, fmt.Errorf("engine: one-shard sid %d maps to local %d; one shard keeps its sids dense", g, local)
 			}
 			locals[g] = uint32(local)
 		}
@@ -334,9 +335,9 @@ func (e *Engine) RouterSeed() int64 { return e.routerSeed }
 func (e *Engine) Insert(s set.Set) (uint32, error) {
 	apply := e.Apply
 	if len(e.shards) == 1 {
-		// One shard keeps its sids dense (its bare SSRIDX1 snapshot has
-		// no sid map), so the next sid is read and applied under one hold
-		// of the shard mutex.
+		// One shard keeps its sids dense (see the package comment), so
+		// the next sid is read and applied under one hold of the shard
+		// mutex.
 		sh := e.shards[0]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
@@ -395,7 +396,7 @@ func (e *Engine) trackDelete(g uint32) {
 // returns a sid that Apply rejects.
 func (e *Engine) Reserve() (g uint32, si int) {
 	if len(e.shards) == 1 {
-		// Dense sids: a bare SSRIDX1 snapshot has no sid map.
+		// Dense sids: the next global sid is the next core sid.
 		return uint32(e.NumAllocated()), 0
 	}
 	e.gmu.Lock()
@@ -440,7 +441,7 @@ func (e *Engine) applyLocked(si int, g uint32, s set.Set) error {
 	applied := g < next && e.locals[g] != localUnassigned
 	e.gmu.RUnlock()
 	if len(e.shards) == 1 && g != next {
-		// Dense sids: a bare SSRIDX1 snapshot has no sid map.
+		// Dense sids: only the next sid applies.
 		return fmt.Errorf("engine: sid %d is not the next sid %d of a one-shard engine", g, next)
 	}
 	if applied {

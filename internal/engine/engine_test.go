@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -444,62 +443,151 @@ func TestPersistRoundTrip(t *testing.T) {
 	_ = buf2 // shapes differ only by the post-load insert; no byte compare here
 }
 
+// encodeBytes writes snap as an image.
+func encodeBytes(t *testing.T, snap Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Encode(&buf, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestLoadRefusesPartialImages checks that Load assembles an engine only
 // from parts that cover every shard exactly once: a lane's one-part image
-// decodes but does not load, and containers with a missing or repeated
-// part are refused. A one-shard lane image is Save's bytes.
+// decodes but does not load, and images with a missing or repeated part
+// are refused. A one-shard lane image is Save's bytes.
 func TestLoadRefusesPartialImages(t *testing.T) {
 	e, _ := buildFixture(t, 120, 3)
-	var whole, lane bytes.Buffer
-	if err := e.Save(&whole); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SaveShard(&lane, 1); err != nil {
-		t.Fatal(err)
-	}
-	img, err := Decode(bytes.NewReader(lane.Bytes()))
+	whole := e.Capture()
+	lane := encodeBytes(t, e.Capture(1))
+	img, err := Decode(bytes.NewReader(lane))
 	if err != nil {
 		t.Fatalf("decoding a lane image: %v", err)
 	}
 	if img.Shards != 3 || len(img.Parts) != 1 || img.Parts[0].Index != 1 {
 		t.Fatalf("lane image holds %d parts of %d shards, want shard 1 of 3", len(img.Parts), img.Shards)
 	}
-	if _, err := Load(bytes.NewReader(lane.Bytes())); err == nil {
+	if _, err := Load(bytes.NewReader(lane)); err == nil {
 		t.Fatal("Load accepted a one-part image of a 3-shard engine")
 	}
 	for _, keep := range [][]int{{0, 1}, {0, 1, 1}, {0, 1, 2, 2}} {
-		var snap shardedSnapshot
-		if err := gob.NewDecoder(bytes.NewReader(whole.Bytes()[len(shardedMagic):])).Decode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		parts := snap.Parts
+		snap := whole
 		snap.Parts = nil
 		for _, si := range keep {
-			snap.Parts = append(snap.Parts, parts[si])
+			snap.Parts = append(snap.Parts, whole.Parts[si])
 		}
-		var buf bytes.Buffer
-		buf.WriteString(shardedMagic)
-		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(&buf); err == nil {
+		if _, err := Load(bytes.NewReader(encodeBytes(t, snap))); err == nil {
 			t.Errorf("Load accepted parts %v of 3 shards", keep)
 		}
 	}
-	if _, err := Load(bytes.NewReader(whole.Bytes())); err != nil {
+	if _, err := Load(bytes.NewReader(encodeBytes(t, whole))); err != nil {
 		t.Fatalf("Load of a whole image: %v", err)
 	}
 
 	one, _ := buildFixture(t, 60, 1)
-	var save, shard bytes.Buffer
+	var save bytes.Buffer
 	if err := one.Save(&save); err != nil {
 		t.Fatal(err)
 	}
-	if err := one.SaveShard(&shard, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(save.Bytes(), shard.Bytes()) {
+	if !bytes.Equal(save.Bytes(), encodeBytes(t, one.Capture(0))) {
 		t.Fatal("a one-shard engine's lane image differs from Save's bytes")
+	}
+}
+
+// TestLoadRejectsGarbage feeds the decoder bytes that are not an image:
+// no magic, an empty input, a corrupt gob payload, and the magics of the
+// retired formats in front of a valid image body, which are refused by
+// name.
+func TestLoadRejectsGarbage(t *testing.T) {
+	for name, raw := range map[string]string{
+		"not a snapshot":  "not a snapshot",
+		"empty":           "",
+		"corrupt payload": snapshotMagic + "corrupt-gob-payload",
+	} {
+		if _, err := Load(strings.NewReader(raw)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	e, _ := buildFixture(t, 60, 2)
+	body := encodeBytes(t, e.Capture())[len(snapshotMagic):]
+	for magic := range retiredMagics {
+		_, err := Load(bytes.NewReader(append([]byte(magic), body...)))
+		if format := strings.TrimSpace(magic); err == nil || !strings.Contains(err.Error(), format) {
+			t.Errorf("%s image: %v, want an error naming the format", format, err)
+		}
+	}
+}
+
+// TestLoadRejectsTrailingBytes requires Decode to take exactly one
+// snapshot value. The signing-family trailer an older core format could
+// carry ("SSRFAM1\n", base code 2, 64 bits/hash, a uint32 union hint)
+// marks signatures drawn from another hash stream than the one the
+// filters are rebuilt from, so an image carrying one, or any other
+// trailing byte, must fail to load; the bare image still loads and saves
+// back to the same bytes.
+func TestLoadRejectsTrailingBytes(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		e, _ := buildFixture(t, 80, shards)
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		bare := buf.Bytes()
+		trailer := append([]byte("SSRFAM1\n"), 2, 64, 40, 0, 0, 0)
+		for name, tail := range map[string][]byte{"family trailer": trailer, "one byte": {0}} {
+			raw := append(slices.Clip(bare), tail...)
+			if _, err := Load(bytes.NewReader(raw)); err == nil {
+				t.Errorf("shards=%d %s: image with trailing bytes loaded", shards, name)
+			}
+		}
+		loaded, err := Load(bytes.NewReader(bare))
+		if err != nil {
+			t.Fatalf("shards=%d bare image: %v", shards, err)
+		}
+		var again bytes.Buffer
+		if err := loaded.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), bare) {
+			t.Fatalf("shards=%d: reloaded image saves different bytes", shards)
+		}
+	}
+}
+
+// TestLoadRejectsHostileHeaders drives the header checks: structurally
+// valid images whose topology, tune state or one-shard sid table is
+// hostile must error, not panic or allocate wildly.
+func TestLoadRejectsHostileHeaders(t *testing.T) {
+	sharded, _ := buildFixture(t, 60, 3)
+	one, _ := buildFixture(t, 60, 1)
+	cases := map[string]struct {
+		e      *Engine
+		mutate func(*Snapshot)
+	}{
+		"zero shards":      {sharded, func(s *Snapshot) { s.Shards = 0 }},
+		"huge shards":      {sharded, func(s *Snapshot) { s.Shards = MaxShards + 1 }},
+		"more parts":       {one, func(s *Snapshot) { s.Parts = append(s.Parts, s.Parts[0]) }},
+		"no parts":         {sharded, func(s *Snapshot) { s.Parts = nil }},
+		"part out of room": {sharded, func(s *Snapshot) { s.Parts[2].Index = 3 }},
+		"other seed":       {sharded, func(s *Snapshot) { s.RouterSeed++ }},
+		"huge sid space":   {sharded, func(s *Snapshot) { s.NumGlobals = core.MaxSIDs + 1 }},
+		"huge baseline":    {sharded, func(s *Snapshot) { s.PlanGeneration, s.BaselineBins = 1, make([]float64, 1<<20+1) }},
+		"hostile core":     {sharded, func(s *Snapshot) { s.Parts[1].Core.NumSIDs = -1 }},
+		"one-shard order": {one, func(s *Snapshot) {
+			g := slices.Clone(s.Parts[0].Globals)
+			g[0], g[1] = g[1], g[0]
+			s.Parts[0].Globals = g
+		}},
+		"one-shard hole": {one, func(s *Snapshot) { s.NumGlobals++ }},
+	}
+	for name, c := range cases {
+		snap := c.e.Capture()
+		snap.Parts = slices.Clone(snap.Parts)
+		c.mutate(&snap)
+		if _, err := Load(bytes.NewReader(encodeBytes(t, snap))); err == nil {
+			t.Errorf("%s: hostile image accepted", name)
+		}
 	}
 }
 

@@ -52,9 +52,9 @@ type RetuneResult struct {
 
 // EnableTuning installs an online D_S drift tracker fed by every
 // insert/delete. The baseline profile is the current generation's
-// distribution when known (built engines); loaded engines start without a
-// baseline and MaybeRetune stays quiet until a forced Retune or
-// AdoptTuneState establishes one.
+// distribution when known (built engines, and loaded ones whose image
+// carries a baseline); other loaded engines start without one and
+// MaybeRetune stays quiet until a forced Retune establishes it.
 func (e *Engine) EnableTuning(cfg tuner.Config) error {
 	tr, err := tuner.New(cfg)
 	if err != nil {
@@ -73,28 +73,10 @@ func (e *Engine) PlanGeneration() uint64 { return e.loadView().gen }
 
 // TuneState returns the current plan generation and the profile it was
 // derived from (nil hist for loaded engines that never retuned). The
-// persistence layer snapshots it alongside the engine.
+// persistence layer writes it into the snapshot header; Join restores it.
 func (e *Engine) TuneState() (gen uint64, hist *simdist.Histogram) {
 	v := e.loadView()
 	return v.gen, v.hist
-}
-
-// AdoptTuneState installs a recovered plan generation and baseline
-// profile over the current cores — the load-side counterpart of
-// TuneState. It must run before the engine serves concurrent traffic
-// (open/recovery time); the cores themselves are unchanged.
-func (e *Engine) AdoptTuneState(gen uint64, hist *simdist.Histogram) {
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-	}
-	v := e.loadView()
-	e.view.Store(&planView{gen: gen, cores: v.cores, hist: hist})
-	for i := len(e.shards) - 1; i >= 0; i-- {
-		e.shards[i].mu.Unlock()
-	}
-	if tr := e.tracker.Load(); tr != nil {
-		tr.SetBaseline(hist)
-	}
 }
 
 // driftPoints returns the similarity values the drift statistic is

@@ -14,9 +14,11 @@ import (
 )
 
 // WireVersion is negotiated at bootstrap: a follower refuses to speak to
-// a primary whose wire version it does not know. Version 2 ships every
-// layout as a MANIFEST (version 2) plus one lane checkpoint per shard.
-const WireVersion = 2
+// a primary whose wire version it does not know. Version 3 ships every
+// layout as a MANIFEST (version 3) plus one lane checkpoint per shard,
+// each one snapshot image; version 2 shipped the same layout with lanes
+// in the nested snapshot envelope of older releases.
+const WireVersion = 3
 
 // HandlerOptions tunes the primary-side stream server. The zero value is
 // usable.

@@ -206,7 +206,7 @@ func TestFollowerMirrorsPrimary(t *testing.T) {
 }
 
 // TestFollowerMirrorLayout checks that a one-shard follower's mirror has
-// the primary's one durable layout: a version-2 MANIFEST and a shard-000/
+// the primary's one durable layout: a version-3 MANIFEST and a shard-000/
 // lane, with no checkpoint or log file at the top level.
 func TestFollowerMirrorLayout(t *testing.T) {
 	primary, srv := startPrimary(t, 1, 20)
@@ -225,8 +225,8 @@ func TestFollowerMirrorLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	var man struct{ Version, Shards int }
-	if err := json.Unmarshal(raw, &man); err != nil || man.Version != 2 || man.Shards != 1 {
-		t.Fatalf("mirror MANIFEST %s (%v), want version 2 for one shard", raw, err)
+	if err := json.Unmarshal(raw, &man); err != nil || man.Version != 3 || man.Shards != 1 {
+		t.Fatalf("mirror MANIFEST %s (%v), want version 3 for one shard", raw, err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

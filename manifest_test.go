@@ -140,7 +140,59 @@ func TestManifestVersion1Refused(t *testing.T) {
 	}
 }
 
-// assertLaneLayout checks that dir holds a version-2 MANIFEST for shards
+// TestManifestVersion2Refused seals a version-2 directory — a MANIFEST of
+// that version and lanes whose checkpoints carry the retired SSRPUB1
+// format — and checks that OpenDurable refuses it with an error naming
+// that format, that CreateDurable refuses it too, and that neither
+// touches a byte.
+func TestManifestVersion2Refused(t *testing.T) {
+	dir := t.TempDir()
+	ix, err := Build(bookstore(), durableShardedBuildOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuse := errors.New("empty lane")
+	for si := 0; si < 2; si++ {
+		log, _, err := recovery.Open(recovery.Options{Dir: shardDirPath(dir, si)}, recovery.Hooks{
+			Load:  func(io.Reader) error { return refuse },
+			Apply: func(wal.Record) error { return refuse },
+			Save: func(w io.Writer) error {
+				var lane bytes.Buffer
+				if err := ix.saveShard(&lane, si); err != nil {
+					return err
+				}
+				_, err := io.WriteString(w, "SSRPUB1\n"+lane.String()[len("SSRIMG1\n"):])
+				return err
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writeManifest(dir, durableManifest{Version: 2, Shards: 2, RouterSeed: ix.inner.RouterSeed()}); err != nil {
+		t.Fatal(err)
+	}
+	before := readTree(t, dir)
+
+	_, err = OpenDurable(dir, DurableOptions{Sync: SyncNever})
+	if err == nil || errors.Is(err, ErrNoDurableState) || !strings.Contains(err.Error(), "version 2 ") || !strings.Contains(err.Error(), "SSRPUB1") {
+		t.Fatalf("OpenDurable of a version-2 directory: %v, want an error naming the version and the format", err)
+	}
+	if _, err := CreateDurable(dir, bookstore(), durableShardedBuildOpts(2), DurableOptions{Sync: SyncNever}); err == nil {
+		t.Fatal("CreateDurable over a version-2 directory succeeded")
+	}
+	if after := readTree(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatal("refusing a version-2 directory changed it")
+	}
+}
+
+// assertLaneLayout checks that dir holds a version-3 MANIFEST for shards
 // lanes, one shard-NNN/ directory per lane, and nothing else at the top.
 func assertLaneLayout(t *testing.T, dir string, shards int) {
 	t.Helper()
@@ -152,8 +204,8 @@ func assertLaneLayout(t *testing.T, dir string, shards int) {
 	if err := json.Unmarshal(raw, &man); err != nil {
 		t.Fatal(err)
 	}
-	if man.Version != 2 || man.Shards != shards {
-		t.Fatalf("MANIFEST %s, want version 2 for %d shards", raw, shards)
+	if man.Version != 3 || man.Shards != shards {
+		t.Fatalf("MANIFEST %s, want version 3 for %d shards", raw, shards)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -78,8 +78,21 @@ func TestPublicLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("nope")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := Load(strings.NewReader("SSRPUB1\njunkjunk")); err == nil {
+	if _, err := Load(strings.NewReader("SSRIMG1\njunkjunk")); err == nil {
 		t.Error("corrupt payload accepted")
+	}
+	// The formats of older releases are refused by name. Each retired
+	// magic fronts a valid image body, so only the magic is at fault.
+	ix, err := Build(bookstore(), Options{Budget: 24, MinHashes: 32, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := saveBytes(t, ix)[len("SSRIMG1\n"):]
+	for _, magic := range []string{"SSRPUB1", "SSRSHD1", "SSRIDX1"} {
+		_, err := Load(strings.NewReader(magic + "\n" + string(body)))
+		if err == nil || !strings.Contains(err.Error(), magic) {
+			t.Errorf("Load of a %s snapshot: %v, want an error naming the format", magic, err)
+		}
 	}
 }
 
